@@ -120,11 +120,6 @@ def hecke_class_of_module(module: Supermodule) -> ModuleClass:
     return ModuleClass("G", out)
 
 
-@dataclass
-class _KSystem:
-    rows: list
-
-
 def _theta_incidence(n: int):
     """Rows alpha: [Theta(R_alpha), K_P] = 2^(|P|+1) [P inside D .. (D+1)]."""
     rows = []

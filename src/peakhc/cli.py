@@ -136,19 +136,8 @@ def _cmd_module(args) -> int:
 def _cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = []
-    if args.jobs and args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(run_suite, name, args.max_n, args.max_degree)
-                for name in names
-            ]
-            for fut in futures:  # deterministic: submission order
-                reports.extend(fut.result())
-    else:
-        for name in names:
-            reports.extend(run_suite(name, max_n=args.max_n, max_degree=args.max_degree))
+    for name in names:
+        reports.extend(run_suite(name, max_n=args.max_n, max_degree=args.max_degree))
     failed = sum(1 for r in reports if r["status"] == "failed")
     skipped = sum(1 for r in reports if r["status"] == "skipped-resource")
     if args.format == "json":
@@ -232,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, dest="max_n")
     p.add_argument("--max-degree", type=int, dest="max_degree")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", **common["--format"])
     p.set_defaults(func=_cmd_verify)
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .combinat import Composition, PeakSet
 from .hecke_clifford import AlgebraElement, unit as hc_unit
-from .hopf import FreeElement, convert, product, term
+from .hopf import _PIVOT_BASIS, FreeElement, convert, product, term
 from .scalars import GaussianRational
 
 __all__ = [
@@ -59,9 +59,6 @@ _HOPF_LETTERS = {
     "r": ("Sym", "r"),
     "q": ("Omega", "q"),
 }
-
-_PIVOT = {"NSym": "H", "QSym": "M", "Peak": "Xi", "PeakDual": "K", "Sym": "p",
-          "Omega": "podd"}
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|[\[\]{}()@+\-*/,])")
 
@@ -354,7 +351,7 @@ def _normalize_pair(x: FreeElement, y: FreeElement):
         )
     if x.basis == y.basis:
         return x, y
-    pivot = _PIVOT[x.algebra]
+    pivot = _PIVOT_BASIS[x.algebra]
     return convert(x, pivot), convert(y, pivot)
 
 

@@ -39,7 +39,7 @@ from .combinat import (
     word_inverse,
     word_reduced,
 )
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, vec_add_term, vec_iadd_scaled
 from .scalars import GAUSS_ONE, GaussianRational, as_gauss
 
 __all__ = [
@@ -101,12 +101,7 @@ class AlgebraElement:
             raise RankMismatchError("ranks %d and %d" % (self.rank, other.rank))
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            vec_add_term(out, k, v)
         return self._make(out)
 
     def __sub__(self, other):
@@ -225,71 +220,41 @@ def algebra_basis(n: int) -> tuple:
 
 
 def _left_mul_c(j: int, terms: dict) -> dict:
+    """c_j * element.  D -> D xor {j} is a bijection, so no two terms meet."""
     out = {}
     for (d, w), c in terms.items():
         below = sum(1 for x in d if x < j)
         if j in d:
-            key = (d - {j}, w)
-            val = -c if below % 2 == 0 else c
+            out[(d - {j}, w)] = -c if below % 2 == 0 else c
         else:
-            key = (d | {j}, w)
-            val = c if below % 2 == 0 else -c
-        s = out.get(key)
-        s = val if s is None else s + val
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+            out[(d | {j}, w)] = c if below % 2 == 0 else -c
     return out
 
 
-def _demazure_add(out: dict, d: frozenset, i: int, w: tuple, c) -> None:
-    """out += c * c_d T_i T_w, resolving T_i T_w by the left Demazure rule.
-
-    l(s_i w) > l(w) iff i occurs before i+1 in w, i.e. w^{-1}(i) < w^{-1}(i+1).
-    """
-    wi = word_inverse(w)
-    if wi[i - 1] < wi[i]:
-        key = (d, swap_values(i, w))
-        val = c
-    else:
-        key = (d, w)
-        val = -c
-    s = out.get(key)
-    s = val if s is None else s + val
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
-
-
-def _plain_add(out: dict, key, val) -> None:
-    s = out.get(key)
-    s = val if s is None else s + val
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
-
-
 def _left_mul_T(i: int, terms: dict) -> dict:
+    """T_i * element, by the cross relations of the module docstring and the
+    left Demazure rule: T_i T_w = T_{s_i w} when l(s_i w) > l(w), that is when
+    w^{-1}(i) < w^{-1}(i+1), and -T_w otherwise."""
     out = {}
     for (d, w), c in terms.items():
-        has_i = i in d
-        has_i1 = (i + 1) in d
-        if not has_i and not has_i1:
-            _demazure_add(out, d, i, w, c)
-        elif has_i and not has_i1:
-            _demazure_add(out, (d - {i}) | {i + 1}, i, w, c)
-        elif not has_i and has_i1:
+        has_i, has_i1 = i in d, (i + 1) in d
+        extra = ()
+        if has_i and has_i1:
+            extra = (((d, w), -c), ((d - {i, i + 1}, w), c))
+            c = -c
+        elif has_i:
+            d = (d - {i}) | {i + 1}
+        elif has_i1:
             d2 = (d - {i + 1}) | {i}
-            _demazure_add(out, d2, i, w, c)
-            _plain_add(out, (d2, w), c)
-            _plain_add(out, (d, w), -c)
+            extra = (((d2, w), c), ((d, w), -c))
+            d = d2
+        wi = word_inverse(w)
+        if wi[i - 1] < wi[i]:
+            vec_add_term(out, (d, swap_values(i, w)), c)
         else:
-            _demazure_add(out, d, i, w, -c)
-            _plain_add(out, (d, w), -c)
-            _plain_add(out, (d - {i, i + 1}, w), c)
+            vec_add_term(out, (d, w), -c)
+        for key, val in extra:
+            vec_add_term(out, key, val)
     return out
 
 
@@ -308,14 +273,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         raise RankMismatchError("ranks %d and %d" % (a.rank, b.rank))
     out: dict = {}
     for (d, w), ca in a.terms.items():
-        piece = _left_mul_basis(d, w, b.terms)
-        for key, v in piece.items():
-            s = out.get(key)
-            s = v * ca if s is None else s + v * ca
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        vec_iadd_scaled(out, _left_mul_basis(d, w, b.terms), ca)
     return AlgebraElement(a.rank, out)
 
 

@@ -22,7 +22,6 @@ then satisfy the Fibonacci/strict-partition Hilbert identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import (
@@ -46,7 +45,8 @@ from .hopf import (
     term,
     unit,
 )
-from .linalg import SpanSolver
+from .linalg import SpanSolver, vec_add_term, vec_iadd_scaled
+from .scalars import _frac
 
 __all__ = [
     "fock_action",
@@ -58,10 +58,6 @@ __all__ = [
     "hilbert_series_identity",
     "q_generator_peakdual",
 ]
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 @lru_cache(maxsize=None)
 def q_generator_peakdual(n: int) -> tuple:
@@ -121,33 +117,27 @@ class DoubleElement:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {k: Fraction(v) for k, v in (coeffs or {}).items() if v}
+        self.coeffs = {k: _frac(v) for k, v in (coeffs or {}).items() if v}
 
     @classmethod
     def from_elements(cls, x: FreeElement, a: FreeElement) -> "DoubleElement":
         x = convert(x, "K", "PeakDual")
         a = convert(a, "Xi", "Peak")
-        out = {}
-        for kx, cx in x.coeffs.items():
-            for ka, ca in a.coeffs.items():
-                out[(kx, ka)] = out.get((kx, ka), _F0) + cx * ca
-        return cls(out)
+        return cls({
+            (kx, ka): cx * ca for kx, cx in x.coeffs.items() for ka, ca in a.coeffs.items()
+        })
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = out.get(k, _F0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            vec_add_term(out, k, v)
         return DoubleElement(out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _frac(c)
         return DoubleElement({k: v * c for k, v in self.coeffs.items()})
 
     def __eq__(self, other):
@@ -163,7 +153,7 @@ class DoubleElement:
 
     def __mul__(self, other: "DoubleElement") -> "DoubleElement":
         """(x # a)(y # b) = sum x (a_1 . y) # a_2 b."""
-        out = DoubleElement()
+        out = {}
         for (kx, ka), c1 in self.coeffs.items():
             a = term("Peak", "Xi", ka)
             da = coproduct(a)
@@ -174,19 +164,17 @@ class DoubleElement:
                     if not lowered:
                         continue
                     right = product(term("Peak", "Xi", a2), term("Peak", "Xi", kb))
-                    piece = {}
                     for kx2, cx2 in lowered.coeffs.items():
                         xprod = product(
                             term("PeakDual", "K", kx), term("PeakDual", "K", kx2)
                         )
                         for kfin, cfin in xprod.coeffs.items():
-                            for kr, cr in right.coeffs.items():
-                                key = (kfin, kr)
-                                piece[key] = piece.get(key, _F0) + (
-                                    c1 * c2 * ca * cx2 * cfin * cr
-                                )
-                    out = out + DoubleElement(piece)
-        return out
+                            vec_iadd_scaled(
+                                out,
+                                (((kfin, kr), cr) for kr, cr in right.coeffs.items()),
+                                c1 * c2 * ca * cx2 * cfin,
+                            )
+        return DoubleElement(out)
 
     def apply(self, x: FreeElement) -> FreeElement:
         """Fock-space action: lower by the peak part, multiply by the dual part."""

@@ -48,7 +48,8 @@ from .combinat import (
     peak_sets_in,
     symmetric_difference_shift,
 )
-from .linalg import SpanSolver
+from .linalg import SpanSolver, vec_add_term, vec_iadd_scaled
+from .scalars import _frac
 
 __all__ = [
     "ConversionError",
@@ -164,7 +165,7 @@ class FreeElement:
         self.basis = basis
         clean = {}
         for idx, c in (coeffs or {}).items():
-            c = Fraction(c) if not isinstance(c, Fraction) else c
+            c = _frac(c)
             if c:
                 clean[_normalize_index(algebra, basis, idx)] = c
         self.coeffs = clean
@@ -195,18 +196,14 @@ class FreeElement:
         self._check_compatible(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = out.get(k, _F0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            vec_add_term(out, k, v)
         return self._make(out)
 
     def __sub__(self, other: "FreeElement") -> "FreeElement":
         return self + other.scale(-1)
 
     def scale(self, c) -> "FreeElement":
-        c = Fraction(c)
+        c = _frac(c)
         if not c:
             return self._make({})
         return self._make({k: v * c for k, v in self.coeffs.items()})
@@ -284,7 +281,7 @@ def _index_str(basis: str, idx) -> str:
 
 
 def term(algebra: str, basis: str, index, coeff=1) -> FreeElement:
-    return FreeElement(algebra, basis, {index: Fraction(coeff)})
+    return FreeElement(algebra, basis, {index: coeff})
 
 
 def unit(algebra: str, basis: str) -> FreeElement:
@@ -307,18 +304,14 @@ class TensorElement:
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = out.get(k, _F0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            vec_add_term(out, k, v)
         return TensorElement(self.algebra, self.basis, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _frac(c)
         return TensorElement(
             self.algebra, self.basis, {k: v * c for k, v in self.coeffs.items() if v * c}
         )
@@ -352,13 +345,7 @@ class TensorElement:
                     FreeElement(other.algebra, other.basis, {b2: _F1}),
                 )
                 for k1, c1 in left.coeffs.items():
-                    for k2, c2 in right.coeffs.items():
-                        key = (k1, k2)
-                        s = out.get(key, _F0) + c1 * c2
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
+                    vec_iadd_scaled(out, (((k1, k2), c2) for k2, c2 in right.coeffs.items()), c1)
         basis = left.basis if self.coeffs and other.coeffs else self.basis
         return TensorElement(self.algebra, basis, out)
 
@@ -387,13 +374,7 @@ class TensorElement:
 def _concat_product(a: dict, b: dict) -> dict:
     out = {}
     for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = Composition(ka.parts + kb.parts)
-            s = out.get(key, _F0) + ca * cb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        vec_iadd_scaled(out, ((Composition(ka.parts + kb.parts), cb) for kb, cb in b.items()), ca)
     return out
 
 
@@ -440,14 +421,9 @@ def _q_in_h(m: int) -> tuple:
         return ((Composition(()), _F1),)
     out = {}
     for k in range(m + 1):
-        tail = {Composition(() if m == k else (m - k,)): _F1}
-        piece = _concat_product(dict(_e_in_h(k)), tail)
-        for key, c in piece.items():
-            s = out.get(key, _F0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        tail = () if m == k else (m - k,)
+        for b, c in _e_in_h(k):
+            vec_add_term(out, Composition(b.parts + tail), c)
     return tuple(sorted(out.items(), key=lambda kv: index_sort_key(kv[0])))
 
 
@@ -479,19 +455,10 @@ def _h_to_r(alpha: Composition) -> tuple:
     return tuple((b, _F1) for b in _coarsenings(alpha))
 
 
-@lru_cache(maxsize=None)
-def _h_to_e_single(k: int) -> tuple:
-    if k == 0:
-        return ((Composition(()), _F1),)
-    return tuple((b, Fraction((-1) ** (k - b.length))) for b in compositions_of(k))
-
-
-@lru_cache(maxsize=None)
 def _h_to_e(alpha: Composition) -> tuple:
-    acc = {Composition(()): _F1}
-    for p in alpha.parts:
-        acc = _concat_product(acc, dict(_h_to_e_single(p)))
-    return tuple(acc.items())
+    """H_alpha in the E basis: the involution swapping E and H turns the
+    E-to-H expansion into this one, coefficient for coefficient."""
+    return _h_expansion("E", alpha)
 
 
 @lru_cache(maxsize=None)
@@ -547,12 +514,7 @@ def _n_in_k(alpha: Composition) -> tuple:
     """N_alpha = vartheta(M_alpha): expand M in F, then F_beta -> K_{P(beta)}."""
     out = {}
     for b, c in _m_to_f(alpha):
-        key = b.peak_set()
-        s = out.get(key, _F0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        vec_add_term(out, b.peak_set(), c)
     return tuple(out.items())
 
 
@@ -566,15 +528,9 @@ def _quasi_shuffle(a: tuple, b: tuple) -> tuple:
     if not b:
         return ((a, 1),)
     out = {}
-    for rest, m in _quasi_shuffle(a[1:], b):
-        key = (a[0],) + rest
-        out[key] = out.get(key, 0) + m
-    for rest, m in _quasi_shuffle(a, b[1:]):
-        key = (b[0],) + rest
-        out[key] = out.get(key, 0) + m
-    for rest, m in _quasi_shuffle(a[1:], b[1:]):
-        key = (a[0] + b[0],) + rest
-        out[key] = out.get(key, 0) + m
+    for head, a1, b1 in ((a[0], a[1:], b), (b[0], a, b[1:]), (a[0] + b[0], a[1:], b[1:])):
+        for rest, m in _quasi_shuffle(a1, b1):
+            vec_add_term(out, (head,) + rest, m)
     return tuple(out.items())
 
 
@@ -588,13 +544,7 @@ def _merge_parts(a: tuple, b: tuple) -> tuple:
 def _part_product(x: dict, y: dict) -> dict:
     out = {}
     for ka, ca in x.items():
-        for kb, cb in y.items():
-            key = _merge_parts(ka, kb)
-            s = out.get(key, _F0) + ca * cb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        vec_iadd_scaled(out, ((_merge_parts(ka, kb), cb) for kb, cb in y.items()), ca)
     return out
 
 
@@ -603,13 +553,7 @@ def _p_in_h(n: int) -> tuple:
     """Newton: p_n = n h_n - sum_{k=1}^{n-1} h_k p_{n-k}."""
     out = {(n,): Fraction(n)}
     for k in range(1, n):
-        piece = _part_product({(k,): _F1}, dict(_p_in_h(n - k)))
-        for key, c in piece.items():
-            s = out.get(key, _F0) - c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        vec_iadd_scaled(out, ((_merge_parts((k,), lam), c) for lam, c in _p_in_h(n - k)), -1)
     return tuple(out.items())
 
 
@@ -619,15 +563,22 @@ def _h_in_p(n: int) -> tuple:
     if n == 0:
         return (((), _F1),)
     out = {}
+    inv_n = Fraction(1, n)
     for k in range(1, n + 1):
-        piece = _part_product({(k,): _F1}, dict(_h_in_p(n - k)))
-        for key, c in piece.items():
-            s = out.get(key, _F0) + c / n
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        vec_iadd_scaled(out, ((_merge_parts((k,), lam), c) for lam, c in _h_in_p(n - k)), inv_n)
     return tuple(out.items())
+
+
+def _expand_monomials(coeffs: dict, factor, mul, one) -> dict:
+    """sum over lam of coeffs[lam] * prod_{part in lam} factor(part), the
+    product taken with ``mul`` from ``{one: 1}``."""
+    out = {}
+    for lam, c in coeffs.items():
+        acc = {one: _F1}
+        for part in lam:
+            acc = mul(acc, factor(part))
+        vec_iadd_scaled(out, acc, c)
+    return out
 
 
 def _sym_to_p(coeffs: dict, basis: str) -> dict:
@@ -635,18 +586,7 @@ def _sym_to_p(coeffs: dict, basis: str) -> dict:
     if basis == "p":
         return dict(coeffs)
     if basis == "h":
-        out = {}
-        for lam, c in coeffs.items():
-            acc = {(): _F1}
-            for part in lam:
-                acc = _part_product(acc, dict(_h_in_p(part)))
-            for key, v in acc.items():
-                s = out.get(key, _F0) + c * v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return out
+        return _expand_monomials(coeffs, lambda part: dict(_h_in_p(part)), _part_product, ())
     if basis == "r":
         return _sym_to_p(_r_to_h(coeffs), "h")
     if basis == "m":
@@ -655,31 +595,35 @@ def _sym_to_p(coeffs: dict, basis: str) -> dict:
 
 
 def _p_to_h_dict(coeffs: dict) -> dict:
-    out = {}
-    for lam, c in coeffs.items():
-        acc = {(): _F1}
-        for part in lam:
-            acc = _part_product(acc, dict(_p_in_h(part)))
-        for key, v in acc.items():
-            s = out.get(key, _F0) + c * v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+    return _expand_monomials(coeffs, lambda part: dict(_p_in_h(part)), _part_product, ())
 
 
 def _r_to_h(coeffs: dict) -> dict:
     """Ribbon Schur r_alpha (composition-indexed) into h (partition-indexed)."""
+    return _expand_linear(
+        coeffs, lambda alpha: ((b.to_partition(), s) for b, s in _h_expansion("R", alpha))
+    )
+
+
+def _solve_degreewise(coeffs: dict, solver, coords, unit, message: str) -> dict:
+    """Coordinates of ``coeffs`` in a target basis, one exact solve per degree.
+
+    ``coords(part, d)`` is the coordinate vector of the degree-d part, and
+    ``solver(d)`` spans the images of the target basis in those coordinates,
+    tagged by target index.  Degree 0 is the unit, whose target index is
+    ``unit``.  Raises MembershipError(message % d) when a part lies outside
+    the span.
+    """
     out = {}
-    for alpha, c in coeffs.items():
-        for b, sign in _h_expansion("R", alpha):
-            key = b.to_partition()
-            s = out.get(key, _F0) + c * sign
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+    for d in sorted({index_degree(k) for k in coeffs}):
+        part = {k: v for k, v in coeffs.items() if index_degree(k) == d}
+        if d == 0:
+            (out[unit],) = part.values()
+            continue
+        rep = solver(d).express(coords(part, d))
+        if rep is None:
+            raise MembershipError(message % d)
+        out.update(rep)
     return out
 
 
@@ -706,62 +650,31 @@ def _partitions(n: int) -> tuple:
 
 def _m_to_h(coeffs: dict) -> dict:
     """Monomial to complete basis, degreewise via exact QSym coordinates."""
-    out = {}
-    for d in sorted({sum(k) for k in coeffs}):
-        part = {k: v for k, v in coeffs.items() if sum(k) == d}
-        if d == 0:
-            c = part.get((), _F0)
-            if c:
-                out[()] = out.get((), _F0) + c
-            continue
-        solver = _sym_h_solver(d)
-        vec = {}
-        for lam, c in part.items():
-            for a in compositions_of(d):
-                if a.to_partition() == lam:
-                    vec[a.descent_set().bitmask()] = vec.get(
-                        a.descent_set().bitmask(), _F0
-                    ) + c
-        vec = {k: v for k, v in vec.items() if v}
-        rep = solver.express(vec)
-        if rep is None:
-            raise MembershipError("monomial element is not symmetric-consistent")
-        for lam, c in rep.items():
-            s = out.get(lam, _F0) + c
-            if s:
-                out[lam] = s
-            else:
-                out.pop(lam, None)
-    return out
+
+    def coords(part, d):
+        return {
+            a.descent_set().bitmask(): part[a.to_partition()]
+            for a in compositions_of(d)
+            if a.to_partition() in part
+        }
+
+    return _solve_degreewise(
+        coeffs, _sym_h_solver, coords, (),
+        "monomial element of degree %d is not symmetric-consistent",
+    )
 
 
 def _h_to_m(coeffs: dict) -> dict:
-    out = {}
-    for d in sorted({sum(k) for k in coeffs}):
-        part = {k: v for k, v in coeffs.items() if sum(k) == d}
-        if d == 0:
-            c = part.get((), _F0)
-            if c:
-                out[()] = out.get((), _F0) + c
-            continue
-        solver = _sym_m_solver(d)
-        vec = {}
-        for lam, c in part.items():
-            img = _sym_h_qsym(lam)
-            for a, v in img.items():
-                key = a.descent_set().bitmask()
-                vec[key] = vec.get(key, _F0) + c * v
-        vec = {k: v for k, v in vec.items() if v}
-        rep = solver.express(vec)
-        if rep is None:  # pragma: no cover - h images always symmetric
-            raise MembershipError("internal: h image not in monomial span")
-        for lam, c in rep.items():
-            s = out.get(lam, _F0) + c
-            if s:
-                out[lam] = s
-            else:
-                out.pop(lam, None)
-    return out
+    def coords(part, d):
+        return _expand_linear(
+            part,
+            lambda lam: ((a.descent_set().bitmask(), v) for a, v in _sym_h_qsym(lam).items()),
+        )
+
+    return _solve_degreewise(
+        coeffs, _sym_m_solver, coords, (),
+        "internal: h image of degree %d not in the monomial span",
+    )
 
 
 @lru_cache(maxsize=None)
@@ -769,11 +682,7 @@ def _sym_h_solver(n: int) -> SpanSolver:
     """Span of the images of h_lambda inside QSym_n, tagged by partitions."""
     solver = SpanSolver()
     for lam in _partitions(n):
-        img = _sym_h_qsym(lam)
-        vec = {}
-        for a, v in img.items():
-            vec[a.descent_set().bitmask()] = vec.get(a.descent_set().bitmask(), _F0) + v
-        solver.add(lam, vec)
+        solver.add(lam, {a.descent_set().bitmask(): v for a, v in _sym_h_qsym(lam).items()})
     return solver
 
 
@@ -791,13 +700,8 @@ def _qsym_m_product(x: dict, y: dict) -> dict:
     out = {}
     for ka, ca in x.items():
         for kb, cb in y.items():
-            for parts, mult in _quasi_shuffle(ka.parts, kb.parts):
-                key = Composition(parts)
-                s = out.get(key, _F0) + ca * cb * mult
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+            shuffles = _quasi_shuffle(ka.parts, kb.parts)
+            vec_iadd_scaled(out, ((Composition(p), m) for p, m in shuffles), ca * cb)
     return out
 
 
@@ -814,18 +718,8 @@ def _q_gen_podd(n: int) -> tuple:
 def _omega_to_podd(coeffs: dict, basis: str) -> dict:
     if basis == "podd":
         return dict(coeffs)
-    out = {}
-    for lam, c in coeffs.items():  # q-monomial tag
-        acc = {(): _F1}
-        for part in lam:
-            acc = _part_product(acc, dict(_q_gen_podd(part)))
-        for key, v in acc.items():
-            s = out.get(key, _F0) + c * v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+    # q-monomial tag
+    return _expand_monomials(coeffs, lambda part: dict(_q_gen_podd(part)), _part_product, ())
 
 
 # peak-dual coordinates: express a QSym element in the K basis (degreewise)
@@ -844,25 +738,13 @@ def _peakdual_solver(n: int) -> SpanSolver:
 
 def _qsym_to_k(coeffs_f: dict) -> dict:
     """F-coordinate dict -> K-coordinate dict; MembershipError if outside."""
-    out = {}
-    for d in sorted({k.n for k in coeffs_f}):
-        part = {k: v for k, v in coeffs_f.items() if k.n == d}
-        if d == 0:
-            c = part.get(Composition(()), _F0)
-            if c:
-                out[PeakSet(0, frozenset())] = c
-            continue
-        solver = _peakdual_solver(d)
-        vec = {a.descent_set().bitmask(): v for a, v in part.items()}
-        rep = solver.express(vec)
-        if rep is None:
-            raise MembershipError(
-                "element of degree %d lies outside the peak quasisymmetric span" % d
-            )
-        for P, c in rep.items():
-            if c:
-                out[P] = c
-    return out
+    return _solve_degreewise(
+        coeffs_f,
+        _peakdual_solver,
+        lambda part, d: {a.descent_set().bitmask(): v for a, v in part.items()},
+        PeakSet(0, frozenset()),
+        "element of degree %d lies outside the peak quasisymmetric span",
+    )
 
 
 def _nsym_to_xi(coeffs_r: dict) -> dict:
@@ -895,14 +777,11 @@ def _nsym_to_xi(coeffs_r: dict) -> dict:
 
 
 def _expand_linear(coeffs: dict, table) -> dict:
+    """sum over idx of coeffs[idx] * table(idx); a table entry is a dict or
+    (key, value) pairs."""
     out = {}
     for idx, c in coeffs.items():
-        for key, v in table(idx):
-            s = out.get(key, _F0) + c * v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        vec_iadd_scaled(out, table(idx), c)
     return out
 
 
@@ -1103,8 +982,7 @@ def _coprod_h_single(alpha: Composition) -> tuple:
             for k in range(part + 1):
                 left = b if k == 0 else Composition(b.parts + (k,))
                 right = g if k == part else Composition(g.parts + (part - k,))
-                key = (left, right)
-                nxt[key] = nxt.get(key, _F0) + c
+                vec_add_term(nxt, (left, right), c)
         acc = nxt
     return tuple(acc.items())
 
@@ -1127,8 +1005,7 @@ def _coprod_part_h(lam: tuple) -> tuple:
             for k in range(part + 1):
                 left = b if k == 0 else _merge_parts(b, (k,))
                 right = g if k == part else _merge_parts(g, (part - k,))
-                key = (left, right)
-                nxt[key] = nxt.get(key, _F0) + c
+                vec_add_term(nxt, (left, right), c)
         acc = nxt
     return tuple(acc.items())
 
@@ -1142,8 +1019,7 @@ def _coprod_part_primitive(lam: tuple) -> tuple:
             for side in (0, 1):
                 left = _merge_parts(b, (part,)) if side == 0 else b
                 right = g if side == 0 else _merge_parts(g, (part,))
-                key = (left, right)
-                nxt[key] = nxt.get(key, _F0) + c
+                vec_add_term(nxt, (left, right), c)
         acc = nxt
     return tuple(acc.items())
 
@@ -1152,16 +1028,9 @@ def _tensor_convert(t: TensorElement, conv) -> dict:
     """Apply a linear map (dict index -> dict index') to both tensor slots."""
     out = {}
     for (k1, k2), c in t.coeffs.items():
-        img1 = conv(k1)
         img2 = conv(k2)
-        for a, ca in img1.items():
-            for b, cb in img2.items():
-                key = (a, b)
-                s = out.get(key, _F0) + c * ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+        for a, ca in conv(k1).items():
+            vec_iadd_scaled(out, (((a, b), cb) for b, cb in img2.items()), c * ca)
     return out
 
 
@@ -1171,28 +1040,17 @@ def _tensor_slotwise_solve(t: TensorElement, slot_solve) -> dict:
     ``slot_solve`` maps a dict {index: coeff} (one graded slot fiber) to a
     dict in the new index; fibers of a tensor against a basis of one slot
     stay inside the relevant subspace, so the solve is always consistent.
+    Each fiber is solved once and fibers have disjoint keys, so nothing is
+    summed.
     """
-    # slot 2 fibers: collect per k2
-    half = {}
     fibers = {}
     for (k1, k2), c in t.coeffs.items():
         fibers.setdefault(k2, {})[k1] = c
+    half = {}
     for k2, fib in fibers.items():
         for a, ca in slot_solve(fib).items():
-            half[(a, k2)] = half.get((a, k2), _F0) + ca
-    out = {}
-    fibers = {}
-    for (a, k2), c in half.items():
-        fibers.setdefault(a, {})[k2] = c
-    for a, fib in fibers.items():
-        for b, cb in slot_solve(fib).items():
-            key = (a, b)
-            s = out.get(key, _F0) + cb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+            half.setdefault(a, {})[k2] = ca
+    return {(a, b): cb for a, fib in half.items() for b, cb in slot_solve(fib).items()}
 
 
 def coproduct(x: FreeElement) -> TensorElement:
@@ -1204,30 +1062,13 @@ def coproduct(x: FreeElement) -> TensorElement:
     alg, basis = x.algebra, x.basis
     if alg == "NSym":
         h = _expand_linear(x.coeffs, lambda a: _h_expansion(basis, a))
-        out = {}
-        for a, c in h.items():
-            for key, v in _coprod_h_single(a):
-                s = out.get(key, _F0) + c * v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        t = TensorElement("NSym", "H", out)
+        t = TensorElement("NSym", "H", _expand_linear(h, _coprod_h_single))
         if basis in ("H", "Q"):
             return t
         conv = (lambda k: dict(_h_to_r(k))) if basis == "R" else (lambda k: dict(_h_to_e(k)))
         return TensorElement("NSym", basis, _tensor_convert(t, conv))
     if alg == "QSym":
-        m = _qsym_as_m(x)
-        out = {}
-        for a, c in m.items():
-            for key, v in _coprod_m_single(a):
-                s = out.get(key, _F0) + c * v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        t = TensorElement("QSym", "M", out)
+        t = TensorElement("QSym", "M", _expand_linear(_qsym_as_m(x), _coprod_m_single))
         if basis == "M":
             return t
         return TensorElement("QSym", "F", _tensor_convert(t, lambda k: dict(_m_to_f(k))))
@@ -1237,15 +1078,7 @@ def coproduct(x: FreeElement) -> TensorElement:
         return TensorElement("Peak", "Xi", _tensor_slotwise_solve(t, _peak_slot_solve))
     if alg == "PeakDual":
         if basis == "N":
-            out = {}
-            for a, c in x.coeffs.items():
-                for key, v in _coprod_m_single(a):
-                    s = out.get(key, _F0) + c * v
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            return TensorElement("PeakDual", "N", out)
+            return TensorElement("PeakDual", "N", _expand_linear(x.coeffs, _coprod_m_single))
         q = convert(x, "M", "QSym")
         t = coproduct(q)
         return TensorElement(
@@ -1255,28 +1088,14 @@ def coproduct(x: FreeElement) -> TensorElement:
         if basis in ("r", "m"):
             x = _convert_within(x, "h")
             basis = "h"
-        out = {}
         table = _coprod_part_h if basis == "h" else _coprod_part_primitive
         src = x.coeffs if basis in ("h", "p") else _sym_to_p(x.coeffs, basis)
-        for lam, c in src.items():
-            for key, v in table(lam):
-                s = out.get(key, _F0) + c * v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return TensorElement("Sym", basis if basis in ("h", "p") else "p", out)
+        return TensorElement(
+            "Sym", basis if basis in ("h", "p") else "p", _expand_linear(src, table)
+        )
     if alg == "Omega":
         p = _convert_within(x, "podd")
-        out = {}
-        for lam, c in p.coeffs.items():
-            for key, v in _coprod_part_primitive(lam):
-                s = out.get(key, _F0) + c * v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return TensorElement("Omega", "podd", out)
+        return TensorElement("Omega", "podd", _expand_linear(p.coeffs, _coprod_part_primitive))
     raise ConversionError("no coproduct on %s" % alg)
 
 
@@ -1376,29 +1195,14 @@ def theta_transform(x: FreeElement) -> FreeElement:
     if x.algebra == "Peak":
         x = convert(x, "H", "NSym")
     h = _expand_linear(x.coeffs, lambda a: _h_expansion(x.basis, a))
-    out = {}
-    for a, c in h.items():
-        for key, v in _h_expansion("Q", a):
-            s = out.get(key, _F0) + c * v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+    out = _expand_linear(h, lambda a: _h_expansion("Q", a))
     return convert(FreeElement("NSym", "H", out), "Xi", "Peak")
 
 
 def vartheta_map(x: FreeElement) -> FreeElement:
     """Descent-to-peak map on QSym: F_alpha -> K_{P(alpha)}."""
     f = _qsym_as_f(x) if x.algebra == "QSym" else _qsym_as_f(convert(x, "F", "QSym"))
-    out = {}
-    for a, c in f.items():
-        key = a.peak_set()
-        s = out.get(key, _F0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return FreeElement("PeakDual", "K", out)
+    return FreeElement("PeakDual", "K", _expand_linear(f, lambda a: ((a.peak_set(), 1),)))
 
 
 def forgetful_pi(x: FreeElement) -> FreeElement:
@@ -1406,15 +1210,7 @@ def forgetful_pi(x: FreeElement) -> FreeElement:
     if x.algebra == "Peak":
         x = convert(x, "H", "NSym")
     h = _expand_linear(x.coeffs, lambda a: _h_expansion(x.basis, a))
-    out = {}
-    for a, c in h.items():
-        key = a.to_partition()
-        s = out.get(key, _F0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return FreeElement("Sym", "h", out)
+    return FreeElement("Sym", "h", _expand_linear(h, lambda a: ((a.to_partition(), 1),)))
 
 
 def theta_sym(x: FreeElement) -> FreeElement:
@@ -1422,32 +1218,16 @@ def theta_sym(x: FreeElement) -> FreeElement:
     p = _sym_to_p(x.coeffs, x.basis) if x.algebra == "Sym" else _omega_to_podd(
         x.coeffs, x.basis
     )
-    out = {}
-    for lam, c in p.items():
-        if all(part % 2 == 1 for part in lam):
-            key = lam
-            s = out.get(key, _F0) + c * (2 ** len(lam))
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+    out = {lam: c * 2 ** len(lam) for lam, c in p.items() if all(part % 2 == 1 for part in lam)}
     return FreeElement("Omega", "podd", out)
 
 
 def sym_into_qsym(x: FreeElement) -> FreeElement:
     """The inclusion of symmetric functions into QSym (M basis)."""
     p = _sym_to_p(x.coeffs, x.basis)
-    out = {}
-    for lam, c in p.items():
-        acc = {Composition(()): _F1}
-        for part in lam:
-            acc = _qsym_m_product(acc, {Composition((part,)): _F1})
-        for key, v in acc.items():
-            s = out.get(key, _F0) + c * v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+    out = _expand_monomials(
+        p, lambda part: {Composition((part,)): _F1}, _qsym_m_product, Composition(())
+    )
     return FreeElement("QSym", "M", out)
 
 

@@ -8,6 +8,7 @@ column-sparse.  Everything here is field-generic: any scalar type with exact
 from __future__ import annotations
 
 __all__ = [
+    "vec_add_term",
     "vec_iadd_scaled",
     "vec_scale",
     "SparseMatrix",
@@ -18,13 +19,27 @@ __all__ = [
 ]
 
 
-def vec_iadd_scaled(u: dict, v: dict, c) -> dict:
-    """u += c*v in place, purging zero entries; returns u."""
+def vec_add_term(u: dict, k, val) -> None:
+    """u[k] += val in place, dropping the entry when it cancels."""
+    s = u.get(k)
+    s = val if s is None else s + val
+    if s:
+        u[k] = s
+    else:
+        u.pop(k, None)
+
+
+def vec_iadd_scaled(u: dict, v, c) -> dict:
+    """u += c*v in place, dropping cancelled entries; returns u.
+
+    ``v`` is a dict or an iterable of (key, value) pairs.  The product is
+    formed as ``c * value``, so int coefficients stay int.
+    """
     if not c:
         return u
-    for k, val in v.items():
+    for k, val in v.items() if isinstance(v, dict) else v:
         s = u.get(k)
-        s = val * c if s is None else s + val * c
+        s = c * val if s is None else s + c * val
         if s:
             u[k] = s
         else:
@@ -160,6 +175,27 @@ class SparseMatrix:
         return SparseMatrix(self.nrows, self.ncols, [dict(c) for c in self.cols])
 
 
+def _eliminate(rows: dict, vec: dict, reps=None, rep=None):
+    """Reduce ``vec`` by the stored pivot rows (pivot -> row with entry 1 there).
+
+    Returns ``(p, vec)``: the reduced copy of ``vec`` and its pivot, which has
+    no stored row, or ``p = None`` when ``vec`` reduces to zero.  When
+    ``reps`` (pivot -> combination) is given, ``rep`` takes the same row
+    operations in place.
+    """
+    vec = dict(vec)
+    while vec:
+        p = min(vec)
+        row = rows.get(p)
+        if row is None:
+            return p, vec
+        c = -vec[p]
+        vec_iadd_scaled(vec, row, c)
+        if reps is not None:
+            vec_iadd_scaled(rep, reps[p], c)
+    return None, vec
+
+
 class Echelon:
     """Incremental exact row-echelon form of a set of sparse row vectors.
 
@@ -173,22 +209,13 @@ class Echelon:
         self.rows: dict = {}  # pivot index -> normalized row
 
     def reduce(self, row: dict) -> dict:
-        row = dict(row)
-        rows = self.rows
-        while row:
-            p = min(row)
-            pivot_row = rows.get(p)
-            if pivot_row is None:
-                return row
-            vec_iadd_scaled(row, pivot_row, -row[p])
-        return row
+        return _eliminate(self.rows, row)[1]
 
     def add(self, row: dict):
         """Insert a row; return its pivot index, or None if dependent."""
-        row = self.reduce(row)
-        if not row:
+        p, row = _eliminate(self.rows, row)
+        if p is None:
             return None
-        p = min(row)
         inv = _invert_scalar(row[p])
         if inv != 1:
             row = vec_scale(row, inv)
@@ -208,48 +235,33 @@ class SpanSolver:
     returns None when it is outside the span.
     """
 
-    __slots__ = ("rows", "tags")
+    __slots__ = ("rows", "reps")
 
     def __init__(self):
-        self.rows: dict = {}  # pivot -> (vec, rep); invariant vec == sum rep[t]*orig[t]
-        self.tags: list = []
-
-    def _reduce(self, vec: dict, rep: dict):
-        vec = dict(vec)
-        rep = dict(rep)
-        rows = self.rows
-        while vec:
-            p = min(vec)
-            stored = rows.get(p)
-            if stored is None:
-                return p, vec, rep
-            svec, srep = stored
-            c = vec[p]
-            vec_iadd_scaled(vec, svec, -c)
-            vec_iadd_scaled(rep, srep, -c)
-        return None, vec, rep
+        # pivot -> vec and pivot -> rep; invariant vec == sum rep[t]*orig[t]
+        self.rows: dict = {}
+        self.reps: dict = {}
 
     def add(self, tag, vec: dict) -> bool:
         """Insert; returns True when the vector enlarges the span."""
         rep = {tag: 1}
-        p, vec, rep = self._reduce(vec, rep)
+        p, vec = _eliminate(self.rows, vec, self.reps, rep)
         if p is None:
             return False
         inv = _invert_scalar(vec[p])
         if inv != 1:
             vec = vec_scale(vec, inv)
             rep = vec_scale(rep, inv)
-        self.rows[p] = (vec, rep)
-        self.tags.append(tag)
+        self.rows[p] = vec
+        self.reps[p] = rep
         return True
 
     def contains(self, vec: dict) -> bool:
-        p, _, _ = self._reduce(vec, {})
-        return p is None
+        return _eliminate(self.rows, vec)[0] is None
 
     def express(self, vec: dict):
-        p, _, rep = self._reduce(vec, {})
-        if p is not None:
+        rep = {}
+        if _eliminate(self.rows, vec, self.reps, rep)[0] is not None:
             return None
         return {t: -c for t, c in rep.items()}
 
@@ -268,34 +280,33 @@ def _invert_scalar(c):
     return one / c
 
 
+def _back_substitute(pivots: dict, x: dict) -> dict:
+    """Fill in the pivot entries of ``x`` so that every stored row
+    (pivot -> row with entry 1 there) vanishes on it, last pivot first."""
+    for p in sorted(pivots, reverse=True):
+        s = None
+        for c, v in pivots[p].items():
+            if c == p:
+                continue
+            xc = x.get(c)
+            if xc is not None:
+                s = v * xc if s is None else s + v * xc
+        if s:
+            x[p] = -s
+    return x
+
+
 def nullspace(rows, columns) -> list:
     """Basis of {x : A x = 0} for the row-sparse matrix A over ``columns``.
 
     ``rows`` is an iterable of dicts keyed by members of ``columns`` (any
     hashable, totally ordered index set).  Returns a list of dict vectors.
     """
-    columns = list(columns)
     ech = Echelon()
     for r in rows:
         ech.add(r)
     pivots = ech.rows
-    free = [c for c in columns if c not in pivots]
-    basis = []
-    for f in free:
-        x = {f: 1}
-        for p in sorted(pivots, reverse=True):
-            row = pivots[p]
-            s = None
-            for c, v in row.items():
-                if c == p:
-                    continue
-                xc = x.get(c)
-                if xc is not None:
-                    s = v * xc if s is None else s + v * xc
-            if s:
-                x[p] = -s
-        basis.append(x)
-    return basis
+    return [_back_substitute(pivots, {f: 1}) for f in columns if f not in pivots]
 
 
 def solve_unique(rows_with_rhs):
@@ -315,18 +326,7 @@ def solve_unique(rows_with_rhs):
     pivots = ech.rows
     if _RHS in pivots:
         raise ValueError("inconsistent linear system")
-    x: dict = {_RHS: 1}
-    for p in sorted(pivots, reverse=True):
-        row = pivots[p]
-        s = None
-        for c, v in row.items():
-            if c == p:
-                continue
-            xc = x.get(c)
-            if xc is not None:
-                s = v * xc if s is None else s + v * xc
-        if s:
-            x[p] = -s
+    x = _back_substitute(pivots, {_RHS: 1})
     return {c: v for (flag, c), v in x.items() if flag == 0 and v}
 
 

@@ -54,7 +54,14 @@ from .hecke_clifford import (
     multiply,
     unit,
 )
-from .linalg import Echelon, SparseMatrix, SpanSolver, nullspace
+from .linalg import (
+    Echelon,
+    SparseMatrix,
+    SpanSolver,
+    nullspace,
+    vec_add_term,
+    vec_iadd_scaled,
+)
 from .scalars import GAUSS_I, GAUSS_ONE, GaussianRational, as_gauss
 
 __all__ = [
@@ -328,23 +335,15 @@ def induce_clifford(module: Supermodule) -> Supermodule:
                     tgt = dpos[(d - {i + 1}) | {i}]
                     for r, v in tcol.items():
                         col[tgt * dm + r] = v
-                    col[tgt * dm + k] = col.get(tgt * dm + k, _G0) + _G1
-                    col[di * dm + k] = col.get(di * dm + k, _G0) - _G1
-                    _purge(col)
+                    vec_add_term(col, tgt * dm + k, _G1)
+                    vec_add_term(col, di * dm + k, -_G1)
                 else:
                     for r, v in tcol.items():
                         col[di * dm + r] = -v
-                    col[di * dm + k] = col.get(di * dm + k, _G0) - _G1
-                    tgt = dpos[d - {i, i + 1}]
-                    col[tgt * dm + k] = col.get(tgt * dm + k, _G0) + _G1
-                    _purge(col)
+                    vec_add_term(col, di * dm + k, -_G1)
+                    vec_add_term(col, dpos[d - {i, i + 1}] * dm + k, _G1)
         actions[("T", i)] = mat
     return Supermodule((n,), "HCl", labels, parities, actions)
-
-
-def _purge(col: dict) -> None:
-    for k in [k for k, v in col.items() if not v]:
-        del col[k]
 
 
 def outer_tensor(m1: Supermodule, m2: Supermodule) -> Supermodule:
@@ -423,12 +422,7 @@ class _ParabolicDecomposer:
                     continue
                 if word_length(w2) >= lw:
                     raise AssertionError("triangularity violated in decomposition")
-                for k, v in self(d2, w2).items():
-                    s = result.get(k, _G0) - (c2 / lead) * v
-                    if s:
-                        result[k] = s
-                    else:
-                        result.pop(k, None)
+                vec_iadd_scaled(result, self(d2, w2), -(c2 / lead))
         self.memo[key] = result
         return result
 
@@ -497,13 +491,8 @@ def parabolic_induce(m1: Supermodule, m2: Supermodule, max_rank: int = 6) -> Sup
             for k in range(dimw):
                 col = mat.cols[xi * dimw + k]
                 for (yi, coeff, bm) in pieces:
-                    for r, v in bm.cols[k].items():
-                        tgt = yi * dimw + r
-                        s = col.get(tgt, _G0) + coeff * v
-                        if s:
-                            col[tgt] = s
-                        else:
-                            col.pop(tgt, None)
+                    base = yi * dimw
+                    vec_iadd_scaled(col, ((base + r, v) for r, v in bm.cols[k].items()), coeff)
         actions[key] = mat
     return Supermodule((total,), "HCl", labels, parities, actions)
 
@@ -698,18 +687,16 @@ def hom_space(src: Supermodule, dst: Supermodule, max_cells: int = MAX_HOM_CELLS
         for key in src.actions:
             a = src.actions[key]
             brows = rows_of[key]
-            sign = -_G1 if (par and key[0] == "c") else _G1
+            minus_sign = _G1 if (par and key[0] == "c") else -_G1
             for j in range(src.dim):
                 acol = a.cols[j]
                 for i in range(dst.dim):
-                    row = {}
-                    for k, v in acol.items():
-                        if (i, k) in allowed:
-                            row[(i, k)] = row.get((i, k), _G0) + v
-                    for k, v in brows.cols[i].items():
-                        if (k, j) in allowed:
-                            row[(k, j)] = row.get((k, j), _G0) - sign * v
-                    row = {kk: vv for kk, vv in row.items() if vv}
+                    row = {(i, k): v for k, v in acol.items() if (i, k) in allowed}
+                    vec_iadd_scaled(
+                        row,
+                        (((k, j), v) for k, v in brows.cols[i].items() if (k, j) in allowed),
+                        minus_sign,
+                    )
                     if row:
                         rows.append(row)
         for vec in nullspace(rows, unknowns):
@@ -881,23 +868,23 @@ def hom_dim_to_hecke_simple(module: Supermodule, gammas) -> int:
         gammas = (as_composition(gammas),)
     else:
         gammas = tuple(as_composition(g) for g in gammas)
-    eps = {}
+    minus_eps = {}
     offset = 0
     for size, gamma in zip(module.blocks, gammas):
         d = gamma.descent_set().elements
         for i in range(1, size):
-            eps[("T", offset + i)] = -_G1 if i in d else _G0
+            # T_i acts on the simple by -1 on a descent, by 0 otherwise
+            minus_eps[("T", offset + i)] = _G1 if i in d else _G0
         offset += size
     rows = []
     for key, mat in module.actions.items():
-        e = eps[key]
+        e = minus_eps[key]
         for j in range(module.dim):
             # row j of the transposed action: the functional equation
             # sum_c rho[c, j] f_c = eps f_j
             row = dict(mat.cols[j])
             if e:
-                row[j] = row.get(j, _G0) - e
-            row = {k: v for k, v in row.items() if v}
+                vec_add_term(row, j, e)
             if row:
                 rows.append(row)
     return len(nullspace(rows, range(module.dim)))
@@ -970,7 +957,7 @@ def submodule_on_vectors(module: Supermodule, vectors, check: bool = True):
     evens, odds = [], []
     eech, oech = Echelon(), Echelon()
     for pivot in sorted(closure.rows):
-        vec, _rep = closure.rows[pivot]
+        vec = closure.rows[pivot]
         ev = {k: v for k, v in vec.items() if module.parities[k] == 0}
         od = {k: v for k, v in vec.items() if module.parities[k] == 1}
         if ev and eech.add(dict(ev)) is not None:
@@ -1328,6 +1315,6 @@ def module_from_json(doc) -> Supermodule:
         kind, idx = name[0], int(name[1:])
         mat = SparseMatrix(dim, dim)
         for r, ccol, val in entries:
-            mat.cols[ccol][r] = _gauss_from_json(val)
+            mat.set(r, ccol, _gauss_from_json(val))
         actions[(kind, idx)] = mat
     return Supermodule(blocks, algebra, labels, parities, actions)

@@ -163,7 +163,44 @@ def test_cli_strict_skip(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_cli_jobs(capsys):
-    code = main(["verify", "generators", "--max-n", "4", "--jobs", "2"])
+def test_cli_jobs_rejected(capsys):
+    # the thread-pool path was slower than serial and is gone; the option
+    # is now an argparse usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "generators", "--max-n", "4", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_cli_guarded_suite_reports_skip(capsys):
+    # the freeness certificate is guarded at degree <= 10: the suite gives
+    # one skipped-resource report instead of aborting the run
+    code = main(["verify", "freeness", "--max-degree", "11", "--format", "json"])
     assert code == 0
-    assert "0 failed" in capsys.readouterr().out
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == 1
+    (r,) = reports
+    assert r["status"] == "skipped-resource"
+    assert r["claim"] == "freeness"
+    assert r["params"] == {"max_degree": 11}
+    assert "guarded" in r["witness"]
+    assert main(["verify", "freeness", "--max-degree", "11", "--strict"]) == 3
+    assert "1 skipped" in capsys.readouterr().out
+
+
+def test_cli_verify_all_keeps_unguarded_reports(monkeypatch, capsys):
+    import peakhc.cli as cli
+    import peakhc.verification as verification
+
+    suites = {k: verification.SUITES[k] for k in ("euler", "freeness", "generators")}
+    monkeypatch.setattr(verification, "SUITES", suites)
+    monkeypatch.setattr(cli, "SUITES", suites)
+    code = main(["verify", "all", "--max-n", "3", "--max-degree", "11", "--format", "json"])
+    assert code == 0
+    reports = json.loads(capsys.readouterr().out)
+    by_status = {}
+    for r in reports:
+        by_status.setdefault(r["status"], []).append(r["claim"])
+    assert by_status["skipped-resource"] == ["freeness"]
+    assert set(by_status["verified"]) == {"euler", "generator-ribbons"}
+    assert len(by_status["verified"]) == 6

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from peakhc.combinat import (
     Composition,
     PeakSet,
@@ -193,3 +195,12 @@ def test_vacuum_submodule_dimensions():
     for d in range(0, 6):
         _basis, rank = filtration_component(0, d)
         assert rank == (len(strict_partitions_of(d)) if d else 1)
+
+
+def test_double_element_rejects_float():
+    key = (PeakSet(0, frozenset()), PeakSet(0, frozenset()))
+    with pytest.raises(TypeError):
+        DoubleElement({key: 0.1})
+    with pytest.raises(TypeError):
+        DoubleElement({key: 1}).scale(0.5)
+    assert DoubleElement({key: Fraction(1, 2)}).scale(2) == DoubleElement({key: 1})

@@ -9,11 +9,13 @@ from peakhc.combinat import (
     PeakSet,
     compositions_of,
     descent_class,
+    partitions_of,
     peak_sets_in,
     strict_partitions_of,
     symmetric_difference_shift,
 )
 from peakhc.hopf import (
+    BASES,
     ConversionError,
     FreeElement,
     MembershipError,
@@ -571,3 +573,55 @@ def test_strict_partition_dims():
             for lam in strict_partitions_of(n)
         ]
         assert graded_rank(qs, n) == len(strict_partitions_of(n))
+
+
+def test_float_coefficients_rejected():
+    with pytest.raises(TypeError):
+        FreeElement("NSym", "H", {C(2): 0.5})
+    with pytest.raises(TypeError):
+        term("QSym", "F", C(1, 1), 1.0)
+    with pytest.raises(TypeError):
+        term("NSym", "R", C(2)).scale(0.5)
+    with pytest.raises(TypeError):
+        coproduct(term("NSym", "H", C(1))).scale(0.5)
+    assert term("NSym", "H", C(2), Fraction(1, 2)).coefficient(C(2)) == Fraction(1, 2)
+
+
+def _indices(algebra, basis, n):
+    if basis in ("Xi", "K"):
+        return peak_sets_in(n) if n else [PeakSet(0, frozenset())]
+    if (algebra, basis) in (("Sym", "h"), ("Sym", "m"), ("Sym", "p"), ("Omega", "q")):
+        return partitions_of(n)
+    if basis == "podd":
+        return [lam for lam in partitions_of(n) if all(x % 2 for x in lam)]
+    return compositions_of(n) if n else [Composition(())]
+
+
+def _exact(values):
+    return all(type(v) is int or isinstance(v, Fraction) for v in values)
+
+
+def test_coefficients_stay_exact_through_degree_5():
+    elements = [
+        term(alg, basis, idx)
+        for alg, bases in BASES.items()
+        for basis in bases
+        for n in range(6)
+        for idx in _indices(alg, basis, n)
+    ]
+    converted = 0
+    for x in elements:
+        for alg, bases in BASES.items():
+            for basis in bases:
+                try:
+                    y = convert(x, basis, alg)
+                except (ConversionError, MembershipError):
+                    continue
+                converted += 1
+                assert _exact(y.coeffs.values()), (x, alg, basis, y)
+        for y in elements:
+            if (y.algebra, y.basis) != (x.algebra, x.basis) or y.degrees()[0] > 2:
+                continue
+            assert _exact(product(x, y).coeffs.values()), (x, y)
+        assert _exact(coproduct(x).coeffs.values()), x
+    assert converted > len(elements)

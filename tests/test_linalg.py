@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from peakhc.linalg import Echelon, SparseMatrix, SpanSolver, nullspace, solve_unique
+from peakhc.linalg import (
+    Echelon,
+    SparseMatrix,
+    SpanSolver,
+    nullspace,
+    solve_unique,
+    vec_add_term,
+    vec_iadd_scaled,
+)
 from peakhc.scalars import GAUSS_I, GAUSS_ONE, GaussianRational
 
 
@@ -102,3 +110,53 @@ def test_solve_unique():
     assert sol == {"x": Fraction(2), "y": Fraction(1)}
     with pytest.raises(ValueError):
         solve_unique(rows + [({"x": Fraction(1), "y": Fraction(1)}, Fraction(0))])
+
+
+def test_vec_iadd_scaled_dict_and_pairs():
+    u = {0: Fraction(1), 1: Fraction(2)}
+    assert vec_iadd_scaled(u, {1: Fraction(1), 2: Fraction(3)}, Fraction(1, 2)) is u
+    assert u == {0: 1, 1: Fraction(5, 2), 2: Fraction(3, 2)}
+    pairs = [(2, Fraction(1)), (3, Fraction(1)), (2, Fraction(1))]
+    vec_iadd_scaled(u, pairs, 2)
+    assert u == {0: 1, 1: Fraction(5, 2), 2: Fraction(11, 2), 3: 2}
+    # a generator is consumed once
+    vec_iadd_scaled(u, ((k, Fraction(1)) for k in (0, 4)), -1)
+    assert u == {1: Fraction(5, 2), 2: Fraction(11, 2), 3: 2, 4: -1}
+
+
+def test_vec_iadd_scaled_cancellation_and_zero_scale():
+    u = {"a": Fraction(2), "b": Fraction(1)}
+    vec_iadd_scaled(u, {"a": Fraction(1)}, -2)
+    assert u == {"b": 1} and "a" not in u
+    before = dict(u)
+    assert vec_iadd_scaled(u, {"b": Fraction(5), "c": Fraction(7)}, 0) is u
+    assert vec_iadd_scaled(u, {"b": Fraction(5)}, Fraction(0)) == before
+    # int times int stays int; a Fraction scale gives a Fraction
+    w = {}
+    vec_iadd_scaled(w, {0: 3}, 2)
+    assert w == {0: 6} and type(w[0]) is int
+    vec_iadd_scaled(w, {0: 1}, Fraction(1, 2))
+    assert w[0] == Fraction(13, 2) and isinstance(w[0], Fraction)
+
+
+def test_vec_iadd_scaled_gaussian():
+    u = {0: GAUSS_ONE}
+    vec_iadd_scaled(u, {0: GAUSS_I, 1: GAUSS_ONE}, GAUSS_I)
+    assert u == {1: GAUSS_I}
+    vec_iadd_scaled(u, [(1, GAUSS_ONE)], GaussianRational(0, -1))
+    assert u == {}
+
+
+def test_vec_add_term():
+    u = {}
+    vec_add_term(u, "x", Fraction(1, 3))
+    assert u == {"x": Fraction(1, 3)}
+    vec_add_term(u, "x", Fraction(2, 3))
+    assert u == {"x": 1}
+    vec_add_term(u, "x", -1)
+    assert u == {}
+    vec_add_term(u, "y", 0)
+    assert u == {}
+    vec_add_term(u, "z", GAUSS_I)
+    vec_add_term(u, "z", GAUSS_ONE)
+    assert u == {"z": GaussianRational(1, 1)}
