@@ -55,9 +55,15 @@ __all__ = [
     "double_from_pairs",
     "filtration_component",
     "free_basis_over_omega",
+    "guard_freeness_degree",
     "hilbert_series_identity",
     "q_generator_peakdual",
+    "MAX_FREENESS_DEGREE",
 ]
+
+# the freeness certificate enumerates every degree up to this bound
+MAX_FREENESS_DEGREE = 10
+
 
 @lru_cache(maxsize=None)
 def q_generator_peakdual(n: int) -> tuple:
@@ -275,6 +281,15 @@ class FreenessCertificate:
     ok: bool
 
 
+def guard_freeness_degree(max_degree: int) -> None:
+    """Raise ``ResourceLimitError`` when ``max_degree`` passes the bound of
+    the freeness certificate."""
+    if max_degree > MAX_FREENESS_DEGREE:
+        raise ResourceLimitError(
+            "freeness certificate guarded at degree <= %d" % MAX_FREENESS_DEGREE
+        )
+
+
 def free_basis_over_omega(max_degree: int = 8) -> FreenessCertificate:
     """Greedy generators certifying freeness over the q-generated ring.
 
@@ -283,8 +298,7 @@ def free_basis_over_omega(max_degree: int = 8) -> FreenessCertificate:
     certificate records that the products generator * q-monomial are
     independent and span (count == rank == dim) in every degree.
     """
-    if max_degree > 10:
-        raise ResourceLimitError("freeness certificate guarded at degree <= 10")
+    guard_freeness_degree(max_degree)
     generators = [(0, unit("PeakDual", "K"))]
     per_degree = []
     ok = True

@@ -256,6 +256,23 @@ class SpanSolver:
         self.reps[p] = rep
         return True
 
+    def add_or_express(self, tag, vec: dict):
+        """Insert ``vec`` under ``tag`` when it enlarges the span and return
+        None; otherwise return its expression, as ``express`` does, after
+        a single elimination."""
+        rep = {}
+        p, vec = _eliminate(self.rows, vec, self.reps, rep)
+        if p is None:
+            return {t: -c for t, c in rep.items()}
+        rep[tag] = 1
+        inv = _invert_scalar(vec[p])
+        if inv != 1:
+            vec = vec_scale(vec, inv)
+            rep = vec_scale(rep, inv)
+        self.rows[p] = vec
+        self.reps[p] = rep
+        return None
+
     def contains(self, vec: dict) -> bool:
         return _eliminate(self.rows, vec)[0] is None
 

@@ -666,46 +666,145 @@ class HomBasis:
 
 
 def hom_space(src: Supermodule, dst: Supermodule, max_cells: int = MAX_HOM_CELLS) -> HomBasis:
-    """Exact basis of the morphism space, split into even and odd parts."""
+    """Exact basis of the morphism space, split into even and odd parts.
+
+    A morphism is fixed by the images of generators of ``src``, so the
+    unknowns are those images, not the dim(src)·dim(dst) matrix entries:
+    ``_spin`` finds a standard basis of ``src`` with its relations, and
+    ``_maps_from_generators`` solves for the images that respect them.
+    """
     if src.blocks != dst.blocks or src.algebra != dst.algebra:
         raise ValueError("hom_space wants modules over the same algebra")
     if src.dim * dst.dim > max_cells:
         raise ResourceLimitError(
             "hom system with %d cells exceeds the guard %d" % (src.dim * dst.dim, max_cells)
         )
-    out = {0: [], 1: []}
-    rows_of = {key: dst.actions[key].transpose() for key in dst.actions}
-    for par in (0, 1):
-        unknowns = [
-            (i, j)
-            for i in range(dst.dim)
-            for j in range(src.dim)
-            if (dst.parities[i] + src.parities[j]) % 2 == par
-        ]
-        allowed = set(unknowns)
-        rows = []
-        for key in src.actions:
-            a = src.actions[key]
-            brows = rows_of[key]
-            minus_sign = _G1 if (par and key[0] == "c") else -_G1
-            for j in range(src.dim):
-                acol = a.cols[j]
-                for i in range(dst.dim):
-                    row = {(i, k): v for k, v in acol.items() if (i, k) in allowed}
-                    vec_iadd_scaled(
-                        row,
-                        (((k, j), v) for k, v in brows.cols[i].items() if (k, j) in allowed),
-                        minus_sign,
-                    )
-                    if row:
-                        rows.append(row)
-        for vec in nullspace(rows, unknowns):
-            mat = SparseMatrix(dst.dim, src.dim)
-            for (i, j), v in vec.items():
+    spin = _spin(src)
+    even, odd = (
+        [ModuleMap(src, dst, mat, par) for mat in _maps_from_generators(spin, dst, par)]
+        for par in (0, 1)
+    )
+    return HomBasis(even, odd)
+
+
+def _spin(module: Supermodule):
+    """Standard basis w_0, w_1, ... of ``module`` (Holt-Rees spinning).
+
+    The first basis vector e_j not yet reached becomes a generator and is
+    closed under the actions, breadth first.  Returns ``(events, parities,
+    coords)``, where ``events`` lists in order
+
+    * ``("gen", k)``: w_k is a generator, a basis vector of ``module``;
+    * ``("new", k, parent, key)``: w_k = A_key w_parent;
+    * ``("rel", parent, key, rep)``: A_key w_parent = sum_t rep[t] w_t;
+
+    ``parities[k]`` is the parity of w_k, and ``coords[j]`` writes e_j in
+    the spun basis.
+    """
+    solver = SpanSolver()
+    vecs, parities, events, coords = [], [], [], []
+    acts = list(module.actions.items())
+    for j in range(module.dim):
+        unit_j = {j: _G1}
+        rep = solver.add_or_express(len(vecs), unit_j)
+        if rep is not None:
+            coords.append(rep)
+            continue
+        k = len(vecs)
+        coords.append({k: _G1})
+        events.append(("gen", k))
+        vecs.append(unit_j)
+        parities.append(module.parities[j])
+        while k < len(vecs):
+            for key, mat in acts:
+                img = mat.apply(vecs[k])
+                rep = solver.add_or_express(len(vecs), img)
+                if rep is None:
+                    events.append(("new", len(vecs), k, key))
+                    vecs.append(img)
+                    parities.append((parities[k] + (key[0] == "c")) % 2)
+                else:
+                    events.append(("rel", k, key, rep))
+            k += 1
+    return events, parities, coords
+
+
+def _maps_from_generators(spin, dst: Supermodule, par: int) -> list:
+    """Basis of the parity-``par`` morphisms out of the spun module, as
+    dst × src matrices.
+
+    A candidate is a map f given by f(w_k) for every spun vector.  The
+    first candidates send one generator to one basis vector of the
+    admissible parity part of ``dst`` and the others to 0; they are carried
+    along the spanning tree as f(A_key w_k) = ±B_key f(w_k).  Each
+    relation's residual ±B_key f(w_k) - sum_t rep[t] f(w_t) gives one row
+    per ``dst`` coordinate, over the candidates; when the rank of those
+    rows reaches half the candidates, the candidates shrink to the kernel.
+    """
+    events, parities, coords = spin
+    cands = [
+        {ev[1]: {i: _G1}}
+        for ev in events
+        if ev[0] == "gen"
+        for i, p in enumerate(dst.parities)
+        if p == (parities[ev[1]] + par) % 2
+    ]
+    # f(A_key w) = sign·B_key f(w), the sign being (-1)^{par·|key|}
+    signed = {
+        key: mat.scale(-1) if par and key[0] == "c" else mat
+        for key, mat in dst.actions.items()
+    }
+    ech = Echelon()
+    for ev in events:
+        if not cands:
+            return []
+        if ev[0] == "new":
+            _kind, k, parent, key = ev
+            for f in cands:
+                v = f.get(parent)
                 if v:
-                    mat.cols[j][i] = v
-            out[par].append(ModuleMap(src, dst, mat, par))
-    return HomBasis(out[0], out[1])
+                    f[k] = signed[key].apply(v)
+        elif ev[0] == "rel":
+            _kind, parent, key, rep = ev
+            rows: dict = {}
+            for c, f in enumerate(cands):
+                v = f.get(parent)
+                res = signed[key].apply(v) if v else {}
+                for t, coeff in rep.items():
+                    w = f.get(t)
+                    if w:
+                        vec_iadd_scaled(res, w, -coeff)
+                for i, x in res.items():
+                    rows.setdefault(i, {})[c] = x
+            for row in rows.values():
+                ech.add(row)
+            if 2 * ech.rank >= len(cands):
+                cands, ech = _kernel_candidates(cands, ech), Echelon()
+    if ech.rank:
+        cands = _kernel_candidates(cands, ech)
+    maps = []
+    for f in cands:
+        mat = SparseMatrix(dst.dim, len(coords))
+        for j, x in enumerate(coords):
+            col = mat.cols[j]
+            for t, c in x.items():
+                w = f.get(t)
+                if w:
+                    vec_iadd_scaled(col, w, c)
+        maps.append(mat)
+    return maps
+
+
+def _kernel_candidates(cands: list, ech: Echelon) -> list:
+    """The candidates combined along the kernel of the echelon rows."""
+    out = []
+    for x in nullspace(list(ech.rows.values()), range(len(cands))):
+        f: dict = {}
+        for c, coeff in x.items():
+            for t, v in cands[c].items():
+                vec_iadd_scaled(f.setdefault(t, {}), v, coeff)
+        out.append({t: v for t, v in f.items() if v})
+    return out
 
 
 @dataclass

@@ -10,6 +10,7 @@ bounds.  Suites accept a bound argument so coverage can be traded for time.
 from __future__ import annotations
 
 import random
+import sys
 
 from .combinat import (
     Composition,
@@ -44,6 +45,7 @@ from .heisenberg import (
     fock_action,
     fock_action_on_word,
     free_basis_over_omega,
+    guard_freeness_degree,
     hilbert_series_identity,
 )
 from .hopf import (
@@ -401,6 +403,8 @@ def suite_bialgebra(max_total: int = 5, **_kw) -> list:
 
 
 def suite_heisenberg(max_degree: int = 8, **_kw) -> list:
+    # the certificate comes last; its guard is checked before the batteries
+    guard_freeness_degree(max_degree)
     out = []
     # lowering property
     bad = []
@@ -467,6 +471,7 @@ def suite_diagrams(max_n: int = 5, **_kw) -> list:
 def suite_freeness(max_degree: int = 8, **_kw) -> list:
     """The freeness certificate alone (generators + per-degree ranks +
     Hilbert identity), without the lowering and module-algebra batteries."""
+    guard_freeness_degree(max_degree)
     cert = free_basis_over_omega(max_degree)
     out = [
         _report(
@@ -517,13 +522,22 @@ def run_suite(name: str, max_n: int | None = None, max_degree: int | None = None
     fn, defaults = SUITES[name]
     kwargs = dict(defaults)
     if max_n is not None:
-        for key in ("max_n", "module_max_n"):
-            if key in kwargs:
-                kwargs[key] = min(kwargs[key], max_n)
-        if "max_total" in kwargs:
-            kwargs["max_total"] = min(kwargs["max_total"], max_n)
-        if "max_degree" in kwargs:
-            kwargs["max_degree"] = min(kwargs["max_degree"], max(max_n, 1))
+        keys = [k for k in ("max_n", "module_max_n", "max_total") if k in kwargs]
+        if "max_degree" in kwargs and max_degree is None:
+            keys.append("max_degree")
+        for key in keys:
+            kwargs[key] = min(kwargs[key], max(max_n, 1) if key == "max_degree" else max_n)
+        # a suite's default is also its ceiling: say so when --max-n asks for more
+        clamped = [
+            str(kwargs[key]) if key == "max_n" else "%s %d" % (key, kwargs[key])
+            for key in keys
+            if kwargs[key] < max_n
+        ]
+        if clamped:
+            print(
+                "note: --max-n %d clamped to %s for suite %s" % (max_n, ", ".join(clamped), name),
+                file=sys.stderr,
+            )
     if max_degree is not None and "max_degree" in kwargs:
         kwargs["max_degree"] = max_degree
     try:

@@ -204,3 +204,43 @@ def test_cli_verify_all_keeps_unguarded_reports(monkeypatch, capsys):
     assert by_status["skipped-resource"] == ["freeness"]
     assert set(by_status["verified"]) == {"euler", "generator-ribbons"}
     assert len(by_status["verified"]) == 6
+
+
+def test_cli_max_n_clamp_note(monkeypatch, capsys):
+    # a suite's default bound is also its ceiling; raising --max-n past it
+    # prints one note per clamped suite on stderr and changes nothing else
+    import peakhc.cli as cli
+    import peakhc.verification as verification
+
+    def stub(max_n, **_kw):
+        return [{"claim": "stub", "params": {"max_n": max_n}, "status": "verified",
+                 "witness": None}]
+
+    suites = {"high": (stub, {"max_n": 12}), "low": (stub, {"max_n": 3})}
+    monkeypatch.setattr(verification, "SUITES", suites)
+    monkeypatch.setattr(cli, "SUITES", suites)
+    assert main(["verify", "all", "--max-n", "9", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == ["note: --max-n 9 clamped to 3 for suite low"]
+    assert [r["params"] for r in json.loads(out)] == [{"max_n": 9}, {"max_n": 3}]
+    assert main(["verify", "all", "--max-n", "3", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [r["params"] for r in json.loads(out)] == [{"max_n": 3}, {"max_n": 3}]
+
+
+def test_freeness_guard_checked_before_the_batteries(monkeypatch):
+    # past the certificate's bound the heisenberg suite must not run its
+    # lowering loop first: the one skipped-resource report comes at once
+    import peakhc.verification as verification
+    from peakhc.heisenberg import MAX_FREENESS_DEGREE
+
+    def ran(*_args, **_kw):
+        raise AssertionError("suite body ran past the freeness guard")
+
+    monkeypatch.setattr(verification, "fock_action_on_word", ran)
+    monkeypatch.setattr(verification, "free_basis_over_omega", ran)
+    for name in ("heisenberg", "freeness"):
+        reports = verification.run_suite(name, max_degree=MAX_FREENESS_DEGREE + 1)
+        assert [(r["claim"], r["status"]) for r in reports] == [(name, "skipped-resource")]
+        assert "guarded at degree <= %d" % MAX_FREENESS_DEGREE in reports[0]["witness"]

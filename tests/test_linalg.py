@@ -102,6 +102,20 @@ def test_span_solver_roundtrip():
     assert solver.express({0: Fraction(1), 17: Fraction(1)}) is None
 
 
+def test_span_solver_add_or_express_matches_add_and_express():
+    rng = random.Random(11)
+    one_pass, two_pass = SpanSolver(), SpanSolver()
+    for t in range(12):
+        v = {i: Fraction(rng.randint(-2, 2)) for i in range(5)}
+        v = {k: c for k, c in v.items() if c}
+        want = two_pass.express(v)
+        if want is None:
+            assert two_pass.add(t, v)
+        assert one_pass.add_or_express(t, v) == want
+        assert one_pass.rows == two_pass.rows and one_pass.reps == two_pass.reps
+    assert one_pass.add_or_express(99, {}) == {}
+
+
 def test_solve_unique():
     # x + y = 3, x - y = 1  ->  x = 2, y = 1
     rows = [({"x": Fraction(1), "y": Fraction(1)}, Fraction(3)),

@@ -11,9 +11,10 @@ from peakhc.combinat import (
     descent_class,
 )
 from peakhc.hecke_clifford import basis_element, gen_c, gen_T, multiply, unit
-from peakhc.linalg import SparseMatrix, SpanSolver, nullspace
+from peakhc.linalg import Echelon, SparseMatrix, SpanSolver, nullspace, vec_iadd_scaled
 from peakhc.scalars import GAUSS_ONE, GaussianRational
 from peakhc.supermodules import (
+    HomBasis,
     ModuleMap,
     Supermodule,
     act_element,
@@ -37,6 +38,7 @@ from peakhc.supermodules import (
     restrict,
     restrict_corner,
     restrict_hecke,
+    restrict_parabolic,
     restriction_vectors,
     simple_hecke,
     split_simple,
@@ -44,6 +46,7 @@ from peakhc.supermodules import (
     trivial_module,
     twist,
 )
+from peakhc.supermodules import _spin
 
 _G1 = GAUSS_ONE
 
@@ -173,8 +176,8 @@ def test_projective_pairing_via_characters():
 
 
 def test_hom_dual_routes_agree():
-    # intertwiner solve vs Frobenius reciprocity + trace multiplicities
-    for n in (2, 3):
+    # generator route vs Frobenius reciprocity + trace multiplicities
+    for n in (2, 3, 4):
         for a in compositions_of(n):
             pt = induce_clifford(projective_hecke(a))
             for b in compositions_of(n):
@@ -182,6 +185,98 @@ def test_hom_dual_routes_agree():
                 direct = hom_space(pt, st).total_dim
                 chars = projective_hom_dim(st, a)
                 assert direct == chars
+
+
+def _kronecker_hom(src, dst):
+    """Hom space from the Kronecker system in all dim(src)·dim(dst) matrix
+    entries: one equation f A_key = ±B_key f per (key, i, j).  Independent
+    of the generator route in ``hom_space``; used only as its oracle."""
+    out = {0: [], 1: []}
+    rows_of = {key: dst.actions[key].transpose() for key in dst.actions}
+    for par in (0, 1):
+        unknowns = [
+            (i, j)
+            for i in range(dst.dim)
+            for j in range(src.dim)
+            if (dst.parities[i] + src.parities[j]) % 2 == par
+        ]
+        allowed = set(unknowns)
+        rows = []
+        for key in src.actions:
+            a = src.actions[key]
+            brows = rows_of[key]
+            minus_sign = _G1 if (par and key[0] == "c") else -_G1
+            for j in range(src.dim):
+                acol = a.cols[j]
+                for i in range(dst.dim):
+                    row = {(i, k): v for k, v in acol.items() if (i, k) in allowed}
+                    vec_iadd_scaled(
+                        row,
+                        (((k, j), v) for k, v in brows.cols[i].items() if (k, j) in allowed),
+                        minus_sign,
+                    )
+                    if row:
+                        rows.append(row)
+        for vec in nullspace(rows, unknowns):
+            mat = SparseMatrix(dst.dim, src.dim)
+            for (i, j), v in vec.items():
+                mat.set(i, j, v)
+            out[par].append(ModuleMap(src, dst, mat, par))
+    return HomBasis(out[0], out[1])
+
+
+def _assert_hom_matches_kronecker(src, dst):
+    got = hom_space(src, dst)
+    want = _kronecker_hom(src, dst)
+    assert (got.even_dim, got.odd_dim) == (want.even_dim, want.odd_dim), (src, dst)
+    ech = Echelon()
+    for f in got.even + got.odd:
+        assert f.is_morphism()
+        ech.add({(i, j, f.parity): v for i, j, v in f.matrix.entries()})
+    assert ech.rank == got.total_dim
+
+
+def _generator_count(module):
+    return sum(1 for ev in _spin(module)[0] if ev[0] == "gen")
+
+
+def test_hom_generator_route_matches_kronecker():
+    for n in (1, 2, 3):
+        for a in compositions_of(n):
+            pt = induce_clifford(projective_hecke(a))
+            for b in compositions_of(n):
+                _assert_hom_matches_kronecker(pt, induce_clifford(simple_hecke(b)))
+    for n in (1, 2, 3, 4):
+        for a in compositions_of(n):
+            comps = split_simple(a).components
+            for ma, mb in itertools.product(comps, repeat=2):
+                _assert_hom_matches_kronecker(ma, mb)
+    for a, b in [((2,), (2,)), ((2, 1), (2, 1)), ((3,), (1, 2))]:
+        _assert_hom_matches_kronecker(Stilde(*a), parity_shift(Stilde(*b)))
+        _assert_hom_matches_kronecker(parity_shift(Stilde(*a)), Stilde(*b))
+    # restricted to the 0-Hecke algebra the induced simples are not cyclic
+    gens = []
+    for a in compositions_of(3):
+        ra = restrict_hecke(Stilde(*a.parts))
+        gens.append(_generator_count(ra))
+        for b in compositions_of(3):
+            _assert_hom_matches_kronecker(ra, restrict_hecke(Stilde(*b.parts)))
+    assert max(gens) == 8 and min(gens) > 1
+    for a, b in [((3,), (1, 2)), ((2, 1), (2, 1)), ((1, 1, 1), (3,))]:
+        ma, mb = Stilde(*a), Stilde(*b)
+        for shape in [(1, 2), (2, 1)]:
+            _assert_hom_matches_kronecker(
+                restrict_parabolic(ma, shape), restrict_parabolic(mb, shape)
+            )
+        _assert_hom_matches_kronecker(restrict_corner(ma), restrict_corner(mb))
+    _assert_hom_matches_kronecker(
+        outer_tensor(Stilde(2), Stilde(1)), outer_tensor(Stilde(1, 1), Stilde(1))
+    )
+    _assert_hom_matches_kronecker(
+        outer_tensor(Stilde(1, 1), Stilde(2)), outer_tensor(Stilde(1, 1), Stilde(2))
+    )
+    _assert_hom_matches_kronecker(trivial_module(), trivial_module())
+    assert hom_space(trivial_module(), trivial_module()).even_dim == 1
 
 
 # ---------------------------------------------------------------------------
