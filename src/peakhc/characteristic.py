@@ -26,7 +26,6 @@ the CLI serializes these as JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .combinat import (
     Composition,
@@ -128,7 +127,7 @@ def _theta_incidence(n: int):
         row = {}
         for P in peak_sets_in(n):
             if P.elements <= window:
-                row[P] = Fraction(2 ** (len(P.elements) + 1))
+                row[P] = 2 ** (len(P.elements) + 1)
         rows.append((a, row))
     return rows
 
@@ -158,7 +157,7 @@ def class_of_module(module: Supermodule, method: str = "character") -> ModuleCla
             dims[a] = hom_space(pt, module).total_dim
     else:
         raise ValueError("method must be 'character' or 'hom'")
-    rows = [(row, Fraction(dims[a])) for a, row in _theta_incidence(n)]
+    rows = [(row, dims[a]) for a, row in _theta_incidence(n)]
     solution = solve_unique(rows)
     out = FreeElement.zero("PeakDual", "K")
     for P, coeff in solution.items():
@@ -358,7 +357,7 @@ def verify_restriction_to_hecke(alpha, module_level: bool | None = None) -> dict
         res = restrict_hecke(induce_clifford(projective_hecke(a)))
         for g in compositions_of(a.n):
             got = hom_dim_to_hecke_simple(res, g)
-            expected = right.coeffs.get(g, Fraction(0))
+            expected = right.coeffs.get(g, 0)
             if got != expected:
                 status = "failed"
                 witness["hom-mismatch"] = str(g)
@@ -601,7 +600,7 @@ def verify_projective_coproduct(alpha, shape) -> dict:
             pair_mults[(g1, g2)] = hom_dim_to_hecke_simple(res_p, (g1, g2))
     # they must equal the coproduct coefficients outright
     for pair, mult in pair_mults.items():
-        expected = coefs.get(pair, Fraction(0))
+        expected = coefs.get(pair, 0)
         if mult != expected:
             return {"claim": "projective-coproduct", "params":
                     {"alpha": str(a), "shape": [m, k]},
@@ -628,7 +627,7 @@ def verify_projective_coproduct(alpha, shape) -> dict:
                 for (g1, g2) in pair_mults
             )
             rhs = sum(
-                coefs.get((g1, g2), Fraction(0))
+                coefs.get((g1, g2), 0)
                 * simple_mults[("L", b1)].get((g1,), 0)
                 * simple_mults[("R", b2)].get((g2,), 0)
                 for (g1, g2) in pair_mults

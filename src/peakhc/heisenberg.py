@@ -46,7 +46,7 @@ from .hopf import (
     unit,
 )
 from .linalg import SpanSolver, vec_add_term, vec_iadd_scaled
-from .scalars import _frac
+from .scalars import _rational
 
 __all__ = [
     "fock_action",
@@ -123,7 +123,7 @@ class DoubleElement:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {k: _frac(v) for k, v in (coeffs or {}).items() if v}
+        self.coeffs = {k: _rational(v) for k, v in (coeffs or {}).items() if v}
 
     @classmethod
     def from_elements(cls, x: FreeElement, a: FreeElement) -> "DoubleElement":
@@ -143,7 +143,7 @@ class DoubleElement:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = _frac(c)
+        c = _rational(c)
         return DoubleElement({k: v * c for k, v in self.coeffs.items()})
 
     def __eq__(self, other):

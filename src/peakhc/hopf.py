@@ -23,7 +23,11 @@ Implemented algebras, with their basis tags and index kinds:
   odd partitions, rational coefficients); ``q`` is an input-only tag for
   q-monomials indexed by partitions.
 
-All coefficients are ``fractions.Fraction``.  Conversion tables are computed
+Coefficients are exact rationals: ``int`` while integral, ``fractions.Fraction``
+once a division has happened (the Newton identities for h in p, the solves
+behind membership conversions, the Omega inner product).  Every table built
+without a division has ``int`` entries (+-1, 2^k or n); only h in p and q in
+podd carry ``Fraction``.  Conversion tables are computed
 once per degree on demand and cached (functools caches are safe for
 concurrent readers); every value here is immutable after construction.
 
@@ -49,7 +53,7 @@ from .combinat import (
     symmetric_difference_shift,
 )
 from .linalg import SpanSolver, vec_add_term, vec_iadd_scaled
-from .scalars import _frac
+from .scalars import _rational
 
 __all__ = [
     "ConversionError",
@@ -76,9 +80,6 @@ __all__ = [
     "index_degree",
     "index_sort_key",
 ]
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 BASES = {
     "NSym": ("H", "E", "R", "Q"),
@@ -165,7 +166,7 @@ class FreeElement:
         self.basis = basis
         clean = {}
         for idx, c in (coeffs or {}).items():
-            c = _frac(c)
+            c = _rational(c)
             if c:
                 clean[_normalize_index(algebra, basis, idx)] = c
         self.coeffs = clean
@@ -203,7 +204,7 @@ class FreeElement:
         return self + other.scale(-1)
 
     def scale(self, c) -> "FreeElement":
-        c = _frac(c)
+        c = _rational(c)
         if not c:
             return self._make({})
         return self._make({k: v * c for k, v in self.coeffs.items()})
@@ -248,8 +249,9 @@ class FreeElement:
     def terms(self) -> list:
         return sorted(self.coeffs.items(), key=lambda kv: index_sort_key(kv[0]))
 
-    def coefficient(self, index) -> Fraction:
-        return self.coeffs.get(_normalize_index(self.algebra, self.basis, index), _F0)
+    def coefficient(self, index) -> int | Fraction:
+        """The coefficient of one basis element, an exact rational (int or Fraction)."""
+        return self.coeffs.get(_normalize_index(self.algebra, self.basis, index), 0)
 
     def __str__(self):
         if not self.coeffs:
@@ -311,7 +313,7 @@ class TensorElement:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = _frac(c)
+        c = _rational(c)
         return TensorElement(
             self.algebra, self.basis, {k: v * c for k, v in self.coeffs.items() if v * c}
         )
@@ -341,8 +343,8 @@ class TensorElement:
                     FreeElement(other.algebra, other.basis, {b1: cb}),
                 )
                 right = product(
-                    FreeElement(self.algebra, self.basis, {a2: _F1}),
-                    FreeElement(other.algebra, other.basis, {b2: _F1}),
+                    FreeElement(self.algebra, self.basis, {a2: 1}),
+                    FreeElement(other.algebra, other.basis, {b2: 1}),
                 )
                 for k1, c1 in left.coeffs.items():
                     vec_iadd_scaled(out, (((k1, k2), c2) for k2, c2 in right.coeffs.items()), c1)
@@ -378,6 +380,11 @@ def _concat_product(a: dict, b: dict) -> dict:
     return out
 
 
+def _sign(k: int) -> int:
+    """(-1)^k as an int, also for negative k."""
+    return -1 if k % 2 else 1
+
+
 @lru_cache(maxsize=None)
 def _coarsenings(alpha: Composition) -> tuple:
     """Compositions beta with D(beta) a subset of D(alpha) (beta >= alpha)."""
@@ -408,9 +415,9 @@ def _refinements(alpha: Composition) -> tuple:
 def _e_in_h(k: int) -> tuple:
     """E_k = sum over compositions beta of k of (-1)^(k - l(beta)) H_beta."""
     if k == 0:
-        return ((Composition(()), _F1),)
+        return ((Composition(()), 1),)
     return tuple(
-        (b, Fraction((-1) ** (k - b.length))) for b in compositions_of(k)
+        (b, _sign(k - b.length)) for b in compositions_of(k)
     )
 
 
@@ -418,7 +425,7 @@ def _e_in_h(k: int) -> tuple:
 def _q_in_h(m: int) -> tuple:
     """Q_m = sum_{k=0..m} E_k H_{m-k}, expanded in the H basis."""
     if m == 0:
-        return ((Composition(()), _F1),)
+        return ((Composition(()), 1),)
     out = {}
     for k in range(m + 1):
         tail = () if m == k else (m - k,)
@@ -431,19 +438,18 @@ def _q_in_h(m: int) -> tuple:
 def _h_expansion(basis: str, alpha: Composition) -> tuple:
     """Expansion of a single NSym basis element in the H basis."""
     if basis == "H":
-        return ((alpha, _F1),)
+        return ((alpha, 1),)
     if basis == "R":
         return tuple(
-            (b, Fraction((-1) ** (b.length - alpha.length)))
-            for b in _coarsenings(alpha)
+            (b, _sign(b.length - alpha.length)) for b in _coarsenings(alpha)
         )
     if basis == "E":
-        acc = {Composition(()): _F1}
+        acc = {Composition(()): 1}
         for p in alpha.parts:
             acc = _concat_product(acc, dict(_e_in_h(p)))
         return tuple(sorted(acc.items(), key=lambda kv: index_sort_key(kv[0])))
     if basis == "Q":
-        acc = {Composition(()): _F1}
+        acc = {Composition(()): 1}
         for p in alpha.parts:
             acc = _concat_product(acc, dict(_q_in_h(p)))
         return tuple(sorted(acc.items(), key=lambda kv: index_sort_key(kv[0])))
@@ -452,7 +458,7 @@ def _h_expansion(basis: str, alpha: Composition) -> tuple:
 
 @lru_cache(maxsize=None)
 def _h_to_r(alpha: Composition) -> tuple:
-    return tuple((b, _F1) for b in _coarsenings(alpha))
+    return tuple((b, 1) for b in _coarsenings(alpha))
 
 
 def _h_to_e(alpha: Composition) -> tuple:
@@ -463,22 +469,20 @@ def _h_to_e(alpha: Composition) -> tuple:
 
 @lru_cache(maxsize=None)
 def _f_to_m(alpha: Composition) -> tuple:
-    return tuple((b, _F1) for b in _refinements(alpha))
+    return tuple((b, 1) for b in _refinements(alpha))
 
 
 @lru_cache(maxsize=None)
 def _m_to_f(alpha: Composition) -> tuple:
-    return tuple(
-        (b, Fraction((-1) ** (b.length - alpha.length))) for b in _refinements(alpha)
-    )
+    return tuple((b, _sign(b.length - alpha.length)) for b in _refinements(alpha))
 
 
 @lru_cache(maxsize=None)
 def _xi_in_r(P: PeakSet) -> tuple:
     if P.n == 0:
-        return ((Composition(()), _F1),)
+        return ((Composition(()), 1),)
     return tuple(
-        (a, _F1) for a in compositions_of(P.n) if a.peak_set() == P
+        (a, 1) for a in compositions_of(P.n) if a.peak_set() == P
     )
 
 
@@ -486,8 +490,8 @@ def _xi_in_r(P: PeakSet) -> tuple:
 def _k_in_f(P: PeakSet) -> tuple:
     """K_P = 2^(|P|+1) * sum of F_alpha over alpha with P inside D .. (D+1)."""
     if P.n == 0:
-        return ((Composition(()), _F1),)
-    c = Fraction(2 ** (len(P.elements) + 1))
+        return ((Composition(()), 1),)
+    c = 2 ** (len(P.elements) + 1)
     out = []
     for a in compositions_of(P.n):
         if P.elements <= symmetric_difference_shift(a.descent_set()):
@@ -499,13 +503,13 @@ def _k_in_f(P: PeakSet) -> tuple:
 def _k_in_m(P: PeakSet) -> tuple:
     """K_P = sum over alpha with P inside D(alpha) union (D(alpha)+1) of 2^l(alpha) M_alpha."""
     if P.n == 0:
-        return ((Composition(()), _F1),)
+        return ((Composition(()), 1),)
     out = []
     for a in compositions_of(P.n):
         d = a.descent_set().elements
         window = d | {x + 1 for x in d}
         if P.elements <= window:
-            out.append((a, Fraction(2 ** a.length)))
+            out.append((a, 2 ** a.length))
     return tuple(out)
 
 
@@ -551,7 +555,7 @@ def _part_product(x: dict, y: dict) -> dict:
 @lru_cache(maxsize=None)
 def _p_in_h(n: int) -> tuple:
     """Newton: p_n = n h_n - sum_{k=1}^{n-1} h_k p_{n-k}."""
-    out = {(n,): Fraction(n)}
+    out = {(n,): n}
     for k in range(1, n):
         vec_iadd_scaled(out, ((_merge_parts((k,), lam), c) for lam, c in _p_in_h(n - k)), -1)
     return tuple(out.items())
@@ -561,7 +565,7 @@ def _p_in_h(n: int) -> tuple:
 def _h_in_p(n: int) -> tuple:
     """Newton: h_n = (1/n) sum_{k=1}^{n} p_k h_{n-k}."""
     if n == 0:
-        return (((), _F1),)
+        return (((), 1),)
     out = {}
     inv_n = Fraction(1, n)
     for k in range(1, n + 1):
@@ -574,7 +578,7 @@ def _expand_monomials(coeffs: dict, factor, mul, one) -> dict:
     product taken with ``mul`` from ``{one: 1}``."""
     out = {}
     for lam, c in coeffs.items():
-        acc = {one: _F1}
+        acc = {one: 1}
         for part in lam:
             acc = mul(acc, factor(part))
         vec_iadd_scaled(out, acc, c)
@@ -633,10 +637,10 @@ def _sym_m_solver(n: int) -> SpanSolver:
     solver = SpanSolver()
     for lam in _partitions(n):
         vec = {
-            (a.descent_set().bitmask()): _F1
+            (a.descent_set().bitmask()): 1
             for a in compositions_of(n)
             if a.to_partition() == lam
-        } if n else {0: _F1}
+        } if n else {0: 1}
         solver.add(lam, vec)
     return solver
 
@@ -689,9 +693,9 @@ def _sym_h_solver(n: int) -> SpanSolver:
 @lru_cache(maxsize=None)
 def _sym_h_qsym(lam: tuple) -> dict:
     """Image of h_lambda in QSym: product of the full monomial sums per part."""
-    acc = {Composition(()): _F1}
+    acc = {Composition(()): 1}
     for part in lam:
-        factor = {a: _F1 for a in compositions_of(part)}
+        factor = {a: 1 for a in compositions_of(part)}
         acc = _qsym_m_product(acc, factor)
     return acc
 
@@ -754,13 +758,13 @@ def _nsym_to_xi(coeffs_r: dict) -> dict:
     for d in degs:
         part = {k: v for k, v in coeffs_r.items() if k.n == d}
         if d == 0:
-            c = part.get(Composition(()), _F0)
+            c = part.get(Composition(()), 0)
             if c:
                 out[PeakSet(0, frozenset())] = c
             continue
         by_peak = {}
         for a in compositions_of(d):
-            by_peak.setdefault(a.peak_set(), []).append(part.get(a, _F0))
+            by_peak.setdefault(a.peak_set(), []).append(part.get(a, 0))
         for P, vals in by_peak.items():
             if any(v != vals[0] for v in vals):
                 raise MembershipError(
@@ -844,13 +848,13 @@ def convert(x: FreeElement, basis: str, algebra: str | None = None) -> FreeEleme
         for d in sorted({k.n for k in m}):
             comp_part = {k: v for k, v in m.items() if k.n == d}
             if d == 0:
-                c = comp_part.get(Composition(()), _F0)
+                c = comp_part.get(Composition(()), 0)
                 if c:
                     bym[()] = c
                 continue
             groups = {}
             for a in compositions_of(d):
-                groups.setdefault(a.to_partition(), []).append(comp_part.get(a, _F0))
+                groups.setdefault(a.to_partition(), []).append(comp_part.get(a, 0))
             for lam, vals in groups.items():
                 if any(v != vals[0] for v in vals):
                     raise MembershipError("element is not symmetric")
@@ -975,7 +979,7 @@ def product(x: FreeElement, y: FreeElement) -> FreeElement:
 
 @lru_cache(maxsize=None)
 def _coprod_h_single(alpha: Composition) -> tuple:
-    acc = {(Composition(()), Composition(())): _F1}
+    acc = {(Composition(()), Composition(())): 1}
     for part in alpha.parts:
         nxt = {}
         for (b, g), c in acc.items():
@@ -992,13 +996,13 @@ def _coprod_m_single(alpha: Composition) -> tuple:
     out = []
     parts = alpha.parts
     for i in range(len(parts) + 1):
-        out.append(((Composition(parts[:i]), Composition(parts[i:])), _F1))
+        out.append(((Composition(parts[:i]), Composition(parts[i:])), 1))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _coprod_part_h(lam: tuple) -> tuple:
-    acc = {((), ()): _F1}
+    acc = {((), ()): 1}
     for part in lam:
         nxt = {}
         for (b, g), c in acc.items():
@@ -1012,7 +1016,7 @@ def _coprod_part_h(lam: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def _coprod_part_primitive(lam: tuple) -> tuple:
-    acc = {((), ()): _F1}
+    acc = {((), ()): 1}
     for part in lam:
         nxt = {}
         for (b, g), c in acc.items():
@@ -1109,8 +1113,9 @@ def _peakdual_slot_solve(fib: dict) -> dict:
     return _qsym_to_k(f)
 
 
-def counit(x: FreeElement) -> Fraction:
-    tot = _F0
+def counit(x: FreeElement) -> int | Fraction:
+    """The degree-0 coefficient, an exact rational (int or Fraction)."""
+    tot = 0
     for k, c in x.coeffs.items():
         if index_degree(k) == 0:
             tot += c
@@ -1122,8 +1127,9 @@ def counit(x: FreeElement) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def pairing(F: FreeElement, f: FreeElement) -> Fraction:
-    """Canonical duality <H_a, M_b> = <R_a, F_b> = delta, extended bilinearly.
+def pairing(F: FreeElement, f: FreeElement) -> int | Fraction:
+    """Canonical duality <H_a, M_b> = <R_a, F_b> = delta, extended bilinearly;
+    an exact rational (int or Fraction).
 
     Accepts Peak elements on the left (through the inclusion into NSym) and
     PeakDual or Sym elements on the right (through their inclusions in QSym).
@@ -1136,7 +1142,7 @@ def pairing(F: FreeElement, f: FreeElement) -> Fraction:
         raise ConversionError("pairing wants (NSym, QSym)-sided arguments")
     a = _expand_linear(F.coeffs, lambda t: _h_expansion(F.basis, t))
     b = _qsym_as_m(f)
-    tot = _F0
+    tot = 0
     for k, c in a.items():
         other = b.get(k)
         if other is not None:
@@ -1144,15 +1150,16 @@ def pairing(F: FreeElement, f: FreeElement) -> Fraction:
     return tot
 
 
-def peak_pairing(x: FreeElement, y: FreeElement) -> Fraction:
-    """[Xi_P, K_Q] = delta_{P,Q}; arguments may be given inside NSym / QSym."""
+def peak_pairing(x: FreeElement, y: FreeElement) -> int | Fraction:
+    """[Xi_P, K_Q] = delta_{P,Q}; arguments may be given inside NSym / QSym.
+    The value is an exact rational (int or Fraction)."""
     if x.algebra != "Peak":
         x = convert(x, "Xi", "Peak")
     if y.algebra != "PeakDual":
         y = convert(y, "K", "PeakDual")
     elif y.basis != "K":
         y = _convert_within(y, "K")
-    tot = _F0
+    tot = 0
     for P, c in x.coeffs.items():
         other = y.coeffs.get(P)
         if other is not None:
@@ -1173,11 +1180,12 @@ def _z_lambda(lam: tuple) -> int:
     return z
 
 
-def omega_inner_product(u: FreeElement, v: FreeElement) -> Fraction:
-    """[p_lam, p_mu] = z_lam 2^(-l(lam)) delta, on the odd power-sum basis."""
+def omega_inner_product(u: FreeElement, v: FreeElement) -> int | Fraction:
+    """[p_lam, p_mu] = z_lam 2^(-l(lam)) delta, on the odd power-sum basis;
+    an exact rational (int or Fraction)."""
     u = convert(u, "podd", "Omega")
     v = convert(v, "podd", "Omega")
-    tot = _F0
+    tot = 0
     for lam, c in u.coeffs.items():
         other = v.coeffs.get(lam)
         if other is not None:
@@ -1226,7 +1234,7 @@ def sym_into_qsym(x: FreeElement) -> FreeElement:
     """The inclusion of symmetric functions into QSym (M basis)."""
     p = _sym_to_p(x.coeffs, x.basis)
     out = _expand_monomials(
-        p, lambda part: {Composition((part,)): _F1}, _qsym_m_product, Composition(())
+        p, lambda part: {Composition((part,)): 1}, _qsym_m_product, Composition(())
     )
     return FreeElement("QSym", "M", out)
 

@@ -5,6 +5,11 @@ the even idempotents that split induced simple supermodules involve sqrt(-1).
 ``GaussianRational`` keeps both components as ``fractions.Fraction`` and mixes
 freely with ``int`` and ``Fraction`` in arithmetic expressions.  Instances are
 immutable by convention and hashable.
+
+The Hopf side works over Q alone and keeps a coefficient as ``int`` while it
+is integral (``_rational``): almost all of its basis-change tables have
+entries +-1 or 2^k, and ``int`` arithmetic is far cheaper than ``Fraction``
+arithmetic.
 """
 
 from __future__ import annotations
@@ -26,12 +31,27 @@ def _frac(x) -> Fraction:
     raise TypeError("expected an exact rational, got %r" % (x,))
 
 
+def _rational(x):
+    """An exact rational as ``int`` when integral, else as ``Fraction``.
+
+    A ``Fraction`` with denominator 1 becomes its numerator, and ``bool``
+    becomes plain ``int``; floats and everything else raise TypeError.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError("expected an exact rational, got %r" % (x,))
+
+
 class GaussianRational:
     """An element re + im*i of Q(i), exact and immutable."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re=_F0, im=_F0):
         self.re = _frac(re)
         self.im = _frac(im)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from peakhc import hopf
 from peakhc.combinat import (
     Composition,
     PeakSet,
@@ -625,3 +626,50 @@ def test_coefficients_stay_exact_through_degree_5():
             assert _exact(product(x, y).coeffs.values()), (x, y)
         assert _exact(coproduct(x).coeffs.values()), x
     assert converted > len(elements)
+
+
+def test_coefficients_are_int_while_integral():
+    two = term("NSym", "H", C(2), Fraction(4, 2)).coefficient(C(2))
+    assert two == 2 and type(two) is int
+    third = term("NSym", "H", C(2), Fraction(1, 3)).coefficient(C(2))
+    assert third == Fraction(1, 3) and type(third) is Fraction
+    one = term("QSym", "F", C(1), True).coefficient(C(1))
+    assert one == 1 and type(one) is int
+    scaled = term("NSym", "H", C(2), 3).scale(Fraction(4, 2))
+    assert scaled.coefficient(C(2)) == 6 and type(scaled.coefficient(C(2))) is int
+    t = coproduct(term("NSym", "H", C(1))).scale(Fraction(6, 3))
+    assert all(type(c) is int for c in t.coeffs.values())
+
+
+def test_basis_change_tables_have_int_entries_through_degree_7():
+    # (-1) ** k with k < 0 is the float -1.0, and Fraction() would hide it
+    for n in range(8):
+        comps = compositions_of(n) if n else [Composition(())]
+        peaks = peak_sets_in(n) if n else [PeakSet(0, frozenset())]
+        tables = [("_e_in_h", n, hopf._e_in_h(n)), ("_q_in_h", n, hopf._q_in_h(n))]
+        if n:
+            tables.append(("_p_in_h", n, hopf._p_in_h(n)))
+        for a in comps:
+            tables += [("_h_expansion " + b, a, hopf._h_expansion(b, a)) for b in "HREQ"]
+            tables += [
+                (f.__name__, a, f(a))
+                for f in (
+                    hopf._h_to_r,
+                    hopf._f_to_m,
+                    hopf._m_to_f,
+                    hopf._n_in_k,
+                    hopf._coprod_h_single,
+                    hopf._coprod_m_single,
+                )
+            ]
+        for P in peaks:
+            tables += [(f.__name__, P, f(P)) for f in (hopf._k_in_f, hopf._k_in_m)]
+        for name, arg, table in tables:
+            bad = [c for _key, c in table if type(c) is not int]
+            assert not bad, (name, arg, bad[:3])
+        converted = [convert(term("NSym", "R", a), "H") for a in comps]
+        converted += [convert(term("QSym", "F", a), "M") for a in comps]
+        converted += [convert(term("QSym", "M", a), "F") for a in comps]
+        converted += [convert(term("PeakDual", "K", P), "F", "QSym") for P in peaks]
+        for y in converted:
+            assert all(type(c) is int for c in y.coeffs.values()), y

@@ -29,6 +29,9 @@ def test_gaussian_rational_field():
     assert str(GaussianRational(1, -1)) == "1-i"
     assert str(GaussianRational(0, Fraction(3, 4))) == "3/4i"
     assert not GaussianRational(0, 0)
+    third = GaussianRational(1) / 3
+    assert third == GaussianRational(Fraction(1, 3))
+    assert type(third.re) is Fraction and type(third.im) is Fraction
     with pytest.raises(ZeroDivisionError):
         a / GaussianRational(0)
 
