@@ -40,7 +40,7 @@ from .combinat import (
     word_reduced,
 )
 from .linalg import SparseMatrix, vec_add_term, vec_iadd_scaled
-from .scalars import GAUSS_ONE, GaussianRational, as_gauss
+from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussianRational, as_gauss
 
 __all__ = [
     "RankMismatchError",
@@ -285,7 +285,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 def trace(a: AlgebraElement) -> GaussianRational:
     """tr(c_D T_w) = 1 exactly on D = empty, w = longest element."""
     w0 = tuple(range(a.rank, 0, -1))
-    return a.terms.get((frozenset(), w0), GaussianRational(0))
+    return a.terms.get((frozenset(), w0), GAUSS_ZERO)
 
 
 def frobenius_form(a: AlgebraElement, b: AlgebraElement) -> GaussianRational:

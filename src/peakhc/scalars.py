@@ -2,14 +2,15 @@
 
 All module-theoretic linear algebra in this package runs over Q(i), because
 the even idempotents that split induced simple supermodules involve sqrt(-1).
-``GaussianRational`` keeps both components as ``fractions.Fraction`` and mixes
-freely with ``int`` and ``Fraction`` in arithmetic expressions.  Instances are
-immutable by convention and hashable.
-
-The Hopf side works over Q alone and keeps a coefficient as ``int`` while it
-is integral (``_rational``): almost all of its basis-change tables have
-entries +-1 or 2^k, and ``int`` arithmetic is far cheaper than ``Fraction``
-arithmetic.
+Every exact rational in the package, a Hopf-side coefficient or a component
+of a ``GaussianRational``, goes through one coercion, ``_rational``: it stays
+``int`` while it is integral and becomes ``fractions.Fraction`` only after a
+real division.  Structure constants of the 0-Hecke-Clifford algebra, the
+actions of induced supermodules and almost all Hopf basis-change tables are
+integral, and ``int`` arithmetic is far cheaper than ``Fraction`` arithmetic.
+Floats are rejected.  ``GaussianRational`` mixes freely with ``int`` and
+``Fraction`` in arithmetic expressions; instances are immutable by
+convention and hashable.
 """
 
 from __future__ import annotations
@@ -17,19 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = ["GaussianRational", "as_gauss", "GAUSS_ZERO", "GAUSS_ONE", "GAUSS_I"]
-
-_F0 = Fraction(0)
-
-
-def _frac(x) -> Fraction:
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    raise TypeError("expected an exact rational, got %r" % (x,))
-
 
 def _rational(x):
     """An exact rational as ``int`` when integral, else as ``Fraction``.
@@ -51,9 +39,9 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=_F0, im=_F0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+    def __init__(self, re=0, im=0):
+        self.re = _rational(re)
+        self.im = _rational(im)
 
     # -- ring structure ----------------------------------------------------
 
@@ -94,12 +82,15 @@ class GaussianRational:
         o = _coerce(other)
         if o is None:
             return NotImplemented
+        # Fraction(x) / y: int / int must never give a float
         if not o.im:
-            return GaussianRational(self.re / o.re, self.im / o.re)
+            return GaussianRational(
+                Fraction(self.re) / o.re, Fraction(self.im) / o.re
+            )
         nrm = o.re * o.re + o.im * o.im
         return GaussianRational(
-            (self.re * o.re + self.im * o.im) / nrm,
-            (self.im * o.re - self.re * o.im) / nrm,
+            Fraction(self.re * o.re + self.im * o.im) / nrm,
+            Fraction(self.im * o.re - self.re * o.im) / nrm,
         )
 
     def __rtruediv__(self, other):
@@ -137,7 +128,9 @@ class GaussianRational:
     def is_rational(self) -> bool:
         return not self.im
 
-    def rational(self) -> Fraction:
+    def rational(self) -> int | Fraction:
+        """The value as ``int`` when integral, else as ``Fraction``; raises
+        ValueError when the imaginary part is nonzero."""
         if self.im:
             raise ValueError("value %s has a nonzero imaginary part" % self)
         return self.re
@@ -156,7 +149,7 @@ class GaussianRational:
         return "%s%s%s" % (self.re, sign, _imag_str(abs(self.im)))
 
 
-def _imag_str(im: Fraction) -> str:
+def _imag_str(im: int | Fraction) -> str:
     if im == 1:
         return "i"
     if im == -1:

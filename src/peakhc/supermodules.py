@@ -62,7 +62,7 @@ from .linalg import (
     vec_add_term,
     vec_iadd_scaled,
 )
-from .scalars import GAUSS_I, GAUSS_ONE, GaussianRational, as_gauss
+from .scalars import GAUSS_I, GAUSS_ONE, GAUSS_ZERO, GaussianRational, as_gauss
 
 __all__ = [
     "Supermodule",
@@ -102,7 +102,7 @@ __all__ = [
     "MAX_HOM_CELLS",
 ]
 
-_G0 = GaussianRational(0)
+_G0 = GAUSS_ZERO
 _G1 = GAUSS_ONE
 
 MAX_HOM_CELLS = 20000

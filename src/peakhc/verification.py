@@ -63,7 +63,7 @@ from .hopf import (
     vartheta_map,
 )
 from .linalg import Echelon, SpanSolver
-from .scalars import GaussianRational
+from .scalars import GAUSS_ZERO, GaussianRational
 from .supermodules import (
     end_clifford_check,
     find_isomorphism,
@@ -269,8 +269,8 @@ def suite_algebra(max_n: int = 4, triples: int = 500, **_kw) -> list:
                 keys = set(col) | set(rcol)
                 for i in keys:
                     sign = (-1) ** (parities[i] * parities[j])
-                    left = col.get(i, GaussianRational(0))
-                    right = rcol.get(i, GaussianRational(0)) * sign
+                    left = col.get(i, GAUSS_ZERO)
+                    right = rcol.get(i, GAUSS_ZERO) * sign
                     if left != right:
                         ok, witness = False, "Nakayama identity"
                         break

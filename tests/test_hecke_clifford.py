@@ -4,8 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from peakhc.combinat import Permutation, ResourceLimitError, bruhat_leq, word_length
+from peakhc.combinat import (
+    Permutation,
+    ResourceLimitError,
+    bruhat_leq,
+    compositions_of,
+    word_length,
+)
 from peakhc.hecke_clifford import (
+    MORPHISM_TAGS,
     AlgebraElement,
     RankMismatchError,
     algebra_basis,
@@ -19,11 +26,13 @@ from peakhc.hecke_clifford import (
     morphism_matrix,
     multiply,
     regular_action_matrix,
+    regular_generator_matrix,
     trace,
     unit,
 )
 from peakhc.linalg import Echelon
 from peakhc.scalars import GAUSS_I, GAUSS_ONE, GaussianRational
+from peakhc.supermodules import induce_clifford, simple_hecke
 
 
 def T(i, n):
@@ -129,7 +138,41 @@ def test_integer_structure_constants():
         for (e, v) in algebra_basis(n):
             prod = multiply(basis_element(d, w, n), basis_element(e, v, n))
             for coeff in prod.terms.values():
-                assert coeff.im == 0 and coeff.re.denominator == 1
+                assert type(coeff.re) is int and type(coeff.im) is int
+
+
+def _assert_int_components(values, where):
+    for v in values:
+        assert type(v.re) is int and type(v.im) is int, (where, v)
+
+
+def _entries(mat):
+    return [v for _i, _j, v in mat.entries()]
+
+
+def test_integral_matrices_keep_int_components():
+    # structure constants, morphisms, the trace form and the actions of
+    # induced simples are integral, so no Fraction may appear in them
+    for n in range(1, 4):
+        for i in range(1, n):
+            mat = regular_generator_matrix("T", i, n)
+            _assert_int_components(_entries(mat), ("T", i, n))
+        for j in range(1, n + 1):
+            mat = regular_generator_matrix("c", j, n)
+            _assert_int_components(_entries(mat), ("c", j, n))
+        for tag in MORPHISM_TAGS:
+            if tag == "phi_bar":
+                continue
+            _assert_int_components(_entries(morphism_matrix(tag, n)), (tag, n))
+        for d, w in algebra_basis(n):
+            if not d:
+                img = apply_morphism("phi_bar", basis_element(d, w, n))
+                _assert_int_components(img.terms.values(), ("phi_bar", w))
+        _assert_int_components(_entries(frobenius_gram(n)), ("gram", n))
+    for alpha in compositions_of(3):
+        module = induce_clifford(simple_hecke(alpha))
+        for key, mat in module.actions.items():
+            _assert_int_components(_entries(mat), (alpha, key))
 
 
 def test_leading_term():

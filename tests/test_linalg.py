@@ -7,6 +7,7 @@ from peakhc.linalg import (
     Echelon,
     SparseMatrix,
     SpanSolver,
+    _invert_scalar,
     nullspace,
     solve_unique,
     vec_add_term,
@@ -31,7 +32,22 @@ def test_gaussian_rational_field():
     assert not GaussianRational(0, 0)
     third = GaussianRational(1) / 3
     assert third == GaussianRational(Fraction(1, 3))
-    assert type(third.re) is Fraction and type(third.im) is Fraction
+    # components stay int while integral and become Fraction only after a
+    # real division; floats never get in
+    assert type(third.re) is Fraction and type(third.im) is int
+    half_of_four = GaussianRational(4) / 2
+    assert half_of_four == 2
+    assert type(half_of_four.re) is int and type(half_of_four.im) is int
+    quotient = GaussianRational(1, 1) / GaussianRational(1, -1)
+    assert quotient == GAUSS_I
+    assert type(quotient.re) is int and type(quotient.im) is int
+    two = GaussianRational(Fraction(6, 3))
+    assert two.re == 2 and type(two.re) is int
+    with pytest.raises(TypeError):
+        GaussianRational(1.0)
+    with pytest.raises(TypeError):
+        GaussianRational(0, 0.5)
+    assert _invert_scalar(GaussianRational(3)) == Fraction(1, 3)
     with pytest.raises(ZeroDivisionError):
         a / GaussianRational(0)
 

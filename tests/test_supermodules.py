@@ -454,6 +454,31 @@ def test_split_simple():
     assert all(c.dim == 8 for c in res.components)
 
 
+def _assert_exact_components(mat, where):
+    for _i, _j, v in mat.entries():
+        assert type(v.re) in (int, Fraction), (where, v)
+        assert type(v.im) in (int, Fraction), (where, v)
+
+
+def test_split_and_hom_components_are_exact():
+    # split_simple scales by 1/2 and both divide by pivots; every component
+    # they produce must be exactly int or Fraction, never a float
+    for n in range(1, 5):
+        for a in compositions_of(n):
+            res = split_simple(a)
+            first = res.components[0]
+            for k, comp in enumerate(res.components):
+                for key, mat in comp.actions.items():
+                    _assert_exact_components(mat, (a, k, key))
+                hb = hom_space(first, comp)
+                for f in hb.even + hb.odd:
+                    _assert_exact_components(f.matrix, (a, k, "hom"))
+            for b in compositions_of(n):
+                hb = hom_space(Ptilde(*a.parts), Stilde(*b.parts))
+                for f in hb.even + hb.odd:
+                    _assert_exact_components(f.matrix, (a, b, "hom"))
+
+
 def test_split_type_rule_small():
     for n in (2, 3, 4):
         for a in compositions_of(n):
