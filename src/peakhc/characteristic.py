@@ -335,20 +335,13 @@ def restriction_class_sides(alpha) -> tuple:
     return left, right
 
 
-def verify_restriction_to_hecke(alpha, module_level: bool | None = None) -> dict:
-    """Class-level restriction rule; optionally the module-level split of the
-    restriction of the rank-n induced projective into hook projectives."""
+def verify_restriction_to_hecke(alpha) -> dict:
+    """Class-level restriction rule; the module-level split into hook
+    projectives is ``verify_restriction_vectors``."""
     a = as_composition(alpha)
     left, right = restriction_class_sides(a)
     status = "verified" if left == right else "failed"
     witness = {"class": str(left)}
-    if module_level is None:
-        module_level = a.length == 1 and a.n <= 6
-    if module_level and a.length == 1 and status == "verified":
-        rep = verify_restriction_vectors(a.n)
-        witness["module"] = rep["status"]
-        if rep["status"] != "verified":
-            status = rep["status"]
     # cross-check by Hecke multiplicities at small rank: the coefficient of
     # [P_gamma] equals dim Hom(Res, S_gamma)
     if a.n <= 4 and status == "verified":
@@ -493,14 +486,12 @@ def verify_corner_restriction(alpha, max_n: int = 5) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def verify_diagrams(n: int, module_backed: bool | None = None) -> dict:
-    """The categorified descent-to-peak square, the restriction square, the
-    Cartan square, and the rank of the Cartan image."""
-    if module_backed is None:
-        module_backed = n <= 5
+def verify_diagrams(n: int) -> dict:
+    """The categorified descent-to-peak square (module-backed at n <= 5), the
+    restriction square, the Cartan square, and the rank of the Cartan image."""
     witness = {}
     status = "verified"
-    if module_backed:
+    if n <= 5:
         for a in compositions_of(n):
             st = induce_clifford(simple_hecke(a))
             # induced-simple class equals the peak image of F

@@ -346,7 +346,7 @@ def suite_restriction(max_n: int = 8, module_max_n: int = 6, **_kw) -> list:
     for n in range(1, max_n + 1):
         bad = []
         for a in compositions_of(n):
-            rep = verify_restriction_to_hecke(a, module_level=False)
+            rep = verify_restriction_to_hecke(a)
             if rep["status"] != "verified":
                 bad.append(str(a))
         out.append(_report("restriction-classes", {"n": n}, not bad, bad))

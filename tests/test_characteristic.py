@@ -98,9 +98,7 @@ def test_restriction_class_rule():
     assert left == right == expected
     for n in range(1, 6):
         for a in compositions_of(n):
-            assert verify_restriction_to_hecke(a, module_level=False)[
-                "status"
-            ] == "verified"
+            assert verify_restriction_to_hecke(a)["status"] == "verified"
 
 
 def test_restriction_vectors_report():
