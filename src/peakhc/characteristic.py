@@ -25,7 +25,9 @@ the CLI serializes these as JSON.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .combinat import (
     Composition,
@@ -37,11 +39,15 @@ from .combinat import (
     peak_sets_in,
     strict_partitions_of,
     symmetric_difference_shift,
+    word_descents,
+    word_inverse,
 )
 from .hopf import (
     FreeElement,
     convert,
+    coproduct,
     forgetful_pi,
+    graded_rank,
     pairing,
     product,
     sym_into_qsym,
@@ -49,12 +55,14 @@ from .hopf import (
     theta_transform,
     vartheta_map,
 )
-from .linalg import solve_unique
+from .linalg import SpanSolver, solve_unique
 from .supermodules import (
     Supermodule,
     hecke_composition_multiplicities,
+    hom_dim_to_hecke_simple,
     hom_space,
     induce_clifford,
+    outer_tensor,
     parabolic_induce,
     projective_hecke,
     projective_hom_dim,
@@ -73,6 +81,7 @@ __all__ = [
     "hecke_class_of_module",
     "hecke_projective_class",
     "cartan_image",
+    "cartan_rank",
     "decompose_projective",
     "verify_restriction_to_hecke",
     "verify_corner_restriction",
@@ -119,17 +128,15 @@ def hecke_class_of_module(module: Supermodule) -> ModuleClass:
     return ModuleClass("G", out)
 
 
-def _theta_incidence(n: int):
-    """Rows alpha: [Theta(R_alpha), K_P] = 2^(|P|+1) [P inside D .. (D+1)]."""
-    rows = []
-    for a in compositions_of(n):
-        window = symmetric_difference_shift(a.descent_set())
-        row = {}
-        for P in peak_sets_in(n):
-            if P.elements <= window:
-                row[P] = 2 ** (len(P.elements) + 1)
-        rows.append((a, row))
-    return rows
+@lru_cache(maxsize=None)
+def _theta_row(alpha: Composition) -> dict:
+    """The ribbon window: [Theta(R_alpha), K_P] = 2^(|P|+1) for every peak
+    set P inside D(alpha) .. (D(alpha)+1), as {P: weight} in canonical
+    order; 0 for every other P.  Read-only."""
+    window = symmetric_difference_shift(alpha.descent_set())
+    return {
+        P: 2 ** (len(P.elements) + 1) for P in peak_sets_in(alpha.n) if P.elements <= window
+    }
 
 
 def class_of_module(module: Supermodule, method: str = "character") -> ModuleClass:
@@ -157,18 +164,12 @@ def class_of_module(module: Supermodule, method: str = "character") -> ModuleCla
             dims[a] = hom_space(pt, module).total_dim
     else:
         raise ValueError("method must be 'character' or 'hom'")
-    rows = [(row, dims[a]) for a, row in _theta_incidence(n)]
-    solution = solve_unique(rows)
-    out = FreeElement.zero("PeakDual", "K")
-    for P, coeff in solution.items():
-        out = out + term("PeakDual", "K", P, coeff)
-    return ModuleClass("Gt", out)
+    rows = [(_theta_row(a), dims[a]) for a in compositions_of(n)]
+    return ModuleClass("Gt", FreeElement("PeakDual", "K", solve_unique(rows)))
 
 
 def hecke_projective_class(module: Supermodule) -> ModuleClass:
     """Class of a projective 0-Hecke module in NSym (ribbon coordinates)."""
-    from .supermodules import hom_dim_to_hecke_simple
-
     if module.algebra != "H" or len(module.blocks) != 1:
         raise ValueError("single-block Hecke modules only")
     n = module.rank
@@ -209,16 +210,27 @@ def cartan_image(alpha, max_n: int = 7) -> dict:
     }
 
 
+def cartan_rank(n: int) -> tuple:
+    """The Cartan images of every induced projective at rank n: (the
+    compositions whose two routes disagree, the exact rank of the images or
+    None when some disagree, the expected rank = number of strict partitions)."""
+    bad, images = [], []
+    for a in compositions_of(n):
+        rep = cartan_image(a)
+        if rep["status"] != "verified":
+            bad.append(a)
+        else:
+            images.append(convert(rep["value"], "F", "QSym"))
+    rank = None if bad else graded_rank(images, n)
+    return bad, rank, len(strict_partitions_of(n))
+
+
 def theta_ribbon_formula(alpha) -> dict:
     """The ribbon image under the descent-to-peak transform equals the
     2^(|P|+1)-weighted sum over peak sets inside D .. (D+1)."""
     a = as_composition(alpha)
     image = theta_transform(term("NSym", "R", a))
-    window = symmetric_difference_shift(a.descent_set())
-    expected = FreeElement.zero("Peak", "Xi")
-    for P in peak_sets_in(a.n):
-        if P.elements <= window:
-            expected = expected + term("Peak", "Xi", P, 2 ** (len(P.elements) + 1))
+    expected = FreeElement("Peak", "Xi", _theta_row(a))
     return {
         "claim": "theta-ribbon",
         "params": {"alpha": str(a)},
@@ -232,27 +244,18 @@ def decompose_projective(alpha) -> list:
     """Indecomposable content of the induced projective: one entry per peak
     set P inside D(alpha) .. (D(alpha)+1), with multiplicity 2^floor((|P|+1)/2)."""
     a = as_composition(alpha)
-    window = symmetric_difference_shift(a.descent_set())
-    out = []
-    for P in peak_sets_in(a.n):
-        if P.elements <= window:
-            l = (len(P.elements) + 1) // 2
-            out.append((P, 2 ** l))
-    return out
+    return [(P, 2 ** ((len(P.elements) + 1) // 2)) for P in _theta_row(a)]
 
 
 def verify_projective_pairings(n: int) -> dict:
     """dim Hom(induced projective, induced simple) cross-check at rank n."""
     bad = []
     for a in compositions_of(n):
-        window = symmetric_difference_shift(a.descent_set())
+        row = _theta_row(a)
         for b in compositions_of(n):
             st = induce_clifford(simple_hecke(b))
             got = projective_hom_dim(st, a)
-            pb = b.peak_set()
-            expected = (
-                2 ** (len(pb.elements) + 1) if pb.elements <= window else 0
-            )
+            expected = row.get(b.peak_set(), 0)
             if got != expected:
                 bad.append((str(a), str(b), got, expected))
     return {
@@ -266,11 +269,6 @@ def verify_projective_pairings(n: int) -> dict:
 # ---------------------------------------------------------------------------
 # restriction rules
 # ---------------------------------------------------------------------------
-
-
-from functools import lru_cache
-
-from .linalg import SpanSolver
 
 
 @lru_cache(maxsize=None)
@@ -319,20 +317,15 @@ def restriction_class_sides(alpha) -> tuple:
     peak_img = theta_transform(term("NSym", "R", a))
     phi_img = _phi_on_peak(peak_img)
     incl = convert(phi_img, "R", "NSym")
-    left = FreeElement.zero("NSym", "R")
-    for b, c in incl.coeffs.items():
-        left = left + term("NSym", "R", b.reverse(), c)
+    left = FreeElement("NSym", "R", {b.reverse(): c for b, c in incl.coeffs.items()})
     # right: the combinatorial sum over P(beta) inside the reversed window
-    rev = a.reverse()
-    window = symmetric_difference_shift(rev.descent_set())
-    right = FreeElement.zero("NSym", "R")
+    row = _theta_row(a.reverse())
+    right = {}
     for b in compositions_of(a.n):
-        pb = b.peak_set().elements
-        if pb <= window:
-            right = right + term(
-                "NSym", "R", b.reverse(), 2 ** (len(pb) + 1)
-            )
-    return left, right
+        weight = row.get(b.peak_set())
+        if weight:
+            right[b.reverse()] = weight
+    return left, FreeElement("NSym", "R", right)
 
 
 def verify_restriction_to_hecke(alpha) -> dict:
@@ -345,8 +338,6 @@ def verify_restriction_to_hecke(alpha) -> dict:
     # cross-check by Hecke multiplicities at small rank: the coefficient of
     # [P_gamma] equals dim Hom(Res, S_gamma)
     if a.n <= 4 and status == "verified":
-        from .supermodules import hom_dim_to_hecke_simple
-
         res = restrict_hecke(induce_clifford(projective_hecke(a)))
         for g in compositions_of(a.n):
             got = hom_dim_to_hecke_simple(res, g)
@@ -367,8 +358,6 @@ def verify_restriction_vectors(n: int) -> dict:
     """Module-level split via the hook vectors, including the eigenrelations
     and the exact direct-sum decomposition by parity."""
     from math import comb
-
-    from .linalg import SpanSolver
 
     try:
         rep = restriction_vectors(n)
@@ -510,19 +499,11 @@ def verify_diagrams(n: int) -> dict:
                 witness["emb"] = str(a)
                 break
     if status == "verified":
-        images = []
-        for a in compositions_of(n):
-            rep = cartan_image(a)
-            if rep["status"] != "verified":
-                status = "failed"
-                witness["cartan"] = str(a)
-                break
-            images.append(convert(rep["value"], "F", "QSym"))
-        if status == "verified":
-            from .hopf import graded_rank
-
-            rank = graded_rank(images, n)
-            expected = len(strict_partitions_of(n))
+        bad, rank, expected = cartan_rank(n)
+        if bad:
+            status = "failed"
+            witness["cartan"] = str(bad[0])
+        else:
             witness["cartan-rank"] = rank
             if rank != expected:
                 status = "failed"
@@ -542,15 +523,9 @@ def gessel_pairing(alpha, beta, max_n: int = 7) -> int:
     hopf = pairing(
         term("NSym", "R", b), sym_into_qsym(forgetful_pi(term("NSym", "R", a)))
     )
-    da = a.descent_set().elements
-    db = b.descent_set().elements
-    from .combinat import word_descents, word_inverse
-    import itertools
-
-    count = 0
-    for w in itertools.permutations(range(1, a.n + 1)):
-        if word_descents(w) == da and word_descents(word_inverse(w)) == db:
-            count += 1
+    count = _descent_pair_counts(a.n).get(
+        (a.descent_set().elements, b.descent_set().elements), 0
+    )
     if hopf != count:
         raise AssertionError(
             "Gessel mismatch at (%s, %s): %s vs %s" % (a, b, hopf, count)
@@ -558,10 +533,20 @@ def gessel_pairing(alpha, beta, max_n: int = 7) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
+def _descent_pair_counts(n: int) -> dict:
+    """Number of w in S_n per pair (Des w, Des w^-1), from one enumeration
+    of S_n.  One table per n that passes the guard of ``gessel_pairing``
+    (n <= 7 by default).  Read-only."""
+    counts = {}
+    for w in itertools.permutations(range(1, n + 1)):
+        key = (word_descents(w), word_descents(word_inverse(w)))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def _ribbon_coproduct_coefficients(alpha) -> dict:
     """Coefficients of the ribbon coproduct: Delta R_alpha = sum c R (x) R."""
-    from .hopf import coproduct
-
     t = coproduct(term("NSym", "R", as_composition(alpha)))
     return dict(t.coeffs)
 
@@ -574,12 +559,6 @@ def verify_projective_coproduct(alpha, shape) -> dict:
     side via Frobenius reciprocity and block composition multiplicities, the
     right side via the product pairing rule.
     """
-    from .supermodules import (
-        hom_dim_to_hecke_simple,
-        outer_tensor,
-        restrict_parabolic,
-    )
-
     a = as_composition(alpha)
     m, k = shape
     coefs = _ribbon_coproduct_coefficients(a)

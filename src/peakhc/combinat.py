@@ -127,9 +127,6 @@ class Composition:
     def conjugate(self) -> "Composition":
         return self.reverse().complement()
 
-    def concat(self, other: "Composition") -> "Composition":
-        return Composition(self.parts + other.parts)
-
     def to_partition(self) -> tuple:
         return tuple(sorted(self.parts, reverse=True))
 
@@ -357,10 +354,6 @@ class Permutation:
     def longest(cls, n: int) -> "Permutation":
         return cls(tuple(range(n, 0, -1)))
 
-    @classmethod
-    def transposition(cls, i: int, n: int) -> "Permutation":
-        return cls(swap_positions(i, tuple(range(1, n + 1))))
-
     @property
     def n(self) -> int:
         return len(self.word)
@@ -397,9 +390,6 @@ class Permutation:
 
     def reduced_word(self) -> tuple:
         return word_reduced(self.word)
-
-    def image_of_set(self, s) -> frozenset:
-        return frozenset(self.word[x - 1] for x in s)
 
     def __str__(self):
         if self.n <= 9:

@@ -26,7 +26,6 @@ from functools import lru_cache
 
 from .combinat import (
     Composition,
-    PeakSet,
     ResourceLimitError,
     as_composition,
     compositions_of,
@@ -52,24 +51,15 @@ __all__ = [
     "fock_action",
     "fock_action_on_word",
     "DoubleElement",
-    "double_from_pairs",
     "filtration_component",
     "free_basis_over_omega",
     "guard_freeness_degree",
     "hilbert_series_identity",
-    "q_generator_peakdual",
     "MAX_FREENESS_DEGREE",
 ]
 
 # the freeness certificate enumerates every degree up to this bound
 MAX_FREENESS_DEGREE = 10
-
-
-@lru_cache(maxsize=None)
-def q_generator_peakdual(n: int) -> tuple:
-    """The degree-n generator of the q-ring inside the peak dual: K over the
-    empty peak set."""
-    return ("PeakDual", "K", PeakSet(n, frozenset()))
 
 
 def fock_action(a: FreeElement, x: FreeElement) -> FreeElement:
@@ -215,13 +205,6 @@ class DoubleElement:
         return " + ".join(bits)
 
     __repr__ = __str__
-
-
-def double_from_pairs(pairs) -> DoubleElement:
-    out = DoubleElement()
-    for x, a in pairs:
-        out = out + DoubleElement.from_elements(x, a)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from .combinat import (
     compositions_of,
     composition_from_descents,
     DescentSet,
+    partitions_of,
     peak_sets_in,
     symmetric_difference_shift,
 )
@@ -242,9 +243,6 @@ class FreeElement:
 
     def component(self, d: int) -> "FreeElement":
         return self._make({k: v for k, v in self.coeffs.items() if index_degree(k) == d})
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def terms(self) -> list:
         return sorted(self.coeffs.items(), key=lambda kv: index_sort_key(kv[0]))
@@ -479,11 +477,7 @@ def _m_to_f(alpha: Composition) -> tuple:
 
 @lru_cache(maxsize=None)
 def _xi_in_r(P: PeakSet) -> tuple:
-    if P.n == 0:
-        return ((Composition(()), 1),)
-    return tuple(
-        (a, 1) for a in compositions_of(P.n) if a.peak_set() == P
-    )
+    return tuple((a, 1) for a in _classes(P.n, "peak")[0][P])
 
 
 @lru_cache(maxsize=None)
@@ -631,36 +625,12 @@ def _solve_degreewise(coeffs: dict, solver, coords, unit, message: str) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def _sym_m_solver(n: int) -> SpanSolver:
-    """Span of the images of m_lambda inside QSym_n, tagged by partitions."""
-    solver = SpanSolver()
-    for lam in _partitions(n):
-        vec = {
-            (a.descent_set().bitmask()): 1
-            for a in compositions_of(n)
-            if a.to_partition() == lam
-        } if n else {0: 1}
-        solver.add(lam, vec)
-    return solver
-
-
-@lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple:
-    from .combinat import partitions_of
-
-    return tuple(partitions_of(n))
-
-
 def _m_to_h(coeffs: dict) -> dict:
     """Monomial to complete basis, degreewise via exact QSym coordinates."""
 
     def coords(part, d):
-        return {
-            a.descent_set().bitmask(): part[a.to_partition()]
-            for a in compositions_of(d)
-            if a.to_partition() in part
-        }
+        members = _classes(d, "part")[0]
+        return {a.descent_set().bitmask(): c for lam, c in part.items() for a in members[lam]}
 
     return _solve_degreewise(
         coeffs, _sym_h_solver, coords, (),
@@ -669,15 +639,11 @@ def _m_to_h(coeffs: dict) -> dict:
 
 
 def _h_to_m(coeffs: dict) -> dict:
-    def coords(part, d):
-        return _expand_linear(
-            part,
-            lambda lam: ((a.descent_set().bitmask(), v) for a, v in _sym_h_qsym(lam).items()),
-        )
-
-    return _solve_degreewise(
-        coeffs, _sym_m_solver, coords, (),
-        "internal: h image of degree %d not in the monomial span",
+    """Complete to monomial: h_lambda in QSym is symmetric, so its M
+    coefficients are constant on the classes of sorted parts."""
+    return _read_classes(
+        _expand_linear(coeffs, _sym_h_qsym), "part",
+        "internal: h image of degree %d is not symmetric",
     )
 
 
@@ -685,7 +651,7 @@ def _h_to_m(coeffs: dict) -> dict:
 def _sym_h_solver(n: int) -> SpanSolver:
     """Span of the images of h_lambda inside QSym_n, tagged by partitions."""
     solver = SpanSolver()
-    for lam in _partitions(n):
+    for lam in partitions_of(n):
         solver.add(lam, {a.descent_set().bitmask(): v for a, v in _sym_h_qsym(lam).items()})
     return solver
 
@@ -751,28 +717,47 @@ def _qsym_to_k(coeffs_f: dict) -> dict:
     )
 
 
-def _nsym_to_xi(coeffs_r: dict) -> dict:
-    """R-coordinate dict -> Xi coordinates via constancy on peak-set classes."""
+# class tables: the compositions of n grouped by peak set or by sorted parts
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int, kind: str) -> tuple:
+    """(members, class_of) for the compositions of n grouped by peak set
+    (kind "peak") or by sorted parts (kind "part").
+
+    ``members`` maps each class key (a PeakSet or a partition) to its
+    compositions in canonical order, and ``class_of`` maps each composition
+    to its key.  Both are read-only.  Degree 0 is the single class of the
+    empty composition.
+    """
+    key = Composition.peak_set if kind == "peak" else Composition.to_partition
+    members, class_of = {}, {}
+    for a in compositions_of(n) if n else (Composition(()),):
+        k = class_of[a] = key(a)
+        members.setdefault(k, []).append(a)
+    return {k: tuple(v) for k, v in members.items()}, class_of
+
+
+def _read_classes(coeffs: dict, kind: str, message: str) -> dict:
+    """One coefficient per class (see ``_classes``) of a composition-indexed
+    dict; raises MembershipError(message % degree) unless the dict is
+    constant on every class it touches (absent compositions count as 0)."""
     out = {}
-    degs = sorted({k.n for k in coeffs_r})
-    for d in degs:
-        part = {k: v for k, v in coeffs_r.items() if k.n == d}
-        if d == 0:
-            c = part.get(Composition(()), 0)
-            if c:
-                out[PeakSet(0, frozenset())] = c
-            continue
-        by_peak = {}
-        for a in compositions_of(d):
-            by_peak.setdefault(a.peak_set(), []).append(part.get(a, 0))
-        for P, vals in by_peak.items():
-            if any(v != vals[0] for v in vals):
-                raise MembershipError(
-                    "element of degree %d lies outside the peak subalgebra" % d
-                )
-            if vals[0]:
-                out[P] = vals[0]
-    return out
+    for a, c in coeffs.items():
+        members, class_of = _classes(a.n, kind)
+        k = class_of[a]
+        if k not in out:
+            if any(coeffs.get(b, 0) != c for b in members[k]):
+                raise MembershipError(message % a.n)
+            out[k] = c
+    return {k: c for k, c in out.items() if c}
+
+
+def _nsym_to_xi(coeffs_r: dict) -> dict:
+    """R-coordinate dict -> Xi coordinates: Xi_P is the sum of its class."""
+    return _read_classes(
+        coeffs_r, "peak", "element of degree %d lies outside the peak subalgebra"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -843,23 +828,7 @@ def convert(x: FreeElement, basis: str, algebra: str | None = None) -> FreeEleme
     if (x.algebra, algebra) == ("Sym", "QSym"):
         return convert(sym_into_qsym(x), basis)
     if (x.algebra, algebra) == ("QSym", "Sym"):
-        m = _qsym_as_m(x)
-        bym = {}
-        for d in sorted({k.n for k in m}):
-            comp_part = {k: v for k, v in m.items() if k.n == d}
-            if d == 0:
-                c = comp_part.get(Composition(()), 0)
-                if c:
-                    bym[()] = c
-                continue
-            groups = {}
-            for a in compositions_of(d):
-                groups.setdefault(a.to_partition(), []).append(comp_part.get(a, 0))
-            for lam, vals in groups.items():
-                if any(v != vals[0] for v in vals):
-                    raise MembershipError("element is not symmetric")
-                if vals[0]:
-                    bym[lam] = vals[0]
+        bym = _read_classes(_qsym_as_m(x), "part", "element of degree %d is not symmetric")
         return _convert_within(FreeElement("Sym", "m", bym), basis)
     if (x.algebra, algebra) == ("Omega", "PeakDual"):
         return convert(omega_into_peakdual(x), basis)
@@ -1002,16 +971,12 @@ def _coprod_m_single(alpha: Composition) -> tuple:
 
 @lru_cache(maxsize=None)
 def _coprod_part_h(lam: tuple) -> tuple:
-    acc = {((), ()): 1}
-    for part in lam:
-        nxt = {}
-        for (b, g), c in acc.items():
-            for k in range(part + 1):
-                left = b if k == 0 else _merge_parts(b, (k,))
-                right = g if k == part else _merge_parts(g, (part - k,))
-                vec_add_term(nxt, (left, right), c)
-        acc = nxt
-    return tuple(acc.items())
+    """Delta h_lam: the image of Delta H_lam under the forgetful map, a Hopf
+    morphism."""
+    out = {}
+    for (b, g), c in _coprod_h_single(Composition(lam)):
+        vec_add_term(out, (b.to_partition(), g.to_partition()), c)
+    return tuple(out.items())
 
 
 @lru_cache(maxsize=None)

@@ -84,16 +84,10 @@ class SparseMatrix:
     def get(self, r: int, c: int):
         return self.cols[c].get(r)
 
-    def col(self, j: int) -> dict:
-        return self.cols[j]
-
     def entries(self):
         for j, col in enumerate(self.cols):
             for i, v in col.items():
                 yield i, j, v
-
-    def nnz(self) -> int:
-        return sum(len(c) for c in self.cols)
 
     def apply(self, vec: dict) -> dict:
         """Matrix times column vector."""
@@ -207,9 +201,6 @@ class Echelon:
 
     def __init__(self):
         self.rows: dict = {}  # pivot index -> normalized row
-
-    def reduce(self, row: dict) -> dict:
-        return _eliminate(self.rows, row)[1]
 
     def add(self, row: dict):
         """Insert a row; return its pivot index, or None if dependent."""

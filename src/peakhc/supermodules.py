@@ -153,9 +153,6 @@ class Supermodule:
         even = sum(1 for p in self.parities if p == 0)
         return even, self.dim - even
 
-    def action(self, key) -> SparseMatrix:
-        return self.actions[key]
-
     def check(self) -> None:
         """Verify every defining relation as an exact matrix identity."""
         keys = generator_keys(self.blocks, self.algebra)
@@ -636,14 +633,6 @@ class ModuleMap:
 
     def apply(self, vec: dict) -> dict:
         return self.matrix.apply(vec)
-
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(
-            other.source,
-            self.target,
-            self.matrix @ other.matrix,
-            (self.parity + other.parity) % 2,
-        )
 
 
 @dataclass
@@ -1359,16 +1348,26 @@ def module_to_json(module: Supermodule) -> dict:
 
 
 def module_from_json(doc) -> Supermodule:
+    """Rebuild a module written by ``module_to_json``; raises ValueError on a
+    parity other than 0 or 1, or a matrix entry outside range(dim)."""
     blocks = tuple(doc["blocks"])
     algebra = doc["algebra"]
     labels = tuple(b["label"] for b in doc["basis"])
     parities = tuple(b["parity"] for b in doc["basis"])
     dim = len(labels)
+    for label, p in zip(labels, parities):
+        if p not in (0, 1):
+            raise ValueError("basis element %s has parity %r, not 0 or 1" % (label, p))
     actions = {}
     for name, entries in doc["actions"].items():
         kind, idx = name[0], int(name[1:])
         mat = SparseMatrix(dim, dim)
         for r, ccol, val in entries:
+            if not all(type(i) is int and 0 <= i < dim for i in (r, ccol)):
+                raise ValueError(
+                    "action %s has an entry at (%r, %r) outside the %d x %d matrix"
+                    % (name, r, ccol, dim, dim)
+                )
             mat.set(r, ccol, _gauss_from_json(val))
         actions[(kind, idx)] = mat
     return Supermodule(blocks, algebra, labels, parities, actions)

@@ -17,10 +17,9 @@ from .combinat import (
     ResourceLimitError,
     compositions_of,
     peak_sets_in,
-    strict_partitions_of,
 )
 from .characteristic import (
-    cartan_image,
+    cartan_rank,
     gessel_pairing,
     theta_ribbon_formula,
     verify_bialgebra_compatibility,
@@ -320,24 +319,11 @@ def suite_projectives(max_n: int = 4, **_kw) -> list:
 def suite_cartan(max_n: int = 6, **_kw) -> list:
     out = []
     for n in range(1, max_n + 1):
-        bad = []
-        images = []
-        for a in compositions_of(n):
-            rep = cartan_image(a)
-            if rep["status"] != "verified":
-                bad.append(str(a))
-            else:
-                images.append(convert(rep["value"], "F", "QSym"))
-        ok = not bad
-        witness = {"bad": bad}
-        if ok:
-            from .hopf import graded_rank
-
-            rank = graded_rank(images, n)
-            expected = len(strict_partitions_of(n))
+        bad, rank, expected = cartan_rank(n)
+        witness = {"bad": [str(a) for a in bad]}
+        if not bad:
             witness["rank"] = rank
-            ok = rank == expected
-        out.append(_report("cartan-square", {"n": n}, ok, witness))
+        out.append(_report("cartan-square", {"n": n}, not bad and rank == expected, witness))
     return out
 
 
@@ -450,18 +436,7 @@ def suite_heisenberg(max_degree: int = 8, **_kw) -> list:
             if lhs != rhs:
                 bad.append((str(x), str(y), m))
     out.append(_report("fock-module-algebra", {"samples": 20}, not bad, bad))
-    # freeness certificate and the Hilbert identity
-    cert = free_basis_over_omega(max_degree)
-    out.append(
-        _report(
-            "freeness-certificate",
-            {"max_degree": max_degree},
-            cert.ok,
-            [dict(r) for r in cert.per_degree],
-        )
-    )
-    out.append(hilbert_series_identity(max_degree))
-    return out
+    return out + _freeness_reports(max_degree)
 
 
 def suite_diagrams(max_n: int = 5, **_kw) -> list:
@@ -472,8 +447,13 @@ def suite_freeness(max_degree: int = 8, **_kw) -> list:
     """The freeness certificate alone (generators + per-degree ranks +
     Hilbert identity), without the lowering and module-algebra batteries."""
     guard_freeness_degree(max_degree)
+    return _freeness_reports(max_degree)
+
+
+def _freeness_reports(max_degree: int) -> list:
+    """The freeness certificate and the Hilbert identity through max_degree."""
     cert = free_basis_over_omega(max_degree)
-    out = [
+    return [
         _report(
             "freeness-certificate",
             {"max_degree": max_degree},
@@ -482,7 +462,6 @@ def suite_freeness(max_degree: int = 8, **_kw) -> list:
         ),
         hilbert_series_identity(max_degree),
     ]
-    return out
 
 
 SUITES = {

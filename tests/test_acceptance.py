@@ -6,19 +6,13 @@ fixed here, not configurable: these are the exit criteria.
 """
 
 import time
-from fractions import Fraction
 
 from peakhc.combinat import (
     Composition,
     compositions_of,
-    peak_sets_in,
     strict_partitions_of,
 )
-from peakhc.characteristic import (
-    verify_corner_restriction,
-    verify_restriction_to_hecke,
-)
-from peakhc.hopf import convert, term
+from peakhc.characteristic import verify_corner_restriction
 from peakhc.supermodules import (
     hom_space,
     induce_clifford,

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from peakhc.combinat import Composition, PeakSet, compositions_of, peak_sets_in
+from peakhc.combinat import Composition, PeakSet, compositions_of
 from peakhc.characteristic import (
     ModuleClass,
     cartan_image,
@@ -21,7 +21,7 @@ from peakhc.characteristic import (
     verify_restriction_to_hecke,
     verify_restriction_vectors,
 )
-from peakhc.hopf import FreeElement, convert, term, vartheta_map
+from peakhc.hopf import FreeElement, term
 from peakhc.supermodules import induce_clifford, projective_hecke, simple_hecke
 
 

@@ -13,7 +13,7 @@ from peakhc.expressions import (
     parse_element,
 )
 from peakhc.hecke_clifford import gen_T, gen_c, multiply
-from peakhc.hopf import convert, term, unit
+from peakhc.hopf import convert, term
 from peakhc.scalars import GaussianRational
 
 
@@ -128,6 +128,19 @@ def test_cli_module_dump_check(tmp_path, capsys):
     code = main(["module", "check", str(out)])
     assert code == 0
     assert "verified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry", [[9, 0], [0, 9]])
+def test_cli_module_check_rejects_out_of_range_entry(tmp_path, capsys, entry):
+    out = tmp_path / "mod.json"
+    assert main(
+        ["module", "dump", "--kind", "induced-simple", "--alpha", "2", "--out", str(out)]
+    ) == 0
+    doc = json.loads(out.read_text())
+    doc["actions"]["T1"].append(entry + [{"re": "1", "im": "0"}])
+    out.write_text(json.dumps(doc))
+    assert main(["module", "check", str(out)]) == 2
+    assert "outside" in capsys.readouterr().err
 
 
 def test_cli_verify(capsys):

@@ -22,10 +22,8 @@ from peakhc.hopf import (
     FreeElement,
     convert,
     coproduct,
-    omega_into_peakdual,
     product,
     term,
-    theta_transform,
     unit,
 )
 from peakhc.linalg import SpanSolver

@@ -7,19 +7,16 @@ import pytest
 
 from peakhc.combinat import (
     Composition,
-    ResourceLimitError,
     compositions_of,
     descent_class,
 )
-from peakhc.hecke_clifford import basis_element, gen_c, gen_T, multiply, unit
+from peakhc.hecke_clifford import multiply, unit
 from peakhc.linalg import Echelon, SparseMatrix, SpanSolver, nullspace, vec_iadd_scaled
 from peakhc.scalars import GAUSS_ONE, GaussianRational
 from peakhc.supermodules import (
     HomBasis,
     IsoSearch,
     ModuleMap,
-    Supermodule,
-    act_element,
     bruhat_filtration,
     clifford_idempotents,
     dual_twist,
@@ -764,6 +761,26 @@ def test_module_json_roundtrip():
     for key in m.actions:
         assert back.actions[key] == m.actions[key]
     back.check()
+
+
+def _corrupted_module_doc(extra_entry=None, parity=None):
+    """The dump of Ind S_(2) (dim 4), with one extra T1 entry or a bad parity."""
+    doc = module_to_json(Stilde(2))
+    if extra_entry is not None:
+        doc["actions"]["T1"].append(list(extra_entry) + [{"re": "1", "im": "0"}])
+    if parity is not None:
+        doc["basis"][0]["parity"] = parity
+    return doc
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"extra_entry": (9, 0)}, {"extra_entry": (0, 9)}, {"extra_entry": (-1, 0)},
+     {"parity": 2}],
+)
+def test_module_from_json_rejects_out_of_range(bad):
+    with pytest.raises(ValueError):
+        module_from_json(json.loads(json.dumps(_corrupted_module_doc(**bad))))
 
 
 def test_generator_keys_blocks():
