@@ -250,10 +250,10 @@ def decompose_projective(alpha) -> list:
 def verify_projective_pairings(n: int) -> dict:
     """dim Hom(induced projective, induced simple) cross-check at rank n."""
     bad = []
+    simples = [(b, induce_clifford(simple_hecke(b))) for b in compositions_of(n)]
     for a in compositions_of(n):
         row = _theta_row(a)
-        for b in compositions_of(n):
-            st = induce_clifford(simple_hecke(b))
+        for b, st in simples:
             got = projective_hom_dim(st, a)
             expected = row.get(b.peak_set(), 0)
             if got != expected:

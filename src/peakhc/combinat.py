@@ -16,6 +16,13 @@ compositions of n and peak sets in [n] are listed by increasing bitmask of
 the underlying subset (bit i-1 encodes membership of i); permutation lists
 are lexicographic in one-line notation unless stated otherwise.
 
+Codes: ``Composition.code`` sets bit s-1 for every partial sum s, n
+included, so it is the descent bitmask plus the top bit 1 << (n-1);
+``PeakSet.code`` is the peak bitmask plus 1 << (n-1).  Both are 0 in degree
+0.  A code determines its object, its degree is ``code.bit_length()``, and
+int order on codes is the canonical order (degree, then bitmask).  Hashing,
+equality and ``<`` read the code, computed once at construction.
+
 Doctest samples:
 
 >>> [c.parts for c in compositions_of(3)]
@@ -24,6 +31,8 @@ Doctest samples:
 True
 >>> sorted(Composition((2, 2)).peak_set().elements), sorted(Composition((2, 2)).valley_set())
 ([2], [1, 3])
+>>> bin(Composition((1, 2, 1)).code), bin(Composition((2, 2)).peak_set().code)
+('0b1101', '0b1010')
 """
 
 from __future__ import annotations
@@ -68,21 +77,38 @@ class ResourceLimitError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Composition:
-    """Ordered tuple of positive integers; the empty composition is the unit."""
+    """Ordered tuple of positive integers; the empty composition is the unit.
+
+    ``code`` has bit s-1 set for every partial sum s (see the module
+    docstring); hashing, equality and order read it.
+    """
 
     parts: tuple
 
     def __post_init__(self):
         parts = tuple(int(p) for p in self.parts)
-        if any(p < 1 for p in parts):
-            raise ValueError("composition parts must be positive: %r" % (parts,))
+        code = total = 0
+        for p in parts:
+            if p < 1:
+                raise ValueError("composition parts must be positive: %r" % (parts,))
+            total += p
+            code |= 1 << (total - 1)
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "code", code)
+
+    def __hash__(self):
+        return self.code
+
+    def __eq__(self, other):
+        if other.__class__ is not Composition:
+            return NotImplemented
+        return self.code == other.code
 
     @property
     def n(self) -> int:
-        return sum(self.parts)
+        return self.code.bit_length()
 
     @property
     def length(self) -> int:
@@ -138,10 +164,7 @@ class Composition:
 
     def __lt__(self, other):
         # canonical order: degree, then descent-set bitmask
-        return (self.n, self.descent_set().bitmask()) < (
-            other.n,
-            other.descent_set().bitmask(),
-        )
+        return self.code < other.code
 
 
 def as_composition(alpha) -> Composition:
@@ -170,9 +193,13 @@ class DescentSet:
         return "DescentSet(%d, %s)" % (self.n, sorted(self.elements))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeakSet:
-    """A sparse subset of [2, n-1]: no two consecutive members."""
+    """A sparse subset of [2, n-1]: no two consecutive members.
+
+    ``code`` is the bitmask plus the top bit 1 << (n-1), and 0 when n = 0;
+    hashing, equality and order read it.
+    """
 
     n: int
     elements: frozenset
@@ -184,6 +211,15 @@ class PeakSet:
         if any(x - 1 in elems for x in elems):
             raise ValueError("peak set %r contains consecutive entries" % sorted(elems))
         object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "code", self.bitmask() | 1 << (self.n - 1) if self.n else 0)
+
+    def __hash__(self):
+        return self.code
+
+    def __eq__(self, other):
+        if other.__class__ is not PeakSet:
+            return NotImplemented
+        return self.code == other.code
 
     def bitmask(self) -> int:
         return sum(1 << (x - 1) for x in self.elements)
@@ -195,7 +231,7 @@ class PeakSet:
         return "PeakSet(%d, %s)" % (self.n, sorted(self.elements))
 
     def __lt__(self, other):
-        return (self.n, self.bitmask()) < (other.n, other.bitmask())
+        return self.code < other.code
 
 
 def compositions_of(n: int) -> list:

@@ -34,24 +34,33 @@ concurrent readers); every value here is immutable after construction.
 Membership conversions (NSym -> Peak, QSym -> PeakDual, Sym -> Omega,
 QSym -> Sym) solve exactly and raise ``MembershipError`` when the element
 lies outside the subalgebra.
+
+Keys.  ``FreeElement.coeffs`` and ``TensorElement.coeffs`` are keyed by
+``Composition``, ``PeakSet`` or partition tuples.  Inside this module every
+table and every intermediate dict is keyed instead by the int code of a
+composition or peak set (``peakhc.combinat``: bit s-1 for each partial sum
+s, n included), so each lookup hashes an int.  On codes the degree is
+``c.bit_length()``, the number of parts ``c.bit_count()``, concatenation
+``a | b << deg(a)``, deconcatenation a mask, coarsenings and refinements
+the sub- and supermasks of the descent bits, and the peak code of a
+composition ``top | c & ~(c << 1) & ~1``.  Partitions (Sym, Omega) stay
+tuples.  Each public function encodes its arguments once (``_codes``) and
+decodes its result once into canonical instances (``_element``,
+``_tensor``), passing every coefficient through ``scalars._rational``.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import (
     Composition,
     PeakSet,
+    _compositions_of,
     as_composition,
-    compositions_of,
-    composition_from_descents,
-    DescentSet,
     partitions_of,
     peak_sets_in,
-    symmetric_difference_shift,
 )
 from .linalg import SpanSolver, vec_add_term, vec_iadd_scaled
 from .scalars import _rational
@@ -149,9 +158,9 @@ def index_degree(index) -> int:
 
 def index_sort_key(index):
     if isinstance(index, Composition):
-        return (0, index.n, index.descent_set().bitmask())
+        return (0, index.n, index.code)
     if isinstance(index, PeakSet):
-        return (1, index.n, index.bitmask())
+        return (1, index.n, index.code)
     return (2, sum(index), index)
 
 
@@ -367,14 +376,126 @@ class TensorElement:
 
 
 # ---------------------------------------------------------------------------
-# expansion tables (cached per index / degree)
+# codes: encoding at the boundary
+# ---------------------------------------------------------------------------
+
+_EMPTY = Composition(())
+
+
+def _comp(code: int) -> Composition:
+    """The canonical Composition with this code."""
+    if not code:
+        return _EMPTY
+    n = code.bit_length()
+    return _compositions_of(n)[code ^ 1 << (n - 1)]
+
+
+@lru_cache(maxsize=None)
+def _peak_sets_by_code(n: int) -> dict:
+    """Code -> canonical PeakSet for the peak sets in [n]; one entry per degree."""
+    return {P.code: P for P in peak_sets_in(n)}
+
+
+def _peak(code: int) -> PeakSet:
+    """The canonical PeakSet with this code."""
+    return _peak_sets_by_code(code.bit_length())[code]
+
+
+_DECODE = {"comp": _comp, "peak": _peak}
+
+
+def _codes(x: FreeElement) -> dict:
+    """x's coefficients keyed as inside this module: compositions and peak
+    sets by code, partitions as they are.  Not to be mutated."""
+    if _INDEX_KIND[(x.algebra, x.basis)] == "part":
+        return x.coeffs
+    return {k.code: c for k, c in x.coeffs.items()}
+
+
+def _exact(coeffs: dict) -> dict:
+    """coeffs with each value through ``_rational`` and zeros dropped, as a
+    FreeElement stores them."""
+    out = {}
+    for k, c in coeffs.items():
+        c = _rational(c)
+        if c:
+            out[k] = c
+    return out
+
+
+def _element(algebra: str, basis: str, coeffs: dict) -> FreeElement:
+    """The FreeElement of internally keyed coefficients (the one decoding);
+    each coefficient goes through ``_rational``."""
+    decode = _DECODE.get(_INDEX_KIND[(algebra, basis)])
+    clean = {}
+    for k, c in coeffs.items():
+        c = _rational(c)
+        if c:
+            clean[k if decode is None else decode(k)] = c
+    out = FreeElement.__new__(FreeElement)
+    out.algebra = algebra
+    out.basis = basis
+    out.coeffs = clean
+    return out
+
+
+def _tensor(algebra: str, basis: str, coeffs: dict) -> TensorElement:
+    """The TensorElement of internally keyed pairs (the one decoding); each
+    coefficient goes through ``_rational``."""
+    decode = _DECODE.get(_INDEX_KIND[(algebra, basis)])
+    clean = {}
+    for (a, b), c in coeffs.items():
+        c = _rational(c)
+        if c:
+            clean[(a, b) if decode is None else (decode(a), decode(b))] = c
+    return TensorElement(algebra, basis, clean)
+
+
+def _degree(k) -> int:
+    """Degree of an internal key: a code or a partition."""
+    return k.bit_length() if type(k) is int else sum(k)
+
+
+def _parts(code: int) -> tuple:
+    """The parts of the composition with this code."""
+    out, prev = [], 0
+    while code:
+        low = code & -code
+        pos = low.bit_length()
+        out.append(pos - prev)
+        prev = pos
+        code ^= low
+    return tuple(out)
+
+
+def _peak_code(code: int) -> int:
+    """Code of the peak set of the composition with this code: the descents
+    x >= 2 with x - 1 not a descent, plus the top bit."""
+    if not code:
+        return 0
+    return 1 << (code.bit_length() - 1) | code & ~(code << 1) & ~1
+
+
+def _submasks(mask: int) -> list:
+    """Every submask of ``mask``, in increasing order."""
+    out, s = [], mask
+    while True:
+        out.append(s)
+        if not s:
+            return out[::-1]
+        s = (s - 1) & mask
+
+
+# ---------------------------------------------------------------------------
+# expansion tables (cached per code / degree; one entry per argument)
 # ---------------------------------------------------------------------------
 
 
 def _concat_product(a: dict, b: dict) -> dict:
     out = {}
     for ka, ca in a.items():
-        vec_iadd_scaled(out, ((Composition(ka.parts + kb.parts), cb) for kb, cb in b.items()), ca)
+        shift = ka.bit_length()
+        vec_iadd_scaled(out, ((ka | kb << shift, cb) for kb, cb in b.items()), ca)
     return out
 
 
@@ -384,151 +505,141 @@ def _sign(k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _coarsenings(alpha: Composition) -> tuple:
-    """Compositions beta with D(beta) a subset of D(alpha) (beta >= alpha)."""
-    d = sorted(alpha.descent_set().elements)
-    out = []
-    for r in range(len(d) + 1):
-        for keep in itertools.combinations(d, r):
-            out.append(
-                composition_from_descents(DescentSet(alpha.n, frozenset(keep)))
-            )
-    return tuple(out)
+def _coarsenings(alpha: int) -> tuple:
+    """Codes beta with D(beta) a subset of D(alpha) (beta >= alpha): the
+    submasks of the descent bits, each with the top bit."""
+    if not alpha:
+        return (0,)
+    top = 1 << (alpha.bit_length() - 1)
+    return tuple(top | s for s in _submasks(alpha ^ top))
 
 
 @lru_cache(maxsize=None)
-def _refinements(alpha: Composition) -> tuple:
-    """Compositions beta with D(alpha) a subset of D(beta) (beta <= alpha)."""
-    pieces = [compositions_of(p) for p in alpha.parts]
-    out = []
-    for combo in itertools.product(*pieces):
-        parts = tuple(p for c in combo for p in c.parts)
-        out.append(Composition(parts))
-    if not alpha.parts:
-        out = [Composition(())]
-    return tuple(out)
+def _refinements(alpha: int) -> tuple:
+    """Codes beta with D(alpha) a subset of D(beta) (beta <= alpha): the
+    supermasks of alpha below its top bit."""
+    if not alpha:
+        return (0,)
+    free = (1 << (alpha.bit_length() - 1)) - 1 & ~alpha
+    return tuple(alpha | s for s in _submasks(free))
 
 
 @lru_cache(maxsize=None)
 def _e_in_h(k: int) -> tuple:
     """E_k = sum over compositions beta of k of (-1)^(k - l(beta)) H_beta."""
     if k == 0:
-        return ((Composition(()), 1),)
-    return tuple(
-        (b, _sign(k - b.length)) for b in compositions_of(k)
-    )
+        return ((0, 1),)
+    return tuple((b, _sign(k - b.bit_count())) for b in range(1 << (k - 1), 1 << k))
 
 
 @lru_cache(maxsize=None)
 def _q_in_h(m: int) -> tuple:
-    """Q_m = sum_{k=0..m} E_k H_{m-k}, expanded in the H basis."""
+    """Q_m = sum_{k=0..m} E_k H_{m-k}, expanded in the H basis: appending
+    the part m - k to a code of degree k sets the top bit of degree m."""
     if m == 0:
-        return ((Composition(()), 1),)
+        return ((0, 1),)
+    top = 1 << (m - 1)
     out = {}
     for k in range(m + 1):
-        tail = () if m == k else (m - k,)
         for b, c in _e_in_h(k):
-            vec_add_term(out, Composition(b.parts + tail), c)
-    return tuple(sorted(out.items(), key=lambda kv: index_sort_key(kv[0])))
+            vec_add_term(out, b | top, c)
+    return tuple(sorted(out.items()))
 
 
 @lru_cache(maxsize=None)
-def _h_expansion(basis: str, alpha: Composition) -> tuple:
+def _h_expansion(basis: str, alpha: int) -> tuple:
     """Expansion of a single NSym basis element in the H basis."""
     if basis == "H":
         return ((alpha, 1),)
     if basis == "R":
-        return tuple(
-            (b, _sign(b.length - alpha.length)) for b in _coarsenings(alpha)
-        )
-    if basis == "E":
-        acc = {Composition(()): 1}
-        for p in alpha.parts:
-            acc = _concat_product(acc, dict(_e_in_h(p)))
-        return tuple(sorted(acc.items(), key=lambda kv: index_sort_key(kv[0])))
-    if basis == "Q":
-        acc = {Composition(()): 1}
-        for p in alpha.parts:
-            acc = _concat_product(acc, dict(_q_in_h(p)))
-        return tuple(sorted(acc.items(), key=lambda kv: index_sort_key(kv[0])))
+        length = alpha.bit_count()
+        return tuple((b, _sign(b.bit_count() - length)) for b in _coarsenings(alpha))
+    if basis in ("E", "Q"):
+        table = _e_in_h if basis == "E" else _q_in_h
+        acc = {0: 1}
+        for p in _parts(alpha):
+            acc = _concat_product(acc, dict(table(p)))
+        return tuple(sorted(acc.items()))
     raise ConversionError("no H-expansion for NSym basis %s" % basis)
 
 
 @lru_cache(maxsize=None)
-def _h_to_r(alpha: Composition) -> tuple:
+def _h_to_r(alpha: int) -> tuple:
     return tuple((b, 1) for b in _coarsenings(alpha))
 
 
-def _h_to_e(alpha: Composition) -> tuple:
+def _h_to_e(alpha: int) -> tuple:
     """H_alpha in the E basis: the involution swapping E and H turns the
     E-to-H expansion into this one, coefficient for coefficient."""
     return _h_expansion("E", alpha)
 
 
 @lru_cache(maxsize=None)
-def _f_to_m(alpha: Composition) -> tuple:
+def _f_to_m(alpha: int) -> tuple:
     return tuple((b, 1) for b in _refinements(alpha))
 
 
 @lru_cache(maxsize=None)
-def _m_to_f(alpha: Composition) -> tuple:
-    return tuple((b, _sign(b.length - alpha.length)) for b in _refinements(alpha))
+def _m_to_f(alpha: int) -> tuple:
+    length = alpha.bit_count()
+    return tuple((b, _sign(b.bit_count() - length)) for b in _refinements(alpha))
 
 
 @lru_cache(maxsize=None)
-def _xi_in_r(P: PeakSet) -> tuple:
-    return tuple((a, 1) for a in _classes(P.n, "peak")[0][P])
+def _xi_in_r(P: int) -> tuple:
+    return tuple((a, 1) for a in _classes(P.bit_length(), "peak")[0][P])
 
 
 @lru_cache(maxsize=None)
-def _k_in_f(P: PeakSet) -> tuple:
+def _k_in_f(P: int) -> tuple:
     """K_P = 2^(|P|+1) * sum of F_alpha over alpha with P inside D .. (D+1)."""
-    if P.n == 0:
-        return ((Composition(()), 1),)
-    c = 2 ** (len(P.elements) + 1)
-    out = []
-    for a in compositions_of(P.n):
-        if P.elements <= symmetric_difference_shift(a.descent_set()):
-            out.append((a, c))
-    return tuple(out)
+    if not P:
+        return ((0, 1),)
+    top = 1 << (P.bit_length() - 1)
+    p, c = P ^ top, 1 << P.bit_count()
+    return tuple((top | d, c) for d in range(top) if not p & ~(d ^ d << 1))
 
 
 @lru_cache(maxsize=None)
-def _k_in_m(P: PeakSet) -> tuple:
+def _k_in_m(P: int) -> tuple:
     """K_P = sum over alpha with P inside D(alpha) union (D(alpha)+1) of 2^l(alpha) M_alpha."""
-    if P.n == 0:
-        return ((Composition(()), 1),)
-    out = []
-    for a in compositions_of(P.n):
-        d = a.descent_set().elements
-        window = d | {x + 1 for x in d}
-        if P.elements <= window:
-            out.append((a, 2 ** a.length))
-    return tuple(out)
+    if not P:
+        return ((0, 1),)
+    top = 1 << (P.bit_length() - 1)
+    p = P ^ top
+    return tuple(
+        (top | d, 2 << d.bit_count()) for d in range(top) if not p & ~(d | d << 1)
+    )
 
 
 @lru_cache(maxsize=None)
-def _n_in_k(alpha: Composition) -> tuple:
+def _n_in_k(alpha: int) -> tuple:
     """N_alpha = vartheta(M_alpha): expand M in F, then F_beta -> K_{P(beta)}."""
     out = {}
     for b, c in _m_to_f(alpha):
-        vec_add_term(out, b.peak_set(), c)
+        vec_add_term(out, _peak_code(b), c)
     return tuple(out.items())
 
 
-# quasi-shuffle on monomial keys
+# quasi-shuffle on monomial codes
 
 
 @lru_cache(maxsize=None)
-def _quasi_shuffle(a: tuple, b: tuple) -> tuple:
+def _quasi_shuffle(a: int, b: int) -> tuple:
+    """M_a M_b as (code, multiplicity) pairs; one entry per pair of codes.
+
+    The first part of a code is the position of its lowest bit, and
+    ``a >> part`` is the code of the remaining parts."""
     if not a:
         return ((b, 1),)
     if not b:
         return ((a, 1),)
+    ha, hb = (a & -a).bit_length(), (b & -b).bit_length()
     out = {}
-    for head, a1, b1 in ((a[0], a[1:], b), (b[0], a, b[1:]), (a[0] + b[0], a[1:], b[1:])):
+    for head, a1, b1 in ((ha, a >> ha, b), (hb, a, b >> hb), (ha + hb, a >> ha, b >> hb)):
+        bit = 1 << (head - 1)
         for rest, m in _quasi_shuffle(a1, b1):
-            vec_add_term(out, (head,) + rest, m)
+            vec_add_term(out, bit | rest << head, m)
     return tuple(out.items())
 
 
@@ -596,10 +707,15 @@ def _p_to_h_dict(coeffs: dict) -> dict:
     return _expand_monomials(coeffs, lambda part: dict(_p_in_h(part)), _part_product, ())
 
 
+def _partition(code: int) -> tuple:
+    """The sorted parts of the composition with this code (a table read)."""
+    return _classes(code.bit_length(), "part")[1][code]
+
+
 def _r_to_h(coeffs: dict) -> dict:
-    """Ribbon Schur r_alpha (composition-indexed) into h (partition-indexed)."""
+    """Ribbon Schur r_alpha (code-indexed) into h (partition-indexed)."""
     return _expand_linear(
-        coeffs, lambda alpha: ((b.to_partition(), s) for b, s in _h_expansion("R", alpha))
+        coeffs, lambda alpha: ((_partition(b), s) for b, s in _h_expansion("R", alpha))
     )
 
 
@@ -613,8 +729,8 @@ def _solve_degreewise(coeffs: dict, solver, coords, unit, message: str) -> dict:
     the span.
     """
     out = {}
-    for d in sorted({index_degree(k) for k in coeffs}):
-        part = {k: v for k, v in coeffs.items() if index_degree(k) == d}
+    for d in sorted({_degree(k) for k in coeffs}):
+        part = {k: v for k, v in coeffs.items() if _degree(k) == d}
         if d == 0:
             (out[unit],) = part.values()
             continue
@@ -630,7 +746,7 @@ def _m_to_h(coeffs: dict) -> dict:
 
     def coords(part, d):
         members = _classes(d, "part")[0]
-        return {a.descent_set().bitmask(): c for lam, c in part.items() for a in members[lam]}
+        return {a: c for lam, c in part.items() for a in members[lam]}
 
     return _solve_degreewise(
         coeffs, _sym_h_solver, coords, (),
@@ -652,17 +768,16 @@ def _sym_h_solver(n: int) -> SpanSolver:
     """Span of the images of h_lambda inside QSym_n, tagged by partitions."""
     solver = SpanSolver()
     for lam in partitions_of(n):
-        solver.add(lam, {a.descent_set().bitmask(): v for a, v in _sym_h_qsym(lam).items()})
+        solver.add(lam, _sym_h_qsym(lam))
     return solver
 
 
 @lru_cache(maxsize=None)
 def _sym_h_qsym(lam: tuple) -> dict:
     """Image of h_lambda in QSym: product of the full monomial sums per part."""
-    acc = {Composition(()): 1}
+    acc = {0: 1}
     for part in lam:
-        factor = {a: 1 for a in compositions_of(part)}
-        acc = _qsym_m_product(acc, factor)
+        acc = _qsym_m_product(acc, dict.fromkeys(range(1 << (part - 1), 1 << part), 1))
     return acc
 
 
@@ -670,9 +785,15 @@ def _qsym_m_product(x: dict, y: dict) -> dict:
     out = {}
     for ka, ca in x.items():
         for kb, cb in y.items():
-            shuffles = _quasi_shuffle(ka.parts, kb.parts)
-            vec_iadd_scaled(out, ((Composition(p), m) for p, m in shuffles), ca * cb)
+            vec_iadd_scaled(out, _quasi_shuffle(ka, kb), ca * cb)
     return out
+
+
+def _sym_into_qsym(coeffs: dict, basis: str) -> dict:
+    """A Sym element (h/m/p/r basis) as M coordinates."""
+    return _expand_monomials(
+        _sym_to_p(coeffs, basis), lambda part: {1 << (part - 1): 1}, _qsym_m_product, 0
+    )
 
 
 @lru_cache(maxsize=None)
@@ -698,11 +819,8 @@ def _omega_to_podd(coeffs: dict, basis: str) -> dict:
 @lru_cache(maxsize=None)
 def _peakdual_solver(n: int) -> SpanSolver:
     solver = SpanSolver()
-    for P in peak_sets_in(n) if n else [PeakSet(0, frozenset())]:
-        vec = {}
-        for a, c in _k_in_f(P):
-            vec[a.descent_set().bitmask() if n else 0] = c
-        solver.add(P, vec)
+    for P in _peak_sets_by_code(n):
+        solver.add(P, dict(_k_in_f(P)))
     return solver
 
 
@@ -711,8 +829,8 @@ def _qsym_to_k(coeffs_f: dict) -> dict:
     return _solve_degreewise(
         coeffs_f,
         _peakdual_solver,
-        lambda part, d: {a.descent_set().bitmask(): v for a, v in part.items()},
-        PeakSet(0, frozenset()),
+        lambda part, d: part,
+        0,
         "element of degree %d lies outside the peak quasisymmetric span",
     )
 
@@ -722,33 +840,35 @@ def _qsym_to_k(coeffs_f: dict) -> dict:
 
 @lru_cache(maxsize=None)
 def _classes(n: int, kind: str) -> tuple:
-    """(members, class_of) for the compositions of n grouped by peak set
-    (kind "peak") or by sorted parts (kind "part").
+    """(members, class_of) for the codes of the compositions of n grouped by
+    peak set (kind "peak", keyed by peak code) or by sorted parts (kind
+    "part", keyed by partition).
 
-    ``members`` maps each class key (a PeakSet or a partition) to its
-    compositions in canonical order, and ``class_of`` maps each composition
-    to its key.  Both are read-only.  Degree 0 is the single class of the
-    empty composition.
+    ``members`` maps each class key to its codes in canonical order, and
+    ``class_of`` maps each code to its key.  Both are read-only.  Degree 0
+    is the single class of the empty composition.  One entry per degree
+    and kind.
     """
-    key = Composition.peak_set if kind == "peak" else Composition.to_partition
+    key = _peak_code if kind == "peak" else lambda a: tuple(sorted(_parts(a), reverse=True))
     members, class_of = {}, {}
-    for a in compositions_of(n) if n else (Composition(()),):
+    for a in range(1 << (n - 1), 1 << n) if n else (0,):
         k = class_of[a] = key(a)
         members.setdefault(k, []).append(a)
     return {k: tuple(v) for k, v in members.items()}, class_of
 
 
 def _read_classes(coeffs: dict, kind: str, message: str) -> dict:
-    """One coefficient per class (see ``_classes``) of a composition-indexed
-    dict; raises MembershipError(message % degree) unless the dict is
-    constant on every class it touches (absent compositions count as 0)."""
+    """One coefficient per class (see ``_classes``) of a code-indexed dict;
+    raises MembershipError(message % degree) unless the dict is constant on
+    every class it touches (absent codes count as 0)."""
     out = {}
     for a, c in coeffs.items():
-        members, class_of = _classes(a.n, kind)
+        n = a.bit_length()
+        members, class_of = _classes(n, kind)
         k = class_of[a]
         if k not in out:
             if any(coeffs.get(b, 0) != c for b in members[k]):
-                raise MembershipError(message % a.n)
+                raise MembershipError(message % n)
             out[k] = c
     return {k: c for k, c in out.items() if c}
 
@@ -761,7 +881,7 @@ def _nsym_to_xi(coeffs_r: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# public conversions
+# conversions
 # ---------------------------------------------------------------------------
 
 
@@ -774,14 +894,39 @@ def _expand_linear(coeffs: dict, table) -> dict:
     return out
 
 
+def _nsym_to_h(coeffs: dict, basis: str) -> dict:
+    if basis == "H":
+        return coeffs
+    return _expand_linear(coeffs, lambda a: _h_expansion(basis, a))
+
+
 def _nsym_to_basis(coeffs_h: dict, basis: str) -> dict:
     if basis == "H":
-        return dict(coeffs_h)
+        return coeffs_h
     if basis == "R":
         return _expand_linear(coeffs_h, _h_to_r)
     if basis == "E":
         return _expand_linear(coeffs_h, _h_to_e)
     raise ConversionError("cannot convert into the dependent tag %s" % basis)
+
+
+def _as_h(x: FreeElement) -> dict:
+    """H coordinates of an NSym or Peak element."""
+    if x.algebra == "Peak":
+        return _convert("Peak", x.basis, _codes(x), "NSym", "H")
+    return _nsym_to_h(_codes(x), x.basis)
+
+
+def _qsym_as(coeffs: dict, basis: str, target: str) -> dict:
+    """QSym coordinates in ``target`` (M or F), not yet made exact."""
+    if basis == target:
+        return coeffs
+    return _expand_linear(coeffs, _f_to_m if target == "M" else _m_to_f)
+
+
+def _forget(coeffs_h: dict) -> dict:
+    """The forgetful map NSym -> Sym on H coordinates: H_alpha -> h_(sorted alpha)."""
+    return _expand_linear(coeffs_h, lambda a: ((_partition(a), 1),))
 
 
 def convert(x: FreeElement, basis: str, algebra: str | None = None) -> FreeElement:
@@ -796,102 +941,86 @@ def convert(x: FreeElement, basis: str, algebra: str | None = None) -> FreeEleme
         raise ConversionError("unknown basis %s of %s" % (basis, algebra))
     if (x.algebra, x.basis) == (algebra, basis):
         return x
+    return _element(algebra, basis, _convert(x.algebra, x.basis, _codes(x), algebra, basis))
 
-    if x.algebra == algebra:
-        return _convert_within(x, basis)
 
-    # embeddings and memberships
-    if (x.algebra, algebra) == ("Peak", "NSym"):
-        r = _expand_linear(x.coeffs, _xi_in_r)
-        return convert(FreeElement("NSym", "R", r), basis)
-    if (x.algebra, algebra) == ("NSym", "Peak"):
-        r = _nsym_to_basis(_expand_linear(x.coeffs, lambda a: _h_expansion(x.basis, a)), "R")
-        return FreeElement("Peak", "Xi", _nsym_to_xi(r))
-    if (x.algebra, algebra) == ("PeakDual", "QSym"):
-        if x.basis == "N":
-            x = _convert_within(x, "K")
-        f = _expand_linear(x.coeffs, _k_in_f)
-        return convert(FreeElement("QSym", "F", f), basis)
-    if (x.algebra, algebra) == ("QSym", "PeakDual"):
-        f = _qsym_as_f(x)
-        return _convert_within(
-            FreeElement("PeakDual", "K", _qsym_to_k(f)), basis
-        )
-    if (x.algebra, algebra) == ("Omega", "Sym"):
-        p = _omega_to_podd(x.coeffs, x.basis)
-        return _convert_within(FreeElement("Sym", "p", p), basis)
-    if (x.algebra, algebra) == ("Sym", "Omega"):
-        p = _sym_to_p(x.coeffs, x.basis)
+def _convert(alg: str, basis: str, coeffs: dict, algebra: str, target: str) -> dict:
+    """``convert`` on internally keyed coefficients.  Every result that
+    ``convert`` would return, and every intermediate one it would have
+    built, is made exact as a FreeElement would store it."""
+    if alg == algebra:
+        return _convert_within(alg, basis, coeffs, target)
+    if (alg, algebra) == ("Peak", "NSym"):
+        # the peak classes are disjoint: each R coefficient is one Xi coefficient
+        return _convert_within("NSym", "R", _expand_linear(coeffs, _xi_in_r), target)
+    if (alg, algebra) == ("NSym", "Peak"):
+        return _exact(_nsym_to_xi(_nsym_to_basis(_nsym_to_h(coeffs, basis), "R")))
+    if (alg, algebra) == ("PeakDual", "QSym"):
+        k = _convert_within(alg, basis, coeffs, "K")
+        return _convert_within("QSym", "F", _exact(_expand_linear(k, _k_in_f)), target)
+    if (alg, algebra) == ("QSym", "PeakDual"):
+        k = _exact(_qsym_to_k(_qsym_as(coeffs, basis, "F")))
+        return _convert_within("PeakDual", "K", k, target)
+    if (alg, algebra) == ("Omega", "Sym"):
+        return _convert_within("Sym", "p", _exact(_omega_to_podd(coeffs, basis)), target)
+    if (alg, algebra) == ("Sym", "Omega"):
+        p = _sym_to_p(coeffs, basis)
         if any(part % 2 == 0 for lam in p for part in lam):
             raise MembershipError("p-expansion has even parts; not in the q-generated ring")
-        return _convert_within(FreeElement("Omega", "podd", p), basis)
-    if (x.algebra, algebra) == ("Sym", "QSym"):
-        return convert(sym_into_qsym(x), basis)
-    if (x.algebra, algebra) == ("QSym", "Sym"):
-        bym = _read_classes(_qsym_as_m(x), "part", "element of degree %d is not symmetric")
-        return _convert_within(FreeElement("Sym", "m", bym), basis)
-    if (x.algebra, algebra) == ("Omega", "PeakDual"):
-        return convert(omega_into_peakdual(x), basis)
-    if (x.algebra, algebra) == ("Omega", "QSym"):
-        return convert(convert(x, "p", "Sym"), basis, "QSym")
-    if (x.algebra, algebra) == ("Peak", "Sym"):
-        return convert(forgetful_pi(convert(x, "H", "NSym")), basis, "Sym")
+        return _convert_within("Omega", "podd", _exact(p), target)
+    if (alg, algebra) == ("Sym", "QSym"):
+        return _convert_within("QSym", "M", _exact(_sym_into_qsym(coeffs, basis)), target)
+    if (alg, algebra) == ("QSym", "Sym"):
+        bym = _read_classes(
+            _qsym_as(coeffs, basis, "M"), "part", "element of degree %d is not symmetric"
+        )
+        return _convert_within("Sym", "m", _exact(bym), target)
+    if (alg, algebra) == ("Omega", "PeakDual"):
+        return _convert_within("PeakDual", "K", _into_peakdual(alg, basis, coeffs), target)
+    if (alg, algebra) == ("Omega", "QSym"):
+        p = _convert(alg, basis, coeffs, "Sym", "p")
+        return _convert("Sym", "p", p, "QSym", target)
+    if (alg, algebra) == ("Peak", "Sym"):
+        h = _convert(alg, basis, coeffs, "NSym", "H")
+        return _convert_within("Sym", "h", _exact(_forget(h)), target)
     raise ConversionError(
-        "no conversion path from %s/%s to %s/%s" % (x.algebra, x.basis, algebra, basis)
+        "no conversion path from %s/%s to %s/%s" % (alg, basis, algebra, target)
     )
 
 
-def _convert_within(x: FreeElement, basis: str) -> FreeElement:
-    if x.basis == basis:
-        return x
-    alg = x.algebra
+def _convert_within(alg: str, basis: str, coeffs: dict, target: str) -> dict:
+    if basis == target:
+        return coeffs
     if alg == "NSym":
-        h = _expand_linear(x.coeffs, lambda a: _h_expansion(x.basis, a))
-        return FreeElement("NSym", basis, _nsym_to_basis(h, basis))
+        return _exact(_nsym_to_basis(_nsym_to_h(coeffs, basis), target))
     if alg == "QSym":
-        if (x.basis, basis) == ("F", "M"):
-            return FreeElement("QSym", "M", _expand_linear(x.coeffs, _f_to_m))
-        if (x.basis, basis) == ("M", "F"):
-            return FreeElement("QSym", "F", _expand_linear(x.coeffs, _m_to_f))
+        return _exact(_qsym_as(coeffs, basis, target))
     if alg == "PeakDual":
-        if (x.basis, basis) == ("N", "K"):
-            return FreeElement("PeakDual", "K", _expand_linear(x.coeffs, _n_in_k))
+        if (basis, target) == ("N", "K"):
+            return _exact(_expand_linear(coeffs, _n_in_k))
         raise ConversionError("cannot convert into the dependent tag N")
     if alg == "Sym":
-        if basis == "p":
-            return FreeElement("Sym", "p", _sym_to_p(x.coeffs, x.basis))
-        if basis == "h":
-            if x.basis == "p":
-                return FreeElement("Sym", "h", _p_to_h_dict(x.coeffs))
-            if x.basis == "r":
-                return FreeElement("Sym", "h", _r_to_h(x.coeffs))
-            if x.basis == "m":
-                return FreeElement("Sym", "h", _m_to_h(x.coeffs))
-        if basis == "m":
-            h = _convert_within(x, "h")
-            return FreeElement("Sym", "m", _h_to_m(h.coeffs))
-        raise ConversionError("cannot convert into the dependent tag %s" % basis)
+        if target == "p":
+            return _exact(_sym_to_p(coeffs, basis))
+        if target == "h":
+            to_h = {"p": _p_to_h_dict, "r": _r_to_h, "m": _m_to_h}[basis]
+            return _exact(to_h(coeffs))
+        if target == "m":
+            return _exact(_h_to_m(_convert_within(alg, basis, coeffs, "h")))
+        raise ConversionError("cannot convert into the dependent tag %s" % target)
     if alg == "Omega":
-        if basis == "podd":
-            return FreeElement("Omega", "podd", _omega_to_podd(x.coeffs, x.basis))
+        if target == "podd":
+            return _exact(_omega_to_podd(coeffs, basis))
         raise ConversionError("cannot convert into the q tag")
     if alg == "Peak":
         raise ConversionError("Peak has the single basis Xi")
-    raise ConversionError(
-        "no conversion from %s/%s to basis %s" % (x.algebra, x.basis, basis)
-    )
+    raise ConversionError("no conversion from %s/%s to basis %s" % (alg, basis, target))
 
 
-def _qsym_as_m(x: FreeElement) -> dict:
-    if x.basis == "M":
-        return dict(x.coeffs)
-    return _expand_linear(x.coeffs, _f_to_m)
-
-
-def _qsym_as_f(x: FreeElement) -> dict:
-    if x.basis == "F":
-        return dict(x.coeffs)
-    return _expand_linear(x.coeffs, _m_to_f)
+def _into_peakdual(alg: str, basis: str, coeffs: dict) -> dict:
+    """K coordinates of a Sym or Omega element, through p and QSym."""
+    p = _convert(alg, basis, coeffs, "Sym", "p")
+    return _convert("QSym", "M", _exact(_sym_into_qsym(p, "p")), "PeakDual", "K")
 
 
 # ---------------------------------------------------------------------------
@@ -915,57 +1044,65 @@ def product(x: FreeElement, y: FreeElement) -> FreeElement:
         )
     alg = x.algebra
     out_basis = _PRODUCT_RESULT_BASIS.get((alg, x.basis), x.basis)
+    xc, yc = _codes(x), _codes(y)
     if alg == "NSym":
-        a = _expand_linear(x.coeffs, lambda t: _h_expansion(x.basis, t))
-        b = _expand_linear(y.coeffs, lambda t: _h_expansion(y.basis, t))
-        prod = _concat_product(a, b)
-        return FreeElement("NSym", out_basis, _nsym_to_basis(prod, out_basis))
+        prod = _concat_product(_nsym_to_h(xc, x.basis), _nsym_to_h(yc, y.basis))
+        return _element("NSym", out_basis, _nsym_to_basis(prod, out_basis))
     if alg == "QSym":
-        prod = _qsym_m_product(_qsym_as_m(x), _qsym_as_m(y))
-        res = FreeElement("QSym", "M", prod)
-        return _convert_within(res, out_basis)
+        prod = _qsym_m_product(_qsym_as(xc, x.basis, "M"), _qsym_as(yc, y.basis, "M"))
+        return _element("QSym", out_basis, _convert_within(alg, "M", _exact(prod), out_basis))
     if alg == "Peak":
-        a = convert(x, "H", "NSym")
-        b = convert(y, "H", "NSym")
-        return convert(product(a, b), "Xi", "Peak")
+        a = _convert(alg, x.basis, xc, "NSym", "H")
+        b = _convert(alg, y.basis, yc, "NSym", "H")
+        return _element(alg, "Xi", _convert("NSym", "H", _exact(_concat_product(a, b)), alg, "Xi"))
     if alg == "PeakDual":
-        a = convert(x, "M", "QSym")
-        b = convert(y, "M", "QSym")
-        return convert(product(a, b), "K", "PeakDual")
+        a = _convert(alg, x.basis, xc, "QSym", "M")
+        b = _convert(alg, y.basis, yc, "QSym", "M")
+        prod = _exact(_qsym_m_product(a, b))
+        return _element(alg, "K", _convert("QSym", "M", prod, alg, "K"))
     if alg == "Sym":
         if x.basis == y.basis and x.basis in ("h", "p"):
-            return FreeElement("Sym", x.basis, _part_product(x.coeffs, y.coeffs))
-        a = _convert_within(x, "h")
-        b = _convert_within(y, "h")
-        res = FreeElement("Sym", "h", _part_product(a.coeffs, b.coeffs))
-        return _convert_within(res, out_basis if out_basis != "r" else "h")
+            return _element("Sym", x.basis, _part_product(xc, yc))
+        a = _convert_within(alg, x.basis, xc, "h")
+        b = _convert_within(alg, y.basis, yc, "h")
+        target = out_basis if out_basis != "r" else "h"
+        prod = _exact(_part_product(a, b))
+        return _element(alg, target, _convert_within(alg, "h", prod, target))
     if alg == "Omega":
-        a = _convert_within(x, "podd")
-        b = _convert_within(y, "podd")
-        return FreeElement("Omega", "podd", _part_product(a.coeffs, b.coeffs))
+        a = _convert_within(alg, x.basis, xc, "podd")
+        b = _convert_within(alg, y.basis, yc, "podd")
+        return _element(alg, "podd", _part_product(a, b))
     raise ConversionError("no product on %s" % alg)
 
 
 @lru_cache(maxsize=None)
-def _coprod_h_single(alpha: Composition) -> tuple:
-    acc = {(Composition(()), Composition(())): 1}
-    for part in alpha.parts:
+def _coprod_h_single(alpha: int) -> tuple:
+    """Delta H_alpha = prod over parts of sum_k H_k (x) H_(part-k), on code
+    pairs: appending a part j to a code of degree d sets bit d + j - 1."""
+    acc = {(0, 0): 1}
+    for part in _parts(alpha):
         nxt = {}
         for (b, g), c in acc.items():
+            db, dg = b.bit_length(), g.bit_length()
             for k in range(part + 1):
-                left = b if k == 0 else Composition(b.parts + (k,))
-                right = g if k == part else Composition(g.parts + (part - k,))
+                left = b | 1 << (db + k - 1) if k else b
+                right = g | 1 << (dg + part - k - 1) if k < part else g
                 vec_add_term(nxt, (left, right), c)
         acc = nxt
     return tuple(acc.items())
 
 
 @lru_cache(maxsize=None)
-def _coprod_m_single(alpha: Composition) -> tuple:
-    out = []
-    parts = alpha.parts
-    for i in range(len(parts) + 1):
-        out.append(((Composition(parts[:i]), Composition(parts[i:])), 1))
+def _coprod_m_single(alpha: int) -> tuple:
+    """Deconcatenation: cut at 0 and at every partial sum s, masking the
+    bits below s to the left and shifting the rest down to the right."""
+    out = [((0, alpha), 1)]
+    rest = alpha
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cut = low.bit_length()
+        out.append(((alpha & (1 << cut) - 1, alpha >> cut), 1))
     return tuple(out)
 
 
@@ -974,8 +1111,8 @@ def _coprod_part_h(lam: tuple) -> tuple:
     """Delta h_lam: the image of Delta H_lam under the forgetful map, a Hopf
     morphism."""
     out = {}
-    for (b, g), c in _coprod_h_single(Composition(lam)):
-        vec_add_term(out, (b.to_partition(), g.to_partition()), c)
+    for (b, g), c in _coprod_h_single(Composition(lam).code):
+        vec_add_term(out, (_partition(b), _partition(g)), c)
     return tuple(out.items())
 
 
@@ -993,17 +1130,17 @@ def _coprod_part_primitive(lam: tuple) -> tuple:
     return tuple(acc.items())
 
 
-def _tensor_convert(t: TensorElement, conv) -> dict:
-    """Apply a linear map (dict index -> dict index') to both tensor slots."""
+def _tensor_convert(t: dict, table) -> dict:
+    """Apply a linear map (index -> (index', coeff) pairs) to both tensor slots."""
     out = {}
-    for (k1, k2), c in t.coeffs.items():
-        img2 = conv(k2)
-        for a, ca in conv(k1).items():
-            vec_iadd_scaled(out, (((a, b), cb) for b, cb in img2.items()), c * ca)
+    for (k1, k2), c in t.items():
+        img2 = table(k2)
+        for a, ca in table(k1):
+            vec_iadd_scaled(out, (((a, b), cb) for b, cb in img2), c * ca)
     return out
 
 
-def _tensor_slotwise_solve(t: TensorElement, slot_solve) -> dict:
+def _tensor_slotwise_solve(t: dict, slot_solve) -> dict:
     """Convert tensor slots through an exact coordinate solve, slot by slot.
 
     ``slot_solve`` maps a dict {index: coeff} (one graded slot fiber) to a
@@ -1013,7 +1150,7 @@ def _tensor_slotwise_solve(t: TensorElement, slot_solve) -> dict:
     summed.
     """
     fibers = {}
-    for (k1, k2), c in t.coeffs.items():
+    for (k1, k2), c in t.items():
         fibers.setdefault(k2, {})[k1] = c
     half = {}
     for k2, fib in fibers.items():
@@ -1029,53 +1166,42 @@ def coproduct(x: FreeElement) -> TensorElement:
     the dependent input tags Q, r, m, q are first normalized (to H, h, m, p).
     """
     alg, basis = x.algebra, x.basis
+    xc = _codes(x)
     if alg == "NSym":
-        h = _expand_linear(x.coeffs, lambda a: _h_expansion(basis, a))
-        t = TensorElement("NSym", "H", _expand_linear(h, _coprod_h_single))
+        t = _expand_linear(_nsym_to_h(xc, basis), _coprod_h_single)
         if basis in ("H", "Q"):
-            return t
-        conv = (lambda k: dict(_h_to_r(k))) if basis == "R" else (lambda k: dict(_h_to_e(k)))
-        return TensorElement("NSym", basis, _tensor_convert(t, conv))
+            return _tensor("NSym", "H", t)
+        return _tensor("NSym", basis, _tensor_convert(t, _h_to_r if basis == "R" else _h_to_e))
     if alg == "QSym":
-        t = TensorElement("QSym", "M", _expand_linear(_qsym_as_m(x), _coprod_m_single))
+        t = _expand_linear(_qsym_as(xc, basis, "M"), _coprod_m_single)
         if basis == "M":
-            return t
-        return TensorElement("QSym", "F", _tensor_convert(t, lambda k: dict(_m_to_f(k))))
+            return _tensor("QSym", "M", t)
+        return _tensor("QSym", "F", _tensor_convert(t, _m_to_f))
     if alg == "Peak":
-        h = convert(x, "H", "NSym")
-        t = coproduct(h)
-        return TensorElement("Peak", "Xi", _tensor_slotwise_solve(t, _peak_slot_solve))
+        t = _expand_linear(_convert(alg, basis, xc, "NSym", "H"), _coprod_h_single)
+        return _tensor("Peak", "Xi", _tensor_slotwise_solve(t, _peak_slot_solve))
     if alg == "PeakDual":
         if basis == "N":
-            return TensorElement("PeakDual", "N", _expand_linear(x.coeffs, _coprod_m_single))
-        q = convert(x, "M", "QSym")
-        t = coproduct(q)
-        return TensorElement(
-            "PeakDual", "K", _tensor_slotwise_solve(t, _peakdual_slot_solve)
-        )
+            return _tensor("PeakDual", "N", _expand_linear(xc, _coprod_m_single))
+        t = _expand_linear(_convert(alg, basis, xc, "QSym", "M"), _coprod_m_single)
+        return _tensor("PeakDual", "K", _tensor_slotwise_solve(t, _peakdual_slot_solve))
     if alg == "Sym":
         if basis in ("r", "m"):
-            x = _convert_within(x, "h")
-            basis = "h"
+            xc, basis = _convert_within(alg, basis, xc, "h"), "h"
         table = _coprod_part_h if basis == "h" else _coprod_part_primitive
-        src = x.coeffs if basis in ("h", "p") else _sym_to_p(x.coeffs, basis)
-        return TensorElement(
-            "Sym", basis if basis in ("h", "p") else "p", _expand_linear(src, table)
-        )
+        return _tensor("Sym", basis, _expand_linear(xc, table))
     if alg == "Omega":
-        p = _convert_within(x, "podd")
-        return TensorElement("Omega", "podd", _expand_linear(p.coeffs, _coprod_part_primitive))
+        p = _convert_within(alg, basis, xc, "podd")
+        return _tensor("Omega", "podd", _expand_linear(p, _coprod_part_primitive))
     raise ConversionError("no coproduct on %s" % alg)
 
 
 def _peak_slot_solve(fib: dict) -> dict:
-    r = _expand_linear(fib, _h_to_r)
-    return _nsym_to_xi(r)
+    return _nsym_to_xi(_expand_linear(fib, _h_to_r))
 
 
 def _peakdual_slot_solve(fib: dict) -> dict:
-    f = _expand_linear(fib, _m_to_f)
-    return _qsym_to_k(f)
+    return _qsym_to_k(_expand_linear(fib, _m_to_f))
 
 
 def counit(x: FreeElement) -> int | Fraction:
@@ -1099,14 +1225,14 @@ def pairing(F: FreeElement, f: FreeElement) -> int | Fraction:
     Accepts Peak elements on the left (through the inclusion into NSym) and
     PeakDual or Sym elements on the right (through their inclusions in QSym).
     """
-    if F.algebra == "Peak":
-        F = convert(F, "H", "NSym")
-    if f.algebra in ("PeakDual", "Sym", "Omega"):
-        f = convert(f, "M", "QSym")
-    if F.algebra != "NSym" or f.algebra != "QSym":
+    if F.algebra not in ("NSym", "Peak") or f.algebra not in ("QSym", "PeakDual", "Sym", "Omega"):
         raise ConversionError("pairing wants (NSym, QSym)-sided arguments")
-    a = _expand_linear(F.coeffs, lambda t: _h_expansion(F.basis, t))
-    b = _qsym_as_m(f)
+    a = _as_h(F)
+    b = _codes(f)
+    if f.algebra == "QSym":
+        b = _qsym_as(b, f.basis, "M")
+    else:
+        b = _convert(f.algebra, f.basis, b, "QSym", "M")
     tot = 0
     for k, c in a.items():
         other = b.get(k)
@@ -1118,15 +1244,11 @@ def pairing(F: FreeElement, f: FreeElement) -> int | Fraction:
 def peak_pairing(x: FreeElement, y: FreeElement) -> int | Fraction:
     """[Xi_P, K_Q] = delta_{P,Q}; arguments may be given inside NSym / QSym.
     The value is an exact rational (int or Fraction)."""
-    if x.algebra != "Peak":
-        x = convert(x, "Xi", "Peak")
-    if y.algebra != "PeakDual":
-        y = convert(y, "K", "PeakDual")
-    elif y.basis != "K":
-        y = _convert_within(y, "K")
+    a = _convert(x.algebra, x.basis, _codes(x), "Peak", "Xi")
+    b = _convert(y.algebra, y.basis, _codes(y), "PeakDual", "K")
     tot = 0
-    for P, c in x.coeffs.items():
-        other = y.coeffs.get(P)
+    for P, c in a.items():
+        other = b.get(P)
         if other is not None:
             tot += c * other
     return tot
@@ -1165,55 +1287,43 @@ def omega_inner_product(u: FreeElement, v: FreeElement) -> int | Fraction:
 
 def theta_transform(x: FreeElement) -> FreeElement:
     """Descent-to-peak transform on NSym: the algebra map H_n -> Q_n."""
-    if x.algebra == "Peak":
-        x = convert(x, "H", "NSym")
-    h = _expand_linear(x.coeffs, lambda a: _h_expansion(x.basis, a))
-    out = _expand_linear(h, lambda a: _h_expansion("Q", a))
-    return convert(FreeElement("NSym", "H", out), "Xi", "Peak")
+    out = _exact(_expand_linear(_as_h(x), lambda a: _h_expansion("Q", a)))
+    return _element("Peak", "Xi", _convert("NSym", "H", out, "Peak", "Xi"))
 
 
 def vartheta_map(x: FreeElement) -> FreeElement:
     """Descent-to-peak map on QSym: F_alpha -> K_{P(alpha)}."""
-    f = _qsym_as_f(x) if x.algebra == "QSym" else _qsym_as_f(convert(x, "F", "QSym"))
-    return FreeElement("PeakDual", "K", _expand_linear(f, lambda a: ((a.peak_set(), 1),)))
+    f = _convert(x.algebra, x.basis, _codes(x), "QSym", "F")
+    return _element("PeakDual", "K", _expand_linear(f, lambda a: ((_peak_code(a), 1),)))
 
 
 def forgetful_pi(x: FreeElement) -> FreeElement:
     """Forgetful map NSym -> Sym, H_alpha -> h_(sorted alpha)."""
-    if x.algebra == "Peak":
-        x = convert(x, "H", "NSym")
-    h = _expand_linear(x.coeffs, lambda a: _h_expansion(x.basis, a))
-    return FreeElement("Sym", "h", _expand_linear(h, lambda a: ((a.to_partition(), 1),)))
+    return _element("Sym", "h", _forget(_as_h(x)))
 
 
 def theta_sym(x: FreeElement) -> FreeElement:
     """The epimorphism Sym -> Omega, h_n -> q_n; kills even power sums."""
-    p = _sym_to_p(x.coeffs, x.basis) if x.algebra == "Sym" else _omega_to_podd(
-        x.coeffs, x.basis
-    )
+    xc = _codes(x)
+    p = _sym_to_p(xc, x.basis) if x.algebra == "Sym" else _omega_to_podd(xc, x.basis)
     out = {lam: c * 2 ** len(lam) for lam, c in p.items() if all(part % 2 == 1 for part in lam)}
-    return FreeElement("Omega", "podd", out)
+    return _element("Omega", "podd", out)
 
 
 def sym_into_qsym(x: FreeElement) -> FreeElement:
     """The inclusion of symmetric functions into QSym (M basis)."""
-    p = _sym_to_p(x.coeffs, x.basis)
-    out = _expand_monomials(
-        p, lambda part: {Composition((part,)): 1}, _qsym_m_product, Composition(())
-    )
-    return FreeElement("QSym", "M", out)
+    return _element("QSym", "M", _sym_into_qsym(_codes(x), x.basis))
 
 
 def omega_into_peakdual(x: FreeElement) -> FreeElement:
     """The inclusion of the q-generated ring into the peak quasisymmetric ring."""
-    sym = convert(x, "p", "Sym")
-    return convert(sym_into_qsym(sym), "K", "PeakDual")
+    return _element("PeakDual", "K", _into_peakdual(x.algebra, x.basis, _codes(x)))
 
 
 def k_expansions(P: PeakSet) -> tuple:
     """Both expansions of K_P: (fundamental, monomial); they agree under M->F."""
-    f = FreeElement("QSym", "F", dict(_k_in_f(P)))
-    m = FreeElement("QSym", "M", dict(_k_in_m(P)))
+    f = _element("QSym", "F", dict(_k_in_f(P.code)))
+    m = _element("QSym", "M", dict(_k_in_m(P.code)))
     return f, m
 
 
@@ -1229,8 +1339,9 @@ def graded_rank(elements, degree: int) -> int:
             algebra = x.algebra
         elif x.algebra != algebra:
             raise ConversionError("graded_rank wants elements of a single algebra")
-        comp = convert(x, _PIVOT_BASIS[algebra]).component(degree)
-        vec = {index_sort_key(k): v for k, v in comp.coeffs.items()}
+        pivot = _PIVOT_BASIS[algebra]
+        coeffs = _convert(algebra, x.basis, _codes(x), algebra, pivot)
+        vec = {k: v for k, v in coeffs.items() if _degree(k) == degree}
         if vec:
             solver.add(count, vec)
     return solver.rank

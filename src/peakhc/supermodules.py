@@ -1347,19 +1347,28 @@ def module_to_json(module: Supermodule) -> dict:
     }
 
 
+def _json_field(doc: dict, key: str, where: str):
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError("%s has no %r key" % (where, key)) from None
+
+
 def module_from_json(doc) -> Supermodule:
     """Rebuild a module written by ``module_to_json``; raises ValueError on a
-    parity other than 0 or 1, or a matrix entry outside range(dim)."""
-    blocks = tuple(doc["blocks"])
-    algebra = doc["algebra"]
-    labels = tuple(b["label"] for b in doc["basis"])
-    parities = tuple(b["parity"] for b in doc["basis"])
+    missing key, a parity other than 0 or 1, or a matrix entry outside
+    range(dim)."""
+    blocks = tuple(_json_field(doc, "blocks", "module"))
+    algebra = _json_field(doc, "algebra", "module")
+    basis = _json_field(doc, "basis", "module")
+    labels = tuple(_json_field(b, "label", "basis entry %d" % i) for i, b in enumerate(basis))
+    parities = tuple(_json_field(b, "parity", "basis entry %d" % i) for i, b in enumerate(basis))
     dim = len(labels)
     for label, p in zip(labels, parities):
         if p not in (0, 1):
             raise ValueError("basis element %s has parity %r, not 0 or 1" % (label, p))
     actions = {}
-    for name, entries in doc["actions"].items():
+    for name, entries in _json_field(doc, "actions", "module").items():
         kind, idx = name[0], int(name[1:])
         mat = SparseMatrix(dim, dim)
         for r, ccol, val in entries:

@@ -48,7 +48,6 @@ from .heisenberg import (
     hilbert_series_identity,
 )
 from .hopf import (
-    _q_in_h,
     FreeElement,
     convert,
     coproduct,
@@ -87,7 +86,7 @@ def _report(claim, params, ok, witness=None):
 
 def suite_euler(max_n: int = 12, **_kw) -> list:
     out = []
-    q = [FreeElement("NSym", "H", dict(_q_in_h(m))) for m in range(max_n + 1)]
+    q = [convert(term("NSym", "Q", (m,) if m else ()), "H") for m in range(max_n + 1)]
     for n in range(1, max_n + 1):
         total = FreeElement.zero("NSym", "H")
         for r in range(0, n + 1):

@@ -90,6 +90,20 @@ def test_decompose_projective():
     assert rep["status"] == "verified"
 
 
+def test_projective_pairings_induce_each_simple_once(monkeypatch):
+    from peakhc import characteristic
+
+    calls = []
+
+    def counted(module):
+        calls.append(module)
+        return induce_clifford(module)
+
+    monkeypatch.setattr(characteristic, "induce_clifford", counted)
+    assert verify_projective_pairings(4)["status"] == "verified"
+    assert len(calls) == len(compositions_of(4))
+
+
 def test_restriction_class_rule():
     left, right = restriction_class_sides(C(3))
     expected = FreeElement.zero("NSym", "R")

@@ -143,6 +143,18 @@ def test_cli_module_check_rejects_out_of_range_entry(tmp_path, capsys, entry):
     assert "outside" in capsys.readouterr().err
 
 
+def test_cli_module_check_rejects_missing_key(tmp_path, capsys):
+    out = tmp_path / "mod.json"
+    assert main(
+        ["module", "dump", "--kind", "induced-simple", "--alpha", "2", "--out", str(out)]
+    ) == 0
+    doc = json.loads(out.read_text())
+    del doc["basis"][0]["label"]
+    out.write_text(json.dumps(doc))
+    assert main(["module", "check", str(out)]) == 2
+    assert "'label'" in capsys.readouterr().err
+
+
 def test_cli_verify(capsys):
     code = main(["verify", "euler", "--max-n", "6"])
     assert code == 0

@@ -1,0 +1,412 @@
+"""The code-keyed tables of ``hopf`` against Composition-keyed oracles.
+
+Inside ``hopf`` every table is keyed by the int code of a composition or
+peak set and computed by bit operations.  The oracles below are the tables
+as they were written on ``Composition`` and ``PeakSet`` keys, kept here as
+plain code: descent sets, ``itertools`` enumerations and part tuples.  Each
+code table, decoded, must equal its oracle through degree 7, and every
+conversion among H/E/R, M/F, Xi and K/N must agree with a conversion
+assembled from the oracles through degree 6.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from peakhc import hopf
+from peakhc.combinat import (
+    Composition,
+    DescentSet,
+    PeakSet,
+    composition_from_descents,
+    compositions_of,
+    peak_sets_in,
+    symmetric_difference_shift,
+)
+from peakhc.hopf import MembershipError, convert, term
+from peakhc.linalg import SpanSolver, vec_add_term, vec_iadd_scaled
+
+MAX_TABLE_DEGREE = 7
+MAX_CONVERT_DEGREE = 6
+
+
+def _compositions(d):
+    return compositions_of(d) if d else [Composition(())]
+
+
+def _peak_sets(d):
+    return peak_sets_in(d)
+
+
+def _sign(k):
+    return -1 if k % 2 else 1
+
+
+# ---------------------------------------------------------------------------
+# oracles: the Composition-keyed tables
+# ---------------------------------------------------------------------------
+
+
+def oracle_coarsenings(alpha):
+    d = sorted(alpha.descent_set().elements)
+    return [
+        composition_from_descents(DescentSet(alpha.n, frozenset(keep)))
+        for r in range(len(d) + 1)
+        for keep in itertools.combinations(d, r)
+    ]
+
+
+def oracle_refinements(alpha):
+    if not alpha.parts:
+        return [Composition(())]
+    pieces = [compositions_of(p) for p in alpha.parts]
+    return [
+        Composition(tuple(p for c in combo for p in c.parts))
+        for combo in itertools.product(*pieces)
+    ]
+
+
+def _concat_product(a, b):
+    out = {}
+    for ka, ca in a.items():
+        vec_iadd_scaled(out, ((Composition(ka.parts + kb.parts), cb) for kb, cb in b.items()), ca)
+    return out
+
+
+def oracle_e_in_h(k):
+    if k == 0:
+        return {Composition(()): 1}
+    return {b: _sign(k - b.length) for b in compositions_of(k)}
+
+
+def oracle_q_in_h(m):
+    if m == 0:
+        return {Composition(()): 1}
+    out = {}
+    for k in range(m + 1):
+        tail = () if m == k else (m - k,)
+        for b, c in oracle_e_in_h(k).items():
+            vec_add_term(out, Composition(b.parts + tail), c)
+    return out
+
+
+def oracle_h_expansion(basis, alpha):
+    if basis == "H":
+        return {alpha: 1}
+    if basis == "R":
+        return {b: _sign(b.length - alpha.length) for b in oracle_coarsenings(alpha)}
+    table = oracle_e_in_h if basis == "E" else oracle_q_in_h
+    acc = {Composition(()): 1}
+    for p in alpha.parts:
+        acc = _concat_product(acc, table(p))
+    return acc
+
+
+def oracle_h_to_r(alpha):
+    return {b: 1 for b in oracle_coarsenings(alpha)}
+
+
+def oracle_h_to_e(alpha):
+    return oracle_h_expansion("E", alpha)
+
+
+def oracle_f_to_m(alpha):
+    return {b: 1 for b in oracle_refinements(alpha)}
+
+
+def oracle_m_to_f(alpha):
+    return {b: _sign(b.length - alpha.length) for b in oracle_refinements(alpha)}
+
+
+def oracle_k_in_f(P):
+    if P.n == 0:
+        return {Composition(()): 1}
+    c = 2 ** (len(P.elements) + 1)
+    return {
+        a: c for a in compositions_of(P.n)
+        if P.elements <= symmetric_difference_shift(a.descent_set())
+    }
+
+
+def oracle_k_in_m(P):
+    if P.n == 0:
+        return {Composition(()): 1}
+    out = {}
+    for a in compositions_of(P.n):
+        d = a.descent_set().elements
+        if P.elements <= d | {x + 1 for x in d}:
+            out[a] = 2 ** a.length
+    return out
+
+
+def oracle_n_in_k(alpha):
+    out = {}
+    for b, c in oracle_m_to_f(alpha).items():
+        vec_add_term(out, b.peak_set(), c)
+    return out
+
+
+def oracle_coprod_h_single(alpha):
+    acc = {(Composition(()), Composition(())): 1}
+    for part in alpha.parts:
+        nxt = {}
+        for (b, g), c in acc.items():
+            for k in range(part + 1):
+                left = b if k == 0 else Composition(b.parts + (k,))
+                right = g if k == part else Composition(g.parts + (part - k,))
+                vec_add_term(nxt, (left, right), c)
+        acc = nxt
+    return acc
+
+
+def oracle_coprod_m_single(alpha):
+    parts = alpha.parts
+    return {
+        (Composition(parts[:i]), Composition(parts[i:])): 1 for i in range(len(parts) + 1)
+    }
+
+
+def oracle_classes(n, kind):
+    key = Composition.peak_set if kind == "peak" else Composition.to_partition
+    members, class_of = {}, {}
+    for a in _compositions(n):
+        k = class_of[a] = key(a)
+        members.setdefault(k, []).append(a)
+    return {k: tuple(v) for k, v in members.items()}, class_of
+
+
+# ---------------------------------------------------------------------------
+# decoding the code tables
+# ---------------------------------------------------------------------------
+
+
+def comp(code):
+    return hopf._comp(code)
+
+
+def peak(code):
+    return hopf._peak(code)
+
+
+def decoded(pairs, key=comp):
+    """A code table's (code, coefficient) pairs as a dict on decoded keys;
+    every key appears once."""
+    out = {key(k): c for k, c in pairs}
+    assert len(out) == len(tuple(pairs))
+    return out
+
+
+def decoded_pairs(pairs):
+    out = {(comp(a), comp(b)): c for (a, b), c in pairs}
+    assert len(out) == len(tuple(pairs))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the code tables against their oracles
+# ---------------------------------------------------------------------------
+
+
+def test_decoding_gives_canonical_instances():
+    for n in range(MAX_TABLE_DEGREE + 2):
+        for a in _compositions(n):
+            assert comp(a.code) == a and comp(a.code) is comp(a.code)
+            assert comp(a.code) is hopf._comp(Composition(a.parts).code)
+        for P in _peak_sets(n):
+            assert peak(P.code) == P and peak(P.code) is peak(P.code)
+
+
+def test_composition_tables_match_oracles():
+    for n in range(MAX_TABLE_DEGREE + 1):
+        for a in _compositions(n):
+            c = a.code
+            assert sorted(map(comp, hopf._coarsenings(c))) == sorted(oracle_coarsenings(a))
+            assert sorted(map(comp, hopf._refinements(c))) == sorted(oracle_refinements(a))
+            for basis in "HREQ":
+                want = oracle_h_expansion(basis, a)
+                assert decoded(hopf._h_expansion(basis, c)) == want, (basis, a)
+            assert decoded(hopf._h_to_r(c)) == oracle_h_to_r(a)
+            assert decoded(hopf._h_to_e(c)) == oracle_h_to_e(a)
+            assert decoded(hopf._f_to_m(c)) == oracle_f_to_m(a)
+            assert decoded(hopf._m_to_f(c)) == oracle_m_to_f(a)
+            assert decoded(hopf._n_in_k(c), peak) == oracle_n_in_k(a)
+            assert decoded_pairs(hopf._coprod_h_single(c)) == oracle_coprod_h_single(a)
+            assert decoded_pairs(hopf._coprod_m_single(c)) == oracle_coprod_m_single(a)
+
+
+def test_degree_tables_match_oracles():
+    for k in range(MAX_TABLE_DEGREE + 1):
+        assert decoded(hopf._e_in_h(k)) == oracle_e_in_h(k)
+        assert decoded(hopf._q_in_h(k)) == oracle_q_in_h(k)
+        # the table is listed in canonical order
+        assert [a for a, _c in hopf._q_in_h(k)] == sorted(a for a, _c in hopf._q_in_h(k))
+
+
+def test_peak_tables_match_oracles():
+    for n in range(MAX_TABLE_DEGREE + 1):
+        for P in _peak_sets(n):
+            assert decoded(hopf._k_in_f(P.code)) == oracle_k_in_f(P)
+            assert decoded(hopf._k_in_m(P.code)) == oracle_k_in_m(P)
+            members = oracle_classes(n, "peak")[0]
+            assert tuple(map(comp, dict(hopf._xi_in_r(P.code)))) == members[P]
+
+
+def test_class_tables_match_oracles():
+    for n in range(MAX_TABLE_DEGREE + 1):
+        for kind, key in (("peak", peak), ("part", lambda lam: lam)):
+            members, class_of = hopf._classes(n, kind)
+            want_members, want_class_of = oracle_classes(n, kind)
+            assert {key(k): tuple(map(comp, v)) for k, v in members.items()} == want_members
+            assert {comp(a): key(k) for a, k in class_of.items()} == want_class_of
+            assert list(map(key, members)) == list(want_members)
+
+
+def test_peak_code_is_a_bit_operation():
+    for n in range(MAX_TABLE_DEGREE + 2):
+        for a in _compositions(n):
+            assert hopf._peak_code(a.code) == a.peak_set().code
+            assert hopf._parts(a.code) == a.parts
+            assert hopf._partition(a.code) == a.to_partition()
+
+
+# ---------------------------------------------------------------------------
+# conversions assembled from the oracles
+# ---------------------------------------------------------------------------
+
+
+def _expand(coeffs, table):
+    out = {}
+    for k, c in coeffs.items():
+        vec_iadd_scaled(out, table(k), c)
+    return out
+
+
+def _regroup(coeffs, d, kind, message):
+    members, class_of = oracle_classes(d, kind)
+    out = {}
+    for k, group in members.items():
+        vals = {coeffs.get(a, 0) for a in group}
+        if len(vals) > 1:
+            raise MembershipError(message)
+        out[k] = vals.pop()
+    return {k: c for k, c in out.items() if c}
+
+
+def _f_to_k(coeffs, d):
+    solver = SpanSolver()
+    for P in _peak_sets(d):
+        solver.add(P, {a.code: c for a, c in oracle_k_in_f(P).items()})
+    rep = solver.express({a.code: c for a, c in coeffs.items()})
+    if rep is None:
+        raise MembershipError("outside the peak quasisymmetric span")
+    return {P: c for P, c in rep.items() if c}
+
+
+def oracle_to_h(basis, coeffs):
+    return _expand(coeffs, lambda a: oracle_h_expansion(basis, a))
+
+
+def oracle_from_h(basis, coeffs):
+    if basis == "H":
+        return dict(coeffs)
+    return _expand(coeffs, oracle_h_to_r if basis == "R" else oracle_h_to_e)
+
+
+def oracle_convert(source, target, coeffs, d):
+    """The conversion between (algebra, basis) pairs, on one degree d, from
+    the oracle tables; MembershipError when outside the subalgebra."""
+    if source == target:
+        return dict(coeffs)
+    salg, sbasis = source
+    talg, tbasis = target
+    if salg == "Peak":
+        r = _expand(coeffs, lambda P: {a: 1 for a in oracle_classes(d, "peak")[0][P]})
+        return oracle_convert(("NSym", "R"), target, r, d)
+    if salg == "NSym" and talg == "Peak":
+        r = oracle_from_h("R", oracle_to_h(sbasis, coeffs))
+        return _regroup(r, d, "peak", "outside Peak")
+    if salg == "NSym":
+        return oracle_from_h(tbasis, oracle_to_h(sbasis, coeffs))
+    if (salg, sbasis) == ("PeakDual", "N"):
+        return oracle_convert(("PeakDual", "K"), target, _expand(coeffs, oracle_n_in_k), d)
+    if (salg, sbasis) == ("PeakDual", "K"):
+        f = _expand(coeffs, oracle_k_in_f)
+        return oracle_convert(("QSym", "F"), target, f, d)
+    if talg == "PeakDual":
+        f = coeffs if sbasis == "F" else _expand(coeffs, oracle_m_to_f)
+        return _f_to_k(f, d)
+    return _expand(coeffs, oracle_f_to_m if sbasis == "F" else oracle_m_to_f)
+
+
+NSYM_SIDE = [("NSym", "H"), ("NSym", "E"), ("NSym", "R"), ("Peak", "Xi")]
+QSYM_SIDE = [("QSym", "M"), ("QSym", "F"), ("PeakDual", "K"), ("PeakDual", "N")]
+
+
+def _basis_indices(pair, d):
+    return _peak_sets(d) if pair in (("Peak", "Xi"), ("PeakDual", "K")) else _compositions(d)
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except MembershipError:
+        return MembershipError
+
+
+@pytest.mark.parametrize("side", [NSYM_SIDE, QSYM_SIDE], ids=["nsym", "qsym"])
+def test_every_conversion_matches_oracles_through_degree_6(side):
+    memberships = 0
+    for d in range(MAX_CONVERT_DEGREE + 1):
+        for source in side:
+            indices = _basis_indices(source, d)
+            samples = [{i: 1} for i in indices]
+            mixed = {i: k % 3 - 1 + Fraction(1, 2) * (k % 2) for k, i in enumerate(indices)}
+            samples.append(mixed)
+            for coeffs in samples:
+                x = hopf.FreeElement(*source, coeffs)
+                for target in side:
+                    if target == ("PeakDual", "N"):
+                        continue  # an input-only tag
+                    got = _outcome(lambda: convert(x, target[1], target[0]).coeffs)
+                    want = _outcome(lambda: oracle_convert(source, target, x.coeffs, d))
+                    if want is not MembershipError:
+                        want = {k: c for k, c in want.items() if c}
+                    assert got == want, (source, target, coeffs)
+                    memberships += got is MembershipError
+    assert memberships > 0
+
+
+def test_oracle_tables_have_int_entries():
+    # the oracles obey the same contract as the tables they check
+    for n in range(MAX_TABLE_DEGREE + 1):
+        for a in _compositions(n):
+            for basis in "HREQ":
+                assert all(type(c) is int for c in oracle_h_expansion(basis, a).values())
+        for P in _peak_sets(n):
+            assert all(type(c) is int for c in oracle_k_in_f(P).values())
+            assert all(type(c) is int for c in oracle_k_in_m(P).values())
+
+
+def test_tables_are_cached_per_code():
+    hopf._coarsenings.cache_clear()
+    for _ in range(3):
+        for a in compositions_of(5):
+            hopf._coarsenings(a.code)
+    info = hopf._coarsenings.cache_info()
+    assert (info.misses, info.currsize) == (16, 16)
+    hopf._peak_sets_by_code.cache_clear()
+    for n in range(6):
+        for P in peak_sets_in(n):
+            assert hopf._peak(P.code) is hopf._peak(P.code)
+    assert hopf._peak_sets_by_code.cache_info().currsize == 6
+
+
+def test_term_round_trip_keeps_the_public_key_types():
+    x = term("NSym", "R", (2, 1, 3)) + term("NSym", "R", (6,))
+    y = convert(convert(x, "H"), "R")
+    assert y == x and all(type(k) is Composition for k in y.coeffs)
+    z = convert(term("PeakDual", "K", PeakSet(5, frozenset({2, 4}))), "F", "QSym")
+    back = convert(z, "K", "PeakDual")
+    assert all(type(k) is PeakSet for k in back.coeffs)
+    assert back == term("PeakDual", "K", PeakSet(5, frozenset({2, 4})))

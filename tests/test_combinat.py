@@ -4,6 +4,7 @@ from math import comb, factorial
 import pytest
 
 from peakhc.combinat import (
+    _compositions_of,
     Composition,
     DescentSet,
     PeakSet,
@@ -216,3 +217,79 @@ def test_partitions():
     # Euler: strict partitions and odd partitions are equinumerous
     for n in range(0, 13):
         assert len(strict_partitions_of(n)) == len(odd_partitions_of(n))
+
+
+# ---------------------------------------------------------------------------
+# codes: bit s-1 for every partial sum s of a composition; peak bitmask plus
+# the top bit for a peak set
+# ---------------------------------------------------------------------------
+
+MAX_CODE_N = 8
+
+
+def _all_compositions(n):
+    return compositions_of(n) if n else [Composition(())]
+
+
+def test_composition_code_round_trip():
+    assert Composition(()).code == 0 and PeakSet(0, frozenset()).code == 0
+    for n in range(1, MAX_CODE_N + 1):
+        top = 1 << (n - 1)
+        codes = []
+        for a in compositions_of(n):
+            sums = set(itertools.accumulate(a.parts))
+            assert a.code == sum(1 << (s - 1) for s in sums)
+            assert a.code == a.descent_set().bitmask() | top
+            assert a.code.bit_length() == a.n == n and a.code.bit_count() == a.length
+            assert _compositions_of(n)[a.code ^ top] == a
+            codes.append(a.code)
+        assert codes == list(range(top, 2 * top))
+
+
+def test_code_of_concatenation():
+    for n in range(MAX_CODE_N + 1):
+        for m in range(MAX_CODE_N + 1 - n):
+            for a in _all_compositions(n):
+                for b in _all_compositions(m):
+                    ab = Composition(a.parts + b.parts)
+                    assert ab.code == a.code | b.code << a.n
+
+
+def test_peak_code_of_a_composition():
+    for n in range(MAX_CODE_N + 1):
+        for a in _all_compositions(n):
+            d = a.code
+            top = 1 << (n - 1) if n else 0
+            peak = top | d & ~(d << 1) & ~1
+            assert peak == a.peak_set().code
+        for P in peak_sets_in(n):
+            assert P.code == (P.bitmask() | 1 << (n - 1) if n else 0)
+
+
+def test_code_order_is_canonical_order():
+    comps = [a for n in range(MAX_CODE_N + 1) for a in _all_compositions(n)]
+    assert sorted(comps, key=lambda a: a.code) == comps
+    assert sorted(reversed(comps)) == comps
+    peaks = [P for n in range(MAX_CODE_N + 1) for P in peak_sets_in(n)]
+    assert sorted(peaks, key=lambda P: P.code) == peaks
+    assert sorted(reversed(peaks)) == peaks
+
+
+def test_equal_codes_iff_equal_objects():
+    comps = [a for n in range(MAX_CODE_N + 1) for a in _all_compositions(n)]
+    fresh = [Composition(tuple(a.parts)) for a in comps]
+    for a, b in zip(comps, fresh):
+        assert a == b and hash(a) == hash(b) == a.code and a is not b
+    assert len({a.code for a in comps}) == len(comps) == len(set(fresh))
+    for a, b in itertools.combinations(comps[:64], 2):
+        assert (a == b) == (a.code == b.code) == (a.parts == b.parts)
+    peaks = [P for n in range(MAX_CODE_N + 1) for P in peak_sets_in(n)]
+    for P in peaks:
+        Q = PeakSet(P.n, frozenset(P.elements))
+        assert P == Q and hash(P) == hash(Q) == P.code
+    assert len({P.code for P in peaks}) == len(peaks)
+    for P, Q in itertools.combinations(peaks, 2):
+        assert (P == Q) == (P.code == Q.code) == ((P.n, P.elements) == (Q.n, Q.elements))
+    # a composition and a peak set never compare equal, even with equal codes
+    assert Composition((2,)) != PeakSet(2, frozenset()) and Composition((2,)).code == 2
+    assert Composition((1, 2)) != (1, 2)

@@ -641,6 +641,35 @@ def test_coefficients_are_int_while_integral():
     assert all(type(c) is int for c in t.coeffs.values())
 
 
+def _int_while_integral(values):
+    """Every integral value is an int, not an integral Fraction."""
+    values = list(values)
+    assert values
+    return all(type(v) is int for v in values if v == int(v))
+
+
+def test_solve_outputs_are_int_while_integral():
+    # the K-, m- and h-solves and the p-expansions return Fractions; the
+    # boundary makes the integral ones int
+    for n in range(7):
+        for P in peak_sets_in(n) if n else [PS(0)]:
+            f = convert(term("PeakDual", "K", P), "F", "QSym")
+            k = convert(f, "K", "PeakDual")
+            assert k == term("PeakDual", "K", P)
+            assert all(type(c) is int for c in k.coeffs.values()), P
+        for lam in strict_partitions_of(n):
+            k = omega_into_peakdual(term("Omega", "q", lam))
+            assert _int_while_integral(k.coeffs.values()), lam
+        for lam in partitions_of(n):
+            qsym = sym_into_qsym(term("Sym", "h", lam))
+            assert all(type(c) is int for c in qsym.coeffs.values()), lam
+            m = convert(qsym, "m", "Sym")
+            assert _int_while_integral(m.coeffs.values()), lam
+            h = convert(m, "h")
+            assert h == term("Sym", "h", lam)
+            assert all(type(c) is int for c in h.coeffs.values()), lam
+
+
 def test_basis_change_tables_have_int_entries_through_degree_7():
     # (-1) ** k with k < 0 is the float -1.0, and Fraction() would hide it
     for n in range(8):
@@ -650,9 +679,9 @@ def test_basis_change_tables_have_int_entries_through_degree_7():
         if n:
             tables.append(("_p_in_h", n, hopf._p_in_h(n)))
         for a in comps:
-            tables += [("_h_expansion " + b, a, hopf._h_expansion(b, a)) for b in "HREQ"]
+            tables += [("_h_expansion " + b, a, hopf._h_expansion(b, a.code)) for b in "HREQ"]
             tables += [
-                (f.__name__, a, f(a))
+                (f.__name__, a, f(a.code))
                 for f in (
                     hopf._h_to_r,
                     hopf._f_to_m,
@@ -663,7 +692,7 @@ def test_basis_change_tables_have_int_entries_through_degree_7():
                 )
             ]
         for P in peaks:
-            tables += [(f.__name__, P, f(P)) for f in (hopf._k_in_f, hopf._k_in_m)]
+            tables += [(f.__name__, P, f(P.code)) for f in (hopf._k_in_f, hopf._k_in_m)]
         for name, arg, table in tables:
             bad = [c for _key, c in table if type(c) is not int]
             assert not bad, (name, arg, bad[:3])

@@ -783,6 +783,20 @@ def test_module_from_json_rejects_out_of_range(bad):
         module_from_json(json.loads(json.dumps(_corrupted_module_doc(**bad))))
 
 
+@pytest.mark.parametrize(
+    "path", [("blocks",), ("algebra",), ("basis",), ("actions",), ("basis", 0, "label"),
+             ("basis", 1, "parity")],
+)
+def test_module_from_json_names_a_missing_key(path):
+    doc = json.loads(json.dumps(module_to_json(Stilde(2))))
+    owner = doc
+    for step in path[:-1]:
+        owner = owner[step]
+    del owner[path[-1]]
+    with pytest.raises(ValueError, match=repr(path[-1])):
+        module_from_json(doc)
+
+
 def test_generator_keys_blocks():
     assert generator_keys((2, 2), "HCl") == [
         ("T", 1),
