@@ -60,7 +60,6 @@ from .supermodules import (
     Supermodule,
     hecke_composition_multiplicities,
     hom_dim_to_hecke_simple,
-    hom_space,
     induce_clifford,
     outer_tensor,
     parabolic_induce,
@@ -139,13 +138,12 @@ def _theta_row(alpha: Composition) -> dict:
     }
 
 
-def class_of_module(module: Supermodule, method: str = "character") -> ModuleClass:
+def class_of_module(module: Supermodule) -> ModuleClass:
     """Class of a Hecke-Clifford supermodule in the K lattice.
 
-    d_alpha = dim Hom(induced projective over alpha, module) is computed
-    either from composition multiplicities of the Hecke restriction
-    ("character", exact and fast) or by solving the intertwiner systems
-    ("hom", guarded); then [Theta(R_alpha), x] = d_alpha is solved exactly.
+    d_alpha = dim Hom(induced projective over alpha, module) is read off the
+    composition multiplicities of the Hecke restriction (Frobenius
+    reciprocity); then [Theta(R_alpha), x] = d_alpha is solved exactly.
     """
     if module.algebra != "HCl" or len(module.blocks) != 1:
         raise ValueError("class_of_module wants a single-block Clifford module")
@@ -154,17 +152,8 @@ def class_of_module(module: Supermodule, method: str = "character") -> ModuleCla
         return ModuleClass(
             "Gt", term("PeakDual", "K", PeakSet(0, frozenset()), module.dim)
         )
-    if method == "character":
-        mults = hecke_composition_multiplicities(restrict_hecke(module))
-        dims = {a: mults.get((a,), 0) for a in compositions_of(n)}
-    elif method == "hom":
-        dims = {}
-        for a in compositions_of(n):
-            pt = induce_clifford(projective_hecke(a))
-            dims[a] = hom_space(pt, module).total_dim
-    else:
-        raise ValueError("method must be 'character' or 'hom'")
-    rows = [(_theta_row(a), dims[a]) for a in compositions_of(n)]
+    mults = hecke_composition_multiplicities(restrict_hecke(module))
+    rows = [(_theta_row(a), mults.get((a,), 0)) for a in compositions_of(n)]
     return ModuleClass("Gt", FreeElement("PeakDual", "K", solve_unique(rows)))
 
 
@@ -250,11 +239,16 @@ def decompose_projective(alpha) -> list:
 def verify_projective_pairings(n: int) -> dict:
     """dim Hom(induced projective, induced simple) cross-check at rank n."""
     bad = []
-    simples = [(b, induce_clifford(simple_hecke(b))) for b in compositions_of(n)]
+    # one multiplicity table per induced simple serves every a (Frobenius
+    # reciprocity, as in projective_hom_dim)
+    simples = [
+        (b, hecke_composition_multiplicities(restrict_hecke(induce_clifford(simple_hecke(b)))))
+        for b in compositions_of(n)
+    ]
     for a in compositions_of(n):
         row = _theta_row(a)
-        for b, st in simples:
-            got = projective_hom_dim(st, a)
+        for b, mults in simples:
+            got = mults.get((a,), 0)
             expected = row.get(b.peak_set(), 0)
             if got != expected:
                 bad.append((str(a), str(b), got, expected))
@@ -456,8 +450,9 @@ def verify_corner_restriction(alpha, max_n: int = 5) -> dict:
             mult,
             hecke_composition_multiplicities(restrict_hecke(pg)),
         )
+    res_mults = hecke_composition_multiplicities(restrict_hecke(res))
     for b in compositions_of(n - 1):
-        got = projective_hom_dim(res, b)
+        got = res_mults.get((b,), 0)
         expected = 0
         for gamma, (mult, mults) in summand_mults.items():
             expected += mult * mults.get((b,), 0)

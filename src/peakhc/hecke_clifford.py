@@ -50,6 +50,8 @@ __all__ = [
     "gen_c",
     "basis_element",
     "algebra_basis",
+    "normal_word",
+    "act_terms",
     "multiply",
     "trace",
     "frobenius_form",
@@ -58,7 +60,6 @@ __all__ = [
     "apply_morphism",
     "morphism_matrix",
     "regular_generator_matrix",
-    "regular_action_matrix",
     "MORPHISM_TAGS",
 ]
 
@@ -258,23 +259,42 @@ def _left_mul_T(i: int, terms: dict) -> dict:
     return out
 
 
-def _left_mul_basis(d: frozenset, w: tuple, terms: dict) -> dict:
-    """(c_d T_w) * element, element given as a term dict."""
-    cur = terms
-    for i in reversed(word_reduced(w)):
-        cur = _left_mul_T(i, cur)
-    for j in sorted(d, reverse=True):
-        cur = _left_mul_c(j, cur)
-    return cur
+def _left_mul(key, terms: dict) -> dict:
+    kind, idx = key
+    return _left_mul_T(idx, terms) if kind == "T" else _left_mul_c(idx, terms)
+
+
+def normal_word(d, w) -> list:
+    """The generator keys of c_D T_w from left to right: ("c", j) for j in D
+    increasing, then ("T", i) along the reduced word of w."""
+    return [("c", j) for j in sorted(d)] + [("T", i) for i in word_reduced(w)]
+
+
+def act_terms(terms: dict, act, vecs, anti: bool = False) -> list:
+    """For each vector v of ``vecs``, sum coeff * (c_D T_w . v) over ``terms``.
+
+    ``act(key, v)`` applies one generator key to a vector.  The word of each
+    term is applied right to left, as a left action, or left to right when
+    ``anti`` is set (anti-homomorphisms, row vectors).  Each word is
+    computed once and walked on all vectors together.
+    """
+    outs = [{} for _ in vecs]
+    for (d, w), coeff in terms.items():
+        word = normal_word(d, w)
+        if not anti:
+            word.reverse()
+        cur = vecs
+        for key in word:
+            cur = [act(key, v) for v in cur]
+        for out, v in zip(outs, cur):
+            vec_iadd_scaled(out, v, coeff)
+    return outs
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if a.rank != b.rank:
         raise RankMismatchError("ranks %d and %d" % (a.rank, b.rank))
-    out: dict = {}
-    for (d, w), ca in a.terms.items():
-        vec_iadd_scaled(out, _left_mul_basis(d, w, b.terms), ca)
-    return AlgebraElement(a.rank, out)
+    return AlgebraElement(a.rank, act_terms(a.terms, _left_mul, [b.terms])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -294,69 +314,46 @@ def frobenius_form(a: AlgebraElement, b: AlgebraElement) -> GaussianRational:
 
 @lru_cache(maxsize=None)
 def regular_generator_matrix(kind: str, idx: int, n: int) -> SparseMatrix:
-    """Left-regular matrix of T_idx / c_idx in the canonical basis order."""
-    basis = algebra_basis(n)
-    pos = {key: k for k, key in enumerate(basis)}
-    dim = len(basis)
-    mat = SparseMatrix(dim, dim)
-    for col, (d, w) in enumerate(basis):
-        terms = {(d, w): GAUSS_ONE}
-        if kind == "T":
-            image = _left_mul_T(idx, terms)
-        elif kind == "c":
-            image = _left_mul_c(idx, terms)
-        else:
-            raise ValueError("unknown generator kind %r" % kind)
-        for key, v in image.items():
-            mat.cols[col][pos[key]] = v
-    return mat
-
-
-def regular_action_matrix(gen, n: int) -> SparseMatrix:
-    """Left-regular matrix of a generator key ("T", i) / ("c", j) or element.
+    """Left-regular matrix of T_idx / c_idx in the canonical basis order.
 
     Guarded at n <= MAX_REGULAR_N (the regular module has dimension 2^n n!).
     """
+    if kind not in ("T", "c"):
+        raise ValueError("unknown generator kind %r" % kind)
     if n > MAX_REGULAR_N:
         raise ResourceLimitError(
             "regular representation of rank %d exceeds the guard %d" % (n, MAX_REGULAR_N)
         )
-    if isinstance(gen, tuple) and len(gen) == 2 and gen[0] in ("T", "c"):
-        return regular_generator_matrix(gen[0], gen[1], n)
-    if isinstance(gen, AlgebraElement):
-        basis = algebra_basis(n)
-        pos = {key: k for k, key in enumerate(basis)}
-        dim = len(basis)
-        mat = SparseMatrix(dim, dim)
-        for col, (d, w) in enumerate(basis):
-            image = multiply(gen, basis_element(d, w, n))
-            for key, v in image.terms.items():
-                mat.cols[col][pos[key]] = v
-        return mat
-    raise TypeError("gen must be ('T', i), ('c', j) or an AlgebraElement")
+    basis = algebra_basis(n)
+    pos = {key: k for k, key in enumerate(basis)}
+    dim = len(basis)
+    mat = SparseMatrix(dim, dim)
+    for col, key in enumerate(basis):
+        for k, v in _left_mul((kind, idx), {key: GAUSS_ONE}).items():
+            mat.cols[col][pos[k]] = v
+    return mat
 
 
 def frobenius_gram(n: int) -> SparseMatrix:
     """Gram matrix of the trace form on the canonical basis.
 
-    Row i is the w0-row of the left-regular matrix of the i-th basis element,
-    computed by propagating a single row vector through the generator
-    matrices (cheap: the generator matrices are very sparse).
+    Row i is the w0-row of the left-regular matrix of the i-th basis element:
+    the row vector e_w0 walked left to right through the transposed
+    generator matrices, which are very sparse.
     """
     basis = algebra_basis(n)
-    pos = {key: k for k, key in enumerate(basis)}
     dim = len(basis)
-    w0row = pos[(frozenset(), tuple(range(n, 0, -1)))]
+    w0row = basis.index((frozenset(), tuple(range(n, 0, -1))))
+    keys = [("T", i) for i in range(1, n)] + [("c", j) for j in range(1, n + 1)]
+    transposes = {k: regular_generator_matrix(*k, n).transpose() for k in keys}
+
+    def act(key, vec):
+        return transposes[key].apply(vec)
+
     gram = SparseMatrix(dim, dim)
-    for i, (d, w) in enumerate(basis):
-        vec = {w0row: GAUSS_ONE}
-        # row of regular(c_d T_w): multiply e_{w0}^T by the generator factors
-        # left-to-right: c_{d asc} then T-letters of the reduced word
-        for j in sorted(d):
-            vec = regular_generator_matrix("c", j, n).apply_transpose(vec)
-        for letter in word_reduced(w):
-            vec = regular_generator_matrix("T", letter, n).apply_transpose(vec)
-        for jcol, v in vec.items():
+    for i, key in enumerate(basis):
+        (row,) = act_terms({key: GAUSS_ONE}, act, [{w0row: GAUSS_ONE}], anti=True)
+        for jcol, v in row.items():
             gram.cols[jcol][i] = v
     return gram
 
@@ -413,27 +410,19 @@ def apply_morphism(tag: str, a: AlgebraElement) -> AlgebraElement:
     phi, phi_prime are algebra involutions; psi, psi_prime are unsigned
     anti-involutions (nu(ab) = nu(b) nu(a)); phi_bar fixes the 0-Hecke
     subalgebra (T_i -> T_{n-i}) and rejects elements with a Clifford part.
+    The normal word of each term is walked from the unit, each step a left
+    multiplication by the image of one generator.
     """
     n = a.rank
     images = _morphism_generator_images(tag, n)
-    anti = tag in _ANTI_TAGS
-    out = AlgebraElement(n, {})
-    for (d, w), coeff in a.terms.items():
-        if tag == "phi_bar" and d:
-            raise ValueError("phi_bar is defined on the Hecke subalgebra only")
-        cs = sorted(d)
-        ts = list(word_reduced(w))
-        if anti:
-            factors = [images[("T", i)] for i in reversed(ts)]
-            factors += [images[("c", j)] for j in reversed(cs)]
-        else:
-            factors = [images[("c", j)] for j in cs]
-            factors += [images[("T", i)] for i in ts]
-        acc = unit(n)
-        for f in factors:
-            acc = multiply(acc, f)
-        out = out + acc.scale(coeff)
-    return out
+    if tag == "phi_bar" and any(d for (d, _w) in a.terms):
+        raise ValueError("phi_bar is defined on the Hecke subalgebra only")
+
+    def act(key, terms):
+        return act_terms(images[key].terms, _left_mul, [terms])[0]
+
+    (out,) = act_terms(a.terms, act, [unit(n).terms], anti=tag in _ANTI_TAGS)
+    return AlgebraElement(n, out)
 
 
 @lru_cache(maxsize=None)

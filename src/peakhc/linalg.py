@@ -96,19 +96,6 @@ class SparseMatrix:
             vec_iadd_scaled(out, self.cols[j], c)
         return out
 
-    def apply_transpose(self, vec: dict) -> dict:
-        """Row vector times matrix (returns a dict over column indices)."""
-        out: dict = {}
-        for j, col in enumerate(self.cols):
-            s = None
-            for i, v in col.items():
-                c = vec.get(i)
-                if c is not None:
-                    s = v * c if s is None else s + v * c
-            if s:
-                out[j] = s
-        return out
-
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")

@@ -43,10 +43,10 @@ from .combinat import (
     word_descents,
     word_inverse,
     word_length,
-    word_reduced,
 )
 from .hecke_clifford import (
     AlgebraElement,
+    act_terms,
     apply_morphism,
     basis_element,
     gen_c,
@@ -81,6 +81,7 @@ __all__ = [
     "restrict_corner",
     "restrict_parabolic",
     "act_element",
+    "element_matrix",
     "twist",
     "dual_twist",
     "parity_shift",
@@ -463,15 +464,9 @@ def parabolic_induce(m1: Supermodule, m2: Supermodule, max_rank: int = 6) -> Sup
 
     def block_matrix(dp: frozenset, u: tuple) -> SparseMatrix:
         key = (dp, u)
-        got = block_cache.get(key)
-        if got is None:
-            got = SparseMatrix.identity(dimw, _G1)
-            for j in sorted(dp):
-                got = got @ inner.actions[("c", j)]
-            for letter in word_reduced(u):
-                got = got @ inner.actions[("T", letter)]
-            block_cache[key] = got
-        return got
+        if key not in block_cache:
+            block_cache[key] = element_matrix(inner, {key: _G1})
+        return block_cache[key]
 
     actions = {}
     for key in generator_keys((total,), "HCl"):
@@ -545,24 +540,30 @@ def restrict(module: Supermodule, target):
 # ---------------------------------------------------------------------------
 
 
-def act_element(module: Supermodule, element: AlgebraElement) -> SparseMatrix:
-    """Matrix of an algebra element on a single-block module."""
+def _acts_on(module: Supermodule):
+    """One generator key applied to a vector of the module."""
+    return lambda key, vec: module.actions[key].apply(vec)
+
+
+def act_element(module: Supermodule, element: AlgebraElement, vec: dict) -> dict:
+    """An algebra element applied to one vector of a single-block module."""
     if len(module.blocks) != 1 or module.rank != element.rank:
         raise ValueError("element rank does not match the module")
+    return act_terms(element.terms, _acts_on(module), [vec])[0]
+
+
+def element_matrix(module: Supermodule, terms: dict) -> SparseMatrix:
+    """Matrix of sum coeff * c_D T_w, given as a term dict, on a module:
+    the normal words walked on every unit column together."""
     dim = module.dim
-    total = SparseMatrix(dim, dim)
-    for (d, w), coeff in element.terms.items():
-        mat = SparseMatrix.identity(dim, _G1)
-        for j in sorted(d):
-            mat = mat @ module.actions[("c", j)]
-        for letter in word_reduced(w):
-            mat = mat @ module.actions[("T", letter)]
-        total = total + mat.scale(coeff)
-    return total
+    units = [{k: _G1} for k in range(dim)]
+    return SparseMatrix(dim, dim, act_terms(terms, _acts_on(module), units))
 
 
 def twist(module: Supermodule, tag: str) -> Supermodule:
     """Twist the action by an algebra morphism: g acts as the image of g."""
+    if len(module.blocks) != 1:
+        raise ValueError("twist wants a single-block module")
     n = module.rank
     actions = {}
     for key in module.actions:
@@ -572,7 +573,7 @@ def twist(module: Supermodule, tag: str) -> Supermodule:
         if module.algebra == "H":
             if any(d for (d, _w) in img.terms):
                 raise ValueError("twist by %s leaves the Hecke subalgebra" % tag)
-        actions[key] = act_element(module, img)
+        actions[key] = element_matrix(module, img.terms)
     return Supermodule(module.blocks, module.algebra, module.labels, module.parities, actions)
 
 
@@ -580,13 +581,15 @@ def dual_twist(module: Supermodule, tag: str) -> Supermodule:
     """Twisted dual along an unsigned anti-involution: (a.f)(m) = f(nu(a)m)."""
     if tag not in ("psi", "psi_prime"):
         raise ValueError("dual_twist wants an unsigned anti-involution tag")
+    if len(module.blocks) != 1:
+        raise ValueError("dual_twist wants a single-block module")
     n = module.rank
     actions = {}
     for key in module.actions:
         kind, idx = key
         gen = gen_T(idx, n) if kind == "T" else gen_c(idx, n)
         img = apply_morphism(tag, gen)
-        actions[key] = act_element(module, img).transpose()
+        actions[key] = element_matrix(module, img.terms).transpose()
     labels = tuple(("dual", lab) for lab in module.labels)
     return Supermodule(module.blocks, module.algebra, labels, module.parities, actions)
 
@@ -1054,7 +1057,7 @@ def split_simple(alpha) -> SimpleSplit:
     components = []
     signs = []
     for eps, e in idems:
-        vec = act_element(module, e).apply(eta)
+        vec = act_element(module, e, eta)
         comp, _basis = submodule_on_vectors(module, [vec])
         components.append(comp)
         signs.append(eps)
@@ -1197,7 +1200,7 @@ def stated_twist_isomorphism(alpha, part: int) -> ModuleMap:
         parity = n % 2 if part == 1 else 0
         for di, d in enumerate(subs):
             elt = basis_element(d, ident, n)
-            img = act_element(base, apply_morphism(tag, elt)).apply(seed)
+            img = act_element(base, apply_morphism(tag, elt), seed)
             sign = (-1) ** (n * len(d)) if part == 1 else 1
             for r, v in img.items():
                 mat.cols[di][r] = v * sign
@@ -1209,7 +1212,7 @@ def stated_twist_isomorphism(alpha, part: int) -> ModuleMap:
         parity = 0 if part == 3 else n % 2
         for di, d in enumerate(subs):
             elt = basis_element(d, ident, n)
-            img = act_element(target, elt).apply(seed)
+            img = act_element(target, elt, seed)
             sign = 1 if part == 3 else (-1) ** (n * len(d))
             for r, v in img.items():
                 mat.cols[di][r] = v * sign

@@ -22,7 +22,8 @@ from peakhc.characteristic import (
     verify_restriction_vectors,
 )
 from peakhc.hopf import FreeElement, term
-from peakhc.supermodules import induce_clifford, projective_hecke, simple_hecke
+from peakhc.linalg import solve_unique
+from peakhc.supermodules import hom_space, induce_clifford, projective_hecke, simple_hecke
 
 
 def C(*parts):
@@ -40,9 +41,25 @@ def test_class_of_simple_modules():
     assert cls.payload == term("PeakDual", "K", PS(3, 2))
     st = induce_clifford(simple_hecke(C(1, 2)))
     assert class_of_module(st).payload == term("PeakDual", "K", PS(3))
-    # both extraction methods agree
-    st = induce_clifford(simple_hecke(C(2, 2)))
-    assert class_of_module(st, "character").payload == class_of_module(st, "hom").payload
+
+
+def _class_by_hom(module):
+    """The Hom route: d_a = dim Hom(Ind P_a, module) from the intertwiner
+    systems, then [Theta(R_a), x] = d_a solved exactly."""
+    from peakhc.characteristic import _theta_row
+
+    rows = []
+    for a in compositions_of(module.rank):
+        pt = induce_clifford(projective_hecke(a))
+        rows.append((_theta_row(a), hom_space(pt, module).total_dim))
+    return FreeElement("PeakDual", "K", solve_unique(rows))
+
+
+def test_class_of_module_matches_hom_route():
+    alphas = [a for n in range(1, 4) for a in compositions_of(n)] + [C(2, 2)]
+    for a in alphas:
+        st = induce_clifford(simple_hecke(a))
+        assert class_of_module(st).payload == _class_by_hom(st), a
 
 
 def test_hecke_classes():

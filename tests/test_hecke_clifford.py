@@ -9,6 +9,7 @@ from peakhc.combinat import (
     bruhat_leq,
     compositions_of,
     word_length,
+    word_reduced,
 )
 from peakhc.hecke_clifford import (
     MORPHISM_TAGS,
@@ -24,7 +25,7 @@ from peakhc.hecke_clifford import (
     leading_term_check,
     morphism_matrix,
     multiply,
-    regular_action_matrix,
+    normal_word,
     regular_generator_matrix,
     trace,
     unit,
@@ -269,6 +270,53 @@ def test_morphisms_are_involutions_and_check_relations():
                     assert img == multiply(apply_morphism(tag, a), apply_morphism(tag, b))
 
 
+def _gen(key, n):
+    kind, idx = key
+    return gen_T(idx, n) if kind == "T" else gen_c(idx, n)
+
+
+def test_normal_word_spells_the_basis_element():
+    # left-multiply the unit by the word's generators, one single-key
+    # element at a time, right to left
+    for n in range(0, 5):
+        for d, w in algebra_basis(n):
+            acc = unit(n)
+            for key in reversed(normal_word(d, w)):
+                acc = multiply(_gen(key, n), acc)
+            assert acc == basis_element(d, w, n), (d, w)
+
+
+def _apply_morphism_by_products(tag, a):
+    """The product route: the images of c_j (j in D increasing) and of the
+    letters of a reduced word of w multiplied up from the unit, in reversed
+    order for the anti-involutions."""
+    from peakhc.hecke_clifford import _morphism_generator_images
+
+    n = a.rank
+    images = _morphism_generator_images(tag, n)
+    out = AlgebraElement(n, {})
+    for (d, w), coeff in a.terms.items():
+        factors = [images[("c", j)] for j in sorted(d)]
+        factors += [images[("T", i)] for i in word_reduced(w)]
+        if tag in ("psi", "psi_prime"):
+            factors.reverse()
+        acc = unit(n)
+        for f in factors:
+            acc = multiply(acc, f)
+        out = out + acc.scale(coeff)
+    return out
+
+
+def test_apply_morphism_matches_products():
+    for n in range(1, 4):
+        for tag in MORPHISM_TAGS:
+            for d, w in algebra_basis(n):
+                if tag == "phi_bar" and d:
+                    continue
+                elt = basis_element(d, w, n)
+                assert apply_morphism(tag, elt) == _apply_morphism_by_products(tag, elt)
+
+
 def test_morphism_examples():
     n = 3
     assert apply_morphism("phi", c(1, n)) == -c(3, n)
@@ -301,15 +349,15 @@ def test_nakayama_identity_small():
 def test_regular_representation():
     from peakhc.linalg import SparseMatrix
 
-    m = regular_action_matrix(("c", 1), 1)
+    m = regular_generator_matrix("c", 1, 1)
     assert (m @ m) == SparseMatrix.identity(2, GAUSS_ONE).scale(-1)
-    t = regular_action_matrix(("T", 1), 2)
+    t = regular_generator_matrix("T", 1, 2)
     assert (t @ t) == t.scale(-1)
-    t1 = regular_action_matrix(("T", 1), 3)
-    t2 = regular_action_matrix(("T", 2), 3)
+    t1 = regular_generator_matrix("T", 1, 3)
+    t2 = regular_generator_matrix("T", 2, 3)
     assert (t1 @ t2 @ t1) == (t2 @ t1 @ t2)
     with pytest.raises(ResourceLimitError):
-        regular_action_matrix(("T", 1), 6)
+        regular_generator_matrix("T", 1, 6)
 
 
 def test_str_forms():

@@ -9,17 +9,28 @@ from peakhc.combinat import (
     Composition,
     compositions_of,
     descent_class,
+    word_reduced,
 )
-from peakhc.hecke_clifford import multiply, unit
+from peakhc.hecke_clifford import (
+    algebra_basis,
+    apply_morphism,
+    basis_element,
+    gen_c,
+    gen_T,
+    multiply,
+    unit,
+)
 from peakhc.linalg import Echelon, SparseMatrix, SpanSolver, nullspace, vec_iadd_scaled
 from peakhc.scalars import GAUSS_ONE, GaussianRational
 from peakhc.supermodules import (
     HomBasis,
     IsoSearch,
     ModuleMap,
+    act_element,
     bruhat_filtration,
     clifford_idempotents,
     dual_twist,
+    element_matrix,
     end_clifford_check,
     find_isomorphism,
     generator_keys,
@@ -642,6 +653,61 @@ def test_dual_twist_isomorphisms():
             g = stated_twist_isomorphism(a, 4)
             assert g.parity == n % 2
             assert g.is_morphism() and g.is_invertible()
+
+
+def _element_matrix_by_products(module, element):
+    """The product route: per term, the identity times the action matrices
+    of c_j (j in D increasing) and of the letters of a reduced word of w."""
+    dim = module.dim
+    total = SparseMatrix(dim, dim)
+    for (d, w), coeff in element.terms.items():
+        mat = SparseMatrix.identity(dim, _G1)
+        for j in sorted(d):
+            mat = mat @ module.actions[("c", j)]
+        for letter in word_reduced(w):
+            mat = mat @ module.actions[("T", letter)]
+        total = total + mat.scale(coeff)
+    return total
+
+
+def test_act_element_matches_products():
+    for n in range(1, 4):
+        for a in compositions_of(n):
+            for module in (induce_clifford(simple_hecke(a)),
+                           induce_clifford(projective_hecke(a))):
+                for d, w in algebra_basis(n):
+                    elt = basis_element(d, w, n)
+                    expected = _element_matrix_by_products(module, elt)
+                    assert element_matrix(module, elt.terms) == expected, (a, d, w)
+                    for k in range(module.dim):
+                        got = act_element(module, elt, {k: _G1})
+                        assert got == expected.cols[k], (a, d, w, k)
+
+
+def test_twist_images_match_products():
+    for n in range(1, 4):
+        for a in compositions_of(n):
+            for base in (simple_hecke(a), projective_hecke(a)):
+                for module in (base, induce_clifford(base)):
+                    hecke = module.algebra == "H"
+                    tags = ("phi_bar",) if hecke else ("phi", "phi_prime", "psi", "psi_prime")
+                    for tag in tags:
+                        tw = twist(module, tag)
+                        dual = dual_twist(module, tag) if tag.startswith("psi") else None
+                        for key in module.actions:
+                            kind, idx = key
+                            gen = gen_T(idx, n) if kind == "T" else gen_c(idx, n)
+                            img = apply_morphism(tag, gen)
+                            expected = _element_matrix_by_products(module, img)
+                            assert element_matrix(module, img.terms) == expected
+                            assert tw.actions[key] == expected, (a, tag, key)
+                            if dual is not None:
+                                assert dual.actions[key] == expected.transpose()
+    pair = outer_tensor(Stilde(1, 1), Stilde(2))
+    with pytest.raises(ValueError):
+        twist(pair, "phi")
+    with pytest.raises(ValueError):
+        dual_twist(pair, "psi")
 
 
 def test_parity_shift():
