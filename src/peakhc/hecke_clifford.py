@@ -36,7 +36,6 @@ from .combinat import (
     Permutation,
     ResourceLimitError,
     swap_values,
-    word_inverse,
     word_reduced,
 )
 from .linalg import SparseMatrix, vec_add_term, vec_iadd_scaled
@@ -235,7 +234,7 @@ def _left_mul_c(j: int, terms: dict) -> dict:
 def _left_mul_T(i: int, terms: dict) -> dict:
     """T_i * element, by the cross relations of the module docstring and the
     left Demazure rule: T_i T_w = T_{s_i w} when l(s_i w) > l(w), that is when
-    w^{-1}(i) < w^{-1}(i+1), and -T_w otherwise."""
+    the value i stands left of i+1 in w, and -T_w otherwise."""
     out = {}
     for (d, w), c in terms.items():
         has_i, has_i1 = i in d, (i + 1) in d
@@ -249,8 +248,7 @@ def _left_mul_T(i: int, terms: dict) -> dict:
             d2 = (d - {i + 1}) | {i}
             extra = (((d2, w), c), ((d, w), -c))
             d = d2
-        wi = word_inverse(w)
-        if wi[i - 1] < wi[i]:
+        if w.index(i) < w.index(i + 1):
             vec_add_term(out, (d, swap_values(i, w)), c)
         else:
             vec_add_term(out, (d, w), -c)

@@ -36,7 +36,6 @@ from .hopf import (
     FreeElement,
     convert,
     coproduct,
-    index_degree,
     index_sort_key,
     omega_into_peakdual,
     peak_pairing,
@@ -72,16 +71,13 @@ def fock_action(a: FreeElement, x: FreeElement) -> FreeElement:
         a = convert(a, "Xi", "Peak")
     if x.algebra != "PeakDual":
         x = convert(x, "K", "PeakDual")
-    t = coproduct(convert(x, "K"))
-    out = FreeElement.zero("PeakDual", "K")
-    for (k1, k2), c in t.coeffs.items():
-        comp = a.component(index_degree(k2))
-        if not comp:
-            continue
-        val = peak_pairing(comp, term("PeakDual", "K", k2))
+    # [a, K_Q] is the Xi coefficient of a at Q
+    out = {}
+    for (k1, k2), c in coproduct(convert(x, "K")).coeffs.items():
+        val = a.coeffs.get(k2)
         if val:
-            out = out + term("PeakDual", "K", k1, c * val)
-    return out
+            vec_add_term(out, k1, c * val)
+    return FreeElement("PeakDual", "K", out)
 
 
 def fock_action_on_word(m: int, alpha) -> FreeElement:
@@ -222,10 +218,6 @@ def _omega_basis_in_k(degree: int) -> tuple:
     return tuple(out)
 
 
-def _k_vector(x: FreeElement) -> dict:
-    return {index_sort_key(k): v for k, v in convert(x, "K").coeffs.items()}
-
-
 def filtration_component(level: int, degree: int, max_degree: int = 8):
     """Exact spanning data for the level-th filtration piece in one degree.
 
@@ -250,8 +242,7 @@ def filtration_component(level: int, degree: int, max_degree: int = 8):
         nalpha = convert(term("PeakDual", "N", alpha), "K")
         for _lam, omega_elt in _omega_basis_in_k(rest):
             prod = product(omega_elt, nalpha) if alpha.parts else omega_elt
-            vec = _k_vector(prod)
-            if vec and solver.add(count, vec):
+            if prod and solver.add(count, prod.coeffs):
                 basis.append(prod)
             count += 1
     return basis, solver.rank
@@ -294,15 +285,14 @@ def free_basis_over_omega(max_degree: int = 8) -> FreenessCertificate:
                 continue
             for _lam, omega_elt in _omega_basis_in_k(rest):
                 prod = product(g, omega_elt)
-                vec = _k_vector(prod)
-                if not vec or not solver.add(count, vec):
+                if not prod or not solver.add(count, prod.coeffs):
                     ok = False
                 count += 1
         dim = len(peak_sets_in(d)) if d else 1
         if solver.rank < dim:
             for P in peak_sets_in(d):
                 cand = term("PeakDual", "K", P)
-                if solver.add(count, _k_vector(cand)):
+                if solver.add(count, cand.coeffs):
                     generators.append((d, cand))
                     count += 1
         record = {
@@ -320,7 +310,12 @@ def free_basis_over_omega(max_degree: int = 8) -> FreenessCertificate:
 def hilbert_series_identity(max_degree: int = 8) -> dict:
     """Fibonacci peak-set counts equal the convolution of the q-ring
     dimensions with the generator counts from the greedy basis."""
-    cert = free_basis_over_omega(max_degree)
+    return _hilbert_report(free_basis_over_omega(max_degree), max_degree)
+
+
+def _hilbert_report(cert: FreenessCertificate, max_degree: int) -> dict:
+    """The report of ``hilbert_series_identity`` read from a certificate
+    already built through ``max_degree``."""
     gcount = {}
     for gdeg, _g in cert.generators:
         gcount[gdeg] = gcount.get(gdeg, 0) + 1

@@ -32,8 +32,10 @@ once per degree on demand and cached (functools caches are safe for
 concurrent readers); every value here is immutable after construction.
 
 Membership conversions (NSym -> Peak, QSym -> PeakDual, Sym -> Omega,
-QSym -> Sym) solve exactly and raise ``MembershipError`` when the element
-lies outside the subalgebra.
+QSym -> Sym) raise ``MembershipError`` when the element lies outside the
+subalgebra; only QSym -> PeakDual solves.  PeakDual products, coproducts and
+the embedding of Omega lift to QSym along the Hopf morphism vartheta
+(``_lift``), compute on M and read back through N_alpha in K (``_n_in_k``).
 
 Keys.  ``FreeElement.coeffs`` and ``TensorElement.coeffs`` are keyed by
 ``Composition``, ``PeakSet`` or partition tuples.  Inside this module every
@@ -621,6 +623,13 @@ def _n_in_k(alpha: int) -> tuple:
     return tuple(out.items())
 
 
+def _lift(basis: str, coeffs: dict) -> dict:
+    """M coordinates of a preimage under vartheta: N_alpha = vartheta(M_alpha),
+    and K_P = vartheta(F_P), since a peak code read as a composition code
+    has that peak set."""
+    return coeffs if basis == "N" else _expand_linear(coeffs, _f_to_m)
+
+
 # quasi-shuffle on monomial codes
 
 
@@ -976,7 +985,8 @@ def _convert(alg: str, basis: str, coeffs: dict, algebra: str, target: str) -> d
         )
         return _convert_within("Sym", "m", _exact(bym), target)
     if (alg, algebra) == ("Omega", "PeakDual"):
-        return _convert_within("PeakDual", "K", _into_peakdual(alg, basis, coeffs), target)
+        k = _into_peakdual(_omega_to_podd(coeffs, basis))
+        return _convert_within("PeakDual", "K", k, target)
     if (alg, algebra) == ("Omega", "QSym"):
         p = _convert(alg, basis, coeffs, "Sym", "p")
         return _convert("Sym", "p", p, "QSym", target)
@@ -1017,10 +1027,12 @@ def _convert_within(alg: str, basis: str, coeffs: dict, target: str) -> dict:
     raise ConversionError("no conversion from %s/%s to basis %s" % (alg, basis, target))
 
 
-def _into_peakdual(alg: str, basis: str, coeffs: dict) -> dict:
-    """K coordinates of a Sym or Omega element, through p and QSym."""
-    p = _convert(alg, basis, coeffs, "Sym", "p")
-    return _convert("QSym", "M", _exact(_sym_into_qsym(p, "p")), "PeakDual", "K")
+def _into_peakdual(podd: dict) -> dict:
+    """K coordinates of an Omega element given in podd.  On odd lam,
+    vartheta(p_lam) = theta(p_lam) = 2^l(lam) p_lam, so the element is
+    vartheta(sum c_lam 2^-l(lam) p_lam)."""
+    pre = {lam: Fraction(c, 1 << len(lam)) for lam, c in podd.items()}
+    return _exact(_expand_linear(_sym_into_qsym(pre, "p"), _n_in_k))
 
 
 # ---------------------------------------------------------------------------
@@ -1056,10 +1068,8 @@ def product(x: FreeElement, y: FreeElement) -> FreeElement:
         b = _convert(alg, y.basis, yc, "NSym", "H")
         return _element(alg, "Xi", _convert("NSym", "H", _exact(_concat_product(a, b)), alg, "Xi"))
     if alg == "PeakDual":
-        a = _convert(alg, x.basis, xc, "QSym", "M")
-        b = _convert(alg, y.basis, yc, "QSym", "M")
-        prod = _exact(_qsym_m_product(a, b))
-        return _element(alg, "K", _convert("QSym", "M", prod, alg, "K"))
+        prod = _qsym_m_product(_lift(x.basis, xc), _lift(y.basis, yc))
+        return _element(alg, "K", _expand_linear(prod, _n_in_k))
     if alg == "Sym":
         if x.basis == y.basis and x.basis in ("h", "p"):
             return _element("Sym", x.basis, _part_product(xc, yc))
@@ -1140,23 +1150,25 @@ def _tensor_convert(t: dict, table) -> dict:
     return out
 
 
-def _tensor_slotwise_solve(t: dict, slot_solve) -> dict:
-    """Convert tensor slots through an exact coordinate solve, slot by slot.
+def _tensor_slotwise_solve(t: dict) -> dict:
+    """Read an H (x) H tensor of Peak in Xi (x) Xi, slot by slot.
 
-    ``slot_solve`` maps a dict {index: coeff} (one graded slot fiber) to a
-    dict in the new index; fibers of a tensor against a basis of one slot
-    stay inside the relevant subspace, so the solve is always consistent.
-    Each fiber is solved once and fibers have disjoint keys, so nothing is
-    summed.
+    Each fiber {index: coeff} of one slot against a basis element of the
+    other lies in Peak, so its Xi coordinates are a class read of its R
+    coordinates.  Fibers have disjoint keys, so nothing is summed.
     """
     fibers = {}
     for (k1, k2), c in t.items():
         fibers.setdefault(k2, {})[k1] = c
     half = {}
     for k2, fib in fibers.items():
-        for a, ca in slot_solve(fib).items():
+        for a, ca in _nsym_to_xi(_expand_linear(fib, _h_to_r)).items():
             half.setdefault(a, {})[k2] = ca
-    return {(a, b): cb for a, fib in half.items() for b, cb in slot_solve(fib).items()}
+    return {
+        (a, b): cb
+        for a, fib in half.items()
+        for b, cb in _nsym_to_xi(_expand_linear(fib, _h_to_r)).items()
+    }
 
 
 def coproduct(x: FreeElement) -> TensorElement:
@@ -1179,12 +1191,12 @@ def coproduct(x: FreeElement) -> TensorElement:
         return _tensor("QSym", "F", _tensor_convert(t, _m_to_f))
     if alg == "Peak":
         t = _expand_linear(_convert(alg, basis, xc, "NSym", "H"), _coprod_h_single)
-        return _tensor("Peak", "Xi", _tensor_slotwise_solve(t, _peak_slot_solve))
+        return _tensor("Peak", "Xi", _tensor_slotwise_solve(t))
     if alg == "PeakDual":
+        t = _expand_linear(_lift(basis, xc), _coprod_m_single)
         if basis == "N":
-            return _tensor("PeakDual", "N", _expand_linear(xc, _coprod_m_single))
-        t = _expand_linear(_convert(alg, basis, xc, "QSym", "M"), _coprod_m_single)
-        return _tensor("PeakDual", "K", _tensor_slotwise_solve(t, _peakdual_slot_solve))
+            return _tensor("PeakDual", "N", t)
+        return _tensor("PeakDual", "K", _tensor_convert(t, _n_in_k))
     if alg == "Sym":
         if basis in ("r", "m"):
             xc, basis = _convert_within(alg, basis, xc, "h"), "h"
@@ -1194,14 +1206,6 @@ def coproduct(x: FreeElement) -> TensorElement:
         p = _convert_within(alg, basis, xc, "podd")
         return _tensor("Omega", "podd", _expand_linear(p, _coprod_part_primitive))
     raise ConversionError("no coproduct on %s" % alg)
-
-
-def _peak_slot_solve(fib: dict) -> dict:
-    return _nsym_to_xi(_expand_linear(fib, _h_to_r))
-
-
-def _peakdual_slot_solve(fib: dict) -> dict:
-    return _qsym_to_k(_expand_linear(fib, _m_to_f))
 
 
 def counit(x: FreeElement) -> int | Fraction:
@@ -1317,7 +1321,8 @@ def sym_into_qsym(x: FreeElement) -> FreeElement:
 
 def omega_into_peakdual(x: FreeElement) -> FreeElement:
     """The inclusion of the q-generated ring into the peak quasisymmetric ring."""
-    return _element("PeakDual", "K", _into_peakdual(x.algebra, x.basis, _codes(x)))
+    podd = _convert(x.algebra, x.basis, _codes(x), "Omega", "podd")
+    return _element("PeakDual", "K", _into_peakdual(podd))
 
 
 def k_expansions(P: PeakSet) -> tuple:

@@ -40,18 +40,19 @@ from .hecke_clifford import (
     unit as algebra_unit,
 )
 from .heisenberg import (
+    _hilbert_report,
     filtration_component,
     fock_action,
     fock_action_on_word,
     free_basis_over_omega,
     guard_freeness_degree,
-    hilbert_series_identity,
 )
 from .hopf import (
     FreeElement,
     convert,
     coproduct,
     k_expansions,
+    omega_into_peakdual,
     pairing,
     peak_pairing,
     product,
@@ -154,8 +155,6 @@ def suite_peak_functions(max_n: int = 8, **_kw) -> list:
             qn = convert(
                 theta_sym(term("Sym", "h", (n,))), "podd"
             )
-            from .hopf import omega_into_peakdual
-
             ok = f == total and omega_into_peakdual(qn) == term(
                 "PeakDual", "K", peak_sets_in(n)[0]
             )
@@ -402,7 +401,7 @@ def suite_heisenberg(max_degree: int = 8, **_kw) -> list:
             basis, _rank = filtration_component(level, degree, max_degree=max_degree)
             got = SpanSolver()
             for i, b in enumerate(basis):
-                got.add(i, dict(convert(b, "K").coeffs))
+                got.add(i, b.coeffs)
             span_cache[key] = got
         return got
 
@@ -459,7 +458,7 @@ def _freeness_reports(max_degree: int) -> list:
             cert.ok,
             [dict(r) for r in cert.per_degree],
         ),
-        hilbert_series_identity(max_degree),
+        _hilbert_report(cert, max_degree),
     ]
 
 

@@ -92,6 +92,14 @@ def _all_relations_hold(n):
 def test_all_defining_relations():
     for n in range(1, 5):
         _all_relations_hold(n)
+        # the length rule: T_i T_w = T_{s_i w} when l(s_i w) > l(w), else -T_w
+        for w in itertools.permutations(range(1, n + 1)):
+            tw = basis_element(set(), w, n)
+            for i in range(1, n):
+                siw = tuple(i + 1 if v == i else i if v == i + 1 else v for v in w)
+                up = word_length(siw) > word_length(w)
+                expected = basis_element(set(), siw, n) if up else -tw
+                assert multiply(T(i, n), tw) == expected, (i, w)
 
 
 def _random_homogeneous(rng, n, parity):

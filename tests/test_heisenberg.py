@@ -188,6 +188,24 @@ def test_freeness_certificate():
     assert rep["status"] == "verified"
 
 
+def test_freeness_suite_builds_one_certificate(monkeypatch):
+    # the Hilbert report reads the certificate the suite already built
+    from peakhc import heisenberg, verification
+
+    calls = []
+
+    def counted(max_degree=8):
+        calls.append(max_degree)
+        return free_basis_over_omega(max_degree)
+
+    monkeypatch.setattr(heisenberg, "free_basis_over_omega", counted)
+    monkeypatch.setattr(verification, "free_basis_over_omega", counted)
+    reports = verification.run_suite("freeness", max_degree=6)
+    assert calls == [6]
+    assert [r["status"] for r in reports] == ["verified", "verified"]
+    assert reports[1] == hilbert_series_identity(6)
+
+
 def test_vacuum_submodule_dimensions():
     # the double-submodule generated by the vacuum has the q-ring dimensions
     for d in range(0, 6):

@@ -20,6 +20,7 @@ from peakhc.hopf import (
     ConversionError,
     FreeElement,
     MembershipError,
+    TensorElement,
     convert,
     coproduct,
     counit,
@@ -255,6 +256,84 @@ def test_peak_closed_under_product():
                         term("PeakDual", "K", P1), term("PeakDual", "K", P2)
                     )
                     assert kprod.algebra == "PeakDual"
+
+
+# The PeakDual structure maps lift to QSym along vartheta; the oracles below
+# compute in QSym instead and come back through the membership solve
+# (convert QSym -> PeakDual), touching only the public API.
+
+
+def _peakdual_basis(max_n):
+    """(degree, element) for every K_P and N_alpha of degree <= max_n, the
+    unit included."""
+    out = [(0, K(0))]
+    for n in range(1, max_n + 1):
+        out += [(n, term("PeakDual", "K", P)) for P in peak_sets_in(n)]
+        out += [(n, term("PeakDual", "N", a)) for a in compositions_of(n)]
+    return out
+
+
+def _solved_in_k(coeffs_m: dict) -> dict:
+    return convert(FreeElement("QSym", "M", coeffs_m), "K", "PeakDual").coeffs
+
+
+def _tensor_solved_in_k(t: TensorElement) -> TensorElement:
+    """An M (x) M tensor of Pi (x) Pi in K (x) K: solve each fiber of the
+    right slot, then each fiber of the left one."""
+    fibers, half = {}, {}
+    for (a, b), c in t.coeffs.items():
+        fibers.setdefault(b, {})[a] = c
+    for b, fib in fibers.items():
+        for P, c in _solved_in_k(fib).items():
+            half.setdefault(P, {})[b] = c
+    out = {}
+    for P, fib in half.items():
+        for Q, c in _solved_in_k(fib).items():
+            out[(P, Q)] = c
+    return TensorElement("PeakDual", "K", out)
+
+
+def test_peakdual_product_matches_membership_solve():
+    basis = _peakdual_basis(8)
+    for (dx, x), (dy, y) in itertools.product(basis, repeat=2):
+        if dx + dy > 8:
+            continue
+        solved = convert(
+            product(convert(x, "M", "QSym"), convert(y, "M", "QSym")), "K", "PeakDual"
+        )
+        assert product(x, y) == solved, (x, y)
+
+
+def test_peakdual_coproduct_matches_membership_solve():
+    for _n, x in _peakdual_basis(7):
+        got = coproduct(x)
+        if x.basis == "N":
+            assert got.basis == "N"
+            terms, got = got.coeffs.items(), TensorElement("PeakDual", "K", {})
+            for (a, b), c in terms:
+                na = convert(term("PeakDual", "N", a), "K")
+                nb = convert(term("PeakDual", "N", b), "K")
+                got = got + TensorElement(
+                    "PeakDual", "K",
+                    {(P, Q): c * ca * cb for P, ca in na.coeffs.items()
+                     for Q, cb in nb.coeffs.items()},
+                )
+        assert got == _tensor_solved_in_k(coproduct(convert(x, "M", "QSym"))), x
+
+
+def test_omega_into_peakdual_matches_membership_solve():
+    inputs = []
+    for n in range(1, 9):
+        for lam in strict_partitions_of(n):
+            q = term("Omega", "q", lam)
+            inputs += [q, convert(q, "podd")]
+        inputs += [
+            term("Omega", "podd", lam)
+            for lam in partitions_of(n) if all(part % 2 for part in lam)
+        ]
+    for x in inputs:
+        solved = convert(sym_into_qsym(convert(x, "p", "Sym")), "K", "PeakDual")
+        assert omega_into_peakdual(x) == solved, x
 
 
 # ---------------------------------------------------------------------------
