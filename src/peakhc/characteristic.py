@@ -55,7 +55,7 @@ from .hopf import (
     theta_transform,
     vartheta_map,
 )
-from .linalg import SpanSolver, solve_unique
+from .linalg import Echelon, SpanSolver, solve_unique
 from .supermodules import (
     Supermodule,
     hecke_composition_multiplicities,
@@ -361,8 +361,7 @@ def verify_restriction_vectors(n: int) -> dict:
     module = rep["module"]
     hecke = restrict_hecke(module)
     for slot, par in (("odd", 1), ("even", 0)):
-        solver = SpanSolver()
-        count = 0
+        ech = Echelon()
         for k in range(n):
             data = rep[slot][k]
             vec = data["vector"]
@@ -380,10 +379,9 @@ def verify_restriction_vectors(n: int) -> dict:
             if not iso.found:
                 return _fail_rv(n, "hook isomorphism at k=%d" % k)
             for v in basis:
-                if not solver.add(count, v):
+                if ech.add(v) is None:
                     return _fail_rv(n, "spans overlap at k=%d" % k)
-                count += 1
-        if solver.rank != 2 ** (n - 1):
+        if ech.rank != 2 ** (n - 1):
             return _fail_rv(n, "parity component not filled (%s)" % slot)
     return {"claim": "restriction-vectors", "params": {"n": n},
             "status": "verified", "witness": {"seeds": {

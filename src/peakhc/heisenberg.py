@@ -9,7 +9,7 @@ N_alpha it reproduces the closed rule
 
     Q_m . N_alpha  =  sum over alpha = beta . gamma of [Q_m, N_gamma] N_beta,
 
-which the tests check against the coproduct route.  The double multiplies by
+which the suite checks against the coproduct route.  The double multiplies by
 
     (x # a)(y # b) = sum x (a_1 . y) # a_2 b.
 
@@ -38,12 +38,12 @@ from .hopf import (
     coproduct,
     index_sort_key,
     omega_into_peakdual,
-    peak_pairing,
+    pairing,
     product,
     term,
     unit,
 )
-from .linalg import SpanSolver, vec_add_term, vec_iadd_scaled
+from .linalg import Echelon, SpanSolver, vec_add_term, vec_iadd_scaled
 from .scalars import _rational
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "fock_action_on_word",
     "DoubleElement",
     "filtration_component",
+    "in_filtration",
     "free_basis_over_omega",
     "guard_freeness_degree",
     "hilbert_series_identity",
@@ -83,23 +84,20 @@ def fock_action(a: FreeElement, x: FreeElement) -> FreeElement:
 def fock_action_on_word(m: int, alpha) -> FreeElement:
     """Q_m acting on N_alpha through the deconcatenation rule (closed form).
 
-    Returns the result as a K-basis element of the peak dual.
+    At most one cut alpha = beta . gamma has |gamma| = m, and it gives
+    <Q_m, M_gamma> N_beta, since [Q_m, N_gamma] = [Theta(H_m), vartheta(M_gamma)]
+    = <Q_m, M_gamma>; with no such cut the result is 0.  Returns the result as
+    a K-basis element of the peak dual.
     """
-    a = as_composition(alpha)
-    qm = convert(term("NSym", "Q", Composition((m,))), "Xi", "Peak")
-    out = FreeElement.zero("PeakDual", "K")
-    parts = a.parts
-    for cut in range(len(parts) + 1):
-        beta, gamma = parts[:cut], parts[cut:]
-        if sum(gamma) != m:
-            continue
-        ngamma = convert(term("PeakDual", "N", Composition(gamma)), "K")
-        val = peak_pairing(qm, ngamma)
-        if val:
-            out = out + convert(
-                term("PeakDual", "N", Composition(beta)), "K"
-            ).scale(val)
-    return out
+    parts = as_composition(alpha).parts
+    cut, tail = len(parts), 0
+    while tail < m and cut:
+        cut -= 1
+        tail += parts[cut]
+    if tail != m:
+        return FreeElement.zero("PeakDual", "K")
+    val = pairing(term("NSym", "Q", (m,)), term("QSym", "M", parts[cut:]))
+    return convert(term("PeakDual", "N", parts[:cut], val), "K")
 
 
 class DoubleElement:
@@ -218,34 +216,51 @@ def _omega_basis_in_k(degree: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _length_filtration(degree: int) -> tuple:
+    """The length filtration of one degree, built once: the q-multiples of
+    the N words, added by increasing word length under tags (length, i).
+
+    Returns ``(solver, kept)`` with ``kept`` the (length, K element) pairs
+    that enlarged the span, in order; the piece of level l is spanned by
+    the kept elements of length <= l.  Guarded like the freeness
+    certificate, so this cache holds at most MAX_FREENESS_DEGREE + 1
+    entries.
+    """
+    guard_freeness_degree(degree)
+    if degree < 0:
+        raise ValueError("negative degree %d" % degree)
+    words = [a for d in range(1, degree + 1) for a in compositions_of(d)]
+    solver, kept, count = SpanSolver(), [], 0
+    for alpha in [Composition(())] + sorted(words, key=lambda a: a.length):
+        nalpha = convert(term("PeakDual", "N", alpha), "K")
+        for _lam, omega_elt in _omega_basis_in_k(degree - alpha.n):
+            prod = product(omega_elt, nalpha)
+            if prod and solver.add((alpha.length, count), prod.coeffs):
+                kept.append((alpha.length, prod))
+            count += 1
+    return solver, tuple(kept)
+
+
 def filtration_component(level: int, degree: int, max_degree: int = 8):
     """Exact spanning data for the level-th filtration piece in one degree.
 
     The piece is the span of q-ring multiples of the N words of length at
     most ``level``; level 0 is the q-ring itself.  Returns (basis elements,
-    rank).
+    rank); the basis is independent.
     """
     if degree > max_degree:
         raise ResourceLimitError("filtration guard at degree <= %d" % max_degree)
-    vectors = []
-    solver = SpanSolver()
-    basis = []
-    count = 0
-    words = [Composition(())]
-    for d in range(1, degree + 1):
-        if level >= 1:
-            words += [a for a in compositions_of(d) if a.length <= level]
-    for alpha in words:
-        rest = degree - alpha.n
-        if rest < 0:
-            continue
-        nalpha = convert(term("PeakDual", "N", alpha), "K")
-        for _lam, omega_elt in _omega_basis_in_k(rest):
-            prod = product(omega_elt, nalpha) if alpha.parts else omega_elt
-            if prod and solver.add(count, prod.coeffs):
-                basis.append(prod)
-            count += 1
-    return basis, solver.rank
+    basis = [x for length, x in _length_filtration(degree)[1] if length <= level]
+    return basis, len(basis)
+
+
+def in_filtration(x: FreeElement, level: int, degree: int) -> bool:
+    """Whether the peak dual element ``x`` of the given degree lies in the
+    level-th filtration piece.  The kept vectors are independent, so the
+    expression of ``x`` in them is unique and its tags decide the level."""
+    rep = _length_filtration(degree)[0].express(convert(x, "K", "PeakDual").coeffs)
+    return rep is not None and all(length <= level for length, _i in rep)
 
 
 @dataclass
@@ -277,7 +292,7 @@ def free_basis_over_omega(max_degree: int = 8) -> FreenessCertificate:
     per_degree = []
     ok = True
     for d in range(0, max_degree + 1):
-        solver = SpanSolver()
+        ech = Echelon()
         count = 0
         for gdeg, g in generators:
             rest = d - gdeg
@@ -285,22 +300,22 @@ def free_basis_over_omega(max_degree: int = 8) -> FreenessCertificate:
                 continue
             for _lam, omega_elt in _omega_basis_in_k(rest):
                 prod = product(g, omega_elt)
-                if not prod or not solver.add(count, prod.coeffs):
+                if not prod or ech.add(prod.coeffs) is None:
                     ok = False
                 count += 1
         dim = len(peak_sets_in(d)) if d else 1
-        if solver.rank < dim:
+        if ech.rank < dim:
             for P in peak_sets_in(d):
                 cand = term("PeakDual", "K", P)
-                if solver.add(count, cand.coeffs):
+                if ech.add(cand.coeffs) is not None:
                     generators.append((d, cand))
                     count += 1
         record = {
             "degree": d,
             "products": count,
-            "rank": solver.rank,
+            "rank": ech.rank,
             "dim": dim,
-            "ok": count == solver.rank == dim,
+            "ok": count == ech.rank == dim,
         }
         ok = ok and record["ok"]
         per_degree.append(record)

@@ -64,7 +64,7 @@ from .combinat import (
     partitions_of,
     peak_sets_in,
 )
-from .linalg import SpanSolver, vec_add_term, vec_iadd_scaled
+from .linalg import Echelon, SpanSolver, vec_add_term, vec_iadd_scaled
 from .scalars import _rational
 
 __all__ = [
@@ -1337,16 +1337,14 @@ _PIVOT_BASIS = {"NSym": "H", "QSym": "M", "Peak": "Xi", "PeakDual": "K", "Sym": 
 
 def graded_rank(elements, degree: int) -> int:
     """Exact rank of the degree components in a fixed canonical basis."""
-    solver = SpanSolver()
+    ech = Echelon()
     algebra = None
-    for count, x in enumerate(elements):
+    for x in elements:
         if algebra is None:
             algebra = x.algebra
         elif x.algebra != algebra:
             raise ConversionError("graded_rank wants elements of a single algebra")
         pivot = _PIVOT_BASIS[algebra]
         coeffs = _convert(algebra, x.basis, _codes(x), algebra, pivot)
-        vec = {k: v for k, v in coeffs.items() if _degree(k) == degree}
-        if vec:
-            solver.add(count, vec)
-    return solver.rank
+        ech.add({k: v for k, v in coeffs.items() if _degree(k) == degree})
+    return ech.rank

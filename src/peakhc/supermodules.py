@@ -1155,8 +1155,7 @@ def end_clifford_check(alpha) -> dict:
             report["bad_pair"] = (v, w)
             return report
     # the 2^|V| ordered products span End
-    span = SpanSolver()
-    count = 0
+    span = Echelon()
     for r in range(len(valleys) + 1):
         for combo in itertools.combinations(valleys, r):
             mat = ident
@@ -1165,8 +1164,7 @@ def end_clifford_check(alpha) -> dict:
             vec = {}
             for i, j, val in mat.entries():
                 vec[(i, j)] = val
-            if span.add(count, vec):
-                count += 1
+            span.add(vec)
     report["span_rank"] = span.rank
     if span.rank != 2 ** len(valleys):
         report["ok"] = False

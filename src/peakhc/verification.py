@@ -41,11 +41,11 @@ from .hecke_clifford import (
 )
 from .heisenberg import (
     _hilbert_report,
-    filtration_component,
     fock_action,
     fock_action_on_word,
     free_basis_over_omega,
     guard_freeness_degree,
+    in_filtration,
 )
 from .hopf import (
     FreeElement,
@@ -61,7 +61,7 @@ from .hopf import (
     theta_transform,
     vartheta_map,
 )
-from .linalg import Echelon, SpanSolver
+from .linalg import Echelon
 from .scalars import GAUSS_ZERO, GaussianRational
 from .supermodules import (
     end_clifford_check,
@@ -390,29 +390,17 @@ def suite_heisenberg(max_degree: int = 8, **_kw) -> list:
     # the certificate comes last; its guard is checked before the batteries
     guard_freeness_degree(max_degree)
     out = []
-    # lowering property
+    # lowering property: the closed form against the degree n - m component
+    # of one coproduct-route action of Q_1 + ... + Q_n, then its level
     bad = []
-    span_cache: dict = {}
-
-    def filtration_solver(level, degree):
-        key = (level, degree)
-        got = span_cache.get(key)
-        if got is None:
-            basis, _rank = filtration_component(level, degree, max_degree=max_degree)
-            got = SpanSolver()
-            for i, b in enumerate(basis):
-                got.add(i, b.coeffs)
-            span_cache[key] = got
-        return got
-
     for n in range(1, max_degree + 1):
+        qsum = FreeElement("NSym", "Q", {(m,): 1 for m in range(1, n + 1)})
+        qsum = convert(qsum, "Xi", "Peak")
         for a in compositions_of(n):
+            general = fock_action(qsum, term("PeakDual", "N", a))
             for m in range(1, n + 1):
-                img = fock_action_on_word(m, a)
-                if not img:
-                    continue
-                solver = filtration_solver(a.length - 1, n - m)
-                if not solver.contains(dict(img.coeffs)):
+                img, deg = fock_action_on_word(m, a), n - m
+                if img != general.component(deg) or not in_filtration(img, a.length - 1, deg):
                     bad.append((str(a), m))
     out.append(_report("fock-lowering", {"max_degree": max_degree}, not bad, bad))
     # module-algebra law on random pairs of bounded degree

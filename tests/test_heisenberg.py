@@ -1,22 +1,28 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from peakhc.combinat import (
     Composition,
     PeakSet,
+    ResourceLimitError,
     compositions_of,
     peak_sets_in,
     strict_partitions_of,
 )
+from peakhc import heisenberg
 from peakhc.heisenberg import (
+    MAX_FREENESS_DEGREE,
     DoubleElement,
+    _omega_basis_in_k,
     filtration_component,
     fock_action,
     fock_action_on_word,
     free_basis_over_omega,
     hilbert_series_identity,
+    in_filtration,
 )
 from peakhc.hopf import (
     FreeElement,
@@ -175,6 +181,98 @@ def test_lowering_property():
                     )
                 vec = {k: v for k, v in img.coeffs.items()}
                 assert solver.contains(vec), (a, m)
+
+
+@lru_cache(maxsize=None)
+def reference_solver(level, degree):
+    """The filtration piece built from scratch, word by word in degree
+    order, into a fresh solver."""
+    solver = SpanSolver()
+    count = 0
+    words = [Composition(())]
+    for d in range(1, degree + 1):
+        if level >= 1:
+            words += [a for a in compositions_of(d) if a.length <= level]
+    for alpha in words:
+        rest = degree - alpha.n
+        if rest < 0:
+            continue
+        nalpha = convert(term("PeakDual", "N", alpha), "K")
+        for _lam, omega_elt in _omega_basis_in_k(rest):
+            prod = product(omega_elt, nalpha) if alpha.parts else omega_elt
+            if prod:
+                solver.add(count, prod.coeffs)
+            count += 1
+    return solver
+
+
+def test_filtration_matches_reference_builder():
+    for degree in range(0, 8):
+        for level in range(0, degree + 1):
+            basis, rank = filtration_component(level, degree, max_degree=7)
+            ref_solver = reference_solver(level, degree)
+            assert rank == ref_solver.rank == len(basis), (level, degree)
+            # equal ranks and one span inside the other: equal spans
+            assert all(ref_solver.contains(b.coeffs) for b in basis), (level, degree)
+
+
+def test_in_filtration_agrees_with_reference_on_lowering_images():
+    for n in range(1, 8):
+        for a in compositions_of(n):
+            for m in range(1, n + 1):
+                img = fock_action_on_word(m, a)
+                for level in (a.length - 2, a.length - 1):
+                    if level < 0:
+                        continue
+                    ref = reference_solver(level, n - m)
+                    assert in_filtration(img, level, n - m) == ref.contains(img.coeffs), (
+                        a, m, level,
+                    )
+
+
+def test_in_filtration_separates_adjacent_levels():
+    # negative control: where a piece grows, its newest element is new
+    grew = 0
+    for degree in range(1, 8):
+        for level in range(0, degree):
+            below, rank_below = filtration_component(level, degree, max_degree=7)
+            above, rank_above = filtration_component(level + 1, degree, max_degree=7)
+            if rank_above == rank_below:
+                continue
+            grew += 1
+            x = above[-1]
+            assert not in_filtration(x, level, degree), (level, degree)
+            assert in_filtration(x, level + 1, degree), (level, degree)
+    assert grew
+
+
+def test_filtration_guard_leaves_cache_unchanged():
+    before = heisenberg._length_filtration.cache_info().currsize
+    too_big = MAX_FREENESS_DEGREE + 1
+    with pytest.raises(ResourceLimitError):
+        in_filtration(unit("PeakDual", "K"), 0, too_big)
+    with pytest.raises(ResourceLimitError):
+        filtration_component(0, too_big, max_degree=too_big)
+    with pytest.raises(ValueError):
+        in_filtration(unit("PeakDual", "K"), 0, -1)
+    assert heisenberg._length_filtration.cache_info().currsize == before
+
+
+def test_fock_lowering_report_sees_a_dropped_coefficient(monkeypatch):
+    # N_beta for the cut alpha = beta . gamma with |gamma| = m, without the
+    # pairing <Q_m, M_gamma>: still in the right filtration piece, but wrong
+    from peakhc import verification
+
+    def uncoefficiented(m, alpha):
+        parts = alpha.parts
+        for cut in range(len(parts)):
+            if sum(parts[cut:]) == m:
+                return convert(Nword(*parts[:cut]), "K")
+        return FreeElement.zero("PeakDual", "K")
+
+    monkeypatch.setattr(verification, "fock_action_on_word", uncoefficiented)
+    reports = {r["claim"]: r for r in verification.suite_heisenberg(max_degree=4)}
+    assert reports["fock-lowering"]["status"] == "failed"
 
 
 def test_freeness_certificate():
