@@ -45,7 +45,6 @@ from .combinat import (
 from .hopf import (
     FreeElement,
     convert,
-    coproduct,
     forgetful_pi,
     graded_rank,
     pairing,
@@ -61,13 +60,10 @@ from .supermodules import (
     hecke_composition_multiplicities,
     hom_dim_to_hecke_simple,
     induce_clifford,
-    outer_tensor,
     parabolic_induce,
     projective_hecke,
-    projective_hom_dim,
     restrict_corner,
     restrict_hecke,
-    restrict_parabolic,
     restriction_vectors,
     simple_hecke,
     submodule_on_vectors,
@@ -536,79 +532,6 @@ def _descent_pair_counts(n: int) -> dict:
         key = (word_descents(w), word_descents(word_inverse(w)))
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def _ribbon_coproduct_coefficients(alpha) -> dict:
-    """Coefficients of the ribbon coproduct: Delta R_alpha = sum c R (x) R."""
-    t = coproduct(term("NSym", "R", as_composition(alpha)))
-    return dict(t.coeffs)
-
-
-def verify_projective_coproduct(alpha, shape) -> dict:
-    """[Res P] of the induced projective along a parabolic equals the ribbon
-    coproduct coefficients, checked through Hom-dimension signatures.
-
-    Both sides are evaluated against every pair of induced simples: the left
-    side via Frobenius reciprocity and block composition multiplicities, the
-    right side via the product pairing rule.
-    """
-    a = as_composition(alpha)
-    m, k = shape
-    coefs = _ribbon_coproduct_coefficients(a)
-    res_p = restrict_parabolic(projective_hecke(a), (m, k))
-    # multiplicities of the projective pair inside the restricted projective
-    pair_mults = {}
-    for g1 in compositions_of(m) if m else [Composition(())]:
-        for g2 in compositions_of(k) if k else [Composition(())]:
-            pair_mults[(g1, g2)] = hom_dim_to_hecke_simple(res_p, (g1, g2))
-    # they must equal the coproduct coefficients outright
-    for pair, mult in pair_mults.items():
-        expected = coefs.get(pair, 0)
-        if mult != expected:
-            return {"claim": "projective-coproduct", "params":
-                    {"alpha": str(a), "shape": [m, k]},
-                    "status": "failed",
-                    "witness": {"pair": [str(pair[0]), str(pair[1])],
-                                "got": mult, "expected": str(expected)}}
-    # Hom-dimension signature against simple pairs, plus class adjointness
-    simple_mults = {}
-    for b in compositions_of(m) if m else [Composition(())]:
-        st = induce_clifford(simple_hecke(b))
-        simple_mults[("L", b)] = hecke_composition_multiplicities(restrict_hecke(st))
-    for b in compositions_of(k) if k else [Composition(())]:
-        st = induce_clifford(simple_hecke(b))
-        simple_mults[("R", b)] = hecke_composition_multiplicities(restrict_hecke(st))
-    for b1 in compositions_of(m) if m else [Composition(())]:
-        for b2 in compositions_of(k) if k else [Composition(())]:
-            pair_module = outer_tensor(
-                restrict_hecke(induce_clifford(simple_hecke(b1))),
-                restrict_hecke(induce_clifford(simple_hecke(b2))),
-            )
-            mults = hecke_composition_multiplicities(pair_module)
-            lhs = sum(
-                pair_mults[(g1, g2)] * mults.get((g1, g2), 0)
-                for (g1, g2) in pair_mults
-            )
-            rhs = sum(
-                coefs.get((g1, g2), 0)
-                * simple_mults[("L", b1)].get((g1,), 0)
-                * simple_mults[("R", b2)].get((g2,), 0)
-                for (g1, g2) in pair_mults
-            )
-            # adjointness: pairing against the induced outer product
-            ind = parabolic_induce(
-                induce_clifford(simple_hecke(b1)), induce_clifford(simple_hecke(b2))
-            )
-            adj = projective_hom_dim(ind, a)
-            if not lhs == rhs == adj:
-                return {"claim": "projective-coproduct", "params":
-                        {"alpha": str(a), "shape": [m, k]},
-                        "status": "failed",
-                        "witness": {"pair": [str(b1), str(b2)],
-                                    "lhs": lhs, "rhs": str(rhs), "adjoint": adj}}
-    return {"claim": "projective-coproduct",
-            "params": {"alpha": str(a), "shape": [m, k]},
-            "status": "verified", "witness": None}
 
 
 def verify_bialgebra_compatibility(alpha, beta) -> dict:

@@ -12,17 +12,21 @@ and the cross relations
 
 Elements are kept in the normal form  sum  coeff * c_D T_w  with D a subset
 of [n] (c's in increasing index order, to the left of the T's) and w given
-by any reduced word; coefficients are Gaussian rationals.  Multiplication
-rewrites a single generator at a time:
+by any reduced word; coefficients are Gaussian rationals.  The rewriting
+rules act by a single generator on the left:
 
     T_i c_D = c_D T_i                                    (i, i+1 not in D)
             = c_{D-i+(i+1)} T_i                          (i in D only)
             = c_{D-(i+1)+i} (T_i + 1) - c_D              (i+1 in D only)
             = -c_D (T_i + 1) + c_{D - {i, i+1}}          (both in D)
 
-together with the left Demazure rule T_i T_w = T_{s_i w} or -T_w.  The
-structure constants are integers; we keep Gaussian-rational coefficients so
-idempotent computations downstream need no ring change.
+together with the left Demazure rule T_i T_w = T_{s_i w} or -T_w.  Module
+actions and the (anti-)involutions walk these rules along normal words.
+Multiplication instead reads c_D T_w * c_E T_v = c_D (T_w c_E) T_v from
+three cached integer tables that the same rules fill once per key: T_w c_E
+in normal form, the Clifford sign of c_D c_D', and the Demazure sign of
+T_u T_v.  The structure constants are integers; we keep Gaussian-rational
+coefficients so idempotent computations downstream need no ring change.
 
 The canonical basis order is (|D|, bitmask of D, one-line word); all
 matrices produced here follow it.
@@ -289,10 +293,70 @@ def act_terms(terms: dict, act, vecs, anti: bool = False) -> list:
     return outs
 
 
+def _walk(x, y) -> dict:
+    """The basis element x times the basis element y, both (D, w) keys, by
+    the generator rules with ``int`` coefficients."""
+    return act_terms({x: 1}, _left_mul, [{y: 1}])[0]
+
+
+@lru_cache(maxsize=None)
+def _shared(x):
+    """The first object seen equal to x: one subset or permutation object
+    per value in the tables below."""
+    return x
+
+
+@lru_cache(maxsize=None)
+def _t_times_c(w: tuple, e: frozenset) -> tuple:
+    """T_w c_E in normal form as (k, D, u) triples, k an int: at most
+    n! 2^n entries per rank n."""
+    ident = tuple(range(1, len(w) + 1))
+    terms = _walk((frozenset(), w), (e, ident))
+    return tuple((k, _shared(d), _shared(u)) for (d, u), k in terms.items())
+
+
+@lru_cache(maxsize=None)
+def _clifford_sign(d: frozenset, e: frozenset) -> tuple:
+    """(s, D xor E) with c_D c_E = s c_{D xor E}: at most 4^n entries per
+    rank n.  The empty permutation stands in for the identity: c letters
+    never read it."""
+    ((de, _w), s), = _walk((d, ()), (e, ())).items()
+    return s, _shared(de)
+
+
+@lru_cache(maxsize=None)
+def _demazure_sign(u: tuple, v: tuple) -> tuple:
+    """(t, u*v) with T_u T_v = t T_{u*v}, u*v the Demazure product: at most
+    (n!)^2 entries per rank n."""
+    ((_d, uv), t), = _walk((frozenset(), u), (frozenset(), v)).items()
+    return t, _shared(uv)
+
+
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """a*b term by term, c_D T_w * c_E T_v = c_D (T_w c_E) T_v, from the
+    three integer tables.  Each coefficient product x*y is formed once, by
+    components; real and imaginary parts are summed apart and one
+    GaussianRational is built per nonzero key."""
     if a.rank != b.rank:
         raise RankMismatchError("ranks %d and %d" % (a.rank, b.rank))
-    return AlgebraElement(a.rank, act_terms(a.terms, _left_mul, [b.terms])[0])
+    re, im = {}, {}
+    for (d, w), x in a.terms.items():
+        for (e, v), y in b.terms.items():
+            xr = x.re * y.re - x.im * y.im
+            xi = x.re * y.im + x.im * y.re
+            for k, d2, u in _t_times_c(w, e):
+                s, dd = _clifford_sign(d, d2)
+                t, uv = _demazure_sign(u, v)
+                key, m = (dd, uv), k * s * t
+                re[key] = re.get(key, 0) + xr * m
+                if xi:
+                    im[key] = im.get(key, 0) + xi * m
+    out = {}
+    for key, r in re.items():
+        i = im.get(key, 0)
+        if r or i:
+            out[key] = GaussianRational(r, i)
+    return a._make(out)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,21 @@ from peakhc.characteristic import (
     verify_restriction_to_hecke,
     verify_restriction_vectors,
 )
-from peakhc.hopf import FreeElement, term
+from peakhc.hopf import FreeElement, coproduct, term
 from peakhc.linalg import solve_unique
-from peakhc.supermodules import hom_space, induce_clifford, projective_hecke, simple_hecke
+from peakhc.supermodules import (
+    hecke_composition_multiplicities,
+    hom_dim_to_hecke_simple,
+    hom_space,
+    induce_clifford,
+    outer_tensor,
+    parabolic_induce,
+    projective_hecke,
+    projective_hom_dim,
+    restrict_hecke,
+    restrict_parabolic,
+    simple_hecke,
+)
 
 
 def C(*parts):
@@ -178,13 +190,49 @@ def test_bialgebra_compatibility_small():
 
 
 def test_projective_coproduct_and_adjointness():
-    from peakhc.characteristic import verify_projective_coproduct
+    # Res P_alpha along the parabolic of shape (m, k) has the ribbon
+    # coproduct coefficients of R_alpha as its projective-pair
+    # multiplicities; against every pair of induced simples (b1, b2) the
+    # Hom-dimension signature of both sides agrees with Hom(P_alpha, the
+    # parabolic induction of the pair), by adjointness
+    def comps(m):
+        return compositions_of(m) if m else [Composition(())]
+
+    def hecke_mults(module):
+        return hecke_composition_multiplicities(restrict_hecke(module))
 
     for n in (2, 3, 4):
+        st = {b: induce_clifford(simple_hecke(b)) for m in range(1, n) for b in comps(m)}
+        st_mults = {b: hecke_mults(mod) for b, mod in st.items()}
         for a in compositions_of(n):
+            coefs = dict(coproduct(term("NSym", "R", a)).coeffs)
             for m in range(1, n):
-                rep = verify_projective_coproduct(a, (m, n - m))
-                assert rep["status"] == "verified", rep
+                k = n - m
+                res_p = restrict_parabolic(projective_hecke(a), (m, k))
+                pair_mults = {
+                    (g1, g2): hom_dim_to_hecke_simple(res_p, (g1, g2))
+                    for g1 in comps(m)
+                    for g2 in comps(k)
+                }
+                for pair, mult in pair_mults.items():
+                    assert mult == coefs.get(pair, 0), (a, m, pair)
+                for b1 in comps(m):
+                    for b2 in comps(k):
+                        pair_module = outer_tensor(
+                            restrict_hecke(st[b1]), restrict_hecke(st[b2])
+                        )
+                        mults = hecke_composition_multiplicities(pair_module)
+                        lhs = sum(
+                            mult * mults.get(pair, 0) for pair, mult in pair_mults.items()
+                        )
+                        rhs = sum(
+                            coefs.get((g1, g2), 0)
+                            * st_mults[b1].get((g1,), 0)
+                            * st_mults[b2].get((g2,), 0)
+                            for (g1, g2) in pair_mults
+                        )
+                        adj = projective_hom_dim(parabolic_induce(st[b1], st[b2]), a)
+                        assert lhs == rhs == adj, (a, m, b1, b2)
 
 
 def test_nakayama_twist_on_classes_rank_five():

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +17,11 @@ from peakhc.hecke_clifford import (
     MORPHISM_TAGS,
     AlgebraElement,
     RankMismatchError,
+    _clifford_sign,
+    _demazure_sign,
+    _left_mul,
+    _t_times_c,
+    act_terms,
     algebra_basis,
     apply_morphism,
     basis_element,
@@ -33,6 +40,7 @@ from peakhc.hecke_clifford import (
 from peakhc.linalg import Echelon
 from peakhc.scalars import GAUSS_I, GAUSS_ONE, GaussianRational
 from peakhc.supermodules import induce_clifford, simple_hecke
+from peakhc.verification import suite_algebra
 
 
 def T(i, n):
@@ -45,8 +53,6 @@ def c(j, n):
 
 def test_basis_size():
     for n in range(0, 5):
-        import math
-
         assert len(algebra_basis(n)) == 2 ** n * math.factorial(n)
 
 
@@ -140,6 +146,10 @@ def test_rank_mismatch():
         multiply(T(1, 2), T(1, 3))
 
 
+def _subsets(n):
+    return [frozenset(i + 1 for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+
+
 def test_integer_structure_constants():
     n = 3
     for (d, w) in algebra_basis(n):
@@ -147,6 +157,87 @@ def test_integer_structure_constants():
             prod = multiply(basis_element(d, w, n), basis_element(e, v, n))
             for coeff in prod.terms.values():
                 assert type(coeff.re) is int and type(coeff.im) is int
+    # the three tables behind multiply hold int coefficients and signs
+    perms = list(itertools.permutations(range(1, n + 1)))
+    for w in perms:
+        for e in _subsets(n):
+            for k, _d, _u in _t_times_c(w, e):
+                assert type(k) is int and k
+        for v in perms:
+            t, _uv = _demazure_sign(w, v)
+            assert type(t) is int and t in (1, -1)
+    for d in _subsets(n):
+        for e in _subsets(n):
+            s, de = _clifford_sign(d, e)
+            assert type(s) is int and s in (1, -1) and de == d ^ e
+
+
+def _multiply_by_walk(a, b):
+    """The reference product: b walked through the generator word of each
+    term of a, one generator at a time."""
+    return AlgebraElement(a.rank, act_terms(a.terms, _left_mul, [b.terms])[0])
+
+
+def _random_coefficient(rng, kind):
+    if kind == "int":
+        return rng.choice((-3, -2, -1, 1, 2, 3))
+    if kind == "fraction":
+        return Fraction(rng.choice((-5, -3, -1, 1, 2, 4)), rng.randint(1, 4))
+    return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                            rng.choice((-2, -1, 1, 3)))
+
+
+def _random_element(rng, n, parity, kind):
+    """One to four basis terms of parity 0 or 1, or for "mixed" one term of
+    each parity and up to two more, with coefficients of one kind."""
+    basis = algebra_basis(n)
+    if parity == "mixed":
+        pools = [[k for k in basis if len(k[0]) % 2 == p] for p in (0, 1)]
+        pools += [basis] * rng.randint(0, 2)
+    else:
+        pools = [[k for k in basis if len(k[0]) % 2 == parity]] * rng.randint(1, 4)
+    return AlgebraElement(n, {rng.choice(p): _random_coefficient(rng, kind) for p in pools})
+
+
+def test_multiply_matches_the_generator_walk():
+    rng = random.Random(2024)
+    for n in range(0, 6):
+        for kind in ("int", "fraction", "gauss"):
+            for _ in range(30):
+                pa, pb = (rng.choice((0, 1, "mixed")) for _ in range(2))
+                if n == 0:
+                    pa = pb = 0
+                a = _random_element(rng, n, pa, kind)
+                b = _random_element(rng, n, pb, kind)
+                prod = multiply(a, b)
+                assert prod == _multiply_by_walk(a, b), (a, b)
+                assert all(prod.terms.values()), prod.terms
+
+
+def test_multiply_drops_a_complete_cancellation():
+    # T_i (T_i + 1) = T_i^2 + T_i = 0, term by term
+    for n in (2, 3, 4):
+        for i in range(1, n):
+            prod = multiply(T(i, n), T(i, n) + unit(n))
+            assert prod.terms == {} and prod == _multiply_by_walk(T(i, n), T(i, n) + unit(n))
+    # the same cancellation with imaginary and with Gaussian coefficients
+    assert multiply(T(1, 3).scale(GAUSS_I), T(1, 3) + unit(3)).terms == {}
+    assert multiply((T(2, 3) + unit(3)).scale(GAUSS_I), T(2, 3).scale(GAUSS_I + 2)).terms == {}
+
+
+def test_table_sizes_stay_within_their_bounds():
+    # summed over the ranks 1..3 that suite_algebra(max_n=3) visits:
+    # n! 2^n entries of T_w c_E, 4^n Clifford signs, (n!)^2 Demazure signs
+    tables = {
+        _t_times_c: sum(math.factorial(n) * 2 ** n for n in range(1, 4)),
+        _clifford_sign: sum(4 ** n for n in range(1, 4)),
+        _demazure_sign: sum(math.factorial(n) ** 2 for n in range(1, 4)),
+    }
+    for table in tables:
+        table.cache_clear()
+    assert all(r["status"] == "verified" for r in suite_algebra(max_n=3))
+    for table, bound in tables.items():
+        assert 0 < table.cache_info().currsize <= bound, (table, bound)
 
 
 def _assert_int_components(values, where):
