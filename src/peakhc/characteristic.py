@@ -58,7 +58,7 @@ from .linalg import Echelon, SpanSolver, solve_unique
 from .supermodules import (
     Supermodule,
     hecke_composition_multiplicities,
-    hom_dim_to_hecke_simple,
+    hecke_simple_hom_dims,
     induce_clifford,
     parabolic_induce,
     projective_hecke,
@@ -158,9 +158,10 @@ def hecke_projective_class(module: Supermodule) -> ModuleClass:
     if module.algebra != "H" or len(module.blocks) != 1:
         raise ValueError("single-block Hecke modules only")
     n = module.rank
+    dims = hecke_simple_hom_dims(module)
     out = FreeElement.zero("NSym", "R")
     for g in compositions_of(n) if n else [Composition(())]:
-        m = hom_dim_to_hecke_simple(module, g)
+        m = dims.get(g, 0)
         if m:
             out = out + term("NSym", "R", g, m)
     return ModuleClass("K", out)
@@ -328,9 +329,9 @@ def verify_restriction_to_hecke(alpha) -> dict:
     # cross-check by Hecke multiplicities at small rank: the coefficient of
     # [P_gamma] equals dim Hom(Res, S_gamma)
     if a.n <= 4 and status == "verified":
-        res = restrict_hecke(induce_clifford(projective_hecke(a)))
+        dims = hecke_simple_hom_dims(restrict_hecke(induce_clifford(projective_hecke(a))))
         for g in compositions_of(a.n):
-            got = hom_dim_to_hecke_simple(res, g)
+            got = dims.get(g, 0)
             expected = right.coeffs.get(g, 0)
             if got != expected:
                 status = "failed"

@@ -66,19 +66,26 @@ def fock_action(a: FreeElement, x: FreeElement) -> FreeElement:
     """Lowering action of the peak algebra on the peak dual.
 
     ``a`` may be inhomogeneous; each homogeneous piece acts by pairing the
-    right coproduct slot of ``x``.
+    right coproduct slot of ``x``.  An N-basis ``x`` is deconcatenated in
+    N: only the right slot of each cut is read into K, to pair with ``a``,
+    and the collected left side is converted to K once.
     """
     if a.algebra != "Peak":
         a = convert(a, "Xi", "Peak")
     if x.algebra != "PeakDual":
         x = convert(x, "K", "PeakDual")
     # [a, K_Q] is the Xi coefficient of a at Q
+    xi = a.coeffs
     out = {}
-    for (k1, k2), c in coproduct(convert(x, "K")).coeffs.items():
-        val = a.coeffs.get(k2)
+    for (k1, k2), c in coproduct(x).coeffs.items():
+        if x.basis == "K":
+            val = xi.get(k2)
+        else:
+            right = convert(term("PeakDual", "N", k2), "K").coeffs
+            val = sum(cq * xi.get(q, 0) for q, cq in right.items())
         if val:
             vec_add_term(out, k1, c * val)
-    return FreeElement("PeakDual", "K", out)
+    return convert(FreeElement("PeakDual", x.basis, out), "K")
 
 
 def fock_action_on_word(m: int, alpha) -> FreeElement:

@@ -2,10 +2,17 @@
 
 Vectors are dicts mapping an index to a nonzero scalar; matrices are stored
 column-sparse.  Everything here is field-generic: any scalar type with exact
-+, -, *, / and truthiness-as-nonzero works.  No floating point anywhere.
++, -, *, / and truthiness-as-nonzero works.  Q(i) has two fast paths that
+give the same values: ``vec_iadd_scaled`` forms u[k] + c*v[k] from the
+components of ``GaussianRational`` operands, and a ``GaussianRational`` pivot
+is inverted as conj/norm.  No floating point anywhere.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+from .scalars import GaussianRational
 
 __all__ = [
     "vec_add_term",
@@ -33,11 +40,42 @@ def vec_iadd_scaled(u: dict, v, c) -> dict:
     """u += c*v in place, dropping cancelled entries; returns u.
 
     ``v`` is a dict or an iterable of (key, value) pairs.  The product is
-    formed as ``c * value``, so int coefficients stay int.
+    formed as ``c * value``, so int coefficients stay int.  When ``c`` and
+    an entry of ``v`` (and of ``u``, if present) are ``GaussianRational``,
+    the real and imaginary parts of ``u[k] + c*v[k]`` are formed from the
+    components, so one value is built per entry instead of two.
     """
     if not c:
         return u
-    for k, val in v.items() if isinstance(v, dict) else v:
+    items = v.items() if isinstance(v, dict) else v
+    if type(c) is GaussianRational:
+        cr, ci = c.re, c.im
+        for k, val in items:
+            s = u.get(k)
+            if type(val) is not GaussianRational or (
+                s is not None and type(s) is not GaussianRational
+            ):
+                vec_add_term(u, k, c * val)  # a real entry: the generic operators
+                continue
+            vr, vi = val.re, val.im
+            # only nonzero parts are multiplied: Fraction * 0 builds a Fraction
+            if ci and vi:
+                re, im = cr * vr - ci * vi, cr * vi + ci * vr
+            elif vi:
+                re, im = cr * vr, cr * vi
+            elif ci:
+                re, im = cr * vr, ci * vr
+            else:
+                re, im = cr * vr, 0
+            if s is not None:
+                re += s.re
+                im = im + s.im if im else s.im
+            if re or im:
+                u[k] = GaussianRational(re, im)
+            elif s is not None:
+                del u[k]
+        return u
+    for k, val in items:
         s = u.get(k)
         s = c * val if s is None else s + c * val
         if s:
@@ -200,6 +238,13 @@ class Echelon:
         self.rows[p] = row
         return p
 
+    def copy(self) -> "Echelon":
+        """An echelon form that shares the stored rows, which are never
+        modified in place, but not the pivot table."""
+        out = Echelon()
+        out.rows = dict(self.rows)
+        return out
+
     @property
     def rank(self) -> int:
         return len(self.rows)
@@ -266,11 +311,14 @@ class SpanSolver:
 
 
 def _invert_scalar(c):
-    """Exact 1/c that keeps ints inside the rationals."""
+    """Exact 1/c: an int stays int when c is 1 or -1 and becomes a Fraction
+    otherwise, and a GaussianRational is inverted as conj(c) / |c|^2."""
+    if type(c) is GaussianRational:
+        re, im = c.re, c.im
+        nrm = re * re + im * im
+        return GaussianRational(Fraction(re, nrm), Fraction(-im, nrm) if im else 0)
     if isinstance(c, int):
-        from fractions import Fraction
-
-        return Fraction(1, c)
+        return int(c) if c == 1 or c == -1 else Fraction(1, c)
     one = c / c
     return one / c
 

@@ -40,41 +40,47 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = _rational(re)
-        self.im = _rational(im)
+        self.re = re if type(re) is int else _rational(re)
+        self.im = im if type(im) is int else _rational(im)
 
     # -- ring structure ----------------------------------------------------
 
+    # A GaussianRational operand is read directly, and an int or Fraction
+    # one as a real number, so neither is first promoted through _coerce.
+
     def __add__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if type(other) is GaussianRational:
+            return GaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if type(other) is GaussianRational:
+            return GaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.im and not self.im:
-            return GaussianRational(self.re * o.re)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if type(other) is GaussianRational:
+            ore, oim = other.re, other.im
+            if not oim and not self.im:
+                return GaussianRational(self.re * ore)
+            return GaussianRational(
+                self.re * ore - self.im * oim,
+                self.re * oim + self.im * ore,
+            )
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re * other, self.im * other if self.im else 0)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -114,10 +120,11 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if type(other) is GaussianRational:
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         # agrees with hash(int/Fraction) when the value is real

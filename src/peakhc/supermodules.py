@@ -90,6 +90,7 @@ __all__ = [
     "hecke_composition_multiplicities",
     "projective_hom_dim",
     "hom_dim_to_hecke_simple",
+    "hecke_simple_hom_dims",
     "clifford_idempotents",
     "split_simple",
     "SimpleSplit",
@@ -970,6 +971,47 @@ def hom_dim_to_hecke_simple(module: Supermodule, gammas) -> int:
             if row:
                 rows.append(row)
     return len(nullspace(rows, range(module.dim)))
+
+
+def hecke_simple_hom_dims(module: Supermodule) -> dict:
+    """dim Hom(M, S_gamma) for every composition gamma of the rank of a
+    single-block Hecke module, from one shared elimination.
+
+    The system of ``hom_dim_to_hecke_simple`` depends on gamma only through
+    the shift eps_i in {0, 1} of the rows of T_i (1 on a descent of gamma).
+    The walk branches on eps_i generator by generator; each child extends a
+    copy of its parent's echelon rows, and a branch whose rank reaches
+    dim M is zero for every gamma below it.  Compositions with Hom zero are
+    absent from the returned dict.
+    """
+    if module.algebra != "H" or len(module.blocks) != 1:
+        raise ValueError("pass a single-block Hecke-restricted module")
+    n, dim = module.rank, module.dim
+    out = {}
+
+    def walk(i: int, ech: Echelon, descents: tuple) -> None:
+        if ech.rank == dim:
+            return
+        if i >= n:
+            key = composition_from_descents(DescentSet(n, frozenset(descents)))
+            out[key] = dim - ech.rank
+            return
+        cols = module.actions[("T", i)].cols
+        for shift in (False, True):
+            child = ech.copy()
+            for j in range(dim):
+                # row j of the transposed action, as in hom_dim_to_hecke_simple
+                row = cols[j]
+                if shift:
+                    row = dict(row)
+                    vec_add_term(row, j, _G1)
+                child.add(row)
+                if child.rank == dim:
+                    break
+            walk(i + 1, child, descents + (i,) if shift else descents)
+
+    walk(1, Echelon(), ())
+    return out
 
 
 # ---------------------------------------------------------------------------

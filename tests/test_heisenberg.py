@@ -72,6 +72,20 @@ def test_fock_matches_deconcatenation_rule():
                 assert via_coproduct == via_rule, (a, m)
 
 
+def test_fock_action_on_n_words_matches_k_input():
+    # the N route deconcatenates in N; the K route takes the coproduct in K
+    rng = random.Random(5)
+    for n in range(1, 6):
+        keys = [P for d in range(n + 1) for P in peak_sets_in(d)]
+        a = FreeElement("Peak", "Xi", {P: rng.randint(-2, 2) for P in rng.sample(keys, min(4, len(keys)))})
+        for alpha in compositions_of(n):
+            x = Nword(*alpha.parts)
+            assert fock_action(a, x) == fock_action(a, convert(x, "K")), (a, alpha)
+        words = rng.sample(compositions_of(n), min(3, 2 ** (n - 1)))
+        x = FreeElement("PeakDual", "N", {w: Fraction(rng.randint(1, 3), 2) for w in words})
+        assert fock_action(a, x) == fock_action(a, convert(x, "K"))
+
+
 def test_module_algebra_law():
     # Q_m . (x y) = sum (Q_m)_1 . x * (Q_m)_2 . y
     rng = random.Random(2)

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +178,129 @@ def test_vec_iadd_scaled_gaussian():
     assert u == {1: GAUSS_I}
     vec_iadd_scaled(u, [(1, GAUSS_ONE)], GaussianRational(0, -1))
     assert u == {}
+
+
+def _generic_iadd_scaled(u, items, c):
+    """The operator loop of vec_iadd_scaled, without the Q(i) branch."""
+    for k, val in items:
+        s = u.get(k)
+        s = c * val if s is None else s + c * val
+        if s:
+            u[k] = s
+        else:
+            u.pop(k, None)
+    return u
+
+
+def _random_scalar(rng, gaussian):
+    def part():
+        if rng.random() < 0.3:
+            return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+        return rng.randint(-2, 2)
+
+    if not gaussian:
+        return part()
+    return GaussianRational(part(), part() if rng.random() < 0.6 else 0)
+
+
+def _int_while_integral(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def test_fused_gaussian_axpy_matches_generic_loop():
+    rng = random.Random(7)
+    for trial in range(400):
+        keys = range(12)
+        u = {}
+        for k in rng.sample(keys, rng.randint(0, 8)):
+            val = _random_scalar(rng, gaussian=rng.random() < 0.85)
+            if val:
+                u[k] = val
+        c = _random_scalar(rng, gaussian=True)
+        if not c or trial % 7 == 0:
+            c = GaussianRational(Fraction(1, 2), Fraction(-3, 2))
+        v = {}
+        for k in rng.sample(keys, rng.randint(0, 8)):
+            if k in u and type(u[k]) is GaussianRational and rng.random() < 0.4:
+                v[k] = -u[k] / c  # full cancellation
+            elif rng.random() < 0.1:
+                v[k] = GaussianRational(rng.randint(1, 3)) / c  # c * v[k] integral
+            else:
+                v[k] = _random_scalar(rng, gaussian=rng.random() < 0.8)
+        items = list(v.items())
+        want = _generic_iadd_scaled(dict(u), items, c)
+        got = vec_iadd_scaled(dict(u), dict(v), c)
+        assert got == want and list(got) == list(want), (u, v, c)
+        assert vec_iadd_scaled(dict(u), iter(items), c) == want
+        for k, val in got.items():
+            assert type(val) is type(want[k])
+            if type(val) is GaussianRational:
+                assert _int_while_integral(val.re) and _int_while_integral(val.im)
+                assert type(val.re) is type(want[k].re) and type(val.im) is type(want[k].im)
+
+
+def test_invert_scalar():
+    rng = random.Random(11)
+    for _ in range(200):
+        c = _random_scalar(rng, gaussian=True)
+        if not c:
+            continue
+        inv = _invert_scalar(c)
+        assert type(inv) is GaussianRational
+        assert inv == 1 / c and c * inv == 1
+        assert _int_while_integral(inv.re) and _int_while_integral(inv.im)
+    assert _invert_scalar(GAUSS_I) == -GAUSS_I
+    with pytest.raises(ZeroDivisionError):
+        _invert_scalar(GaussianRational(0))
+    with pytest.raises(ZeroDivisionError):
+        _invert_scalar(0)
+    for c in (1, -1):
+        assert _invert_scalar(c) == c and type(_invert_scalar(c)) is int
+    assert _invert_scalar(-2) == Fraction(-1, 2)
+
+
+def test_int_pivots_keep_int_rows_and_reps():
+    ech = Echelon()
+    assert ech.add({0: -1, 1: 3}) == 0
+    assert ech.rows == {0: {0: 1, 1: -3}}
+    assert all(type(v) is int for v in ech.rows[0].values())
+    solver = SpanSolver()
+    assert solver.add("t", {0: -1, 1: 3})
+    assert solver.rows == {0: {0: 1, 1: -3}} and solver.reps == {0: {"t": -1}}
+    assert all(type(v) is int for v in solver.rows[0].values())
+    assert type(solver.reps[0]["t"]) is int
+    assert solver.add_or_express("u", {1: -1, 2: 5}) is None
+    expr = solver.add_or_express("w", {0: 2, 1: -4, 2: -10})
+    assert expr == {"t": -2, "u": -2} and all(type(c) is int for c in expr.values())
+    assert all(type(v) is int for row in solver.rows.values() for v in row.values())
+    assert all(type(v) is int for rep in solver.reps.values() for v in rep.values())
+
+
+def _gauss_new_calls(source: str) -> list:
+    """Lines of ``X.__new__(...)`` calls that name GaussianRational as the
+    owner or as an argument."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__"):
+            continue
+        names = [node.func.value] + list(node.args)
+        if any(isinstance(n, ast.Name) and n.id == "GaussianRational" for n in names):
+            out.append(node.lineno)
+    return out
+
+
+def test_gaussian_rationals_are_built_through_init():
+    # every instance goes through __init__, so the constructor count of the
+    # benchmark's tracer (scalars.gauss_new) is exact
+    assert _gauss_new_calls("x = object.__new__(GaussianRational)\n") == [1]
+    assert _gauss_new_calls("x = GaussianRational.__new__(GaussianRational)\n") == [1]
+    assert _gauss_new_calls("x = FreeElement.__new__(FreeElement)\n") == []
+    src = Path(__file__).resolve().parent.parent / "src" / "peakhc"
+    files = sorted(src.glob("*.py"))
+    assert files
+    for path in files:
+        assert _gauss_new_calls(path.read_text()) == [], path
 
 
 def test_vec_add_term():

@@ -35,6 +35,7 @@ from peakhc.supermodules import (
     find_isomorphism,
     generator_keys,
     hecke_composition_multiplicities,
+    hecke_simple_hom_dims,
     hom_dim_to_hecke_simple,
     hom_space,
     induce_clifford,
@@ -415,6 +416,22 @@ def test_hom_dim_to_simple():
         for g in compositions_of(3):
             expected = 1 if g == a else 0
             assert hom_dim_to_hecke_simple(pa, g) == expected
+
+
+def test_shared_walk_matches_hom_dim_per_simple():
+    # one elimination walk over the descent shifts against one system per
+    # gamma, on Res Ind P_a, P_a and S_a for every a of size at most 4
+    for n in range(1, 5):
+        for a in compositions_of(n):
+            res = restrict_hecke(induce_clifford(projective_hecke(a)))
+            for mod in (res, projective_hecke(a), simple_hecke(a)):
+                dims = hecke_simple_hom_dims(mod)
+                for g in compositions_of(n):
+                    want = hom_dim_to_hecke_simple(mod, g)
+                    assert dims.get(g, 0) == want, (a, g)
+                    assert (g in dims) == bool(want)
+    with pytest.raises(ValueError):
+        hecke_simple_hom_dims(Stilde(2))
 
 
 # ---------------------------------------------------------------------------
