@@ -10,6 +10,9 @@ and the cross relations
     T_i c_j = c_j T_i (j != i, i+1),   T_i c_i = c_{i+1} T_i,
     (T_i + 1) c_{i+1} = c_i (T_i + 1).
 
+``defining_relations`` is the one list of these relations: module checks and
+the algebra suite both evaluate it through ``failing_relation``.
+
 Elements are kept in the normal form  sum  coeff * c_D T_w  with D a subset
 of [n] (c's in increasing index order, to the left of the T's) and w given
 by any reduced word; coefficients are Gaussian rationals.  The rewriting
@@ -21,7 +24,7 @@ rules act by a single generator on the left:
             = -c_D (T_i + 1) + c_{D - {i, i+1}}          (both in D)
 
 together with the left Demazure rule T_i T_w = T_{s_i w} or -T_w.  Module
-actions and the (anti-)involutions walk these rules along normal words.
+actions, induced modules and the (anti-)involutions walk these rules.
 Multiplication instead reads c_D T_w * c_E T_v = c_D (T_w c_E) T_v from
 three cached integer tables that the same rules fill once per key: T_w c_E
 in normal form, the Clifford sign of c_D c_D', and the Demazure sign of
@@ -34,7 +37,8 @@ matrices produced here follow it.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import itertools
+from functools import lru_cache, reduce
 
 from .combinat import (
     Permutation,
@@ -53,6 +57,8 @@ __all__ = [
     "gen_c",
     "basis_element",
     "algebra_basis",
+    "defining_relations",
+    "failing_relation",
     "normal_word",
     "act_terms",
     "multiply",
@@ -206,16 +212,92 @@ def basis_element(d, w, n: int) -> AlgebraElement:
 
 
 @lru_cache(maxsize=None)
+def _subsets_ordered(n: int) -> tuple:
+    """The subsets D of [n] in the canonical order (|D|, bitmask of D)."""
+    subs = (frozenset(i + 1 for i in range(n) if mask >> i & 1) for mask in range(1 << n))
+    return tuple(sorted(subs, key=lambda d: (len(d), sum(1 << (x - 1) for x in d))))
+
+
+@lru_cache(maxsize=None)
 def algebra_basis(n: int) -> tuple:
     """Canonical ordered basis (D, w) of the rank-n algebra: 2^n n! keys."""
-    import itertools
-
-    subsets = []
-    for mask in range(1 << n):
-        subsets.append(frozenset(i + 1 for i in range(n) if mask >> i & 1))
-    subsets.sort(key=lambda d: (len(d), sum(1 << (x - 1) for x in d)))
     perms = sorted(itertools.permutations(range(1, n + 1)))
-    return tuple((d, w) for d in subsets for w in perms)
+    return tuple((d, w) for d in _subsets_ordered(n) for w in perms)
+
+
+# ---------------------------------------------------------------------------
+# defining relations
+# ---------------------------------------------------------------------------
+
+
+def defining_relations(keys) -> list:
+    """The relations of the module docstring among the given generator keys
+    ("T", i), ("c", j), each a pair (lhs, rhs) of word sums: tuples of
+    (coeff, word), a word being a tuple of keys and () standing for 1.  The
+    last cross relation is written T_i c_{i+1} + c_{i+1} = c_i T_i + c_i."""
+    ts = sorted(i for kind, i in keys if kind == "T")
+    cs = sorted(j for kind, j in keys if kind == "c")
+    rels = []
+    for i in ts:
+        t = ("T", i)
+        rels.append((((1, (t, t)),), ((-1, (t,)),)))
+        for j in ts:
+            u = ("T", j)
+            if j == i + 1:
+                rels.append((((1, (t, u, t)),), ((1, (u, t, u)),)))
+            elif j > i + 1:
+                rels.append((((1, (t, u)),), ((1, (u, t)),)))
+    for i in cs:
+        c = ("c", i)
+        rels.append((((1, (c, c)),), ((-1, ()),)))
+        for j in cs:
+            if j > i:
+                rels.append((((1, (c, ("c", j))),), ((-1, (("c", j), c)),)))
+    for i in ts:
+        t = ("T", i)
+        for j in cs:
+            if j not in (i, i + 1):
+                rels.append((((1, (t, ("c", j))),), ((1, (("c", j), t)),)))
+        if i in cs and i + 1 in cs:
+            c, c1 = ("c", i), ("c", i + 1)
+            rels.append((((1, (t, c)),), ((1, (c1, t)),)))
+            rels.append((((1, (t, c1)), (1, (c1,))), ((1, (c, t)), (1, (c,)))))
+    return rels
+
+
+def _word_sum_value(terms, image: dict, mul, one):
+    """The value of a word sum: each word is the left-to-right product
+    ``mul`` of the images of its keys, the empty word is ``one``, and a
+    coefficient other than 1 enters through ``scale``."""
+    total = None
+    for coeff, word in terms:
+        val = reduce(mul, [image[key] for key in word]) if word else one
+        if coeff != 1:
+            val = val.scale(coeff)
+        total = val if total is None else total + val
+    return total
+
+
+def _relation_text(lhs, rhs) -> str:
+    """A relation of ``defining_relations`` as text, e.g. "c_1 c_1 = -1"."""
+
+    def side(terms):
+        return " + ".join(
+            ("-" if coeff < 0 else "") + (" ".join("%s_%d" % k for k in word) or "1")
+            for coeff, word in terms
+        )
+
+    return "%s = %s" % (side(lhs), side(rhs))
+
+
+def failing_relation(image: dict, mul, one):
+    """The first relation among the keys of ``image`` that fails when each
+    generator key is read as its image, ``mul`` is the product and ``one``
+    the unit, as text; None when every relation holds."""
+    for lhs, rhs in defining_relations(image):
+        if _word_sum_value(lhs, image, mul, one) != _word_sum_value(rhs, image, mul, one):
+            return _relation_text(lhs, rhs)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _rational
 
 __all__ = [
     "vec_add_term",
@@ -312,13 +312,16 @@ class SpanSolver:
 
 def _invert_scalar(c):
     """Exact 1/c: an int stays int when c is 1 or -1 and becomes a Fraction
-    otherwise, and a GaussianRational is inverted as conj(c) / |c|^2."""
+    otherwise, a Fraction with an integral inverse inverts to an int, and a
+    GaussianRational is inverted as conj(c) / |c|^2."""
     if type(c) is GaussianRational:
         re, im = c.re, c.im
         nrm = re * re + im * im
         return GaussianRational(Fraction(re, nrm), Fraction(-im, nrm) if im else 0)
     if isinstance(c, int):
         return int(c) if c == 1 or c == -1 else Fraction(1, c)
+    if isinstance(c, Fraction):
+        return _rational(1 / c)
     one = c / c
     return one / c
 

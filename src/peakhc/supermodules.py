@@ -25,6 +25,7 @@ Moebius inversion over the subset lattice recovers every multiplicity.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,9 +47,13 @@ from .combinat import (
 )
 from .hecke_clifford import (
     AlgebraElement,
+    _clifford_sign,
+    _left_mul,
+    _subsets_ordered,
     act_terms,
     apply_morphism,
     basis_element,
+    failing_relation,
     gen_c,
     gen_T,
     multiply,
@@ -157,11 +162,7 @@ class Supermodule:
 
     def check(self) -> None:
         """Verify every defining relation as an exact matrix identity."""
-        keys = generator_keys(self.blocks, self.algebra)
-        tkeys = [k for k in keys if k[0] == "T"]
-        ckeys = [k for k in keys if k[0] == "c"]
         dim = self.dim
-        ident = SparseMatrix.identity(dim, _G1)
         act = self.actions
         for key, mat in act.items():
             if mat.nrows != dim or mat.ncols != dim:
@@ -170,43 +171,10 @@ class Supermodule:
             for r, cc, _v in mat.entries():
                 if (self.parities[r] + self.parities[cc]) % 2 != want:
                     raise ValueError("action %s is not parity-homogeneous" % (key,))
-        for (_, i) in tkeys:
-            ti = act[("T", i)]
-            if ti @ ti != ti.scale(-1):
-                raise ValueError("T_%d^2 != -T_%d" % (i, i))
-            for (_, j) in tkeys:
-                if j <= i:
-                    continue
-                tj = act[("T", j)]
-                if j - i > 1:
-                    if ti @ tj != tj @ ti:
-                        raise ValueError("T_%d, T_%d do not commute" % (i, j))
-                else:
-                    if ti @ tj @ ti != tj @ ti @ tj:
-                        raise ValueError("braid fails at %d" % i)
-        for (_, i) in ckeys:
-            ci = act[("c", i)]
-            if ci @ ci != ident.scale(-1):
-                raise ValueError("c_%d^2 != -1" % i)
-            for (_, j) in ckeys:
-                if j <= i:
-                    continue
-                cj = act[("c", j)]
-                if ci @ cj != (cj @ ci).scale(-1):
-                    raise ValueError("c_%d, c_%d do not anticommute" % (i, j))
-        for (_, i) in tkeys:
-            ti = act[("T", i)]
-            for (_, j) in ckeys:
-                cj = act[("c", j)]
-                if j not in (i, i + 1):
-                    if ti @ cj != cj @ ti:
-                        raise ValueError("T_%d, c_%d do not commute" % (i, j))
-            if ("c", i) in act and ("c", i + 1) in act:
-                ci, ci1 = act[("c", i)], act[("c", i + 1)]
-                if ti @ ci != ci1 @ ti:
-                    raise ValueError("T_%d c_%d != c_%d T_%d" % (i, i, i + 1, i))
-                if (ti + ident) @ ci1 != ci @ (ti + ident):
-                    raise ValueError("(T_%d+1) c_%d relation fails" % (i, i + 1))
+        # __init__ made the keys of act the generator keys of the blocks
+        failed = failing_relation(act, operator.matmul, SparseMatrix.identity(dim, _G1))
+        if failed:
+            raise ValueError("relation %s fails" % failed)
 
     def __repr__(self):
         return "Supermodule(blocks=%r, algebra=%r, dim=%d)" % (
@@ -273,74 +241,50 @@ def trivial_module(algebra: str = "HCl") -> Supermodule:
 
 
 @lru_cache(maxsize=None)
-def _subsets_ordered(n: int) -> tuple:
-    subs = []
-    for mask in range(1 << n):
-        subs.append(frozenset(i + 1 for i in range(n) if mask >> i & 1))
-    subs.sort(key=lambda d: (len(d), sum(1 << (x - 1) for x in d)))
-    return tuple(subs)
+def _induced_moves(key, n: int) -> tuple:
+    """key * c_D in normal form for each subset D in order, read off the
+    algebra's rewriting rules: (position of E, sign, acts) per term, the
+    term c_E T_i when ``acts`` and c_E otherwise.  At most 2n - 1 entries
+    per rank n, one per generator key."""
+    subs = _subsets_ordered(n)
+    dpos = {d: k for k, d in enumerate(subs)}
+    ident = tuple(range(1, n + 1))
+    return tuple(
+        tuple((dpos[e], s, w != ident) for (e, w), s in _left_mul(key, {(d, ident): 1}).items())
+        for d in subs
+    )
 
 
 def induce_clifford(module: Supermodule) -> Supermodule:
     """Induce a 0-Hecke module to the Hecke-Clifford algebra of the same rank.
 
-    The result has basis c_D (x) m over subsets D of [n]; c_j shifts the D
-    label with Clifford signs, T_i rewrites through the cross relations.
+    The result has basis c_D (x) m over subsets D of [n].  A generator acts
+    by rewriting its product with c_D into terms c_E and c_E T_i: c_E keeps
+    m, and c_E T_i acts by T_i on m.
     """
     if module.algebra != "H" or len(module.blocks) != 1:
         raise ValueError("induce_clifford wants a single-block 0-Hecke module")
     n = module.rank
     subs = _subsets_ordered(n)
-    dpos = {d: k for k, d in enumerate(subs)}
     dm = module.dim
     dim = len(subs) * dm
-    labels = []
-    parities = []
-    for d in subs:
-        for k, lab in enumerate(module.labels):
-            labels.append((tuple(sorted(d)), lab))
-            parities.append((len(d) + module.parities[k]) % 2)
+    labels = [(tuple(sorted(d)), lab) for d in subs for lab in module.labels]
+    parities = [(len(d) + p) % 2 for d in subs for p in module.parities]
+    neg = -_G1
     actions = {}
-    for j in range(1, n + 1):
+    for key in [("c", j) for j in range(1, n + 1)] + [("T", i) for i in range(1, n)]:
+        tmat = module.actions.get(key)
         mat = SparseMatrix(dim, dim)
-        for di, d in enumerate(subs):
-            below = sum(1 for x in d if x < j)
-            if j in d:
-                tgt = dpos[d - {j}]
-                sign = -_G1 if below % 2 == 0 else _G1
-            else:
-                tgt = dpos[d | {j}]
-                sign = _G1 if below % 2 == 0 else -_G1
-            for k in range(dm):
-                mat.cols[di * dm + k][tgt * dm + k] = sign
-        actions[("c", j)] = mat
-    for i in range(1, n):
-        mat = SparseMatrix(dim, dim)
-        tmat = module.actions[("T", i)]
-        for di, d in enumerate(subs):
-            has_i, has_i1 = i in d, (i + 1) in d
+        for di, moves in enumerate(_induced_moves(key, n)):
             for k in range(dm):
                 col = mat.cols[di * dm + k]
-                tcol = tmat.cols[k]
-                if not has_i and not has_i1:
-                    for r, v in tcol.items():
-                        col[di * dm + r] = v
-                elif has_i and not has_i1:
-                    tgt = dpos[(d - {i}) | {i + 1}]
-                    for r, v in tcol.items():
-                        col[tgt * dm + r] = v
-                elif not has_i and has_i1:
-                    tgt = dpos[(d - {i + 1}) | {i}]
-                    for r, v in tcol.items():
-                        col[tgt * dm + r] = v
-                    vec_add_term(col, tgt * dm + k, _G1)
-                    vec_add_term(col, di * dm + k, -_G1)
-                else:
-                    for r, v in tcol.items():
-                        col[di * dm + r] = -v
-                    vec_add_term(col, di * dm + k, -_G1)
-                    vec_add_term(col, dpos[d - {i, i + 1}] * dm + k, _G1)
-        actions[("T", i)] = mat
+                for e, s, acts in moves:
+                    if acts:
+                        for r, v in tmat.cols[k].items():
+                            vec_add_term(col, e * dm + r, v if s > 0 else -v)
+                    else:
+                        vec_add_term(col, e * dm + k, _G1 if s > 0 else neg)
+        actions[key] = mat
     return Supermodule((n,), "HCl", labels, parities, actions)
 
 
@@ -1168,17 +1112,9 @@ def end_clifford_check(alpha) -> dict:
         for di, d in enumerate(subs):
             # f(c_D eta) = (-1)^{|D|} c_D c eta for c = sqrt(-1) c_v; the
             # i-rescaling makes the generators square to -id (the plain
-            # f_{c_v} square to +id), and the Clifford sign below moves c_v
-            # into sorted position from the right
-            above = sum(1 for x in d if x > v)
-            if v in d:
-                tgt = dpos[d - {v}]
-                sign = (-1) ** above * (-1)
-            else:
-                tgt = dpos[d | {v}]
-                sign = (-1) ** above
-            sign *= (-1) ** len(d)
-            mat.cols[di][tgt] = GAUSS_I * sign
+            # f_{c_v} square to +id)
+            sign, e = _clifford_sign(d, frozenset({v}))
+            mat.cols[di][dpos[e]] = GAUSS_I * (sign * (-1) ** len(d))
         fmaps[v] = ModuleMap(module, module, mat, 1)
     ident = SparseMatrix.identity(module.dim, _G1)
     for v, f in fmaps.items():
@@ -1365,8 +1301,10 @@ def _gauss_json(c: GaussianRational) -> dict:
     return {"re": str(c.re), "im": str(c.im)}
 
 
-def _gauss_from_json(d) -> GaussianRational:
-    return GaussianRational(Fraction(d["re"]), Fraction(d["im"]))
+def _gauss_from_json(d, where: str) -> GaussianRational:
+    if not isinstance(d, dict):
+        raise ValueError("%s is %r, not an object with 're' and 'im'" % (where, d))
+    return GaussianRational(*(Fraction(_json_field(d, key, where)) for key in ("re", "im")))
 
 
 def module_to_json(module: Supermodule) -> dict:
@@ -1401,7 +1339,9 @@ def module_from_json(doc) -> Supermodule:
     """Rebuild a module written by ``module_to_json``; raises ValueError on a
     missing key, a parity other than 0 or 1, or a matrix entry outside
     range(dim)."""
-    blocks = tuple(_json_field(doc, "blocks", "module"))
+    blocks = _json_field(doc, "blocks", "module")
+    if not isinstance(blocks, list) or not all(type(b) is int for b in blocks):
+        raise ValueError("module key 'blocks' is %r, not a list of ints" % (blocks,))
     algebra = _json_field(doc, "algebra", "module")
     basis = _json_field(doc, "basis", "module")
     labels = tuple(_json_field(b, "label", "basis entry %d" % i) for i, b in enumerate(basis))
@@ -1420,6 +1360,7 @@ def module_from_json(doc) -> Supermodule:
                     "action %s has an entry at (%r, %r) outside the %d x %d matrix"
                     % (name, r, ccol, dim, dim)
                 )
-            mat.set(r, ccol, _gauss_from_json(val))
+            where = "action %s entry (%d, %d)" % (name, r, ccol)
+            mat.set(r, ccol, _gauss_from_json(val, where))
         actions[(kind, idx)] = mat
     return Supermodule(blocks, algebra, labels, parities, actions)

@@ -32,6 +32,7 @@ from .characteristic import (
 from .hecke_clifford import (
     AlgebraElement,
     algebra_basis,
+    failing_relation,
     frobenius_gram,
     gen_c,
     gen_T,
@@ -197,44 +198,11 @@ def suite_algebra(max_n: int = 4, triples: int = 500, **_kw) -> list:
         basis = algebra_basis(n)
         ok = len(basis) == 2 ** n * math.factorial(n)
         witness = None if ok else "basis count"
-        one = algebra_unit(n)
         if ok:
-            for i in range(1, n):
-                Ti = gen_T(i, n)
-                if multiply(Ti, Ti) != -Ti:
-                    ok, witness = False, "quadratic T relation"
-                for j in range(i + 2, n):
-                    if multiply(Ti, gen_T(j, n)) != multiply(gen_T(j, n), Ti):
-                        ok, witness = False, "distant T commutation"
-                if i + 1 < n:
-                    a = multiply(multiply(Ti, gen_T(i + 1, n)), Ti)
-                    b = multiply(multiply(gen_T(i + 1, n), Ti), gen_T(i + 1, n))
-                    if a != b:
-                        ok, witness = False, "braid relation"
-            for i in range(1, n + 1):
-                ci = gen_c(i, n)
-                if multiply(ci, ci) != -one:
-                    ok, witness = False, "Clifford square"
-                for j in range(1, n + 1):
-                    if i != j and multiply(ci, gen_c(j, n)) != -multiply(
-                        gen_c(j, n), ci
-                    ):
-                        ok, witness = False, "Clifford anticommutation"
-            for i in range(1, n):
-                for j in range(1, n + 1):
-                    if j not in (i, i + 1):
-                        if multiply(gen_T(i, n), gen_c(j, n)) != multiply(
-                            gen_c(j, n), gen_T(i, n)
-                        ):
-                            ok, witness = False, "distant cross relation"
-                if multiply(gen_T(i, n), gen_c(i, n)) != multiply(
-                    gen_c(i + 1, n), gen_T(i, n)
-                ):
-                    ok, witness = False, "first cross relation"
-                if multiply(gen_T(i, n) + one, gen_c(i + 1, n)) != multiply(
-                    gen_c(i, n), gen_T(i, n) + one
-                ):
-                    ok, witness = False, "second cross relation"
+            gens = {("T", i): gen_T(i, n) for i in range(1, n)}
+            gens.update({("c", j): gen_c(j, n) for j in range(1, n + 1)})
+            witness = failing_relation(gens, multiply, algebra_unit(n))
+            ok = witness is None
         if ok:
             for _ in range(triples):
                 a = _random_homogeneous(rng, n, rng.randint(0, 1))

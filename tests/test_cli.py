@@ -155,6 +155,27 @@ def test_cli_module_check_rejects_missing_key(tmp_path, capsys):
     assert "'label'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "corrupt, named",
+    [
+        (lambda doc: doc["actions"]["c1"][0].__setitem__(2, {"re": "-1"}), "'im'"),
+        (lambda doc: doc["actions"]["c1"][0].__setitem__(2, 5), "action c1 entry"),
+        (lambda doc: doc.__setitem__("blocks", "2"), "'blocks'"),
+    ],
+    ids=["entry-without-im", "entry-not-an-object", "blocks-not-a-list"],
+)
+def test_cli_module_check_rejects_malformed_values(tmp_path, capsys, corrupt, named):
+    out = tmp_path / "mod.json"
+    assert main(
+        ["module", "dump", "--kind", "induced-simple", "--alpha", "2", "--out", str(out)]
+    ) == 0
+    doc = json.loads(out.read_text())
+    corrupt(doc)
+    out.write_text(json.dumps(doc))
+    assert main(["module", "check", str(out)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_cli_verify(capsys):
     code = main(["verify", "euler", "--max-n", "6"])
     assert code == 0

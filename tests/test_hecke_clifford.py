@@ -20,11 +20,13 @@ from peakhc.hecke_clifford import (
     _clifford_sign,
     _demazure_sign,
     _left_mul,
+    _relation_text,
     _t_times_c,
     act_terms,
     algebra_basis,
     apply_morphism,
     basis_element,
+    defining_relations,
     frobenius_form,
     frobenius_gram,
     gen_T,
@@ -39,7 +41,7 @@ from peakhc.hecke_clifford import (
 )
 from peakhc.linalg import Echelon
 from peakhc.scalars import GAUSS_I, GAUSS_ONE, GaussianRational
-from peakhc.supermodules import induce_clifford, simple_hecke
+from peakhc.supermodules import generator_keys, induce_clifford, simple_hecke
 from peakhc.verification import suite_algebra
 
 
@@ -463,3 +465,55 @@ def test_str_forms():
     x = T(1, 2) + c(1, 2).scale(GAUSS_I).scale(2)
     s = str(x)
     assert "T[2,1]" in s and "c{1}" in s and "2i" in s
+
+
+def _relation(text):
+    """Parse "T_1 c_2 + c_2 = c_1 T_1 + c_1" into a pair of word sums."""
+
+    def side(part):
+        terms = []
+        for term in part.split(" + "):
+            coeff = -1 if term.startswith("-") else 1
+            letters = term.lstrip("-").split()
+            word = () if letters == ["1"] else tuple((x[0], int(x[2:])) for x in letters)
+            terms.append((coeff, word))
+        return tuple(terms)
+
+    lhs, rhs = text.split(" = ")
+    return side(lhs), side(rhs)
+
+
+_CLIFFORD_3 = [
+    "c_1 c_1 = -1", "c_1 c_2 = -c_2 c_1", "c_1 c_3 = -c_3 c_1",
+    "c_2 c_2 = -1", "c_2 c_3 = -c_3 c_2", "c_3 c_3 = -1",
+]
+
+
+@pytest.mark.parametrize(
+    "blocks, algebra, expected",
+    [
+        ((2,), "HCl", [
+            "T_1 T_1 = -T_1",
+            "c_1 c_1 = -1", "c_1 c_2 = -c_2 c_1", "c_2 c_2 = -1",
+            "T_1 c_1 = c_2 T_1", "T_1 c_2 + c_2 = c_1 T_1 + c_1",
+        ]),
+        ((3,), "HCl", [
+            "T_1 T_1 = -T_1", "T_1 T_2 T_1 = T_2 T_1 T_2", "T_2 T_2 = -T_2",
+            *_CLIFFORD_3,
+            "T_1 c_3 = c_3 T_1", "T_1 c_1 = c_2 T_1", "T_1 c_2 + c_2 = c_1 T_1 + c_1",
+            "T_2 c_1 = c_1 T_2", "T_2 c_2 = c_3 T_2", "T_2 c_3 + c_3 = c_2 T_2 + c_2",
+        ]),
+        ((2, 1), "HCl", [
+            "T_1 T_1 = -T_1",
+            *_CLIFFORD_3,
+            "T_1 c_3 = c_3 T_1", "T_1 c_1 = c_2 T_1", "T_1 c_2 + c_2 = c_1 T_1 + c_1",
+        ]),
+        ((3,), "H", ["T_1 T_1 = -T_1", "T_1 T_2 T_1 = T_2 T_1 T_2", "T_2 T_2 = -T_2"]),
+        ((2, 2), "H", ["T_1 T_1 = -T_1", "T_1 T_3 = T_3 T_1", "T_3 T_3 = -T_3"]),
+    ],
+    ids=["HCl-2", "HCl-3", "HCl-2-1", "H-3", "H-2-2"],
+)
+def test_defining_relations_pinned(blocks, algebra, expected):
+    rels = defining_relations(generator_keys(blocks, algebra))
+    assert rels == [_relation(text) for text in expected]
+    assert [_relation_text(*r) for r in rels] == expected

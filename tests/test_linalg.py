@@ -257,6 +257,15 @@ def test_invert_scalar():
     for c in (1, -1):
         assert _invert_scalar(c) == c and type(_invert_scalar(c)) is int
     assert _invert_scalar(-2) == Fraction(-1, 2)
+    assert _invert_scalar(Fraction(-1, 3)) == -3 and type(_invert_scalar(Fraction(-1, 3))) is int
+    assert _invert_scalar(Fraction(2, 3)) == Fraction(3, 2)
+
+
+def test_span_solver_rep_integral_after_a_fraction_pivot():
+    solver = SpanSolver()
+    solver.add("t", {0: Fraction(1, 3), 1: 1})
+    rep = solver.express({0: 1, 1: 3})
+    assert rep == {"t": 3} and type(rep["t"]) is int
 
 
 def test_int_pivots_keep_int_rows_and_reps():

@@ -26,6 +26,7 @@ from peakhc.supermodules import (
     HomBasis,
     IsoSearch,
     ModuleMap,
+    Supermodule,
     act_element,
     bruhat_filtration,
     clifford_idempotents,
@@ -124,6 +125,16 @@ def test_induce_clifford_dims():
             pt = induce_clifford(projective_hecke(a))
             pt.check()
             assert pt.dim == 2 ** n * len(descent_class(a))
+
+
+def test_check_rejects_a_negated_clifford_action():
+    good = induce_clifford(simple_hecke((1, 1)))
+    good.check()
+    actions = dict(good.actions)
+    actions[("c", 1)] = actions[("c", 1)].scale(-1)
+    bad = Supermodule(good.blocks, good.algebra, good.labels, good.parities, actions)
+    with pytest.raises(ValueError, match="T_1 c_1 = c_2 T_1"):
+        bad.check()
 
 
 def test_outer_tensor_relations():
