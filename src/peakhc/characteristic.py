@@ -18,9 +18,11 @@ projective, M) for x in the K lattice; the coefficient matrix is the same
 0/2^(|P|+1) incidence matrix as the K expansion, so the solve is exact and
 the integrality of the solution is itself a checked invariant.
 
-Every verification below returns a report dict {"claim", "params",
-"status", "witness"} with status "verified" / "failed" / "skipped-resource";
-the CLI serializes these as JSON.
+The checks below return facts, not reports: ``theta_ribbon_formula``,
+``cartan_image`` and ``restriction_class_sides`` return the two sides that
+must agree, every ``verify_*`` check returns a pair (ok, witness).  Past its
+guard (``MAX_CARTAN_N``, ``MAX_GESSEL_N``, ``MAX_CORNER_N`` here) a check
+raises ``ResourceLimitError``; ``verification`` turns both into reports.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ from .supermodules import (
 )
 
 __all__ = [
+    "MAX_CARTAN_N",
+    "MAX_CORNER_N",
+    "MAX_GESSEL_N",
     "ModuleClass",
     "class_of_module",
     "hecke_class_of_module",
@@ -85,6 +90,10 @@ __all__ = [
     "verify_bialgebra_compatibility",
     "theta_ribbon_formula",
 ]
+
+MAX_CARTAN_N = 7  # descent-class enumeration of cartan_image
+MAX_GESSEL_N = 7  # one enumeration of S_n per degree in gessel_pairing
+MAX_CORNER_N = 5  # induced projectives of verify_corner_restriction
 
 
 @dataclass
@@ -172,28 +181,22 @@ def hecke_projective_class(module: Supermodule) -> ModuleClass:
 # ---------------------------------------------------------------------------
 
 
-def cartan_image(alpha, max_n: int = 7) -> dict:
-    """Image of the induced projective class under the Cartan map, two ways.
+def cartan_image(alpha) -> tuple:
+    """Image of the induced projective class under the Cartan map, two ways,
+    as the pair (route (i), route (ii)) of PeakDual elements that must agree.
 
     Route (i): the filtration multiset sum of K over P(w^{-1}), w in the
     descent class.  Route (ii): the peak image of the ribbon Schur function.
     """
     a = as_composition(alpha)
-    if a.n > max_n:
-        raise ResourceLimitError("cartan_image guarded at n <= %d" % max_n)
+    if a.n > MAX_CARTAN_N:
+        raise ResourceLimitError("cartan_image guarded at n <= %d" % MAX_CARTAN_N)
     filt = FreeElement.zero("PeakDual", "K")
     for w in descent_class(a):
         filt = filt + term("PeakDual", "K", w.inverse().peak_set())
     ribbon = sym_into_qsym(forgetful_pi(term("NSym", "R", a)))
     via_pi = convert(vartheta_map(convert(ribbon, "F")), "K")
-    status = "verified" if filt == via_pi else "failed"
-    return {
-        "claim": "cartan-image",
-        "params": {"alpha": str(a)},
-        "status": status,
-        "witness": {"filtration": str(filt), "theta-pi": str(via_pi)},
-        "value": filt,
-    }
+    return filt, via_pi
 
 
 def cartan_rank(n: int) -> tuple:
@@ -202,28 +205,22 @@ def cartan_rank(n: int) -> tuple:
     None when some disagree, the expected rank = number of strict partitions)."""
     bad, images = [], []
     for a in compositions_of(n):
-        rep = cartan_image(a)
-        if rep["status"] != "verified":
+        filt, via_pi = cartan_image(a)
+        if filt != via_pi:
             bad.append(a)
         else:
-            images.append(convert(rep["value"], "F", "QSym"))
+            images.append(convert(filt, "F", "QSym"))
     rank = None if bad else graded_rank(images, n)
     return bad, rank, len(strict_partitions_of(n))
 
 
-def theta_ribbon_formula(alpha) -> dict:
-    """The ribbon image under the descent-to-peak transform equals the
-    2^(|P|+1)-weighted sum over peak sets inside D .. (D+1)."""
+def theta_ribbon_formula(alpha) -> tuple:
+    """The ribbon image under the descent-to-peak transform and the
+    2^(|P|+1)-weighted sum over peak sets inside D .. (D+1), which must
+    agree."""
     a = as_composition(alpha)
     image = theta_transform(term("NSym", "R", a))
-    expected = FreeElement("Peak", "Xi", _theta_row(a))
-    return {
-        "claim": "theta-ribbon",
-        "params": {"alpha": str(a)},
-        "status": "verified" if image == expected else "failed",
-        "witness": str(image),
-        "value": image,
-    }
+    return image, FreeElement("Peak", "Xi", _theta_row(a))
 
 
 def decompose_projective(alpha) -> list:
@@ -233,8 +230,9 @@ def decompose_projective(alpha) -> list:
     return [(P, 2 ** ((len(P.elements) + 1) // 2)) for P in _theta_row(a)]
 
 
-def verify_projective_pairings(n: int) -> dict:
-    """dim Hom(induced projective, induced simple) cross-check at rank n."""
+def verify_projective_pairings(n: int) -> tuple:
+    """dim Hom(induced projective, induced simple) cross-check at rank n:
+    (ok, the mismatching (alpha, beta, got, expected) tuples)."""
     bad = []
     # one multiplicity table per induced simple serves every a (Frobenius
     # reciprocity, as in projective_hom_dim)
@@ -249,12 +247,7 @@ def verify_projective_pairings(n: int) -> dict:
             expected = row.get(b.peak_set(), 0)
             if got != expected:
                 bad.append((str(a), str(b), got, expected))
-    return {
-        "claim": "projective-pairings",
-        "params": {"n": n},
-        "status": "failed" if bad else "verified",
-        "witness": bad,
-    }
+    return not bad, bad
 
 
 # ---------------------------------------------------------------------------
@@ -319,42 +312,32 @@ def restriction_class_sides(alpha) -> tuple:
     return left, FreeElement("NSym", "R", right)
 
 
-def verify_restriction_to_hecke(alpha) -> dict:
-    """Class-level restriction rule; the module-level split into hook
-    projectives is ``verify_restriction_vectors``."""
+def verify_restriction_to_hecke(alpha) -> tuple:
+    """Class-level restriction rule, (ok, witness); the module-level split
+    into hook projectives is ``verify_restriction_vectors``."""
     a = as_composition(alpha)
     left, right = restriction_class_sides(a)
-    status = "verified" if left == right else "failed"
     witness = {"class": str(left)}
+    if left != right:
+        return False, witness
     # cross-check by Hecke multiplicities at small rank: the coefficient of
     # [P_gamma] equals dim Hom(Res, S_gamma)
-    if a.n <= 4 and status == "verified":
+    if a.n <= 4:
         dims = hecke_simple_hom_dims(restrict_hecke(induce_clifford(projective_hecke(a))))
         for g in compositions_of(a.n):
-            got = dims.get(g, 0)
-            expected = right.coeffs.get(g, 0)
-            if got != expected:
-                status = "failed"
+            if dims.get(g, 0) != right.coeffs.get(g, 0):
                 witness["hom-mismatch"] = str(g)
-                break
-    return {
-        "claim": "restriction-to-hecke",
-        "params": {"alpha": str(a)},
-        "status": status,
-        "witness": witness,
-    }
+                return False, witness
+    return True, witness
 
 
-def verify_restriction_vectors(n: int) -> dict:
+def verify_restriction_vectors(n: int) -> tuple:
     """Module-level split via the hook vectors, including the eigenrelations
-    and the exact direct-sum decomposition by parity."""
+    and the exact direct-sum decomposition by parity: (ok, the seeds or the
+    first failure).  Guarded by ``supermodules.MAX_RESTRICTION_N``."""
     from math import comb
 
-    try:
-        rep = restriction_vectors(n)
-    except ResourceLimitError:
-        return {"claim": "restriction-vectors", "params": {"n": n},
-                "status": "skipped-resource", "witness": None}
+    rep = restriction_vectors(n)
     module = rep["module"]
     hecke = restrict_hecke(module)
     for slot, par in (("odd", 1), ("even", 0)):
@@ -364,31 +347,25 @@ def verify_restriction_vectors(n: int) -> dict:
             vec = data["vector"]
             for i in range(1, n):
                 img = module.actions[("T", i)].apply(vec)
-                if i <= n - k - 2 and img:
-                    return _fail_rv(n, "eigenrelation T_%d on k=%d" % (i, k))
-                if i >= n - k and img != {r: -v for r, v in vec.items()}:
-                    return _fail_rv(n, "eigenrelation T_%d on k=%d" % (i, k))
+                if (i <= n - k - 2 and img) or (
+                    i >= n - k and img != {r: -v for r, v in vec.items()}
+                ):
+                    return False, "eigenrelation T_%d on k=%d" % (i, k)
             sub, basis = submodule_on_vectors(hecke, [vec])
             if sub.dim != comb(n - 1, k):
-                return _fail_rv(n, "span dimension at k=%d" % k)
+                return False, "span dimension at k=%d" % k
             hook = Composition(tuple([n - k] + [1] * k))
             iso = find_isomorphism(sub, projective_hecke(hook), parity=par)
             if not iso.found:
-                return _fail_rv(n, "hook isomorphism at k=%d" % k)
+                return False, "hook isomorphism at k=%d" % k
             for v in basis:
                 if ech.add(v) is None:
-                    return _fail_rv(n, "spans overlap at k=%d" % k)
+                    return False, "spans overlap at k=%d" % k
         if ech.rank != 2 ** (n - 1):
-            return _fail_rv(n, "parity component not filled (%s)" % slot)
-    return {"claim": "restriction-vectors", "params": {"n": n},
-            "status": "verified", "witness": {"seeds": {
-                slot: {k: sorted(rep[slot][k]["seed"]) for k in rep[slot]}
-                for slot in ("odd", "even")}}}
-
-
-def _fail_rv(n, reason):
-    return {"claim": "restriction-vectors", "params": {"n": n},
-            "status": "failed", "witness": reason}
+            return False, "parity component not filled (%s)" % slot
+    return True, {"seeds": {
+        slot: {k: sorted(rep[slot][k]["seed"]) for k in rep[slot]}
+        for slot in ("odd", "even")}}
 
 
 def corner_restriction_terms(alpha) -> list:
@@ -412,29 +389,25 @@ def corner_restriction_terms(alpha) -> list:
     return out
 
 
-def verify_corner_restriction(alpha, max_n: int = 5) -> dict:
+def verify_corner_restriction(alpha) -> tuple:
     """Corner restriction of the induced projective: dimension identity and
-    Hom-dimension signature against every induced simple one rank down."""
+    Hom-dimension signature against every induced simple one rank down,
+    as (ok, witness)."""
     a = as_composition(alpha)
     n = a.n
-    if n > max_n or n < 1:
-        return {"claim": "corner-restriction", "params": {"alpha": str(a)},
-                "status": "skipped-resource", "witness": None}
-    pt = induce_clifford(projective_hecke(a))
-    res = restrict_corner(pt)
+    if n < 1:
+        raise ValueError("corner restriction wants a nonempty composition")
+    if n > MAX_CORNER_N:
+        raise ResourceLimitError("corner restriction guarded at n <= %d" % MAX_CORNER_N)
+    res = restrict_corner(induce_clifford(projective_hecke(a)))
+    if n == 1:
+        # restriction to rank 0: the whole 2-dimensional space
+        return res.dim == 2, {"dim": res.dim}
     terms = corner_restriction_terms(a)
     # dimension identity
-    dim_rhs = 0
-    for gamma, mult in terms:
-        dim_rhs += mult * 2 ** (n - 1) * len(descent_class(gamma)) if gamma.parts else mult
-    if n == 1:
-        dim_rhs = 2  # restriction to rank 0: the whole 2-dimensional space
-        status = "verified" if res.dim == dim_rhs else "failed"
-        return {"claim": "corner-restriction", "params": {"alpha": str(a)},
-                "status": status, "witness": {"dim": res.dim}}
+    dim_rhs = sum(mult * 2 ** (n - 1) * len(descent_class(gamma)) for gamma, mult in terms)
     if res.dim != dim_rhs:
-        return {"claim": "corner-restriction", "params": {"alpha": str(a)},
-                "status": "failed", "witness": {"dim": (res.dim, dim_rhs)}}
+        return False, {"dim": (res.dim, dim_rhs)}
     # Hom-dimension signature against every induced projective one rank
     # down; the probes separate Grothendieck classes, so matching signatures
     # identify the class of the restriction with the stated direct sum
@@ -452,12 +425,8 @@ def verify_corner_restriction(alpha, max_n: int = 5) -> dict:
         for gamma, (mult, mults) in summand_mults.items():
             expected += mult * mults.get((b,), 0)
         if got != expected:
-            return {"claim": "corner-restriction", "params": {"alpha": str(a)},
-                    "status": "failed",
-                    "witness": {"beta": str(b), "got": got, "expected": expected}}
-    return {"claim": "corner-restriction", "params": {"alpha": str(a)},
-            "status": "verified",
-            "witness": {"terms": [(str(g), m) for g, m in terms]}}
+            return False, {"beta": str(b), "got": got, "expected": expected}
+    return True, {"terms": [(str(g), m) for g, m in terms]}
 
 
 # ---------------------------------------------------------------------------
@@ -465,51 +434,40 @@ def verify_corner_restriction(alpha, max_n: int = 5) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def verify_diagrams(n: int) -> dict:
+def verify_diagrams(n: int) -> tuple:
     """The categorified descent-to-peak square (module-backed at n <= 5), the
-    restriction square, the Cartan square, and the rank of the Cartan image."""
-    witness = {}
-    status = "verified"
+    restriction square, the Cartan square, and the rank of the Cartan image,
+    as (ok, witness)."""
     if n <= 5:
         for a in compositions_of(n):
             st = induce_clifford(simple_hecke(a))
             # induced-simple class equals the peak image of F
             ch = class_of_module(st)
             if ch.payload != convert(vartheta_map(term("QSym", "F", a)), "K"):
-                status = "failed"
-                witness["dp"] = str(a)
-                break
+                return False, {"dp": str(a)}
             # Hecke restriction class equals the K expansion in F
             hecke_class = hecke_class_of_module(st)
             kexp = convert(
                 term("PeakDual", "K", a.peak_set()), "F", "QSym"
             )
             if hecke_class.payload != kexp:
-                status = "failed"
-                witness["emb"] = str(a)
-                break
-    if status == "verified":
-        bad, rank, expected = cartan_rank(n)
-        if bad:
-            status = "failed"
-            witness["cartan"] = str(bad[0])
-        else:
-            witness["cartan-rank"] = rank
-            if rank != expected:
-                status = "failed"
-                witness["cartan-rank-expected"] = expected
-    return {"claim": "diagrams", "params": {"n": n}, "status": status,
-            "witness": witness}
+                return False, {"emb": str(a)}
+    bad, rank, expected = cartan_rank(n)
+    if bad:
+        return False, {"cartan": str(bad[0])}
+    if rank != expected:
+        return False, {"cartan-rank": rank, "cartan-rank-expected": expected}
+    return True, {"cartan-rank": rank}
 
 
-def gessel_pairing(alpha, beta, max_n: int = 7) -> int:
+def gessel_pairing(alpha, beta) -> int:
     """<R_beta, ribbon image of alpha> = the double-descent-class count;
     both sides are computed and must agree."""
     a, b = as_composition(alpha), as_composition(beta)
     if a.n != b.n:
         return 0
-    if a.n > max_n:
-        raise ResourceLimitError("gessel_pairing guarded at n <= %d" % max_n)
+    if a.n > MAX_GESSEL_N:
+        raise ResourceLimitError("gessel_pairing guarded at n <= %d" % MAX_GESSEL_N)
     hopf = pairing(
         term("NSym", "R", b), sym_into_qsym(forgetful_pi(term("NSym", "R", a)))
     )
@@ -527,7 +485,7 @@ def gessel_pairing(alpha, beta, max_n: int = 7) -> int:
 def _descent_pair_counts(n: int) -> dict:
     """Number of w in S_n per pair (Des w, Des w^-1), from one enumeration
     of S_n.  One table per n that passes the guard of ``gessel_pairing``
-    (n <= 7 by default).  Read-only."""
+    (n <= MAX_GESSEL_N).  Read-only."""
     counts = {}
     for w in itertools.permutations(range(1, n + 1)):
         key = (word_descents(w), word_descents(word_inverse(w)))
@@ -535,8 +493,9 @@ def _descent_pair_counts(n: int) -> dict:
     return counts
 
 
-def verify_bialgebra_compatibility(alpha, beta) -> dict:
-    """Class of the induced outer product equals the product of the classes."""
+def verify_bialgebra_compatibility(alpha, beta) -> tuple:
+    """Class of the induced outer product equals the product of the classes:
+    (ok, both sides as text)."""
     a, b = as_composition(alpha), as_composition(beta)
     ind = parabolic_induce(
         induce_clifford(simple_hecke(a)), induce_clifford(simple_hecke(b))
@@ -545,10 +504,4 @@ def verify_bialgebra_compatibility(alpha, beta) -> dict:
     prod = product(
         term("PeakDual", "K", a.peak_set()), term("PeakDual", "K", b.peak_set())
     )
-    status = "verified" if ch.payload == prod else "failed"
-    return {
-        "claim": "bialgebra",
-        "params": {"alpha": str(a), "beta": str(b)},
-        "status": status,
-        "witness": {"class": str(ch.payload), "product": str(prod)},
-    }
+    return ch.payload == prod, {"class": str(ch.payload), "product": str(prod)}

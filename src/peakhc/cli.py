@@ -21,7 +21,7 @@ from .expressions import (
 from .hecke_clifford import AlgebraElement
 from .heisenberg import fock_action
 from .hopf import ConversionError, FreeElement, MembershipError, convert, pairing, peak_pairing
-from .verification import SUITES, run_suite, suite_names
+from .verification import run_suite, suite_names
 
 USAGE_ERROR = 2
 STRICT_SKIP = 3
@@ -134,10 +134,7 @@ def _cmd_module(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    reports = []
-    for name in names:
-        reports.extend(run_suite(name, max_n=args.max_n, max_degree=args.max_degree))
+    reports = run_suite(args.suite, max_n=args.max_n, max_degree=args.max_degree)
     failed = sum(1 for r in reports if r["status"] == "failed")
     skipped = sum(1 for r in reports if r["status"] == "skipped-resource")
     if args.format == "json":

@@ -62,10 +62,12 @@ __all__ = [
     "partitions_of",
     "strict_partitions_of",
     "odd_partitions_of",
+    "MAX_BRUHAT_N",
     "MAX_ENUM_N",
 ]
 
 MAX_ENUM_N = 10  # permutation-level enumeration guard
+MAX_BRUHAT_N = 6  # cached Bruhat tables
 
 
 class ResourceLimitError(RuntimeError):
@@ -436,17 +438,17 @@ class Permutation:
         return "Permutation(%s)" % (",".join(str(x) for x in self.word))
 
 
-def _check_enum_guard(n: int, max_n: int) -> None:
-    if n > max_n:
+def _check_enum_guard(n: int) -> None:
+    if n > MAX_ENUM_N:
         raise ResourceLimitError(
-            "symmetric group enumeration for n=%d exceeds the guard %d" % (n, max_n)
+            "symmetric group enumeration for n=%d exceeds the guard %d" % (n, MAX_ENUM_N)
         )
 
 
-def descent_class(alpha, max_n: int = MAX_ENUM_N) -> list:
+def descent_class(alpha) -> list:
     """All permutations whose descent set equals that of the composition."""
     a = as_composition(alpha)
-    _check_enum_guard(a.n, max_n)
+    _check_enum_guard(a.n)
     target = a.descent_set().elements
     return [
         Permutation(w)
@@ -476,14 +478,14 @@ def perm_stats(w: Permutation) -> PermStats:
     )
 
 
-def min_coset_reps(m: int, n: int, max_n: int = MAX_ENUM_N) -> list:
+def min_coset_reps(m: int, n: int) -> list:
     """Minimal-length representatives x of the left cosets x S_(m,n) in S_(m+n).
 
     These are the binomial(m+n, m) permutations with descent set inside {m}:
     both blocks of positions appear in increasing order.  Lexicographic order.
     """
     total = m + n
-    _check_enum_guard(total, max_n)
+    _check_enum_guard(total)
     reps = []
     for first_values in itertools.combinations(range(1, total + 1), m):
         rest = [v for v in range(1, total + 1) if v not in first_values]
@@ -513,8 +515,8 @@ def coset_factorize(w: tuple, m: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _bruhat_table(n: int) -> dict:
-    if n > 6:
-        raise ResourceLimitError("Bruhat tables kept only for n <= 6")
+    if n > MAX_BRUHAT_N:
+        raise ResourceLimitError("Bruhat tables kept only for n <= %d" % MAX_BRUHAT_N)
     perms = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
     lengths = {w: word_length(w) for w in perms}
     # covering relations: w covers v when v = w * t_{ab} and l drops by one

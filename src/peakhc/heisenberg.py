@@ -276,6 +276,25 @@ class FreenessCertificate:
     per_degree: list  # dicts: degree, products, rank, dim, ok
     ok: bool
 
+    def hilbert_identity(self) -> tuple:
+        """(ok, witness) of the Hilbert identity through the certificate's
+        degree: the Fibonacci peak-set counts equal the convolution of the
+        q-ring dimensions with the generator counts."""
+        gcount = {}
+        for gdeg, _g in self.generators:
+            gcount[gdeg] = gcount.get(gdeg, 0) + 1
+        bad = []
+        for n in range(len(self.per_degree)):
+            dim = len(peak_sets_in(n)) if n else 1
+            conv = 0
+            for d, cnt in gcount.items():
+                if d <= n:
+                    conv += cnt * len(strict_partitions_of(n - d))
+            if conv != dim:
+                bad.append((n, conv, dim))
+        witness = {"generator_degrees": sorted(gcount.items()), "mismatches": bad}
+        return self.ok and not bad, witness
+
 
 def guard_freeness_degree(max_degree: int) -> None:
     """Raise ``ResourceLimitError`` when ``max_degree`` passes the bound of
@@ -329,33 +348,7 @@ def free_basis_over_omega(max_degree: int = 8) -> FreenessCertificate:
     return FreenessCertificate(generators, per_degree, ok)
 
 
-def hilbert_series_identity(max_degree: int = 8) -> dict:
+def hilbert_series_identity(max_degree: int = 8) -> tuple:
     """Fibonacci peak-set counts equal the convolution of the q-ring
-    dimensions with the generator counts from the greedy basis."""
-    return _hilbert_report(free_basis_over_omega(max_degree), max_degree)
-
-
-def _hilbert_report(cert: FreenessCertificate, max_degree: int) -> dict:
-    """The report of ``hilbert_series_identity`` read from a certificate
-    already built through ``max_degree``."""
-    gcount = {}
-    for gdeg, _g in cert.generators:
-        gcount[gdeg] = gcount.get(gdeg, 0) + 1
-    bad = []
-    for n in range(0, max_degree + 1):
-        dim = len(peak_sets_in(n)) if n else 1
-        conv = 0
-        for d, cnt in gcount.items():
-            if d <= n:
-                conv += cnt * len(strict_partitions_of(n - d))
-        if conv != dim:
-            bad.append((n, conv, dim))
-    return {
-        "claim": "hilbert-series",
-        "params": {"max_degree": max_degree},
-        "status": "failed" if bad or not cert.ok else "verified",
-        "witness": {
-            "generator_degrees": sorted(gcount.items()),
-            "mismatches": bad,
-        },
-    }
+    dimensions with the generator counts from the greedy basis: (ok, witness)."""
+    return free_basis_over_omega(max_degree).hilbert_identity()

@@ -86,9 +86,14 @@ def vec_iadd_scaled(u: dict, v, c) -> dict:
 
 
 def vec_scale(v: dict, c) -> dict:
+    """c * v; a ``Fraction`` product is stored as ``int`` while integral."""
     if not c:
         return {}
-    return {k: val * c for k, val in v.items()}
+    out = {}
+    for k, val in v.items():
+        p = val * c
+        out[k] = _rational(p) if type(p) is Fraction else p
+    return out
 
 
 class SparseMatrix:

@@ -28,7 +28,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .combinat import (
     Composition,
@@ -105,14 +105,20 @@ __all__ = [
     "submodule_on_vectors",
     "module_to_json",
     "module_from_json",
+    "MAX_FILTRATION_N",
     "MAX_HOM_CELLS",
+    "MAX_PARABOLIC_RANK",
+    "MAX_RESTRICTION_N",
 ]
 
 _G0 = GAUSS_ZERO
 _G1 = GAUSS_ONE
 
-MAX_HOM_CELLS = 20000
-MAX_PROJECTIVE_N = 8
+MAX_HOM_CELLS = 20000  # dim(src) * dim(dst) of one hom_space system
+MAX_PROJECTIVE_N = 8  # projective_hecke
+MAX_PARABOLIC_RANK = 6  # combined rank of parabolic_induce
+MAX_FILTRATION_N = 6  # bruhat_filtration
+MAX_RESTRICTION_N = 7  # restriction_vectors
 
 
 def generator_keys(blocks: tuple, algebra: str) -> list:
@@ -374,7 +380,7 @@ def _decomposer(m: int, n: int) -> _ParabolicDecomposer:
     return _ParabolicDecomposer(m, n)
 
 
-def parabolic_induce(m1: Supermodule, m2: Supermodule, max_rank: int = 6) -> Supermodule:
+def parabolic_induce(m1: Supermodule, m2: Supermodule) -> Supermodule:
     """Induce the outer tensor product up the parabolic inclusion.
 
     Basis: T_x (x) (m (x) n) over the binomial(m+n, m) minimal coset
@@ -387,8 +393,10 @@ def parabolic_induce(m1: Supermodule, m2: Supermodule, max_rank: int = 6) -> Sup
         raise ValueError("factors must be single-block modules")
     m, n = m1.rank, m2.rank
     total = m + n
-    if total > max_rank:
-        raise ResourceLimitError("parabolic induction guard at combined rank %d" % max_rank)
+    if total > MAX_PARABOLIC_RANK:
+        raise ResourceLimitError(
+            "parabolic induction guard at combined rank %d" % MAX_PARABOLIC_RANK
+        )
     if n == 0:
         return m1
     if m == 0:
@@ -601,7 +609,7 @@ class HomBasis:
         return len(self.even) + len(self.odd)
 
 
-def hom_space(src: Supermodule, dst: Supermodule, max_cells: int = MAX_HOM_CELLS) -> HomBasis:
+def hom_space(src: Supermodule, dst: Supermodule) -> HomBasis:
     """Exact basis of the morphism space, split into even and odd parts.
 
     A morphism is fixed by the images of generators of ``src``, so the
@@ -611,9 +619,9 @@ def hom_space(src: Supermodule, dst: Supermodule, max_cells: int = MAX_HOM_CELLS
     """
     if src.blocks != dst.blocks or src.algebra != dst.algebra:
         raise ValueError("hom_space wants modules over the same algebra")
-    if src.dim * dst.dim > max_cells:
+    if src.dim * dst.dim > MAX_HOM_CELLS:
         raise ResourceLimitError(
-            "hom system with %d cells exceeds the guard %d" % (src.dim * dst.dim, max_cells)
+            "hom system with %d cells exceeds the guard %d" % (src.dim * dst.dim, MAX_HOM_CELLS)
         )
     spin = _spin(src, [{j: _G1} for j in range(src.dim)])
     even, odd = (
@@ -1116,33 +1124,26 @@ def end_clifford_check(alpha) -> dict:
             sign, e = _clifford_sign(d, frozenset({v}))
             mat.cols[di][dpos[e]] = GAUSS_I * (sign * (-1) ** len(d))
         fmaps[v] = ModuleMap(module, module, mat, 1)
-    ident = SparseMatrix.identity(module.dim, _G1)
     for v, f in fmaps.items():
         if not f.is_morphism():
             report["ok"] = False
             report["bad_generator"] = v
             return report
-        if f.matrix @ f.matrix != ident.scale(-1):
-            report["ok"] = False
-            report["bad_square"] = v
-            return report
-    for v, w in itertools.combinations(valleys, 2):
-        fv, fw = fmaps[v].matrix, fmaps[w].matrix
-        if fv @ fw != (fw @ fv).scale(-1):
-            report["ok"] = False
-            report["bad_pair"] = (v, w)
-            return report
-    # the 2^|V| ordered products span End
+    # f_v^2 = -1 and f_v f_w = -f_w f_v: the Clifford relations of hecke_clifford
+    ident = SparseMatrix.identity(module.dim, _G1)
+    bad = failing_relation(
+        {("c", v): f.matrix for v, f in fmaps.items()}, operator.matmul, ident
+    )
+    if bad is not None:
+        report["ok"] = False
+        report["bad_relation"] = bad
+        return report
+    # the 2^|V| ordered products span End; each starts from its first factor
     span = Echelon()
     for r in range(len(valleys) + 1):
         for combo in itertools.combinations(valleys, r):
-            mat = ident
-            for v in combo:
-                mat = mat @ fmaps[v].matrix
-            vec = {}
-            for i, j, val in mat.entries():
-                vec[(i, j)] = val
-            span.add(vec)
+            mat = reduce(operator.matmul, [fmaps[v].matrix for v in combo]) if combo else ident
+            span.add({(i, j): val for i, j, val in mat.entries()})
     report["span_rank"] = span.rank
     if span.rank != 2 ** len(valleys):
         report["ok"] = False
@@ -1201,7 +1202,7 @@ def stated_twist_isomorphism(alpha, part: int) -> ModuleMap:
 # ---------------------------------------------------------------------------
 
 
-def bruhat_filtration(alpha, max_n: int = 6) -> list:
+def bruhat_filtration(alpha) -> list:
     """Subquotients of the induced projective along a length-refining order
     of the descent class; step w is evenly isomorphic to the induced simple
     of the descent composition of w^{-1}.
@@ -1209,8 +1210,8 @@ def bruhat_filtration(alpha, max_n: int = 6) -> list:
     Returns a list of (w, subquotient, expected_composition, iso) tuples.
     """
     a = as_composition(alpha)
-    if a.n > max_n:
-        raise ResourceLimitError("filtration guard at n <= %d" % max_n)
+    if a.n > MAX_FILTRATION_N:
+        raise ResourceLimitError("filtration guard at n <= %d" % MAX_FILTRATION_N)
     module = induce_clifford(projective_hecke(a))
     ws = _descent_class_sorted(a)
     dm = len(ws)
@@ -1266,7 +1267,7 @@ def _covering_downset(start: frozenset, imin: int, imax: int) -> dict:
     return signs
 
 
-def restriction_vectors(n: int, max_n: int = 7) -> dict:
+def restriction_vectors(n: int) -> dict:
     """The split of the Hecke restriction of the rank-n induced projective.
 
     For each 0 <= k <= n-1 builds v_{n,k} (odd) and v'_{n,k} (even) from the
@@ -1276,8 +1277,8 @@ def restriction_vectors(n: int, max_n: int = 7) -> dict:
     moves confined to [n-k, n-1].  Returns the vectors, the seed choices and
     the ambient module.
     """
-    if n > max_n:
-        raise ResourceLimitError("restriction vectors guarded at n <= %d" % max_n)
+    if n > MAX_RESTRICTION_N:
+        raise ResourceLimitError("restriction vectors guarded at n <= %d" % MAX_RESTRICTION_N)
     module = induce_clifford(simple_hecke(Composition((n,))))
     subs = _subsets_ordered(n)
     dpos = {d: k for k, d in enumerate(subs)}

@@ -240,7 +240,7 @@ def test_cli_verify_all_keeps_unguarded_reports(monkeypatch, capsys):
 
     suites = {k: verification.SUITES[k] for k in ("euler", "freeness", "generators")}
     monkeypatch.setattr(verification, "SUITES", suites)
-    monkeypatch.setattr(cli, "SUITES", suites)
+    assert not hasattr(cli, "SUITES")  # "all" is expanded by run_suite alone
     code = main(["verify", "all", "--max-n", "3", "--max-degree", "11", "--format", "json"])
     assert code == 0
     reports = json.loads(capsys.readouterr().out)
@@ -255,7 +255,6 @@ def test_cli_verify_all_keeps_unguarded_reports(monkeypatch, capsys):
 def test_cli_max_n_clamp_note(monkeypatch, capsys):
     # a suite's default bound is also its ceiling; raising --max-n past it
     # prints one note per clamped suite on stderr and changes nothing else
-    import peakhc.cli as cli
     import peakhc.verification as verification
 
     def stub(max_n, **_kw):
@@ -264,7 +263,6 @@ def test_cli_max_n_clamp_note(monkeypatch, capsys):
 
     suites = {"high": (stub, {"max_n": 12}), "low": (stub, {"max_n": 3})}
     monkeypatch.setattr(verification, "SUITES", suites)
-    monkeypatch.setattr(cli, "SUITES", suites)
     assert main(["verify", "all", "--max-n", "9", "--format", "json"]) == 0
     out, err = capsys.readouterr()
     assert err.splitlines() == ["note: --max-n 9 clamped to 3 for suite low"]

@@ -1,0 +1,82 @@
+"""Every enumeration guard is a named module constant: one past it, the
+guarded function raises ``ResourceLimitError`` before it enumerates
+anything, and the suites turn a guarded case into a skipped-resource
+report."""
+
+import types
+
+import pytest
+
+from peakhc import characteristic, combinat, supermodules, verification
+from peakhc.combinat import Composition, Permutation, ResourceLimitError
+
+
+def _boom(*_args, **_kw):
+    raise AssertionError("enumerated past the guard")
+
+
+def _no_itertools(monkeypatch):
+    stub = types.SimpleNamespace(permutations=_boom, combinations=_boom)
+    monkeypatch.setattr(combinat, "itertools", stub)
+
+
+def _row(n):
+    return Composition((n,))
+
+
+def test_enumeration_guards(monkeypatch):
+    _no_itertools(monkeypatch)
+    with pytest.raises(ResourceLimitError):
+        combinat.descent_class(_row(combinat.MAX_ENUM_N + 1))
+    with pytest.raises(ResourceLimitError):
+        combinat.min_coset_reps(1, combinat.MAX_ENUM_N)
+    bigger = Permutation(tuple(range(1, combinat.MAX_BRUHAT_N + 2)))
+    with pytest.raises(ResourceLimitError):
+        combinat.bruhat_leq(bigger, bigger)
+
+
+def test_characteristic_guards(monkeypatch):
+    for name in ("descent_class", "_descent_pair_counts", "pairing", "induce_clifford",
+                 "restrict_corner"):
+        monkeypatch.setattr(characteristic, name, _boom)
+    with pytest.raises(ResourceLimitError):
+        characteristic.cartan_image(_row(characteristic.MAX_CARTAN_N + 1))
+    a = _row(characteristic.MAX_GESSEL_N + 1)
+    with pytest.raises(ResourceLimitError):
+        characteristic.gessel_pairing(a, a)
+    with pytest.raises(ResourceLimitError):
+        characteristic.verify_corner_restriction(_row(characteristic.MAX_CORNER_N + 1))
+
+
+def test_supermodule_guards(monkeypatch):
+    small = supermodules.induce_clifford(supermodules.simple_hecke(_row(1)))
+    large = supermodules.induce_clifford(
+        supermodules.simple_hecke(_row(supermodules.MAX_PARABOLIC_RANK))
+    )
+    for name in ("induce_clifford", "outer_tensor", "min_coset_reps", "_spin"):
+        monkeypatch.setattr(supermodules, name, _boom)
+    with pytest.raises(ResourceLimitError):
+        supermodules.parabolic_induce(small, large)
+    with pytest.raises(ResourceLimitError):
+        supermodules.bruhat_filtration(_row(supermodules.MAX_FILTRATION_N + 1))
+    with pytest.raises(ResourceLimitError):
+        supermodules.restriction_vectors(supermodules.MAX_RESTRICTION_N + 1)
+    # MAX_HOM_CELLS + 1 cells: lower the constant to one below this system
+    monkeypatch.setattr(supermodules, "MAX_HOM_CELLS", small.dim * small.dim - 1)
+    with pytest.raises(ResourceLimitError):
+        supermodules.hom_space(small, small)
+
+
+def test_guarded_restriction_vectors_skip_one_case(monkeypatch):
+    monkeypatch.setattr(supermodules, "MAX_RESTRICTION_N", 2)
+    reports = verification.suite_restriction(max_n=1, module_max_n=3)
+    vectors = [r for r in reports if r["claim"] == "restriction-vectors"]
+    assert [(r["params"], r["status"]) for r in vectors] == [
+        ({"n": 1}, "verified"),
+        ({"n": 2}, "verified"),
+        ({"n": 3}, "skipped-resource"),
+    ]
+    assert vectors[-1]["witness"] is None
+    assert [r["status"] for r in reports if r["claim"] != "restriction-vectors"] == [
+        "verified"
+    ]

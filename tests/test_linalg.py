@@ -14,6 +14,7 @@ from peakhc.linalg import (
     solve_unique,
     vec_add_term,
     vec_iadd_scaled,
+    vec_scale,
 )
 from peakhc.scalars import GAUSS_I, GAUSS_ONE, GaussianRational
 
@@ -283,6 +284,22 @@ def test_int_pivots_keep_int_rows_and_reps():
     assert expr == {"t": -2, "u": -2} and all(type(c) is int for c in expr.values())
     assert all(type(v) is int for row in solver.rows.values() for v in row.values())
     assert all(type(v) is int for rep in solver.reps.values() for v in rep.values())
+
+
+def test_fraction_rows_store_int_while_integral():
+    # the pivot 1/3 inverts to 3: the scaled row is {0: 1, 1: 3}, both int
+    ech = Echelon()
+    ech.add({0: Fraction(1, 3), 1: 1})
+    assert ech.rows == {0: {0: 1, 1: 3}}
+    assert all(type(v) is int for v in ech.rows[0].values())
+    ech = Echelon()
+    ech.add({0: Fraction(2, 3), 1: Fraction(4, 3)})
+    assert ech.rows == {0: {0: 1, 1: 2}}
+    assert all(type(v) is int for v in ech.rows[0].values())
+    # a proper fraction stays a Fraction, a Gaussian product a GaussianRational
+    assert vec_scale({0: 1, 1: 3}, Fraction(1, 2)) == {0: Fraction(1, 2), 1: Fraction(3, 2)}
+    scaled = vec_scale({0: GaussianRational(1, 1)}, Fraction(1, 2))
+    assert type(scaled[0]) is GaussianRational
 
 
 def _gauss_new_calls(source: str) -> list:

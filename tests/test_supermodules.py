@@ -457,6 +457,37 @@ def test_end_clifford_reports():
         assert rep["end_dim"] == vdim
 
 
+def _is_identity(mat) -> bool:
+    return mat.nrows == mat.ncols and all(col == {j: 1} for j, col in enumerate(mat.cols))
+
+
+def test_end_clifford_never_multiplies_by_the_identity(monkeypatch):
+    # each ordered product of the f_v starts from its first factor
+    matmul = SparseMatrix.__matmul__
+    operands = []
+
+    def counted(self, other):
+        operands.append((self, other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
+    for n in range(1, 5):
+        for a in compositions_of(n):
+            assert end_clifford_check(a)["ok"], a
+    assert operands
+    assert not any(_is_identity(x) or _is_identity(y) for x, y in operands)
+
+
+def test_end_clifford_reports_a_failed_relation(monkeypatch):
+    # without the i-rescaling the f_v square to +id, not -id
+    from peakhc import supermodules
+
+    monkeypatch.setattr(supermodules, "GAUSS_I", GAUSS_ONE)
+    rep = end_clifford_check(C(3))
+    assert not rep["ok"]
+    assert rep["bad_relation"] == "c_%d c_%d = -1" % (rep["valleys"][0], rep["valleys"][0])
+
+
 def test_idempotents_algebra():
     for parts in [(2, 2), (2, 1), (3, 1), (2, 2, 1)]:
         a = C(*parts)
