@@ -94,6 +94,10 @@ __all__ = [
 MAX_CARTAN_N = 7  # descent-class enumeration of cartan_image
 MAX_GESSEL_N = 7  # one enumeration of S_n per degree in gessel_pairing
 MAX_CORNER_N = 5  # induced projectives of verify_corner_restriction
+# coverage bounds, not guards: above them only the class route runs, and the
+# reports of the verification suites state them in their params
+HOM_CHECK_MAX_N = 4  # Hecke Hom cross-check of verify_restriction_to_hecke
+MODULE_SQUARE_MAX_N = 5  # induced simples behind the square of verify_diagrams
 
 
 @dataclass
@@ -322,7 +326,7 @@ def verify_restriction_to_hecke(alpha) -> tuple:
         return False, witness
     # cross-check by Hecke multiplicities at small rank: the coefficient of
     # [P_gamma] equals dim Hom(Res, S_gamma)
-    if a.n <= 4:
+    if a.n <= HOM_CHECK_MAX_N:
         dims = hecke_simple_hom_dims(restrict_hecke(induce_clifford(projective_hecke(a))))
         for g in compositions_of(a.n):
             if dims.get(g, 0) != right.coeffs.get(g, 0):
@@ -435,10 +439,10 @@ def verify_corner_restriction(alpha) -> tuple:
 
 
 def verify_diagrams(n: int) -> tuple:
-    """The categorified descent-to-peak square (module-backed at n <= 5), the
-    restriction square, the Cartan square, and the rank of the Cartan image,
-    as (ok, witness)."""
-    if n <= 5:
+    """The categorified descent-to-peak square (module-backed at
+    n <= MODULE_SQUARE_MAX_N), the restriction square, the Cartan square,
+    and the rank of the Cartan image, as (ok, witness)."""
+    if n <= MODULE_SQUARE_MAX_N:
         for a in compositions_of(n):
             st = induce_clifford(simple_hecke(a))
             # induced-simple class equals the peak image of F

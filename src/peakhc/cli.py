@@ -23,6 +23,7 @@ from .heisenberg import fock_action
 from .hopf import ConversionError, FreeElement, MembershipError, convert, pairing, peak_pairing
 from .verification import run_suite, suite_names
 
+CASE_FAILED = 1
 USAGE_ERROR = 2
 STRICT_SKIP = 3
 
@@ -90,7 +91,7 @@ def _build_module(kind: str, alpha: Composition):
 
 def _cmd_module(args) -> int:
     from .characteristic import decompose_projective
-    from .supermodules import module_from_json, module_to_json
+    from .supermodules import RelationError, module_from_json, module_to_json
 
     if args.module_cmd == "decompose":
         alpha = _parse_alpha(args.alpha)
@@ -118,7 +119,12 @@ def _cmd_module(args) -> int:
     if args.module_cmd == "check":
         with open(args.file) as fh:
             module = module_from_json(json.load(fh))
-        module.check()
+        try:
+            module.check()
+        except RelationError as exc:  # a failed case, not a usage error
+            print(json.dumps({"status": "failed", "dim": module.dim, "witness": str(exc)})
+                  if args.format == "json" else "failed (dim %d): %s" % (module.dim, exc))
+            return CASE_FAILED
         print(json.dumps({"status": "verified", "dim": module.dim})
               if args.format == "json" else "verified (dim %d)" % module.dim)
         return 0
@@ -145,7 +151,7 @@ def _cmd_verify(args) -> int:
             print("%-10s %s [%s]" % (r["status"].upper(), r["claim"], params))
         print("-- %d cases: %d failed, %d skipped" % (len(reports), failed, skipped))
     if failed:
-        return 1
+        return CASE_FAILED
     if skipped and args.strict:
         return STRICT_SKIP
     return 0

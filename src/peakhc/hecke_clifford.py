@@ -31,6 +31,20 @@ in normal form, the Clifford sign of c_D c_D', and the Demazure sign of
 T_u T_v.  The structure constants are integers; we keep Gaussian-rational
 coefficients so idempotent computations downstream need no ring change.
 
+``associativity_failure`` proves that this product is associative, rank by
+rank, with no sampling (Bergman's diamond lemma, Adv. Math. 29, 1978, run
+through the regular representation).  The left-regular matrices L_g read
+from the rewriting rules generate an algebra A of matrices.  The matrices
+R_g of right multiplication by a generator under ``multiply`` commute with
+every L_g, and the normal word of each basis element walks the unit to that
+element both by the L's and by the R's; so X -> X 1 is a bijection from A
+onto the span of the basis, and the product of A carried over by it is
+associative.  Each entry of the three tables equals the walk by the L's it stands for, so
+``multiply`` is that product.  The function's docstring spells out each step.
+Morphism matrices are built column by column from a one letter shorter
+column, one ``multiply`` each; ``apply_morphism`` walks each element from
+the unit and stays the independent route.
+
 The canonical basis order is (|D|, bitmask of D, one-line word); all
 matrices produced here follow it.
 """
@@ -57,11 +71,13 @@ __all__ = [
     "gen_c",
     "basis_element",
     "algebra_basis",
+    "generators",
     "defining_relations",
     "failing_relation",
     "normal_word",
     "act_terms",
     "multiply",
+    "associativity_failure",
     "trace",
     "frobenius_form",
     "frobenius_gram",
@@ -209,6 +225,13 @@ def gen_c(j: int, n: int) -> AlgebraElement:
 
 def basis_element(d, w, n: int) -> AlgebraElement:
     return AlgebraElement(n, {(frozenset(d), tuple(w)): GAUSS_ONE})
+
+
+def generators(n: int) -> dict:
+    """The generators of the rank-n algebra, keyed ("T", i) and ("c", j)."""
+    gens = {("T", i): gen_T(i, n) for i in range(1, n)}
+    gens.update({("c", j): gen_c(j, n) for j in range(1, n + 1)})
+    return gens
 
 
 @lru_cache(maxsize=None)
@@ -456,26 +479,40 @@ def frobenius_form(a: AlgebraElement, b: AlgebraElement) -> GaussianRational:
     return trace(multiply(a, b))
 
 
-@lru_cache(maxsize=None)
-def regular_generator_matrix(kind: str, idx: int, n: int) -> SparseMatrix:
-    """Left-regular matrix of T_idx / c_idx in the canonical basis order.
+def _basis_index(n: int) -> dict:
+    """Position of each basis key in the canonical order."""
+    return {key: k for k, key in enumerate(algebra_basis(n))}
 
-    Guarded at n <= MAX_REGULAR_N (the regular module has dimension 2^n n!).
-    """
-    if kind not in ("T", "c"):
-        raise ValueError("unknown generator kind %r" % kind)
+
+def _guard_regular(n: int) -> None:
+    """The regular module has dimension 2^n n!: guarded at n <= MAX_REGULAR_N."""
     if n > MAX_REGULAR_N:
         raise ResourceLimitError(
             "regular representation of rank %d exceeds the guard %d" % (n, MAX_REGULAR_N)
         )
-    basis = algebra_basis(n)
-    pos = {key: k for k, key in enumerate(basis)}
-    dim = len(basis)
-    mat = SparseMatrix(dim, dim)
-    for col, key in enumerate(basis):
-        for k, v in _left_mul((kind, idx), {key: GAUSS_ONE}).items():
-            mat.cols[col][pos[k]] = v
-    return mat
+
+
+@lru_cache(maxsize=None)
+def _left_regular_columns(key, n: int) -> list:
+    """The columns of the left-regular matrix of one generator key, read
+    from the rewriting rules with ``int`` entries, in the canonical order;
+    guarded by ``_guard_regular``."""
+    _guard_regular(n)
+    pos = _basis_index(n)
+    return [
+        {pos[k]: v for k, v in _left_mul(key, {b: 1}).items()} for b in algebra_basis(n)
+    ]
+
+
+def regular_generator_matrix(kind: str, idx: int, n: int) -> SparseMatrix:
+    """Left-regular matrix of T_idx / c_idx in the canonical basis order,
+    with ``GaussianRational`` entries; guarded by ``_guard_regular``."""
+    if kind not in ("T", "c"):
+        raise ValueError("unknown generator kind %r" % kind)
+    cols = _left_regular_columns((kind, idx), n)
+    return SparseMatrix(len(cols), len(cols), [
+        {r: GaussianRational(v) for r, v in col.items()} for col in cols
+    ])
 
 
 def frobenius_gram(n: int) -> SparseMatrix:
@@ -488,8 +525,7 @@ def frobenius_gram(n: int) -> SparseMatrix:
     basis = algebra_basis(n)
     dim = len(basis)
     w0row = basis.index((frozenset(), tuple(range(n, 0, -1))))
-    keys = [("T", i) for i in range(1, n)] + [("c", j) for j in range(1, n + 1)]
-    transposes = {k: regular_generator_matrix(*k, n).transpose() for k in keys}
+    transposes = {k: regular_generator_matrix(*k, n).transpose() for k in generators(n)}
 
     def act(key, vec):
         return transposes[key].apply(vec)
@@ -513,6 +549,118 @@ def leading_term_check(w: Permutation, d) -> tuple:
             if w(dset[a]) > w(dset[b]):
                 inv += 1
     return ((-1) ** inv, frozenset(w(x) for x in dset))
+
+
+# ---------------------------------------------------------------------------
+# the associativity certificate
+# ---------------------------------------------------------------------------
+
+
+def _table_entries(n: int):
+    """Every entry of the three tables behind ``multiply`` at rank n, as
+    (x, y, x*y): basis keys x and y, and the tabulated product as a dict
+    {basis key: int}."""
+    ident = tuple(range(1, n + 1))
+    perms = [w for d, w in algebra_basis(n) if not d]
+    subsets = _subsets_ordered(n)
+    empty = frozenset()
+    for w in perms:
+        for e in subsets:
+            yield (empty, w), (e, ident), {(d, u): k for k, d, u in _t_times_c(w, e)}
+    for d in subsets:
+        for e in subsets:
+            s, de = _clifford_sign(d, e)
+            yield (d, ident), (e, ident), {(de, ident): s}
+    for u in perms:
+        for v in perms:
+            t, uv = _demazure_sign(u, v)
+            yield (empty, u), (empty, v), {(empty, uv): t}
+
+
+def _int_apply(cols: list, vec: dict) -> dict:
+    """The matrix with ``int`` columns ``cols`` times the ``int`` vector
+    ``vec``: the certificate's one product, without the ``GaussianRational``
+    dispatch of ``vec_iadd_scaled``."""
+    if len(vec) == 1:  # one column, scaled: nothing can cancel
+        ((j, x),) = vec.items()
+        return {i: x * y for i, y in cols[j].items()}
+    out = {}
+    for j, x in vec.items():
+        for i, y in cols[j].items():
+            out[i] = out.get(i, 0) + x * y
+    return {i: v for i, v in out.items() if v}
+
+
+def associativity_failure(n: int):
+    """None when ``multiply`` is certified associative at rank n, else the
+    first check that failed, as text.  Guarded at n <= MAX_REGULAR_N.
+
+    Let V be the span of the basis, 1 the unit, L_g the left-regular matrix
+    of the generator g read from the rewriting rules (``_left_mul``), and
+    R_g the matrix of v -> multiply(v, g).  For a basis element b with
+    normal word g_1 ... g_k put lambda(b) = L_{g_1} ... L_{g_k} and
+    rho(b) = R_{g_k} ... R_{g_1}.  Three checks:
+
+    (i)   R_g L_h = L_h R_g for all generators g and h;
+    (ii)  lambda(b) 1 = b and rho(b) 1 = b for every basis element b;
+    (iii) each table entry is the L-walk it stands for: T_w c_E, c_D c_E
+          and T_u T_v as tabulated equal lambda(T_w) c_E, lambda(c_D) c_E
+          and lambda(T_u) T_v.
+
+    Let A be the algebra of matrices generated by the L_g (the identity
+    included) and ev: A -> V, X -> X 1.  By (ii), ev(lambda(b)) = b, so ev
+    is onto.  If X 1 = 0 then X commutes with every R_g by (i), hence with
+    every rho(b), and X b = X rho(b) 1 = rho(b) X 1 = 0 by (ii), so X = 0:
+    ev is one-to-one.  Transport the product of A along ev:
+    u * v = ev^-1(u) v is associative with unit 1, and on a basis element
+    b * v = lambda(b) v.  The normal word of c_D T_w is that of c_D followed
+    by that of T_w, so lambda(c_D T_w) = lambda(c_D) lambda(T_w), that is
+    c_D T_w = c_D * T_w.  By (iii), T_w * c_E = sum k c_D' T_u as
+    tabulated, c_D * c_D' = s c_{D xor D'} and T_u * T_v = t T_{u*v}.  So
+    by associativity
+
+        c_D T_w * c_E T_v = c_D * (T_w * c_E) * T_v
+                          = sum k s t c_{D xor D'} T_{u*v},
+
+    which is the sum ``multiply`` forms for the pair.  ``multiply`` is
+    bilinear, so it equals *, and it is associative.
+    """
+    _guard_regular(n)
+    basis = algebra_basis(n)
+    pos = _basis_index(n)
+    gens = generators(n)
+    left = {g: _left_regular_columns(g, n) for g in gens}
+
+    def walk(cols, word, b):
+        vec = {pos[b]: 1}
+        for g in word:
+            vec = _int_apply(cols[g], vec)
+        return vec
+
+    # (ii) by the L's, then (iii), which fills the tables before the
+    # short-lived R matrices are built
+    one = (frozenset(), tuple(range(1, n + 1)))
+    lwords = {}
+    for b in basis:
+        lwords[b] = normal_word(*b)[::-1]
+        if walk(left, lwords[b], one) != {pos[b]: 1}:
+            return "the L-walk of %s" % basis_element(*b, n)
+    for x, y, xy in _table_entries(n):
+        if walk(left, lwords[x], y) != {pos[k]: v for k, v in xy.items()}:
+            return "the table entry %s * %s" % (basis_element(*x, n), basis_element(*y, n))
+    elems = [basis_element(d, w, n) for d, w in basis]
+    right = {
+        g: [{pos[k]: v.rational() for k, v in multiply(b, x).terms.items()} for b in elems]
+        for g, x in gens.items()
+    }
+    for b in basis:
+        if walk(right, lwords[b][::-1], one) != {pos[b]: 1}:
+            return "the R-walk of %s" % basis_element(*b, n)
+    for g, rg in right.items():
+        for h, lh in left.items():
+            if any(_int_apply(rg, a) != _int_apply(lh, b) for a, b in zip(lh, rg)):
+                return "R(%s_%d) does not commute with L(%s_%d)" % (g + h)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -569,15 +717,39 @@ def apply_morphism(tag: str, a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(n, out)
 
 
+def _first_letter(d, w) -> tuple:
+    """(g, b') with c_D T_w = g b', g the first letter of normal_word(d, w).
+    b' comes earlier in the canonical order: it has a smaller D, or, for
+    D empty, i+1 stands left of i in w and b' exchanges them."""
+    if d:
+        j = min(d)
+        return ("c", j), (d - {j}, w)
+    i = word_reduced(w)[0]
+    return ("T", i), (d, swap_values(i, w))
+
+
 @lru_cache(maxsize=None)
 def morphism_matrix(tag: str, n: int) -> SparseMatrix:
-    """Matrix of the named morphism in the canonical basis order."""
+    """Matrix of the named morphism in the canonical basis order.
+
+    Columns are built in that order, each from an earlier one: with
+    b = g b' as in ``_first_letter``, nu(b) = nu(g) nu(b'), or nu(b') nu(g)
+    for the anti-involutions, one ``multiply`` per column.  phi_bar has no
+    matrix: it is defined on the Hecke subalgebra only.  ``apply_morphism``
+    is the independent route, one walk per element.
+    """
+    if tag == "phi_bar":
+        raise ValueError("phi_bar is defined on the Hecke subalgebra only")
+    images = _morphism_generator_images(tag, n)
     basis = algebra_basis(n)
-    pos = {key: k for k, key in enumerate(basis)}
-    dim = len(basis)
-    mat = SparseMatrix(dim, dim)
+    pos = _basis_index(n)
+    mat = SparseMatrix(len(basis), len(basis))
+    done = {basis[0]: unit(n)}  # basis[0] is the unit
     for col, (d, w) in enumerate(basis):
-        img = apply_morphism(tag, basis_element(d, w, n))
-        for key, v in img.terms.items():
+        if col:
+            g, rest = _first_letter(d, w)
+            x, y = images[g], done[rest]
+            done[(d, w)] = multiply(y, x) if tag in _ANTI_TAGS else multiply(x, y)
+        for key, v in done[(d, w)].terms.items():
             mat.cols[col][pos[key]] = v
     return mat

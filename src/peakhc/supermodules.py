@@ -71,6 +71,7 @@ from .scalars import GAUSS_I, GAUSS_ONE, GAUSS_ZERO, GaussianRational, as_gauss
 
 __all__ = [
     "Supermodule",
+    "RelationError",
     "ModuleMap",
     "HomBasis",
     "IsoSearch",
@@ -137,6 +138,11 @@ def generator_keys(blocks: tuple, algebra: str) -> list:
     return keys
 
 
+class RelationError(ValueError):
+    """A module's action matrices fail a defining relation: a failed case,
+    not malformed input."""
+
+
 class Supermodule:
     """Labelled Z2-graded basis with one exact action matrix per generator."""
 
@@ -167,7 +173,9 @@ class Supermodule:
         return even, self.dim - even
 
     def check(self) -> None:
-        """Verify every defining relation as an exact matrix identity."""
+        """Verify every defining relation as an exact matrix identity; a
+        failing one raises ``RelationError``, a malformed action
+        ``ValueError``."""
         dim = self.dim
         act = self.actions
         for key, mat in act.items():
@@ -180,7 +188,7 @@ class Supermodule:
         # __init__ made the keys of act the generator keys of the blocks
         failed = failing_relation(act, operator.matmul, SparseMatrix.identity(dim, _G1))
         if failed:
-            raise ValueError("relation %s fails" % failed)
+            raise RelationError("relation %s fails" % failed)
 
     def __repr__(self):
         return "Supermodule(blocks=%r, algebra=%r, dim=%d)" % (

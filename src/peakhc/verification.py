@@ -22,6 +22,8 @@ from .combinat import (
     peak_sets_in,
 )
 from .characteristic import (
+    HOM_CHECK_MAX_N,
+    MODULE_SQUARE_MAX_N,
     cartan_rank,
     gessel_pairing,
     theta_ribbon_formula,
@@ -33,12 +35,11 @@ from .characteristic import (
     verify_restriction_vectors,
 )
 from .hecke_clifford import (
-    AlgebraElement,
     algebra_basis,
+    associativity_failure,
     failing_relation,
     frobenius_gram,
-    gen_c,
-    gen_T,
+    generators,
     morphism_matrix,
     multiply,
     unit as algebra_unit,
@@ -65,7 +66,7 @@ from .hopf import (
     vartheta_map,
 )
 from .linalg import Echelon
-from .scalars import GAUSS_ZERO, GaussianRational
+from .scalars import GAUSS_ZERO
 from .supermodules import (
     end_clifford_check,
     find_isomorphism,
@@ -76,9 +77,7 @@ from .supermodules import (
     twist,
 )
 
-__all__ = ["ALGEBRA_TRIPLES", "SUITES", "run_suite", "suite_names"]
-
-ALGEBRA_TRIPLES = 500  # random associativity triples per rank in suite_algebra
+__all__ = ["SUITES", "run_suite", "suite_names"]
 
 
 def _report(claim, params, ok, witness=None):
@@ -184,39 +183,19 @@ def suite_gessel(max_n: int) -> list:
     return out
 
 
-def _random_homogeneous(rng, n, parity):
-    basis = algebra_basis(n)
-    terms = {}
-    for _ in range(3):
-        d, w = rng.choice(basis)
-        if len(d) % 2 != parity:
-            continue
-        terms[(d, w)] = GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2))
-    return AlgebraElement(n, terms)
-
-
 def suite_algebra(max_n: int) -> list:
     import math
 
     out = []
-    rng = random.Random(123)
     for n in range(1, max_n + 1):
         basis = algebra_basis(n)
         ok = len(basis) == 2 ** n * math.factorial(n)
         witness = None if ok else "basis count"
         if ok:
-            gens = {("T", i): gen_T(i, n) for i in range(1, n)}
-            gens.update({("c", j): gen_c(j, n) for j in range(1, n + 1)})
-            witness = failing_relation(gens, multiply, algebra_unit(n))
+            witness = failing_relation(generators(n), multiply, algebra_unit(n))
+            if witness is None:
+                witness = associativity_failure(n)
             ok = witness is None
-        if ok:
-            for _ in range(ALGEBRA_TRIPLES):
-                a = _random_homogeneous(rng, n, rng.randint(0, 1))
-                b = _random_homogeneous(rng, n, rng.randint(0, 1))
-                c = _random_homogeneous(rng, n, rng.randint(0, 1))
-                if multiply(multiply(a, b), c) != multiply(a, multiply(b, c)):
-                    ok, witness = False, "associativity"
-                    break
         out.append(_report("algebra-relations", {"n": n}, ok, witness))
         # Frobenius form: invertible Gram, evenness, Nakayama identity
         gram = frobenius_gram(n)
@@ -301,7 +280,8 @@ def suite_restriction(max_n: int, module_max_n: int) -> list:
     out = []
     for n in range(1, max_n + 1):
         bad = [str(a) for a in compositions_of(n) if not verify_restriction_to_hecke(a)[0]]
-        out.append(_report("restriction-classes", {"n": n}, not bad, bad))
+        params = {"n": n, "hom_check_max_n": HOM_CHECK_MAX_N}
+        out.append(_report("restriction-classes", params, not bad, bad))
     for n in range(1, module_max_n + 1):
         # a guarded rank skips that one case, not the suite
         try:
@@ -395,7 +375,11 @@ def suite_heisenberg(max_degree: int) -> list:
 
 
 def suite_diagrams(max_n: int) -> list:
-    return [_report("diagrams", {"n": n}, *verify_diagrams(n)) for n in range(1, max_n + 1)]
+    return [
+        _report("diagrams", {"n": n, "module_square_max_n": MODULE_SQUARE_MAX_N},
+                *verify_diagrams(n))
+        for n in range(1, max_n + 1)
+    ]
 
 
 def suite_freeness(max_degree: int) -> list:

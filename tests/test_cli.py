@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -128,6 +129,23 @@ def test_cli_module_dump_check(tmp_path, capsys):
     code = main(["module", "check", str(out)])
     assert code == 0
     assert "verified" in capsys.readouterr().out
+
+
+def test_cli_module_check_fails_a_broken_relation(tmp_path, capsys):
+    # a well-formed module that is not a module is a failed case (exit 1),
+    # not a usage error (exit 2)
+    out = tmp_path / "mod.json"
+    assert main(
+        ["module", "dump", "--kind", "induced-simple", "--alpha", "2", "--out", str(out)]
+    ) == 0
+    doc = json.loads(out.read_text())
+    for entry in doc["actions"]["T1"]:
+        entry[2] = {part: str(2 * Fraction(entry[2][part])) for part in ("re", "im")}
+    out.write_text(json.dumps(doc))
+    assert main(["module", "check", str(out), "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "failed"
+    assert report["witness"] == "relation T_1 T_1 = -T_1 fails"
 
 
 @pytest.mark.parametrize("entry", [[9, 0], [0, 9]])

@@ -80,3 +80,20 @@ def test_guarded_restriction_vectors_skip_one_case(monkeypatch):
     assert [r["status"] for r in reports if r["claim"] != "restriction-vectors"] == [
         "verified"
     ]
+
+
+def test_coverage_bounds_are_stated_in_params(monkeypatch):
+    # above HOM_CHECK_MAX_N only the class route runs, and every report of
+    # the two suites names the bound of its module-backed route
+    reports = verification.suite_restriction(max_n=2, module_max_n=0)
+    assert [r["params"] for r in reports] == [
+        {"n": n, "hom_check_max_n": characteristic.HOM_CHECK_MAX_N} for n in (1, 2)
+    ]
+    reports = verification.suite_diagrams(max_n=2)
+    assert [r["params"] for r in reports] == [
+        {"n": n, "module_square_max_n": characteristic.MODULE_SQUARE_MAX_N} for n in (1, 2)
+    ]
+    monkeypatch.setattr(characteristic, "hecke_simple_hom_dims", _boom)
+    assert characteristic.verify_restriction_to_hecke(_row(characteristic.HOM_CHECK_MAX_N + 1))[0]
+    with pytest.raises(AssertionError):
+        characteristic.verify_restriction_to_hecke(_row(characteristic.HOM_CHECK_MAX_N))

@@ -13,7 +13,9 @@ from peakhc.combinat import (
     word_length,
     word_reduced,
 )
+import peakhc.hecke_clifford as hc
 from peakhc.hecke_clifford import (
+    MAX_REGULAR_N,
     MORPHISM_TAGS,
     AlgebraElement,
     RankMismatchError,
@@ -25,12 +27,15 @@ from peakhc.hecke_clifford import (
     act_terms,
     algebra_basis,
     apply_morphism,
+    associativity_failure,
     basis_element,
     defining_relations,
+    failing_relation,
     frobenius_form,
     frobenius_gram,
     gen_T,
     gen_c,
+    generators,
     leading_term_check,
     morphism_matrix,
     multiply,
@@ -39,7 +44,7 @@ from peakhc.hecke_clifford import (
     trace,
     unit,
 )
-from peakhc.linalg import Echelon
+from peakhc.linalg import Echelon, vec_add_term
 from peakhc.scalars import GAUSS_I, GAUSS_ONE, GaussianRational
 from peakhc.supermodules import generator_keys, induce_clifford, simple_hecke
 from peakhc.verification import suite_algebra
@@ -129,6 +134,68 @@ def test_associativity_random():
             b = _random_homogeneous(rng, n, rng.randint(0, 1))
             z = _random_homogeneous(rng, n, rng.randint(0, 1))
             assert multiply(multiply(a, b), z) == multiply(a, multiply(b, z))
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empty every table of hecke_clifford before and after the test, so that
+    no entry filled under a patched rule outlives it."""
+
+    def clear():
+        for obj in vars(hc).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_associativity_certificate():
+    for n in range(0, 5):
+        assert associativity_failure(n) is None, n
+    with pytest.raises(ResourceLimitError):
+        associativity_failure(MAX_REGULAR_N + 1)
+
+
+def _algebra_relations(max_n):
+    return [r for r in suite_algebra(max_n=max_n) if r["claim"] == "algebra-relations"]
+
+
+def test_certificate_fails_on_one_flipped_clifford_sign(monkeypatch, fresh_tables):
+    # c_{1,2} c_3 = c_{1,2,3}; no defining relation multiplies these two
+    real = hc._clifford_sign
+    d, e = frozenset({1, 2}), frozenset({3})
+
+    def flipped(x, y):
+        s, xy = real(x, y)
+        return (-s, xy) if (x, y) == (d, e) else (s, xy)
+
+    monkeypatch.setattr(hc, "_clifford_sign", flipped)
+    assert failing_relation(generators(3), multiply, unit(3)) is None
+    assert associativity_failure(3) is not None
+    reports = _algebra_relations(3)
+    assert [r["status"] for r in reports] == ["verified", "verified", "failed"]
+    assert reports[-1]["witness"] == associativity_failure(3)
+
+
+def test_certificate_fails_on_one_broken_rewriting_case(monkeypatch, fresh_tables):
+    # T_1 c_D T_w with 1, 2 in D loses its sign; the tables, the left-regular
+    # matrices and the relations all read the broken rule
+    real = hc._left_mul_T
+
+    def broken(i, terms):
+        out = {}
+        for (d, w), c in terms.items():
+            for key, v in real(i, {(d, w): c}).items():
+                vec_add_term(out, key, -v if i == 1 and {1, 2} <= d else v)
+        return out
+
+    monkeypatch.setattr(hc, "_left_mul_T", broken)
+    assert failing_relation(generators(3), multiply, unit(3)) is None
+    reports = _algebra_relations(3)
+    assert [r["status"] for r in reports] == ["verified", "failed", "failed"]
+    assert reports[-1]["witness"] == associativity_failure(3)
 
 
 def test_parity_grading():
@@ -416,6 +483,19 @@ def test_apply_morphism_matches_products():
                     continue
                 elt = basis_element(d, w, n)
                 assert apply_morphism(tag, elt) == _apply_morphism_by_products(tag, elt)
+
+
+def test_morphism_matrix_matches_the_walk():
+    # the prefix-built columns against apply_morphism, one walk per element
+    for n in range(1, 5):
+        pos = {key: k for k, key in enumerate(algebra_basis(n))}
+        for tag in ("phi", "phi_prime", "psi", "psi_prime"):
+            mat = morphism_matrix(tag, n)
+            for col, (d, w) in enumerate(algebra_basis(n)):
+                img = apply_morphism(tag, basis_element(d, w, n))
+                assert mat.cols[col] == {pos[k]: v for k, v in img.terms.items()}, (tag, d, w)
+        with pytest.raises(ValueError):
+            morphism_matrix("phi_bar", n)
 
 
 def test_morphism_examples():

@@ -26,6 +26,7 @@ from peakhc.supermodules import (
     HomBasis,
     IsoSearch,
     ModuleMap,
+    RelationError,
     Supermodule,
     act_element,
     bruhat_filtration,
@@ -133,7 +134,7 @@ def test_check_rejects_a_negated_clifford_action():
     actions = dict(good.actions)
     actions[("c", 1)] = actions[("c", 1)].scale(-1)
     bad = Supermodule(good.blocks, good.algebra, good.labels, good.parities, actions)
-    with pytest.raises(ValueError, match="T_1 c_1 = c_2 T_1"):
+    with pytest.raises(RelationError, match="T_1 c_1 = c_2 T_1"):
         bad.check()
 
 
