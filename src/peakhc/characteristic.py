@@ -92,7 +92,7 @@ __all__ = [
 ]
 
 MAX_CARTAN_N = 7  # descent-class enumeration of cartan_image
-MAX_GESSEL_N = 7  # one enumeration of S_n per degree in gessel_pairing
+MAX_GESSEL_N = 8  # one enumeration of S_n per degree in gessel_pairing
 MAX_CORNER_N = 5  # induced projectives of verify_corner_restriction
 # coverage bounds, not guards: above them only the class route runs, and the
 # reports of the verification suites state them in their params

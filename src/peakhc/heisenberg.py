@@ -218,8 +218,7 @@ def _omega_basis_in_k(degree: int) -> tuple:
     """q-monomials on strict partitions of the degree, as K elements."""
     out = []
     for lam in strict_partitions_of(degree):
-        q = convert(term("Omega", "q", lam), "podd")
-        out.append((lam, omega_into_peakdual(q)))
+        out.append((lam, omega_into_peakdual(term("Omega", "q", lam))))
     return tuple(out)
 
 

@@ -24,18 +24,26 @@ Implemented algebras, with their basis tags and index kinds:
   q-monomials indexed by partitions.
 
 Coefficients are exact rationals: ``int`` while integral, ``fractions.Fraction``
-once a division has happened (the Newton identities for h in p, the solves
-behind membership conversions, the Omega inner product).  Every table built
-without a division has ``int`` entries (+-1, 2^k or n); only h in p and q in
-podd carry ``Fraction``.  Conversion tables are computed
-once per degree on demand and cached (functools caches are safe for
-concurrent readers); every value here is immutable after construction.
+once a division has happened (an exact solve, the 2^-l(lam) of podd, the
+Omega inner product).  Every table holds ``int`` entries (+-1, 2^k or n).
+Conversion tables are computed once per degree on demand and cached
+(functools caches are safe for concurrent readers); every value here is
+immutable after construction.
+
+Sym is read through its image in QSym: one integer table (``_sym_in_m``)
+holds h_lam, p_lam and m_lam on M codes, and r goes to h first.  Into m a
+Sym element is a class read of that image, into h or p one exact solve per
+degree against the images of the target basis.  Omega follows: q_lam is
+theta(h_lam), so its podd coordinates are theta of the p coordinates of
+h_lam, and its image in PeakDual is vartheta(h_lam).
 
 Membership conversions (NSym -> Peak, QSym -> PeakDual, Sym -> Omega,
 QSym -> Sym) raise ``MembershipError`` when the element lies outside the
-subalgebra; only QSym -> PeakDual solves.  PeakDual products, coproducts and
-the embedding of Omega lift to QSym along the Hopf morphism vartheta
-(``_lift``), compute on M and read back through N_alpha in K (``_n_in_k``).
+subalgebra.  QSym -> PeakDual is a solve, NSym -> Peak and QSym -> Sym
+are class reads, and Sym -> Omega reads the parts of the p coordinates.
+PeakDual products, coproducts and the embedding of Omega lift to QSym
+along the Hopf morphism vartheta (``_lift``), compute on M and read back
+through N_alpha in K (``_n_in_k``).
 
 Keys.  ``FreeElement.coeffs`` and ``TensorElement.coeffs`` are keyed by
 ``Composition``, ``PeakSet`` or partition tuples.  Inside this module every
@@ -666,56 +674,6 @@ def _part_product(x: dict, y: dict) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def _p_in_h(n: int) -> tuple:
-    """Newton: p_n = n h_n - sum_{k=1}^{n-1} h_k p_{n-k}."""
-    out = {(n,): n}
-    for k in range(1, n):
-        vec_iadd_scaled(out, ((_merge_parts((k,), lam), c) for lam, c in _p_in_h(n - k)), -1)
-    return tuple(out.items())
-
-
-@lru_cache(maxsize=None)
-def _h_in_p(n: int) -> tuple:
-    """Newton: h_n = (1/n) sum_{k=1}^{n} p_k h_{n-k}."""
-    if n == 0:
-        return (((), 1),)
-    out = {}
-    inv_n = Fraction(1, n)
-    for k in range(1, n + 1):
-        vec_iadd_scaled(out, ((_merge_parts((k,), lam), c) for lam, c in _h_in_p(n - k)), inv_n)
-    return tuple(out.items())
-
-
-def _expand_monomials(coeffs: dict, factor, mul, one) -> dict:
-    """sum over lam of coeffs[lam] * prod_{part in lam} factor(part), the
-    product taken with ``mul`` from ``{one: 1}``."""
-    out = {}
-    for lam, c in coeffs.items():
-        acc = {one: 1}
-        for part in lam:
-            acc = mul(acc, factor(part))
-        vec_iadd_scaled(out, acc, c)
-    return out
-
-
-def _sym_to_p(coeffs: dict, basis: str) -> dict:
-    """Expand a Sym element (h/m/p/r basis) in the p basis."""
-    if basis == "p":
-        return dict(coeffs)
-    if basis == "h":
-        return _expand_monomials(coeffs, lambda part: dict(_h_in_p(part)), _part_product, ())
-    if basis == "r":
-        return _sym_to_p(_r_to_h(coeffs), "h")
-    if basis == "m":
-        return _sym_to_p(_m_to_h(coeffs), "h")
-    raise ConversionError("no p-expansion from Sym basis %s" % basis)
-
-
-def _p_to_h_dict(coeffs: dict) -> dict:
-    return _expand_monomials(coeffs, lambda part: dict(_p_in_h(part)), _part_product, ())
-
-
 def _partition(code: int) -> tuple:
     """The sorted parts of the composition with this code (a table read)."""
     return _classes(code.bit_length(), "part")[1][code]
@@ -750,46 +708,6 @@ def _solve_degreewise(coeffs: dict, solver, coords, unit, message: str) -> dict:
     return out
 
 
-def _m_to_h(coeffs: dict) -> dict:
-    """Monomial to complete basis, degreewise via exact QSym coordinates."""
-
-    def coords(part, d):
-        members = _classes(d, "part")[0]
-        return {a: c for lam, c in part.items() for a in members[lam]}
-
-    return _solve_degreewise(
-        coeffs, _sym_h_solver, coords, (),
-        "monomial element of degree %d is not symmetric-consistent",
-    )
-
-
-def _h_to_m(coeffs: dict) -> dict:
-    """Complete to monomial: h_lambda in QSym is symmetric, so its M
-    coefficients are constant on the classes of sorted parts."""
-    return _read_classes(
-        _expand_linear(coeffs, _sym_h_qsym), "part",
-        "internal: h image of degree %d is not symmetric",
-    )
-
-
-@lru_cache(maxsize=None)
-def _sym_h_solver(n: int) -> SpanSolver:
-    """Span of the images of h_lambda inside QSym_n, tagged by partitions."""
-    solver = SpanSolver()
-    for lam in partitions_of(n):
-        solver.add(lam, _sym_h_qsym(lam))
-    return solver
-
-
-@lru_cache(maxsize=None)
-def _sym_h_qsym(lam: tuple) -> dict:
-    """Image of h_lambda in QSym: product of the full monomial sums per part."""
-    acc = {0: 1}
-    for part in lam:
-        acc = _qsym_m_product(acc, dict.fromkeys(range(1 << (part - 1), 1 << part), 1))
-    return acc
-
-
 def _qsym_m_product(x: dict, y: dict) -> dict:
     out = {}
     for ka, ca in x.items():
@@ -798,28 +716,66 @@ def _qsym_m_product(x: dict, y: dict) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
+def _sym_in_m(basis: str, lam: tuple) -> dict:
+    """Image of h_lam, p_lam or m_lam (``basis`` h, p or m) in QSym, on M
+    codes with int entries: h_k is the sum of every M of degree k, p_k is
+    M_(k), and m_lam is the sum of the class of lam.  Read-only."""
+    if basis == "m":
+        return dict.fromkeys(_classes(sum(lam), "part")[0][lam], 1)
+    if not lam:
+        return {0: 1}
+    k = lam[-1]
+    top = 1 << (k - 1)
+    factor = dict.fromkeys(range(top, top << 1), 1) if basis == "h" else {top: 1}
+    return _qsym_m_product(_sym_in_m(basis, lam[:-1]), factor)
+
+
 def _sym_into_qsym(coeffs: dict, basis: str) -> dict:
-    """A Sym element (h/m/p/r basis) as M coordinates."""
-    return _expand_monomials(
-        _sym_to_p(coeffs, basis), lambda part: {1 << (part - 1): 1}, _qsym_m_product, 0
-    )
+    """A Sym element (h/m/p/r basis) as M coordinates; r goes to h first."""
+    if basis == "r":
+        coeffs, basis = _r_to_h(coeffs), "h"
+    return _expand_linear(coeffs, lambda lam: _sym_in_m(basis, lam))
 
 
 @lru_cache(maxsize=None)
-def _q_gen_podd(n: int) -> tuple:
-    """q_n = theta(h_n) in the odd power-sum basis."""
-    out = {}
-    for lam, c in _h_in_p(n):
-        if all(part % 2 == 1 for part in lam):
-            out[lam] = c * (2 ** len(lam))
-    return tuple(out.items())
+def _sym_solver(basis: str, n: int) -> SpanSolver:
+    """Span of the images of the h_lam or p_lam of degree n in QSym_n,
+    tagged by partitions."""
+    solver = SpanSolver()
+    for lam in partitions_of(n):
+        solver.add(lam, _sym_in_m(basis, lam))
+    return solver
+
+
+def _sym_as(coeffs: dict, basis: str, target: str) -> dict:
+    """Sym coordinates in ``target`` (h, p or m), read from the image in
+    QSym: a class read into m, an exact solve into h or p."""
+    if basis == target:
+        return coeffs
+    if target == "r":
+        raise ConversionError("cannot convert into the dependent tag r")
+    if (basis, target) == ("r", "h"):
+        return _r_to_h(coeffs)
+    image = _sym_into_qsym(coeffs, basis)
+    if target == "m":
+        return _read_classes(image, "part", "internal: Sym image of degree %d is not symmetric")
+    return _solve_degreewise(
+        image, lambda d: _sym_solver(target, d), lambda part, d: part, (),
+        "internal: Sym image of degree %d is outside the span of its basis images",
+    )
+
+
+def _theta_p(p: dict) -> dict:
+    """theta on p coordinates: p_lam -> 2^l(lam) p_lam on odd lam, 0 on the rest."""
+    return {lam: c * 2 ** len(lam) for lam, c in p.items() if all(part % 2 for part in lam)}
 
 
 def _omega_to_podd(coeffs: dict, basis: str) -> dict:
+    """podd coordinates of an Omega element: q_lam = theta(h_lam)."""
     if basis == "podd":
         return dict(coeffs)
-    # q-monomial tag
-    return _expand_monomials(coeffs, lambda part: dict(_q_gen_podd(part)), _part_product, ())
+    return _theta_p(_sym_as(coeffs, "h", "p"))
 
 
 # peak-dual coordinates: express a QSym element in the K basis (degreewise)
@@ -973,7 +929,7 @@ def _convert(alg: str, basis: str, coeffs: dict, algebra: str, target: str) -> d
     if (alg, algebra) == ("Omega", "Sym"):
         return _convert_within("Sym", "p", _exact(_omega_to_podd(coeffs, basis)), target)
     if (alg, algebra) == ("Sym", "Omega"):
-        p = _sym_to_p(coeffs, basis)
+        p = _sym_as(coeffs, basis, "p")
         if any(part % 2 == 0 for lam in p for part in lam):
             raise MembershipError("p-expansion has even parts; not in the q-generated ring")
         return _convert_within("Omega", "podd", _exact(p), target)
@@ -985,8 +941,7 @@ def _convert(alg: str, basis: str, coeffs: dict, algebra: str, target: str) -> d
         )
         return _convert_within("Sym", "m", _exact(bym), target)
     if (alg, algebra) == ("Omega", "PeakDual"):
-        k = _into_peakdual(_omega_to_podd(coeffs, basis))
-        return _convert_within("PeakDual", "K", k, target)
+        return _convert_within("PeakDual", "K", _into_peakdual(coeffs, basis), target)
     if (alg, algebra) == ("Omega", "QSym"):
         p = _convert(alg, basis, coeffs, "Sym", "p")
         return _convert("Sym", "p", p, "QSym", target)
@@ -1010,14 +965,7 @@ def _convert_within(alg: str, basis: str, coeffs: dict, target: str) -> dict:
             return _exact(_expand_linear(coeffs, _n_in_k))
         raise ConversionError("cannot convert into the dependent tag N")
     if alg == "Sym":
-        if target == "p":
-            return _exact(_sym_to_p(coeffs, basis))
-        if target == "h":
-            to_h = {"p": _p_to_h_dict, "r": _r_to_h, "m": _m_to_h}[basis]
-            return _exact(to_h(coeffs))
-        if target == "m":
-            return _exact(_h_to_m(_convert_within(alg, basis, coeffs, "h")))
-        raise ConversionError("cannot convert into the dependent tag %s" % target)
+        return _exact(_sym_as(coeffs, basis, target))
     if alg == "Omega":
         if target == "podd":
             return _exact(_omega_to_podd(coeffs, basis))
@@ -1027,12 +975,15 @@ def _convert_within(alg: str, basis: str, coeffs: dict, target: str) -> dict:
     raise ConversionError("no conversion from %s/%s to basis %s" % (alg, basis, target))
 
 
-def _into_peakdual(podd: dict) -> dict:
-    """K coordinates of an Omega element given in podd.  On odd lam,
-    vartheta(p_lam) = theta(p_lam) = 2^l(lam) p_lam, so the element is
-    vartheta(sum c_lam 2^-l(lam) p_lam)."""
-    pre = {lam: Fraction(c, 1 << len(lam)) for lam, c in podd.items()}
-    return _exact(_expand_linear(_sym_into_qsym(pre, "p"), _n_in_k))
+def _into_peakdual(coeffs: dict, basis: str) -> dict:
+    """K coordinates of an Omega element given in q or podd.  vartheta
+    restricts to theta on Sym, so q_lam = theta(h_lam) is vartheta(h_lam),
+    an int combination of N's; on odd lam, theta(p_lam) = 2^l(lam) p_lam,
+    so p_lam is vartheta(2^-l(lam) p_lam)."""
+    if basis == "podd":
+        coeffs = {lam: Fraction(c, 1 << len(lam)) for lam, c in coeffs.items()}
+    image = _sym_into_qsym(coeffs, "p" if basis == "podd" else "h")
+    return _exact(_expand_linear(image, _n_in_k))
 
 
 # ---------------------------------------------------------------------------
@@ -1309,9 +1260,8 @@ def forgetful_pi(x: FreeElement) -> FreeElement:
 def theta_sym(x: FreeElement) -> FreeElement:
     """The epimorphism Sym -> Omega, h_n -> q_n; kills even power sums."""
     xc = _codes(x)
-    p = _sym_to_p(xc, x.basis) if x.algebra == "Sym" else _omega_to_podd(xc, x.basis)
-    out = {lam: c * 2 ** len(lam) for lam, c in p.items() if all(part % 2 == 1 for part in lam)}
-    return _element("Omega", "podd", out)
+    p = _sym_as(xc, x.basis, "p") if x.algebra == "Sym" else _omega_to_podd(xc, x.basis)
+    return _element("Omega", "podd", _theta_p(p))
 
 
 def sym_into_qsym(x: FreeElement) -> FreeElement:
@@ -1321,8 +1271,10 @@ def sym_into_qsym(x: FreeElement) -> FreeElement:
 
 def omega_into_peakdual(x: FreeElement) -> FreeElement:
     """The inclusion of the q-generated ring into the peak quasisymmetric ring."""
-    podd = _convert(x.algebra, x.basis, _codes(x), "Omega", "podd")
-    return _element("PeakDual", "K", _into_peakdual(podd))
+    xc, basis = _codes(x), x.basis
+    if x.algebra != "Omega":
+        xc, basis = _convert(x.algebra, basis, xc, "Omega", "podd"), "podd"
+    return _element("PeakDual", "K", _into_peakdual(xc, basis))
 
 
 def k_expansions(P: PeakSet) -> tuple:

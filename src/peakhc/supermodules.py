@@ -139,8 +139,8 @@ def generator_keys(blocks: tuple, algebra: str) -> list:
 
 
 class RelationError(ValueError):
-    """A module's action matrices fail a defining relation: a failed case,
-    not malformed input."""
+    """A module's action matrices fail a defining relation or the super
+    grading: a failed case, not malformed input."""
 
 
 class Supermodule:
@@ -173,9 +173,9 @@ class Supermodule:
         return even, self.dim - even
 
     def check(self) -> None:
-        """Verify every defining relation as an exact matrix identity; a
-        failing one raises ``RelationError``, a malformed action
-        ``ValueError``."""
+        """Verify that every action is parity-homogeneous and every defining
+        relation an exact matrix identity; a failing one raises
+        ``RelationError``, an action of the wrong shape ``ValueError``."""
         dim = self.dim
         act = self.actions
         for key, mat in act.items():
@@ -184,7 +184,7 @@ class Supermodule:
             want = 0 if key[0] == "T" else 1
             for r, cc, _v in mat.entries():
                 if (self.parities[r] + self.parities[cc]) % 2 != want:
-                    raise ValueError("action %s is not parity-homogeneous" % (key,))
+                    raise RelationError("action %s is not parity-homogeneous" % (key,))
         # __init__ made the keys of act the generator keys of the blocks
         failed = failing_relation(act, operator.matmul, SparseMatrix.identity(dim, _G1))
         if failed:

@@ -148,6 +148,23 @@ def test_cli_module_check_fails_a_broken_relation(tmp_path, capsys):
     assert report["witness"] == "relation T_1 T_1 = -T_1 fails"
 
 
+def test_cli_module_check_fails_an_action_that_breaks_the_grading(tmp_path, capsys):
+    # an even-row, odd-column entry in a T action breaks the super grading:
+    # a failed case (exit 1), like a failed relation
+    out = tmp_path / "mod.json"
+    assert main(
+        ["module", "dump", "--kind", "induced-simple", "--alpha", "2", "--out", str(out)]
+    ) == 0
+    doc = json.loads(out.read_text())
+    assert [b["parity"] for b in doc["basis"][:2]] == [0, 1]
+    doc["actions"]["T1"].append([0, 1, {"re": "1", "im": "0"}])
+    out.write_text(json.dumps(doc))
+    assert main(["module", "check", str(out), "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "failed"
+    assert report["witness"] == "action ('T', 1) is not parity-homogeneous"
+
+
 @pytest.mark.parametrize("entry", [[9, 0], [0, 9]])
 def test_cli_module_check_rejects_out_of_range_entry(tmp_path, capsys, entry):
     out = tmp_path / "mod.json"

@@ -39,6 +39,7 @@ from peakhc.hopf import (
     unit,
     vartheta_map,
 )
+from peakhc.linalg import vec_add_term
 
 
 def C(*parts):
@@ -164,6 +165,103 @@ def test_sym_conversions():
     assert exp == term("Sym", "m", (3,)) + term("Sym", "m", (2, 1)) + term(
         "Sym", "m", (1, 1, 1)
     )
+
+
+# the power-sum route: Newton's identities, kept as the oracle of every
+# conversion that hopf reads off the image of Sym in QSym
+
+NEWTON_MAX_DEGREE = 7
+
+
+def _merge(a, b):
+    return tuple(sorted(a + b, reverse=True))
+
+
+def newton_p_in_h(n):
+    """Newton: p_n = n h_n - sum_{k=1}^{n-1} h_k p_{n-k}."""
+    out = {(n,): n}
+    for k in range(1, n):
+        for lam, c in newton_p_in_h(n - k).items():
+            vec_add_term(out, _merge((k,), lam), -c)
+    return out
+
+
+def newton_h_in_p(n):
+    """Newton: h_n = (1/n) sum_{k=1}^{n} p_k h_{n-k}."""
+    if n == 0:
+        return {(): 1}
+    out = {}
+    for k in range(1, n + 1):
+        for lam, c in newton_h_in_p(n - k).items():
+            vec_add_term(out, _merge((k,), lam), Fraction(c, n))
+    return out
+
+
+def newton_expand(coeffs, single):
+    """sum of c_lam prod_{part in lam} single(part), multiplied on partitions."""
+    out = {}
+    for lam, c in coeffs.items():
+        acc = {(): c}
+        for part in lam:
+            nxt = {}
+            for a, ca in acc.items():
+                for b, cb in single(part).items():
+                    vec_add_term(nxt, _merge(a, b), ca * cb)
+            acc = nxt
+        for a, ca in acc.items():
+            vec_add_term(out, a, ca)
+    return out
+
+
+def ribbon_in_h(alpha):
+    """r_alpha = sum over coarsenings beta of alpha of (-1)^(l(alpha)-l(beta)) h_(sorted beta)."""
+    cuts = set(itertools.accumulate(alpha.parts[:-1]))
+    out = {}
+    for beta in compositions_of(alpha.n) if alpha.n else [alpha]:
+        if set(itertools.accumulate(beta.parts[:-1])) <= cuts:
+            sign = (-1) ** (len(alpha.parts) - len(beta.parts))
+            vec_add_term(out, tuple(sorted(beta.parts, reverse=True)), sign)
+    return out
+
+
+def test_convert_h_p_matches_newton():
+    for n in range(NEWTON_MAX_DEGREE + 1):
+        for lam in partitions_of(n):
+            want = newton_expand({lam: 1}, newton_h_in_p)
+            assert convert(term("Sym", "h", lam), "p") == FreeElement("Sym", "p", want), lam
+            want = newton_expand({lam: 1}, newton_p_in_h)
+            assert convert(term("Sym", "p", lam), "h") == FreeElement("Sym", "h", want), lam
+
+
+def test_sym_into_qsym_matches_the_power_sum_route():
+    # every h, r, m and p basis element goes into QSym as prod M_(k) of its
+    # Newton p-expansion; m reaches h through convert, r through ribbon_in_h
+    p_image = {(): {Composition(()): 1}}
+    for n in range(1, NEWTON_MAX_DEGREE + 1):
+        for lam in partitions_of(n):
+            x = unit("QSym", "M")
+            for k in lam:
+                x = product(x, M(k))
+            p_image[lam] = x.coeffs
+
+    def power_sum_route(coeffs_h):
+        out = {}
+        for lam, c in newton_expand(coeffs_h, newton_h_in_p).items():
+            for a, v in p_image[lam].items():
+                vec_add_term(out, a, c * v)
+        return FreeElement("QSym", "M", out)
+
+    for n in range(NEWTON_MAX_DEGREE + 1):
+        for lam in partitions_of(n):
+            assert sym_into_qsym(term("Sym", "h", lam)) == power_sum_route({lam: 1}), lam
+            assert sym_into_qsym(term("Sym", "p", lam)) == FreeElement(
+                "QSym", "M", p_image[lam]
+            ), lam
+            m = term("Sym", "m", lam)
+            assert sym_into_qsym(m) == power_sum_route(convert(m, "h").coeffs), lam
+        for alpha in compositions_of(n) if n else [C()]:
+            r = term("Sym", "r", alpha)
+            assert sym_into_qsym(r) == power_sum_route(ribbon_in_h(alpha)), alpha
 
 
 def test_qsym_to_sym_membership():
@@ -323,7 +421,7 @@ def test_peakdual_coproduct_matches_membership_solve():
 
 def test_omega_into_peakdual_matches_membership_solve():
     inputs = []
-    for n in range(1, 9):
+    for n in range(1, 11):
         for lam in strict_partitions_of(n):
             q = term("Omega", "q", lam)
             inputs += [q, convert(q, "podd")]
@@ -755,8 +853,8 @@ def test_basis_change_tables_have_int_entries_through_degree_7():
         comps = compositions_of(n) if n else [Composition(())]
         peaks = peak_sets_in(n) if n else [PeakSet(0, frozenset())]
         tables = [("_e_in_h", n, hopf._e_in_h(n)), ("_q_in_h", n, hopf._q_in_h(n))]
-        if n:
-            tables.append(("_p_in_h", n, hopf._p_in_h(n)))
+        for lam in partitions_of(n):
+            tables += [("_sym_in_m " + b, lam, hopf._sym_in_m(b, lam).items()) for b in "hpm"]
         for a in comps:
             tables += [("_h_expansion " + b, a, hopf._h_expansion(b, a.code)) for b in "HREQ"]
             tables += [
@@ -779,5 +877,6 @@ def test_basis_change_tables_have_int_entries_through_degree_7():
         converted += [convert(term("QSym", "F", a), "M") for a in comps]
         converted += [convert(term("QSym", "M", a), "F") for a in comps]
         converted += [convert(term("PeakDual", "K", P), "F", "QSym") for P in peaks]
+        converted += [convert(term("Sym", "p", lam), "h") for lam in partitions_of(n)]
         for y in converted:
             assert all(type(c) is int for c in y.coeffs.values()), y

@@ -138,6 +138,24 @@ def test_check_rejects_a_negated_clifford_action():
         bad.check()
 
 
+def test_check_separates_a_failed_grading_from_a_malformed_action():
+    good = induce_clifford(simple_hecke((1, 1)))
+    # the T_1 action moved onto the odd part breaks the super grading: a failed case
+    actions = dict(good.actions)
+    odd = [i for i, par in enumerate(good.parities) if par]
+    even = [i for i, par in enumerate(good.parities) if not par]
+    actions[("T", 1)] = SparseMatrix.from_entries(good.dim, good.dim, [(even[0], odd[0], 1)])
+    bad = Supermodule(good.blocks, good.algebra, good.labels, good.parities, actions)
+    with pytest.raises(RelationError, match="not parity-homogeneous"):
+        bad.check()
+    # a matrix of the wrong shape is malformed input, not a failed case
+    actions[("T", 1)] = SparseMatrix(good.dim + 1, good.dim)
+    bad = Supermodule(good.blocks, good.algebra, good.labels, good.parities, actions)
+    with pytest.raises(ValueError, match="wrong shape") as info:
+        bad.check()
+    assert not isinstance(info.value, RelationError)
+
+
 def test_outer_tensor_relations():
     w = outer_tensor(Stilde(2), Stilde(1))
     assert w.blocks == (2, 1) and w.dim == 8
