@@ -1,6 +1,6 @@
 """peakhc: exact workbench for peak algebras and 0-Hecke-Clifford supermodules.
 
-Subpackages compute, over exact rationals and Gaussian rationals:
+Subpackages compute, over exact rationals and Q(i):
 
 * ``combinat`` -- compositions, descent/peak/valley sets, permutations;
 * ``hopf`` -- graded Hopf arithmetic for NSym, QSym, the peak subalgebra and

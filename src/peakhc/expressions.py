@@ -32,7 +32,7 @@ from fractions import Fraction
 from .combinat import Composition, PeakSet
 from .hecke_clifford import AlgebraElement, unit as hc_unit
 from .hopf import _PIVOT_BASIS, FreeElement, convert, product, term
-from .scalars import GaussianRational
+from .scalars import GaussianRational, as_gauss, gaussian
 
 __all__ = [
     "ParseError",
@@ -279,13 +279,11 @@ def _eval_algebra(tree, rank) -> AlgebraElement:
             raise ParseError("T index %r is not a permutation word" % (word,))
         if len(word) < rank:
             word = word + tuple(range(len(word) + 1, rank + 1))
-        return AlgebraElement(rank, {(frozenset(), word): GaussianRational(1)})
+        return AlgebraElement(rank, {(frozenset(), word): 1})
     if kind == "c":
         if tree[1] and max(tree[1]) > rank:
             raise ParseError("Clifford index exceeds the rank")
-        return AlgebraElement(
-            rank, {(tree[1], tuple(range(1, rank + 1))): GaussianRational(1)}
-        )
+        return AlgebraElement(rank, {(tree[1], tuple(range(1, rank + 1))): 1})
     if kind == "neg":
         return _eval_algebra(tree[1], rank).scale(-1)
     if kind == "prod":
@@ -409,25 +407,17 @@ def element_from_json(doc) -> FreeElement:
 
 
 def algebra_element_to_json(a: AlgebraElement) -> dict:
-    return {
-        "rank": a.rank,
-        "terms": [
-            {
-                "c": sorted(d),
-                "w": list(w),
-                "coeff": {"re": str(coeff.re), "im": str(coeff.im)},
-            }
-            for (d, w), coeff in a.terms_sorted()
-        ],
-    }
+    terms = []
+    for (d, w), coeff in a.terms_sorted():
+        g = as_gauss(coeff)  # a real coefficient is int or Fraction
+        terms.append({"c": sorted(d), "w": list(w), "coeff": {"re": str(g.re), "im": str(g.im)}})
+    return {"rank": a.rank, "terms": terms}
 
 
 def algebra_element_from_json(doc) -> AlgebraElement:
     terms = {}
     for entry in doc["terms"]:
         key = (frozenset(entry["c"]), tuple(entry["w"]))
-        coeff = GaussianRational(
-            Fraction(entry["coeff"]["re"]), Fraction(entry["coeff"]["im"])
-        )
-        terms[key] = terms.get(key, GaussianRational(0)) + coeff
+        coeff = gaussian(Fraction(entry["coeff"]["re"]), Fraction(entry["coeff"]["im"]))
+        terms[key] = terms.get(key, 0) + coeff
     return AlgebraElement(doc["rank"], terms)

@@ -15,7 +15,7 @@ the algebra suite both evaluate it through ``failing_relation``.
 
 Elements are kept in the normal form  sum  coeff * c_D T_w  with D a subset
 of [n] (c's in increasing index order, to the left of the T's) and w given
-by any reduced word; coefficients are Gaussian rationals.  The rewriting
+by any reduced word; coefficients lie in Q(i).  The rewriting
 rules act by a single generator on the left:
 
     T_i c_D = c_D T_i                                    (i, i+1 not in D)
@@ -28,8 +28,11 @@ actions, induced modules and the (anti-)involutions walk these rules.
 Multiplication instead reads c_D T_w * c_E T_v = c_D (T_w c_E) T_v from
 three cached integer tables that the same rules fill once per key: T_w c_E
 in normal form, the Clifford sign of c_D c_D', and the Demazure sign of
-T_u T_v.  The structure constants are integers; we keep Gaussian-rational
-coefficients so idempotent computations downstream need no ring change.
+T_u T_v.  The structure constants are integers, and a coefficient follows
+the one representation of ``scalars``: ``int`` while integral, so products
+of integral elements stay ``int``, and a ``GaussianRational`` only where the
+imaginary part is nonzero, as in the idempotents that split induced
+simples.
 
 ``associativity_failure`` proves that this product is associative, rank by
 rank, with no sampling (Bergman's diamond lemma, Adv. Math. 29, 1978, run
@@ -60,8 +63,8 @@ from .combinat import (
     swap_values,
     word_reduced,
 )
-from .linalg import SparseMatrix, vec_add_term, vec_iadd_scaled
-from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussianRational, as_gauss
+from .linalg import SparseMatrix, vec_add_term, vec_iadd_scaled, vec_scale
+from .scalars import GaussianRational, _rational, as_scalar
 
 __all__ = [
     "RankMismatchError",
@@ -101,8 +104,10 @@ class RankMismatchError(ValueError):
 class AlgebraElement:
     """A normal-form element of the rank-n 0-Hecke-Clifford algebra.
 
-    ``terms`` maps (D: frozenset, w: one-line tuple) to a GaussianRational.
-    Instances are immutable by convention.
+    ``terms`` maps (D: frozenset, w: one-line tuple) to a nonzero scalar of
+    Q(i) in the one representation of ``scalars``: ``int`` while integral,
+    ``Fraction`` while real, ``GaussianRational`` otherwise.  Instances are
+    immutable by convention.
     """
 
     __slots__ = ("rank", "terms")
@@ -111,7 +116,7 @@ class AlgebraElement:
         self.rank = rank
         clean = {}
         for (d, w), c in (terms or {}).items():
-            c = as_gauss(c)
+            c = as_scalar(c)
             if c:
                 clean[(frozenset(d), tuple(w))] = c
         self.terms = clean
@@ -134,10 +139,7 @@ class AlgebraElement:
         return self + other.scale(-1)
 
     def scale(self, c) -> "AlgebraElement":
-        c = as_gauss(c)
-        if not c:
-            return self._make({})
-        return self._make({k: v * c for k, v in self.terms.items()})
+        return self._make(vec_scale(self.terms, as_scalar(c)))
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -207,24 +209,24 @@ def _term_key(key):
 
 
 def unit(n: int) -> AlgebraElement:
-    return AlgebraElement(n, {(frozenset(), tuple(range(1, n + 1))): GAUSS_ONE})
+    return AlgebraElement(n, {(frozenset(), tuple(range(1, n + 1))): 1})
 
 
 def gen_T(i: int, n: int) -> AlgebraElement:
     if not 1 <= i <= n - 1:
         raise ValueError("T_%d is not a generator at rank %d" % (i, n))
     w = swap_values(i, tuple(range(1, n + 1)))
-    return AlgebraElement(n, {(frozenset(), w): GAUSS_ONE})
+    return AlgebraElement(n, {(frozenset(), w): 1})
 
 
 def gen_c(j: int, n: int) -> AlgebraElement:
     if not 1 <= j <= n:
         raise ValueError("c_%d is not a generator at rank %d" % (j, n))
-    return AlgebraElement(n, {(frozenset({j}), tuple(range(1, n + 1))): GAUSS_ONE})
+    return AlgebraElement(n, {(frozenset({j}), tuple(range(1, n + 1))): 1})
 
 
 def basis_element(d, w, n: int) -> AlgebraElement:
-    return AlgebraElement(n, {(frozenset(d), tuple(w)): GAUSS_ONE})
+    return AlgebraElement(n, {(frozenset(d), tuple(w)): 1})
 
 
 def generators(n: int) -> dict:
@@ -437,30 +439,45 @@ def _demazure_sign(u: tuple, v: tuple) -> tuple:
     return t, _shared(uv)
 
 
+def _parts(x) -> tuple:
+    """(re, im) of a scalar of Q(i) in the one representation."""
+    return (x.re, x.im) if type(x) is GaussianRational else (x, 0)
+
+
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """a*b term by term, c_D T_w * c_E T_v = c_D (T_w c_E) T_v, from the
     three integer tables.  Each coefficient product x*y is formed once, by
-    components; real and imaginary parts are summed apart and one
-    GaussianRational is built per nonzero key."""
+    components, multiplying only nonzero parts; real and imaginary parts
+    are summed apart, and one value is stored per nonzero key, a
+    ``GaussianRational`` only where the imaginary part is nonzero."""
     if a.rank != b.rank:
         raise RankMismatchError("ranks %d and %d" % (a.rank, b.rank))
+    bterms = [(e, v) + _parts(y) for (e, v), y in b.terms.items()]
     re, im = {}, {}
     for (d, w), x in a.terms.items():
-        for (e, v), y in b.terms.items():
-            xr = x.re * y.re - x.im * y.im
-            xi = x.re * y.im + x.im * y.re
+        xr, xi = _parts(x)
+        for e, v, yr, yi in bterms:
+            pr = xr * yr if xr and yr else 0
+            pi = xr * yi if xr and yi else 0
+            if xi:
+                if yi:
+                    pr -= xi * yi
+                if yr:
+                    pi += xi * yr
             for k, d2, u in _t_times_c(w, e):
                 s, dd = _clifford_sign(d, d2)
                 t, uv = _demazure_sign(u, v)
                 key, m = (dd, uv), k * s * t
-                re[key] = re.get(key, 0) + xr * m
-                if xi:
-                    im[key] = im.get(key, 0) + xi * m
+                re[key] = re.get(key, 0) + pr * m
+                if pi:
+                    im[key] = im.get(key, 0) + pi * m
     out = {}
     for key, r in re.items():
-        i = im.get(key, 0)
-        if r or i:
+        i = im.get(key)
+        if i:
             out[key] = GaussianRational(r, i)
+        elif r:
+            out[key] = r if type(r) is int else _rational(r)
     return a._make(out)
 
 
@@ -469,13 +486,13 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-def trace(a: AlgebraElement) -> GaussianRational:
+def trace(a: AlgebraElement):
     """tr(c_D T_w) = 1 exactly on D = empty, w = longest element."""
     w0 = tuple(range(a.rank, 0, -1))
-    return a.terms.get((frozenset(), w0), GAUSS_ZERO)
+    return a.terms.get((frozenset(), w0), 0)
 
 
-def frobenius_form(a: AlgebraElement, b: AlgebraElement) -> GaussianRational:
+def frobenius_form(a: AlgebraElement, b: AlgebraElement):
     return trace(multiply(a, b))
 
 
@@ -506,13 +523,11 @@ def _left_regular_columns(key, n: int) -> list:
 
 def regular_generator_matrix(kind: str, idx: int, n: int) -> SparseMatrix:
     """Left-regular matrix of T_idx / c_idx in the canonical basis order,
-    with ``GaussianRational`` entries; guarded by ``_guard_regular``."""
+    with ``int`` entries; guarded by ``_guard_regular``."""
     if kind not in ("T", "c"):
         raise ValueError("unknown generator kind %r" % kind)
     cols = _left_regular_columns((kind, idx), n)
-    return SparseMatrix(len(cols), len(cols), [
-        {r: GaussianRational(v) for r, v in col.items()} for col in cols
-    ])
+    return SparseMatrix(len(cols), len(cols), [dict(col) for col in cols])
 
 
 def frobenius_gram(n: int) -> SparseMatrix:
@@ -532,7 +547,7 @@ def frobenius_gram(n: int) -> SparseMatrix:
 
     gram = SparseMatrix(dim, dim)
     for i, key in enumerate(basis):
-        (row,) = act_terms({key: GAUSS_ONE}, act, [{w0row: GAUSS_ONE}], anti=True)
+        (row,) = act_terms({key: 1}, act, [{w0row: 1}], anti=True)
         for jcol, v in row.items():
             gram.cols[jcol][i] = v
     return gram
@@ -579,8 +594,8 @@ def _table_entries(n: int):
 
 def _int_apply(cols: list, vec: dict) -> dict:
     """The matrix with ``int`` columns ``cols`` times the ``int`` vector
-    ``vec``: the certificate's one product, without the ``GaussianRational``
-    dispatch of ``vec_iadd_scaled``."""
+    ``vec``: the certificate's one product, without the scalar dispatch of
+    ``vec_iadd_scaled``."""
     if len(vec) == 1:  # one column, scaled: nothing can cancel
         ((j, x),) = vec.items()
         return {i: x * y for i, y in cols[j].items()}
@@ -650,7 +665,7 @@ def associativity_failure(n: int):
             return "the table entry %s * %s" % (basis_element(*x, n), basis_element(*y, n))
     elems = [basis_element(d, w, n) for d, w in basis]
     right = {
-        g: [{pos[k]: v.rational() for k, v in multiply(b, x).terms.items()} for b in elems]
+        g: [{pos[k]: v for k, v in multiply(b, x).terms.items()} for b in elems]
         for g, x in gens.items()
     }
     for b in basis:

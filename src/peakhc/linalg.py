@@ -2,17 +2,20 @@
 
 Vectors are dicts mapping an index to a nonzero scalar; matrices are stored
 column-sparse.  Everything here is field-generic: any scalar type with exact
-+, -, *, / and truthiness-as-nonzero works.  Q(i) has two fast paths that
-give the same values: ``vec_iadd_scaled`` forms u[k] + c*v[k] from the
-components of ``GaussianRational`` operands, and a ``GaussianRational`` pivot
-is inverted as conj/norm.  No floating point anywhere.
++, -, *, / and truthiness-as-nonzero works.  Scalars follow the one
+representation of ``scalars``: a stored real value is ``int`` while it is
+integral and ``Fraction`` otherwise, and only a value with a nonzero
+imaginary part is a ``GaussianRational``.  Q(i) has two fast paths that give
+the same values: ``vec_iadd_scaled`` forms u[k] + c*v[k] from components
+when ``c`` is not real, and a ``GaussianRational`` pivot is inverted as
+conj/norm.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussianRational, _rational
+from .scalars import GaussianRational, _rational, gaussian
 
 __all__ = [
     "vec_add_term",
@@ -27,11 +30,12 @@ __all__ = [
 
 
 def vec_add_term(u: dict, k, val) -> None:
-    """u[k] += val in place, dropping the entry when it cancels."""
+    """u[k] += val in place, dropping the entry when it cancels; an integral
+    ``Fraction`` sum is stored as ``int``."""
     s = u.get(k)
     s = val if s is None else s + val
     if s:
-        u[k] = s
+        u[k] = _rational(s) if type(s) is Fraction else s
     else:
         u.pop(k, None)
 
@@ -39,11 +43,12 @@ def vec_add_term(u: dict, k, val) -> None:
 def vec_iadd_scaled(u: dict, v, c) -> dict:
     """u += c*v in place, dropping cancelled entries; returns u.
 
-    ``v`` is a dict or an iterable of (key, value) pairs.  The product is
-    formed as ``c * value``, so int coefficients stay int.  When ``c`` and
-    an entry of ``v`` (and of ``u``, if present) are ``GaussianRational``,
-    the real and imaginary parts of ``u[k] + c*v[k]`` are formed from the
-    components, so one value is built per entry instead of two.
+    ``v`` is a dict or an iterable of (key, value) pairs.  For a real ``c``
+    the product is formed as ``c * value``, so int coefficients stay int,
+    and an integral ``Fraction`` sum is stored as ``int``.  When ``c`` is a
+    ``GaussianRational``, the real and imaginary parts of u[k] + c*v[k] are
+    formed from the components of ``c``, ``v[k]`` and ``u[k]``, whichever of
+    them are real, so at most one value is built per entry.
     """
     if not c:
         return u
@@ -51,27 +56,29 @@ def vec_iadd_scaled(u: dict, v, c) -> dict:
     if type(c) is GaussianRational:
         cr, ci = c.re, c.im
         for k, val in items:
-            s = u.get(k)
-            if type(val) is not GaussianRational or (
-                s is not None and type(s) is not GaussianRational
-            ):
-                vec_add_term(u, k, c * val)  # a real entry: the generic operators
-                continue
-            vr, vi = val.re, val.im
-            # only nonzero parts are multiplied: Fraction * 0 builds a Fraction
-            if ci and vi:
-                re, im = cr * vr - ci * vi, cr * vi + ci * vr
-            elif vi:
-                re, im = cr * vr, cr * vi
-            elif ci:
-                re, im = cr * vr, ci * vr
+            if type(val) is GaussianRational:
+                vr, vi = val.re, val.im
             else:
-                re, im = cr * vr, 0
+                vr, vi = val, 0
+            # only nonzero parts are multiplied: Fraction * 0 builds a Fraction
+            re = cr * vr if cr and vr else 0
+            im = ci * vr if ci and vr else 0
+            if vi:
+                if ci:
+                    re -= ci * vi
+                if cr:
+                    im += cr * vi
+            s = u.get(k)
             if s is not None:
-                re += s.re
-                im = im + s.im if im else s.im
-            if re or im:
+                if type(s) is GaussianRational:
+                    re += s.re
+                    im += s.im
+                else:
+                    re += s
+            if im:
                 u[k] = GaussianRational(re, im)
+            elif re:
+                u[k] = re if type(re) is int else _rational(re)
             elif s is not None:
                 del u[k]
         return u
@@ -79,7 +86,7 @@ def vec_iadd_scaled(u: dict, v, c) -> dict:
         s = u.get(k)
         s = c * val if s is None else s + c * val
         if s:
-            u[k] = s
+            u[k] = _rational(s) if type(s) is Fraction else s
         else:
             u.pop(k, None)
     return u
@@ -180,7 +187,7 @@ class SparseMatrix:
             v = col.get(j)
             if v is not None:
                 tot = tot + v
-        return tot
+        return _rational(tot) if type(tot) is Fraction else tot
 
     def is_zero(self) -> bool:
         return all(not col for col in self.cols)
@@ -204,8 +211,10 @@ def _eliminate(rows: dict, vec: dict, reps=None, rep=None):
 
     Returns ``(p, vec)``: the reduced copy of ``vec`` and its pivot, which has
     no stored row, or ``p = None`` when ``vec`` reduces to zero.  When
-    ``reps`` (pivot -> combination) is given, ``rep`` takes the same row
-    operations in place.
+    ``reps`` (pivot -> combination that writes minus the row) is given,
+    ``rep`` takes the same steps in place, with the same negated pivot entry
+    as ``vec``, so that on return the reduced ``vec`` is the input minus the
+    combination ``rep``.
     """
     vec = dict(vec)
     while vec:
@@ -266,22 +275,29 @@ class SpanSolver:
     __slots__ = ("rows", "reps")
 
     def __init__(self):
-        # pivot -> vec and pivot -> rep; invariant vec == sum rep[t]*orig[t]
+        # pivot -> row and pivot -> rep, with the invariant
+        # row == -sum rep[t]*orig[t]: an expression then accumulates with
+        # the sign it is returned with, and no rep is ever negated
         self.rows: dict = {}
         self.reps: dict = {}
 
-    def add(self, tag, vec: dict) -> bool:
-        """Insert; returns True when the vector enlarges the span."""
-        rep = {tag: 1}
-        p, vec = _eliminate(self.rows, vec, self.reps, rep)
-        if p is None:
-            return False
+    def _store(self, p, vec: dict, rep: dict) -> None:
+        """Store the reduced ``vec``, which is -sum rep[t]*orig[t], under
+        its pivot p, both scaled by 1/vec[p]."""
         inv = _invert_scalar(vec[p])
         if inv != 1:
             vec = vec_scale(vec, inv)
             rep = vec_scale(rep, inv)
         self.rows[p] = vec
         self.reps[p] = rep
+
+    def add(self, tag, vec: dict) -> bool:
+        """Insert; returns True when the vector enlarges the span."""
+        rep = {tag: -1}
+        p, vec = _eliminate(self.rows, vec, self.reps, rep)
+        if p is None:
+            return False
+        self._store(p, vec, rep)
         return True
 
     def add_or_express(self, tag, vec: dict):
@@ -291,14 +307,9 @@ class SpanSolver:
         rep = {}
         p, vec = _eliminate(self.rows, vec, self.reps, rep)
         if p is None:
-            return {t: -c for t, c in rep.items()}
-        rep[tag] = 1
-        inv = _invert_scalar(vec[p])
-        if inv != 1:
-            vec = vec_scale(vec, inv)
-            rep = vec_scale(rep, inv)
-        self.rows[p] = vec
-        self.reps[p] = rep
+            return rep
+        rep[tag] = -1
+        self._store(p, vec, rep)
         return None
 
     def contains(self, vec: dict) -> bool:
@@ -308,7 +319,7 @@ class SpanSolver:
         rep = {}
         if _eliminate(self.rows, vec, self.reps, rep)[0] is not None:
             return None
-        return {t: -c for t, c in rep.items()}
+        return rep
 
     @property
     def rank(self) -> int:
@@ -318,11 +329,12 @@ class SpanSolver:
 def _invert_scalar(c):
     """Exact 1/c: an int stays int when c is 1 or -1 and becomes a Fraction
     otherwise, a Fraction with an integral inverse inverts to an int, and a
-    GaussianRational is inverted as conj(c) / |c|^2."""
+    GaussianRational is inverted as conj(c) / |c|^2, a real one as a
+    rational."""
     if type(c) is GaussianRational:
         re, im = c.re, c.im
         nrm = re * re + im * im
-        return GaussianRational(Fraction(re, nrm), Fraction(-im, nrm) if im else 0)
+        return gaussian(Fraction(re, nrm), Fraction(-im, nrm))
     if isinstance(c, int):
         return int(c) if c == 1 or c == -1 else Fraction(1, c)
     if isinstance(c, Fraction):
@@ -343,7 +355,7 @@ def _back_substitute(pivots: dict, x: dict) -> dict:
             if xc is not None:
                 s = v * xc if s is None else s + v * xc
         if s:
-            x[p] = -s
+            x[p] = _rational(-s) if type(s) is Fraction else -s
     return x
 
 

@@ -2,22 +2,26 @@
 
 All module-theoretic linear algebra in this package runs over Q(i), because
 the even idempotents that split induced simple supermodules involve sqrt(-1).
-Every exact rational in the package, a Hopf-side coefficient or a component
-of a ``GaussianRational``, goes through one coercion, ``_rational``: it stays
-``int`` while it is integral and becomes ``fractions.Fraction`` only after a
-real division.  Structure constants of the 0-Hecke-Clifford algebra, the
-actions of induced supermodules and almost all Hopf basis-change tables are
-integral, and ``int`` arithmetic is far cheaper than ``Fraction`` arithmetic.
-Floats are rejected.  ``GaussianRational`` mixes freely with ``int`` and
-``Fraction`` in arithmetic expressions; instances are immutable by
-convention and hashable.
+A value of Q(i) has one representation.  A real value is ``int`` while it
+is integral and ``fractions.Fraction`` otherwise; only a value with a nonzero
+imaginary part is a ``GaussianRational``.  Every exact rational, a real
+value or a component of a ``GaussianRational``, goes through one coercion,
+``_rational``, and every ``GaussianRational`` operation returns through one
+constructor, ``gaussian``, which demotes a real result.  Structure constants
+of the 0-Hecke-Clifford algebra, the actions of induced supermodules and
+almost all Hopf basis-change tables are integral, and ``int`` arithmetic is
+far cheaper than ``Fraction`` or ``GaussianRational`` arithmetic.  Floats
+are rejected.  ``as_gauss`` reads any scalar as a ``GaussianRational`` with
+``.re`` and ``.im``; it is the one place where a real value is promoted.
+``GaussianRational`` mixes freely with ``int`` and ``Fraction`` in
+arithmetic expressions; instances are immutable by convention and hashable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["GaussianRational", "as_gauss", "GAUSS_ZERO", "GAUSS_ONE", "GAUSS_I"]
+__all__ = ["GaussianRational", "gaussian", "as_scalar", "as_gauss", "GAUSS_I"]
 
 def _rational(x):
     """An exact rational as ``int`` when integral, else as ``Fraction``.
@@ -35,7 +39,11 @@ def _rational(x):
 
 
 class GaussianRational:
-    """An element re + im*i of Q(i), exact and immutable."""
+    """An element re + im*i of Q(i), exact and immutable.
+
+    The program builds one only for a nonzero imaginary part, through
+    ``gaussian``; ``as_gauss`` also builds real ones, to read components.
+    """
 
     __slots__ = ("re", "im")
 
@@ -46,73 +54,73 @@ class GaussianRational:
     # -- ring structure ----------------------------------------------------
 
     # A GaussianRational operand is read directly, and an int or Fraction
-    # one as a real number, so neither is first promoted through _coerce.
+    # one as a real number, so neither is first promoted; every result
+    # comes back through gaussian, so a real one is int or Fraction.
 
     def __add__(self, other):
         if type(other) is GaussianRational:
-            return GaussianRational(self.re + other.re, self.im + other.im)
+            return gaussian(self.re + other.re, self.im + other.im)
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re + other, self.im)
+            return gaussian(self.re + other, self.im)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is GaussianRational:
-            return GaussianRational(self.re - other.re, self.im - other.im)
+            return gaussian(self.re - other.re, self.im - other.im)
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re - other, self.im)
+            return gaussian(self.re - other, self.im)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(other - self.re, -self.im)
+            return gaussian(other - self.re, -self.im)
         return NotImplemented
 
     def __mul__(self, other):
         if type(other) is GaussianRational:
             ore, oim = other.re, other.im
-            if not oim and not self.im:
-                return GaussianRational(self.re * ore)
-            return GaussianRational(
+            return gaussian(
                 self.re * ore - self.im * oim,
                 self.re * oim + self.im * ore,
             )
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other if self.im else 0)
+            return gaussian(self.re * other, self.im * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _coerce(other)
-        if o is None:
+        if type(other) is GaussianRational:
+            ore, oim = other.re, other.im
+        elif isinstance(other, (int, Fraction)):
+            ore, oim = other, 0
+        else:
             return NotImplemented
         # Fraction(x) / y: int / int must never give a float
-        if not o.im:
-            return GaussianRational(
-                Fraction(self.re) / o.re, Fraction(self.im) / o.re
-            )
-        nrm = o.re * o.re + o.im * o.im
-        return GaussianRational(
-            Fraction(self.re * o.re + self.im * o.im) / nrm,
-            Fraction(self.im * o.re - self.re * o.im) / nrm,
+        if not oim:
+            return gaussian(Fraction(self.re) / ore, Fraction(self.im) / ore)
+        nrm = ore * ore + oim * oim
+        return gaussian(
+            Fraction(self.re * ore + self.im * oim) / nrm,
+            Fraction(self.im * ore - self.re * oim) / nrm,
         )
 
     def __rtruediv__(self, other):
-        o = _coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o.__truediv__(self)
+        nrm = self.re * self.re + self.im * self.im
+        return gaussian(Fraction(other * self.re) / nrm, Fraction(-other * self.im) / nrm)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return gaussian(-self.re, -self.im)
 
     def __pos__(self):
-        return self
+        return gaussian(self.re, self.im)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+    def conjugate(self):
+        return gaussian(self.re, -self.im)
 
     # -- predicates / comparisons ------------------------------------------
 
@@ -131,16 +139,6 @@ class GaussianRational:
         if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
-
-    def is_rational(self) -> bool:
-        return not self.im
-
-    def rational(self) -> int | Fraction:
-        """The value as ``int`` when integral, else as ``Fraction``; raises
-        ValueError when the imaginary part is nonzero."""
-        if self.im:
-            raise ValueError("value %s has a nonzero imaginary part" % self)
-        return self.re
 
     # -- display -------------------------------------------------------------
 
@@ -164,22 +162,30 @@ def _imag_str(im: int | Fraction) -> str:
     return "%si" % im
 
 
-def _coerce(x):
+def gaussian(re, im=0):
+    """The value re + im*i in its one representation: a ``GaussianRational``
+    when ``im`` is nonzero, else ``re`` as ``int`` while it is integral and
+    as ``Fraction`` otherwise."""
+    if im:
+        return GaussianRational(re, im)
+    return re if type(re) is int else _rational(re)
+
+
+def as_scalar(x):
+    """An int / Fraction / GaussianRational in the one representation."""
+    if type(x) is GaussianRational:
+        return x if x.im else _rational(x.re)
+    return _rational(x)
+
+
+def as_gauss(x) -> GaussianRational:
+    """Promote an int / Fraction / GaussianRational to a GaussianRational,
+    whose ``.re`` and ``.im`` can be read."""
     if type(x) is GaussianRational:
         return x
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
-    return None
+    raise TypeError("cannot interpret %r as a Gaussian rational" % (x,))
 
 
-def as_gauss(x) -> GaussianRational:
-    """Promote an int / Fraction / GaussianRational to a GaussianRational."""
-    g = _coerce(x)
-    if g is None:
-        raise TypeError("cannot interpret %r as a Gaussian rational" % (x,))
-    return g
-
-
-GAUSS_ZERO = GaussianRational(0)
-GAUSS_ONE = GaussianRational(1)
 GAUSS_I = GaussianRational(0, 1)

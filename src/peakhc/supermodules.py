@@ -1,7 +1,8 @@
 """Exact supermodule calculus over 0-Hecke and 0-Hecke-Clifford algebras.
 
 A ``Supermodule`` is a labelled Z2-graded basis plus one exact action matrix
-per generator, over Gaussian rationals.  ``blocks`` records the parabolic
+per generator, over Q(i); every entry follows the one representation of
+``scalars`` (``int`` while integral).  ``blocks`` records the parabolic
 shape: a module over the rank-5 algebra has blocks (5,), one over the tensor
 product of ranks 2 and 3 has blocks (2, 3).  Generators carry global indices
 ("T", i) / ("c", j); for every block of size b at offset o the T-indices run
@@ -63,11 +64,12 @@ from .linalg import (
     Echelon,
     SparseMatrix,
     SpanSolver,
+    _invert_scalar,
     nullspace,
     vec_add_term,
     vec_iadd_scaled,
 )
-from .scalars import GAUSS_I, GAUSS_ONE, GAUSS_ZERO, GaussianRational, as_gauss
+from .scalars import GAUSS_I, as_gauss, as_scalar, gaussian
 
 __all__ = [
     "Supermodule",
@@ -111,9 +113,6 @@ __all__ = [
     "MAX_PARABOLIC_RANK",
     "MAX_RESTRICTION_N",
 ]
-
-_G0 = GAUSS_ZERO
-_G1 = GAUSS_ONE
 
 MAX_HOM_CELLS = 20000  # dim(src) * dim(dst) of one hom_space system
 MAX_PROJECTIVE_N = 8  # projective_hecke
@@ -186,7 +185,7 @@ class Supermodule:
                 if (self.parities[r] + self.parities[cc]) % 2 != want:
                     raise RelationError("action %s is not parity-homogeneous" % (key,))
         # __init__ made the keys of act the generator keys of the blocks
-        failed = failing_relation(act, operator.matmul, SparseMatrix.identity(dim, _G1))
+        failed = failing_relation(act, operator.matmul, SparseMatrix.identity(dim, 1))
         if failed:
             raise RelationError("relation %s fails" % failed)
 
@@ -212,7 +211,7 @@ def simple_hecke(alpha) -> Supermodule:
     for i in range(1, n):
         mat = SparseMatrix(1, 1)
         if i in d:
-            mat.cols[0][0] = -_G1
+            mat.cols[0][0] = -1
         actions[("T", i)] = mat
     return Supermodule((n,), "H", ("eta",), (0,), actions)
 
@@ -241,11 +240,11 @@ def projective_hecke(alpha) -> Supermodule:
         for col, w in enumerate(ws):
             invdes = word_descents(word_inverse(w))
             if i in invdes:
-                mat.cols[col][col] = -_G1
+                mat.cols[col][col] = -1
             else:
                 sw = swap_values(i, w)
                 if sw in cls:
-                    mat.cols[col][pos[sw]] = _G1
+                    mat.cols[col][pos[sw]] = 1
         actions[("T", i)] = mat
     return Supermodule((n,), "H", ws, (0,) * len(ws), actions)
 
@@ -284,7 +283,6 @@ def induce_clifford(module: Supermodule) -> Supermodule:
     dim = len(subs) * dm
     labels = [(tuple(sorted(d)), lab) for d in subs for lab in module.labels]
     parities = [(len(d) + p) % 2 for d in subs for p in module.parities]
-    neg = -_G1
     actions = {}
     for key in [("c", j) for j in range(1, n + 1)] + [("T", i) for i in range(1, n)]:
         tmat = module.actions.get(key)
@@ -297,7 +295,7 @@ def induce_clifford(module: Supermodule) -> Supermodule:
                         for r, v in tmat.cols[k].items():
                             vec_add_term(col, e * dm + r, v if s > 0 else -v)
                     else:
-                        vec_add_term(col, e * dm + k, _G1 if s > 0 else neg)
+                        vec_add_term(col, e * dm + k, s)
         actions[key] = mat
     return Supermodule((n,), "HCl", labels, parities, actions)
 
@@ -330,7 +328,7 @@ def outer_tensor(m1: Supermodule, m2: Supermodule) -> Supermodule:
         odd = key[0] == "c"
         big = SparseMatrix(dim, dim)
         for a in range(d1):
-            sign = -_G1 if (odd and m1.parities[a]) else _G1
+            sign = -1 if (odd and m1.parities[a]) else 1
             for col in range(d2):
                 for row, v in mat.cols[col].items():
                     big.cols[a * d2 + col][a * d2 + row] = v * sign
@@ -364,21 +362,21 @@ class _ParabolicDecomposer:
             return got
         x, u = coset_factorize(w, self.m)
         if x == self._id:
-            result = {(x, d, w): _G1}
+            result = {(x, d, w): 1}
         else:
             xinv = word_inverse(x)
             dp = frozenset(xinv[t - 1] for t in d)
-            tx = AlgebraElement(self.total, {(frozenset(), x): _G1})
+            tx = AlgebraElement(self.total, {(frozenset(), x): 1})
             expanded = multiply(tx, basis_element(dp, u, self.total))
-            lead = expanded.terms[(d, w)]
-            result = {(x, dp, u): _G1 / lead}
+            inv = _invert_scalar(expanded.terms[(d, w)])
+            result = {(x, dp, u): inv}
             lw = word_length(w)
             for (d2, w2), c2 in expanded.terms.items():
                 if (d2, w2) == (d, w):
                     continue
                 if word_length(w2) >= lw:
                     raise AssertionError("triangularity violated in decomposition")
-                vec_iadd_scaled(result, self(d2, w2), -(c2 / lead))
+                vec_iadd_scaled(result, self(d2, w2), -(c2 * inv))
         self.memo[key] = result
         return result
 
@@ -426,7 +424,7 @@ def parabolic_induce(m1: Supermodule, m2: Supermodule) -> Supermodule:
     def block_matrix(dp: frozenset, u: tuple) -> SparseMatrix:
         key = (dp, u)
         if key not in block_cache:
-            block_cache[key] = element_matrix(inner, {key: _G1})
+            block_cache[key] = element_matrix(inner, {key: 1})
         return block_cache[key]
 
     actions = {}
@@ -435,7 +433,7 @@ def parabolic_induce(m1: Supermodule, m2: Supermodule) -> Supermodule:
         gen = gen_T(idx, total) if kind == "T" else gen_c(idx, total)
         mat = SparseMatrix(dim, dim)
         for xi, x in enumerate(reps):
-            z = multiply(gen, AlgebraElement(total, {(frozenset(), x): _G1}))
+            z = multiply(gen, AlgebraElement(total, {(frozenset(), x): 1}))
             pieces = []
             for (d2, w2), coeff in z.terms.items():
                 for (y, dp, u), c2 in dec(d2, w2).items():
@@ -517,7 +515,7 @@ def element_matrix(module: Supermodule, terms: dict) -> SparseMatrix:
     """Matrix of sum coeff * c_D T_w, given as a term dict, on a module:
     the normal words walked on every unit column together."""
     dim = module.dim
-    units = [{k: _G1} for k in range(dim)]
+    units = [{k: 1} for k in range(dim)]
     return SparseMatrix(dim, dim, act_terms(terms, _acts_on(module), units))
 
 
@@ -631,7 +629,7 @@ def hom_space(src: Supermodule, dst: Supermodule) -> HomBasis:
         raise ResourceLimitError(
             "hom system with %d cells exceeds the guard %d" % (src.dim * dst.dim, MAX_HOM_CELLS)
         )
-    spin = _spin(src, [{j: _G1} for j in range(src.dim)])
+    spin = _spin(src, [{j: 1} for j in range(src.dim)])
     even, odd = (
         [ModuleMap(src, dst, mat, par) for mat in _maps_from_generators(spin, dst, par)]
         for par in (0, 1)
@@ -667,7 +665,7 @@ def _spin(module: Supermodule, seeds):
             coords.append(rep)
             continue
         k = len(vecs)
-        coords.append({k: _G1})
+        coords.append({k: 1})
         events.append(("gen", k))
         vecs.append(seed)
         parities.append(seed_parities.pop())
@@ -699,7 +697,7 @@ def _maps_from_generators(spin, dst: Supermodule, par: int) -> list:
     """
     events, parities, coords, _vecs = spin
     cands = [
-        {ev[1]: {i: _G1}}
+        {ev[1]: {i: 1}}
         for ev in events
         if ev[0] == "gen"
         for i, p in enumerate(dst.parities)
@@ -831,8 +829,8 @@ def hecke_composition_multiplicities(module: Supermodule) -> dict:
     k = len(tkeys)
     dim = module.dim
     prods: dict = {0: None}
-    g = [Fraction(0)] * (1 << k)
-    g[0] = Fraction(dim)
+    g = [0] * (1 << k)
+    g[0] = dim
 
     def product_matrix(mask: int) -> SparseMatrix:
         got = prods.get(mask)
@@ -847,11 +845,9 @@ def hecke_composition_multiplicities(module: Supermodule) -> dict:
         return mat
 
     for mask in range(1, 1 << k):
+        # an int for a genuine module; anything else fails the type test below
         tr = product_matrix(mask).trace()
-        tr = as_gauss(tr) if tr else _G0
-        val = tr.rational() if tr else Fraction(0)
-        bits = bin(mask).count("1")
-        g[mask] = val * (-1) ** bits
+        g[mask] = -tr if bin(mask).count("1") % 2 else tr
     # superset Moebius: m[D] = sum_{S >= D} (-1)^{|S - D|} g[S]
     f = list(g)
     for b in range(k):
@@ -863,7 +859,7 @@ def hecke_composition_multiplicities(module: Supermodule) -> dict:
     total = 0
     for mask in range(1 << k):
         val = f[mask]
-        if val.denominator != 1 or val < 0:
+        if type(val) is not int or val < 0:
             raise AssertionError("non-integral composition multiplicity")
         if not val:
             continue
@@ -876,8 +872,8 @@ def hecke_composition_multiplicities(module: Supermodule) -> dict:
             )
             comps.append(composition_from_descents(DescentSet(size, local)))
             offset += size
-        out[tuple(comps)] = int(val)
-        total += int(val)
+        out[tuple(comps)] = val
+        total += val
     if total != dim:
         raise AssertionError("composition multiplicities do not add to the dimension")
     return out
@@ -917,7 +913,7 @@ def hom_dim_to_hecke_simple(module: Supermodule, gammas) -> int:
         d = gamma.descent_set().elements
         for i in range(1, size):
             # T_i acts on the simple by -1 on a descent, by 0 otherwise
-            minus_eps[("T", offset + i)] = _G1 if i in d else _G0
+            minus_eps[("T", offset + i)] = 1 if i in d else 0
         offset += size
     rows = []
     for key, mat in module.actions.items():
@@ -964,7 +960,7 @@ def hecke_simple_hom_dims(module: Supermodule) -> dict:
                 row = cols[j]
                 if shift:
                     row = dict(row)
-                    vec_add_term(row, j, _G1)
+                    vec_add_term(row, j, 1)
                 child.add(row)
                 if child.rank == dim:
                     break
@@ -1022,17 +1018,17 @@ def submodule_on_vectors(module: Supermodule, vectors):
     spin events: w_k = A w_parent is a unit column, a relation is the
     expression it records.
     """
-    seeds = [{k: as_gauss(c) for k, c in v.items() if c} for v in vectors]
+    seeds = [{k: as_scalar(c) for k, c in v.items() if c} for v in vectors]
     events, parities, _coords, basis = _spin(module, seeds)
     dim = len(basis)
     actions = {key: SparseMatrix(dim, dim) for key in module.actions}
     for ev in events:
         if ev[0] == "new":
             _kind, k, parent, key = ev
-            actions[key].cols[parent][k] = _G1
+            actions[key].cols[parent][k] = 1
         elif ev[0] == "rel":
             _kind, parent, key, rep = ev
-            actions[key].cols[parent] = {t: as_gauss(c) for t, c in rep.items()}
+            actions[key].cols[parent] = dict(rep)
     sub = Supermodule(
         module.blocks,
         module.algebra,
@@ -1055,7 +1051,7 @@ def split_simple(alpha) -> SimpleSplit:
     a = as_composition(alpha)
     module = induce_clifford(simple_hecke(a))
     idems = clifford_idempotents(a)
-    eta = {0: _G1}  # basis vector c_{} (x) eta sits first
+    eta = {0: 1}  # basis vector c_{} (x) eta sits first
     components = []
     signs = []
     for eps, e in idems:
@@ -1138,7 +1134,7 @@ def end_clifford_check(alpha) -> dict:
             report["bad_generator"] = v
             return report
     # f_v^2 = -1 and f_v f_w = -f_w f_v: the Clifford relations of hecke_clifford
-    ident = SparseMatrix.identity(module.dim, _G1)
+    ident = SparseMatrix.identity(module.dim, 1)
     bad = failing_relation(
         {("c", v): f.matrix for v, f in fmaps.items()}, operator.matmul, ident
     )
@@ -1181,7 +1177,7 @@ def stated_twist_isomorphism(alpha, part: int) -> ModuleMap:
         source = induce_clifford(simple_hecke(a.conjugate()))
         tag = "phi" if part == 1 else "phi_prime"
         target = twist(base, tag)
-        seed = {full: _G1} if part == 1 else {0: _G1}
+        seed = {full: 1} if part == 1 else {0: 1}
         parity = n % 2 if part == 1 else 0
         for di, d in enumerate(subs):
             elt = basis_element(d, ident, n)
@@ -1193,7 +1189,7 @@ def stated_twist_isomorphism(alpha, part: int) -> ModuleMap:
     if part in (3, 4):
         tag = "psi" if part == 3 else "psi_prime"
         target = dual_twist(base, tag)
-        seed = {0: _G1} if part == 3 else {full: _G1}
+        seed = {0: 1} if part == 3 else {full: 1}
         parity = 0 if part == 3 else n % 2
         for di, d in enumerate(subs):
             elt = basis_element(d, ident, n)
@@ -1296,7 +1292,7 @@ def restriction_vectors(n: int) -> dict:
         for par, slot in ((1, "odd"), (0, "even")):
             seed = base if len(base) % 2 == par else base | {1}
             signs = _covering_downset(seed, max(1, n - k), n - 1)
-            vec = {dpos[d]: GaussianRational(s) for d, s in signs.items()}
+            vec = {dpos[d]: s for d, s in signs.items()}
             report[slot][k] = {"seed": seed, "vector": vec}
     return report
 
@@ -1306,14 +1302,15 @@ def restriction_vectors(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_json(c: GaussianRational) -> dict:
-    return {"re": str(c.re), "im": str(c.im)}
+def _gauss_json(c) -> dict:
+    g = as_gauss(c)
+    return {"re": str(g.re), "im": str(g.im)}
 
 
-def _gauss_from_json(d, where: str) -> GaussianRational:
+def _gauss_from_json(d, where: str):
     if not isinstance(d, dict):
         raise ValueError("%s is %r, not an object with 're' and 'im'" % (where, d))
-    return GaussianRational(*(Fraction(_json_field(d, key, where)) for key in ("re", "im")))
+    return gaussian(*(Fraction(_json_field(d, key, where)) for key in ("re", "im")))
 
 
 def module_to_json(module: Supermodule) -> dict:

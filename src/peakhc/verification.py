@@ -66,7 +66,6 @@ from .hopf import (
     vartheta_map,
 )
 from .linalg import Echelon
-from .scalars import GAUSS_ZERO
 from .supermodules import (
     end_clifford_check,
     find_isomorphism,
@@ -219,8 +218,8 @@ def suite_algebra(max_n: int) -> list:
                 keys = set(col) | set(rcol)
                 for i in keys:
                     sign = (-1) ** (parities[i] * parities[j])
-                    left = col.get(i, GAUSS_ZERO)
-                    right = rcol.get(i, GAUSS_ZERO) * sign
+                    left = col.get(i, 0)
+                    right = rcol.get(i, 0) * sign
                     if left != right:
                         ok, witness = False, "Nakayama identity"
                         break

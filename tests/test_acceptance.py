@@ -148,14 +148,14 @@ def test_criterion_11_restriction_rule():
     # the worked rank-5 vector is reproduced on the nose
     rep = restriction_vectors(5)
     subs = _subsets_ordered(5)
-    got = {subs[i]: int(v.re) for i, v in rep["odd"][2]["vector"].items()}
+    got = {subs[i]: v for i, v in rep["odd"][2]["vector"].items()}
     expected = {
         frozenset({1, 4, 5}): 1,
         frozenset({1, 3, 5}): -1,
         frozenset({1}): -1,
         frozenset({1, 3, 4}): 1,
     }
-    if got != expected:
+    if got != expected or not all(type(v) is int for v in got.values()):
         reports.append({"claim": "hook-vector", "params": {"n": 5, "k": 2},
                         "status": "failed", "witness": str(got)})
     _conclude(11, "Hecke restriction rule: classes n<=8, hook split n<=6",

@@ -45,8 +45,8 @@ from peakhc.hecke_clifford import (
     unit,
 )
 from peakhc.linalg import Echelon, vec_add_term
-from peakhc.scalars import GAUSS_I, GAUSS_ONE, GaussianRational
-from peakhc.supermodules import generator_keys, induce_clifford, simple_hecke
+from peakhc.scalars import GAUSS_I, GaussianRational, as_gauss
+from peakhc.supermodules import generator_keys, induce_clifford, projective_hecke, simple_hecke
 from peakhc.verification import suite_algebra
 
 
@@ -219,13 +219,50 @@ def _subsets(n):
     return [frozenset(i + 1 for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
 
 
+def _in_one_representation(v):
+    """A real coefficient is int while integral, else a Fraction; a
+    GaussianRational is never real; no float anywhere."""
+
+    def real(x):
+        return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+    if type(v) is GaussianRational:
+        return bool(v.im) and real(v.re) and real(v.im)
+    return real(v)
+
+
+def _promoted(x):
+    """x with every coefficient promoted to a GaussianRational by as_gauss,
+    stored past the constructor, which would demote it again."""
+    return x._make({k: as_gauss(v) for k, v in x.terms.items()})
+
+
+def test_multiply_agrees_on_promoted_operands():
+    # slow route: the old all-GaussianRational representation of the
+    # operands gives the same products, and every product coefficient is
+    # in the one representation whichever way its operands were stored
+    for n in range(1, 4):
+        gens = list(generators(n).values())
+        mixed = [g.scale(GAUSS_I) + h.scale(Fraction(1, 2)) for g, h in zip(gens, gens[1:])]
+        elems = [unit(n)] + gens + mixed
+        assert all(type(v) is GaussianRational for x in elems for v in _promoted(x).terms.values())
+        for x in elems:
+            for y in elems:
+                want = multiply(x, y)
+                assert all(_in_one_representation(v) for v in want.terms.values()), (x, y)
+                for a, b in ((_promoted(x), _promoted(y)), (_promoted(x), y), (x, _promoted(y))):
+                    got = multiply(a, b)
+                    assert got == want, (x, y)
+                    assert all(_in_one_representation(v) for v in got.terms.values()), (x, y)
+
+
 def test_integer_structure_constants():
     n = 3
     for (d, w) in algebra_basis(n):
         for (e, v) in algebra_basis(n):
             prod = multiply(basis_element(d, w, n), basis_element(e, v, n))
             for coeff in prod.terms.values():
-                assert type(coeff.re) is int and type(coeff.im) is int
+                assert type(coeff) is int and coeff
     # the three tables behind multiply hold int coefficients and signs
     perms = list(itertools.permutations(range(1, n + 1)))
     for w in perms:
@@ -310,8 +347,9 @@ def test_table_sizes_stay_within_their_bounds():
 
 
 def _assert_int_components(values, where):
+    # integral real values are plain int: no Fraction, no GaussianRational
     for v in values:
-        assert type(v.re) is int and type(v.im) is int, (where, v)
+        assert type(v) is int and v, (where, v)
 
 
 def _entries(mat):
@@ -320,7 +358,8 @@ def _entries(mat):
 
 def test_integral_matrices_keep_int_components():
     # structure constants, morphisms, the trace form and the actions of
-    # induced simples are integral, so no Fraction may appear in them
+    # induced simples and projectives are integral, so every entry is a
+    # plain int
     for n in range(1, 4):
         for i in range(1, n):
             mat = regular_generator_matrix("T", i, n)
@@ -338,9 +377,10 @@ def test_integral_matrices_keep_int_components():
                 _assert_int_components(img.terms.values(), ("phi_bar", w))
         _assert_int_components(_entries(frobenius_gram(n)), ("gram", n))
     for alpha in compositions_of(3):
-        module = induce_clifford(simple_hecke(alpha))
-        for key, mat in module.actions.items():
-            _assert_int_components(_entries(mat), (alpha, key))
+        for module in (induce_clifford(simple_hecke(alpha)),
+                       induce_clifford(projective_hecke(alpha))):
+            for key, mat in module.actions.items():
+                _assert_int_components(_entries(mat), (alpha, key))
 
 
 def test_leading_term():
@@ -359,7 +399,7 @@ def test_leading_term_against_multiply():
     for n in range(1, 5):
         for wt in itertools.permutations(range(1, n + 1)):
             w = Permutation(wt)
-            tw = AlgebraElement(n, {(frozenset(), wt): GAUSS_ONE})
+            tw = AlgebraElement(n, {(frozenset(), wt): 1})
             for mask in range(1 << n):
                 d = frozenset(i + 1 for i in range(n) if mask >> i & 1)
                 prod = multiply(tw, basis_element(d, (tuple(range(1, n + 1))), n))
@@ -531,7 +571,7 @@ def test_regular_representation():
     from peakhc.linalg import SparseMatrix
 
     m = regular_generator_matrix("c", 1, 1)
-    assert (m @ m) == SparseMatrix.identity(2, GAUSS_ONE).scale(-1)
+    assert (m @ m) == SparseMatrix.identity(2, 1).scale(-1)
     t = regular_generator_matrix("T", 1, 2)
     assert (t @ t) == t.scale(-1)
     t1 = regular_generator_matrix("T", 1, 3)

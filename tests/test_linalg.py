@@ -1,4 +1,5 @@
 import ast
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,33 @@ from peakhc.linalg import (
     vec_iadd_scaled,
     vec_scale,
 )
-from peakhc.scalars import GAUSS_I, GAUSS_ONE, GaussianRational
+from peakhc.scalars import GAUSS_I, GaussianRational, as_gauss, as_scalar, gaussian
+
+
+def _int_while_integral(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _one_representation(x):
+    """The scalar contract: a real value is int while integral, else a
+    Fraction; a GaussianRational is never real, and its components follow
+    the same rule; nothing else (no float) is a scalar."""
+    if type(x) is GaussianRational:
+        return bool(x.im) and _int_while_integral(x.re) and _int_while_integral(x.im)
+    return _int_while_integral(x)
+
+
+def _components_op(op, x, y):
+    """op on (re, im) pairs of as_gauss(x) and as_gauss(y), by the formulas."""
+    a, b = as_gauss(x), as_gauss(y)
+    if op == "+":
+        return a.re + b.re, a.im + b.im
+    if op == "-":
+        return a.re - b.re, a.im - b.im
+    if op == "*":
+        return a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re
+    nrm = Fraction(b.re * b.re + b.im * b.im)
+    return (a.re * b.re + a.im * b.im) / nrm, (a.im * b.re - a.re * b.im) / nrm
 
 
 def test_gaussian_rational_field():
@@ -25,34 +52,65 @@ def test_gaussian_rational_field():
     assert (a + b) - b == a
     assert a * b == b * a
     assert (a / b) * b == a
-    assert GAUSS_I * GAUSS_I == -1
+    assert GAUSS_I * GAUSS_I == -1 and type(GAUSS_I * GAUSS_I) is int
     assert a.conjugate().conjugate() == a
-    assert (a * a.conjugate()).is_rational()
-    assert GaussianRational(2) == 2 == Fraction(2)
+    norm = a * a.conjugate()
+    assert norm == 5 and type(norm) is int
+    assert a - a == 0 and type(a - a) is int
+    assert type(a + a.conjugate()) is int and type(b + b.conjugate()) is Fraction
+    # a real value promoted by as_gauss still compares and hashes as itself
+    assert GaussianRational(2) == 2 == Fraction(2) == as_gauss(2)
     assert hash(GaussianRational(2)) == hash(2)
     assert str(GaussianRational(1, -1)) == "1-i"
     assert str(GaussianRational(0, Fraction(3, 4))) == "3/4i"
     assert not GaussianRational(0, 0)
+    # a real result is int while integral and Fraction after a real
+    # division; a non-real one keeps int components while integral
     third = GaussianRational(1) / 3
-    assert third == GaussianRational(Fraction(1, 3))
-    # components stay int while integral and become Fraction only after a
-    # real division; floats never get in
-    assert type(third.re) is Fraction and type(third.im) is int
+    assert third == Fraction(1, 3) and type(third) is Fraction
+    third_i = GaussianRational(1, 3) / 3
+    assert third_i == GaussianRational(Fraction(1, 3), 1)
+    assert type(third_i.re) is Fraction and type(third_i.im) is int
     half_of_four = GaussianRational(4) / 2
-    assert half_of_four == 2
-    assert type(half_of_four.re) is int and type(half_of_four.im) is int
+    assert half_of_four == 2 and type(half_of_four) is int
     quotient = GaussianRational(1, 1) / GaussianRational(1, -1)
     assert quotient == GAUSS_I
     assert type(quotient.re) is int and type(quotient.im) is int
+    assert type(2 / GaussianRational(1, 1)) is GaussianRational
+    assert type(Fraction(1, 2) / GaussianRational(0, 1)) is GaussianRational
     two = GaussianRational(Fraction(6, 3))
     assert two.re == 2 and type(two.re) is int
+    assert gaussian(Fraction(6, 3), 0) == 2 and type(gaussian(Fraction(6, 3), 0)) is int
+    assert as_scalar(as_gauss(Fraction(1, 2))) == Fraction(1, 2)
+    assert type(as_scalar(as_gauss(Fraction(1, 2)))) is Fraction
     with pytest.raises(TypeError):
         GaussianRational(1.0)
     with pytest.raises(TypeError):
         GaussianRational(0, 0.5)
+    with pytest.raises(TypeError):
+        a + 0.5
+    with pytest.raises(TypeError):
+        as_scalar(0.5)
     assert _invert_scalar(GaussianRational(3)) == Fraction(1, 3)
+    assert type(_invert_scalar(GaussianRational(3))) is Fraction
     with pytest.raises(ZeroDivisionError):
         a / GaussianRational(0)
+    # every operation with a GaussianRational operand, promoted or not,
+    # returns its value in the one representation
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    rng = random.Random(3)
+    for _ in range(400):
+        x = _random_scalar(rng, gaussian=True)
+        y = _random_scalar(rng, gaussian=rng.random() < 0.7)
+        for u, v in ((x, y), (y, x)):
+            for op, fn in ops.items():
+                if op == "/" and not v:
+                    continue
+                got = fn(u, v)
+                assert _one_representation(got), (u, op, v, got)
+                assert as_gauss(got) == GaussianRational(*_components_op(op, u, v))
+        for got in (-x, +x, x.conjugate()):
+            assert _one_representation(got), (x, got)
 
 
 def test_sparse_matrix_ops():
@@ -89,11 +147,11 @@ def test_echelon_and_nullspace():
 
 
 def test_nullspace_gaussian():
-    rows = [{0: GAUSS_ONE, 1: GAUSS_I}]
+    rows = [{0: 1, 1: GAUSS_I}]
     basis = nullspace(rows, [0, 1])
     assert len(basis) == 1
     x = basis[0]
-    assert x[0] * GAUSS_ONE + x[1] * GAUSS_I == 0
+    assert x[0] * 1 + x[1] * GAUSS_I == 0
 
 
 def test_span_solver_roundtrip():
@@ -174,10 +232,10 @@ def test_vec_iadd_scaled_cancellation_and_zero_scale():
 
 
 def test_vec_iadd_scaled_gaussian():
-    u = {0: GAUSS_ONE}
-    vec_iadd_scaled(u, {0: GAUSS_I, 1: GAUSS_ONE}, GAUSS_I)
+    u = {0: 1}
+    vec_iadd_scaled(u, {0: GAUSS_I, 1: 1}, GAUSS_I)
     assert u == {1: GAUSS_I}
-    vec_iadd_scaled(u, [(1, GAUSS_ONE)], GaussianRational(0, -1))
+    vec_iadd_scaled(u, [(1, 1)], GaussianRational(0, -1))
     assert u == {}
 
 
@@ -204,26 +262,26 @@ def _random_scalar(rng, gaussian):
     return GaussianRational(part(), part() if rng.random() < 0.6 else 0)
 
 
-def _int_while_integral(x):
-    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
-
-
 def test_fused_gaussian_axpy_matches_generic_loop():
+    # u holds scalars in the one representation; v mixes them with reals
+    # promoted by as_gauss; c is mostly non-real, sometimes real or promoted
     rng = random.Random(7)
     for trial in range(400):
         keys = range(12)
         u = {}
         for k in rng.sample(keys, rng.randint(0, 8)):
-            val = _random_scalar(rng, gaussian=rng.random() < 0.85)
+            val = as_scalar(_random_scalar(rng, gaussian=rng.random() < 0.85))
             if val:
                 u[k] = val
         c = _random_scalar(rng, gaussian=True)
+        if trial % 5 == 0:
+            c = as_scalar(c)
         if not c or trial % 7 == 0:
             c = GaussianRational(Fraction(1, 2), Fraction(-3, 2))
         v = {}
         for k in rng.sample(keys, rng.randint(0, 8)):
-            if k in u and type(u[k]) is GaussianRational and rng.random() < 0.4:
-                v[k] = -u[k] / c  # full cancellation
+            if k in u and rng.random() < 0.4:
+                v[k] = -as_gauss(u[k]) / c  # full cancellation
             elif rng.random() < 0.1:
                 v[k] = GaussianRational(rng.randint(1, 3)) / c  # c * v[k] integral
             else:
@@ -234,22 +292,19 @@ def test_fused_gaussian_axpy_matches_generic_loop():
         assert got == want and list(got) == list(want), (u, v, c)
         assert vec_iadd_scaled(dict(u), iter(items), c) == want
         for k, val in got.items():
-            assert type(val) is type(want[k])
-            if type(val) is GaussianRational:
-                assert _int_while_integral(val.re) and _int_while_integral(val.im)
-                assert type(val.re) is type(want[k].re) and type(val.im) is type(want[k].im)
+            assert _one_representation(val), (u, v, c, k, val)
 
 
 def test_invert_scalar():
     rng = random.Random(11)
-    for _ in range(200):
-        c = _random_scalar(rng, gaussian=True)
+    for _ in range(300):
+        c = _random_scalar(rng, gaussian=rng.random() < 0.7)
         if not c:
             continue
         inv = _invert_scalar(c)
-        assert type(inv) is GaussianRational
-        assert inv == 1 / c and c * inv == 1
-        assert _int_while_integral(inv.re) and _int_while_integral(inv.im)
+        assert _one_representation(inv), (c, inv)
+        assert (type(inv) is GaussianRational) == (type(c) is GaussianRational and bool(c.im))
+        assert inv == Fraction(1) / c and c * inv == 1
     assert _invert_scalar(GAUSS_I) == -GAUSS_I
     with pytest.raises(ZeroDivisionError):
         _invert_scalar(GaussianRational(0))
@@ -257,6 +312,7 @@ def test_invert_scalar():
         _invert_scalar(0)
     for c in (1, -1):
         assert _invert_scalar(c) == c and type(_invert_scalar(c)) is int
+        assert _invert_scalar(as_gauss(c)) == c and type(_invert_scalar(as_gauss(c))) is int
     assert _invert_scalar(-2) == Fraction(-1, 2)
     assert _invert_scalar(Fraction(-1, 3)) == -3 and type(_invert_scalar(Fraction(-1, 3))) is int
     assert _invert_scalar(Fraction(2, 3)) == Fraction(3, 2)
@@ -276,7 +332,8 @@ def test_int_pivots_keep_int_rows_and_reps():
     assert all(type(v) is int for v in ech.rows[0].values())
     solver = SpanSolver()
     assert solver.add("t", {0: -1, 1: 3})
-    assert solver.rows == {0: {0: 1, 1: -3}} and solver.reps == {0: {"t": -1}}
+    # the rep writes minus the stored row: -(-t) = t
+    assert solver.rows == {0: {0: 1, 1: -3}} and solver.reps == {0: {"t": 1}}
     assert all(type(v) is int for v in solver.rows[0].values())
     assert type(solver.reps[0]["t"]) is int
     assert solver.add_or_express("u", {1: -1, 2: 5}) is None
@@ -340,5 +397,5 @@ def test_vec_add_term():
     vec_add_term(u, "y", 0)
     assert u == {}
     vec_add_term(u, "z", GAUSS_I)
-    vec_add_term(u, "z", GAUSS_ONE)
+    vec_add_term(u, "z", 1)
     assert u == {"z": GaussianRational(1, 1)}

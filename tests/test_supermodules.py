@@ -21,7 +21,7 @@ from peakhc.hecke_clifford import (
     unit,
 )
 from peakhc.linalg import Echelon, SparseMatrix, SpanSolver, nullspace, vec_iadd_scaled
-from peakhc.scalars import GAUSS_ONE, GaussianRational
+from peakhc.scalars import GaussianRational, as_gauss
 from peakhc.supermodules import (
     HomBasis,
     IsoSearch,
@@ -61,7 +61,7 @@ from peakhc.supermodules import (
 )
 from peakhc.supermodules import _spin
 
-_G1 = GAUSS_ONE
+_G1 = 1
 
 
 def C(*parts):
@@ -501,7 +501,7 @@ def test_end_clifford_reports_a_failed_relation(monkeypatch):
     # without the i-rescaling the f_v square to +id, not -id
     from peakhc import supermodules
 
-    monkeypatch.setattr(supermodules, "GAUSS_I", GAUSS_ONE)
+    monkeypatch.setattr(supermodules, "GAUSS_I", 1)
     rep = end_clifford_check(C(3))
     assert not rep["ok"]
     assert rep["bad_relation"] == "c_%d c_%d = -1" % (rep["valleys"][0], rep["valleys"][0])
@@ -541,15 +541,28 @@ def test_split_simple():
     assert all(c.dim == 8 for c in res.components)
 
 
+def _in_one_representation(v):
+    """The scalar contract: a real value is int while integral, else a
+    Fraction; a GaussianRational is never real, and its components follow
+    the same rule; no float anywhere."""
+
+    def real(x):
+        return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+    if type(v) is GaussianRational:
+        return bool(v.im) and real(v.re) and real(v.im)
+    return real(v)
+
+
 def _assert_exact_components(mat, where):
     for _i, _j, v in mat.entries():
-        assert type(v.re) in (int, Fraction), (where, v)
-        assert type(v.im) in (int, Fraction), (where, v)
+        assert _in_one_representation(v), (where, v)
 
 
 def test_split_and_hom_components_are_exact():
-    # split_simple scales by 1/2 and both divide by pivots; every component
-    # they produce must be exactly int or Fraction, never a float
+    # split_simple scales by 1/2 and both divide by pivots; every entry
+    # they produce must be in the one representation of Q(i): int while
+    # integral, Fraction while real, GaussianRational only when not real
     for n in range(1, 5):
         for a in compositions_of(n):
             res = split_simple(a)
@@ -564,6 +577,41 @@ def test_split_and_hom_components_are_exact():
                 hb = hom_space(Ptilde(*a.parts), Stilde(*b.parts))
                 for f in hb.even + hb.odd:
                     _assert_exact_components(f.matrix, (a, b, "hom"))
+
+
+def _promoted(module):
+    """The module with every action entry promoted to a GaussianRational by
+    as_gauss: the representation before reals were stored as int/Fraction."""
+    actions = {
+        key: SparseMatrix(mat.nrows, mat.ncols, [
+            {r: as_gauss(v) for r, v in col.items()} for col in mat.cols
+        ])
+        for key, mat in module.actions.items()
+    }
+    return Supermodule(module.blocks, module.algebra, module.labels, module.parities, actions)
+
+
+def _assert_same_hom_space(src, dst, where):
+    fast = hom_space(src, dst)
+    slow = hom_space(_promoted(src), _promoted(dst))
+    assert (fast.even_dim, fast.odd_dim) == (slow.even_dim, slow.odd_dim), where
+    for f, g in zip(fast.even + fast.odd, slow.even + slow.odd):
+        assert f.parity == g.parity and f.matrix == g.matrix, where
+
+
+def test_promoted_modules_give_the_same_hom_spaces():
+    # slow route: the same Hom systems with every action entry a
+    # GaussianRational, real or not, give entrywise equal maps
+    promoted = _promoted(Stilde(2, 1))
+    assert all(type(v) is GaussianRational for key in promoted.actions
+               for _i, _j, v in promoted.actions[key].entries())
+    for n in range(1, 5):
+        for a in compositions_of(n):
+            for b in compositions_of(n):
+                _assert_same_hom_space(Ptilde(*a.parts), Stilde(*b.parts), (a, b))
+            comps = split_simple(a).components
+            for k, comp in enumerate(comps):
+                _assert_same_hom_space(comps[0], comp, (a, k))
 
 
 def test_split_type_rule_small():
@@ -840,8 +888,8 @@ def test_restriction_vectors_small():
         frozenset({1}): -1,
         frozenset({1, 3, 4}): 1,
     }
-    got = {subs[i]: int(v.re) for i, v in v52["vector"].items()}
-    assert got == expected
+    got = {subs[i]: v for i, v in v52["vector"].items()}
+    assert got == expected and all(type(v) is int for v in got.values())
 
 
 def test_restriction_vector_eigen_properties():
