@@ -166,13 +166,15 @@ def _parse_factor(toks: _Tokens, builder: _Builder):
             if not dtok.isdigit():
                 raise ParseError("expected a denominator after '/'")
             den = int(dtok)
+            if not den:
+                raise ParseError("zero denominator in %s/%s" % (tok, dtok))
         if toks.peek() == "i":
             toks.next()
-            return builder.scalar(GaussianRational(0, Fraction(num, den)))
+            return builder.scalar(gaussian(0, Fraction(num, den)))
         return builder.scalar(Fraction(num, den))
     if tok == "i":
         toks.next()
-        return builder.scalar(GaussianRational(0, 1))
+        return builder.scalar(gaussian(0, 1))
     if tok == "T":
         toks.next()
         toks.expect("[")

@@ -64,7 +64,7 @@ from .combinat import (
     word_reduced,
 )
 from .linalg import SparseMatrix, vec_add_term, vec_iadd_scaled, vec_scale
-from .scalars import GaussianRational, _rational, as_scalar
+from .scalars import as_scalar
 
 __all__ = [
     "RankMismatchError",
@@ -122,9 +122,11 @@ class AlgebraElement:
         self.terms = clean
 
     def _make(self, terms) -> "AlgebraElement":
+        """An element of this rank that keeps ``terms``, which the vector
+        primitives left exact and free of zeros."""
         out = AlgebraElement.__new__(AlgebraElement)
         out.rank = self.rank
-        out.terms = {k: v for k, v in terms.items() if v}
+        out.terms = terms
         return out
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -439,45 +441,22 @@ def _demazure_sign(u: tuple, v: tuple) -> tuple:
     return t, _shared(uv)
 
 
-def _parts(x) -> tuple:
-    """(re, im) of a scalar of Q(i) in the one representation."""
-    return (x.re, x.im) if type(x) is GaussianRational else (x, 0)
-
-
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """a*b term by term, c_D T_w * c_E T_v = c_D (T_w c_E) T_v, from the
-    three integer tables.  Each coefficient product x*y is formed once, by
-    components, multiplying only nonzero parts; real and imaginary parts
-    are summed apart, and one value is stored per nonzero key, a
-    ``GaussianRational`` only where the imaginary part is nonzero."""
+    three integer tables.  Each coefficient product x*y is formed once per
+    pair of terms, and x*y times the integer k*s*t of each table entry is
+    added into one dict by ``vec_add_term``, which keeps the one
+    representation."""
     if a.rank != b.rank:
         raise RankMismatchError("ranks %d and %d" % (a.rank, b.rank))
-    bterms = [(e, v) + _parts(y) for (e, v), y in b.terms.items()]
-    re, im = {}, {}
+    out = {}
     for (d, w), x in a.terms.items():
-        xr, xi = _parts(x)
-        for e, v, yr, yi in bterms:
-            pr = xr * yr if xr and yr else 0
-            pi = xr * yi if xr and yi else 0
-            if xi:
-                if yi:
-                    pr -= xi * yi
-                if yr:
-                    pi += xi * yr
+        for (e, v), y in b.terms.items():
+            xy = x * y
             for k, d2, u in _t_times_c(w, e):
                 s, dd = _clifford_sign(d, d2)
                 t, uv = _demazure_sign(u, v)
-                key, m = (dd, uv), k * s * t
-                re[key] = re.get(key, 0) + pr * m
-                if pi:
-                    im[key] = im.get(key, 0) + pi * m
-    out = {}
-    for key, r in re.items():
-        i = im.get(key)
-        if i:
-            out[key] = GaussianRational(r, i)
-        elif r:
-            out[key] = r if type(r) is int else _rational(r)
+                vec_add_term(out, (dd, uv), xy * (k * s * t))
     return a._make(out)
 
 

@@ -56,7 +56,10 @@ the sub- and supermasks of the descent bits, and the peak code of a
 composition ``top | c & ~(c << 1) & ~1``.  Partitions (Sym, Omega) stay
 tuples.  Each public function encodes its arguments once (``_codes``) and
 decodes its result once into canonical instances (``_element``,
-``_tensor``), passing every coefficient through ``scalars._rational``.
+``_tensor``), which only decode keys.  Coefficients are made and
+normalised once, by the vector primitives of ``peakhc.linalg``, which keep
+``int`` while integral and drop zeros; the public constructors pass their
+input through ``scalars._rational``, which rejects floats.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from .combinat import (
     partitions_of,
     peak_sets_in,
 )
-from .linalg import Echelon, SpanSolver, vec_add_term, vec_iadd_scaled
+from .linalg import Echelon, SpanSolver, vec_add_term, vec_iadd_scaled, vec_scale
 from .scalars import _rational
 
 __all__ = [
@@ -197,12 +200,8 @@ class FreeElement:
     def zero(cls, algebra: str, basis: str) -> "FreeElement":
         return cls(algebra, basis, {})
 
-    def _make(self, coeffs, basis=None, algebra=None) -> "FreeElement":
-        out = FreeElement.__new__(FreeElement)
-        out.algebra = algebra or self.algebra
-        out.basis = basis or self.basis
-        out.coeffs = {k: v for k, v in coeffs.items() if v}
-        return out
+    def _make(self, coeffs) -> "FreeElement":
+        return _new(FreeElement, self.algebra, self.basis, coeffs)
 
     # -- linear structure ------------------------------------------------------
 
@@ -224,10 +223,7 @@ class FreeElement:
         return self + other.scale(-1)
 
     def scale(self, c) -> "FreeElement":
-        c = _rational(c)
-        if not c:
-            return self._make({})
-        return self._make({k: v * c for k, v in self.coeffs.items()})
+        return self._make(vec_scale(self.coeffs, _rational(c)))
 
     def __mul__(self, other):
         if isinstance(other, FreeElement):
@@ -318,22 +314,22 @@ class TensorElement:
     def __init__(self, algebra: str, basis: str, coeffs=None):
         self.algebra = algebra
         self.basis = basis
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+        self.coeffs = {k: _rational(v) for k, v in (coeffs or {}).items() if v}
+
+    def _make(self, coeffs) -> "TensorElement":
+        return _new(TensorElement, self.algebra, self.basis, coeffs)
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             vec_add_term(out, k, v)
-        return TensorElement(self.algebra, self.basis, out)
+        return self._make(out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = _rational(c)
-        return TensorElement(
-            self.algebra, self.basis, {k: v * c for k, v in self.coeffs.items() if v * c}
-        )
+        return self._make(vec_scale(self.coeffs, _rational(c)))
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -366,7 +362,7 @@ class TensorElement:
                 for k1, c1 in left.coeffs.items():
                     vec_iadd_scaled(out, (((k1, k2), c2) for k2, c2 in right.coeffs.items()), c1)
         basis = left.basis if self.coeffs and other.coeffs else self.basis
-        return TensorElement(self.algebra, basis, out)
+        return _new(TensorElement, self.algebra, basis, out)
 
     def terms(self):
         return sorted(
@@ -422,43 +418,33 @@ def _codes(x: FreeElement) -> dict:
     return {k.code: c for k, c in x.coeffs.items()}
 
 
-def _exact(coeffs: dict) -> dict:
-    """coeffs with each value through ``_rational`` and zeros dropped, as a
-    FreeElement stores them."""
-    out = {}
-    for k, c in coeffs.items():
-        c = _rational(c)
-        if c:
-            out[k] = c
+def _new(cls, algebra: str, basis: str, coeffs: dict):
+    """A FreeElement or TensorElement that keeps ``coeffs`` as given: exact
+    and free of zeros, as the vector primitives leave them."""
+    out = cls.__new__(cls)
+    out.algebra = algebra
+    out.basis = basis
+    out.coeffs = coeffs
     return out
 
 
 def _element(algebra: str, basis: str, coeffs: dict) -> FreeElement:
-    """The FreeElement of internally keyed coefficients (the one decoding);
-    each coefficient goes through ``_rational``."""
+    """The FreeElement of internally keyed coefficients (the one decoding),
+    in a dict of its own."""
     decode = _DECODE.get(_INDEX_KIND[(algebra, basis)])
-    clean = {}
-    for k, c in coeffs.items():
-        c = _rational(c)
-        if c:
-            clean[k if decode is None else decode(k)] = c
-    out = FreeElement.__new__(FreeElement)
-    out.algebra = algebra
-    out.basis = basis
-    out.coeffs = clean
-    return out
+    if decode is None:
+        return _new(FreeElement, algebra, basis, dict(coeffs))
+    return _new(FreeElement, algebra, basis, {decode(k): c for k, c in coeffs.items()})
 
 
 def _tensor(algebra: str, basis: str, coeffs: dict) -> TensorElement:
-    """The TensorElement of internally keyed pairs (the one decoding); each
-    coefficient goes through ``_rational``."""
+    """The TensorElement of internally keyed pairs (the one decoding), in a
+    dict of its own."""
     decode = _DECODE.get(_INDEX_KIND[(algebra, basis)])
-    clean = {}
-    for (a, b), c in coeffs.items():
-        c = _rational(c)
-        if c:
-            clean[(a, b) if decode is None else (decode(a), decode(b))] = c
-    return TensorElement(algebra, basis, clean)
+    if decode is None:
+        return _new(TensorElement, algebra, basis, dict(coeffs))
+    clean = {(decode(a), decode(b)): c for (a, b), c in coeffs.items()}
+    return _new(TensorElement, algebra, basis, clean)
 
 
 def _degree(k) -> int:
@@ -768,7 +754,9 @@ def _sym_as(coeffs: dict, basis: str, target: str) -> dict:
 
 def _theta_p(p: dict) -> dict:
     """theta on p coordinates: p_lam -> 2^l(lam) p_lam on odd lam, 0 on the rest."""
-    return {lam: c * 2 ** len(lam) for lam, c in p.items() if all(part % 2 for part in lam)}
+    return {
+        lam: _rational(c * 2 ** len(lam)) for lam, c in p.items() if all(part % 2 for part in lam)
+    }
 
 
 def _omega_to_podd(coeffs: dict, basis: str) -> dict:
@@ -910,36 +898,37 @@ def convert(x: FreeElement, basis: str, algebra: str | None = None) -> FreeEleme
 
 
 def _convert(alg: str, basis: str, coeffs: dict, algebra: str, target: str) -> dict:
-    """``convert`` on internally keyed coefficients.  Every result that
-    ``convert`` would return, and every intermediate one it would have
-    built, is made exact as a FreeElement would store it."""
+    """``convert`` on internally keyed coefficients.  Every result, and
+    every intermediate one, is exact and free of zeros as the vector
+    primitives leave it; a result may be ``coeffs`` itself, or another
+    dict that is read-only, so the caller copies before it keeps one."""
     if alg == algebra:
         return _convert_within(alg, basis, coeffs, target)
     if (alg, algebra) == ("Peak", "NSym"):
         # the peak classes are disjoint: each R coefficient is one Xi coefficient
         return _convert_within("NSym", "R", _expand_linear(coeffs, _xi_in_r), target)
     if (alg, algebra) == ("NSym", "Peak"):
-        return _exact(_nsym_to_xi(_nsym_to_basis(_nsym_to_h(coeffs, basis), "R")))
+        return _nsym_to_xi(_nsym_to_basis(_nsym_to_h(coeffs, basis), "R"))
     if (alg, algebra) == ("PeakDual", "QSym"):
         k = _convert_within(alg, basis, coeffs, "K")
-        return _convert_within("QSym", "F", _exact(_expand_linear(k, _k_in_f)), target)
+        return _convert_within("QSym", "F", _expand_linear(k, _k_in_f), target)
     if (alg, algebra) == ("QSym", "PeakDual"):
-        k = _exact(_qsym_to_k(_qsym_as(coeffs, basis, "F")))
+        k = _qsym_to_k(_qsym_as(coeffs, basis, "F"))
         return _convert_within("PeakDual", "K", k, target)
     if (alg, algebra) == ("Omega", "Sym"):
-        return _convert_within("Sym", "p", _exact(_omega_to_podd(coeffs, basis)), target)
+        return _convert_within("Sym", "p", _omega_to_podd(coeffs, basis), target)
     if (alg, algebra) == ("Sym", "Omega"):
         p = _sym_as(coeffs, basis, "p")
         if any(part % 2 == 0 for lam in p for part in lam):
             raise MembershipError("p-expansion has even parts; not in the q-generated ring")
-        return _convert_within("Omega", "podd", _exact(p), target)
+        return _convert_within("Omega", "podd", p, target)
     if (alg, algebra) == ("Sym", "QSym"):
-        return _convert_within("QSym", "M", _exact(_sym_into_qsym(coeffs, basis)), target)
+        return _convert_within("QSym", "M", _sym_into_qsym(coeffs, basis), target)
     if (alg, algebra) == ("QSym", "Sym"):
         bym = _read_classes(
             _qsym_as(coeffs, basis, "M"), "part", "element of degree %d is not symmetric"
         )
-        return _convert_within("Sym", "m", _exact(bym), target)
+        return _convert_within("Sym", "m", bym, target)
     if (alg, algebra) == ("Omega", "PeakDual"):
         return _convert_within("PeakDual", "K", _into_peakdual(coeffs, basis), target)
     if (alg, algebra) == ("Omega", "QSym"):
@@ -947,7 +936,7 @@ def _convert(alg: str, basis: str, coeffs: dict, algebra: str, target: str) -> d
         return _convert("Sym", "p", p, "QSym", target)
     if (alg, algebra) == ("Peak", "Sym"):
         h = _convert(alg, basis, coeffs, "NSym", "H")
-        return _convert_within("Sym", "h", _exact(_forget(h)), target)
+        return _convert_within("Sym", "h", _forget(h), target)
     raise ConversionError(
         "no conversion path from %s/%s to %s/%s" % (alg, basis, algebra, target)
     )
@@ -957,18 +946,18 @@ def _convert_within(alg: str, basis: str, coeffs: dict, target: str) -> dict:
     if basis == target:
         return coeffs
     if alg == "NSym":
-        return _exact(_nsym_to_basis(_nsym_to_h(coeffs, basis), target))
+        return _nsym_to_basis(_nsym_to_h(coeffs, basis), target)
     if alg == "QSym":
-        return _exact(_qsym_as(coeffs, basis, target))
+        return _qsym_as(coeffs, basis, target)
     if alg == "PeakDual":
         if (basis, target) == ("N", "K"):
-            return _exact(_expand_linear(coeffs, _n_in_k))
+            return _expand_linear(coeffs, _n_in_k)
         raise ConversionError("cannot convert into the dependent tag N")
     if alg == "Sym":
-        return _exact(_sym_as(coeffs, basis, target))
+        return _sym_as(coeffs, basis, target)
     if alg == "Omega":
         if target == "podd":
-            return _exact(_omega_to_podd(coeffs, basis))
+            return _omega_to_podd(coeffs, basis)
         raise ConversionError("cannot convert into the q tag")
     if alg == "Peak":
         raise ConversionError("Peak has the single basis Xi")
@@ -983,7 +972,7 @@ def _into_peakdual(coeffs: dict, basis: str) -> dict:
     if basis == "podd":
         coeffs = {lam: Fraction(c, 1 << len(lam)) for lam, c in coeffs.items()}
     image = _sym_into_qsym(coeffs, "p" if basis == "podd" else "h")
-    return _exact(_expand_linear(image, _n_in_k))
+    return _expand_linear(image, _n_in_k)
 
 
 # ---------------------------------------------------------------------------
@@ -1013,11 +1002,11 @@ def product(x: FreeElement, y: FreeElement) -> FreeElement:
         return _element("NSym", out_basis, _nsym_to_basis(prod, out_basis))
     if alg == "QSym":
         prod = _qsym_m_product(_qsym_as(xc, x.basis, "M"), _qsym_as(yc, y.basis, "M"))
-        return _element("QSym", out_basis, _convert_within(alg, "M", _exact(prod), out_basis))
+        return _element("QSym", out_basis, _convert_within(alg, "M", prod, out_basis))
     if alg == "Peak":
         a = _convert(alg, x.basis, xc, "NSym", "H")
         b = _convert(alg, y.basis, yc, "NSym", "H")
-        return _element(alg, "Xi", _convert("NSym", "H", _exact(_concat_product(a, b)), alg, "Xi"))
+        return _element(alg, "Xi", _convert("NSym", "H", _concat_product(a, b), alg, "Xi"))
     if alg == "PeakDual":
         prod = _qsym_m_product(_lift(x.basis, xc), _lift(y.basis, yc))
         return _element(alg, "K", _expand_linear(prod, _n_in_k))
@@ -1027,7 +1016,7 @@ def product(x: FreeElement, y: FreeElement) -> FreeElement:
         a = _convert_within(alg, x.basis, xc, "h")
         b = _convert_within(alg, y.basis, yc, "h")
         target = out_basis if out_basis != "r" else "h"
-        prod = _exact(_part_product(a, b))
+        prod = _part_product(a, b)
         return _element(alg, target, _convert_within(alg, "h", prod, target))
     if alg == "Omega":
         a = _convert_within(alg, x.basis, xc, "podd")
@@ -1193,7 +1182,7 @@ def pairing(F: FreeElement, f: FreeElement) -> int | Fraction:
         other = b.get(k)
         if other is not None:
             tot += c * other
-    return tot
+    return _rational(tot)
 
 
 def peak_pairing(x: FreeElement, y: FreeElement) -> int | Fraction:
@@ -1206,7 +1195,7 @@ def peak_pairing(x: FreeElement, y: FreeElement) -> int | Fraction:
         other = b.get(P)
         if other is not None:
             tot += c * other
-    return tot
+    return _rational(tot)
 
 
 def _z_lambda(lam: tuple) -> int:
@@ -1232,7 +1221,7 @@ def omega_inner_product(u: FreeElement, v: FreeElement) -> int | Fraction:
         other = v.coeffs.get(lam)
         if other is not None:
             tot += c * other * Fraction(_z_lambda(lam), 2 ** len(lam))
-    return tot
+    return _rational(tot)
 
 
 # ---------------------------------------------------------------------------
@@ -1242,7 +1231,7 @@ def omega_inner_product(u: FreeElement, v: FreeElement) -> int | Fraction:
 
 def theta_transform(x: FreeElement) -> FreeElement:
     """Descent-to-peak transform on NSym: the algebra map H_n -> Q_n."""
-    out = _exact(_expand_linear(_as_h(x), lambda a: _h_expansion("Q", a)))
+    out = _expand_linear(_as_h(x), lambda a: _h_expansion("Q", a))
     return _element("Peak", "Xi", _convert("NSym", "H", out, "Peak", "Xi"))
 
 

@@ -5,17 +5,17 @@ column-sparse.  Everything here is field-generic: any scalar type with exact
 +, -, *, / and truthiness-as-nonzero works.  Scalars follow the one
 representation of ``scalars``: a stored real value is ``int`` while it is
 integral and ``Fraction`` otherwise, and only a value with a nonzero
-imaginary part is a ``GaussianRational``.  Q(i) has two fast paths that give
-the same values: ``vec_iadd_scaled`` forms u[k] + c*v[k] from components
-when ``c`` is not real, and a ``GaussianRational`` pivot is inverted as
-conj/norm.  No floating point anywhere.
+imaginary part is a ``GaussianRational``.  The scalar operators and the
+vector primitives here (``vec_add_term``, ``vec_iadd_scaled``,
+``vec_scale``) are the only places where a value is made and normalised;
+callers keep what they return.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussianRational, _rational, gaussian
+from .scalars import _rational
 
 __all__ = [
     "vec_add_term",
@@ -43,45 +43,14 @@ def vec_add_term(u: dict, k, val) -> None:
 def vec_iadd_scaled(u: dict, v, c) -> dict:
     """u += c*v in place, dropping cancelled entries; returns u.
 
-    ``v`` is a dict or an iterable of (key, value) pairs.  For a real ``c``
-    the product is formed as ``c * value``, so int coefficients stay int,
-    and an integral ``Fraction`` sum is stored as ``int``.  When ``c`` is a
-    ``GaussianRational``, the real and imaginary parts of u[k] + c*v[k] are
-    formed from the components of ``c``, ``v[k]`` and ``u[k]``, whichever of
-    them are real, so at most one value is built per entry.
+    ``v`` is a dict or an iterable of (key, value) pairs.  One loop serves
+    every ``c``: the scalar operators form ``c * value`` and the sum, so int
+    coefficients stay int and a ``GaussianRational`` result is demoted when
+    real; an integral ``Fraction`` sum is stored as ``int``.
     """
     if not c:
         return u
     items = v.items() if isinstance(v, dict) else v
-    if type(c) is GaussianRational:
-        cr, ci = c.re, c.im
-        for k, val in items:
-            if type(val) is GaussianRational:
-                vr, vi = val.re, val.im
-            else:
-                vr, vi = val, 0
-            # only nonzero parts are multiplied: Fraction * 0 builds a Fraction
-            re = cr * vr if cr and vr else 0
-            im = ci * vr if ci and vr else 0
-            if vi:
-                if ci:
-                    re -= ci * vi
-                if cr:
-                    im += cr * vi
-            s = u.get(k)
-            if s is not None:
-                if type(s) is GaussianRational:
-                    re += s.re
-                    im += s.im
-                else:
-                    re += s
-            if im:
-                u[k] = GaussianRational(re, im)
-            elif re:
-                u[k] = re if type(re) is int else _rational(re)
-            elif s is not None:
-                del u[k]
-        return u
     for k, val in items:
         s = u.get(k)
         s = c * val if s is None else s + c * val
@@ -329,18 +298,13 @@ class SpanSolver:
 def _invert_scalar(c):
     """Exact 1/c: an int stays int when c is 1 or -1 and becomes a Fraction
     otherwise, a Fraction with an integral inverse inverts to an int, and a
-    GaussianRational is inverted as conj(c) / |c|^2, a real one as a
-    rational."""
-    if type(c) is GaussianRational:
-        re, im = c.re, c.im
-        nrm = re * re + im * im
-        return gaussian(Fraction(re, nrm), Fraction(-im, nrm))
+    GaussianRational is inverted by its own ``1 / c`` (conj(c) / |c|^2,
+    a real one as a rational)."""
     if isinstance(c, int):
         return int(c) if c == 1 or c == -1 else Fraction(1, c)
     if isinstance(c, Fraction):
         return _rational(1 / c)
-    one = c / c
-    return one / c
+    return 1 / c
 
 
 def _back_substitute(pivots: dict, x: dict) -> dict:

@@ -228,6 +228,23 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cli_expand_i_literals(capsys):
+    # 0i is the rational 0, so it is a valid Hopf coefficient; 2i is not
+    assert parse_element("0i*F[1]") == parse_element("0*F[1]")
+    assert main(["expand", "0i*F[1]"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+    assert main(["expand", "2i*F[1]"]) == 2
+    assert "rational" in capsys.readouterr().err
+
+
+def test_cli_expand_rejects_a_zero_denominator(capsys):
+    for text in ("1/0*F[1]", "1/0i*T[2,1]"):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_element(text)
+    assert main(["expand", "1/0*F[1]"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_cli_strict_skip(monkeypatch, capsys):
     # a skipped-resource case flips the exit code only under --strict
     import peakhc.cli as cli

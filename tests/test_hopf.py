@@ -762,6 +762,8 @@ def test_float_coefficients_rejected():
         term("NSym", "R", C(2)).scale(0.5)
     with pytest.raises(TypeError):
         coproduct(term("NSym", "H", C(1))).scale(0.5)
+    with pytest.raises(TypeError):
+        TensorElement("NSym", "H", {(C(1), C(1)): 0.5})
     assert term("NSym", "H", C(2), Fraction(1, 2)).coefficient(C(2)) == Fraction(1, 2)
 
 
@@ -816,6 +818,79 @@ def test_coefficients_are_int_while_integral():
     assert scaled.coefficient(C(2)) == 6 and type(scaled.coefficient(C(2))) is int
     t = coproduct(term("NSym", "H", C(1))).scale(Fraction(6, 3))
     assert all(type(c) is int for c in t.coeffs.values())
+    t = TensorElement("NSym", "H", {(C(1), C(1)): Fraction(4, 2), (C(2), C()): 0})
+    assert t.coeffs == {(C(1), C(1)): 2} and type(t.coeffs[(C(1), C(1))]) is int
+
+
+def test_pairings_are_int_while_integral():
+    q1 = term("Omega", "q", (1,))
+    value = omega_inner_product(q1, q1)
+    assert value == 2 and type(value) is int
+    value = peak_pairing(Xi(0).scale(Fraction(1, 2)), K(0).scale(2))
+    assert value == 1 and type(value) is int
+    value = pairing(H(1).scale(Fraction(1, 2)), M(1).scale(2))
+    assert value == 1 and type(value) is int
+
+
+def _stored_exactly(x):
+    """Every stored coefficient is nonzero and an int or a non-integral
+    Fraction: the one representation of a rational."""
+    return all(
+        c and (type(c) is int or type(c) is Fraction and c.denominator != 1)
+        for c in x.coeffs.values()
+    )
+
+
+def _fraction_element(rng, algebra, basis, top=4):
+    """Up to three terms of degree <= top with coefficients like 1/2, -3/2, 2/3."""
+    coeffs = {}
+    for _ in range(3):
+        idx = rng.choice(_indices(algebra, basis, rng.randint(0, top)))
+        coeffs[idx] = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+    return FreeElement(algebra, basis, coeffs)
+
+
+def _or_none(f, *args):
+    try:
+        return f(*args)
+    except (ConversionError, MembershipError):
+        return None
+
+
+_MORPHISM_DOMAINS = (
+    (theta_transform, ("NSym", "Peak")),
+    (vartheta_map, ("QSym", "PeakDual", "Sym", "Omega")),
+    (theta_sym, ("Sym", "Omega")),
+    (omega_into_peakdual, ("Sym", "Omega")),
+)
+
+
+def test_every_operation_stores_int_or_a_proper_fraction():
+    rng = random.Random(19)
+    half = term("NSym", "H", C(1), Fraction(1, 2)).scale(2)
+    assert half.coefficient(C(1)) == 1 and _stored_exactly(half)
+    targets = [(alg, basis) for alg, bases in BASES.items() for basis in bases]
+    seen = []
+    for alg, basis in targets:
+        for _ in range(2):
+            x = _fraction_element(rng, alg, basis)
+            y = _fraction_element(rng, alg, basis, top=2)
+            images = [_or_none(convert, x, b, a) for a, b in targets]
+            # a second conversion reaches the membership solves and reads
+            images += [_or_none(convert, z, b, a) for z in images if z for a, b in targets]
+            images += [x.scale(2), x.scale(6), x.scale(Fraction(3, 2)), x + x, x - y, x - x]
+            images.append(_or_none(product, x, y))
+            for f, domain in _MORPHISM_DOMAINS:
+                if alg in domain:
+                    images.append(_or_none(f, x))
+            tensor = coproduct(x)
+            images += [tensor, tensor.scale(2), tensor.scale(Fraction(3, 2))]
+            images += [tensor + tensor, tensor - tensor]
+            for z in images:
+                if z is not None:
+                    assert _stored_exactly(z), (x, y, z)
+                    seen.append(z)
+    assert len(seen) > 1000
 
 
 def _int_while_integral(values):
