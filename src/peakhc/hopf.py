@@ -587,6 +587,20 @@ def _xi_in_r(P: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _xi_in_h(P: int) -> tuple:
+    """Xi_P in the H basis: its class of R's expanded once, where most terms
+    cancel.  One entry per peak code, at most 2^(n-1) in degree n."""
+    return tuple(_nsym_to_h(dict(_xi_in_r(P)), "R").items())
+
+
+@lru_cache(maxsize=None)
+def _theta_in_xi(alpha: int) -> tuple:
+    """Theta(H_alpha) = Q_alpha in the Xi basis: its H expansion read in R,
+    then by peak class.  One entry per code, at most 2^(n-1) in degree n."""
+    return tuple(_convert("NSym", "Q", {alpha: 1}, "Peak", "Xi").items())
+
+
+@lru_cache(maxsize=None)
 def _k_in_f(P: int) -> tuple:
     """K_P = 2^(|P|+1) * sum of F_alpha over alpha with P inside D .. (D+1)."""
     if not P:
@@ -866,7 +880,9 @@ def _nsym_to_basis(coeffs_h: dict, basis: str) -> dict:
 def _as_h(x: FreeElement) -> dict:
     """H coordinates of an NSym or Peak element."""
     if x.algebra == "Peak":
-        return _convert("Peak", x.basis, _codes(x), "NSym", "H")
+        return _expand_linear(_codes(x), _xi_in_h)
+    if x.algebra != "NSym":
+        raise ConversionError("wants an NSym or Peak element, got %s" % x.algebra)
     return _nsym_to_h(_codes(x), x.basis)
 
 
@@ -905,10 +921,12 @@ def _convert(alg: str, basis: str, coeffs: dict, algebra: str, target: str) -> d
     if alg == algebra:
         return _convert_within(alg, basis, coeffs, target)
     if (alg, algebra) == ("Peak", "NSym"):
-        # the peak classes are disjoint: each R coefficient is one Xi coefficient
-        return _convert_within("NSym", "R", _expand_linear(coeffs, _xi_in_r), target)
+        if target == "R":
+            # the peak classes are disjoint: each R coefficient is one Xi coefficient
+            return _expand_linear(coeffs, _xi_in_r)
+        return _nsym_to_basis(_expand_linear(coeffs, _xi_in_h), target)
     if (alg, algebra) == ("NSym", "Peak"):
-        return _nsym_to_xi(_nsym_to_basis(_nsym_to_h(coeffs, basis), "R"))
+        return _nsym_to_xi(_convert_within("NSym", basis, coeffs, "R"))
     if (alg, algebra) == ("PeakDual", "QSym"):
         k = _convert_within(alg, basis, coeffs, "K")
         return _convert_within("QSym", "F", _expand_linear(k, _k_in_f), target)
@@ -1167,16 +1185,19 @@ def pairing(F: FreeElement, f: FreeElement) -> int | Fraction:
     an exact rational (int or Fraction).
 
     Accepts Peak elements on the left (through the inclusion into NSym) and
-    PeakDual or Sym elements on the right (through their inclusions in QSym).
+    PeakDual, Sym or Omega elements on the right (through their inclusions
+    in QSym).  R against QSym F is read in the dual pair the arguments
+    share, with no conversion; every other pair is read in (H, M).
     """
     if F.algebra not in ("NSym", "Peak") or f.algebra not in ("QSym", "PeakDual", "Sym", "Omega"):
         raise ConversionError("pairing wants (NSym, QSym)-sided arguments")
-    a = _as_h(F)
-    b = _codes(f)
-    if f.algebra == "QSym":
-        b = _qsym_as(b, f.basis, "M")
-    else:
-        b = _convert(f.algebra, f.basis, b, "QSym", "M")
+    a, b = _codes(F), _codes(f)
+    if F.basis != "R" or (f.algebra, f.basis) != ("QSym", "F"):
+        a = _as_h(F)
+        if f.algebra == "QSym":
+            b = _qsym_as(b, f.basis, "M")
+        else:
+            b = _convert(f.algebra, f.basis, b, "QSym", "M")
     tot = 0
     for k, c in a.items():
         other = b.get(k)
@@ -1231,8 +1252,7 @@ def omega_inner_product(u: FreeElement, v: FreeElement) -> int | Fraction:
 
 def theta_transform(x: FreeElement) -> FreeElement:
     """Descent-to-peak transform on NSym: the algebra map H_n -> Q_n."""
-    out = _expand_linear(_as_h(x), lambda a: _h_expansion("Q", a))
-    return _element("Peak", "Xi", _convert("NSym", "H", out, "Peak", "Xi"))
+    return _element("Peak", "Xi", _expand_linear(_as_h(x), _theta_in_xi))
 
 
 def vartheta_map(x: FreeElement) -> FreeElement:
@@ -1249,12 +1269,19 @@ def forgetful_pi(x: FreeElement) -> FreeElement:
 def theta_sym(x: FreeElement) -> FreeElement:
     """The epimorphism Sym -> Omega, h_n -> q_n; kills even power sums."""
     xc = _codes(x)
-    p = _sym_as(xc, x.basis, "p") if x.algebra == "Sym" else _omega_to_podd(xc, x.basis)
+    if x.algebra == "Sym":
+        p = _sym_as(xc, x.basis, "p")
+    elif x.algebra == "Omega":
+        p = _omega_to_podd(xc, x.basis)
+    else:
+        raise ConversionError("theta_sym wants a Sym or Omega element, got %s" % x.algebra)
     return _element("Omega", "podd", _theta_p(p))
 
 
 def sym_into_qsym(x: FreeElement) -> FreeElement:
     """The inclusion of symmetric functions into QSym (M basis)."""
+    if x.algebra != "Sym":
+        raise ConversionError("sym_into_qsym wants a Sym element, got %s" % x.algebra)
     return _element("QSym", "M", _sym_into_qsym(_codes(x), x.basis))
 
 

@@ -252,6 +252,20 @@ def test_peak_tables_match_oracles():
             assert tuple(map(comp, dict(hopf._xi_in_r(P.code)))) == members[P]
 
 
+def test_peak_tables_match_their_slow_routes():
+    # _xi_in_h(P): the oracle R -> H expansion of Xi_P's class;
+    # _theta_in_xi(alpha): the oracle Q expansion, read H -> R, then by peak class
+    for n in range(MAX_TABLE_DEGREE + 1):
+        members = oracle_classes(n, "peak")[0]
+        for P in _peak_sets(n):
+            want = oracle_to_h("R", {a: 1 for a in members[P]})
+            assert decoded(hopf._xi_in_h(P.code)) == {a: c for a, c in want.items() if c}
+        for a in _compositions(n):
+            r = oracle_from_h("R", oracle_h_expansion("Q", a))
+            want = _regroup(r, n, "peak", "Theta(H_alpha) outside Peak")
+            assert decoded(hopf._theta_in_xi(a.code), peak) == want, a
+
+
 def test_class_tables_match_oracles():
     for n in range(MAX_TABLE_DEGREE + 1):
         for kind, key in (("peak", peak), ("part", lambda lam: lam)):

@@ -529,6 +529,11 @@ def test_pairing_examples():
                 assert pairing(R(*a.parts), F(*b.parts)) == (1 if a == b else 0)
 
 
+_PAIRING_LEFT = [("NSym", "H"), ("NSym", "R"), ("NSym", "E"), ("NSym", "Q"), ("Peak", "Xi")]
+_PAIRING_RIGHT = [("QSym", "M"), ("QSym", "F"), ("PeakDual", "K"), ("PeakDual", "N")]
+_PAIRING_RIGHT += [("Sym", b) for b in BASES["Sym"]] + [("Omega", b) for b in BASES["Omega"]]
+
+
 def test_pairing_basis_independent():
     rng = random.Random(3)
     for _ in range(20):
@@ -537,6 +542,18 @@ def test_pairing_basis_independent():
         v = pairing(x, y)
         assert pairing(convert(x, "R"), convert(y, "F")) == v
         assert pairing(convert(x, "E"), y) == v
+    # whichever dual pair pairing reads, (R, F) or (H, M), the value is the
+    # one of both sides converted to (H, M) by hand, on every accepted pair
+    rng = random.Random(41)
+    for left in _PAIRING_LEFT:
+        for right in _PAIRING_RIGHT:
+            for _ in range(3):
+                x = _fraction_element(rng, *left)
+                y = _fraction_element(rng, *right)
+                a = convert(x, "H", "NSym").coeffs
+                b = convert(y, "M", "QSym").coeffs
+                want = sum(c * b.get(k, 0) for k, c in a.items())
+                assert pairing(x, y) == want, (left, right, x, y)
 
 
 def test_peak_pairing():
@@ -574,6 +591,16 @@ def test_theta_transform_examples():
     assert theta_transform(R(1, 1)) == 2 * Xi(2)
     x = theta_transform(H(1, 1, 1))
     assert convert(x, "H", "NSym") == 8 * H(1, 1, 1)
+
+
+def test_theta_transform_matches_the_two_step_route():
+    # the old route: H_alpha -> Q_alpha in NSym, then the class read into Peak
+    rng = random.Random(23)
+    for basis in ("H", "R", "E", "Q"):
+        for _ in range(25):
+            x = _random_element(rng, "NSym", basis, [1, 2, 3, 4, 5, 6])
+            q = FreeElement("NSym", "Q", convert(x, "H").coeffs)
+            assert theta_transform(x) == convert(q, "Xi", "Peak"), x
 
 
 def test_theta_ribbon_formula():
@@ -860,9 +887,33 @@ def _or_none(f, *args):
 _MORPHISM_DOMAINS = (
     (theta_transform, ("NSym", "Peak")),
     (vartheta_map, ("QSym", "PeakDual", "Sym", "Omega")),
+    (forgetful_pi, ("NSym", "Peak")),
     (theta_sym, ("Sym", "Omega")),
+    (sym_into_qsym, ("Sym",)),
     (omega_into_peakdual, ("Sym", "Omega")),
 )
+
+
+@pytest.mark.parametrize(
+    "x", [H(3), M(2, 1), h(2, 1), term("Omega", "q", (3,))], ids=["H", "M", "h", "q"]
+)
+@pytest.mark.parametrize("f, domain", _MORPHISM_DOMAINS, ids=[f.__name__ for f, _ in _MORPHISM_DOMAINS])
+def test_morphisms_reject_a_wrong_algebra_with_a_conversion_error(f, domain, x):
+    if x.algebra not in domain:
+        with pytest.raises(ConversionError):
+            f(x)
+    elif f is omega_into_peakdual and x.algebra == "Sym":
+        # h_(2,1) has an even power-sum part, so it is outside the q-ring
+        with pytest.raises(MembershipError):
+            f(x)
+    else:
+        assert isinstance(f(x), FreeElement)
+
+
+def test_nsym_morphisms_reject_a_zero_of_another_algebra():
+    for f in (theta_transform, forgetful_pi):
+        with pytest.raises(ConversionError):
+            f(FreeElement.zero("QSym", "M"))
 
 
 def test_every_operation_stores_int_or_a_proper_fraction():
