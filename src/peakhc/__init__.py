@@ -8,9 +8,10 @@ Subpackages compute, over exact rationals and Q(i):
 * ``hecke_clifford`` -- the superalgebra mixing a 0-Hecke and a Clifford
   algebra, with trace form and structural (anti-)involutions;
 * ``supermodules`` -- exact supermodule calculus (induction, restriction,
-  Hom spaces, idempotent splitting, twisting, filtrations);
+  Hom spaces, idempotent splitting, twisting, the hook-vector split of
+  restricted projectives);
 * ``characteristic`` -- Grothendieck classes and the characteristic maps;
-* ``heisenberg`` -- the Fock action, smash-product double, and the freeness
+* ``heisenberg`` -- the Fock action, the length filtration, and the freeness
   certificate of the peak quasisymmetric functions over the q-generated ring;
 * ``cli`` -- the ``peakhc`` command-line front end.
 """

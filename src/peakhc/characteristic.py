@@ -79,7 +79,6 @@ __all__ = [
     "ModuleClass",
     "class_of_module",
     "hecke_class_of_module",
-    "hecke_projective_class",
     "cartan_image",
     "cartan_rank",
     "decompose_projective",
@@ -121,6 +120,8 @@ class ModuleClass:
         self.payload = elt
 
     def __eq__(self, other):
+        if other.__class__ is not ModuleClass:
+            return NotImplemented
         return self.group == other.group and self.payload == other.payload
 
 
@@ -164,20 +165,6 @@ def class_of_module(module: Supermodule) -> ModuleClass:
     mults = hecke_composition_multiplicities(restrict_hecke(module))
     rows = [(_theta_row(a), mults.get((a,), 0)) for a in compositions_of(n)]
     return ModuleClass("Gt", FreeElement("PeakDual", "K", solve_unique(rows)))
-
-
-def hecke_projective_class(module: Supermodule) -> ModuleClass:
-    """Class of a projective 0-Hecke module in NSym (ribbon coordinates)."""
-    if module.algebra != "H" or len(module.blocks) != 1:
-        raise ValueError("single-block Hecke modules only")
-    n = module.rank
-    dims = hecke_simple_hom_dims(module)
-    out = FreeElement.zero("NSym", "R")
-    for g in compositions_of(n) if n else [Composition(())]:
-        m = dims.get(g, 0)
-        if m:
-            out = out + term("NSym", "R", g, m)
-    return ModuleClass("K", out)
 
 
 # ---------------------------------------------------------------------------

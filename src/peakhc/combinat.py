@@ -50,28 +50,29 @@ __all__ = [
     "as_composition",
     "compositions_of",
     "composition_from_descents",
-    "counterparts",
-    "peak_and_valley",
     "peak_sets_in",
     "descent_class",
-    "perm_stats",
     "symmetric_difference_shift",
     "min_coset_reps",
-    "refines",
-    "bruhat_leq",
     "partitions_of",
     "strict_partitions_of",
-    "odd_partitions_of",
-    "MAX_BRUHAT_N",
     "MAX_ENUM_N",
 ]
 
 MAX_ENUM_N = 10  # permutation-level enumeration guard
-MAX_BRUHAT_N = 6  # cached Bruhat tables
 
 
 class ResourceLimitError(RuntimeError):
     """Raised when a request exceeds the configured desk-scale guards."""
+
+
+def _int_tuple(values, what: str) -> tuple:
+    """``values`` as a tuple of ``int``; a float, str or bool raises
+    TypeError instead of being converted."""
+    values = tuple(values)
+    if any(type(x) is not int for x in values):
+        raise TypeError("%s must be int: %r" % (what, values))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +91,7 @@ class Composition:
     parts: tuple
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = _int_tuple(self.parts, "composition parts")
         code = total = 0
         for p in parts:
             if p < 1:
@@ -183,7 +184,7 @@ class DescentSet:
     elements: frozenset
 
     def __post_init__(self):
-        elems = frozenset(int(x) for x in self.elements)
+        elems = frozenset(_int_tuple(self.elements, "descent set entries"))
         if any(not 1 <= x <= self.n - 1 for x in elems):
             raise ValueError("descent set %r not inside [%d-1]" % (sorted(elems), self.n))
         object.__setattr__(self, "elements", elems)
@@ -207,7 +208,7 @@ class PeakSet:
     elements: frozenset
 
     def __post_init__(self):
-        elems = frozenset(int(x) for x in self.elements)
+        elems = frozenset(_int_tuple(self.elements, "peak set entries"))
         if any(not 2 <= x <= self.n - 1 for x in elems):
             raise ValueError("peak set %r not inside [2, %d-1]" % (sorted(elems), self.n))
         if any(x - 1 in elems for x in elems):
@@ -262,18 +263,6 @@ def composition_from_descents(d: DescentSet) -> Composition:
     return Composition(tuple(parts))
 
 
-def counterparts(alpha) -> tuple:
-    """(reverse, complement, conjugate) of a composition."""
-    a = as_composition(alpha)
-    return a.reverse(), a.complement(), a.conjugate()
-
-
-def peak_and_valley(alpha) -> tuple:
-    """(peak set, valley set) of a composition; |valley| = |peak| + 1."""
-    a = as_composition(alpha)
-    return a.peak_set(), a.valley_set()
-
-
 def peak_sets_in(n: int) -> list:
     """All peak sets in [n], ordered by bitmask; counts follow Fibonacci."""
     if n < 0:
@@ -297,14 +286,6 @@ def symmetric_difference_shift(d: DescentSet) -> frozenset:
     """D symmetric-difference (D+1), a subset of [n]."""
     shifted = frozenset(x + 1 for x in d.elements)
     return (d.elements - shifted) | (shifted - d.elements)
-
-
-def refines(alpha, beta) -> bool:
-    """alpha <= beta in refinement order: D(beta) is a subset of D(alpha)."""
-    a, b = as_composition(alpha), as_composition(beta)
-    if a.n != b.n:
-        return False
-    return b.descent_set().elements <= a.descent_set().elements
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +360,7 @@ class Permutation:
     word: tuple
 
     def __post_init__(self):
-        word = tuple(int(x) for x in self.word)
+        word = _int_tuple(self.word, "permutation entries")
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError("%r is not a permutation word" % (word,))
         object.__setattr__(self, "word", word)
@@ -413,9 +394,6 @@ class Permutation:
 
     def descent_set(self) -> DescentSet:
         return DescentSet(self.n, word_descents(self.word))
-
-    def descent_composition(self) -> Composition:
-        return composition_from_descents(self.descent_set())
 
     def peak_set(self) -> PeakSet:
         w = self.word
@@ -457,27 +435,6 @@ def descent_class(alpha) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class PermStats:
-    descents: DescentSet
-    composition: Composition
-    peaks: PeakSet
-    length: int
-    inverse: Permutation
-    reduced_word: tuple
-
-
-def perm_stats(w: Permutation) -> PermStats:
-    return PermStats(
-        descents=w.descent_set(),
-        composition=w.descent_composition(),
-        peaks=w.peak_set(),
-        length=w.length(),
-        inverse=w.inverse(),
-        reduced_word=w.reduced_word(),
-    )
-
-
 def min_coset_reps(m: int, n: int) -> list:
     """Minimal-length representatives x of the left cosets x S_(m,n) in S_(m+n).
 
@@ -509,39 +466,6 @@ def coset_factorize(w: tuple, m: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Bruhat order (desk-scale, cached per n)
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _bruhat_table(n: int) -> dict:
-    if n > MAX_BRUHAT_N:
-        raise ResourceLimitError("Bruhat tables kept only for n <= %d" % MAX_BRUHAT_N)
-    perms = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    lengths = {w: word_length(w) for w in perms}
-    # covering relations: w covers v when v = w * t_{ab} and l drops by one
-    leq = {w: {w} for w in perms}
-    by_length = sorted(perms, key=lambda w: lengths[w])
-    for w in by_length:
-        lw = lengths[w]
-        for a in range(n):
-            for b in range(a + 1, n):
-                v = list(w)
-                v[a], v[b] = v[b], v[a]
-                v = tuple(v)
-                if lengths[v] == lw - 1:
-                    leq[w] |= leq[v]
-    return leq
-
-
-def bruhat_leq(v: Permutation, w: Permutation) -> bool:
-    """v <= w in Bruhat order; exhaustive tables, guarded at n <= 6."""
-    if v.n != w.n:
-        raise ValueError("rank mismatch")
-    return v.word in _bruhat_table(v.n)[w.word]
-
-
-# ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
 
@@ -564,7 +488,3 @@ def partitions_of(n: int) -> list:
 
 def strict_partitions_of(n: int) -> list:
     return [p for p in partitions_of(n) if all(p[i] > p[i + 1] for i in range(len(p) - 1))]
-
-
-def odd_partitions_of(n: int) -> list:
-    return [p for p in partitions_of(n) if all(x % 2 == 1 for x in p)]

@@ -57,12 +57,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache, reduce
 
-from .combinat import (
-    Permutation,
-    ResourceLimitError,
-    swap_values,
-    word_reduced,
-)
+from .combinat import ResourceLimitError, swap_values, word_reduced
 from .linalg import SparseMatrix, vec_add_term, vec_iadd_scaled, vec_scale
 from .scalars import as_scalar
 
@@ -82,9 +77,7 @@ __all__ = [
     "multiply",
     "associativity_failure",
     "trace",
-    "frobenius_form",
     "frobenius_gram",
-    "leading_term_check",
     "apply_morphism",
     "morphism_matrix",
     "regular_generator_matrix",
@@ -471,10 +464,6 @@ def trace(a: AlgebraElement):
     return a.terms.get((frozenset(), w0), 0)
 
 
-def frobenius_form(a: AlgebraElement, b: AlgebraElement):
-    return trace(multiply(a, b))
-
-
 def _basis_index(n: int) -> dict:
     """Position of each basis key in the canonical order."""
     return {key: k for k, key in enumerate(algebra_basis(n))}
@@ -530,19 +519,6 @@ def frobenius_gram(n: int) -> SparseMatrix:
         for jcol, v in row.items():
             gram.cols[jcol][i] = v
     return gram
-
-
-def leading_term_check(w: Permutation, d) -> tuple:
-    """Leading datum of T_w c_D: the sign (-1)^(inversions of w inside D)
-    and the image set w(D); the remaining terms of the product are strictly
-    shorter (Bruhat-lower at desk scale)."""
-    dset = sorted(d)
-    inv = 0
-    for a in range(len(dset)):
-        for b in range(a + 1, len(dset)):
-            if w(dset[a]) > w(dset[b]):
-                inv += 1
-    return ((-1) ** inv, frozenset(w(x) for x in dset))
 
 
 # ---------------------------------------------------------------------------

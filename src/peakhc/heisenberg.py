@@ -9,9 +9,7 @@ N_alpha it reproduces the closed rule
 
     Q_m . N_alpha  =  sum over alpha = beta . gamma of [Q_m, N_gamma] N_beta,
 
-which the suite checks against the coproduct route.  The double multiplies by
-
-    (x # a)(y # b) = sum x (a_1 . y) # a_2 b.
+which the suite checks against the coproduct route.
 
 Freeness is certified degree by degree: a greedy basis extension produces
 generators g_i such that the products {g_i * q_lambda} over strict
@@ -36,25 +34,21 @@ from .hopf import (
     FreeElement,
     convert,
     coproduct,
-    index_sort_key,
     omega_into_peakdual,
     pairing,
     product,
     term,
     unit,
 )
-from .linalg import Echelon, SpanSolver, vec_add_term, vec_iadd_scaled
-from .scalars import _rational
+from .linalg import Echelon, SpanSolver, vec_add_term
 
 __all__ = [
     "fock_action",
     "fock_action_on_word",
-    "DoubleElement",
     "filtration_component",
     "in_filtration",
     "free_basis_over_omega",
     "guard_freeness_degree",
-    "hilbert_series_identity",
     "MAX_FREENESS_DEGREE",
 ]
 
@@ -105,107 +99,6 @@ def fock_action_on_word(m: int, alpha) -> FreeElement:
         return FreeElement.zero("PeakDual", "K")
     val = pairing(term("NSym", "Q", (m,)), term("QSym", "M", parts[cut:]))
     return convert(term("PeakDual", "N", parts[:cut], val), "K")
-
-
-class DoubleElement:
-    """An element of the smash-product double: sums of x # a with x in the
-    peak dual (K keys) and a in the peak algebra (Xi keys)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {k: _rational(v) for k, v in (coeffs or {}).items() if v}
-
-    @classmethod
-    def from_elements(cls, x: FreeElement, a: FreeElement) -> "DoubleElement":
-        x = convert(x, "K", "PeakDual")
-        a = convert(a, "Xi", "Peak")
-        return cls({
-            (kx, ka): cx * ca for kx, cx in x.coeffs.items() for ka, ca in a.coeffs.items()
-        })
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            vec_add_term(out, k, v)
-        return DoubleElement(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = _rational(c)
-        return DoubleElement({k: v * c for k, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, DoubleElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        raise TypeError("DoubleElement is not hashable")
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __mul__(self, other: "DoubleElement") -> "DoubleElement":
-        """(x # a)(y # b) = sum x (a_1 . y) # a_2 b."""
-        out = {}
-        for (kx, ka), c1 in self.coeffs.items():
-            a = term("Peak", "Xi", ka)
-            da = coproduct(a)
-            for (ky, kb), c2 in other.coeffs.items():
-                y = term("PeakDual", "K", ky)
-                for (a1, a2), ca in da.coeffs.items():
-                    lowered = fock_action(term("Peak", "Xi", a1), y)
-                    if not lowered:
-                        continue
-                    right = product(term("Peak", "Xi", a2), term("Peak", "Xi", kb))
-                    for kx2, cx2 in lowered.coeffs.items():
-                        xprod = product(
-                            term("PeakDual", "K", kx), term("PeakDual", "K", kx2)
-                        )
-                        for kfin, cfin in xprod.coeffs.items():
-                            vec_iadd_scaled(
-                                out,
-                                (((kfin, kr), cr) for kr, cr in right.coeffs.items()),
-                                c1 * c2 * ca * cx2 * cfin,
-                            )
-        return DoubleElement(out)
-
-    def apply(self, x: FreeElement) -> FreeElement:
-        """Fock-space action: lower by the peak part, multiply by the dual part."""
-        out = FreeElement.zero("PeakDual", "K")
-        for (kx, ka), c in self.coeffs.items():
-            lowered = fock_action(term("Peak", "Xi", ka), x)
-            if lowered:
-                out = out + product(term("PeakDual", "K", kx), lowered).scale(c)
-        return out
-
-    def terms(self):
-        return sorted(
-            self.coeffs.items(),
-            key=lambda kv: (index_sort_key(kv[0][0]), index_sort_key(kv[0][1])),
-        )
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for (kx, ka), c in self.terms():
-            bits.append(
-                "%s*K{%s}@%d#Xi{%s}@%d"
-                % (
-                    c,
-                    ",".join(str(e) for e in sorted(kx.elements)),
-                    kx.n,
-                    ",".join(str(e) for e in sorted(ka.elements)),
-                    ka.n,
-                )
-            )
-        return " + ".join(bits)
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +238,3 @@ def free_basis_over_omega(max_degree: int = 8) -> FreenessCertificate:
         ok = ok and record["ok"]
         per_degree.append(record)
     return FreenessCertificate(generators, per_degree, ok)
-
-
-def hilbert_series_identity(max_degree: int = 8) -> tuple:
-    """Fibonacci peak-set counts equal the convolution of the q-ring
-    dimensions with the generator counts from the greedy basis: (ok, witness)."""
-    return free_basis_over_omega(max_degree).hilbert_identity()

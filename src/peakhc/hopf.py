@@ -71,6 +71,7 @@ from .combinat import (
     Composition,
     PeakSet,
     _compositions_of,
+    _int_tuple,
     as_composition,
     partitions_of,
     peak_sets_in,
@@ -88,7 +89,6 @@ __all__ = [
     "convert",
     "product",
     "coproduct",
-    "counit",
     "pairing",
     "peak_pairing",
     "omega_inner_product",
@@ -151,7 +151,7 @@ def _normalize_index(algebra: str, basis: str, index):
         if not isinstance(index, PeakSet):
             raise TypeError("basis %s wants a PeakSet index, got %r" % (basis, index))
         return index
-    parts = tuple(int(x) for x in index)
+    parts = _int_tuple(index, "partition index parts")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)) or any(
         x < 1 for x in parts
     ):
@@ -994,7 +994,7 @@ def _into_peakdual(coeffs: dict, basis: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# products, coproducts, counit
+# products and coproducts
 # ---------------------------------------------------------------------------
 
 _PRODUCT_RESULT_BASIS = {
@@ -1164,15 +1164,6 @@ def coproduct(x: FreeElement) -> TensorElement:
         p = _convert_within(alg, basis, xc, "podd")
         return _tensor("Omega", "podd", _expand_linear(p, _coprod_part_primitive))
     raise ConversionError("no coproduct on %s" % alg)
-
-
-def counit(x: FreeElement) -> int | Fraction:
-    """The degree-0 coefficient, an exact rational (int or Fraction)."""
-    tot = 0
-    for k, c in x.coeffs.items():
-        if index_degree(k) == 0:
-            tot += c
-    return tot
 
 
 # ---------------------------------------------------------------------------

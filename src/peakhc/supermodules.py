@@ -33,7 +33,6 @@ from functools import lru_cache, reduce
 
 from .combinat import (
     Composition,
-    Permutation,
     ResourceLimitError,
     as_composition,
     composition_from_descents,
@@ -80,35 +79,28 @@ __all__ = [
     "generator_keys",
     "simple_hecke",
     "projective_hecke",
-    "trivial_module",
     "induce_clifford",
     "outer_tensor",
     "parabolic_induce",
-    "restrict",
     "restrict_hecke",
     "restrict_corner",
-    "restrict_parabolic",
     "act_element",
     "element_matrix",
     "twist",
     "dual_twist",
-    "parity_shift",
     "hom_space",
     "find_isomorphism",
     "hecke_composition_multiplicities",
     "projective_hom_dim",
-    "hom_dim_to_hecke_simple",
     "hecke_simple_hom_dims",
     "clifford_idempotents",
     "split_simple",
     "SimpleSplit",
     "end_clifford_check",
-    "bruhat_filtration",
     "restriction_vectors",
     "submodule_on_vectors",
     "module_to_json",
     "module_from_json",
-    "MAX_FILTRATION_N",
     "MAX_HOM_CELLS",
     "MAX_PARABOLIC_RANK",
     "MAX_RESTRICTION_N",
@@ -117,7 +109,6 @@ __all__ = [
 MAX_HOM_CELLS = 20000  # dim(src) * dim(dst) of one hom_space system
 MAX_PROJECTIVE_N = 8  # projective_hecke
 MAX_PARABOLIC_RANK = 6  # combined rank of parabolic_induce
-MAX_FILTRATION_N = 6  # bruhat_filtration
 MAX_RESTRICTION_N = 7  # restriction_vectors
 
 
@@ -226,7 +217,7 @@ def _descent_class_sorted(alpha: Composition) -> tuple:
 
 def projective_hecke(alpha) -> Supermodule:
     """Indecomposable projective over the 0-Hecke algebra, basis u_w over the
-    descent class, in the (length, word) order used by the filtrations."""
+    descent class, in (length, word) order."""
     a = as_composition(alpha)
     n = a.n
     if n > MAX_PROJECTIVE_N:
@@ -247,10 +238,6 @@ def projective_hecke(alpha) -> Supermodule:
                     mat.cols[col][pos[sw]] = 1
         actions[("T", i)] = mat
     return Supermodule((n,), "H", ws, (0,) * len(ws), actions)
-
-
-def trivial_module(algebra: str = "HCl") -> Supermodule:
-    return Supermodule((0,), algebra, ("1",), (0,), {})
 
 
 @lru_cache(maxsize=None)
@@ -471,31 +458,8 @@ def restrict_corner(module: Supermodule) -> Supermodule:
     return Supermodule((n - 1,), module.algebra, module.labels, module.parities, actions)
 
 
-def restrict_parabolic(module: Supermodule, shape) -> Supermodule:
-    """Restrict a single-block module to the parabolic with the given shape."""
-    if len(module.blocks) != 1:
-        raise ValueError("parabolic restriction wants a single-block module")
-    shape = tuple(int(x) for x in shape)
-    if sum(shape) != module.rank:
-        raise ValueError("shape %r does not sum to the rank %d" % (shape, module.rank))
-    keep = set(generator_keys(shape, module.algebra))
-    actions = {k: v for k, v in module.actions.items() if k in keep}
-    return Supermodule(shape, module.algebra, module.labels, module.parities, actions)
-
-
-def restrict(module: Supermodule, target):
-    """Dispatch: "hecke", "corner", or ("parabolic", (m, n))."""
-    if target == "hecke":
-        return restrict_hecke(module)
-    if target == "corner":
-        return restrict_corner(module)
-    if isinstance(target, tuple) and target and target[0] == "parabolic":
-        return restrict_parabolic(module, target[1])
-    raise ValueError("unknown restriction target %r" % (target,))
-
-
 # ---------------------------------------------------------------------------
-# acting by algebra elements, twisting, duals, parity shift
+# acting by algebra elements, twisting, duals
 # ---------------------------------------------------------------------------
 
 
@@ -551,16 +515,6 @@ def dual_twist(module: Supermodule, tag: str) -> Supermodule:
         actions[key] = element_matrix(module, img.terms).transpose()
     labels = tuple(("dual", lab) for lab in module.labels)
     return Supermodule(module.blocks, module.algebra, labels, module.parities, actions)
-
-
-def parity_shift(module: Supermodule) -> Supermodule:
-    """Flip parities; odd generators pick up a sign."""
-    actions = {}
-    for key, mat in module.actions.items():
-        actions[key] = mat.scale(-1) if key[0] == "c" else mat
-    parities = tuple((p + 1) % 2 for p in module.parities)
-    labels = tuple(("shift", lab) for lab in module.labels)
-    return Supermodule(module.blocks, module.algebra, labels, parities, actions)
 
 
 # ---------------------------------------------------------------------------
@@ -897,44 +851,15 @@ def projective_hom_dim(module: Supermodule, alphas) -> int:
     return mults.get(alphas, 0)
 
 
-def hom_dim_to_hecke_simple(module: Supermodule, gammas) -> int:
-    """dim Hom(M, S) onto a tuple of one-dimensional Hecke simples."""
-    if module.algebra != "H":
-        raise ValueError("pass a Hecke-restricted module")
-    if isinstance(gammas, (Composition,)) or (
-        isinstance(gammas, tuple) and gammas and isinstance(gammas[0], int)
-    ):
-        gammas = (as_composition(gammas),)
-    else:
-        gammas = tuple(as_composition(g) for g in gammas)
-    minus_eps = {}
-    offset = 0
-    for size, gamma in zip(module.blocks, gammas):
-        d = gamma.descent_set().elements
-        for i in range(1, size):
-            # T_i acts on the simple by -1 on a descent, by 0 otherwise
-            minus_eps[("T", offset + i)] = 1 if i in d else 0
-        offset += size
-    rows = []
-    for key, mat in module.actions.items():
-        e = minus_eps[key]
-        for j in range(module.dim):
-            # row j of the transposed action: the functional equation
-            # sum_c rho[c, j] f_c = eps f_j
-            row = dict(mat.cols[j])
-            if e:
-                vec_add_term(row, j, e)
-            if row:
-                rows.append(row)
-    return len(nullspace(rows, range(module.dim)))
-
-
 def hecke_simple_hom_dims(module: Supermodule) -> dict:
     """dim Hom(M, S_gamma) for every composition gamma of the rank of a
     single-block Hecke module, from one shared elimination.
 
-    The system of ``hom_dim_to_hecke_simple`` depends on gamma only through
-    the shift eps_i in {0, 1} of the rows of T_i (1 on a descent of gamma).
+    For one gamma, Hom(M, S_gamma) is the nullspace of the rows of the
+    transposed T_i-actions, each shifted on the diagonal by eps_i = 1 on a
+    descent of gamma and 0 otherwise (T_i acts on S_gamma by -1 on a
+    descent, by 0 otherwise), so the system depends on gamma only through
+    the shifts eps_i.
     The walk branches on eps_i generator by generator; each child extends a
     copy of its parent's echelon rows, and a branch whose rank reaches
     dim M is zero for every gamma below it.  Compositions with Hom zero are
@@ -956,7 +881,7 @@ def hecke_simple_hom_dims(module: Supermodule) -> dict:
         for shift in (False, True):
             child = ech.copy()
             for j in range(dim):
-                # row j of the transposed action, as in hom_dim_to_hecke_simple
+                # row j of the transposed action, plus e_j on a descent of gamma
                 row = cols[j]
                 if shift:
                     row = dict(row)
@@ -1202,50 +1127,8 @@ def stated_twist_isomorphism(alpha, part: int) -> ModuleMap:
 
 
 # ---------------------------------------------------------------------------
-# filtrations and the restriction vectors
+# the restriction vectors
 # ---------------------------------------------------------------------------
-
-
-def bruhat_filtration(alpha) -> list:
-    """Subquotients of the induced projective along a length-refining order
-    of the descent class; step w is evenly isomorphic to the induced simple
-    of the descent composition of w^{-1}.
-
-    Returns a list of (w, subquotient, expected_composition, iso) tuples.
-    """
-    a = as_composition(alpha)
-    if a.n > MAX_FILTRATION_N:
-        raise ResourceLimitError("filtration guard at n <= %d" % MAX_FILTRATION_N)
-    module = induce_clifford(projective_hecke(a))
-    ws = _descent_class_sorted(a)
-    dm = len(ws)
-    n = a.n
-    subs = _subsets_ordered(n)
-    out = []
-    for j, w in enumerate(ws):
-        idxs = [di * dm + j for di in range(len(subs))]
-        posmap = {g: t for t, g in enumerate(idxs)}
-        labels = [module.labels[g] for g in idxs]
-        parities = [module.parities[g] for g in idxs]
-        actions = {}
-        for key, mat in module.actions.items():
-            small = SparseMatrix(len(idxs), len(idxs))
-            for t, g in enumerate(idxs):
-                for r, v in mat.cols[g].items():
-                    w2 = ws[r % dm]
-                    if r in posmap:
-                        small.cols[t][posmap[r]] = v
-                    elif (word_length(w2), w2) < (word_length(w), w):
-                        raise AssertionError("filtration order violated")
-            actions[key] = small
-        sub = Supermodule((n,), "HCl", labels, parities, actions)
-        expected = composition_from_descents(
-            DescentSet(n, word_descents(word_inverse(w)))
-        )
-        target = induce_clifford(simple_hecke(expected))
-        iso = find_isomorphism(sub, target, parity=0)
-        out.append((Permutation(w), sub, expected, iso))
-    return out
 
 
 def _covering_downset(start: frozenset, imin: int, imax: int) -> dict:

@@ -1,0 +1,343 @@
+"""Reference implementations and fixtures that the tests check the package
+against.
+
+No report, CLI command or benchmark workload reaches these, so they live
+with the tests: the Bruhat order, the trace form of two elements, the
+leading term of T_w c_D, one-gamma Hom onto a Hecke simple, parabolic
+restriction, the parity shift, the rank-0 module, the Bruhat filtration of
+an induced projective, the readers of the JSON forms, and the smash-product
+double of the peak algebra and its dual.
+"""
+
+import itertools
+from fractions import Fraction
+from functools import lru_cache
+
+from peakhc.combinat import (
+    Composition,
+    DescentSet,
+    PeakSet,
+    Permutation,
+    ResourceLimitError,
+    as_composition,
+    composition_from_descents,
+    word_descents,
+    word_inverse,
+    word_length,
+)
+from peakhc.hecke_clifford import AlgebraElement, _subsets_ordered, multiply, trace
+from peakhc.heisenberg import fock_action
+from peakhc.hopf import FreeElement, convert, coproduct, index_sort_key, product, term
+from peakhc.linalg import SparseMatrix, nullspace, vec_add_term, vec_iadd_scaled
+from peakhc.scalars import _rational, gaussian
+from peakhc.supermodules import (
+    Supermodule,
+    _descent_class_sorted,
+    find_isomorphism,
+    generator_keys,
+    induce_clifford,
+    projective_hecke,
+    simple_hecke,
+)
+
+MAX_BRUHAT_N = 6  # cached Bruhat tables
+MAX_FILTRATION_N = 6  # bruhat_filtration
+
+
+# ---------------------------------------------------------------------------
+# Bruhat order (exhaustive, cached per n)
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _bruhat_table(n: int) -> dict:
+    if n > MAX_BRUHAT_N:
+        raise ResourceLimitError("Bruhat tables kept only for n <= %d" % MAX_BRUHAT_N)
+    perms = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+    lengths = {w: word_length(w) for w in perms}
+    # covering relations: w covers v when v = w * t_{ab} and l drops by one
+    leq = {w: {w} for w in perms}
+    by_length = sorted(perms, key=lambda w: lengths[w])
+    for w in by_length:
+        lw = lengths[w]
+        for a in range(n):
+            for b in range(a + 1, n):
+                v = list(w)
+                v[a], v[b] = v[b], v[a]
+                v = tuple(v)
+                if lengths[v] == lw - 1:
+                    leq[w] |= leq[v]
+    return leq
+
+
+def bruhat_leq(v: Permutation, w: Permutation) -> bool:
+    """v <= w in Bruhat order; exhaustive tables, guarded at n <= 6."""
+    if v.n != w.n:
+        raise ValueError("rank mismatch")
+    return v.word in _bruhat_table(v.n)[w.word]
+
+
+# ---------------------------------------------------------------------------
+# the algebra: trace form and leading terms
+# ---------------------------------------------------------------------------
+
+
+def frobenius_form(a: AlgebraElement, b: AlgebraElement):
+    return trace(multiply(a, b))
+
+
+def leading_term_check(w: Permutation, d) -> tuple:
+    """Leading datum of T_w c_D: the sign (-1)^(inversions of w inside D)
+    and the image set w(D); the remaining terms of the product are strictly
+    shorter (Bruhat-lower at desk scale)."""
+    dset = sorted(d)
+    inv = 0
+    for a in range(len(dset)):
+        for b in range(a + 1, len(dset)):
+            if w(dset[a]) > w(dset[b]):
+                inv += 1
+    return ((-1) ** inv, frozenset(w(x) for x in dset))
+
+
+# ---------------------------------------------------------------------------
+# modules
+# ---------------------------------------------------------------------------
+
+
+def hom_dim_to_hecke_simple(module: Supermodule, gammas) -> int:
+    """dim Hom(M, S) onto a tuple of one-dimensional Hecke simples."""
+    if module.algebra != "H":
+        raise ValueError("pass a Hecke-restricted module")
+    if isinstance(gammas, (Composition,)) or (
+        isinstance(gammas, tuple) and gammas and isinstance(gammas[0], int)
+    ):
+        gammas = (as_composition(gammas),)
+    else:
+        gammas = tuple(as_composition(g) for g in gammas)
+    minus_eps = {}
+    offset = 0
+    for size, gamma in zip(module.blocks, gammas):
+        d = gamma.descent_set().elements
+        for i in range(1, size):
+            # T_i acts on the simple by -1 on a descent, by 0 otherwise
+            minus_eps[("T", offset + i)] = 1 if i in d else 0
+        offset += size
+    rows = []
+    for key, mat in module.actions.items():
+        e = minus_eps[key]
+        for j in range(module.dim):
+            # row j of the transposed action: the functional equation
+            # sum_c rho[c, j] f_c = eps f_j
+            row = dict(mat.cols[j])
+            if e:
+                vec_add_term(row, j, e)
+            if row:
+                rows.append(row)
+    return len(nullspace(rows, range(module.dim)))
+
+
+def restrict_parabolic(module: Supermodule, shape) -> Supermodule:
+    """Restrict a single-block module to the parabolic with the given shape."""
+    if len(module.blocks) != 1:
+        raise ValueError("parabolic restriction wants a single-block module")
+    shape = tuple(int(x) for x in shape)
+    if sum(shape) != module.rank:
+        raise ValueError("shape %r does not sum to the rank %d" % (shape, module.rank))
+    keep = set(generator_keys(shape, module.algebra))
+    actions = {k: v for k, v in module.actions.items() if k in keep}
+    return Supermodule(shape, module.algebra, module.labels, module.parities, actions)
+
+
+def parity_shift(module: Supermodule) -> Supermodule:
+    """Flip parities; odd generators pick up a sign."""
+    actions = {}
+    for key, mat in module.actions.items():
+        actions[key] = mat.scale(-1) if key[0] == "c" else mat
+    parities = tuple((p + 1) % 2 for p in module.parities)
+    labels = tuple(("shift", lab) for lab in module.labels)
+    return Supermodule(module.blocks, module.algebra, labels, parities, actions)
+
+
+def trivial_module(algebra: str = "HCl") -> Supermodule:
+    return Supermodule((0,), algebra, ("1",), (0,), {})
+
+
+def bruhat_filtration(alpha) -> list:
+    """Subquotients of the induced projective along a length-refining order
+    of the descent class; step w is evenly isomorphic to the induced simple
+    of the descent composition of w^{-1}.
+
+    Returns a list of (w, subquotient, expected_composition, iso) tuples.
+    """
+    a = as_composition(alpha)
+    if a.n > MAX_FILTRATION_N:
+        raise ResourceLimitError("filtration guard at n <= %d" % MAX_FILTRATION_N)
+    module = induce_clifford(projective_hecke(a))
+    ws = _descent_class_sorted(a)
+    dm = len(ws)
+    n = a.n
+    subs = _subsets_ordered(n)
+    out = []
+    for j, w in enumerate(ws):
+        idxs = [di * dm + j for di in range(len(subs))]
+        posmap = {g: t for t, g in enumerate(idxs)}
+        labels = [module.labels[g] for g in idxs]
+        parities = [module.parities[g] for g in idxs]
+        actions = {}
+        for key, mat in module.actions.items():
+            small = SparseMatrix(len(idxs), len(idxs))
+            for t, g in enumerate(idxs):
+                for r, v in mat.cols[g].items():
+                    w2 = ws[r % dm]
+                    if r in posmap:
+                        small.cols[t][posmap[r]] = v
+                    elif (word_length(w2), w2) < (word_length(w), w):
+                        raise AssertionError("filtration order violated")
+            actions[key] = small
+        sub = Supermodule((n,), "HCl", labels, parities, actions)
+        expected = composition_from_descents(
+            DescentSet(n, word_descents(word_inverse(w)))
+        )
+        target = induce_clifford(simple_hecke(expected))
+        iso = find_isomorphism(sub, target, parity=0)
+        out.append((Permutation(w), sub, expected, iso))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# readers of the JSON forms that the CLI writes
+# ---------------------------------------------------------------------------
+
+
+def _index_from_json(algebra, basis, data):
+    if isinstance(data, dict):
+        return PeakSet(data["n"], frozenset(data["set"]))
+    if algebra in ("Sym", "Omega") and basis != "r":
+        return tuple(data)
+    return Composition(tuple(data))
+
+
+def element_from_json(doc) -> FreeElement:
+    algebra, basis = doc["algebra"], doc["basis"]
+    coeffs = {}
+    for entry in doc["terms"]:
+        idx = _index_from_json(algebra, basis, entry["index"])
+        coeffs[idx] = coeffs.get(idx, Fraction(0)) + Fraction(entry["coeff"])
+    return FreeElement(algebra, basis, coeffs)
+
+
+def algebra_element_from_json(doc) -> AlgebraElement:
+    terms = {}
+    for entry in doc["terms"]:
+        key = (frozenset(entry["c"]), tuple(entry["w"]))
+        coeff = gaussian(Fraction(entry["coeff"]["re"]), Fraction(entry["coeff"]["im"]))
+        terms[key] = terms.get(key, 0) + coeff
+    return AlgebraElement(doc["rank"], terms)
+
+
+# ---------------------------------------------------------------------------
+# the smash-product double
+# ---------------------------------------------------------------------------
+
+
+class DoubleElement:
+    """An element of the smash-product double: sums of x # a with x in the
+    peak dual (K keys) and a in the peak algebra (Xi keys).  It multiplies
+    by (x # a)(y # b) = sum x (a_1 . y) # a_2 b, with the lowering action
+    ``heisenberg.fock_action``."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {k: _rational(v) for k, v in (coeffs or {}).items() if v}
+
+    @classmethod
+    def from_elements(cls, x: FreeElement, a: FreeElement) -> "DoubleElement":
+        x = convert(x, "K", "PeakDual")
+        a = convert(a, "Xi", "Peak")
+        return cls({
+            (kx, ka): cx * ca for kx, cx in x.coeffs.items() for ka, ca in a.coeffs.items()
+        })
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            vec_add_term(out, k, v)
+        return DoubleElement(out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = _rational(c)
+        return DoubleElement({k: v * c for k, v in self.coeffs.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, DoubleElement):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        raise TypeError("DoubleElement is not hashable")
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __mul__(self, other: "DoubleElement") -> "DoubleElement":
+        """(x # a)(y # b) = sum x (a_1 . y) # a_2 b."""
+        out = {}
+        for (kx, ka), c1 in self.coeffs.items():
+            a = term("Peak", "Xi", ka)
+            da = coproduct(a)
+            for (ky, kb), c2 in other.coeffs.items():
+                y = term("PeakDual", "K", ky)
+                for (a1, a2), ca in da.coeffs.items():
+                    lowered = fock_action(term("Peak", "Xi", a1), y)
+                    if not lowered:
+                        continue
+                    right = product(term("Peak", "Xi", a2), term("Peak", "Xi", kb))
+                    for kx2, cx2 in lowered.coeffs.items():
+                        xprod = product(
+                            term("PeakDual", "K", kx), term("PeakDual", "K", kx2)
+                        )
+                        for kfin, cfin in xprod.coeffs.items():
+                            vec_iadd_scaled(
+                                out,
+                                (((kfin, kr), cr) for kr, cr in right.coeffs.items()),
+                                c1 * c2 * ca * cx2 * cfin,
+                            )
+        return DoubleElement(out)
+
+    def apply(self, x: FreeElement) -> FreeElement:
+        """Fock-space action: lower by the peak part, multiply by the dual part."""
+        out = FreeElement.zero("PeakDual", "K")
+        for (kx, ka), c in self.coeffs.items():
+            lowered = fock_action(term("Peak", "Xi", ka), x)
+            if lowered:
+                out = out + product(term("PeakDual", "K", kx), lowered).scale(c)
+        return out
+
+    def terms(self):
+        return sorted(
+            self.coeffs.items(),
+            key=lambda kv: (index_sort_key(kv[0][0]), index_sort_key(kv[0][1])),
+        )
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        bits = []
+        for (kx, ka), c in self.terms():
+            bits.append(
+                "%s*K{%s}@%d#Xi{%s}@%d"
+                % (
+                    c,
+                    ",".join(str(e) for e in sorted(kx.elements)),
+                    kx.n,
+                    ",".join(str(e) for e in sorted(ka.elements)),
+                    ka.n,
+                )
+            )
+        return " + ".join(bits)
+
+    __repr__ = __str__

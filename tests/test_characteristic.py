@@ -11,7 +11,6 @@ from peakhc.characteristic import (
     decompose_projective,
     gessel_pairing,
     hecke_class_of_module,
-    hecke_projective_class,
     restriction_class_sides,
     theta_ribbon_formula,
     verify_bialgebra_compatibility,
@@ -25,7 +24,7 @@ from peakhc.hopf import FreeElement, coproduct, term
 from peakhc.linalg import solve_unique
 from peakhc.supermodules import (
     hecke_composition_multiplicities,
-    hom_dim_to_hecke_simple,
+    hecke_simple_hom_dims,
     hom_space,
     induce_clifford,
     outer_tensor,
@@ -33,9 +32,10 @@ from peakhc.supermodules import (
     projective_hecke,
     projective_hom_dim,
     restrict_hecke,
-    restrict_parabolic,
     simple_hecke,
 )
+
+from oracles import hom_dim_to_hecke_simple, restrict_parabolic
 
 
 def C(*parts):
@@ -77,13 +77,21 @@ def test_class_of_module_matches_hom_route():
 def test_hecke_classes():
     s = simple_hecke(C(1, 2))
     assert hecke_class_of_module(s).payload == term("QSym", "F", C(1, 2))
-    p = projective_hecke(C(2, 1))
-    assert hecke_projective_class(p).payload == term("NSym", "R", C(2, 1))
+    # P_(2,1) has the one simple top S_(2,1), so its class is R_(2,1)
+    assert hecke_simple_hom_dims(projective_hecke(C(2, 1))) == {C(2, 1): 1}
 
 
 def test_class_integrality_guard():
     with pytest.raises(ValueError):
         ModuleClass("Gt", term("PeakDual", "K", PS(2), Fraction(1, 2)))
+
+
+def test_module_class_compares_unequal_to_another_type():
+    g = ModuleClass("G", term("QSym", "F", C(1)))
+    assert g == ModuleClass("G", term("QSym", "F", C(1)))
+    assert g != None  # noqa: E711
+    assert g != term("QSym", "F", C(1))
+    assert g != ModuleClass("K", term("NSym", "R", C(1)))
 
 
 def test_theta_ribbon_reports():

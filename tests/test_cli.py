@@ -7,15 +7,15 @@ from peakhc.cli import main
 from peakhc.combinat import Composition, PeakSet
 from peakhc.expressions import (
     ParseError,
-    algebra_element_from_json,
     algebra_element_to_json,
-    element_from_json,
     element_to_json,
     parse_element,
 )
 from peakhc.hecke_clifford import gen_T, gen_c, multiply
 from peakhc.hopf import convert, term
 from peakhc.scalars import GaussianRational
+
+from oracles import algebra_element_from_json, element_from_json
 
 
 def test_parse_hopf_elements():

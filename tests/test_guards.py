@@ -8,7 +8,7 @@ import types
 import pytest
 
 from peakhc import characteristic, combinat, supermodules, verification
-from peakhc.combinat import Composition, Permutation, ResourceLimitError
+from peakhc.combinat import Composition, ResourceLimitError
 
 
 def _boom(*_args, **_kw):
@@ -30,9 +30,6 @@ def test_enumeration_guards(monkeypatch):
         combinat.descent_class(_row(combinat.MAX_ENUM_N + 1))
     with pytest.raises(ResourceLimitError):
         combinat.min_coset_reps(1, combinat.MAX_ENUM_N)
-    bigger = Permutation(tuple(range(1, combinat.MAX_BRUHAT_N + 2)))
-    with pytest.raises(ResourceLimitError):
-        combinat.bruhat_leq(bigger, bigger)
 
 
 def test_characteristic_guards(monkeypatch):
@@ -57,8 +54,6 @@ def test_supermodule_guards(monkeypatch):
         monkeypatch.setattr(supermodules, name, _boom)
     with pytest.raises(ResourceLimitError):
         supermodules.parabolic_induce(small, large)
-    with pytest.raises(ResourceLimitError):
-        supermodules.bruhat_filtration(_row(supermodules.MAX_FILTRATION_N + 1))
     with pytest.raises(ResourceLimitError):
         supermodules.restriction_vectors(supermodules.MAX_RESTRICTION_N + 1)
     # MAX_HOM_CELLS + 1 cells: lower the constant to one below this system

@@ -8,7 +8,6 @@ import pytest
 from peakhc.combinat import (
     Permutation,
     ResourceLimitError,
-    bruhat_leq,
     compositions_of,
     word_length,
     word_reduced,
@@ -31,12 +30,10 @@ from peakhc.hecke_clifford import (
     basis_element,
     defining_relations,
     failing_relation,
-    frobenius_form,
     frobenius_gram,
     gen_T,
     gen_c,
     generators,
-    leading_term_check,
     morphism_matrix,
     multiply,
     normal_word,
@@ -48,6 +45,8 @@ from peakhc.linalg import Echelon, vec_add_term
 from peakhc.scalars import GAUSS_I, GaussianRational, as_gauss
 from peakhc.supermodules import generator_keys, induce_clifford, projective_hecke, simple_hecke
 from peakhc.verification import suite_algebra
+
+from oracles import bruhat_leq, frobenius_form, leading_term_check
 
 
 def T(i, n):

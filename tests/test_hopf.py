@@ -23,7 +23,6 @@ from peakhc.hopf import (
     TensorElement,
     convert,
     coproduct,
-    counit,
     forgetful_pi,
     graded_rank,
     k_expansions,
@@ -456,8 +455,6 @@ def test_coproduct_examples():
     u = unit("NSym", "H")
     t = coproduct(u)
     assert t.coeffs == {(C(), C()): Fraction(1)}
-    assert counit(u) == 1
-    assert counit(H(2)) == 0
 
 
 def test_coproduct_coassociative():

@@ -1,17 +1,24 @@
-"""No module in the package or the tests imports a name it never uses.
+"""Two stdlib-``ast`` scans of the package, the benchmark and the tests.
 
-A stdlib-``ast`` scan: every name bound by an import must be read somewhere
-in the same file.  Names listed in ``__all__`` count as used, and so do names
-inside string annotations; ``from __future__`` imports are exempt.
+No module imports a name it never uses: every name bound by an import must
+be read somewhere in the same file.  Names listed in ``__all__`` count as
+used, and so do names inside string annotations; ``from __future__``
+imports are exempt.
+
+No public name lacks a caller outside the tests: every name in an
+``__all__`` of the package is bound by its module and read, as an
+``ast.Name`` or ``ast.Attribute``, somewhere in the package or the
+benchmark outside its own top-level ``def`` or ``class``.  A name that
+only the tests read belongs in the tests (``tests/oracles.py``).
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = sorted((ROOT / "src" / "peakhc").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "peakhc").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+SCANNED = PACKAGE + BENCH + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree) -> dict:
@@ -63,9 +70,70 @@ def unused_imports(path: Path) -> list:
     )
 
 
+def _exported(tree) -> list:
+    """The strings of the module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _bound(tree) -> set:
+    """Names the module binds at top level."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                out.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return out
+
+
+def _reads(tree) -> set:
+    """(owner, name) for every name read in the file: an ``ast.Name`` in load
+    context or an ``ast.Attribute``; owner is the top-level def or class the
+    read sits in, None at module level."""
+    out = set()
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                out.add((owner, node.attr))
+    return out
+
+
+def public_names_without_caller(modules: list, readers: list) -> list:
+    """(module stem, name, why) for every name in an ``__all__`` of
+    ``modules`` that its module does not bind ("unbound"), or that no file
+    of ``readers`` reads outside the name's own def or class ("unread")."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in modules + readers}
+    reads = {path: _reads(trees[path]) for path in readers}
+    found = []
+    for path in modules:
+        bound = _bound(trees[path])
+        for name in _exported(trees[path]):
+            if name not in bound:
+                found.append((path.stem, name, "unbound"))
+            elif not any(
+                read == name and not (reader == path and owner == name)
+                for reader in readers
+                for owner, read in reads[reader]
+            ):
+                found.append((path.stem, name, "unread"))
+    return found
+
+
 def test_scan_covers_package_and_tests():
     names = {p.name for p in SCANNED}
-    assert {"hopf.py", "characteristic.py", "test_imports.py"} <= names
+    assert {"hopf.py", "characteristic.py", "workloads.py", "test_imports.py"} <= names
 
 
 def test_scanner_flags_an_unused_import(tmp_path):
@@ -89,3 +157,38 @@ def test_no_unused_imports():
         for line, name in unused_imports(path)
     ]
     assert not found, "imported but never used:\n" + "\n".join(found)
+
+
+def test_scanner_flags_a_public_name_without_caller(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        '__all__ = ["used", "recursive", "documented", "missing", "LIMIT"]\n'
+        "LIMIT = 3\n"
+        "def used(n):\n"
+        "    return n < LIMIT\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "def documented():\n"
+        '    """Calls used()."""\n'
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text(
+        "import module\n"
+        "print(module.used(2))\n"
+        "documented = 'a string, not a read'\n"
+    )
+    assert public_names_without_caller([module], [module, reader]) == [
+        ("module", "recursive", "unread"),
+        ("module", "documented", "unread"),
+        ("module", "missing", "unbound"),
+    ]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    found = [
+        "%s.%s (%s)" % entry for entry in public_names_without_caller(PACKAGE, PACKAGE + BENCH)
+    ]
+    assert not found, (
+        "public names that only the tests read (move them to tests/oracles.py):\n"
+        + "\n".join(found)
+    )

@@ -7,6 +7,7 @@ import pytest
 
 from peakhc.combinat import (
     Composition,
+    ResourceLimitError,
     compositions_of,
     descent_class,
     word_reduced,
@@ -29,7 +30,6 @@ from peakhc.supermodules import (
     RelationError,
     Supermodule,
     act_element,
-    bruhat_filtration,
     clifford_idempotents,
     dual_twist,
     element_matrix,
@@ -38,28 +38,32 @@ from peakhc.supermodules import (
     generator_keys,
     hecke_composition_multiplicities,
     hecke_simple_hom_dims,
-    hom_dim_to_hecke_simple,
     hom_space,
     induce_clifford,
     module_from_json,
     module_to_json,
     outer_tensor,
     parabolic_induce,
-    parity_shift,
     projective_hecke,
     projective_hom_dim,
-    restrict,
     restrict_corner,
     restrict_hecke,
-    restrict_parabolic,
     restriction_vectors,
     simple_hecke,
     split_simple,
     submodule_on_vectors,
-    trivial_module,
     twist,
 )
 from peakhc.supermodules import _spin
+
+from oracles import (
+    MAX_FILTRATION_N,
+    bruhat_filtration,
+    hom_dim_to_hecke_simple,
+    parity_shift,
+    restrict_parabolic,
+    trivial_module,
+)
 
 _G1 = 1
 
@@ -182,7 +186,7 @@ def test_restrictions():
     h = restrict_hecke(st)
     assert h.algebra == "H" and h.dim == 4
     h.check()
-    par = restrict(st, ("parabolic", (1, 1)))
+    par = restrict_parabolic(st, (1, 1))
     assert par.blocks == (1, 1) and par.dim == 4
     par.check()
     pt = Ptilde(1, 2)
@@ -427,7 +431,7 @@ def test_multiplicities_against_bruteforce():
         restrict_hecke(Stilde(2, 1)),
         restrict_hecke(Stilde(3)),
         projective_hecke(C(2, 1)),
-        restrict_hecke(restrict(Stilde(2), ("parabolic", (1, 1)))),
+        restrict_hecke(restrict_parabolic(Stilde(2), (1, 1))),
     ]
     for mod in cases:
         assert hecke_composition_multiplicities(mod) == _brute_jordan_hoelder(mod)
@@ -870,6 +874,8 @@ def test_bruhat_filtration():
     steps = bruhat_filtration(C(1, 2))
     assert [exp.parts for (_w, _s, exp, _i) in steps] == [(1, 2), (2, 1)]
     assert {exp.parts for (_w, _s, exp, _i) in steps} == {(2, 1), (1, 2)}
+    with pytest.raises(ResourceLimitError):
+        bruhat_filtration(C(MAX_FILTRATION_N + 1))
 
 
 def test_restriction_vectors_small():
