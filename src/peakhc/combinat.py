@@ -80,6 +80,29 @@ def _int_tuple(values, what: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _int_size(n, what: str) -> None:
+    """Raise TypeError unless the ambient size ``n`` is an ``int`` (a bool
+    is not), and ValueError when it is negative."""
+    if type(n) is not int:
+        raise TypeError("%s size n must be int: %r" % (what, n))
+    if n < 0:
+        raise ValueError("%s size n must be nonnegative: %d" % (what, n))
+
+
+def _composition_code(parts) -> tuple:
+    """``(parts, code)`` of the composition with these parts: the parts as
+    a tuple of ``int`` and the code (see the module docstring).  Raises
+    TypeError for a part that is not an ``int``, ValueError for one below 1."""
+    parts = _int_tuple(parts, "composition parts")
+    code = total = 0
+    for p in parts:
+        if p < 1:
+            raise ValueError("composition parts must be positive: %r" % (parts,))
+        total += p
+        code |= 1 << (total - 1)
+    return parts, code
+
+
 @dataclass(frozen=True, eq=False)
 class Composition:
     """Ordered tuple of positive integers; the empty composition is the unit.
@@ -91,13 +114,7 @@ class Composition:
     parts: tuple
 
     def __post_init__(self):
-        parts = _int_tuple(self.parts, "composition parts")
-        code = total = 0
-        for p in parts:
-            if p < 1:
-                raise ValueError("composition parts must be positive: %r" % (parts,))
-            total += p
-            code |= 1 << (total - 1)
+        parts, code = _composition_code(self.parts)
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "code", code)
 
@@ -167,6 +184,8 @@ class Composition:
 
     def __lt__(self, other):
         # canonical order: degree, then descent-set bitmask
+        if other.__class__ is not Composition:
+            return NotImplemented
         return self.code < other.code
 
 
@@ -184,6 +203,7 @@ class DescentSet:
     elements: frozenset
 
     def __post_init__(self):
+        _int_size(self.n, "descent set")
         elems = frozenset(_int_tuple(self.elements, "descent set entries"))
         if any(not 1 <= x <= self.n - 1 for x in elems):
             raise ValueError("descent set %r not inside [%d-1]" % (sorted(elems), self.n))
@@ -208,6 +228,7 @@ class PeakSet:
     elements: frozenset
 
     def __post_init__(self):
+        _int_size(self.n, "peak set")
         elems = frozenset(_int_tuple(self.elements, "peak set entries"))
         if any(not 2 <= x <= self.n - 1 for x in elems):
             raise ValueError("peak set %r not inside [2, %d-1]" % (sorted(elems), self.n))
@@ -234,6 +255,8 @@ class PeakSet:
         return "PeakSet(%d, %s)" % (self.n, sorted(self.elements))
 
     def __lt__(self, other):
+        if other.__class__ is not PeakSet:
+            return NotImplemented
         return self.code < other.code
 
 

@@ -28,7 +28,8 @@ once a division has happened (an exact solve, the 2^-l(lam) of podd, the
 Omega inner product).  Every table holds ``int`` entries (+-1, 2^k or n).
 Conversion tables are computed once per degree on demand and cached
 (functools caches are safe for concurrent readers); every value here is
-immutable after construction.
+immutable after construction, except the decoded view an element fills
+on its first read, which two concurrent readers would fill alike.
 
 Sym is read through its image in QSym: one integer table (``_sym_in_m``)
 holds h_lam, p_lam and m_lam on M codes, and r goes to h first.  Into m a
@@ -45,34 +46,38 @@ PeakDual products, coproducts and the embedding of Omega lift to QSym
 along the Hopf morphism vartheta (``_lift``), compute on M and read back
 through N_alpha in K (``_n_in_k``).
 
-Keys.  ``FreeElement.coeffs`` and ``TensorElement.coeffs`` are keyed by
-``Composition``, ``PeakSet`` or partition tuples.  Inside this module every
-table and every intermediate dict is keyed instead by the int code of a
+Keys.  Every table, every intermediate dict and the stored coefficients
+of ``FreeElement`` and ``TensorElement`` are keyed by the int code of a
 composition or peak set (``peakhc.combinat``: bit s-1 for each partial sum
 s, n included), so each lookup hashes an int.  On codes the degree is
 ``c.bit_length()``, the number of parts ``c.bit_count()``, concatenation
 ``a | b << deg(a)``, deconcatenation a mask, coarsenings and refinements
 the sub- and supermasks of the descent bits, and the peak code of a
 composition ``top | c & ~(c << 1) & ~1``.  Partitions (Sym, Omega) stay
-tuples.  Each public function encodes its arguments once (``_codes``) and
-decodes its result once into canonical instances (``_element``,
-``_tensor``), which only decode keys.  Coefficients are made and
-normalised once, by the vector primitives of ``peakhc.linalg``, which keep
-``int`` while integral and drop zeros; the public constructors pass their
-input through ``scalars._rational``, which rejects floats.
+tuples.  The public constructors encode each index once; every function
+here reads and returns code-keyed dicts, and an element wraps the dict it
+is given without copying it, since no element or table is ever changed.
+Keys are decoded only when a caller reads them: ``coeffs`` is a read-only
+view on the canonical ``Composition``/``PeakSet`` instances, decoded on the
+first read and kept, and ``terms()`` and ``str`` decode in code order,
+which is the canonical order.  Coefficients are made and normalised once,
+by the vector primitives of ``peakhc.linalg``, which keep ``int`` while
+integral and drop zeros; the public constructors pass their input through
+``scalars._rational``, which rejects floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .combinat import (
     Composition,
     PeakSet,
+    _composition_code,
     _compositions_of,
     _int_tuple,
-    as_composition,
     partitions_of,
     peak_sets_in,
 )
@@ -100,8 +105,6 @@ __all__ = [
     "omega_into_peakdual",
     "k_expansions",
     "graded_rank",
-    "index_degree",
-    "index_sort_key",
 ]
 
 BASES = {
@@ -141,16 +144,19 @@ class MembershipError(ValueError):
     """An element does not lie in the requested subalgebra."""
 
 
-def _normalize_index(algebra: str, basis: str, index):
+def _encode(algebra: str, basis: str, index):
+    """The internal key of a public index: the code of a composition or
+    peak set, or the partition tuple, validated as Composition and PeakSet
+    validate their own fields."""
     kind = _INDEX_KIND.get((algebra, basis))
     if kind is None:
         raise ConversionError("unknown basis %s of %s" % (basis, algebra))
     if kind == "comp":
-        return as_composition(index) if not isinstance(index, Composition) else index
+        return index.code if isinstance(index, Composition) else _composition_code(index)[1]
     if kind == "peak":
         if not isinstance(index, PeakSet):
             raise TypeError("basis %s wants a PeakSet index, got %r" % (basis, index))
-        return index
+        return index.code
     parts = _int_tuple(index, "partition index parts")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)) or any(
         x < 1 for x in parts
@@ -161,69 +167,102 @@ def _normalize_index(algebra: str, basis: str, index):
     return parts
 
 
-def index_degree(index) -> int:
-    if isinstance(index, Composition):
-        return index.n
-    if isinstance(index, PeakSet):
-        return index.n
-    return sum(index)
+def _decoder(algebra: str, basis: str):
+    """Internal key -> public index for this basis; None for partitions."""
+    kind = _INDEX_KIND[(algebra, basis)]
+    return _comp if kind == "comp" else _peak if kind == "peak" else None
 
 
-def index_sort_key(index):
-    if isinstance(index, Composition):
-        return (0, index.n, index.code)
-    if isinstance(index, PeakSet):
-        return (1, index.n, index.code)
-    return (2, sum(index), index)
+def _order(k):
+    """Sort key of an internal key: the code, whose int order is the
+    canonical one, or (degree, parts) for a partition."""
+    return k if type(k) is int else (sum(k), k)
 
 
-class FreeElement:
-    """A finitely supported exact-coefficient combination of basis elements."""
+class _Element:
+    """Storage shared by FreeElement and TensorElement: ``_coeffs`` keyed as
+    inside this module and never changed, and the decoded view, made on the
+    first read of ``coeffs``."""
 
-    __slots__ = ("algebra", "basis", "coeffs")
+    __slots__ = ("algebra", "basis", "_coeffs", "_view")
 
-    def __init__(self, algebra: str, basis: str, coeffs=None):
-        if basis not in BASES.get(algebra, ()):
-            raise ConversionError("unknown basis %s of %s" % (basis, algebra))
+    def __init__(self, algebra: str, basis: str, coeffs: dict):
         self.algebra = algebra
         self.basis = basis
-        clean = {}
-        for idx, c in (coeffs or {}).items():
-            c = _rational(c)
-            if c:
-                clean[_normalize_index(algebra, basis, idx)] = c
-        self.coeffs = clean
+        self._coeffs = coeffs
+        self._view = None
 
-    # -- constructors --------------------------------------------------------
+    @property
+    def coeffs(self):
+        """The coefficients keyed by canonical Composition, PeakSet or
+        partition instances; a read-only view."""
+        if self._view is None:
+            self._view = MappingProxyType(self._decoded())
+        return self._view
 
-    @classmethod
-    def zero(cls, algebra: str, basis: str) -> "FreeElement":
-        return cls(algebra, basis, {})
+    def _make(self, coeffs):
+        return _new(type(self), self.algebra, self.basis, coeffs)
 
-    def _make(self, coeffs) -> "FreeElement":
-        return _new(FreeElement, self.algebra, self.basis, coeffs)
-
-    # -- linear structure ------------------------------------------------------
-
-    def _check_compatible(self, other: "FreeElement"):
+    def __add__(self, other):
         if (self.algebra, self.basis) != (other.algebra, other.basis):
             raise ConversionError(
                 "cannot combine %s/%s with %s/%s"
                 % (self.algebra, self.basis, other.algebra, other.basis)
             )
-
-    def __add__(self, other: "FreeElement") -> "FreeElement":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
+        out = dict(self._coeffs)
+        for k, v in other._coeffs.items():
             vec_add_term(out, k, v)
         return self._make(out)
 
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
+    def __sub__(self, other):
         return self + other.scale(-1)
 
-    def scale(self, c) -> "FreeElement":
-        return self._make(vec_scale(self.coeffs, _rational(c)))
+    def scale(self, c):
+        return self._make(vec_scale(self._coeffs, _rational(c)))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.algebra == other.algebra
+            and self.basis == other.basis
+            and self._coeffs == other._coeffs
+        )
+
+    def __hash__(self):
+        raise TypeError("%s is not hashable" % type(self).__name__)
+
+    def __bool__(self):
+        return bool(self._coeffs)
+
+    def __repr__(self):
+        return str(self)
+
+
+class FreeElement(_Element):
+    """A finitely supported exact-coefficient combination of basis elements."""
+
+    __slots__ = ()
+
+    def __init__(self, algebra: str, basis: str, coeffs=None):
+        if basis not in BASES.get(algebra, ()):
+            raise ConversionError("unknown basis %s of %s" % (basis, algebra))
+        clean = {}
+        for idx, c in (coeffs or {}).items():
+            c = _rational(c)
+            if c:
+                clean[_encode(algebra, basis, idx)] = c
+        super().__init__(algebra, basis, clean)
+
+    @classmethod
+    def zero(cls, algebra: str, basis: str) -> "FreeElement":
+        return cls(algebra, basis, {})
+
+    def _decoded(self) -> dict:
+        decode = _decoder(self.algebra, self.basis)
+        if decode is None:
+            return self._coeffs
+        return {decode(k): c for k, c in self._coeffs.items()}
 
     def __mul__(self, other):
         if isinstance(other, FreeElement):
@@ -236,38 +275,26 @@ class FreeElement:
     def __neg__(self):
         return self.scale(-1)
 
-    def __eq__(self, other):
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and self.basis == other.basis
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        raise TypeError("FreeElement is not hashable")
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
     # -- grading ---------------------------------------------------------------
 
     def degrees(self) -> list:
-        return sorted({index_degree(k) for k in self.coeffs})
+        return sorted({_degree(k) for k in self._coeffs})
 
     def component(self, d: int) -> "FreeElement":
-        return self._make({k: v for k, v in self.coeffs.items() if index_degree(k) == d})
+        return self._make({k: v for k, v in self._coeffs.items() if _degree(k) == d})
 
     def terms(self) -> list:
-        return sorted(self.coeffs.items(), key=lambda kv: index_sort_key(kv[0]))
+        """(index, coefficient) pairs in canonical order."""
+        decode = _decoder(self.algebra, self.basis) or (lambda k: k)
+        items = sorted(self._coeffs.items(), key=lambda kv: _order(kv[0]))
+        return [(decode(k), c) for k, c in items]
 
     def coefficient(self, index) -> int | Fraction:
         """The coefficient of one basis element, an exact rational (int or Fraction)."""
-        return self.coeffs.get(_normalize_index(self.algebra, self.basis, index), 0)
+        return self._coeffs.get(_encode(self.algebra, self.basis, index), 0)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self._coeffs:
             return "0"
         bits = []
         for idx, c in self.terms():
@@ -283,8 +310,6 @@ class FreeElement:
         for s in bits[1:]:
             out += " - " + s[1:] if s.startswith("-") else " + " + s
         return out
-
-    __repr__ = __str__
 
 
 def _index_str(basis: str, idx) -> str:
@@ -306,83 +331,62 @@ def unit(algebra: str, basis: str) -> FreeElement:
     return term(algebra, basis, ())
 
 
-class TensorElement:
+class TensorElement(_Element):
     """An element of the tensor square, stored as a map over index pairs."""
 
-    __slots__ = ("algebra", "basis", "coeffs")
+    __slots__ = ()
 
     def __init__(self, algebra: str, basis: str, coeffs=None):
-        self.algebra = algebra
-        self.basis = basis
-        self.coeffs = {k: _rational(v) for k, v in (coeffs or {}).items() if v}
+        clean = {
+            (_encode(algebra, basis, a), _encode(algebra, basis, b)): _rational(v)
+            for (a, b), v in (coeffs or {}).items()
+            if v
+        }
+        super().__init__(algebra, basis, clean)
 
-    def _make(self, coeffs) -> "TensorElement":
-        return _new(TensorElement, self.algebra, self.basis, coeffs)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            vec_add_term(out, k, v)
-        return self._make(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return self._make(vec_scale(self.coeffs, _rational(c)))
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and self.basis == other.basis
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        raise TypeError("TensorElement is not hashable")
-
-    def __bool__(self):
-        return bool(self.coeffs)
+    def _decoded(self) -> dict:
+        decode = _decoder(self.algebra, self.basis)
+        if decode is None:
+            return self._coeffs
+        return {(decode(a), decode(b)): c for (a, b), c in self._coeffs.items()}
 
     def product(self, other: "TensorElement") -> "TensorElement":
         """Componentwise product (a ox b)(c ox d) = ac ox bd, no signs."""
         out = {}
-        for (a1, a2), ca in self.coeffs.items():
-            for (b1, b2), cb in other.coeffs.items():
+        for (a1, a2), ca in self._coeffs.items():
+            for (b1, b2), cb in other._coeffs.items():
                 left = product(
-                    FreeElement(self.algebra, self.basis, {a1: ca}),
-                    FreeElement(other.algebra, other.basis, {b1: cb}),
+                    _element(self.algebra, self.basis, {a1: ca}),
+                    _element(other.algebra, other.basis, {b1: cb}),
                 )
                 right = product(
-                    FreeElement(self.algebra, self.basis, {a2: 1}),
-                    FreeElement(other.algebra, other.basis, {b2: 1}),
+                    _element(self.algebra, self.basis, {a2: 1}),
+                    _element(other.algebra, other.basis, {b2: 1}),
                 )
-                for k1, c1 in left.coeffs.items():
-                    vec_iadd_scaled(out, (((k1, k2), c2) for k2, c2 in right.coeffs.items()), c1)
-        basis = left.basis if self.coeffs and other.coeffs else self.basis
-        return _new(TensorElement, self.algebra, basis, out)
+                for k1, c1 in left._coeffs.items():
+                    vec_iadd_scaled(
+                        out, (((k1, k2), c2) for k2, c2 in right._coeffs.items()), c1
+                    )
+        basis = left.basis if self._coeffs and other._coeffs else self.basis
+        return _tensor(self.algebra, basis, out)
 
     def terms(self):
-        return sorted(
-            self.coeffs.items(),
-            key=lambda kv: (index_sort_key(kv[0][0]), index_sort_key(kv[0][1])),
-        )
+        """((index, index), coefficient) pairs in canonical order."""
+        decode = _decoder(self.algebra, self.basis) or (lambda k: k)
+        items = sorted(self._coeffs.items(), key=lambda kv: (_order(kv[0][0]), _order(kv[0][1])))
+        return [((decode(a), decode(b)), c) for (a, b), c in items]
 
     def __str__(self):
-        if not self.coeffs:
+        if not self._coeffs:
             return "0"
         return " + ".join(
             "%s*%s(x)%s" % (c, _index_str(self.basis, a), _index_str(self.basis, b))
             for (a, b), c in self.terms()
         )
 
-    __repr__ = __str__
-
 
 # ---------------------------------------------------------------------------
-# codes: encoding at the boundary
+# codes: decoding for readers, and wrapping code-keyed results
 # ---------------------------------------------------------------------------
 
 _EMPTY = Composition(())
@@ -407,44 +411,21 @@ def _peak(code: int) -> PeakSet:
     return _peak_sets_by_code(code.bit_length())[code]
 
 
-_DECODE = {"comp": _comp, "peak": _peak}
-
-
-def _codes(x: FreeElement) -> dict:
-    """x's coefficients keyed as inside this module: compositions and peak
-    sets by code, partitions as they are.  Not to be mutated."""
-    if _INDEX_KIND[(x.algebra, x.basis)] == "part":
-        return x.coeffs
-    return {k.code: c for k, c in x.coeffs.items()}
-
-
 def _new(cls, algebra: str, basis: str, coeffs: dict):
-    """A FreeElement or TensorElement that keeps ``coeffs`` as given: exact
-    and free of zeros, as the vector primitives leave them."""
+    """A FreeElement or TensorElement that wraps ``coeffs``, keyed as inside
+    this module and exact and free of zeros, as the vector primitives leave
+    them; nothing is copied or decoded."""
     out = cls.__new__(cls)
-    out.algebra = algebra
-    out.basis = basis
-    out.coeffs = coeffs
+    _Element.__init__(out, algebra, basis, coeffs)
     return out
 
 
 def _element(algebra: str, basis: str, coeffs: dict) -> FreeElement:
-    """The FreeElement of internally keyed coefficients (the one decoding),
-    in a dict of its own."""
-    decode = _DECODE.get(_INDEX_KIND[(algebra, basis)])
-    if decode is None:
-        return _new(FreeElement, algebra, basis, dict(coeffs))
-    return _new(FreeElement, algebra, basis, {decode(k): c for k, c in coeffs.items()})
+    return _new(FreeElement, algebra, basis, coeffs)
 
 
 def _tensor(algebra: str, basis: str, coeffs: dict) -> TensorElement:
-    """The TensorElement of internally keyed pairs (the one decoding), in a
-    dict of its own."""
-    decode = _DECODE.get(_INDEX_KIND[(algebra, basis)])
-    if decode is None:
-        return _new(TensorElement, algebra, basis, dict(coeffs))
-    clean = {(decode(a), decode(b)): c for (a, b), c in coeffs.items()}
-    return _new(TensorElement, algebra, basis, clean)
+    return _new(TensorElement, algebra, basis, coeffs)
 
 
 def _degree(k) -> int:
@@ -598,6 +579,13 @@ def _theta_in_xi(alpha: int) -> tuple:
     """Theta(H_alpha) = Q_alpha in the Xi basis: its H expansion read in R,
     then by peak class.  One entry per code, at most 2^(n-1) in degree n."""
     return tuple(_convert("NSym", "Q", {alpha: 1}, "Peak", "Xi").items())
+
+
+@lru_cache(maxsize=None)
+def _theta_r_in_xi(alpha: int) -> tuple:
+    """Theta(R_alpha) in the Xi basis: its 2^(l(alpha)-1) H terms read in
+    ``_theta_in_xi`` once.  One entry per code, at most 2^(n-1) in degree n."""
+    return tuple(_expand_linear(dict(_h_expansion("R", alpha)), _theta_in_xi).items())
 
 
 @lru_cache(maxsize=None)
@@ -880,10 +868,10 @@ def _nsym_to_basis(coeffs_h: dict, basis: str) -> dict:
 def _as_h(x: FreeElement) -> dict:
     """H coordinates of an NSym or Peak element."""
     if x.algebra == "Peak":
-        return _expand_linear(_codes(x), _xi_in_h)
+        return _expand_linear(x._coeffs, _xi_in_h)
     if x.algebra != "NSym":
         raise ConversionError("wants an NSym or Peak element, got %s" % x.algebra)
-    return _nsym_to_h(_codes(x), x.basis)
+    return _nsym_to_h(x._coeffs, x.basis)
 
 
 def _qsym_as(coeffs: dict, basis: str, target: str) -> dict:
@@ -910,7 +898,7 @@ def convert(x: FreeElement, basis: str, algebra: str | None = None) -> FreeEleme
         raise ConversionError("unknown basis %s of %s" % (basis, algebra))
     if (x.algebra, x.basis) == (algebra, basis):
         return x
-    return _element(algebra, basis, _convert(x.algebra, x.basis, _codes(x), algebra, basis))
+    return _element(algebra, basis, _convert(x.algebra, x.basis, x._coeffs, algebra, basis))
 
 
 def _convert(alg: str, basis: str, coeffs: dict, algebra: str, target: str) -> dict:
@@ -1014,7 +1002,7 @@ def product(x: FreeElement, y: FreeElement) -> FreeElement:
         )
     alg = x.algebra
     out_basis = _PRODUCT_RESULT_BASIS.get((alg, x.basis), x.basis)
-    xc, yc = _codes(x), _codes(y)
+    xc, yc = x._coeffs, y._coeffs
     if alg == "NSym":
         prod = _concat_product(_nsym_to_h(xc, x.basis), _nsym_to_h(yc, y.basis))
         return _element("NSym", out_basis, _nsym_to_basis(prod, out_basis))
@@ -1136,7 +1124,7 @@ def coproduct(x: FreeElement) -> TensorElement:
     the dependent input tags Q, r, m, q are first normalized (to H, h, m, p).
     """
     alg, basis = x.algebra, x.basis
-    xc = _codes(x)
+    xc = x._coeffs
     if alg == "NSym":
         t = _expand_linear(_nsym_to_h(xc, basis), _coprod_h_single)
         if basis in ("H", "Q"):
@@ -1182,7 +1170,7 @@ def pairing(F: FreeElement, f: FreeElement) -> int | Fraction:
     """
     if F.algebra not in ("NSym", "Peak") or f.algebra not in ("QSym", "PeakDual", "Sym", "Omega"):
         raise ConversionError("pairing wants (NSym, QSym)-sided arguments")
-    a, b = _codes(F), _codes(f)
+    a, b = F._coeffs, f._coeffs
     if F.basis != "R" or (f.algebra, f.basis) != ("QSym", "F"):
         a = _as_h(F)
         if f.algebra == "QSym":
@@ -1200,8 +1188,8 @@ def pairing(F: FreeElement, f: FreeElement) -> int | Fraction:
 def peak_pairing(x: FreeElement, y: FreeElement) -> int | Fraction:
     """[Xi_P, K_Q] = delta_{P,Q}; arguments may be given inside NSym / QSym.
     The value is an exact rational (int or Fraction)."""
-    a = _convert(x.algebra, x.basis, _codes(x), "Peak", "Xi")
-    b = _convert(y.algebra, y.basis, _codes(y), "PeakDual", "K")
+    a = _convert(x.algebra, x.basis, x._coeffs, "Peak", "Xi")
+    b = _convert(y.algebra, y.basis, y._coeffs, "PeakDual", "K")
     tot = 0
     for P, c in a.items():
         other = b.get(P)
@@ -1229,8 +1217,8 @@ def omega_inner_product(u: FreeElement, v: FreeElement) -> int | Fraction:
     u = convert(u, "podd", "Omega")
     v = convert(v, "podd", "Omega")
     tot = 0
-    for lam, c in u.coeffs.items():
-        other = v.coeffs.get(lam)
+    for lam, c in u._coeffs.items():
+        other = v._coeffs.get(lam)
         if other is not None:
             tot += c * other * Fraction(_z_lambda(lam), 2 ** len(lam))
     return _rational(tot)
@@ -1243,12 +1231,14 @@ def omega_inner_product(u: FreeElement, v: FreeElement) -> int | Fraction:
 
 def theta_transform(x: FreeElement) -> FreeElement:
     """Descent-to-peak transform on NSym: the algebra map H_n -> Q_n."""
+    if (x.algebra, x.basis) == ("NSym", "R"):
+        return _element("Peak", "Xi", _expand_linear(x._coeffs, _theta_r_in_xi))
     return _element("Peak", "Xi", _expand_linear(_as_h(x), _theta_in_xi))
 
 
 def vartheta_map(x: FreeElement) -> FreeElement:
     """Descent-to-peak map on QSym: F_alpha -> K_{P(alpha)}."""
-    f = _convert(x.algebra, x.basis, _codes(x), "QSym", "F")
+    f = _convert(x.algebra, x.basis, x._coeffs, "QSym", "F")
     return _element("PeakDual", "K", _expand_linear(f, lambda a: ((_peak_code(a), 1),)))
 
 
@@ -1259,7 +1249,7 @@ def forgetful_pi(x: FreeElement) -> FreeElement:
 
 def theta_sym(x: FreeElement) -> FreeElement:
     """The epimorphism Sym -> Omega, h_n -> q_n; kills even power sums."""
-    xc = _codes(x)
+    xc = x._coeffs
     if x.algebra == "Sym":
         p = _sym_as(xc, x.basis, "p")
     elif x.algebra == "Omega":
@@ -1273,12 +1263,12 @@ def sym_into_qsym(x: FreeElement) -> FreeElement:
     """The inclusion of symmetric functions into QSym (M basis)."""
     if x.algebra != "Sym":
         raise ConversionError("sym_into_qsym wants a Sym element, got %s" % x.algebra)
-    return _element("QSym", "M", _sym_into_qsym(_codes(x), x.basis))
+    return _element("QSym", "M", _sym_into_qsym(x._coeffs, x.basis))
 
 
 def omega_into_peakdual(x: FreeElement) -> FreeElement:
     """The inclusion of the q-generated ring into the peak quasisymmetric ring."""
-    xc, basis = _codes(x), x.basis
+    xc, basis = x._coeffs, x.basis
     if x.algebra != "Omega":
         xc, basis = _convert(x.algebra, basis, xc, "Omega", "podd"), "podd"
     return _element("PeakDual", "K", _into_peakdual(xc, basis))
@@ -1304,6 +1294,6 @@ def graded_rank(elements, degree: int) -> int:
         elif x.algebra != algebra:
             raise ConversionError("graded_rank wants elements of a single algebra")
         pivot = _PIVOT_BASIS[algebra]
-        coeffs = _convert(algebra, x.basis, _codes(x), algebra, pivot)
+        coeffs = _convert(algebra, x.basis, x._coeffs, algebra, pivot)
         ech.add({k: v for k, v in coeffs.items() if _degree(k) == degree})
     return ech.rank

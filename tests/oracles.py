@@ -27,7 +27,7 @@ from peakhc.combinat import (
 )
 from peakhc.hecke_clifford import AlgebraElement, _subsets_ordered, multiply, trace
 from peakhc.heisenberg import fock_action
-from peakhc.hopf import FreeElement, convert, coproduct, index_sort_key, product, term
+from peakhc.hopf import FreeElement, convert, coproduct, product, term
 from peakhc.linalg import SparseMatrix, nullspace, vec_add_term, vec_iadd_scaled
 from peakhc.scalars import _rational, gaussian
 from peakhc.supermodules import (
@@ -320,7 +320,7 @@ class DoubleElement:
     def terms(self):
         return sorted(
             self.coeffs.items(),
-            key=lambda kv: (index_sort_key(kv[0][0]), index_sort_key(kv[0][1])),
+            key=lambda kv: (kv[0][0].code, kv[0][1].code),
         )
 
     def __str__(self):

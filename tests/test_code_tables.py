@@ -10,6 +10,7 @@ assembled from the oracles through degree 6.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,10 +22,22 @@ from peakhc.combinat import (
     PeakSet,
     composition_from_descents,
     compositions_of,
+    partitions_of,
     peak_sets_in,
     symmetric_difference_shift,
 )
-from peakhc.hopf import MembershipError, convert, term
+from peakhc.hopf import (
+    FreeElement,
+    MembershipError,
+    convert,
+    coproduct,
+    pairing,
+    peak_pairing,
+    product,
+    term,
+    theta_transform,
+    vartheta_map,
+)
 from peakhc.linalg import SpanSolver, vec_add_term, vec_iadd_scaled
 
 MAX_TABLE_DEGREE = 7
@@ -424,3 +437,248 @@ def test_term_round_trip_keeps_the_public_key_types():
     back = convert(z, "K", "PeakDual")
     assert all(type(k) is PeakSet for k in back.coeffs)
     assert back == term("PeakDual", "K", PeakSet(5, frozenset({2, 4})))
+
+
+def test_theta_r_table_is_the_h_route():
+    for n in range(MAX_TABLE_DEGREE + 1):
+        for a in _compositions(n):
+            via_h = {}
+            for b, c in hopf._h_expansion("R", a.code):
+                vec_iadd_scaled(via_h, hopf._theta_in_xi(b), c)
+            assert dict(hopf._theta_r_in_xi(a.code)) == via_h, a
+            r = term("NSym", "R", a)
+            assert theta_transform(r) == theta_transform(convert(r, "H")), a
+
+
+# ---------------------------------------------------------------------------
+# elements keep code keys; readers see canonical instances, in the old order
+# ---------------------------------------------------------------------------
+
+SEED_COEFFS = (-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _seed_indices(kind, basis, d):
+    if kind == "comp":
+        return compositions_of(d)
+    if kind == "peak":
+        return peak_sets_in(d)
+    return [lam for lam in partitions_of(d) if basis != "podd" or all(p % 2 for p in lam)]
+
+
+def seeded_elements(seed=22):
+    """(x, y) per basis: x has up to three seeded terms of degree <= 3 (4
+    for peak sets), y is the first basis element of the lowest degree."""
+    rng = random.Random(seed)
+    out = []
+    for algebra, bases in hopf.BASES.items():
+        for basis in bases:
+            kind = hopf._INDEX_KIND[(algebra, basis)]
+            coeffs = {}
+            for _ in range(3):
+                d = rng.randint(1, 3) + (kind == "peak")
+                coeffs[rng.choice(_seed_indices(kind, basis, d))] = rng.choice(SEED_COEFFS)
+            first = _seed_indices(kind, basis, 1 + (kind == "peak"))[0]
+            out.append((FreeElement(algebra, basis, coeffs), term(algebra, basis, first)))
+    return out
+
+
+# str(x), str(coproduct(x)), str(product(x, y)) and repr(x.terms()) of
+# seeded_elements(), as printed when elements were keyed by Composition
+# and PeakSet instances
+PINNED = [
+    (
+        '-H[1] + 3*H[1,2] - 2*H[2,1]',
+        (
+            '-1*H[](x)H[1] + 3*H[](x)H[1,2] + -2*H[](x)H[2,1] + -1*H[1](x)H[] + '
+            '1*H[1](x)H[2] + 1*H[1](x)H[1,1] + 1*H[2](x)H[1] + 1*H[1,1](x)H[1] + '
+            '3*H[1,2](x)H[] + -2*H[2,1](x)H[]'
+        ),
+        '-H[1,1] + 3*H[1,2,1] - 2*H[2,1,1]',
+        '[(Composition(1), -1), (Composition(1, 2), 3), (Composition(2, 1), -2)]',
+    ),
+    (
+        'E[1] - 2/3*E[1,1,1]',
+        (
+            '1*E[](x)E[1] + -2/3*E[](x)E[1,1,1] + 1*E[1](x)E[] + -2*E[1](x)E[1,1] + '
+            '-2*E[1,1](x)E[1] + -2/3*E[1,1,1](x)E[]'
+        ),
+        'E[1,1] - 2/3*E[1,1,1,1]',
+        '[(Composition(1), 1), (Composition(1, 1, 1), Fraction(-2, 3))]',
+    ),
+    (
+        '-R[2] - 2*R[3] + R[2,1]',
+        (
+            '-1*R[](x)R[2] + -2*R[](x)R[3] + 1*R[](x)R[2,1] + -1*R[1](x)R[1] + '
+            '-1*R[1](x)R[2] + 1*R[1](x)R[1,1] + -1*R[2](x)R[] + -1*R[2](x)R[1] + '
+            '1*R[1,1](x)R[1] + -2*R[3](x)R[] + 1*R[2,1](x)R[]'
+        ),
+        '-R[3] - R[2,1] - 2*R[4] + R[2,2] - 2*R[3,1] + R[2,1,1]',
+        '[(Composition(2), -1), (Composition(3), -2), (Composition(2, 1), 1)]',
+    ),
+    (
+        '1/2*Q[1] - Q[1,1] + Q[2,1]',
+        (
+            '1*H[](x)H[1] + -4*H[](x)H[1,1] + 4*H[](x)H[1,1,1] + 1*H[1](x)H[] + '
+            '-8*H[1](x)H[1] + 12*H[1](x)H[1,1] + -4*H[1,1](x)H[] + 12*H[1,1](x)H[1] + '
+            '4*H[1,1,1](x)H[]'
+        ),
+        '2*H[1,1] - 8*H[1,1,1] + 8*H[1,1,1,1]',
+        '[(Composition(1), Fraction(1, 2)), (Composition(1, 1), -1), (Composition(2, 1), 1)]',
+    ),
+    (
+        'M[2] - 2*M[1,1]',
+        '1*M[](x)M[2] + -2*M[](x)M[1,1] + -2*M[1](x)M[1] + 1*M[2](x)M[] + -2*M[1,1](x)M[]',
+        'M[3] - M[1,2] - M[2,1] - 6*M[1,1,1]',
+        '[(Composition(2), 1), (Composition(1, 1), -2)]',
+    ),
+    (
+        '1/2*F[1,1] + 3*F[1,1,1]',
+        (
+            '1/2*F[](x)F[1,1] + 3*F[](x)F[1,1,1] + 1/2*F[1](x)F[1] + 3*F[1](x)F[1,1] + '
+            '1/2*F[1,1](x)F[] + 3*F[1,1](x)F[1] + 3*F[1,1,1](x)F[]'
+        ),
+        (
+            '1/2*F[1,2] + 1/2*F[2,1] + 1/2*F[1,1,1] + 3*F[1,1,2] + 3*F[1,2,1] + 3*F[2,1,1] + '
+            '3*F[1,1,1,1]'
+        ),
+        '[(Composition(1, 1), Fraction(1, 2)), (Composition(1, 1, 1), 3)]',
+    ),
+    (
+        '-2*Xi{2}@4',
+        (
+            '-2*Xi{}@0(x)Xi{2}@4 + -2*Xi{}@1(x)Xi{}@3 + -4*Xi{}@1(x)Xi{2}@3 + '
+            '-4*Xi{}@2(x)Xi{}@2 + -2*Xi{}@3(x)Xi{}@1 + -4*Xi{2}@3(x)Xi{}@1 + '
+            '-2*Xi{2}@4(x)Xi{}@0'
+        ),
+        '-2*Xi{2}@6 - 2*Xi{2,4}@6 - 2*Xi{2,5}@6',
+        '[(PeakSet(4, [2]), -2)]',
+    ),
+    (
+        '1/2*K{2}@4 + 1/2*K{3}@4',
+        (
+            '1/2*K{}@0(x)K{2}@4 + 1/2*K{}@0(x)K{3}@4 + 1/2*K{}@1(x)K{}@3 + '
+            '1/2*K{}@1(x)K{2}@3 + 1*K{}@2(x)K{}@2 + 1/2*K{}@3(x)K{}@1 + 1/2*K{2}@3(x)K{}@1 + '
+            '1/2*K{2}@4(x)K{}@0 + 1/2*K{3}@4(x)K{}@0'
+        ),
+        'K{2}@6 + 3*K{3}@6 + 3*K{4}@6 + 5/2*K{2,4}@6 + K{5}@6 + 2*K{2,5}@6 + 5/2*K{3,5}@6',
+        '[(PeakSet(4, [2]), Fraction(1, 2)), (PeakSet(4, [3]), Fraction(1, 2))]',
+    ),
+    (
+        '-2*N[1] - 2*N[2] - 2*N[1,1]',
+        (
+            '-2*N[](x)N[1] + -2*N[](x)N[2] + -2*N[](x)N[1,1] + -2*N[1](x)N[] + '
+            '-2*N[1](x)N[1] + -2*N[2](x)N[] + -2*N[1,1](x)N[]'
+        ),
+        '-4*K{}@2 - 4*K{}@3 - 2*K{2}@3',
+        '[(Composition(1), -2), (Composition(2), -2), (Composition(1, 1), -2)]',
+    ),
+    (
+        '-h[1] - h[2,1]',
+        (
+            '-1*h[](x)h[1] + -1*h[](x)h[2,1] + -1*h[1](x)h[] + -1*h[1](x)h[1,1] + '
+            '-1*h[1](x)h[2] + -1*h[1,1](x)h[1] + -1*h[2](x)h[1] + -1*h[2,1](x)h[]'
+        ),
+        '-h[1,1] - h[2,1,1]',
+        '[((1,), -1), ((2, 1), -1)]',
+    ),
+    (
+        'm[1] - m[2,1]',
+        (
+            '1*h[](x)h[1] + 2*h[](x)h[1,1,1] + -5*h[](x)h[2,1] + 3*h[](x)h[3] + 1*h[1](x)h[] + '
+            '1*h[1](x)h[1,1] + -2*h[1](x)h[2] + 1*h[1,1](x)h[1] + -2*h[2](x)h[1] + '
+            '2*h[1,1,1](x)h[] + -5*h[2,1](x)h[] + 3*h[3](x)h[]'
+        ),
+        '2*m[1,1] + m[2] - 2*m[2,1,1] - 2*m[2,2] - m[3,1]',
+        '[((1,), 1), ((2, 1), -1)]',
+    ),
+    (
+        '-2*p[1] - 2/3*p[3]',
+        '-2*p[](x)p[1] + -2/3*p[](x)p[3] + -2*p[1](x)p[] + -2/3*p[3](x)p[]',
+        '-2*p[1,1] - 2/3*p[3,1]',
+        '[((1,), -2), ((3,), Fraction(-2, 3))]',
+    ),
+    (
+        '-2*r[1]',
+        '-2*h[](x)h[1] + -2*h[1](x)h[]',
+        '-2*h[1,1]',
+        '[(Composition(1), -2)]',
+    ),
+    (
+        'q[1,1,1] + 3*q[2,1] + 1/2*q[3]',
+        (
+            '62/3*podd[](x)podd[1,1,1] + 1/3*podd[](x)podd[3] + 62*podd[1](x)podd[1,1] + '
+            '62*podd[1,1](x)podd[1] + 62/3*podd[1,1,1](x)podd[] + 1/3*podd[3](x)podd[]'
+        ),
+        '124/3*podd[1,1,1,1] + 2/3*podd[3,1]',
+        '[((1, 1, 1), 1), ((2, 1), 3), ((3,), Fraction(1, 2))]',
+    ),
+    (
+        '-2*podd[1] - 2*podd[1,1,1]',
+        (
+            '-2*podd[](x)podd[1] + -2*podd[](x)podd[1,1,1] + -2*podd[1](x)podd[] + '
+            '-6*podd[1](x)podd[1,1] + -6*podd[1,1](x)podd[1] + -2*podd[1,1,1](x)podd[]'
+        ),
+        '-2*podd[1,1] - 2*podd[1,1,1,1]',
+        '[((1,), -2), ((1, 1, 1), -2)]',
+    ),
+]
+
+
+def _is_canonical(k):
+    if isinstance(k, Composition):
+        if not k.n:
+            return k is hopf._comp(0)
+        return any(k is a for a in compositions_of(k.n))
+    if isinstance(k, PeakSet):
+        return any(k is P for P in peak_sets_in(k.n))
+    return type(k) is tuple
+
+
+def _canonical_order(k):
+    return (sum(k), k) if type(k) is tuple else (k.n, k.code)
+
+
+def test_readers_see_canonical_keys_in_the_old_order():
+    elements = seeded_elements()
+    assert len(elements) == len(PINNED) == sum(map(len, hopf.BASES.values()))
+    for (x, y), pinned in zip(elements, PINNED):
+        t, prod = coproduct(x), product(x, y)
+        assert (str(x), str(t), str(prod), repr(x.terms())) == pinned
+        for z in (x, prod):
+            assert all(_is_canonical(k) for k in z.coeffs), z
+            assert FreeElement(z.algebra, z.basis, z.coeffs) == z
+            assert [k for k, _ in z.terms()] == sorted(z.coeffs, key=_canonical_order)
+        assert all(_is_canonical(a) and _is_canonical(b) for a, b in t.coeffs), t
+        assert t.coeffs is t.coeffs  # decoded once, on the first read
+        with pytest.raises(TypeError):
+            x.coeffs[next(iter(x.coeffs))] = 0
+
+
+class _Decoded(Exception):
+    pass
+
+
+def _refuse(code):
+    raise _Decoded(code)
+
+
+def test_duality_chain_decodes_no_key(monkeypatch):
+    """The chain of the hopf benchmark, <Theta(R_a), F_b> = <R_a,
+    vartheta(F_b)> = [Theta(R_a), vartheta(F_b)], passes code-keyed dicts
+    from call to call: with the decoders made to raise it still runs."""
+    monkeypatch.setattr(hopf, "_comp", _refuse)
+    monkeypatch.setattr(hopf, "_peak", _refuse)
+    nonzero = 0
+    for n in range(1, 6):
+        for a in compositions_of(n):
+            for b in compositions_of(n):
+                ta = theta_transform(term("NSym", "R", a))
+                fb = term("QSym", "F", b)
+                lhs = pairing(convert(ta, "H", "NSym"), fb)
+                mid = pairing(term("NSym", "R", a), convert(vartheta_map(fb), "F", "QSym"))
+                assert lhs == mid == peak_pairing(ta, vartheta_map(fb)), (a, b)
+                nonzero += lhs != 0
+    assert nonzero > 0
+    # the patched decoders are the ones a reader of the keys reaches
+    with pytest.raises(_Decoded):
+        ta.coeffs

@@ -298,3 +298,28 @@ def test_equal_codes_iff_equal_objects():
     # a composition and a peak set never compare equal, even with equal codes
     assert Composition((2,)) != PeakSet(2, frozenset()) and Composition((2,)).code == 2
     assert Composition((1, 2)) != (1, 2)
+
+
+def test_ambient_size_must_be_an_int():
+    for bad in (True, False, 3.0, "3", None):
+        with pytest.raises(TypeError, match="size n must be int"):
+            PeakSet(bad, frozenset())
+        with pytest.raises(TypeError, match="size n must be int"):
+            DescentSet(bad, frozenset())
+    with pytest.raises(TypeError):
+        DescentSet(3.0, frozenset({1}))
+    for cls in (PeakSet, DescentSet):
+        with pytest.raises(ValueError, match="size n must be nonnegative"):
+            cls(-1, frozenset())
+    assert PeakSet(1, frozenset()).code == 1 and DescentSet(3, frozenset({1})).bitmask() == 1
+
+
+def test_order_is_only_between_objects_of_one_type():
+    a, P = Composition((2,)), PeakSet(3, frozenset({2}))
+    for left, right in ((a, P), (P, a), (a, 5), (P, 5), (a, (2,)), (5, a)):
+        with pytest.raises(TypeError):
+            left < right
+        with pytest.raises(TypeError):
+            left > right
+    assert Composition((1, 1)) > a > Composition((1,))
+    assert PeakSet(4, frozenset({2})) > P > PeakSet(3, frozenset())
