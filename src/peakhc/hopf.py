@@ -168,9 +168,10 @@ def _encode(algebra: str, basis: str, index):
 
 
 def _decoder(algebra: str, basis: str):
-    """Internal key -> public index for this basis; None for partitions."""
+    """Internal key -> public index for this basis: a table read for a
+    code, the key itself for a partition."""
     kind = _INDEX_KIND[(algebra, basis)]
-    return _comp if kind == "comp" else _peak if kind == "peak" else None
+    return _comp if kind == "comp" else _peak if kind == "peak" else lambda k: k
 
 
 def _order(k):
@@ -260,8 +261,6 @@ class FreeElement(_Element):
 
     def _decoded(self) -> dict:
         decode = _decoder(self.algebra, self.basis)
-        if decode is None:
-            return self._coeffs
         return {decode(k): c for k, c in self._coeffs.items()}
 
     def __mul__(self, other):
@@ -285,7 +284,7 @@ class FreeElement(_Element):
 
     def terms(self) -> list:
         """(index, coefficient) pairs in canonical order."""
-        decode = _decoder(self.algebra, self.basis) or (lambda k: k)
+        decode = _decoder(self.algebra, self.basis)
         items = sorted(self._coeffs.items(), key=lambda kv: _order(kv[0]))
         return [(decode(k), c) for k, c in items]
 
@@ -346,8 +345,6 @@ class TensorElement(_Element):
 
     def _decoded(self) -> dict:
         decode = _decoder(self.algebra, self.basis)
-        if decode is None:
-            return self._coeffs
         return {(decode(a), decode(b)): c for (a, b), c in self._coeffs.items()}
 
     def product(self, other: "TensorElement") -> "TensorElement":
@@ -372,7 +369,7 @@ class TensorElement(_Element):
 
     def terms(self):
         """((index, index), coefficient) pairs in canonical order."""
-        decode = _decoder(self.algebra, self.basis) or (lambda k: k)
+        decode = _decoder(self.algebra, self.basis)
         items = sorted(self._coeffs.items(), key=lambda kv: (_order(kv[0][0]), _order(kv[0][1])))
         return [((decode(a), decode(b)), c) for (a, b), c in items]
 
