@@ -140,6 +140,10 @@ def _cmd_module(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # a bound below 1 would verify nothing and still report success
+    for flag, value in (("--max-n", args.max_n), ("--max-degree", args.max_degree)):
+        if value is not None and value < 1:
+            raise ValueError("%s must be at least 1, got %d" % (flag, value))
     reports = run_suite(args.suite, max_n=args.max_n, max_degree=args.max_degree)
     failed = sum(1 for r in reports if r["status"] == "failed")
     skipped = sum(1 for r in reports if r["status"] == "skipped-resource")

@@ -28,22 +28,26 @@ actions, induced modules and the (anti-)involutions walk these rules.
 Multiplication instead reads c_D T_w * c_E T_v = c_D (T_w c_E) T_v from
 three cached integer tables that the same rules fill once per key: T_w c_E
 in normal form, the Clifford sign of c_D c_D', and the Demazure sign of
-T_u T_v.  The structure constants are integers, and a coefficient follows
-the one representation of ``scalars``: ``int`` while integral, so products
-of integral elements stay ``int``, and a ``GaussianRational`` only where the
-imaginary part is nonzero, as in the idempotents that split induced
-simples.
+T_u T_v.  Each entry is one generator step on a shorter entry of its
+table: T_w = T_i T_{s_i w} with i the first letter of w, and
+c_D = c_j c_{D-j} with j = min D.  The structure constants are integers,
+and a coefficient follows the one representation of ``scalars``: ``int``
+while integral, so products of integral elements stay ``int``, and a
+``GaussianRational`` only where the imaginary part is nonzero, as in the
+idempotents that split induced simples.
 
 ``associativity_failure`` proves that this product is associative, rank by
-rank, with no sampling (Bergman's diamond lemma, Adv. Math. 29, 1978, run
-through the regular representation).  The left-regular matrices L_g read
-from the rewriting rules generate an algebra A of matrices.  The matrices
-R_g of right multiplication by a generator under ``multiply`` commute with
-every L_g, and the normal word of each basis element walks the unit to that
-element both by the L's and by the R's; so X -> X 1 is a bijection from A
-onto the span of the basis, and the product of A carried over by it is
-associative.  Each entry of the three tables equals the walk by the L's it stands for, so
-``multiply`` is that product.  The function's docstring spells out each step.
+rank, with no sampling, from the three tables alone.  As a vector space the
+algebra is C (x) H, the Clifford algebra C on the c_D and the 0-Hecke
+algebra H on the T_w, and the table of T_w c_E is a map
+tau: H (x) C -> C (x) H; ``multiply`` is the product of the twisted tensor
+product C (x)_tau H (Cap, Schichl and Vanzura, Comm. Algebra 23, 1995).
+That product is associative when C and H are, each checked on triples whose
+last factor is a generator, and when tau respects the products of H and of
+C, checked with one factor a generator T_i; the function's docstring
+spells out each step.  The tests keep the certificate through the
+regular representation as the slow route.
+
 Morphism matrices are built column by column from a one letter shorter
 column, one ``multiply`` each; ``apply_morphism`` walks each element from
 the unit and stays the independent route.
@@ -57,7 +61,13 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache, reduce
 
-from .combinat import ResourceLimitError, swap_values, word_reduced
+from .combinat import (
+    ResourceLimitError,
+    swap_positions,
+    swap_values,
+    word_descents,
+    word_reduced,
+)
 from .linalg import SparseMatrix, vec_add_term, vec_iadd_scaled, vec_scale
 from .scalars import as_scalar
 
@@ -395,10 +405,15 @@ def act_terms(terms: dict, act, vecs, anti: bool = False) -> list:
     return outs
 
 
-def _walk(x, y) -> dict:
-    """The basis element x times the basis element y, both (D, w) keys, by
-    the generator rules with ``int`` coefficients."""
-    return act_terms({x: 1}, _left_mul, [{y: 1}])[0]
+def _first_letter(d, w) -> tuple:
+    """(g, b') with c_D T_w = g b', g the first letter of normal_word(d, w).
+    b' comes earlier in the canonical order: it has a smaller D, or, for
+    D empty, i+1 stands left of i in w and b' exchanges them."""
+    if d:
+        j = min(d)
+        return ("c", j), (d - {j}, w)
+    i = word_reduced(w)[0]
+    return ("T", i), (d, swap_values(i, w))
 
 
 @lru_cache(maxsize=None)
@@ -411,26 +426,38 @@ def _shared(x):
 @lru_cache(maxsize=None)
 def _t_times_c(w: tuple, e: frozenset) -> tuple:
     """T_w c_E in normal form as (k, D, u) triples, k an int: at most
-    n! 2^n entries per rank n."""
-    ident = tuple(range(1, len(w) + 1))
-    terms = _walk((frozenset(), w), (e, ident))
+    n! 2^n entries per rank n.  T_i times the entry of s_i w, i the first
+    letter of w."""
+    if w == tuple(range(1, len(w) + 1)):
+        return ((1, _shared(e), _shared(w)),)
+    (_t, i), (_d, rest) = _first_letter(frozenset(), w)
+    terms = _left_mul_T(i, {(d, u): k for k, d, u in _t_times_c(rest, e)})
     return tuple((k, _shared(d), _shared(u)) for (d, u), k in terms.items())
 
 
 @lru_cache(maxsize=None)
 def _clifford_sign(d: frozenset, e: frozenset) -> tuple:
     """(s, D xor E) with c_D c_E = s c_{D xor E}: at most 4^n entries per
-    rank n.  The empty permutation stands in for the identity: c letters
-    never read it."""
-    ((de, _w), s), = _walk((d, ()), (e, ())).items()
+    rank n: c_j times the entry of D - {j}, j = min D.  The empty
+    permutation stands in for the identity: c letters never read it."""
+    if not d:
+        return 1, _shared(e)
+    (_c, j), (rest, _w) = _first_letter(d, ())
+    s, x = _clifford_sign(rest, e)
+    ((de, _w), s), = _left_mul_c(j, {(x, ()): s}).items()
     return s, _shared(de)
 
 
 @lru_cache(maxsize=None)
 def _demazure_sign(u: tuple, v: tuple) -> tuple:
     """(t, u*v) with T_u T_v = t T_{u*v}, u*v the Demazure product: at most
-    (n!)^2 entries per rank n."""
-    ((_d, uv), t), = _walk((frozenset(), u), (frozenset(), v)).items()
+    (n!)^2 entries per rank n.  T_i times the entry of s_i u, i the first
+    letter of u."""
+    if u == tuple(range(1, len(u) + 1)):
+        return 1, _shared(v)
+    (_t, i), (_d, rest) = _first_letter(frozenset(), u)
+    t, x = _demazure_sign(rest, v)
+    ((_d, uv), t), = _left_mul_T(i, {(frozenset(), x): t}).items()
     return t, _shared(uv)
 
 
@@ -470,7 +497,9 @@ def _basis_index(n: int) -> dict:
 
 
 def _guard_regular(n: int) -> None:
-    """The regular module has dimension 2^n n!: guarded at n <= MAX_REGULAR_N."""
+    """The regular module has dimension 2^n n!, and the associativity
+    certificate checks (n!)^2 (n-1) Demazure triples: guarded at
+    n <= MAX_REGULAR_N."""
     if n > MAX_REGULAR_N:
         raise ResourceLimitError(
             "regular representation of rank %d exceeds the guard %d" % (n, MAX_REGULAR_N)
@@ -526,110 +555,141 @@ def frobenius_gram(n: int) -> SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _table_entries(n: int):
-    """Every entry of the three tables behind ``multiply`` at rank n, as
-    (x, y, x*y): basis keys x and y, and the tabulated product as a dict
-    {basis key: int}."""
-    ident = tuple(range(1, n + 1))
-    perms = [w for d, w in algebra_basis(n) if not d]
-    subsets = _subsets_ordered(n)
-    empty = frozenset()
-    for w in perms:
-        for e in subsets:
-            yield (empty, w), (e, ident), {(d, u): k for k, d, u in _t_times_c(w, e)}
-    for d in subsets:
-        for e in subsets:
-            s, de = _clifford_sign(d, e)
-            yield (d, ident), (e, ident), {(de, ident): s}
-    for u in perms:
-        for v in perms:
-            t, uv = _demazure_sign(u, v)
-            yield (empty, u), (empty, v), {(empty, uv): t}
-
-
-def _int_apply(cols: list, vec: dict) -> dict:
-    """The matrix with ``int`` columns ``cols`` times the ``int`` vector
-    ``vec``: the certificate's one product, without the scalar dispatch of
-    ``vec_iadd_scaled``."""
-    if len(vec) == 1:  # one column, scaled: nothing can cancel
-        ((j, x),) = vec.items()
-        return {i: x * y for i, y in cols[j].items()}
-    out = {}
-    for j, x in vec.items():
-        for i, y in cols[j].items():
-            out[i] = out.get(i, 0) + x * y
-    return {i: v for i, v in out.items() if v}
-
-
 def associativity_failure(n: int):
     """None when ``multiply`` is certified associative at rank n, else the
     first check that failed, as text.  Guarded at n <= MAX_REGULAR_N.
 
-    Let V be the span of the basis, 1 the unit, L_g the left-regular matrix
-    of the generator g read from the rewriting rules (``_left_mul``), and
-    R_g the matrix of v -> multiply(v, g).  For a basis element b with
-    normal word g_1 ... g_k put lambda(b) = L_{g_1} ... L_{g_k} and
-    rho(b) = R_{g_k} ... R_{g_1}.  Three checks:
+    The certificate reads the three tables only.  Let C be the span of the
+    c_D with c_D c_E = sigma(D, E) (``_clifford_sign``), H the span of the
+    T_w with T_u T_v = delta(u, v) (``_demazure_sign``), and
+    tau: H (x) C -> C (x) H the map T_w (x) c_E -> T_w c_E (``_t_times_c``).
+    Write s_i for the transposition of i and i+1, and for h in H and c in C
+    let M_h(c' (x) k) = tau(h (x) c') k move h past c' (x) k, and
+    N_c(c' (x) k) = c' tau(k (x) c) move the H part past c.  The checks:
 
-    (i)   R_g L_h = L_h R_g for all generators g and h;
-    (ii)  lambda(b) 1 = b and rho(b) 1 = b for every basis element b;
-    (iii) each table entry is the L-walk it stands for: T_w c_E, c_D c_E
-          and T_u T_v as tabulated equal lambda(T_w) c_E, lambda(c_D) c_E
-          and lambda(T_u) T_v.
+    (U) sigma(0, E) = sigma(E, 0) = (1, E), delta(id, v) = delta(v, id) =
+        (1, v), tau(1 (x) c_E) = c_E and tau(T_w (x) 1) = T_w;
+    (C) (c_D c_E) c_j = c_D (c_E c_j) for all D, E, j, and
+        c_F = c_{F-m} c_m with sign +1, m = max F;
+    (H) (T_u T_v) T_i = T_u (T_v T_i) for all u, v, i, and
+        T_w = T_{w s_i} T_i with sign +1, i the least right descent of w != id;
+    (a) tau(T_i T_v (x) c_E) = M_{T_i} tau(T_v (x) c_E) for all i, v, E;
+    (b) tau(T_i (x) c_E c_F) = N_{c_F} tau(T_i (x) c_E) for all i, E, F.
 
-    Let A be the algebra of matrices generated by the L_g (the identity
-    included) and ev: A -> V, X -> X 1.  By (ii), ev(lambda(b)) = b, so ev
-    is onto.  If X 1 = 0 then X commutes with every R_g by (i), hence with
-    every rho(b), and X b = X rho(b) 1 = rho(b) X 1 = 0 by (ii), so X = 0:
-    ev is one-to-one.  Transport the product of A along ev:
-    u * v = ev^-1(u) v is associative with unit 1, and on a basis element
-    b * v = lambda(b) v.  The normal word of c_D T_w is that of c_D followed
-    by that of T_w, so lambda(c_D T_w) = lambda(c_D) lambda(T_w), that is
-    c_D T_w = c_D * T_w.  By (iii), T_w * c_E = sum k c_D' T_u as
-    tabulated, c_D * c_D' = s c_{D xor D'} and T_u * T_v = t T_{u*v}.  So
-    by associativity
+    Proof.  C is associative: (x y) z = x (y z) on basis elements by
+    induction on |F| for z = c_F, from F = 0 by (U); with c_F = c_G c_m,
+    (x y) c_F = ((x y) c_G) c_m = (x (y c_G)) c_m = x ((y c_G) c_m) =
+    x (y c_F), the outer steps by (C) and linearity, the middle one by
+    induction.  H is associative likewise by (H), on the length of w.
 
-        c_D T_w * c_E T_v = c_D * (T_w * c_E) * T_v
-                          = sum k s t c_{D xor D'} T_{u*v},
+    The h in H with tau(h h' (x) c) = M_h tau(h' (x) c) for all h', c form
+    a subspace that holds 1 by (U) and each T_i by (a).  For such an h,
+    M_{h h'} = M_h M_{h'} (apply both to c (x) k), so if g and h are in it,
+    tau(g h h' (x) c) = M_g M_h tau(h' (x) c) = M_{g h} tau(h' (x) c): it is
+    closed under products, so it is all of H.  The h with
+    tau(h (x) c c') = N_{c'} tau(h (x) c) for all c, c' form a subspace
+    that holds 1 by (U) and each T_i by (b).  If g and h are in it,
+    tau(g h (x) c c') = M_g N_{c'} tau(h (x) c) and
+    N_{c'} tau(g h (x) c) = N_{c'} M_g tau(h (x) c), by (a) for g; and
+    M_g N_{c'} = N_{c'} M_g, for with tau(k (x) c') = sum c'' (x) k'' both
+    send c (x) k to sum N_{c''} tau(g (x) c) k'', the left by g in the
+    subspace, the right by (a) for every element of H.  So it is all of H.
 
-    which is the sum ``multiply`` forms for the pair.  ``multiply`` is
-    bilinear, so it equals *, and it is associative.
+    Put (c h)(c' h') = c tau(h (x) c') h'.  For basis elements, with
+    tau(h1 (x) c2) = sum c' (x) h' and tau(h2 (x) c3) = sum c'' (x) h'',
+    (a) gives ((c1 h1)(c2 h2))(c3 h3) = sum c1 c' M_{h'} tau(h2 (x) c3) h3,
+    and (b) gives (c1 h1)((c2 h2)(c3 h3)) = sum c1 N_{c''} tau(h1 (x) c2) h'' h3.
+    Both equal sum c1 c' tau(h' (x) c'') h'' h3, so this product C (x)_tau H
+    is associative (Cap, Schichl and Vanzura, Comm. Algebra 23, 1995).  For
+    c_D T_w and c_E T_v it is the sum of k sigma(D, D') delta(u, v) over the
+    entries (k, D', u) of tau(T_w (x) c_E), which is the sum ``multiply``
+    forms for the pair; both are bilinear, so ``multiply`` is associative.
     """
     _guard_regular(n)
-    basis = algebra_basis(n)
-    pos = _basis_index(n)
-    gens = generators(n)
-    left = {g: _left_regular_columns(g, n) for g in gens}
+    ident = tuple(range(1, n + 1))
+    empty = frozenset()
+    perms = [w for d, w in algebra_basis(n) if not d]
+    subsets = _subsets_ordered(n)
+    simple = {i: swap_values(i, ident) for i in range(1, n)}
 
-    def walk(cols, word, b):
-        vec = {pos[b]: 1}
-        for g in word:
-            vec = _int_apply(cols[g], vec)
-        return vec
+    def tau(w, e):
+        return {(d, u): k for k, d, u in _t_times_c(w, e)}
 
-    # (ii) by the L's, then (iii), which fills the tables before the
-    # short-lived R matrices are built
-    one = (frozenset(), tuple(range(1, n + 1)))
-    lwords = {}
-    for b in basis:
-        lwords[b] = normal_word(*b)[::-1]
-        if walk(left, lwords[b], one) != {pos[b]: 1}:
-            return "the L-walk of %s" % basis_element(*b, n)
-    for x, y, xy in _table_entries(n):
-        if walk(left, lwords[x], y) != {pos[k]: v for k, v in xy.items()}:
-            return "the table entry %s * %s" % (basis_element(*x, n), basis_element(*y, n))
-    elems = [basis_element(d, w, n) for d, w in basis]
-    right = {
-        g: [{pos[k]: v for k, v in multiply(b, x).terms.items()} for b in elems]
-        for g, x in gens.items()
-    }
-    for b in basis:
-        if walk(right, lwords[b][::-1], one) != {pos[b]: 1}:
-            return "the R-walk of %s" % basis_element(*b, n)
-    for g, rg in right.items():
-        for h, lh in left.items():
-            if any(_int_apply(rg, a) != _int_apply(lh, b) for a, b in zip(lh, rg)):
-                return "R(%s_%d) does not commute with L(%s_%d)" % (g + h)
+    def t_past(i, terms):
+        """T_i moved past every c_D T_u of ``terms``: M_{T_i}."""
+        out = {}
+        for (d, u), k in terms.items():
+            for k2, d2, u2 in _t_times_c(simple[i], d):
+                t, uu = _demazure_sign(u2, u)
+                vec_add_term(out, (d2, uu), k * k2 * t)
+        return out
+
+    def past_c(f, terms):
+        """The T part of every c_D T_u of ``terms`` moved past c_F: N_{c_F}."""
+        out = {}
+        for (d, u), k in terms.items():
+            for k2, d2, u2 in _t_times_c(u, f):
+                s, dd = _clifford_sign(d, d2)
+                vec_add_term(out, (dd, u2), k * k2 * s)
+        return out
+
+    def c_(d):
+        return basis_element(d, ident, n)
+
+    def t_(w):
+        return basis_element(empty, w, n)
+
+    # (U)
+    for e in subsets:
+        if not (_clifford_sign(empty, e) == _clifford_sign(e, empty) == (1, e)
+                and tau(ident, e) == {(e, ident): 1}):
+            return "(U) the unit law at %s" % c_(e)
+    for v in perms:
+        if not (_demazure_sign(ident, v) == _demazure_sign(v, ident) == (1, v)
+                and tau(v, empty) == {(empty, v): 1}):
+            return "(U) the unit law at %s" % t_(v)
+    # (C)
+    for d in subsets:
+        if d and _clifford_sign(d - {max(d)}, frozenset({max(d)})) != (1, d):
+            return "(C) %s is not c_%d times the rest" % (c_(d), max(d))
+        for e in subsets:
+            s, de = _clifford_sign(d, e)
+            for j in range(1, n + 1):
+                cj = frozenset({j})
+                s2, x = _clifford_sign(de, cj)
+                s3, ej = _clifford_sign(e, cj)
+                s4, y = _clifford_sign(d, ej)
+                if s * s2 != s3 * s4 or x != y:
+                    return "(C) (%s * %s) * c_%d" % (c_(d), c_(e), j)
+    # (H)
+    for u in perms:
+        if u != ident:
+            i = min(word_descents(u))
+            if _demazure_sign(swap_positions(i, u), simple[i]) != (1, u):
+                return "(H) %s is not its prefix times T_%d" % (t_(u), i)
+        for v in perms:
+            t, uv = _demazure_sign(u, v)
+            for i in range(1, n):
+                t2, x = _demazure_sign(uv, simple[i])
+                t3, vi = _demazure_sign(v, simple[i])
+                t4, y = _demazure_sign(u, vi)
+                if t * t2 != t3 * t4 or x != y:
+                    return "(H) (%s * %s) * T_%d" % (t_(u), t_(v), i)
+    # (a)
+    for i in range(1, n):
+        for v in perms:
+            t, x = _demazure_sign(simple[i], v)
+            for e in subsets:
+                if t_past(i, tau(v, e)) != {key: t * k for key, k in tau(x, e).items()}:
+                    return "(a) T_%d moved past %s * %s" % (i, t_(v), c_(e))
+    # (b)
+    for i in range(1, n):
+        for e in subsets:
+            te = tau(simple[i], e)
+            for f in subsets:
+                s, ef = _clifford_sign(e, f)
+                if past_c(f, te) != {key: s * k for key, k in tau(simple[i], ef).items()}:
+                    return "(b) T_%d moved past %s * %s" % (i, c_(e), c_(f))
     return None
 
 
@@ -685,17 +745,6 @@ def apply_morphism(tag: str, a: AlgebraElement) -> AlgebraElement:
 
     (out,) = act_terms(a.terms, act, [unit(n).terms], anti=tag in _ANTI_TAGS)
     return AlgebraElement(n, out)
-
-
-def _first_letter(d, w) -> tuple:
-    """(g, b') with c_D T_w = g b', g the first letter of normal_word(d, w).
-    b' comes earlier in the canonical order: it has a smaller D, or, for
-    D empty, i+1 stands left of i in w and b' exchanges them."""
-    if d:
-        j = min(d)
-        return ("c", j), (d - {j}, w)
-    i = word_reduced(w)[0]
-    return ("T", i), (d, swap_values(i, w))
 
 
 @lru_cache(maxsize=None)

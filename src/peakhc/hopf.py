@@ -251,8 +251,8 @@ class FreeElement(_Element):
         clean = {}
         for idx, c in (coeffs or {}).items():
             c = _rational(c)
-            if c:
-                clean[_encode(algebra, basis, idx)] = c
+            if c:  # two indices of one code add up
+                vec_add_term(clean, _encode(algebra, basis, idx), c)
         super().__init__(algebra, basis, clean)
 
     @classmethod
@@ -336,11 +336,11 @@ class TensorElement(_Element):
     __slots__ = ()
 
     def __init__(self, algebra: str, basis: str, coeffs=None):
-        clean = {
-            (_encode(algebra, basis, a), _encode(algebra, basis, b)): _rational(v)
-            for (a, b), v in (coeffs or {}).items()
-            if v
-        }
+        clean = {}
+        for (a, b), c in (coeffs or {}).items():
+            c = _rational(c)
+            if c:  # two index pairs of one code pair add up
+                vec_add_term(clean, (_encode(algebra, basis, a), _encode(algebra, basis, b)), c)
         super().__init__(algebra, basis, clean)
 
     def _decoded(self) -> dict:

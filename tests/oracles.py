@@ -3,11 +3,12 @@ against.
 
 No report, CLI command or benchmark workload reaches these, so they live
 with the tests: the Bruhat order, the trace form of two elements, the
-leading term of T_w c_D, one-gamma Hom onto a Hecke simple, parabolic
-restriction, the parity shift, the rank-0 module, the Bruhat filtration of
-an induced projective, the readers of the JSON forms, and the smash-product
-double of the peak algebra and its dual.
-"""
+leading term of T_w c_D, the multiplication tables by generator walks,
+the associativity certificate through the regular representation,
+one-gamma Hom onto a Hecke simple, parabolic restriction, the parity
+shift, the rank-0 module, the Bruhat filtration of an induced projective,
+the readers of the JSON forms, and the smash-product double of the peak
+algebra and its dual."""
 
 import itertools
 from fractions import Fraction
@@ -25,7 +26,22 @@ from peakhc.combinat import (
     word_inverse,
     word_length,
 )
-from peakhc.hecke_clifford import AlgebraElement, _subsets_ordered, multiply, trace
+import peakhc.hecke_clifford as hc
+from peakhc.hecke_clifford import (
+    AlgebraElement,
+    _basis_index,
+    _guard_regular,
+    _left_mul,
+    _left_regular_columns,
+    _subsets_ordered,
+    act_terms,
+    algebra_basis,
+    basis_element,
+    generators,
+    multiply,
+    normal_word,
+    trace,
+)
 from peakhc.heisenberg import fock_action
 from peakhc.hopf import FreeElement, convert, coproduct, product, term
 from peakhc.linalg import SparseMatrix, nullspace, vec_add_term, vec_iadd_scaled
@@ -97,6 +113,132 @@ def leading_term_check(w: Permutation, d) -> tuple:
             if w(dset[a]) > w(dset[b]):
                 inv += 1
     return ((-1) ** inv, frozenset(w(x) for x in dset))
+
+
+# ---------------------------------------------------------------------------
+# the algebra: the tables by walks, and the regular-representation certificate
+# ---------------------------------------------------------------------------
+
+
+def walk_product(x, y) -> dict:
+    """The basis element x times the basis element y, both (D, w) keys, by a
+    walk of the generator rules with ``int`` coefficients."""
+    return act_terms({x: 1}, _left_mul, [{y: 1}])[0]
+
+
+def table_entries(n: int):
+    """Every entry of the three tables behind ``multiply`` at rank n, as
+    (x, y, x*y): basis keys x and y, and the tabulated product as a dict
+    {basis key: int}.  The tables are read through the module, as
+    ``multiply`` reads them, so a patched table is read too."""
+    ident = tuple(range(1, n + 1))
+    perms = [w for d, w in algebra_basis(n) if not d]
+    subsets = _subsets_ordered(n)
+    empty = frozenset()
+    for w in perms:
+        for e in subsets:
+            yield (empty, w), (e, ident), {(d, u): k for k, d, u in hc._t_times_c(w, e)}
+    for d in subsets:
+        for e in subsets:
+            s, de = hc._clifford_sign(d, e)
+            yield (d, ident), (e, ident), {(de, ident): s}
+    for u in perms:
+        for v in perms:
+            t, uv = hc._demazure_sign(u, v)
+            yield (empty, u), (empty, v), {(empty, uv): t}
+
+
+def table_walk_mismatch(n: int):
+    """The first table entry at rank n that differs from the walk of its
+    two basis elements, as text; None when every entry equals its walk."""
+    for x, y, xy in table_entries(n):
+        if walk_product(x, y) != xy:
+            return "the table entry %s * %s" % (basis_element(*x, n), basis_element(*y, n))
+    return None
+
+
+def _int_apply(cols: list, vec: dict) -> dict:
+    """The matrix with ``int`` columns ``cols`` times the ``int`` vector
+    ``vec``."""
+    out = {}
+    for j, x in vec.items():
+        for i, y in cols[j].items():
+            out[i] = out.get(i, 0) + x * y
+    return {i: v for i, v in out.items() if v}
+
+
+def regular_associativity_failure(n: int):
+    """The slow route to ``associativity_failure``, through the 2^n n!
+    dimensional regular representation (Bergman's diamond lemma, Adv. Math.
+    29, 1978): None when ``multiply`` is associative at rank n, else the
+    first check that failed, as text.  Guarded at n <= MAX_REGULAR_N.
+
+    Let V be the span of the basis, 1 the unit, L_g the left-regular matrix
+    of the generator g read from the rewriting rules (``_left_mul``), and
+    R_g the matrix of v -> multiply(v, g).  For a basis element b with
+    normal word g_1 ... g_k put lambda(b) = L_{g_1} ... L_{g_k} and
+    rho(b) = R_{g_k} ... R_{g_1}.  Three checks:
+
+    (i)   R_g L_h = L_h R_g for all generators g and h;
+    (ii)  lambda(b) 1 = b and rho(b) 1 = b for every basis element b;
+    (iii) each table entry is the L-walk it stands for: T_w c_E, c_D c_E
+          and T_u T_v as tabulated equal lambda(T_w) c_E, lambda(c_D) c_E
+          and lambda(T_u) T_v.
+
+    Let A be the algebra of matrices generated by the L_g (the identity
+    included) and ev: A -> V, X -> X 1.  By (ii), ev(lambda(b)) = b, so ev
+    is onto.  If X 1 = 0 then X commutes with every R_g by (i), hence with
+    every rho(b), and X b = X rho(b) 1 = rho(b) X 1 = 0 by (ii), so X = 0:
+    ev is one-to-one.  Transport the product of A along ev:
+    u * v = ev^-1(u) v is associative with unit 1, and on a basis element
+    b * v = lambda(b) v.  The normal word of c_D T_w is that of c_D followed
+    by that of T_w, so lambda(c_D T_w) = lambda(c_D) lambda(T_w), that is
+    c_D T_w = c_D * T_w.  By (iii), T_w * c_E = sum k c_D' T_u as
+    tabulated, c_D * c_D' = s c_{D xor D'} and T_u * T_v = t T_{u*v}.  So
+    by associativity
+
+        c_D T_w * c_E T_v = c_D * (T_w * c_E) * T_v
+                          = sum k s t c_{D xor D'} T_{u*v},
+
+    which is the sum ``multiply`` forms for the pair.  ``multiply`` is
+    bilinear, so it equals *, and it is associative.
+    """
+    _guard_regular(n)
+    basis = algebra_basis(n)
+    pos = _basis_index(n)
+    gens = generators(n)
+    left = {g: _left_regular_columns(g, n) for g in gens}
+
+    def walk(cols, word, b):
+        vec = {pos[b]: 1}
+        for g in word:
+            vec = _int_apply(cols[g], vec)
+        return vec
+
+    # (ii) by the L's, then (iii), which fills the tables before the R
+    # matrices are built
+    one = (frozenset(), tuple(range(1, n + 1)))
+    lwords = {}
+    for b in basis:
+        lwords[b] = normal_word(*b)[::-1]
+        if walk(left, lwords[b], one) != {pos[b]: 1}:
+            return "the L-walk of %s" % basis_element(*b, n)
+    for x, y, xy in table_entries(n):
+        if walk(left, lwords[x], y) != {pos[k]: v for k, v in xy.items()}:
+            return "the table entry %s * %s" % (basis_element(*x, n), basis_element(*y, n))
+    elems = [basis_element(d, w, n) for d, w in basis]
+    right = {
+        g: [{pos[k]: v for k, v in multiply(b, x).terms.items()} for b in elems]
+        for g, x in gens.items()
+    }
+    for b in basis:
+        if walk(right, lwords[b][::-1], one) != {pos[b]: 1}:
+            return "the R-walk of %s" % basis_element(*b, n)
+    for g, rg in right.items():
+        for h, lh in left.items():
+            if any(_int_apply(rg, a) != _int_apply(lh, b) for a, b in zip(lh, rg)):
+                return "R(%s_%d) does not commute with L(%s_%d)" % (g + h)
+    return None
 
 
 # ---------------------------------------------------------------------------

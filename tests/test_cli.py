@@ -228,6 +228,25 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cli_bounds_below_one_are_usage_errors(monkeypatch, capsys):
+    # a bound below 1 verifies nothing: no suite runs and the exit code is 2
+    import peakhc.cli as cli
+
+    def unreachable(name, max_n=None, max_degree=None):
+        raise AssertionError("no suite runs under a bound below 1")
+
+    monkeypatch.setattr(cli, "run_suite", unreachable)
+    for argv, flag in (
+        (["verify", "all", "--max-n", "-3", "--strict"], "--max-n"),
+        (["verify", "all", "--max-n", "0"], "--max-n"),
+        (["verify", "heisenberg", "--max-degree", "-2"], "--max-degree"),
+        (["verify", "freeness", "--max-n", "2", "--max-degree", "0"], "--max-degree"),
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "%s must be at least 1" % flag in err, argv
+
+
 def test_cli_expand_i_literals(capsys):
     # 0i is the rational 0, so it is a valid Hopf coefficient; 2i is not
     assert parse_element("0i*F[1]") == parse_element("0*F[1]")

@@ -46,7 +46,13 @@ from peakhc.scalars import GAUSS_I, GaussianRational, as_gauss
 from peakhc.supermodules import generator_keys, induce_clifford, projective_hecke, simple_hecke
 from peakhc.verification import suite_algebra
 
-from oracles import bruhat_leq, frobenius_form, leading_term_check
+from oracles import (
+    bruhat_leq,
+    frobenius_form,
+    leading_term_check,
+    regular_associativity_failure,
+    table_walk_mismatch,
+)
 
 
 def T(i, n):
@@ -140,10 +146,13 @@ def fresh_tables():
     """Empty every table of hecke_clifford before and after the test, so that
     no entry filled under a patched rule outlives it."""
 
+    # collected before any patch, so the teardown also clears a table that
+    # a test has patched over
+    tables = [obj for obj in vars(hc).values() if hasattr(obj, "cache_clear")]
+
     def clear():
-        for obj in vars(hc).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+        for table in tables:
+            table.cache_clear()
 
     clear()
     yield
@@ -151,28 +160,47 @@ def fresh_tables():
 
 
 def test_associativity_certificate():
+    # the table certificate and the regular-representation oracle agree
     for n in range(0, 5):
         assert associativity_failure(n) is None, n
-    with pytest.raises(ResourceLimitError):
-        associativity_failure(MAX_REGULAR_N + 1)
+        assert regular_associativity_failure(n) is None, n
+    for certificate in (associativity_failure, regular_associativity_failure):
+        with pytest.raises(ResourceLimitError):
+            certificate(MAX_REGULAR_N + 1)
+
+
+def test_tables_equal_their_walks():
+    # each table entry is filled by one generator step on a shorter entry;
+    # the oracle walks the whole generator word of the left factor
+    for n in range(0, 5):
+        assert table_walk_mismatch(n) is None, n
 
 
 def _algebra_relations(max_n):
     return [r for r in suite_algebra(max_n=max_n) if r["claim"] == "algebra-relations"]
 
 
+def _flip_one_entry(monkeypatch, name, key):
+    """Patch the table ``name`` so that the entry at ``key`` changes sign."""
+    real = getattr(hc, name)
+
+    def flipped(*args):
+        entry = real(*args)
+        if args != key:
+            return entry
+        if name == "_t_times_c":
+            return tuple((-k, d, u) for k, d, u in entry)
+        return (-entry[0], entry[1])
+
+    monkeypatch.setattr(hc, name, flipped)
+
+
 def test_certificate_fails_on_one_flipped_clifford_sign(monkeypatch, fresh_tables):
     # c_{1,2} c_3 = c_{1,2,3}; no defining relation multiplies these two
-    real = hc._clifford_sign
-    d, e = frozenset({1, 2}), frozenset({3})
-
-    def flipped(x, y):
-        s, xy = real(x, y)
-        return (-s, xy) if (x, y) == (d, e) else (s, xy)
-
-    monkeypatch.setattr(hc, "_clifford_sign", flipped)
+    _flip_one_entry(monkeypatch, "_clifford_sign", (frozenset({1, 2}), frozenset({3})))
     assert failing_relation(generators(3), multiply, unit(3)) is None
     assert associativity_failure(3) is not None
+    assert regular_associativity_failure(3) is not None
     reports = _algebra_relations(3)
     assert [r["status"] for r in reports] == ["verified", "verified", "failed"]
     assert reports[-1]["witness"] == associativity_failure(3)
@@ -194,6 +222,27 @@ def test_certificate_fails_on_one_broken_rewriting_case(monkeypatch, fresh_table
     assert failing_relation(generators(3), multiply, unit(3)) is None
     reports = _algebra_relations(3)
     assert [r["status"] for r in reports] == ["verified", "failed", "failed"]
+    assert reports[-1]["witness"] == associativity_failure(3)
+    assert regular_associativity_failure(3) is not None
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        # T_w0 c_1: no defining relation moves the longest element past a c
+        ("_t_times_c", ((3, 2, 1), frozenset({1}))),
+        # T_w0 T_w0 = -T_w0: no defining relation multiplies it by itself
+        ("_demazure_sign", ((3, 2, 1), (3, 2, 1))),
+    ],
+)
+def test_certificate_fails_on_one_flipped_table_entry(monkeypatch, fresh_tables, name, key):
+    # no shorter entry is filled from one of w0, so the flip stays in one entry
+    _flip_one_entry(monkeypatch, name, key)
+    assert failing_relation(generators(3), multiply, unit(3)) is None
+    assert associativity_failure(3) is not None
+    assert regular_associativity_failure(3) is not None
+    reports = _algebra_relations(3)
+    assert [r["status"] for r in reports] == ["verified", "verified", "failed"]
     assert reports[-1]["witness"] == associativity_failure(3)
 
 

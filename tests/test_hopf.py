@@ -791,6 +791,22 @@ def test_float_coefficients_rejected():
     assert term("NSym", "H", C(2), Fraction(1, 2)).coefficient(C(2)) == Fraction(1, 2)
 
 
+def test_constructors_add_the_coefficients_of_one_index():
+    # a tuple and a Composition spell the same index: their coefficients
+    # add up, and a sum that cancels leaves no term
+    x = FreeElement("NSym", "H", {(1, 2): 1, C(1, 2): 2})
+    assert x == term("NSym", "H", C(1, 2), 3) and str(x) == "3*H[1,2]"
+    assert FreeElement("NSym", "H", {(1, 2): 1, C(1, 2): -1}) == FreeElement.zero("NSym", "H")
+    assert str(FreeElement("NSym", "H", {(1, 2): 1, C(1, 2): -1})) == "0"
+    assert FreeElement("NSym", "H", {(1, 2): 1, C(1, 2): 0}) == term("NSym", "H", C(1, 2))
+    # a partition index is read as a tuple of its parts, so range(2, 0, -1) is (2, 1)
+    y = FreeElement("Sym", "h", {(2, 1): Fraction(1, 2), range(2, 0, -1): Fraction(1, 2)})
+    assert y == term("Sym", "h", (2, 1)) and type(y.coefficient((2, 1))) is int
+    t = TensorElement("NSym", "H", {((1,), (2,)): 1, (C(1), C(2)): 2, ((2,), C(1)): 1})
+    assert t.coeffs == {(C(1), C(2)): 3, (C(2), C(1)): 1}
+    assert TensorElement("NSym", "H", {((1,), (2,)): 1, (C(1), C(2)): -1}).coeffs == {}
+
+
 def _indices(algebra, basis, n):
     if basis in ("Xi", "K"):
         return peak_sets_in(n) if n else [PeakSet(0, frozenset())]
