@@ -43,6 +43,7 @@ from .combinat import (
     symmetric_difference_shift,
     word_descents,
     word_inverse,
+    word_peaks,
 )
 from .hopf import (
     FreeElement,
@@ -56,7 +57,7 @@ from .hopf import (
     theta_transform,
     vartheta_map,
 )
-from .linalg import Echelon, SpanSolver, solve_unique
+from .linalg import Echelon, solve_unique
 from .supermodules import (
     Supermodule,
     hecke_composition_multiplicities,
@@ -184,7 +185,7 @@ def cartan_image(alpha) -> tuple:
         raise ResourceLimitError("cartan_image guarded at n <= %d" % MAX_CARTAN_N)
     filt = FreeElement.zero("PeakDual", "K")
     for w in descent_class(a):
-        filt = filt + term("PeakDual", "K", w.inverse().peak_set())
+        filt = filt + term("PeakDual", "K", PeakSet(a.n, word_peaks(word_inverse(w))))
     ribbon = sym_into_qsym(forgetful_pi(term("NSym", "R", a)))
     via_pi = convert(vartheta_map(convert(ribbon, "F")), "K")
     return filt, via_pi
@@ -246,51 +247,15 @@ def verify_projective_pairings(n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _theta_h_image(alpha: Composition) -> FreeElement:
-    return theta_transform(term("NSym", "H", alpha))
-
-
-@lru_cache(maxsize=None)
-def _theta_preimage_solver(degree: int) -> SpanSolver:
-    """Span of the H-word images under the descent-to-peak transform,
-    tagged by the words; expressing an element yields one preimage."""
-    solver = SpanSolver()
-    for a in compositions_of(degree):
-        vec = dict(_theta_h_image(a).coeffs)
-        solver.add(a, vec)
-    return solver
-
-
-def _phi_on_peak(x: FreeElement) -> FreeElement:
-    """The anti-involution of the peak subalgebra induced by reversal.
-
-    Computed through a preimage under the descent-to-peak transform: write
-    x as a combination of images of H words, reverse the words, re-apply.
-    The result is preimage-independent because reversal fixes the kernel.
-    """
-    xi = convert(x, "Xi", "Peak")
-    out = FreeElement.zero("Peak", "Xi")
-    for degree in xi.degrees():
-        comp = xi.component(degree)
-        if degree == 0:
-            out = out + comp
-            continue
-        rep = _theta_preimage_solver(degree).express(dict(comp.coeffs))
-        if rep is None:  # pragma: no cover - the images span by construction
-            raise AssertionError("element not in the image of the transform")
-        for a, coeff in rep.items():
-            out = out + _theta_h_image(a.reverse()).scale(coeff)
-    return out
-
-
 def restriction_class_sides(alpha) -> tuple:
     """Both sides of the Hecke-restriction rule for the induced projective,
     as ribbon-coordinate elements of NSym."""
     a = as_composition(alpha)
-    # left: reverse-of-inclusion-of-phi applied to the ribbon image
-    peak_img = theta_transform(term("NSym", "R", a))
-    phi_img = _phi_on_peak(peak_img)
+    # left: reverse-of-inclusion-of-phi applied to the ribbon image.  phi is
+    # the anti-involution of the peak subalgebra induced by the reversal rho
+    # of NSym, which fixes the kernel of Theta, so phi(Theta(R_a)) =
+    # Theta(rho(R_a)) = Theta(R_rev(a)).
+    phi_img = theta_transform(term("NSym", "R", a.reverse()))
     incl = convert(phi_img, "R", "NSym")
     left = FreeElement("NSym", "R", {b.reverse(): c for b, c in incl.coeffs.items()})
     # right: the combinatorial sum over P(beta) inside the reversed window
@@ -462,9 +427,7 @@ def gessel_pairing(alpha, beta) -> int:
     hopf = pairing(
         term("NSym", "R", b), sym_into_qsym(forgetful_pi(term("NSym", "R", a)))
     )
-    count = _descent_pair_counts(a.n).get(
-        (a.descent_set().elements, b.descent_set().elements), 0
-    )
+    count = _descent_pair_counts(a.n).get((a.descent_set(), b.descent_set()), 0)
     if hopf != count:
         raise AssertionError(
             "Gessel mismatch at (%s, %s): %s vs %s" % (a, b, hopf, count)

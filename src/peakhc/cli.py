@@ -29,7 +29,12 @@ STRICT_SKIP = 3
 
 
 def _parse_alpha(text: str) -> Composition:
-    return Composition(tuple(int(x) for x in text.split(",") if x != ""))
+    """The composition written as comma-separated parts; "" is the empty
+    composition, and an empty part ("2,,1" or "2,") is a usage error."""
+    parts = text.split(",") if text else []
+    if "" in parts:
+        raise ValueError("--alpha %r has an empty part" % text)
+    return Composition(tuple(int(x) for x in parts))
 
 
 def _emit_element(x, fmt: str) -> str:

@@ -7,9 +7,12 @@ Conventions used throughout the package:
   The map composition -> descent set is a bijection onto subsets of [n-1].
 * A peak set in [n] is a subset of [2, n-1] containing no two consecutive
   integers.
-* Permutations are 1-based one-line words; ``w * v`` composes as functions
-  (apply v first).  Left multiplication by the transposition s_i swaps the
-  values i, i+1; right multiplication swaps positions i, i+1.
+* A descent set is a ``frozenset`` of integers in [n-1]; ``Composition``
+  and ``composition_from_descents`` convert between the two.
+* A permutation of [n] is its 1-based one-line word, a tuple handled by the
+  ``word_*`` helpers; ``word_compose(u, v)`` composes as functions (apply v
+  first).  Left multiplication by the transposition s_i swaps the values
+  i, i+1; right multiplication swaps positions i, i+1.
 
 Canonical enumeration orders (fixed so downstream matrices are reproducible):
 compositions of n and peak sets in [n] are listed by increasing bitmask of
@@ -27,8 +30,10 @@ Doctest samples:
 
 >>> [c.parts for c in compositions_of(3)]
 [(3,), (1, 2), (2, 1), (1, 1, 1)]
->>> Composition((1, 2, 1)).descent_set().elements == frozenset({1, 3})
+>>> Composition((1, 2, 1)).descent_set() == frozenset({1, 3})
 True
+>>> composition_from_descents(4, {1, 3}).parts, word_peaks((1, 3, 2, 4))
+((1, 2, 1), frozenset({2}))
 >>> sorted(Composition((2, 2)).peak_set().elements), sorted(Composition((2, 2)).valley_set())
 ([2], [1, 3])
 >>> bin(Composition((1, 2, 1)).code), bin(Composition((2, 2)).peak_set().code)
@@ -44,9 +49,7 @@ from functools import lru_cache
 __all__ = [
     "ResourceLimitError",
     "Composition",
-    "DescentSet",
     "PeakSet",
-    "Permutation",
     "as_composition",
     "compositions_of",
     "composition_from_descents",
@@ -143,19 +146,15 @@ class Composition:
     def __getitem__(self, i):
         return self.parts[i]
 
-    def descent_set(self) -> "DescentSet":
-        total, out = 0, []
-        for p in self.parts[:-1]:
-            total += p
-            out.append(total)
-        return DescentSet(self.n, frozenset(out))
+    def descent_set(self) -> frozenset:
+        return frozenset(itertools.accumulate(self.parts[:-1]))
 
     def peak_set(self) -> "PeakSet":
-        n, d = self.n, self.descent_set().elements
+        n, d = self.n, self.descent_set()
         return PeakSet(n, frozenset(x for x in range(2, n) if x - 1 not in d and x in d))
 
     def valley_set(self) -> frozenset:
-        n, d = self.n, self.descent_set().elements
+        n, d = self.n, self.descent_set()
         v = {x for x in range(2, n + 1) if x - 1 in d and x not in d}
         if 1 not in d:
             v.add(1)
@@ -165,9 +164,8 @@ class Composition:
         return Composition(self.parts[::-1])
 
     def complement(self) -> "Composition":
-        d = self.descent_set()
         return composition_from_descents(
-            DescentSet(self.n, frozenset(range(1, self.n)) - d.elements)
+            self.n, frozenset(range(1, self.n)) - self.descent_set()
         )
 
     def conjugate(self) -> "Composition":
@@ -193,27 +191,6 @@ def as_composition(alpha) -> Composition:
     if isinstance(alpha, Composition):
         return alpha
     return Composition(tuple(alpha))
-
-
-@dataclass(frozen=True)
-class DescentSet:
-    """A subset of [n-1] together with its ambient size n."""
-
-    n: int
-    elements: frozenset
-
-    def __post_init__(self):
-        _int_size(self.n, "descent set")
-        elems = frozenset(_int_tuple(self.elements, "descent set entries"))
-        if any(not 1 <= x <= self.n - 1 for x in elems):
-            raise ValueError("descent set %r not inside [%d-1]" % (sorted(elems), self.n))
-        object.__setattr__(self, "elements", elems)
-
-    def bitmask(self) -> int:
-        return sum(1 << (x - 1) for x in self.elements)
-
-    def __repr__(self):
-        return "DescentSet(%d, %s)" % (self.n, sorted(self.elements))
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,15 +249,22 @@ def _compositions_of(n: int) -> tuple:
     out = []
     for mask in range(1 << (n - 1)):
         d = [i + 1 for i in range(n - 1) if mask >> i & 1]
-        out.append(composition_from_descents(DescentSet(n, frozenset(d))))
+        out.append(composition_from_descents(n, d))
     return tuple(out)
 
 
-def composition_from_descents(d: DescentSet) -> Composition:
-    if d.n == 0:
+def composition_from_descents(n: int, descents) -> Composition:
+    """The composition of n whose descent set is ``descents``.  Raises
+    TypeError for a size n or an entry that is not an ``int``, ValueError
+    for a negative n or an entry outside [n-1]."""
+    _int_size(n, "descent set")
+    descents = sorted(set(_int_tuple(descents, "descent set entries")))
+    if any(not 1 <= x <= n - 1 for x in descents):
+        raise ValueError("descent set %r not inside [%d-1]" % (descents, n))
+    if n == 0:
         return Composition(())
     prev, parts = 0, []
-    for x in sorted(d.elements) + [d.n]:
+    for x in descents + [n]:
         parts.append(x - prev)
         prev = x
     return Composition(tuple(parts))
@@ -305,17 +289,14 @@ def _peak_sets_in(n: int) -> tuple:
     return tuple(candidates)
 
 
-def symmetric_difference_shift(d: DescentSet) -> frozenset:
-    """D symmetric-difference (D+1), a subset of [n]."""
-    shifted = frozenset(x + 1 for x in d.elements)
-    return (d.elements - shifted) | (shifted - d.elements)
+def symmetric_difference_shift(d: frozenset) -> frozenset:
+    """D symmetric-difference (D+1), a subset of [n] for D inside [n-1]."""
+    return d ^ frozenset(x + 1 for x in d)
 
 
 # ---------------------------------------------------------------------------
 # permutations
 # ---------------------------------------------------------------------------
-
-# raw tuple helpers (hot paths work on plain one-line tuples)
 
 
 def word_inverse(w: tuple) -> tuple:
@@ -332,6 +313,11 @@ def word_compose(u: tuple, v: tuple) -> tuple:
 
 def word_descents(w: tuple) -> frozenset:
     return frozenset(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+
+
+def word_peaks(w: tuple) -> frozenset:
+    """The positions 2 <= i <= n-1 with w(i-1) < w(i) > w(i+1)."""
+    return frozenset(i for i in range(2, len(w)) if w[i - 2] < w[i - 1] > w[i])
 
 
 def word_length(w: tuple) -> int:
@@ -369,76 +355,6 @@ def word_reduced(w: tuple) -> tuple:
     return tuple(reversed(letters))
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of [n] in one-line notation.
-
-    >>> w = Permutation((2, 3, 1))
-    >>> sorted(w.descent_set().elements), w.length()
-    ([2], 2)
-    >>> (w * w.inverse()).is_identity()
-    True
-    """
-
-    word: tuple
-
-    def __post_init__(self):
-        word = _int_tuple(self.word, "permutation entries")
-        if sorted(word) != list(range(1, len(word) + 1)):
-            raise ValueError("%r is not a permutation word" % (word,))
-        object.__setattr__(self, "word", word)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def longest(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n, 0, -1)))
-
-    @property
-    def n(self) -> int:
-        return len(self.word)
-
-    def __call__(self, j: int) -> int:
-        return self.word[j - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return Permutation(word_compose(self.word, other.word))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(word_inverse(self.word))
-
-    def length(self) -> int:
-        return word_length(self.word)
-
-    def is_identity(self) -> bool:
-        return self.word == tuple(range(1, self.n + 1))
-
-    def descent_set(self) -> DescentSet:
-        return DescentSet(self.n, word_descents(self.word))
-
-    def peak_set(self) -> PeakSet:
-        w = self.word
-        return PeakSet(
-            self.n,
-            frozenset(
-                i for i in range(2, self.n) if w[i - 2] < w[i - 1] > w[i]
-            ),
-        )
-
-    def reduced_word(self) -> tuple:
-        return word_reduced(self.word)
-
-    def __str__(self):
-        if self.n <= 9:
-            return "".join(str(x) for x in self.word)
-        return ",".join(str(x) for x in self.word)
-
-    def __repr__(self):
-        return "Permutation(%s)" % (",".join(str(x) for x in self.word))
-
-
 def _check_enum_guard(n: int) -> None:
     if n > MAX_ENUM_N:
         raise ResourceLimitError(
@@ -447,14 +363,13 @@ def _check_enum_guard(n: int) -> None:
 
 
 def descent_class(alpha) -> list:
-    """All permutations whose descent set equals that of the composition."""
+    """The one-line words whose descent set equals that of the composition,
+    in lexicographic order."""
     a = as_composition(alpha)
     _check_enum_guard(a.n)
-    target = a.descent_set().elements
+    target = a.descent_set()
     return [
-        Permutation(w)
-        for w in itertools.permutations(range(1, a.n + 1))
-        if word_descents(w) == target
+        w for w in itertools.permutations(range(1, a.n + 1)) if word_descents(w) == target
     ]
 
 
@@ -462,16 +377,15 @@ def min_coset_reps(m: int, n: int) -> list:
     """Minimal-length representatives x of the left cosets x S_(m,n) in S_(m+n).
 
     These are the binomial(m+n, m) permutations with descent set inside {m}:
-    both blocks of positions appear in increasing order.  Lexicographic order.
+    both blocks of positions appear in increasing order.  One-line words in
+    lexicographic order, which is the order of their first m values.
     """
     total = m + n
     _check_enum_guard(total)
-    reps = []
-    for first_values in itertools.combinations(range(1, total + 1), m):
-        rest = [v for v in range(1, total + 1) if v not in first_values]
-        reps.append(Permutation(tuple(first_values) + tuple(rest)))
-    reps.sort(key=lambda p: p.word)
-    return reps
+    return [
+        first + tuple(v for v in range(1, total + 1) if v not in first)
+        for first in itertools.combinations(range(1, total + 1), m)
+    ]
 
 
 def coset_factorize(w: tuple, m: int) -> tuple:

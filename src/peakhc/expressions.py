@@ -184,6 +184,13 @@ def _parse_factor(toks: _Tokens, builder: _Builder):
             toks.next()
             toks.expect("{")
             elems = _parse_int_list(toks, "}")
+            for k, x in enumerate(elems):
+                if x < 1 or x in elems[:k]:
+                    raise ParseError(
+                        "Clifford index %d %s in c{%s}"
+                        % (x, "is below 1" if x < 1 else "is repeated",
+                           ",".join(map(str, elems)))
+                    )
             return builder.algebra_term("c", frozenset(elems))
     if tok in _HOPF_LETTERS or tok == "Xi":
         toks.next()
@@ -240,37 +247,39 @@ def parse_element(text: str, rank: int | None = None):
         tok, pos = toks.toks[toks.i]
         raise ParseError("trailing input %r at position %d" % (tok, pos))
     if builder.kind == "algebra":
-        rank = _infer_rank(tree, rank)
+        need = _needed_rank(tree)
+        if rank is None:
+            if not need:
+                raise ParseError("cannot infer the rank; pass rank= explicitly")
+            rank = need
+        elif rank < max(need, 1):
+            raise ParseError(
+                "rank %d is below %d, the least rank the expression fits in"
+                % (rank, max(need, 1))
+            )
         return _eval_algebra(tree, rank)
     if builder.kind is None:
         raise ParseError("a bare scalar needs at least one basis symbol")
     return _eval_hopf(tree)
 
 
-def _infer_rank(tree, rank):
+def _needed_rank(tree) -> int:
+    """The least rank that every T word and Clifford index of the tree fits in."""
     kind = tree[0]
     if kind == "T":
-        need = len(tree[1])
-        return max(rank or 0, need)
+        return len(tree[1])
     if kind == "c":
-        need = max(tree[1]) if tree[1] else 0
-        return max(rank or 0, need)
-    if kind in ("sum",):
-        for _s, sub in tree[1]:
-            rank = _infer_rank(sub, rank)
-        return rank
-    if kind in ("prod",):
-        for sub in tree[1]:
-            rank = _infer_rank(sub, rank)
-        return rank
+        return max(tree[1], default=0)
+    if kind == "sum":
+        return max(_needed_rank(sub) for _s, sub in tree[1])
+    if kind == "prod":
+        return max(_needed_rank(sub) for sub in tree[1])
     if kind == "neg":
-        return _infer_rank(tree[1], rank)
-    return rank
+        return _needed_rank(tree[1])
+    return 0
 
 
 def _eval_algebra(tree, rank) -> AlgebraElement:
-    if not rank:
-        raise ParseError("cannot infer the rank; pass rank= explicitly")
     kind = tree[0]
     if kind == "scalar":
         return hc_unit(rank).scale(tree[1])
@@ -282,8 +291,6 @@ def _eval_algebra(tree, rank) -> AlgebraElement:
             word = word + tuple(range(len(word) + 1, rank + 1))
         return AlgebraElement(rank, {(frozenset(), word): 1})
     if kind == "c":
-        if tree[1] and max(tree[1]) > rank:
-            raise ParseError("Clifford index exceeds the rank")
         return AlgebraElement(rank, {(tree[1], tuple(range(1, rank + 1))): 1})
     if kind == "neg":
         return _eval_algebra(tree[1], rank).scale(-1)

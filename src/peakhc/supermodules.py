@@ -38,7 +38,6 @@ from .combinat import (
     composition_from_descents,
     coset_factorize,
     descent_class,
-    DescentSet,
     min_coset_reps,
     swap_values,
     word_descents,
@@ -197,7 +196,7 @@ def simple_hecke(alpha) -> Supermodule:
     """The one-dimensional module where T_i acts by -1 on descents, else 0."""
     a = as_composition(alpha)
     n = a.n
-    d = a.descent_set().elements
+    d = a.descent_set()
     actions = {}
     for i in range(1, n):
         mat = SparseMatrix(1, 1)
@@ -209,10 +208,7 @@ def simple_hecke(alpha) -> Supermodule:
 
 @lru_cache(maxsize=None)
 def _descent_class_sorted(alpha: Composition) -> tuple:
-    ws = sorted(
-        (w.word for w in descent_class(alpha)), key=lambda w: (word_length(w), w)
-    )
-    return tuple(ws)
+    return tuple(sorted(descent_class(alpha), key=lambda w: (word_length(w), w)))
 
 
 def projective_hecke(alpha) -> Supermodule:
@@ -395,7 +391,7 @@ def parabolic_induce(m1: Supermodule, m2: Supermodule) -> Supermodule:
     if m == 0:
         return m2
     inner = outer_tensor(m1, m2)
-    reps = [w.word for w in min_coset_reps(m, n)]
+    reps = min_coset_reps(m, n)
     rpos = {w: k for k, w in enumerate(reps)}
     dec = _decomposer(m, n)
     dimw = inner.dim
@@ -821,10 +817,8 @@ def hecke_composition_multiplicities(module: Supermodule) -> dict:
         comps = []
         offset = 0
         for size in module.blocks:
-            local = frozenset(
-                i - offset for i in present if offset + 1 <= i <= offset + size - 1
-            )
-            comps.append(composition_from_descents(DescentSet(size, local)))
+            local = [i - offset for i in present if offset + 1 <= i <= offset + size - 1]
+            comps.append(composition_from_descents(size, local))
             offset += size
         out[tuple(comps)] = val
         total += val
@@ -874,7 +868,7 @@ def hecke_simple_hom_dims(module: Supermodule) -> dict:
         if ech.rank == dim:
             return
         if i >= n:
-            key = composition_from_descents(DescentSet(n, frozenset(descents)))
+            key = composition_from_descents(n, descents)
             out[key] = dim - ech.rank
             return
         cols = module.actions[("T", i)].cols

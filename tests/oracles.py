@@ -7,7 +7,8 @@ leading term of T_w c_D, the multiplication tables by generator walks,
 the associativity certificate through the regular representation,
 one-gamma Hom onto a Hecke simple, parabolic restriction, the parity
 shift, the rank-0 module, the Bruhat filtration of an induced projective,
-the readers of the JSON forms, and the smash-product double of the peak
+the anti-involution phi of the peak subalgebra through a preimage, the
+readers of the JSON forms, and the smash-product double of the peak
 algebra and its dual."""
 
 import itertools
@@ -16,11 +17,10 @@ from functools import lru_cache
 
 from peakhc.combinat import (
     Composition,
-    DescentSet,
     PeakSet,
-    Permutation,
     ResourceLimitError,
     as_composition,
+    compositions_of,
     composition_from_descents,
     word_descents,
     word_inverse,
@@ -43,8 +43,8 @@ from peakhc.hecke_clifford import (
     trace,
 )
 from peakhc.heisenberg import fock_action
-from peakhc.hopf import FreeElement, convert, coproduct, product, term
-from peakhc.linalg import SparseMatrix, nullspace, vec_add_term, vec_iadd_scaled
+from peakhc.hopf import FreeElement, convert, coproduct, product, term, theta_transform
+from peakhc.linalg import SpanSolver, SparseMatrix, nullspace, vec_add_term, vec_iadd_scaled
 from peakhc.scalars import _rational, gaussian
 from peakhc.supermodules import (
     Supermodule,
@@ -86,11 +86,12 @@ def _bruhat_table(n: int) -> dict:
     return leq
 
 
-def bruhat_leq(v: Permutation, w: Permutation) -> bool:
-    """v <= w in Bruhat order; exhaustive tables, guarded at n <= 6."""
-    if v.n != w.n:
+def bruhat_leq(v: tuple, w: tuple) -> bool:
+    """v <= w in Bruhat order on one-line words; exhaustive tables, guarded
+    at n <= 6."""
+    if len(v) != len(w):
         raise ValueError("rank mismatch")
-    return v.word in _bruhat_table(v.n)[w.word]
+    return v in _bruhat_table(len(v))[w]
 
 
 # ---------------------------------------------------------------------------
@@ -102,17 +103,13 @@ def frobenius_form(a: AlgebraElement, b: AlgebraElement):
     return trace(multiply(a, b))
 
 
-def leading_term_check(w: Permutation, d) -> tuple:
-    """Leading datum of T_w c_D: the sign (-1)^(inversions of w inside D)
-    and the image set w(D); the remaining terms of the product are strictly
-    shorter (Bruhat-lower at desk scale)."""
-    dset = sorted(d)
-    inv = 0
-    for a in range(len(dset)):
-        for b in range(a + 1, len(dset)):
-            if w(dset[a]) > w(dset[b]):
-                inv += 1
-    return ((-1) ** inv, frozenset(w(x) for x in dset))
+def leading_term_check(w: tuple, d) -> tuple:
+    """Leading datum of T_w c_D for the one-line word w: the sign
+    (-1)^(inversions of w inside D) and the image set w(D); the remaining
+    terms of the product are strictly shorter (Bruhat-lower at desk scale)."""
+    image = [w[x - 1] for x in sorted(d)]
+    inv = sum(1 for a, b in itertools.combinations(image, 2) if a > b)
+    return ((-1) ** inv, frozenset(image))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +256,7 @@ def hom_dim_to_hecke_simple(module: Supermodule, gammas) -> int:
     minus_eps = {}
     offset = 0
     for size, gamma in zip(module.blocks, gammas):
-        d = gamma.descent_set().elements
+        d = gamma.descent_set()
         for i in range(1, size):
             # T_i acts on the simple by -1 on a descent, by 0 otherwise
             minus_eps[("T", offset + i)] = 1 if i in d else 0
@@ -337,12 +334,51 @@ def bruhat_filtration(alpha) -> list:
                         raise AssertionError("filtration order violated")
             actions[key] = small
         sub = Supermodule((n,), "HCl", labels, parities, actions)
-        expected = composition_from_descents(
-            DescentSet(n, word_descents(word_inverse(w)))
-        )
+        expected = composition_from_descents(n, word_descents(word_inverse(w)))
         target = induce_clifford(simple_hecke(expected))
         iso = find_isomorphism(sub, target, parity=0)
-        out.append((Permutation(w), sub, expected, iso))
+        out.append((w, sub, expected, iso))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the anti-involution phi of the peak subalgebra, through a preimage
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _theta_h_image(alpha: Composition) -> FreeElement:
+    return theta_transform(term("NSym", "H", alpha))
+
+
+@lru_cache(maxsize=None)
+def _theta_preimage_solver(degree: int) -> SpanSolver:
+    """Span of the H-word images under the descent-to-peak transform,
+    tagged by the words; expressing an element yields one preimage."""
+    solver = SpanSolver()
+    for a in compositions_of(degree):
+        solver.add(a, dict(_theta_h_image(a).coeffs))
+    return solver
+
+
+def phi_on_peak(x: FreeElement) -> FreeElement:
+    """The anti-involution of the peak subalgebra induced by reversal, the
+    slow route: write x as a combination of images of H words, reverse the
+    words, re-apply.  The result is preimage-independent because reversal
+    fixes the kernel.  ``restriction_class_sides`` reads phi(Theta(R_a)) as
+    Theta(R_rev(a)) directly."""
+    xi = convert(x, "Xi", "Peak")
+    out = FreeElement.zero("Peak", "Xi")
+    for degree in xi.degrees():
+        comp = xi.component(degree)
+        if degree == 0:
+            out = out + comp
+            continue
+        rep = _theta_preimage_solver(degree).express(dict(comp.coeffs))
+        if rep is None:
+            raise AssertionError("element not in the image of the transform")
+        for a, coeff in rep.items():
+            out = out + _theta_h_image(a.reverse()).scale(coeff)
     return out
 
 

@@ -20,7 +20,7 @@ from peakhc.characteristic import (
     verify_restriction_to_hecke,
     verify_restriction_vectors,
 )
-from peakhc.hopf import FreeElement, coproduct, term
+from peakhc.hopf import FreeElement, coproduct, term, theta_transform
 from peakhc.linalg import solve_unique
 from peakhc.supermodules import (
     hecke_composition_multiplicities,
@@ -35,7 +35,7 @@ from peakhc.supermodules import (
     simple_hecke,
 )
 
-from oracles import hom_dim_to_hecke_simple, restrict_parabolic
+from oracles import hom_dim_to_hecke_simple, phi_on_peak, restrict_parabolic
 
 
 def C(*parts):
@@ -150,6 +150,15 @@ def test_restriction_class_rule():
         for a in compositions_of(n):
             ok, witness = verify_restriction_to_hecke(a)
             assert ok and "hom-mismatch" not in witness, (a, witness)
+
+
+def test_phi_of_a_ribbon_image_is_the_reversed_ribbon_image():
+    # restriction_class_sides reads phi(Theta(R_a)) as Theta(R_rev(a)); the
+    # slow route solves for a preimage under Theta, reverses it, re-applies
+    for n in range(1, 8):
+        for a in compositions_of(n):
+            fast = theta_transform(term("NSym", "R", a.reverse()))
+            assert phi_on_peak(theta_transform(term("NSym", "R", a))) == fast, a
 
 
 def test_restriction_vectors_report():

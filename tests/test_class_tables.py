@@ -73,15 +73,12 @@ def oracle_h_to_m(coeffs_h):
     for d in sorted({sum(lam) for lam in coeffs_h}):
         solver = SpanSolver()
         for lam in partitions_of(d):
-            solver.add(lam, {
-                a.descent_set().bitmask(): 1
-                for a in _compositions(d) if a.to_partition() == lam
-            })
+            solver.add(lam, {a: 1 for a in _compositions(d) if a.to_partition() == lam})
         target = {}
         for lam, c in coeffs_h.items():
             if sum(lam) == d:
                 for a, v in hopf._sym_in_m("h", lam).items():
-                    vec_add_term(target, hopf._comp(a).descent_set().bitmask(), c * v)
+                    vec_add_term(target, hopf._comp(a), c * v)
         rep = solver.express(target)
         assert rep is not None
         out.update(rep)
@@ -117,7 +114,7 @@ def oracle_theta_rows(n):
 
 def oracle_descent_pair_count(a, b):
     """Permutations w of S_n with Des w = D(a) and Des w^-1 = D(b)."""
-    da, db = a.descent_set().elements, b.descent_set().elements
+    da, db = a.descent_set(), b.descent_set()
     return sum(
         1
         for w in itertools.permutations(range(1, a.n + 1))

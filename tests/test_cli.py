@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,36 @@ def test_parse_errors():
         parse_element("K[2]")
     with pytest.raises(ParseError):
         parse_element("T[2,2]")
+
+
+def test_parse_rejects_a_bad_clifford_index(capsys):
+    # an index below 1 used to fail deep in the term order; a repeated one
+    # was read as a single factor, although c{1}*c{1} is -1
+    assert parse_element("c{1}*c{1}*T[1,2]") == parse_element("-1*T[1,2]")
+    for text, named in (
+        ("c{0}*T[1,2]", "Clifford index 0 is below 1 in c{0}"),
+        ("c{1,1}*T[1,2]", "Clifford index 1 is repeated in c{1,1}"),
+        ("c{2,0,2}", "Clifford index 0 is below 1"),
+        ("c{1,2,1}", "Clifford index 1 is repeated"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(named)):
+            parse_element(text)
+        assert main(["expand", text]) == 2
+        assert named in capsys.readouterr().err
+
+
+def test_parse_rejects_a_rank_below_the_need(capsys):
+    # a given rank is kept, never raised to what the expression needs
+    assert parse_element("c{2}", rank=3).rank == 3
+    assert parse_element("T[2,1]", rank=2) == parse_element("T[2,1]")
+    for text, rank in (("c{3}", 2), ("T[2,1]", 1), ("T[2,1]", -3), ("c{1}*T[1,3,2]", 2),
+                       ("c{}", 0), ("c{}", -1)):
+        with pytest.raises(ParseError, match="rank %d is below" % rank):
+            parse_element(text, rank=rank)
+        assert main(["expand", text, "--rank", str(rank)]) == 2
+        assert "rank %d is below" % rank in capsys.readouterr().err
+    assert main(["expand", "T[2,1]", "--rank", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "T[2,1,3]"
 
 
 def test_json_roundtrip():
@@ -226,6 +257,18 @@ def test_cli_usage_errors(capsys):
     assert main(["expand", "H[2"]) == 2
     assert main(["expand", "H[2]", "--basis", "Q"]) == 2
     capsys.readouterr()
+
+
+def test_cli_alpha_with_an_empty_part_is_a_usage_error(capsys):
+    for alpha in ("2,,1", "2,", ",2", ","):
+        assert main(["module", "decompose", "--alpha", alpha]) == 2, alpha
+        out, err = capsys.readouterr()
+        assert out == "" and "empty part" in err, alpha
+    # the empty string stays the empty composition
+    assert main(["module", "decompose", "--alpha", "", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == []
+    assert main(["module", "info", "--kind", "simple", "--alpha", "2,1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 3
 
 
 def test_cli_bounds_below_one_are_usage_errors(monkeypatch, capsys):

@@ -18,7 +18,6 @@ import pytest
 from peakhc import hopf
 from peakhc.combinat import (
     Composition,
-    DescentSet,
     PeakSet,
     composition_from_descents,
     compositions_of,
@@ -62,9 +61,9 @@ def _sign(k):
 
 
 def oracle_coarsenings(alpha):
-    d = sorted(alpha.descent_set().elements)
+    d = sorted(alpha.descent_set())
     return [
-        composition_from_descents(DescentSet(alpha.n, frozenset(keep)))
+        composition_from_descents(alpha.n, keep)
         for r in range(len(d) + 1)
         for keep in itertools.combinations(d, r)
     ]
@@ -147,7 +146,7 @@ def oracle_k_in_m(P):
         return {Composition(()): 1}
     out = {}
     for a in compositions_of(P.n):
-        d = a.descent_set().elements
+        d = a.descent_set()
         if P.elements <= d | {x + 1 for x in d}:
             out[a] = 2 ** a.length
     return out

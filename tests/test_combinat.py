@@ -6,9 +6,7 @@ import pytest
 from peakhc.combinat import (
     _compositions_of,
     Composition,
-    DescentSet,
     PeakSet,
-    Permutation,
     ResourceLimitError,
     composition_from_descents,
     compositions_of,
@@ -19,13 +17,22 @@ from peakhc.combinat import (
     peak_sets_in,
     strict_partitions_of,
     symmetric_difference_shift,
+    swap_values,
     word_compose,
+    word_descents,
+    word_inverse,
     word_length,
+    word_peaks,
     word_reduced,
 )
 from peakhc.hopf import term
 
 from oracles import bruhat_leq
+
+
+def _mask(d) -> int:
+    # bit i-1 for every member i of a descent set
+    return sum(1 << (x - 1) for x in d)
 
 
 def test_compositions_counts_and_order():
@@ -34,7 +41,7 @@ def test_compositions_counts_and_order():
     assert three == {(3,), (2, 1), (1, 2), (1, 1, 1)}
     assert len(compositions_of(6)) == 32
     # canonical order: ascending descent-set bitmask
-    masks = [c.descent_set().bitmask() for c in compositions_of(5)]
+    masks = [_mask(c.descent_set()) for c in compositions_of(5)]
     assert masks == sorted(masks)
 
 
@@ -44,16 +51,19 @@ def test_compositions_reject_zero():
 
 
 def test_descents_roundtrip():
-    assert Composition((1, 2, 1)).descent_set().elements == frozenset({1, 3})
-    assert Composition((4,)).descent_set().elements == frozenset()
-    d = DescentSet(4, frozenset({2}))
-    assert composition_from_descents(d).parts == (2, 2)
+    assert Composition((1, 2, 1)).descent_set() == frozenset({1, 3})
+    assert Composition((4,)).descent_set() == frozenset()
+    assert Composition(()).descent_set() == frozenset()
+    assert composition_from_descents(4, frozenset({2})).parts == (2, 2)
+    assert composition_from_descents(0, frozenset()) == Composition(())
+    # any iterable of ints is read as a set
+    assert composition_from_descents(5, [3, 1, 3]).parts == (1, 2, 2)
     for n in range(1, 9):
         for c in compositions_of(n):
-            assert composition_from_descents(c.descent_set()) == c
+            assert composition_from_descents(n, c.descent_set()) == c
     # bijection with subsets of [n-1]
     for n in range(1, 9):
-        masks = {c.descent_set().bitmask() for c in compositions_of(n)}
+        masks = {_mask(c.descent_set()) for c in compositions_of(n)}
         assert masks == set(range(1 << (n - 1)))
 
 
@@ -66,8 +76,8 @@ def test_counterparts():
     for n in range(1, 8):
         for a in compositions_of(n):
             rev, comp, conj = a.reverse(), a.complement(), a.conjugate()
-            assert rev.descent_set().elements == frozenset(n - i for i in a.descent_set().elements)
-            assert comp.descent_set().elements == frozenset(range(1, n)) - a.descent_set().elements
+            assert rev.descent_set() == frozenset(n - i for i in a.descent_set())
+            assert comp.descent_set() == frozenset(range(1, n)) - a.descent_set()
             assert rev.reverse() == a and comp.complement() == a and conj.conjugate() == a
             assert conj == a.reverse().complement() == a.complement().reverse()
 
@@ -122,11 +132,9 @@ def test_constructors_reject_a_part_that_is_not_int(bad):
     with pytest.raises(TypeError):
         Composition((bad, 1))
     with pytest.raises(TypeError):
-        DescentSet(4, frozenset({bad}))
+        composition_from_descents(4, frozenset({bad}))
     with pytest.raises(TypeError):
         PeakSet(5, frozenset({bad}))
-    with pytest.raises(TypeError):
-        Permutation((bad, 1, 3))
     with pytest.raises(TypeError):
         term("NSym", "H", (bad, 1))
     with pytest.raises(TypeError):
@@ -134,84 +142,89 @@ def test_constructors_reject_a_part_that_is_not_int(bad):
 
 
 def test_descent_classes():
-    words = {str(w) for w in descent_class((2, 1))}
-    assert words == {"132", "231"}
-    assert [str(w) for w in descent_class((3,))] == ["123"]
-    assert [str(w) for w in descent_class((1, 1, 1))] == ["321"]
+    assert descent_class((2, 1)) == [(1, 3, 2), (2, 3, 1)]
+    assert descent_class((3,)) == [(1, 2, 3)]
+    assert descent_class((1, 1, 1)) == [(3, 2, 1)]
     for n in range(1, 8):
         assert sum(len(descent_class(a)) for a in compositions_of(n)) == factorial(n)
+        for a in compositions_of(n):
+            words = descent_class(a)
+            assert words == sorted(words)
+            assert all(word_descents(w) == a.descent_set() for w in words)
     with pytest.raises(ResourceLimitError):
         descent_class((6, 6))
 
 
 def test_perm_stats():
-    w = Permutation((2, 3, 1))
-    assert sorted(w.descent_set().elements) == [2]
-    assert composition_from_descents(w.descent_set()).parts == (2, 1)
+    w = (2, 3, 1)
+    assert word_descents(w) == frozenset({2})
+    assert composition_from_descents(3, word_descents(w)).parts == (2, 1)
     # 2 < 3 > 1 is a peak at position 2, matching P(c(w)) for c(w) = (2,1)
-    assert w.peak_set().elements == frozenset({2})
-    assert w.length() == 2
-    w = Permutation.identity(4)
-    assert composition_from_descents(w.descent_set()).parts == (4,) and w.length() == 0
-    w = Permutation.longest(3)
-    assert sorted(w.descent_set().elements) == [1, 2] and w.length() == 3
+    assert word_peaks(w) == frozenset({2})
+    assert word_length(w) == 2
+    assert word_inverse(w) == (3, 1, 2)
+    assert word_compose(w, w) == (3, 1, 2) and word_compose(w, (2, 1, 3)) == (3, 2, 1)
+    identity = (1, 2, 3, 4)
+    assert composition_from_descents(4, word_descents(identity)).parts == (4,)
+    assert word_length(identity) == 0 and word_reduced(identity) == ()
+    longest = (3, 2, 1)
+    assert word_descents(longest) == frozenset({1, 2}) and word_length(longest) == 3
+    assert word_peaks(()) == word_peaks((1,)) == word_peaks((2, 1)) == frozenset()
     # P(w) = P(c(w)) and sparsity, reduced words multiply back
     for n in range(1, 7):
-        for w in map(Permutation, itertools.permutations(range(1, n + 1))):
-            assert w.peak_set() == composition_from_descents(w.descent_set()).peak_set()
-            reduced = w.reduced_word()
-            assert len(reduced) == w.length()
-            acc = tuple(range(1, n + 1))
+        identity = tuple(range(1, n + 1))
+        for w in itertools.permutations(identity):
+            c = composition_from_descents(n, word_descents(w))
+            assert PeakSet(n, word_peaks(w)) == c.peak_set()
+            reduced = word_reduced(w)
+            assert len(reduced) == word_length(w)
+            acc = identity
             for i in reduced[::-1]:
                 # w = s_{j_1} ... s_{j_s}: fold from the right
-                acc = word_compose(
-                    tuple(
-                        i + 1 if x == i else i if x == i + 1 else x
-                        for x in range(1, n + 1)
-                    ),
-                    acc,
-                )
-            assert acc == w.word
-            assert (w * w.inverse()).is_identity()
+                acc = swap_values(i, acc)
+            assert acc == w
+            assert word_compose(w, word_inverse(w)) == identity
+            assert word_compose(word_inverse(w), w) == identity
+            assert word_length(word_inverse(w)) == word_length(w)
 
 
 def test_symmetric_difference_shift():
-    assert symmetric_difference_shift(DescentSet(3, frozenset({1}))) == frozenset({1, 2})
-    assert symmetric_difference_shift(DescentSet(5, frozenset())) == frozenset()
-    assert symmetric_difference_shift(DescentSet(4, frozenset({1, 2}))) == frozenset({1, 3})
+    assert symmetric_difference_shift(frozenset({1})) == frozenset({1, 2})
+    assert symmetric_difference_shift(frozenset()) == frozenset()
+    assert symmetric_difference_shift(frozenset({1, 2})) == frozenset({1, 3})
 
 
 def test_min_coset_reps():
-    assert {str(w) for w in min_coset_reps(1, 1)} == {"12", "21"}
+    assert min_coset_reps(1, 1) == [(1, 2), (2, 1)]
     assert len(min_coset_reps(2, 1)) == comb(3, 1)
     reps = min_coset_reps(2, 2)
-    assert len(reps) == 6
+    assert len(reps) == 6 and reps == sorted(reps)
     for w in reps:
-        d = w.descent_set().elements
-        assert d <= {2}  # no descent inside either block
+        assert word_descents(w) <= {2}  # no descent inside either block
     for m, n in [(1, 2), (2, 2), (3, 2)]:
-        for w in map(Permutation, itertools.permutations(range(1, m + n + 1))):
-            x, u = coset_factorize(w.word, m)
-            assert word_compose(x, u) == w.word
-            assert word_length(w.word) == word_length(x) + word_length(u)
+        for w in itertools.permutations(range(1, m + n + 1)):
+            x, u = coset_factorize(w, m)
+            assert x in min_coset_reps(m, n)
+            assert word_compose(x, u) == w
+            assert word_length(w) == word_length(x) + word_length(u)
 
 
 def test_bruhat():
-    assert bruhat_leq(Permutation((1, 2, 3)), Permutation((3, 2, 1)))
-    assert bruhat_leq(Permutation((2, 1, 3)), Permutation((2, 3, 1)))
-    assert not bruhat_leq(Permutation((3, 2, 1)), Permutation((2, 3, 1)))
+    assert bruhat_leq((1, 2, 3), (3, 2, 1))
+    assert bruhat_leq((2, 1, 3), (2, 3, 1))
+    assert not bruhat_leq((3, 2, 1), (2, 3, 1))
     # Bruhat comparabilities respect length strictly
-    for v in map(Permutation, itertools.permutations((1, 2, 3, 4))):
-        for w in map(Permutation, itertools.permutations((1, 2, 3, 4))):
+    for v in itertools.permutations((1, 2, 3, 4)):
+        for w in itertools.permutations((1, 2, 3, 4)):
             if v != w and bruhat_leq(v, w):
-                assert v.length() < w.length()
+                assert word_length(v) < word_length(w)
 
 
 def test_reduced_word_choice_independent():
-    # T_w is independent of the reduced word; here we check the canonical word
-    # against a brute-force shortest word via breadth-first search
-    for w in map(Permutation, itertools.permutations((1, 2, 3, 4))):
-        assert len(word_reduced(w.word)) == w.length()
+    # T_w is independent of the reduced word; here we check that the
+    # canonical word has the length of w
+    for w in itertools.permutations((1, 2, 3, 4)):
+        assert len(word_reduced(w)) == word_length(w)
 
 
 def test_partitions():
@@ -244,7 +257,7 @@ def test_composition_code_round_trip():
         for a in compositions_of(n):
             sums = set(itertools.accumulate(a.parts))
             assert a.code == sum(1 << (s - 1) for s in sums)
-            assert a.code == a.descent_set().bitmask() | top
+            assert a.code == _mask(a.descent_set()) | top
             assert a.code.bit_length() == a.n == n and a.code.bit_count() == a.length
             assert _compositions_of(n)[a.code ^ top] == a
             codes.append(a.code)
@@ -305,13 +318,20 @@ def test_ambient_size_must_be_an_int():
         with pytest.raises(TypeError, match="size n must be int"):
             PeakSet(bad, frozenset())
         with pytest.raises(TypeError, match="size n must be int"):
-            DescentSet(bad, frozenset())
+            composition_from_descents(bad, frozenset())
     with pytest.raises(TypeError):
-        DescentSet(3.0, frozenset({1}))
-    for cls in (PeakSet, DescentSet):
+        composition_from_descents(3.0, frozenset({1}))
+    for make in (PeakSet, composition_from_descents):
         with pytest.raises(ValueError, match="size n must be nonnegative"):
-            cls(-1, frozenset())
-    assert PeakSet(1, frozenset()).code == 1 and DescentSet(3, frozenset({1})).bitmask() == 1
+            make(-1, frozenset())
+    assert PeakSet(1, frozenset()).code == 1
+    assert composition_from_descents(3, frozenset({1})).code == 0b101
+
+
+def test_descent_set_entries_must_lie_in_the_range():
+    for n, bad in ((4, 0), (4, 4), (4, -1), (1, 1), (0, 1)):
+        with pytest.raises(ValueError, match="not inside"):
+            composition_from_descents(n, frozenset({bad}))
 
 
 def test_order_is_only_between_objects_of_one_type():

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from peakhc.combinat import (
-    Permutation,
     ResourceLimitError,
     compositions_of,
     word_length,
@@ -432,11 +431,11 @@ def test_integral_matrices_keep_int_components():
 
 
 def test_leading_term():
-    sign, image = leading_term_check(Permutation((2, 1)), {1, 2})
+    sign, image = leading_term_check((2, 1), {1, 2})
     assert sign == -1 and image == frozenset({1, 2})
-    sign, image = leading_term_check(Permutation((1, 2, 3)), {2})
+    sign, image = leading_term_check((1, 2, 3), {2})
     assert sign == 1 and image == frozenset({2})
-    sign, image = leading_term_check(Permutation((2, 3, 1)), {1})
+    sign, image = leading_term_check((2, 3, 1), {1})
     assert sign == 1 and image == frozenset({2})
 
 
@@ -446,12 +445,11 @@ def test_leading_term_against_multiply():
     # T_1 c_2 = c_1(T_1 + 1) - c_2 already has E = {1}).
     for n in range(1, 5):
         for wt in itertools.permutations(range(1, n + 1)):
-            w = Permutation(wt)
             tw = AlgebraElement(n, {(frozenset(), wt): 1})
             for mask in range(1 << n):
                 d = frozenset(i + 1 for i in range(n) if mask >> i & 1)
                 prod = multiply(tw, basis_element(d, (tuple(range(1, n + 1))), n))
-                sign, image = leading_term_check(w, d)
+                sign, image = leading_term_check(wt, d)
                 assert prod.terms.get((image, wt)) == GaussianRational(sign)
                 for (e, v), coeff in prod.terms.items():
                     if v == wt:
@@ -459,7 +457,7 @@ def test_leading_term_against_multiply():
                     else:
                         assert len(e) <= len(d) and len(e) % 2 == len(d) % 2
                         assert word_length(v) < word_length(wt)
-                        assert bruhat_leq(Permutation(v), w)
+                        assert bruhat_leq(v, wt)
 
 
 def test_trace_examples():

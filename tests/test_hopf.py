@@ -749,7 +749,7 @@ def test_gessel_formula_small():
     # <R_beta, r_alpha> equals the double-descent-class count
     for n in range(1, 6):
         comps = compositions_of(n)
-        classes = {a: {w.word for w in descent_class(a)} for a in comps}
+        classes = {a: set(descent_class(a)) for a in comps}
         inv_class = {}
         for a, ws in classes.items():
             for w in ws:
