@@ -38,7 +38,7 @@ from .combinat import (
     as_composition,
     compositions_of,
     descent_class,
-    peak_sets_in,
+    peak_sets_within,
     strict_partitions_of,
     symmetric_difference_shift,
     word_descents,
@@ -144,9 +144,7 @@ def _theta_row(alpha: Composition) -> dict:
     set P inside D(alpha) .. (D(alpha)+1), as {P: weight} in canonical
     order; 0 for every other P.  Read-only."""
     window = symmetric_difference_shift(alpha.descent_set())
-    return {
-        P: 2 ** (len(P.elements) + 1) for P in peak_sets_in(alpha.n) if P.elements <= window
-    }
+    return {P: 2 ** (len(P.elements) + 1) for P in peak_sets_within(alpha.n, window)}
 
 
 def class_of_module(module: Supermodule) -> ModuleClass:

@@ -54,15 +54,18 @@ __all__ = [
     "compositions_of",
     "composition_from_descents",
     "peak_sets_in",
+    "peak_sets_within",
     "descent_class",
     "symmetric_difference_shift",
     "min_coset_reps",
     "partitions_of",
     "strict_partitions_of",
     "MAX_ENUM_N",
+    "MAX_PEAK_SETS",
 ]
 
 MAX_ENUM_N = 10  # permutation-level enumeration guard
+MAX_PEAK_SETS = 100000  # peak sets listed by one call of peak_sets_within
 
 
 class ResourceLimitError(RuntimeError):
@@ -279,14 +282,38 @@ def peak_sets_in(n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _peak_sets_in(n: int) -> tuple:
-    candidates = []
-    universe = list(range(2, n))
-    for r in range(len(universe) + 1):
-        for combo in itertools.combinations(universe, r):
-            if all(combo[i + 1] - combo[i] >= 2 for i in range(len(combo) - 1)):
-                candidates.append(PeakSet(n, frozenset(combo)))
-    candidates.sort(key=lambda p: p.bitmask())
-    return tuple(candidates)
+    return tuple(peak_sets_within(n, range(2, n)))
+
+
+def peak_sets_within(n: int, window) -> list:
+    """The peak sets in [n] whose entries lie in ``window``, ordered by
+    bitmask and built directly, with no walk over all subsets.
+
+    For the sorted members x_1 < x_2 < ... of ``window`` inside [2, n-1],
+    the sparse subsets of x_1..x_k are those of x_1..x_{k-1}, then each
+    sparse subset of the members below x_k - 1 with x_k added; every set of
+    the second kind has the larger bitmask, so the order is kept.  The
+    count is read first, by the same recursion, and one past
+    ``MAX_PEAK_SETS`` raises ``ResourceLimitError`` before anything is
+    built.
+    """
+    members = sorted(x for x in set(window) if 2 <= x <= n - 1)
+    # below[k]: the number of members before x_{k+1} that x_{k+1} may join
+    below = [k - 1 if k and members[k - 1] == x - 1 else k for k, x in enumerate(members)]
+    counts = [1]
+    for k, j in enumerate(below):
+        counts.append(counts[k] + counts[j])
+    if counts[-1] > MAX_PEAK_SETS:
+        raise ResourceLimitError(
+            "%d peak sets in [%d] exceed the guard %d" % (counts[-1], n, MAX_PEAK_SETS)
+        )
+    masks = [[0]]
+    for k, j in enumerate(below):
+        bit = 1 << (members[k] - 1)
+        masks.append(masks[k] + [m | bit for m in masks[j]])
+    return [
+        PeakSet(n, frozenset(x for x in members if m >> (x - 1) & 1)) for m in masks[-1]
+    ]
 
 
 def symmetric_difference_shift(d: frozenset) -> frozenset:

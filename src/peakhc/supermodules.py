@@ -92,7 +92,6 @@ __all__ = [
     "hecke_composition_multiplicities",
     "projective_hom_dim",
     "hecke_simple_hom_dims",
-    "clifford_idempotents",
     "split_simple",
     "SimpleSplit",
     "end_clifford_check",
@@ -894,24 +893,22 @@ def hecke_simple_hom_dims(module: Supermodule) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def clifford_idempotents(alpha) -> list:
-    """The mutually orthogonal even idempotents attached to the valley set.
+def _integral_idempotents(valleys: list, n: int) -> list:
+    """(eps, ê_eps) for every sign vector eps of the even idempotents that
+    split an induced simple with the given sorted valleys.
 
-    For valleys n_1 < n_2 < ... the idempotent with signs eps is the product
-    of (1 + eps_j sqrt(-1) c_{n_{2j-1}} c_{n_{2j}})/2 over consecutive valley
-    pairs; an odd trailing valley is unused.
+    For valleys n_1 < n_2 < ... the idempotent with signs eps is
+    e_eps = prod_j (1 + eps_j sqrt(-1) c_{n_{2j-1}} c_{n_{2j}})/2 over the l
+    consecutive valley pairs; an odd trailing valley is unused.  This
+    returns ê_eps = 2^l e_eps, the product of the factors without the 1/2,
+    so its coefficients lie in Z[i]; one ``multiply`` per factor.
     """
-    a = as_composition(alpha)
-    n = a.n
-    valleys = sorted(a.valley_set())
-    lcount = len(valleys) // 2
     out = []
-    for eps in itertools.product((1, -1), repeat=lcount):
+    for eps in itertools.product((1, -1), repeat=len(valleys) // 2):
         e = unit(n)
         for j, sign in enumerate(eps):
-            v1, v2 = valleys[2 * j], valleys[2 * j + 1]
-            factor = unit(n) + multiply(gen_c(v1, n), gen_c(v2, n)).scale(GAUSS_I * sign)
-            e = multiply(e, factor).scale(Fraction(1, 2))
+            pair = basis_element(valleys[2 * j : 2 * j + 2], range(1, n + 1), n)
+            e = multiply(e, unit(n) + pair.scale(GAUSS_I * sign))
         out.append((eps, e))
     return out
 
@@ -963,17 +960,20 @@ def split_simple(alpha) -> SimpleSplit:
     """Split the induced simple into its simple components via idempotents.
 
     Components are the cyclic spans of the idempotent images of the cyclic
-    vector; their count is 2^l with l = floor((|peaks|+1)/2), they are
-    pairwise evenly isomorphic of dimension 2^(n-l), and the type (M or Q)
-    is read off the endomorphism algebra of one component.
+    vector.  Each is spun from ê_eps eta = 2^l e_eps eta, which spans the
+    same submodule; every spun vector scales by 2^l, so the spin
+    expressions, and with them the component's actions, are those of
+    e_eps eta, and no 1/2^l is carried through the spin.  Their count is
+    2^l with l = floor((|peaks|+1)/2), they are pairwise evenly isomorphic
+    of dimension 2^(n-l), and the type (M or Q) is read off the
+    endomorphism algebra of one component.
     """
     a = as_composition(alpha)
     module = induce_clifford(simple_hecke(a))
-    idems = clifford_idempotents(a)
     eta = {0: 1}  # basis vector c_{} (x) eta sits first
     components = []
     signs = []
-    for eps, e in idems:
+    for eps, e in _integral_idempotents(sorted(a.valley_set()), a.n):
         vec = act_element(module, e, eta)
         comp, _basis = submodule_on_vectors(module, [vec])
         components.append(comp)
@@ -1016,13 +1016,31 @@ def split_simple(alpha) -> SimpleSplit:
     )
 
 
+def _end_generator(module: Supermodule, v: int) -> SparseMatrix:
+    """The plain f_{c_v}: c_D eta -> (-1)^{|D|} c_D c_v eta, with int
+    entries; the Clifford generator of End is sqrt(-1) f_{c_v}."""
+    subs = _subsets_ordered(module.rank)
+    dpos = {d: k for k, d in enumerate(subs)}
+    mat = SparseMatrix(module.dim, module.dim)
+    for di, d in enumerate(subs):
+        sign, e = _clifford_sign(d, frozenset({v}))
+        mat.cols[di][dpos[e]] = sign * (-1) ** len(d)
+    return mat
+
+
 def end_clifford_check(alpha) -> dict:
     """Verify that End of the induced simple is the Clifford algebra on the
-    valley set: dimension 2^|V|, generated by odd maps f_{c_v} squaring to
-    -id and pairwise anticommuting."""
+    valley set: dimension 2^|V|, generated by odd maps sqrt(-1) f_{c_v}
+    squaring to -id and pairwise anticommuting.
+
+    The morphism and span checks read the integer maps f_{c_v}: a map is a
+    morphism exactly when a nonzero multiple of it is, and an ordered
+    product of the f_{c_v} differs from that of the sqrt(-1) f_{c_v} by a
+    power of sqrt(-1).  Only the relations are checked on the rescaled maps
+    (the plain f_{c_v} square to +id).
+    """
     a = as_composition(alpha)
     module = induce_clifford(simple_hecke(a))
-    n = a.n
     valleys = sorted(a.valley_set())
     ends = hom_space(module, module)
     report = {
@@ -1035,27 +1053,17 @@ def end_clifford_check(alpha) -> dict:
     if ends.total_dim != 2 ** len(valleys):
         report["ok"] = False
         return report
-    subs = _subsets_ordered(n)
-    dpos = {d: k for k, d in enumerate(subs)}
-    fmaps = {}
-    for v in valleys:
-        mat = SparseMatrix(module.dim, module.dim)
-        for di, d in enumerate(subs):
-            # f(c_D eta) = (-1)^{|D|} c_D c eta for c = sqrt(-1) c_v; the
-            # i-rescaling makes the generators square to -id (the plain
-            # f_{c_v} square to +id)
-            sign, e = _clifford_sign(d, frozenset({v}))
-            mat.cols[di][dpos[e]] = GAUSS_I * (sign * (-1) ** len(d))
-        fmaps[v] = ModuleMap(module, module, mat, 1)
+    fmaps = {v: _end_generator(module, v) for v in valleys}
     for v, f in fmaps.items():
-        if not f.is_morphism():
+        if not ModuleMap(module, module, f, 1).is_morphism():
             report["ok"] = False
             report["bad_generator"] = v
             return report
-    # f_v^2 = -1 and f_v f_w = -f_w f_v: the Clifford relations of hecke_clifford
+    # (i f_v)^2 = -1 and (i f_v)(i f_w) = -(i f_w)(i f_v): the Clifford
+    # relations of hecke_clifford
     ident = SparseMatrix.identity(module.dim, 1)
     bad = failing_relation(
-        {("c", v): f.matrix for v, f in fmaps.items()}, operator.matmul, ident
+        {("c", v): f.scale(GAUSS_I) for v, f in fmaps.items()}, operator.matmul, ident
     )
     if bad is not None:
         report["ok"] = False
@@ -1065,7 +1073,7 @@ def end_clifford_check(alpha) -> dict:
     span = Echelon()
     for r in range(len(valleys) + 1):
         for combo in itertools.combinations(valleys, r):
-            mat = reduce(operator.matmul, [fmaps[v].matrix for v in combo]) if combo else ident
+            mat = reduce(operator.matmul, [fmaps[v] for v in combo]) if combo else ident
             span.add({(i, j): val for i, j, val in mat.entries()})
     report["span_rank"] = span.rank
     if span.rank != 2 ** len(valleys):

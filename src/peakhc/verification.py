@@ -90,6 +90,17 @@ def _report(claim, params, ok, witness=None):
     }
 
 
+def _guarded(claim, params, check, *args):
+    """The report of one rank: ``check(*args)`` returns (ok, witness), and a
+    guard it hits gives a skipped-resource report for this rank alone, so
+    the suite keeps the reports of its other ranks."""
+    try:
+        ok, witness = check(*args)
+    except ResourceLimitError:
+        ok, witness = None, None
+    return _report(claim, params, ok, witness)
+
+
 def suite_euler(max_n: int) -> list:
     out = []
     q = [convert(term("NSym", "Q", (m,) if m else ()), "H") for m in range(max_n + 1)]
@@ -113,211 +124,208 @@ def suite_generators(max_n: int) -> list:
 
 
 def suite_theta_ribbon(max_n: int) -> list:
-    out = []
-    for n in range(1, max_n + 1):
-        bad = []
-        for a in compositions_of(n):
-            image, expected = theta_ribbon_formula(a)
-            if image != expected:
-                bad.append(str(a))
-        out.append(_report("theta-ribbon", {"n": n}, not bad, bad))
-    return out
+    return [_guarded("theta-ribbon", {"n": n}, _theta_ribbon_rank, n)
+            for n in range(1, max_n + 1)]
+
+
+def _theta_ribbon_rank(n: int) -> tuple:
+    bad = []
+    for a in compositions_of(n):
+        image, expected = theta_ribbon_formula(a)
+        if image != expected:
+            bad.append(str(a))
+    return not bad, bad
 
 
 def suite_duality(max_n: int) -> list:
-    out = []
-    for n in range(1, max_n + 1):
-        bad = []
-        for a in compositions_of(n):
-            ta = theta_transform(term("NSym", "R", a))
-            ta_nsym = convert(ta, "H", "NSym")
-            for b in compositions_of(n):
-                fb = term("QSym", "F", b)
-                lhs = pairing(ta_nsym, fb)
-                mid = pairing(term("NSym", "R", a), convert(vartheta_map(fb), "F", "QSym"))
-                rhs = peak_pairing(ta, vartheta_map(fb))
-                if not lhs == mid == rhs:
-                    bad.append((str(a), str(b)))
-        out.append(_report("duality-chain", {"n": n}, not bad, bad))
-    return out
+    return [_guarded("duality-chain", {"n": n}, _duality_rank, n) for n in range(1, max_n + 1)]
+
+
+def _duality_rank(n: int) -> tuple:
+    bad = []
+    for a in compositions_of(n):
+        ta = theta_transform(term("NSym", "R", a))
+        ta_nsym = convert(ta, "H", "NSym")
+        for b in compositions_of(n):
+            fb = term("QSym", "F", b)
+            lhs = pairing(ta_nsym, fb)
+            mid = pairing(term("NSym", "R", a), convert(vartheta_map(fb), "F", "QSym"))
+            rhs = peak_pairing(ta, vartheta_map(fb))
+            if not lhs == mid == rhs:
+                bad.append((str(a), str(b)))
+    return not bad, bad
 
 
 def suite_peak_functions(max_n: int) -> list:
-    out = []
-    for n in range(1, max_n + 1):
-        ok = True
-        witness = None
-        for P in peak_sets_in(n):
-            f, m = k_expansions(P)
-            if convert(m, "F") != f:
-                ok, witness = False, "expansions disagree at %r" % (P,)
-                break
-        if ok:
-            f, _m = k_expansions(peak_sets_in(n)[0])
-            total = FreeElement.zero("QSym", "F")
-            for a in compositions_of(n):
-                total = total + term("QSym", "F", a, 2)
-            qn = convert(
-                theta_sym(term("Sym", "h", (n,))), "podd"
-            )
-            ok = f == total and omega_into_peakdual(qn) == term(
-                "PeakDual", "K", peak_sets_in(n)[0]
-            )
-            witness = None if ok else "empty-peak expansion mismatch"
-        out.append(_report("peak-function-expansions", {"n": n}, ok, witness))
-    return out
+    return [_guarded("peak-function-expansions", {"n": n}, _peak_functions_rank, n)
+            for n in range(1, max_n + 1)]
+
+
+def _peak_functions_rank(n: int) -> tuple:
+    for P in peak_sets_in(n):
+        f, m = k_expansions(P)
+        if convert(m, "F") != f:
+            return False, "expansions disagree at %r" % (P,)
+    f, _m = k_expansions(peak_sets_in(n)[0])
+    total = FreeElement.zero("QSym", "F")
+    for a in compositions_of(n):
+        total = total + term("QSym", "F", a, 2)
+    qn = convert(theta_sym(term("Sym", "h", (n,))), "podd")
+    ok = f == total and omega_into_peakdual(qn) == term("PeakDual", "K", peak_sets_in(n)[0])
+    return ok, None if ok else "empty-peak expansion mismatch"
 
 
 def suite_gessel(max_n: int) -> list:
-    out = []
-    for n in range(1, max_n + 1):
-        bad = []
-        for a in compositions_of(n):
-            for b in compositions_of(n):
-                try:
-                    gessel_pairing(a, b)
-                except AssertionError:
-                    bad.append((str(a), str(b)))
-        out.append(_report("gessel", {"n": n}, not bad, bad))
-    return out
+    return [_guarded("gessel", {"n": n}, _gessel_rank, n) for n in range(1, max_n + 1)]
+
+
+def _gessel_rank(n: int) -> tuple:
+    bad = []
+    for a in compositions_of(n):
+        for b in compositions_of(n):
+            try:
+                gessel_pairing(a, b)
+            except AssertionError:
+                bad.append((str(a), str(b)))
+    return not bad, bad
 
 
 def suite_algebra(max_n: int) -> list:
-    import math
-
     out = []
     for n in range(1, max_n + 1):
-        basis = algebra_basis(n)
-        ok = len(basis) == 2 ** n * math.factorial(n)
-        witness = None if ok else "basis count"
-        if ok:
-            witness = failing_relation(generators(n), multiply, algebra_unit(n))
-            if witness is None:
-                witness = associativity_failure(n)
-            ok = witness is None
-        out.append(_report("algebra-relations", {"n": n}, ok, witness))
-        # Frobenius form: invertible Gram, evenness, Nakayama identity
-        gram = frobenius_gram(n)
-        ech = Echelon()
-        for j in range(gram.ncols):
-            ech.add(dict(gram.cols[j]))
-        ok = ech.rank == gram.ncols
-        witness = None if ok else "Gram rank %d" % ech.rank
-        if ok:
-            parities = [len(d) % 2 for (d, _w) in basis]
-            for i, j, v in gram.entries():
-                if parities[i] != parities[j] and v:
-                    ok, witness = False, "form not even"
-                    break
-        if ok:
-            phi = morphism_matrix("phi", n)
-            rhs = gram.transpose() @ phi
-            for j in range(gram.ncols):
-                col = gram.cols[j]
-                rcol = rhs.cols[j]
-                keys = set(col) | set(rcol)
-                for i in keys:
-                    sign = (-1) ** (parities[i] * parities[j])
-                    left = col.get(i, 0)
-                    right = rcol.get(i, 0) * sign
-                    if left != right:
-                        ok, witness = False, "Nakayama identity"
-                        break
-                if not ok:
-                    break
-        out.append(_report("frobenius-form", {"n": n}, ok, witness))
+        out.append(_guarded("algebra-relations", {"n": n}, _algebra_relations_rank, n))
+        out.append(_guarded("frobenius-form", {"n": n}, _frobenius_form_rank, n))
     return out
+
+
+def _algebra_relations_rank(n: int) -> tuple:
+    import math
+
+    if len(algebra_basis(n)) != 2 ** n * math.factorial(n):
+        return False, "basis count"
+    witness = failing_relation(generators(n), multiply, algebra_unit(n))
+    if witness is None:
+        witness = associativity_failure(n)
+    return witness is None, witness
+
+
+def _frobenius_form_rank(n: int) -> tuple:
+    """Invertible Gram matrix, evenness and the Nakayama identity."""
+    gram = frobenius_gram(n)
+    ech = Echelon()
+    for j in range(gram.ncols):
+        ech.add(dict(gram.cols[j]))
+    if ech.rank != gram.ncols:
+        return False, "Gram rank %d" % ech.rank
+    parities = [len(d) % 2 for (d, _w) in algebra_basis(n)]
+    for i, j, v in gram.entries():
+        if parities[i] != parities[j] and v:
+            return False, "form not even"
+    phi = morphism_matrix("phi", n)
+    rhs = gram.transpose() @ phi
+    for j in range(gram.ncols):
+        col = gram.cols[j]
+        rcol = rhs.cols[j]
+        for i in set(col) | set(rcol):
+            sign = (-1) ** (parities[i] * parities[j])
+            if col.get(i, 0) != rcol.get(i, 0) * sign:
+                return False, "Nakayama identity"
+    return True, None
 
 
 def suite_simples(max_n: int) -> list:
-    out = []
-    for n in range(1, max_n + 1):
-        bad = []
-        for a in compositions_of(n):
-            res = split_simple(a)
-            peaks = a.peak_set().elements
-            l = (len(peaks) + 1) // 2
-            if res.copies != 2 ** l:
-                bad.append((str(a), "copies"))
-                continue
-            if any(c.dim != 2 ** (n - l) for c in res.components):
-                bad.append((str(a), "component dimension"))
-                continue
-            expected = "M" if len(peaks) % 2 == 1 else "Q"
-            if res.type_tag != expected:
-                bad.append((str(a), "type"))
-                continue
-            if any(p is None for p in res.pair_parities.values()):
-                bad.append((str(a), "pairwise isomorphism"))
-                continue
-            rep = end_clifford_check(a)
-            if not rep["ok"]:
-                bad.append((str(a), "endomorphism algebra"))
-        out.append(_report("simple-decomposition", {"n": n}, not bad, bad))
-    return out
+    return [_guarded("simple-decomposition", {"n": n}, _simples_rank, n)
+            for n in range(1, max_n + 1)]
+
+
+def _simples_rank(n: int) -> tuple:
+    bad = []
+    for a in compositions_of(n):
+        res = split_simple(a)
+        peaks = a.peak_set().elements
+        l = (len(peaks) + 1) // 2
+        if res.copies != 2 ** l:
+            bad.append((str(a), "copies"))
+            continue
+        if any(c.dim != 2 ** (n - l) for c in res.components):
+            bad.append((str(a), "component dimension"))
+            continue
+        expected = "M" if len(peaks) % 2 == 1 else "Q"
+        if res.type_tag != expected:
+            bad.append((str(a), "type"))
+            continue
+        if any(p is None for p in res.pair_parities.values()):
+            bad.append((str(a), "pairwise isomorphism"))
+            continue
+        rep = end_clifford_check(a)
+        if not rep["ok"]:
+            bad.append((str(a), "endomorphism algebra"))
+    return not bad, bad
 
 
 def suite_projectives(max_n: int) -> list:
-    return [
-        _report("projective-pairings", {"n": n}, *verify_projective_pairings(n))
-        for n in range(1, max_n + 1)
-    ]
+    return [_guarded("projective-pairings", {"n": n}, verify_projective_pairings, n)
+            for n in range(1, max_n + 1)]
 
 
 def suite_cartan(max_n: int) -> list:
-    out = []
-    for n in range(1, max_n + 1):
-        bad, rank, expected = cartan_rank(n)
-        witness = {"bad": [str(a) for a in bad]}
-        if not bad:
-            witness["rank"] = rank
-        out.append(_report("cartan-square", {"n": n}, not bad and rank == expected, witness))
-    return out
+    return [_guarded("cartan-square", {"n": n}, _cartan_rank, n) for n in range(1, max_n + 1)]
+
+
+def _cartan_rank(n: int) -> tuple:
+    bad, rank, expected = cartan_rank(n)
+    witness = {"bad": [str(a) for a in bad]}
+    if not bad:
+        witness["rank"] = rank
+    return not bad and rank == expected, witness
 
 
 def suite_restriction(max_n: int, module_max_n: int) -> list:
-    out = []
-    for n in range(1, max_n + 1):
-        bad = [str(a) for a in compositions_of(n) if not verify_restriction_to_hecke(a)[0]]
-        params = {"n": n, "hom_check_max_n": HOM_CHECK_MAX_N}
-        out.append(_report("restriction-classes", params, not bad, bad))
-    for n in range(1, module_max_n + 1):
-        # a guarded rank skips that one case, not the suite
-        try:
-            ok, witness = verify_restriction_vectors(n)
-        except ResourceLimitError:
-            ok, witness = None, None
-        out.append(_report("restriction-vectors", {"n": n}, ok, witness))
+    out = [
+        _guarded("restriction-classes", {"n": n, "hom_check_max_n": HOM_CHECK_MAX_N},
+                 _restriction_classes_rank, n)
+        for n in range(1, max_n + 1)
+    ]
+    out += [_guarded("restriction-vectors", {"n": n}, verify_restriction_vectors, n)
+            for n in range(1, module_max_n + 1)]
     return out
+
+
+def _restriction_classes_rank(n: int) -> tuple:
+    bad = [str(a) for a in compositions_of(n) if not verify_restriction_to_hecke(a)[0]]
+    return not bad, bad
 
 
 def suite_corner(max_n: int) -> list:
-    out = []
-    for n in range(1, max_n + 1):
-        bad = [(str(a), "failed") for a in compositions_of(n)
-               if not verify_corner_restriction(a)[0]]
-        out.append(_report("corner-restriction", {"n": n}, not bad, bad))
-    return out
+    return [_guarded("corner-restriction", {"n": n}, _corner_rank, n)
+            for n in range(1, max_n + 1)]
+
+
+def _corner_rank(n: int) -> tuple:
+    bad = [(str(a), "failed") for a in compositions_of(n) if not verify_corner_restriction(a)[0]]
+    return not bad, bad
 
 
 def suite_twists(max_n: int) -> list:
-    out = []
-    for n in range(1, max_n + 1):
-        bad = []
-        for a in compositions_of(n):
-            for part in (1, 2, 3, 4):
-                f = stated_twist_isomorphism(a, part)
-                want_parity = n % 2 if part in (1, 4) else 0
-                if f.parity != want_parity or not f.is_morphism() or not f.is_invertible():
-                    bad.append((str(a), part))
-            tw = twist(simple_hecke(a), "phi_bar")
-            if not find_isomorphism(tw, simple_hecke(a.reverse())).found:
-                bad.append((str(a), "simple reversal"))
-            twp = twist(projective_hecke(a), "phi_bar")
-            if not find_isomorphism(twp, projective_hecke(a.reverse())).found:
-                bad.append((str(a), "projective reversal"))
-        out.append(_report("twisted-isomorphisms", {"n": n}, not bad, bad))
-    return out
+    return [_guarded("twisted-isomorphisms", {"n": n}, _twists_rank, n)
+            for n in range(1, max_n + 1)]
+
+
+def _twists_rank(n: int) -> tuple:
+    bad = []
+    for a in compositions_of(n):
+        for part in (1, 2, 3, 4):
+            f = stated_twist_isomorphism(a, part)
+            want_parity = n % 2 if part in (1, 4) else 0
+            if f.parity != want_parity or not f.is_morphism() or not f.is_invertible():
+                bad.append((str(a), part))
+        tw = twist(simple_hecke(a), "phi_bar")
+        if not find_isomorphism(tw, simple_hecke(a.reverse())).found:
+            bad.append((str(a), "simple reversal"))
+        twp = twist(projective_hecke(a), "phi_bar")
+        if not find_isomorphism(twp, projective_hecke(a.reverse())).found:
+            bad.append((str(a), "projective reversal"))
+    return not bad, bad
 
 
 def suite_bialgebra(max_total: int) -> list:
@@ -375,8 +383,8 @@ def suite_heisenberg(max_degree: int) -> list:
 
 def suite_diagrams(max_n: int) -> list:
     return [
-        _report("diagrams", {"n": n, "module_square_max_n": MODULE_SQUARE_MAX_N},
-                *verify_diagrams(n))
+        _guarded("diagrams", {"n": n, "module_square_max_n": MODULE_SQUARE_MAX_N},
+                 verify_diagrams, n)
         for n in range(1, max_n + 1)
     ]
 

@@ -6,7 +6,8 @@ with the tests: the Bruhat order, the trace form of two elements, the
 leading term of T_w c_D, the multiplication tables by generator walks,
 the associativity certificate through the regular representation,
 one-gamma Hom onto a Hecke simple, parabolic restriction, the parity
-shift, the rank-0 module, the Bruhat filtration of an induced projective,
+shift, the rank-0 module, the true idempotents that split an induced
+simple, the peak sets by a walk over all subsets, the Bruhat filtration of an induced projective,
 the anti-involution phi of the peak subalgebra through a preimage, the
 readers of the JSON forms, and the smash-product double of the peak
 algebra and its dual."""
@@ -37,15 +38,17 @@ from peakhc.hecke_clifford import (
     act_terms,
     algebra_basis,
     basis_element,
+    gen_c,
     generators,
     multiply,
     normal_word,
     trace,
+    unit,
 )
 from peakhc.heisenberg import fock_action
 from peakhc.hopf import FreeElement, convert, coproduct, product, term, theta_transform
 from peakhc.linalg import SpanSolver, SparseMatrix, nullspace, vec_add_term, vec_iadd_scaled
-from peakhc.scalars import _rational, gaussian
+from peakhc.scalars import GAUSS_I, _rational, gaussian
 from peakhc.supermodules import (
     Supermodule,
     _descent_class_sorted,
@@ -339,6 +342,37 @@ def bruhat_filtration(alpha) -> list:
         iso = find_isomorphism(sub, target, parity=0)
         out.append((w, sub, expected, iso))
     return out
+
+
+def clifford_idempotents(alpha) -> list:
+    """The true even idempotents e_eps = prod_j (1 + eps_j sqrt(-1)
+    c_{n_{2j-1}} c_{n_{2j}})/2 over consecutive valley pairs, as (eps, e_eps),
+    each factor formed from the generators and halved as it is applied."""
+    a = as_composition(alpha)
+    n = a.n
+    valleys = sorted(a.valley_set())
+    out = []
+    for eps in itertools.product((1, -1), repeat=len(valleys) // 2):
+        e = unit(n)
+        for j, sign in enumerate(eps):
+            v1, v2 = valleys[2 * j], valleys[2 * j + 1]
+            factor = unit(n) + multiply(gen_c(v1, n), gen_c(v2, n)).scale(GAUSS_I * sign)
+            e = multiply(e, factor).scale(Fraction(1, 2))
+        out.append((eps, e))
+    return out
+
+
+def peak_sets_by_subset_walk(n: int) -> list:
+    """The peak sets in [n] by a walk over every subset of [2, n-1], of
+    which only the sparse ones are kept, then sorted by bitmask."""
+    candidates = []
+    universe = list(range(2, n))
+    for r in range(len(universe) + 1):
+        for combo in itertools.combinations(universe, r):
+            if all(combo[i + 1] - combo[i] >= 2 for i in range(len(combo) - 1)):
+                candidates.append(PeakSet(n, frozenset(combo)))
+    candidates.sort(key=lambda p: p.bitmask())
+    return candidates
 
 
 # ---------------------------------------------------------------------------

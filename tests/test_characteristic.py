@@ -35,7 +35,12 @@ from peakhc.supermodules import (
     simple_hecke,
 )
 
-from oracles import hom_dim_to_hecke_simple, phi_on_peak, restrict_parabolic
+from oracles import (
+    hom_dim_to_hecke_simple,
+    peak_sets_by_subset_walk,
+    phi_on_peak,
+    restrict_parabolic,
+)
 
 
 def C(*parts):
@@ -65,6 +70,20 @@ def _class_by_hom(module):
         pt = induce_clifford(projective_hecke(a))
         rows.append((_theta_row(a), hom_space(pt, module).total_dim))
     return FreeElement("PeakDual", "K", solve_unique(rows))
+
+
+def test_theta_row_matches_the_subset_walk():
+    # slow route: every peak set in [n] by the subset walk, filtered by the
+    # window D(alpha) .. (D(alpha)+1)
+    from peakhc.characteristic import _theta_row
+
+    for n in range(1, 11):
+        walk = peak_sets_by_subset_walk(n)
+        for a in compositions_of(n):
+            d = a.descent_set()
+            window = d ^ {x + 1 for x in d}
+            want = [(P, 2 ** (len(P.elements) + 1)) for P in walk if P.elements <= window]
+            assert list(_theta_row(a).items()) == want, a
 
 
 def test_class_of_module_matches_hom_route():

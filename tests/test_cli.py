@@ -151,6 +151,16 @@ def test_cli_module_decompose(capsys):
     ]
 
 
+def test_cli_module_decompose_above_the_peak_set_guard(capsys):
+    # (1, 2, ..., 2, 1) of 40: its window is all of [40], F(40) peak sets
+    alpha = ",".join(["1"] + ["2"] * 19 + ["1"])
+    assert main(["module", "decompose", "--alpha", alpha]) == 2
+    assert "resource limit" in capsys.readouterr().err
+    # a one-part composition of 24 has an empty window: one summand
+    assert main(["module", "decompose", "--alpha", "24"]) == 0
+    assert capsys.readouterr().out == "peaks [] multiplicity 1\n"
+
+
 def test_cli_module_dump_check(tmp_path, capsys):
     out = tmp_path / "mod.json"
     code = main(

@@ -15,6 +15,7 @@ from peakhc.combinat import (
     min_coset_reps,
     partitions_of,
     peak_sets_in,
+    peak_sets_within,
     strict_partitions_of,
     symmetric_difference_shift,
     swap_values,
@@ -27,7 +28,7 @@ from peakhc.combinat import (
 )
 from peakhc.hopf import term
 
-from oracles import bruhat_leq
+from oracles import bruhat_leq, peak_sets_by_subset_walk
 
 
 def _mask(d) -> int:
@@ -115,6 +116,22 @@ def test_peak_sets_enumeration():
     for n in range(1, 11):
         assert len(peak_sets_in(n)) == fib[n - 1]
     assert len(peak_sets_in(8)) == 21
+
+
+def test_peak_sets_match_the_subset_walk():
+    # slow route: every subset of [2, n-1], the sparse ones kept
+    for n in range(0, 15):
+        fast, slow = peak_sets_in(n), peak_sets_by_subset_walk(n)
+        assert [(p.n, p.elements) for p in fast] == [(p.n, p.elements) for p in slow], n
+
+
+def test_peak_sets_within_a_window_keep_the_bitmask_order():
+    got = peak_sets_within(9, {1, 2, 3, 5, 6, 8, 9})
+    assert [sorted(p.elements) for p in got] == [
+        [], [2], [3], [5], [2, 5], [3, 5], [6], [2, 6], [3, 6],
+        [8], [2, 8], [3, 8], [5, 8], [2, 5, 8], [3, 5, 8], [6, 8], [2, 6, 8], [3, 6, 8],
+    ]
+    assert peak_sets_within(5, ()) == [PeakSet(5, frozenset())]
 
 
 def test_peak_set_validation():

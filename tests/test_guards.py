@@ -32,6 +32,25 @@ def test_enumeration_guards(monkeypatch):
         combinat.min_coset_reps(1, combinat.MAX_ENUM_N)
 
 
+def test_peak_set_guard(monkeypatch):
+    # the count is read before any peak set is built
+    monkeypatch.setattr(combinat, "PeakSet", _boom)
+    with pytest.raises(ResourceLimitError):
+        combinat.peak_sets_within(40, range(1, 41))
+    monkeypatch.setattr(combinat, "MAX_PEAK_SETS", 54)  # 55 peak sets in [10]
+    with pytest.raises(ResourceLimitError):
+        combinat.peak_sets_within(10, range(2, 10))
+    # the ribbon window of (1, 2, ..., 2, 1) is all of [n]
+    a = Composition((1,) + (2,) * 19 + (1,))
+    with pytest.raises(ResourceLimitError):
+        characteristic.decompose_projective(a)
+
+
+def test_peak_set_guard_admits_its_bound(monkeypatch):
+    monkeypatch.setattr(combinat, "MAX_PEAK_SETS", 55)
+    assert len(combinat.peak_sets_within(10, range(2, 10))) == 55
+
+
 def test_characteristic_guards(monkeypatch):
     for name in ("descent_class", "_descent_pair_counts", "pairing", "induce_clifford",
                  "restrict_corner"):
@@ -75,6 +94,28 @@ def test_guarded_restriction_vectors_skip_one_case(monkeypatch):
     assert [r["status"] for r in reports if r["claim"] != "restriction-vectors"] == [
         "verified"
     ]
+
+
+def test_corner_suite_skips_only_its_guarded_rank():
+    reports = verification.suite_corner(characteristic.MAX_CORNER_N + 1)
+    assert [r["status"] for r in reports] == ["verified"] * 5 + ["skipped-resource"]
+    assert [r["params"] for r in reports] == [{"n": n} for n in range(1, 7)]
+
+
+@pytest.mark.parametrize(
+    "suite, owner, guard, value",
+    [
+        ("simples", supermodules, "MAX_HOM_CELLS", 16),  # Ind S of rank 3 has 64 cells
+        ("cartan", characteristic, "MAX_CARTAN_N", 2),
+        ("gessel", characteristic, "MAX_GESSEL_N", 2),
+    ],
+)
+def test_a_guarded_rank_keeps_the_earlier_reports(monkeypatch, suite, owner, guard, value):
+    monkeypatch.setattr(owner, guard, value)
+    fn, _defaults = verification.SUITES[suite]
+    statuses = [r["status"] for r in fn(max_n=3)]
+    assert statuses[:2] == ["verified", "verified"]
+    assert statuses[2] == "skipped-resource"
 
 
 def test_coverage_bounds_are_stated_in_params(monkeypatch):

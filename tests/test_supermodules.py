@@ -30,7 +30,6 @@ from peakhc.supermodules import (
     RelationError,
     Supermodule,
     act_element,
-    clifford_idempotents,
     dual_twist,
     element_matrix,
     end_clifford_check,
@@ -54,11 +53,12 @@ from peakhc.supermodules import (
     submodule_on_vectors,
     twist,
 )
-from peakhc.supermodules import _spin
+from peakhc.supermodules import _integral_idempotents, _spin
 
 from oracles import (
     MAX_FILTRATION_N,
     bruhat_filtration,
+    clifford_idempotents,
     hom_dim_to_hecke_simple,
     parity_shift,
     restrict_parabolic,
@@ -510,10 +510,11 @@ def test_end_clifford_reports_a_failed_relation(monkeypatch):
 
 
 def test_idempotents_algebra():
-    for parts in [(2, 2), (2, 1), (3, 1), (2, 2, 1)]:
+    for parts in [(2, 2), (2, 1), (3, 1), (2, 2, 1), (2, 2, 2), (1, 2, 2)]:
         a = C(*parts)
         idems = clifford_idempotents(a)
         n = a.n
+        assert len(idems) == 2 ** (len(a.valley_set()) // 2)
         total = None
         for i, (_eps, e) in enumerate(idems):
             assert multiply(e, e) == e
@@ -522,6 +523,116 @@ def test_idempotents_algebra():
                     assert not multiply(e, f)
             total = e if total is None else total + e
         assert total == unit(n)
+        # the split spins the integral ê_eps = 2^l e_eps, in the same order
+        integral = _integral_idempotents(sorted(a.valley_set()), n)
+        assert [eps for eps, _e in integral] == [eps for eps, _e in idems]
+        for (eps, e_hat), (_eps, e) in zip(integral, idems):
+            assert e_hat == e.scale(2 ** len(eps))
+            assert all(type(c) is int or type(c) is GaussianRational and type(c.re) is int
+                       and type(c.im) is int for c in e_hat.terms.values())
+
+
+def _fraction_route_components(a):
+    """The slow route: spin the image of eta under each true idempotent,
+    with its 1/2^l, through the public API."""
+    module = induce_clifford(simple_hecke(a))
+    return [
+        submodule_on_vectors(module, [act_element(module, e, {0: 1})])[0]
+        for _eps, e in clifford_idempotents(a)
+    ]
+
+
+def _same_module(m1, m2) -> bool:
+    return (
+        (m1.blocks, m1.algebra, m1.labels, m1.parities)
+        == (m2.blocks, m2.algebra, m2.labels, m2.parities)
+        and m1.actions.keys() == m2.actions.keys()
+        and all(m1.actions[k] == m2.actions[k] for k in m1.actions)
+    )
+
+
+def test_integral_split_matches_the_fraction_route(monkeypatch):
+    # the integral ê_eps = 2^l e_eps spins the same components, entry for
+    # entry, as the true idempotents do; patching the idempotent helper to
+    # the true idempotents runs the whole split on the Fraction route
+    from peakhc import supermodules
+
+    for n in range(1, 6):
+        for a in compositions_of(n):
+            fast = split_simple(a)
+            slow_components = _fraction_route_components(a)
+            assert len(fast.components) == len(slow_components), a
+            for k, (x, y) in enumerate(zip(fast.components, slow_components)):
+                assert _same_module(x, y), (a, k)
+            idems = clifford_idempotents(a)
+            with monkeypatch.context() as m:
+                m.setattr(supermodules, "_integral_idempotents", lambda _v, _n: idems)
+                slow = split_simple(a)
+            for field in ("alpha", "peak", "copies", "type_tag", "signs", "pair_parities"):
+                assert getattr(fast, field) == getattr(slow, field), (a, field)
+            assert _same_module(fast.module, slow.module), a
+
+
+def test_split_spins_its_seeds_without_fractions(monkeypatch):
+    # ê_eps eta and its spin stay in Z[i]: no Fraction is made while the
+    # seeds are formed and spun (hom_space and the isomorphism decision
+    # on the components may still divide)
+    from peakhc import supermodules
+
+    made = []
+    spinning = [False]
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        if spinning[0]:
+            made.append(args)
+        return new(cls, *args, **kwargs)
+
+    def while_spinning(fn):
+        def run(*args, **kwargs):
+            spinning[0] = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spinning[0] = False
+        return run
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    for name in ("act_element", "submodule_on_vectors"):
+        monkeypatch.setattr(supermodules, name, while_spinning(getattr(supermodules, name)))
+    for n in range(1, 6):
+        for a in compositions_of(n):
+            split_simple(a)
+            assert not made, (a, made[:3])
+    # the control: the Fraction route does make them
+    spinning[0] = True
+    _fraction_route_components(C(2, 2))
+    spinning[0] = False
+    assert made
+
+
+def test_end_clifford_reports_a_generator_with_a_flipped_sign(monkeypatch):
+    # negative control: one sign flipped in one integer generator f_{c_v}
+    # breaks the morphism check for that v
+    from peakhc import supermodules
+
+    build = supermodules._end_generator
+    a = C(2, 2)
+    target = sorted(a.valley_set())[-1]
+
+    def flipped(module, v):
+        mat = build(module, v)
+        if v == target:
+            col = mat.cols[0]
+            (row, val), = col.items()
+            col[row] = -val
+        return mat
+
+    assert end_clifford_check(a)["ok"]
+    monkeypatch.setattr(supermodules, "_end_generator", flipped)
+    rep = end_clifford_check(a)
+    assert not rep["ok"]
+    assert rep["bad_generator"] == target
 
 
 def test_split_simple():
@@ -562,7 +673,7 @@ def _assert_exact_components(mat, where):
 
 
 def test_split_and_hom_components_are_exact():
-    # split_simple scales by 1/2 and both divide by pivots; every entry
+    # split_simple and hom_space both divide by pivots; every entry
     # they produce must be in the one representation of Q(i): int while
     # integral, Fraction while real, GaussianRational only when not real
     for n in range(1, 5):
