@@ -45,8 +45,11 @@ product C (x)_tau H (Cap, Schichl and Vanzura, Comm. Algebra 23, 1995).
 That product is associative when C and H are, each checked on triples whose
 last factor is a generator, and when tau respects the products of H and of
 C, checked with one factor a generator T_i; the function's docstring
-spells out each step.  The tests keep the certificate through the
-regular representation as the slow route.
+spells out each step.  ``frobenius_gram`` reads the trace form
+tr(c_D T_u c_E T_v) from the same three tables.  Every reader of the
+structure constants goes through the tables; the tests keep the
+certificate and the Gram through the regular representation as slow
+routes.
 
 Morphism matrices are built column by column from a one letter shorter
 column, one ``multiply`` each; ``apply_morphism`` walks each element from
@@ -86,18 +89,16 @@ __all__ = [
     "act_terms",
     "multiply",
     "associativity_failure",
-    "trace",
     "frobenius_gram",
     "apply_morphism",
     "morphism_matrix",
-    "regular_generator_matrix",
     "MORPHISM_TAGS",
 ]
 
 MORPHISM_TAGS = ("phi", "phi_prime", "psi", "psi_prime", "phi_bar")
 _ANTI_TAGS = frozenset({"psi", "psi_prime"})
 
-MAX_REGULAR_N = 5
+MAX_TABLE_SWEEP_N = 5
 
 
 class RankMismatchError(ValueError):
@@ -253,6 +254,11 @@ def algebra_basis(n: int) -> tuple:
     """Canonical ordered basis (D, w) of the rank-n algebra: 2^n n! keys."""
     perms = sorted(itertools.permutations(range(1, n + 1)))
     return tuple((d, w) for d in _subsets_ordered(n) for w in perms)
+
+
+def _basis_index(n: int) -> dict:
+    """Position of each basis key in the canonical order."""
+    return {key: k for k, key in enumerate(algebra_basis(n))}
 
 
 # ---------------------------------------------------------------------------
@@ -481,72 +487,55 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# trace and Frobenius form
+# the Frobenius form
 # ---------------------------------------------------------------------------
 
 
-def trace(a: AlgebraElement):
-    """tr(c_D T_w) = 1 exactly on D = empty, w = longest element."""
-    w0 = tuple(range(a.rank, 0, -1))
-    return a.terms.get((frozenset(), w0), 0)
-
-
-def _basis_index(n: int) -> dict:
-    """Position of each basis key in the canonical order."""
-    return {key: k for k, key in enumerate(algebra_basis(n))}
-
-
-def _guard_regular(n: int) -> None:
-    """The regular module has dimension 2^n n!, and the associativity
-    certificate checks (n!)^2 (n-1) Demazure triples: guarded at
-    n <= MAX_REGULAR_N."""
-    if n > MAX_REGULAR_N:
+def _guard_table_sweep(n: int) -> None:
+    """The associativity certificate checks (n!)^2 (n-1) Demazure triples,
+    and the Gram has (2^n n!)^2 entries: guarded at n <= MAX_TABLE_SWEEP_N."""
+    if n > MAX_TABLE_SWEEP_N:
         raise ResourceLimitError(
-            "regular representation of rank %d exceeds the guard %d" % (n, MAX_REGULAR_N)
+            "table sweep of rank %d exceeds the guard %d" % (n, MAX_TABLE_SWEEP_N)
         )
 
 
-@lru_cache(maxsize=None)
-def _left_regular_columns(key, n: int) -> list:
-    """The columns of the left-regular matrix of one generator key, read
-    from the rewriting rules with ``int`` entries, in the canonical order;
-    guarded by ``_guard_regular``."""
-    _guard_regular(n)
-    pos = _basis_index(n)
-    return [
-        {pos[k]: v for k, v in _left_mul(key, {b: 1}).items()} for b in algebra_basis(n)
-    ]
-
-
-def regular_generator_matrix(kind: str, idx: int, n: int) -> SparseMatrix:
-    """Left-regular matrix of T_idx / c_idx in the canonical basis order,
-    with ``int`` entries; guarded by ``_guard_regular``."""
-    if kind not in ("T", "c"):
-        raise ValueError("unknown generator kind %r" % kind)
-    cols = _left_regular_columns((kind, idx), n)
-    return SparseMatrix(len(cols), len(cols), [dict(col) for col in cols])
-
-
 def frobenius_gram(n: int) -> SparseMatrix:
-    """Gram matrix of the trace form on the canonical basis.
+    """Gram matrix of the trace form tr(ab), the coefficient of T_w0 in ab,
+    on the canonical basis; guarded by ``_guard_table_sweep``.
 
-    Row i is the w0-row of the left-regular matrix of the i-th basis element:
-    the row vector e_w0 walked left to right through the transposed
-    generator matrices, which are very sparse.
+    Read from the three tables: c_D T_u * c_E T_v has trace
+    sigma(D, D) * sum k t over the entries (k, D, x) of T_u c_E whose
+    Clifford part is D and with T_x T_v = t T_w0.  The pairs (v, t) are
+    listed once per x.  One pass over the entries of T_u c_E, for all E,
+    fills the rows of every c_D T_u whole, each entry sent to the row of
+    its D.
     """
+    _guard_table_sweep(n)
     basis = algebra_basis(n)
-    dim = len(basis)
-    w0row = basis.index((frozenset(), tuple(range(n, 0, -1))))
-    transposes = {k: regular_generator_matrix(*k, n).transpose() for k in generators(n)}
-
-    def act(key, vec):
-        return transposes[key].apply(vec)
-
-    gram = SparseMatrix(dim, dim)
-    for i, key in enumerate(basis):
-        (row,) = act_terms({key: 1}, act, [{w0row: 1}], anti=True)
-        for jcol, v in row.items():
-            gram.cols[jcol][i] = v
+    perms = [w for d, w in basis if not d]
+    m = len(perms)
+    w0 = tuple(range(n, 0, -1))
+    to_w0 = {}
+    for x in perms:
+        signs = [_demazure_sign(x, v) for v in perms]
+        to_w0[x] = [(col, t) for col, (t, xv) in enumerate(signs) if xv == w0]
+    subsets = _subsets_ordered(n)
+    block = {d: b for b, d in enumerate(subsets)}
+    gram = SparseMatrix(len(basis), len(basis))
+    for pu, u in enumerate(perms):
+        rows = {}
+        for b, e in enumerate(subsets):
+            for k, d, x in _t_times_c(u, e):
+                row = rows.setdefault(d, {})
+                for col, t in to_w0[x]:
+                    j = b * m + col
+                    row[j] = row.get(j, 0) + k * t
+        for d, row in rows.items():
+            sign, _empty = _clifford_sign(d, d)
+            for col, v in row.items():
+                if v:
+                    gram.cols[col][block[d] * m + pu] = sign * v
     return gram
 
 
@@ -557,7 +546,7 @@ def frobenius_gram(n: int) -> SparseMatrix:
 
 def associativity_failure(n: int):
     """None when ``multiply`` is certified associative at rank n, else the
-    first check that failed, as text.  Guarded at n <= MAX_REGULAR_N.
+    first check that failed, as text.  Guarded at n <= MAX_TABLE_SWEEP_N.
 
     The certificate reads the three tables only.  Let C be the span of the
     c_D with c_D c_E = sigma(D, E) (``_clifford_sign``), H the span of the
@@ -605,7 +594,7 @@ def associativity_failure(n: int):
     entries (k, D', u) of tau(T_w (x) c_E), which is the sum ``multiply``
     forms for the pair; both are bilinear, so ``multiply`` is associative.
     """
-    _guard_regular(n)
+    _guard_table_sweep(n)
     ident = tuple(range(1, n + 1))
     empty = frozenset()
     perms = [w for d, w in algebra_basis(n) if not d]

@@ -92,12 +92,13 @@ def _report(claim, params, ok, witness=None):
 
 def _guarded(claim, params, check, *args):
     """The report of one rank: ``check(*args)`` returns (ok, witness), and a
-    guard it hits gives a skipped-resource report for this rank alone, so
-    the suite keeps the reports of its other ranks."""
+    guard it hits gives a skipped-resource report for this rank alone, with
+    the guard's message as witness, so the suite keeps the reports of its
+    other ranks."""
     try:
         ok, witness = check(*args)
-    except ResourceLimitError:
-        ok, witness = None, None
+    except ResourceLimitError as exc:
+        ok, witness = None, str(exc)
     return _report(claim, params, ok, witness)
 
 

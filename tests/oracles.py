@@ -2,11 +2,12 @@
 against.
 
 No report, CLI command or benchmark workload reaches these, so they live
-with the tests: the Bruhat order, the trace form of two elements, the
-leading term of T_w c_D, the multiplication tables by generator walks,
-the associativity certificate through the regular representation,
-one-gamma Hom onto a Hecke simple, parabolic restriction, the parity
-shift, the rank-0 module, the true idempotents that split an induced
+with the tests: the Bruhat order, the trace and the trace form of two
+elements, the leading term of T_w c_D, the multiplication tables by
+generator walks, the left-regular matrices of the generators, the
+associativity certificate and the Frobenius Gram through the regular
+representation, one-gamma Hom onto a Hecke simple, parabolic restriction,
+the parity shift, the rank-0 module, the true idempotents that split an induced
 simple, the peak sets by a walk over all subsets, the Bruhat filtration of an induced projective,
 the anti-involution phi of the peak subalgebra through a preimage, the
 readers of the JSON forms, and the smash-product double of the peak
@@ -31,9 +32,7 @@ import peakhc.hecke_clifford as hc
 from peakhc.hecke_clifford import (
     AlgebraElement,
     _basis_index,
-    _guard_regular,
     _left_mul,
-    _left_regular_columns,
     _subsets_ordered,
     act_terms,
     algebra_basis,
@@ -42,7 +41,6 @@ from peakhc.hecke_clifford import (
     generators,
     multiply,
     normal_word,
-    trace,
     unit,
 )
 from peakhc.heisenberg import fock_action
@@ -102,6 +100,12 @@ def bruhat_leq(v: tuple, w: tuple) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def trace(a: AlgebraElement):
+    """tr(c_D T_w) = 1 exactly on D = empty, w = longest element."""
+    w0 = tuple(range(a.rank, 0, -1))
+    return a.terms.get((frozenset(), w0), 0)
+
+
 def frobenius_form(a: AlgebraElement, b: AlgebraElement):
     return trace(multiply(a, b))
 
@@ -116,7 +120,7 @@ def leading_term_check(w: tuple, d) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the algebra: the tables by walks, and the regular-representation certificate
+# the algebra: the tables by walks, and the regular representation
 # ---------------------------------------------------------------------------
 
 
@@ -157,6 +161,58 @@ def table_walk_mismatch(n: int):
     return None
 
 
+def _guard_regular(n: int) -> None:
+    """The regular module has dimension 2^n n!: guarded at the guard of the
+    table sweeps, n <= hecke_clifford.MAX_TABLE_SWEEP_N."""
+    if n > hc.MAX_TABLE_SWEEP_N:
+        raise ResourceLimitError(
+            "regular representation of rank %d exceeds the guard %d"
+            % (n, hc.MAX_TABLE_SWEEP_N)
+        )
+
+
+@lru_cache(maxsize=None)
+def _left_regular_columns(key, n: int) -> list:
+    """The columns of the left-regular matrix of one generator key, read
+    from the rewriting rules with ``int`` entries, in the canonical order;
+    guarded by ``_guard_regular``."""
+    _guard_regular(n)
+    pos = _basis_index(n)
+    return [
+        {pos[k]: v for k, v in _left_mul(key, {b: 1}).items()} for b in algebra_basis(n)
+    ]
+
+
+def regular_generator_matrix(kind: str, idx: int, n: int) -> SparseMatrix:
+    """Left-regular matrix of T_idx / c_idx in the canonical basis order,
+    with ``int`` entries; guarded by ``_guard_regular``."""
+    if kind not in ("T", "c"):
+        raise ValueError("unknown generator kind %r" % kind)
+    cols = _left_regular_columns((kind, idx), n)
+    return SparseMatrix(len(cols), len(cols), [dict(col) for col in cols])
+
+
+def regular_frobenius_gram(n: int) -> SparseMatrix:
+    """The slow route to ``frobenius_gram``, through the regular
+    representation: row i is the w0-row of the left-regular matrix of the
+    i-th basis element, the row vector e_w0 walked left to right through the
+    transposed generator matrices, which are very sparse."""
+    basis = algebra_basis(n)
+    dim = len(basis)
+    w0row = basis.index((frozenset(), tuple(range(n, 0, -1))))
+    transposes = {k: regular_generator_matrix(*k, n).transpose() for k in generators(n)}
+
+    def act(key, vec):
+        return transposes[key].apply(vec)
+
+    gram = SparseMatrix(dim, dim)
+    for i, key in enumerate(basis):
+        (row,) = act_terms({key: 1}, act, [{w0row: 1}], anti=True)
+        for jcol, v in row.items():
+            gram.cols[jcol][i] = v
+    return gram
+
+
 def _int_apply(cols: list, vec: dict) -> dict:
     """The matrix with ``int`` columns ``cols`` times the ``int`` vector
     ``vec``."""
@@ -171,7 +227,7 @@ def regular_associativity_failure(n: int):
     """The slow route to ``associativity_failure``, through the 2^n n!
     dimensional regular representation (Bergman's diamond lemma, Adv. Math.
     29, 1978): None when ``multiply`` is associative at rank n, else the
-    first check that failed, as text.  Guarded at n <= MAX_REGULAR_N.
+    first check that failed, as text.  Guarded by ``_guard_regular``.
 
     Let V be the span of the basis, 1 the unit, L_g the left-regular matrix
     of the generator g read from the rewriting rules (``_left_mul``), and

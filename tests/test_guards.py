@@ -90,7 +90,7 @@ def test_guarded_restriction_vectors_skip_one_case(monkeypatch):
         ({"n": 2}, "verified"),
         ({"n": 3}, "skipped-resource"),
     ]
-    assert vectors[-1]["witness"] is None
+    assert vectors[-1]["witness"] == "restriction vectors guarded at n <= 2"
     assert [r["status"] for r in reports if r["claim"] != "restriction-vectors"] == [
         "verified"
     ]
@@ -100,6 +100,11 @@ def test_corner_suite_skips_only_its_guarded_rank():
     reports = verification.suite_corner(characteristic.MAX_CORNER_N + 1)
     assert [r["status"] for r in reports] == ["verified"] * 5 + ["skipped-resource"]
     assert [r["params"] for r in reports] == [{"n": n} for n in range(1, 7)]
+    # the skipped rank names the guard that stopped it
+    with pytest.raises(ResourceLimitError) as exc:
+        characteristic.verify_corner_restriction((characteristic.MAX_CORNER_N + 1,))
+    assert reports[-1]["witness"] == str(exc.value)
+    assert "guarded at n <= %d" % characteristic.MAX_CORNER_N in reports[-1]["witness"]
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from peakhc.combinat import (
 )
 import peakhc.hecke_clifford as hc
 from peakhc.hecke_clifford import (
-    MAX_REGULAR_N,
+    MAX_TABLE_SWEEP_N,
     MORPHISM_TAGS,
     AlgebraElement,
     RankMismatchError,
@@ -36,8 +36,6 @@ from peakhc.hecke_clifford import (
     morphism_matrix,
     multiply,
     normal_word,
-    regular_generator_matrix,
-    trace,
     unit,
 )
 from peakhc.linalg import Echelon, vec_add_term
@@ -45,12 +43,16 @@ from peakhc.scalars import GAUSS_I, GaussianRational, as_gauss
 from peakhc.supermodules import generator_keys, induce_clifford, projective_hecke, simple_hecke
 from peakhc.verification import suite_algebra
 
+import oracles
 from oracles import (
     bruhat_leq,
     frobenius_form,
     leading_term_check,
     regular_associativity_failure,
+    regular_frobenius_gram,
+    regular_generator_matrix,
     table_walk_mismatch,
+    trace,
 )
 
 
@@ -142,12 +144,18 @@ def test_associativity_random():
 
 @pytest.fixture
 def fresh_tables():
-    """Empty every table of hecke_clifford before and after the test, so that
-    no entry filled under a patched rule outlives it."""
+    """Empty every table of hecke_clifford and of the oracles before and
+    after the test, so that no entry filled under a patched rule outlives
+    it."""
 
     # collected before any patch, so the teardown also clears a table that
     # a test has patched over
-    tables = [obj for obj in vars(hc).values() if hasattr(obj, "cache_clear")]
+    tables = [
+        obj
+        for module in (hc, oracles)
+        for obj in vars(module).values()
+        if hasattr(obj, "cache_clear")
+    ]
 
     def clear():
         for table in tables:
@@ -163,9 +171,10 @@ def test_associativity_certificate():
     for n in range(0, 5):
         assert associativity_failure(n) is None, n
         assert regular_associativity_failure(n) is None, n
-    for certificate in (associativity_failure, regular_associativity_failure):
+    # the Gram shares the guard of the certificate
+    for sweep in (associativity_failure, regular_associativity_failure, frobenius_gram):
         with pytest.raises(ResourceLimitError):
-            certificate(MAX_REGULAR_N + 1)
+            sweep(MAX_TABLE_SWEEP_N + 1)
 
 
 def test_tables_equal_their_walks():
@@ -243,6 +252,8 @@ def test_certificate_fails_on_one_flipped_table_entry(monkeypatch, fresh_tables,
     reports = _algebra_relations(3)
     assert [r["status"] for r in reports] == ["verified", "verified", "failed"]
     assert reports[-1]["witness"] == associativity_failure(3)
+    # the table Gram reads the flipped entry, the regular route does not
+    assert frobenius_gram(3) != regular_frobenius_gram(3)
 
 
 def test_parity_grading():
@@ -478,6 +489,13 @@ def test_frobenius_gram_matches_products():
                 )
                 got = gram.get(i, j) or GaussianRational(0)
                 assert got == expected
+
+
+def test_frobenius_gram_matches_the_regular_route():
+    # the Gram read from the three tables equals the walk of e_w0 through
+    # the transposed left-regular matrices
+    for n in range(0, 5):
+        assert frobenius_gram(n) == regular_frobenius_gram(n), n
 
 
 def test_frobenius_form_properties():
