@@ -21,8 +21,8 @@ the integrality of the solution is itself a checked invariant.
 The checks below return facts, not reports: ``theta_ribbon_formula``,
 ``cartan_image`` and ``restriction_class_sides`` return the two sides that
 must agree, every ``verify_*`` check returns a pair (ok, witness).  Past its
-guard (``MAX_CARTAN_N``, ``MAX_GESSEL_N``, ``MAX_CORNER_N`` here) a check
-raises ``ResourceLimitError``; ``verification`` turns both into reports.
+guard (``MAX_DESCENT_PAIR_N``, ``MAX_CORNER_N`` here) a check raises
+``ResourceLimitError``; ``verification`` turns both into reports.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .combinat import (
     symmetric_difference_shift,
     word_descents,
     word_inverse,
-    word_peaks,
 )
 from .hopf import (
     FreeElement,
@@ -74,9 +73,8 @@ from .supermodules import (
 )
 
 __all__ = [
-    "MAX_CARTAN_N",
     "MAX_CORNER_N",
-    "MAX_GESSEL_N",
+    "MAX_DESCENT_PAIR_N",
     "ModuleClass",
     "class_of_module",
     "hecke_class_of_module",
@@ -91,8 +89,7 @@ __all__ = [
     "theta_ribbon_formula",
 ]
 
-MAX_CARTAN_N = 7  # descent-class enumeration of cartan_image
-MAX_GESSEL_N = 8  # one enumeration of S_n per degree in gessel_pairing
+MAX_DESCENT_PAIR_N = 8  # one enumeration of S_n per degree: gessel_pairing, cartan_image
 MAX_CORNER_N = 5  # induced projectives of verify_corner_restriction
 # coverage bounds, not guards: above them only the class route runs, and the
 # reports of the verification suites state them in their params
@@ -175,18 +172,21 @@ def cartan_image(alpha) -> tuple:
     """Image of the induced projective class under the Cartan map, two ways,
     as the pair (route (i), route (ii)) of PeakDual elements that must agree.
 
-    Route (i): the filtration multiset sum of K over P(w^{-1}), w in the
-    descent class.  Route (ii): the peak image of the ribbon Schur function.
+    Route (i): the sum of K over P(w^{-1}), w in the descent class, read off
+    one row of the descent-pair table.  Route (ii): the peak image of the
+    ribbon Schur function.
     """
     a = as_composition(alpha)
-    if a.n > MAX_CARTAN_N:
-        raise ResourceLimitError("cartan_image guarded at n <= %d" % MAX_CARTAN_N)
-    filt = FreeElement.zero("PeakDual", "K")
-    for w in descent_class(a):
-        filt = filt + term("PeakDual", "K", PeakSet(a.n, word_peaks(word_inverse(w))))
-    ribbon = sym_into_qsym(forgetful_pi(term("NSym", "R", a)))
-    via_pi = convert(vartheta_map(convert(ribbon, "F")), "K")
-    return filt, via_pi
+    if a.n > MAX_DESCENT_PAIR_N:
+        raise ResourceLimitError(
+            "cartan_image guarded at n <= %d (MAX_DESCENT_PAIR_N)" % MAX_DESCENT_PAIR_N
+        )
+    filt = {}
+    for B, count in _descent_pair_counts(a.n)[a.descent_set()].items():
+        P = PeakSet(a.n, frozenset(i for i in B if i > 1 and i - 1 not in B))
+        filt[P] = filt.get(P, 0) + count
+    via_pi = convert(vartheta_map(_ribbon_in_f(a)), "K")
+    return FreeElement("PeakDual", "K", filt), via_pi
 
 
 def cartan_rank(n: int) -> tuple:
@@ -258,11 +258,7 @@ def restriction_class_sides(alpha) -> tuple:
     left = FreeElement("NSym", "R", {b.reverse(): c for b, c in incl.coeffs.items()})
     # right: the combinatorial sum over P(beta) inside the reversed window
     row = _theta_row(a.reverse())
-    right = {}
-    for b in compositions_of(a.n):
-        weight = row.get(b.peak_set())
-        if weight:
-            right[b.reverse()] = weight
+    right = {b.reverse(): row[b.peak_set()] for b in compositions_of(a.n) if b.peak_set() in row}
     return left, FreeElement("NSym", "R", right)
 
 
@@ -352,7 +348,9 @@ def verify_corner_restriction(alpha) -> tuple:
     if n < 1:
         raise ValueError("corner restriction wants a nonempty composition")
     if n > MAX_CORNER_N:
-        raise ResourceLimitError("corner restriction guarded at n <= %d" % MAX_CORNER_N)
+        raise ResourceLimitError(
+            "corner restriction guarded at n <= %d (MAX_CORNER_N)" % MAX_CORNER_N
+        )
     res = restrict_corner(induce_clifford(projective_hecke(a)))
     if n == 1:
         # restriction to rank 0: the whole 2-dimensional space
@@ -367,17 +365,12 @@ def verify_corner_restriction(alpha) -> tuple:
     # identify the class of the restriction with the stated direct sum
     summand_mults = {}
     for gamma, mult in terms:
-        pg = induce_clifford(projective_hecke(gamma))
-        summand_mults[gamma] = (
-            mult,
-            hecke_composition_multiplicities(restrict_hecke(pg)),
-        )
+        pg = restrict_hecke(induce_clifford(projective_hecke(gamma)))
+        summand_mults[gamma] = (mult, hecke_composition_multiplicities(pg))
     res_mults = hecke_composition_multiplicities(restrict_hecke(res))
     for b in compositions_of(n - 1):
         got = res_mults.get((b,), 0)
-        expected = 0
-        for gamma, (mult, mults) in summand_mults.items():
-            expected += mult * mults.get((b,), 0)
+        expected = sum(mult * mults.get((b,), 0) for mult, mults in summand_mults.values())
         if got != expected:
             return False, {"beta": str(b), "got": got, "expected": expected}
     return True, {"terms": [(str(g), m) for g, m in terms]}
@@ -420,29 +413,36 @@ def gessel_pairing(alpha, beta) -> int:
     a, b = as_composition(alpha), as_composition(beta)
     if a.n != b.n:
         return 0
-    if a.n > MAX_GESSEL_N:
-        raise ResourceLimitError("gessel_pairing guarded at n <= %d" % MAX_GESSEL_N)
-    hopf = pairing(
-        term("NSym", "R", b), sym_into_qsym(forgetful_pi(term("NSym", "R", a)))
-    )
-    count = _descent_pair_counts(a.n).get((a.descent_set(), b.descent_set()), 0)
-    if hopf != count:
-        raise AssertionError(
-            "Gessel mismatch at (%s, %s): %s vs %s" % (a, b, hopf, count)
+    if a.n > MAX_DESCENT_PAIR_N:
+        raise ResourceLimitError(
+            "gessel_pairing guarded at n <= %d (MAX_DESCENT_PAIR_N)" % MAX_DESCENT_PAIR_N
         )
+    hopf = pairing(term("NSym", "R", b), _ribbon_in_f(a))
+    count = _descent_pair_counts(a.n)[a.descent_set()].get(b.descent_set(), 0)
+    if hopf != count:
+        raise AssertionError("Gessel mismatch at (%s, %s): %s vs %s" % (a, b, hopf, count))
     return count
 
 
 @lru_cache(maxsize=None)
+def _ribbon_in_f(alpha: Composition) -> FreeElement:
+    """The ribbon image of alpha in QSym in F, which ``pairing`` reads against
+    R with no conversion.  One entry per composition that passes
+    ``MAX_DESCENT_PAIR_N``: at most 256, counting the empty one.  Read-only."""
+    return convert(sym_into_qsym(forgetful_pi(term("NSym", "R", alpha))), "F")
+
+
+@lru_cache(maxsize=None)
 def _descent_pair_counts(n: int) -> dict:
-    """Number of w in S_n per pair (Des w, Des w^-1), from one enumeration
-    of S_n.  One table per n that passes the guard of ``gessel_pairing``
-    (n <= MAX_GESSEL_N).  Read-only."""
-    counts = {}
+    """Rows A -> {B: number of w in S_n with Des w = A and Des w^-1 = B},
+    from one enumeration of S_n; every A inside [n-1] has a row.  One table
+    per n <= MAX_DESCENT_PAIR_N.  Read-only."""
+    rows = {}
     for w in itertools.permutations(range(1, n + 1)):
-        key = (word_descents(w), word_descents(word_inverse(w)))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+        row = rows.setdefault(word_descents(w), {})
+        B = word_descents(word_inverse(w))
+        row[B] = row.get(B, 0) + 1
+    return rows
 
 
 def verify_bialgebra_compatibility(alpha, beta) -> tuple:

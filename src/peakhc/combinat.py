@@ -305,7 +305,8 @@ def peak_sets_within(n: int, window) -> list:
         counts.append(counts[k] + counts[j])
     if counts[-1] > MAX_PEAK_SETS:
         raise ResourceLimitError(
-            "%d peak sets in [%d] exceed the guard %d" % (counts[-1], n, MAX_PEAK_SETS)
+            "%d peak sets in [%d] exceed the guard %d (MAX_PEAK_SETS)"
+            % (counts[-1], n, MAX_PEAK_SETS)
         )
     masks = [[0]]
     for k, j in enumerate(below):
@@ -385,7 +386,8 @@ def word_reduced(w: tuple) -> tuple:
 def _check_enum_guard(n: int) -> None:
     if n > MAX_ENUM_N:
         raise ResourceLimitError(
-            "symmetric group enumeration for n=%d exceeds the guard %d" % (n, MAX_ENUM_N)
+            "symmetric group enumeration for n=%d exceeds the guard %d (MAX_ENUM_N)"
+            % (n, MAX_ENUM_N)
         )
 
 

@@ -496,7 +496,8 @@ def _guard_table_sweep(n: int) -> None:
     and the Gram has (2^n n!)^2 entries: guarded at n <= MAX_TABLE_SWEEP_N."""
     if n > MAX_TABLE_SWEEP_N:
         raise ResourceLimitError(
-            "table sweep of rank %d exceeds the guard %d" % (n, MAX_TABLE_SWEEP_N)
+            "table sweep of rank %d exceeds the guard %d (MAX_TABLE_SWEEP_N)"
+            % (n, MAX_TABLE_SWEEP_N)
         )
 
 

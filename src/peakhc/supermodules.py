@@ -216,7 +216,9 @@ def projective_hecke(alpha) -> Supermodule:
     a = as_composition(alpha)
     n = a.n
     if n > MAX_PROJECTIVE_N:
-        raise ResourceLimitError("projective module guard at n <= %d" % MAX_PROJECTIVE_N)
+        raise ResourceLimitError(
+            "projective module guard at n <= %d (MAX_PROJECTIVE_N)" % MAX_PROJECTIVE_N
+        )
     ws = _descent_class_sorted(a)
     pos = {w: k for k, w in enumerate(ws)}
     cls = set(ws)
@@ -383,7 +385,8 @@ def parabolic_induce(m1: Supermodule, m2: Supermodule) -> Supermodule:
     total = m + n
     if total > MAX_PARABOLIC_RANK:
         raise ResourceLimitError(
-            "parabolic induction guard at combined rank %d" % MAX_PARABOLIC_RANK
+            "parabolic induction guard at combined rank %d (MAX_PARABOLIC_RANK)"
+            % MAX_PARABOLIC_RANK
         )
     if n == 0:
         return m1
@@ -576,7 +579,8 @@ def hom_space(src: Supermodule, dst: Supermodule) -> HomBasis:
         raise ValueError("hom_space wants modules over the same algebra")
     if src.dim * dst.dim > MAX_HOM_CELLS:
         raise ResourceLimitError(
-            "hom system with %d cells exceeds the guard %d" % (src.dim * dst.dim, MAX_HOM_CELLS)
+            "hom system with %d cells exceeds the guard %d (MAX_HOM_CELLS)"
+            % (src.dim * dst.dim, MAX_HOM_CELLS)
         )
     spin = _spin(src, [{j: 1} for j in range(src.dim)])
     even, odd = (
@@ -1167,7 +1171,9 @@ def restriction_vectors(n: int) -> dict:
     the ambient module.
     """
     if n > MAX_RESTRICTION_N:
-        raise ResourceLimitError("restriction vectors guarded at n <= %d" % MAX_RESTRICTION_N)
+        raise ResourceLimitError(
+            "restriction vectors guarded at n <= %d (MAX_RESTRICTION_N)" % MAX_RESTRICTION_N
+        )
     module = induce_clifford(simple_hecke(Composition((n,))))
     subs = _subsets_ordered(n)
     dpos = {d: k for k, d in enumerate(subs)}

@@ -8,10 +8,11 @@ generator walks, the left-regular matrices of the generators, the
 associativity certificate and the Frobenius Gram through the regular
 representation, one-gamma Hom onto a Hecke simple, parabolic restriction,
 the parity shift, the rank-0 module, the true idempotents that split an induced
-simple, the peak sets by a walk over all subsets, the Bruhat filtration of an induced projective,
-the anti-involution phi of the peak subalgebra through a preimage, the
-readers of the JSON forms, and the smash-product double of the peak
-algebra and its dual."""
+simple, the peak sets by a walk over all subsets, the Bruhat filtration of
+an induced projective, route (i) of the Cartan image by a walk of the
+descent class, the anti-involution phi of the peak subalgebra through a
+preimage, the readers of the JSON forms, and the smash-product double of
+the peak algebra and its dual."""
 
 import itertools
 from fractions import Fraction
@@ -24,9 +25,11 @@ from peakhc.combinat import (
     as_composition,
     compositions_of,
     composition_from_descents,
+    descent_class,
     word_descents,
     word_inverse,
     word_length,
+    word_peaks,
 )
 import peakhc.hecke_clifford as hc
 from peakhc.hecke_clifford import (
@@ -429,6 +432,17 @@ def peak_sets_by_subset_walk(n: int) -> list:
                 candidates.append(PeakSet(n, frozenset(combo)))
     candidates.sort(key=lambda p: p.bitmask())
     return candidates
+
+
+def cartan_walk(alpha) -> FreeElement:
+    """Route (i) of ``characteristic.cartan_image`` by the walk it replaced:
+    the sum of K over P(w^{-1}) for every w in the descent class of alpha.
+    The package reads the same sum off one row of the descent-pair table."""
+    a = as_composition(alpha)
+    out = FreeElement.zero("PeakDual", "K")
+    for w in descent_class(a):
+        out = out + term("PeakDual", "K", PeakSet(a.n, word_peaks(word_inverse(w))))
+    return out
 
 
 # ---------------------------------------------------------------------------

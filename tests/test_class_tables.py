@@ -2,9 +2,10 @@
 
 ``hopf`` reads membership in Peak and Sym off cached class tables,
 ``characteristic`` reads the ribbon window off one cached row per
-composition and the Gessel counts off one enumeration of S_n per n.  Each
-fast route is cross-checked here against an oracle: the slow route kept as
-plain code that rescans every composition, peak set or permutation.
+composition, and the Gessel counts and route (i) of the Cartan image off
+one table of descent pairs per n.  Each fast route is cross-checked here
+against an oracle: the slow route kept as plain code that rescans every
+composition, peak set or permutation.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import math
 
 import pytest
 
-from peakhc import characteristic, hopf
+from peakhc import characteristic, hopf, verification
 from peakhc.combinat import (
     Composition,
     PeakSet,
@@ -26,8 +27,11 @@ from peakhc.combinat import (
 from peakhc.hopf import FreeElement, MembershipError, convert
 from peakhc.linalg import SpanSolver, vec_add_term
 
+from oracles import cartan_walk
+
 MAX_DEGREE = 6
 MAX_GESSEL_N = 5
+MAX_CARTAN_WALK_N = 7
 
 
 def _compositions(d):
@@ -251,7 +255,7 @@ def test_decompose_projective_runs_over_the_window():
 def test_gessel_counts_match_per_pair_enumeration():
     for n in range(1, MAX_GESSEL_N + 1):
         table = characteristic._descent_pair_counts(n)
-        assert sum(table.values()) == math.factorial(n)
+        assert sum(sum(row.values()) for row in table.values()) == math.factorial(n)
         for a in compositions_of(n):
             for b in compositions_of(n):
                 count = oracle_descent_pair_count(a, b)
@@ -265,6 +269,47 @@ def test_gessel_enumerates_each_symmetric_group_once():
             characteristic.gessel_pairing(a, b)
     info = characteristic._descent_pair_counts.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_cartan_route_one_reads_the_descent_pair_table(monkeypatch):
+    for n in range(1, MAX_CARTAN_WALK_N + 1):
+        for a in compositions_of(n):
+            assert characteristic.cartan_image(a)[0] == cartan_walk(a), a
+    # the package walks no descent class for it
+    def _boom(*_args):
+        raise AssertionError("walked a descent class")
+
+    monkeypatch.setattr(characteristic, "descent_class", _boom)
+    reports = verification.suite_cartan(MAX_CARTAN_WALK_N)
+    assert [r["status"] for r in reports] == ["verified"] * MAX_CARTAN_WALK_N
+
+
+def test_one_wrong_descent_pair_count_fails_both_reports(monkeypatch):
+    table = characteristic._descent_pair_counts
+
+    def off_by_one(n):
+        rows = {A: dict(row) for A, row in table(n).items()}
+        if n == 3:
+            row = rows[frozenset({1})]
+            B = next(iter(row))
+            row[B] += 1
+        return rows
+
+    monkeypatch.setattr(characteristic, "_descent_pair_counts", off_by_one)
+    for suite in (verification.suite_gessel, verification.suite_cartan):
+        statuses = [r["status"] for r in suite(3)]
+        assert statuses == ["verified", "verified", "failed"], suite
+
+
+def test_gessel_and_cartan_share_one_ribbon_image_per_composition():
+    n = 5
+    characteristic._ribbon_in_f.cache_clear()
+    characteristic._descent_pair_counts.cache_clear()
+    verification.suite_gessel(n)
+    verification.suite_cartan(n)
+    ribbons = characteristic._ribbon_in_f.cache_info()
+    assert ribbons.misses == ribbons.currsize == sum(2 ** (k - 1) for k in range(1, n + 1))
+    assert characteristic._descent_pair_counts.cache_info().misses == n
 
 
 def test_class_tables_are_cached_per_degree():

@@ -1,13 +1,14 @@
 """Every enumeration guard is a named module constant: one past it, the
-guarded function raises ``ResourceLimitError`` before it enumerates
-anything, and the suites turn a guarded case into a skipped-resource
-report."""
+guarded function raises ``ResourceLimitError``, whose message names the
+constant, before it enumerates anything, and the suites turn a guarded case
+into a skipped-resource report."""
 
 import types
+from pathlib import Path
 
 import pytest
 
-from peakhc import characteristic, combinat, supermodules, verification
+from peakhc import characteristic, combinat, hecke_clifford, heisenberg, supermodules, verification
 from peakhc.combinat import Composition, ResourceLimitError
 
 
@@ -52,12 +53,12 @@ def test_peak_set_guard_admits_its_bound(monkeypatch):
 
 
 def test_characteristic_guards(monkeypatch):
-    for name in ("descent_class", "_descent_pair_counts", "pairing", "induce_clifford",
-                 "restrict_corner"):
+    for name in ("descent_class", "_descent_pair_counts", "_ribbon_in_f", "pairing",
+                 "induce_clifford", "restrict_corner"):
         monkeypatch.setattr(characteristic, name, _boom)
+    a = _row(characteristic.MAX_DESCENT_PAIR_N + 1)
     with pytest.raises(ResourceLimitError):
-        characteristic.cartan_image(_row(characteristic.MAX_CARTAN_N + 1))
-    a = _row(characteristic.MAX_GESSEL_N + 1)
+        characteristic.cartan_image(a)
     with pytest.raises(ResourceLimitError):
         characteristic.gessel_pairing(a, a)
     with pytest.raises(ResourceLimitError):
@@ -90,7 +91,7 @@ def test_guarded_restriction_vectors_skip_one_case(monkeypatch):
         ({"n": 2}, "verified"),
         ({"n": 3}, "skipped-resource"),
     ]
-    assert vectors[-1]["witness"] == "restriction vectors guarded at n <= 2"
+    assert vectors[-1]["witness"] == "restriction vectors guarded at n <= 2 (MAX_RESTRICTION_N)"
     assert [r["status"] for r in reports if r["claim"] != "restriction-vectors"] == [
         "verified"
     ]
@@ -111,8 +112,8 @@ def test_corner_suite_skips_only_its_guarded_rank():
     "suite, owner, guard, value",
     [
         ("simples", supermodules, "MAX_HOM_CELLS", 16),  # Ind S of rank 3 has 64 cells
-        ("cartan", characteristic, "MAX_CARTAN_N", 2),
-        ("gessel", characteristic, "MAX_GESSEL_N", 2),
+        ("cartan", characteristic, "MAX_DESCENT_PAIR_N", 2),
+        ("gessel", characteristic, "MAX_DESCENT_PAIR_N", 2),
     ],
 )
 def test_a_guarded_rank_keeps_the_earlier_reports(monkeypatch, suite, owner, guard, value):
@@ -121,6 +122,73 @@ def test_a_guarded_rank_keeps_the_earlier_reports(monkeypatch, suite, owner, gua
     statuses = [r["status"] for r in fn(max_n=3)]
     assert statuses[:2] == ["verified", "verified"]
     assert statuses[2] == "skipped-resource"
+
+
+def test_a_guard_holds_on_warm_caches(monkeypatch):
+    # the cached descent-pair table and ribbon images of rank 3 are read
+    # only after the guard, so lowering it still stops rank 3
+    a = _row(3)
+    characteristic.cartan_image(a)
+    characteristic.gessel_pairing(a, a)
+    monkeypatch.setattr(characteristic, "MAX_DESCENT_PAIR_N", 2)
+    with pytest.raises(ResourceLimitError):
+        characteristic.cartan_image(a)
+    with pytest.raises(ResourceLimitError):
+        characteristic.gessel_pairing(a, a)
+
+
+def _small_clifford():
+    return supermodules.induce_clifford(supermodules.simple_hecke(_row(1)))
+
+
+def _trip_parabolic(monkeypatch):
+    small = _small_clifford()
+    monkeypatch.setattr(supermodules, "MAX_PARABOLIC_RANK", 1)
+    supermodules.parabolic_induce(small, small)
+
+
+def _trip_hom_cells(monkeypatch):
+    small = _small_clifford()
+    monkeypatch.setattr(supermodules, "MAX_HOM_CELLS", small.dim * small.dim - 1)
+    supermodules.hom_space(small, small)
+
+
+# every ResourceLimitError raised in the package, and the name of its bound
+GUARD_TRIPS = [
+    ("MAX_PEAK_SETS", lambda mp: combinat.peak_sets_within(40, range(1, 41))),
+    ("MAX_ENUM_N", lambda mp: combinat.descent_class(_row(combinat.MAX_ENUM_N + 1))),
+    ("MAX_TABLE_SWEEP_N",
+     lambda mp: hecke_clifford.frobenius_gram(hecke_clifford.MAX_TABLE_SWEEP_N + 1)),
+    ("MAX_DESCENT_PAIR_N",
+     lambda mp: characteristic.cartan_image(_row(characteristic.MAX_DESCENT_PAIR_N + 1))),
+    ("MAX_DESCENT_PAIR_N",
+     lambda mp: characteristic.gessel_pairing(*[_row(characteristic.MAX_DESCENT_PAIR_N + 1)] * 2)),
+    ("MAX_CORNER_N",
+     lambda mp: characteristic.verify_corner_restriction(_row(characteristic.MAX_CORNER_N + 1))),
+    ("MAX_PROJECTIVE_N",
+     lambda mp: supermodules.projective_hecke(_row(supermodules.MAX_PROJECTIVE_N + 1))),
+    ("MAX_PARABOLIC_RANK", _trip_parabolic),
+    ("MAX_HOM_CELLS", _trip_hom_cells),
+    ("MAX_RESTRICTION_N",
+     lambda mp: supermodules.restriction_vectors(supermodules.MAX_RESTRICTION_N + 1)),
+    ("max_degree", lambda mp: heisenberg.filtration_component(1, 3, max_degree=2)),
+    ("MAX_FREENESS_DEGREE",
+     lambda mp: heisenberg.guard_freeness_degree(heisenberg.MAX_FREENESS_DEGREE + 1)),
+]
+
+
+@pytest.mark.parametrize("name, trip", GUARD_TRIPS, ids=[
+    "%s-%d" % (name, k) for k, (name, _trip) in enumerate(GUARD_TRIPS)])
+def test_every_guard_message_names_its_bound(monkeypatch, name, trip):
+    with pytest.raises(ResourceLimitError) as exc:
+        trip(monkeypatch)
+    assert str(exc.value).endswith("(%s)" % name)
+
+
+def test_guard_trips_cover_every_raise():
+    package = Path(combinat.__file__).parent
+    raises = sum(p.read_text().count("raise ResourceLimitError(") for p in package.glob("*.py"))
+    assert raises == len(GUARD_TRIPS)
 
 
 def test_coverage_bounds_are_stated_in_params(monkeypatch):

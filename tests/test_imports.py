@@ -5,11 +5,16 @@ be read somewhere in the same file.  Names listed in ``__all__`` count as
 used, and so do names inside string annotations; ``from __future__``
 imports are exempt.
 
-No public name lacks a caller outside the tests: every name in an
-``__all__`` of the package is bound by its module and read, as an
-``ast.Name`` or ``ast.Attribute``, somewhere in the package or the
-benchmark outside its own top-level ``def`` or ``class``.  A name that
-only the tests read belongs in the tests (``tests/oracles.py``).
+No public name lacks a caller outside the tests: every name X in the
+``__all__`` of a package module M is bound by M and read somewhere in the
+package or the benchmark outside its own top-level ``def`` or ``class``.
+A read must reach M: a bare ``ast.Name`` read counts in M itself or in a
+file that binds it by ``from .M import X`` (or ``from pkg.M import X``),
+an ``ast.Attribute`` read ``.X`` counts in M, in a file that imports M as
+a module, or in a file that holds the string ``"M"`` (the benchmark
+reaches modules as ``pk["M"]``).  So a same-named local or method of an
+unrelated object is no caller.  A name that only the tests read belongs
+in the tests (``tests/oracles.py``).
 """
 
 import ast
@@ -96,26 +101,60 @@ def _bound(tree) -> set:
 
 
 def _reads(tree) -> set:
-    """(owner, name) for every name read in the file: an ``ast.Name`` in load
-    context or an ``ast.Attribute``; owner is the top-level def or class the
-    read sits in, None at module level."""
+    """(owner, is_attribute, name) for every name read in the file: an
+    ``ast.Name`` in load context or an ``ast.Attribute``; owner is the
+    top-level def or class the read sits in, None at module level."""
     out = set()
     for top in tree.body:
         owner = getattr(top, "name", None)
         for node in ast.walk(top):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                out.add((owner, node.id))
+                out.add((owner, False, node.id))
             elif isinstance(node, ast.Attribute):
-                out.add((owner, node.attr))
+                out.add((owner, True, node.attr))
     return out
+
+
+def _links(tree) -> tuple:
+    """How a file reaches other modules, each named by the last part of its
+    dotted name: {M: {local name: X}} for every ``from ..M import X [as
+    local]``, the modules it may import as modules (``import pkg.M``, ``from
+    pkg import M``), and its string constants."""
+    names, modules, strings = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            bound = names.setdefault((node.module or "").rsplit(".", 1)[-1], {})
+            for alias in node.names:
+                bound[alias.asname or alias.name] = alias.name
+                modules.add(alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            strings.add(node.value)
+    return names, modules, strings
+
+
+def _reaches(path, name, reader, read, links) -> bool:
+    """Whether ``read``, an entry of ``_reads`` of the file ``reader`` with
+    ``_links`` ``links``, reads ``name`` from the module at ``path``."""
+    owner, is_attribute, local = read
+    module = path.stem
+    if reader == path:
+        return local == name and owner != name
+    names, modules, strings = links
+    if is_attribute:
+        return local == name and (module in modules or module in strings)
+    return names.get(module, {}).get(local) == name
 
 
 def public_names_without_caller(modules: list, readers: list) -> list:
     """(module stem, name, why) for every name in an ``__all__`` of
     ``modules`` that its module does not bind ("unbound"), or that no file
-    of ``readers`` reads outside the name's own def or class ("unread")."""
+    of ``readers`` reads, through a read that reaches its module, outside
+    the name's own def or class ("unread")."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in modules + readers}
     reads = {path: _reads(trees[path]) for path in readers}
+    links = {path: _links(trees[path]) for path in readers}
     found = []
     for path in modules:
         bound = _bound(trees[path])
@@ -123,9 +162,9 @@ def public_names_without_caller(modules: list, readers: list) -> list:
             if name not in bound:
                 found.append((path.stem, name, "unbound"))
             elif not any(
-                read == name and not (reader == path and owner == name)
+                _reaches(path, name, reader, read, links[reader])
                 for reader in readers
-                for owner, read in reads[reader]
+                for read in reads[reader]
             ):
                 found.append((path.stem, name, "unread"))
     return found
@@ -181,6 +220,40 @@ def test_scanner_flags_a_public_name_without_caller(tmp_path):
         ("module", "recursive", "unread"),
         ("module", "documented", "unread"),
         ("module", "missing", "unbound"),
+    ]
+
+
+def test_scanner_matches_reads_against_their_module(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        '__all__ = ["trace", "kept", "aliased", "reached", "bare"]\n'
+        "def trace(m):\n    return m\n"
+        "def kept():\n    return 1\n"
+        "def aliased():\n    return 2\n"
+        "def reached():\n    return 3\n"
+        "def bare():\n    return 4\n"
+    )
+    # trace is read only as a method of an unrelated object and as a local
+    # function of the same name; bare only by a file that imports it from
+    # another module
+    unrelated = tmp_path / "unrelated.py"
+    unrelated.write_text(
+        "from other import bare\n"
+        "def trace(x):\n    return x.trace()\n"
+        "print(trace(object()), bare)\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text(
+        "from module import kept\n"
+        "from pkg.module import aliased as al\n"
+        "print(kept(), al())\n"
+    )
+    bench = tmp_path / "bench.py"
+    bench.write_text('def run(pk):\n    return pk["module"].reached()\n')
+    readers = [module, unrelated, reader, bench]
+    assert public_names_without_caller([module], readers) == [
+        ("module", "trace", "unread"),
+        ("module", "bare", "unread"),
     ]
 
 
