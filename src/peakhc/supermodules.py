@@ -46,7 +46,7 @@ from .combinat import (
 )
 from .hecke_clifford import (
     AlgebraElement,
-    _clifford_sign,
+    _ANTI_TAGS,
     _left_mul,
     _subsets_ordered,
     act_terms,
@@ -86,7 +86,6 @@ __all__ = [
     "act_element",
     "element_matrix",
     "twist",
-    "dual_twist",
     "hom_space",
     "find_isomorphism",
     "hecke_composition_multiplicities",
@@ -482,10 +481,13 @@ def element_matrix(module: Supermodule, terms: dict) -> SparseMatrix:
 
 
 def twist(module: Supermodule, tag: str) -> Supermodule:
-    """Twist the action by an algebra morphism: g acts as the image of g."""
+    """Twist the action by an algebra morphism: g acts as the image of g.
+    For the unsigned anti-involutions psi and psi_prime this is the twisted
+    dual, (a.f)(m) = f(nu(a)m): the images transposed, on dual labels."""
     if len(module.blocks) != 1:
         raise ValueError("twist wants a single-block module")
     n = module.rank
+    anti = tag in _ANTI_TAGS
     actions = {}
     for key in module.actions:
         kind, idx = key
@@ -494,24 +496,9 @@ def twist(module: Supermodule, tag: str) -> Supermodule:
         if module.algebra == "H":
             if any(d for (d, _w) in img.terms):
                 raise ValueError("twist by %s leaves the Hecke subalgebra" % tag)
-        actions[key] = element_matrix(module, img.terms)
-    return Supermodule(module.blocks, module.algebra, module.labels, module.parities, actions)
-
-
-def dual_twist(module: Supermodule, tag: str) -> Supermodule:
-    """Twisted dual along an unsigned anti-involution: (a.f)(m) = f(nu(a)m)."""
-    if tag not in ("psi", "psi_prime"):
-        raise ValueError("dual_twist wants an unsigned anti-involution tag")
-    if len(module.blocks) != 1:
-        raise ValueError("dual_twist wants a single-block module")
-    n = module.rank
-    actions = {}
-    for key in module.actions:
-        kind, idx = key
-        gen = gen_T(idx, n) if kind == "T" else gen_c(idx, n)
-        img = apply_morphism(tag, gen)
-        actions[key] = element_matrix(module, img.terms).transpose()
-    labels = tuple(("dual", lab) for lab in module.labels)
+        mat = element_matrix(module, img.terms)
+        actions[key] = mat.transpose() if anti else mat
+    labels = tuple(("dual", lab) for lab in module.labels) if anti else module.labels
     return Supermodule(module.blocks, module.algebra, labels, module.parities, actions)
 
 
@@ -830,22 +817,19 @@ def hecke_composition_multiplicities(module: Supermodule) -> dict:
     return out
 
 
-def projective_hom_dim(module: Supermodule, alphas) -> int:
-    """dim Hom(P, M) for P the (induced) projective indexed by compositions.
+def projective_hom_dim(module: Supermodule, alpha) -> int:
+    """dim Hom(P_alpha, M) for a single-block module M and P_alpha the
+    (induced) projective indexed by one composition.
 
     Over Hecke-Clifford blocks this is Hom from the induced projective; by
     Frobenius reciprocity it equals the Hecke composition multiplicity of
     the restriction, which the trace route computes exactly.
     """
-    if isinstance(alphas, (Composition, tuple)) and (
-        not isinstance(alphas, tuple) or (alphas and isinstance(alphas[0], int))
-    ):
-        alphas = (as_composition(alphas),)
-    else:
-        alphas = tuple(as_composition(a) for a in alphas)
+    if len(module.blocks) != 1:
+        raise ValueError("projective_hom_dim wants a single-block module")
     hecke = module if module.algebra == "H" else restrict_hecke(module)
     mults = hecke_composition_multiplicities(hecke)
-    return mults.get(alphas, 0)
+    return mults.get((as_composition(alpha),), 0)
 
 
 def hecke_simple_hom_dims(module: Supermodule) -> dict:
@@ -920,12 +904,10 @@ def _integral_idempotents(valleys: list, n: int) -> list:
 @dataclass
 class SimpleSplit:
     alpha: Composition
-    peak: frozenset
     copies: int
     components: list
     type_tag: str
     module: Supermodule
-    signs: list
     pair_parities: dict  # (i, j) -> parity of the found isomorphism
 
 
@@ -1010,25 +992,31 @@ def split_simple(alpha) -> SimpleSplit:
             pair_parities[(i, j)] = parity if res.found else None
     return SimpleSplit(
         alpha=a,
-        peak=a.peak_set().elements,
         copies=len(components),
         components=components,
         type_tag=type_tag,
         module=module,
-        signs=signs,
         pair_parities=pair_parities,
     )
 
 
-def _end_generator(module: Supermodule, v: int) -> SparseMatrix:
-    """The plain f_{c_v}: c_D eta -> (-1)^{|D|} c_D c_v eta, with int
-    entries; the Clifford generator of End is sqrt(-1) f_{c_v}."""
-    subs = _subsets_ordered(module.rank)
+def _map_from_eta(target: Supermodule, seed: dict, parity: int) -> SparseMatrix:
+    """The map out of the induced simple that sends eta to ``seed``:
+    c_D eta -> (-1)^{parity |D|} c_D . seed, c_D acting on ``target``.
+
+    Ind S_alpha is cyclic on eta, so every morphism out of it has this form.
+    The column of D is (-1)^parity c_j applied to the column of D - {j},
+    j = min D, which comes earlier in the subset order: one sparse apply
+    per subset.
+    """
+    subs = _subsets_ordered(target.rank)
     dpos = {d: k for k, d in enumerate(subs)}
-    mat = SparseMatrix(module.dim, module.dim)
-    for di, d in enumerate(subs):
-        sign, e = _clifford_sign(d, frozenset({v}))
-        mat.cols[di][dpos[e]] = sign * (-1) ** len(d)
+    mat = SparseMatrix(target.dim, len(subs))
+    mat.cols[0] = dict(seed)  # the empty subset comes first
+    for di, d in enumerate(subs[1:], 1):
+        j = min(d)
+        col = target.actions[("c", j)].apply(mat.cols[dpos[d - {j}]])
+        mat.cols[di] = {r: -v for r, v in col.items()} if parity else col
     return mat
 
 
@@ -1037,11 +1025,12 @@ def end_clifford_check(alpha) -> dict:
     valley set: dimension 2^|V|, generated by odd maps sqrt(-1) f_{c_v}
     squaring to -id and pairwise anticommuting.
 
-    The morphism and span checks read the integer maps f_{c_v}: a map is a
-    morphism exactly when a nonzero multiple of it is, and an ordered
-    product of the f_{c_v} differs from that of the sqrt(-1) f_{c_v} by a
-    power of sqrt(-1).  Only the relations are checked on the rescaled maps
-    (the plain f_{c_v} square to +id).
+    The plain f_{c_v} is the map c_D eta -> (-1)^{|D|} c_D c_v eta out of
+    eta, with int entries.  The morphism and span checks read these integer
+    maps: a map is a morphism exactly when a nonzero multiple of it is, and
+    an ordered product of the f_{c_v} differs from that of the
+    sqrt(-1) f_{c_v} by a power of sqrt(-1).  Only the relations are
+    checked on the rescaled maps (the plain f_{c_v} square to +id).
     """
     a = as_composition(alpha)
     module = induce_clifford(simple_hecke(a))
@@ -1057,7 +1046,7 @@ def end_clifford_check(alpha) -> dict:
     if ends.total_dim != 2 ** len(valleys):
         report["ok"] = False
         return report
-    fmaps = {v: _end_generator(module, v) for v in valleys}
+    fmaps = {v: _map_from_eta(module, module.actions[("c", v)].cols[0], 1) for v in valleys}
     for v, f in fmaps.items():
         if not ModuleMap(module, module, f, 1).is_morphism():
             report["ok"] = False
@@ -1085,6 +1074,16 @@ def end_clifford_check(alpha) -> dict:
     return report
 
 
+# part -> (twist tag, source is the conjugate's induced simple?, seed is the
+# top vector c_[n] eta rather than eta?)
+_STATED_TWISTS = {
+    1: ("phi", True, True),
+    2: ("phi_prime", True, False),
+    3: ("psi", False, False),
+    4: ("psi_prime", False, True),
+}
+
+
 def stated_twist_isomorphism(alpha, part: int) -> ModuleMap:
     """The explicit isomorphisms onto the four twisted modules.
 
@@ -1096,40 +1095,21 @@ def stated_twist_isomorphism(alpha, part: int) -> ModuleMap:
             (zeta dual to eta);
     part 4: induced simple -> psi'-twisted dual, degree n mod 2,
             c_D eta -> (-1)^{n|D|} c_D . xi (xi dual to the top vector).
+
+    On the twist, c_D acts as its image does on the induced simple, so each
+    map is ``_map_from_eta`` on the twist, seeded at eta or at the top vector.
     """
+    if part not in _STATED_TWISTS:
+        raise ValueError("part must be 1..4")
+    tag, conjugate, top = _STATED_TWISTS[part]
     a = as_composition(alpha)
-    n = a.n
     base = induce_clifford(simple_hecke(a))
-    subs = _subsets_ordered(n)
-    full = subs.index(frozenset(range(1, n + 1)))
-    ident = tuple(range(1, n + 1))
-    mat = SparseMatrix(base.dim, base.dim)
-    if part in (1, 2):
-        source = induce_clifford(simple_hecke(a.conjugate()))
-        tag = "phi" if part == 1 else "phi_prime"
-        target = twist(base, tag)
-        seed = {full: 1} if part == 1 else {0: 1}
-        parity = n % 2 if part == 1 else 0
-        for di, d in enumerate(subs):
-            elt = basis_element(d, ident, n)
-            img = act_element(base, apply_morphism(tag, elt), seed)
-            sign = (-1) ** (n * len(d)) if part == 1 else 1
-            for r, v in img.items():
-                mat.cols[di][r] = v * sign
-        return ModuleMap(source, target, mat, parity)
-    if part in (3, 4):
-        tag = "psi" if part == 3 else "psi_prime"
-        target = dual_twist(base, tag)
-        seed = {0: 1} if part == 3 else {full: 1}
-        parity = 0 if part == 3 else n % 2
-        for di, d in enumerate(subs):
-            elt = basis_element(d, ident, n)
-            img = act_element(target, elt, seed)
-            sign = 1 if part == 3 else (-1) ** (n * len(d))
-            for r, v in img.items():
-                mat.cols[di][r] = v * sign
-        return ModuleMap(base, target, mat, parity)
-    raise ValueError("part must be 1..4")
+    source = induce_clifford(simple_hecke(a.conjugate())) if conjugate else base
+    target = twist(base, tag)
+    # eta is even, so the map has the parity of its seed; c_[n] eta sits last
+    parity = a.n % 2 if top else 0
+    seed = {base.dim - 1: 1} if top else {0: 1}
+    return ModuleMap(source, target, _map_from_eta(target, seed, parity), parity)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .characteristic import (
     verify_restriction_vectors,
 )
 from .hecke_clifford import (
+    _guard_table_sweep,
     algebra_basis,
     associativity_failure,
     failing_relation,
@@ -202,6 +203,8 @@ def suite_algebra(max_n: int) -> list:
 def _algebra_relations_rank(n: int) -> tuple:
     import math
 
+    # the certificate's guard, checked before the 2^n n! basis is enumerated
+    _guard_table_sweep(n)
     if len(algebra_basis(n)) != 2 ** n * math.factorial(n):
         return False, "basis count"
     witness = failing_relation(generators(n), multiply, algebra_unit(n))

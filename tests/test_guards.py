@@ -108,6 +108,21 @@ def test_corner_suite_skips_only_its_guarded_rank():
     assert "guarded at n <= %d" % characteristic.MAX_CORNER_N in reports[-1]["witness"]
 
 
+def test_algebra_relations_guard_fires_before_the_basis(monkeypatch):
+    # one past the table-sweep guard the rank is skipped before the 2^n n!
+    # basis is enumerated or a relation is checked, with the guard's message
+    n = hecke_clifford.MAX_TABLE_SWEEP_N + 1
+    with pytest.raises(ResourceLimitError) as exc:
+        hecke_clifford.associativity_failure(n)
+    for name in ("algebra_basis", "failing_relation"):
+        monkeypatch.setattr(verification, name, _boom)
+    report = verification._guarded(
+        "algebra-relations", {"n": n}, verification._algebra_relations_rank, n
+    )
+    assert report["status"] == "skipped-resource"
+    assert report["witness"] == str(exc.value)
+
+
 @pytest.mark.parametrize(
     "suite, owner, guard, value",
     [

@@ -30,7 +30,6 @@ from peakhc.supermodules import (
     RelationError,
     Supermodule,
     act_element,
-    dual_twist,
     element_matrix,
     end_clifford_check,
     find_isomorphism,
@@ -218,6 +217,12 @@ def test_projective_pairing_via_characters():
             d = projective_hom_dim(st, C(*([n])))
             expected = 2 if not b.peak_set().elements else 0
             assert d == expected
+            # a list names the same composition
+            assert projective_hom_dim(st, [n]) == d
+    st = induce_clifford(simple_hecke(C(2, 1)))
+    assert projective_hom_dim(st, [2, 1]) == projective_hom_dim(st, (2, 1))
+    with pytest.raises(ValueError):
+        projective_hom_dim(outer_tensor(Stilde(1, 1), Stilde(2)), (1, 1))
 
 
 def test_hom_dual_routes_agree():
@@ -568,7 +573,7 @@ def test_integral_split_matches_the_fraction_route(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(supermodules, "_integral_idempotents", lambda _v, _n: idems)
                 slow = split_simple(a)
-            for field in ("alpha", "peak", "copies", "type_tag", "signs", "pair_parities"):
+            for field in ("alpha", "copies", "type_tag", "pair_parities"):
                 assert getattr(fast, field) == getattr(slow, field), (a, field)
             assert _same_module(fast.module, slow.module), a
 
@@ -612,24 +617,25 @@ def test_split_spins_its_seeds_without_fractions(monkeypatch):
 
 
 def test_end_clifford_reports_a_generator_with_a_flipped_sign(monkeypatch):
-    # negative control: one sign flipped in one integer generator f_{c_v}
-    # breaks the morphism check for that v
+    # negative control: one sign flipped in one integer generator f_{c_v},
+    # built by the map out of eta with seed c_v eta, breaks the morphism
+    # check for that v
     from peakhc import supermodules
 
-    build = supermodules._end_generator
+    build = supermodules._map_from_eta
     a = C(2, 2)
     target = sorted(a.valley_set())[-1]
 
-    def flipped(module, v):
-        mat = build(module, v)
-        if v == target:
+    def flipped(module, seed, parity):
+        mat = build(module, seed, parity)
+        if seed == module.actions[("c", target)].cols[0]:
             col = mat.cols[0]
             (row, val), = col.items()
             col[row] = -val
         return mat
 
     assert end_clifford_check(a)["ok"]
-    monkeypatch.setattr(supermodules, "_end_generator", flipped)
+    monkeypatch.setattr(supermodules, "_map_from_eta", flipped)
     rep = end_clifford_check(a)
     assert not rep["ok"]
     assert rep["bad_generator"] == target
@@ -880,12 +886,26 @@ def test_twist_conjugate_isomorphisms():
             assert g.is_morphism() and g.is_invertible()
 
 
+def test_twist_isomorphism_fails_from_the_wrong_seed():
+    # negative control: part 1 seeded at eta instead of the top vector
+    # c_[n] eta is no morphism, so the stated maps' checks have teeth (at
+    # n = 1 it is the identity, an odd morphism since phi negates c_1)
+    from peakhc.supermodules import _map_from_eta, stated_twist_isomorphism
+
+    for n in (2, 3):
+        for a in compositions_of(n):
+            f = stated_twist_isomorphism(a, 1)
+            wrong = _map_from_eta(f.target, {0: 1}, f.parity)
+            assert f.is_morphism()
+            assert not ModuleMap(f.source, f.target, wrong, f.parity).is_morphism(), a
+
+
 def test_dual_twist_isomorphisms():
     from peakhc.supermodules import stated_twist_isomorphism
 
     for n in (2, 3):
         for a in compositions_of(n):
-            dual_twist(induce_clifford(simple_hecke(a)), "psi").check()
+            twist(induce_clifford(simple_hecke(a)), "psi").check()
             f = stated_twist_isomorphism(a, 3)
             assert f.parity == 0
             assert f.is_morphism() and f.is_invertible()
@@ -932,21 +952,21 @@ def test_twist_images_match_products():
                     tags = ("phi_bar",) if hecke else ("phi", "phi_prime", "psi", "psi_prime")
                     for tag in tags:
                         tw = twist(module, tag)
-                        dual = dual_twist(module, tag) if tag.startswith("psi") else None
+                        anti = tag.startswith("psi")  # the twisted dual
                         for key in module.actions:
                             kind, idx = key
                             gen = gen_T(idx, n) if kind == "T" else gen_c(idx, n)
                             img = apply_morphism(tag, gen)
                             expected = _element_matrix_by_products(module, img)
                             assert element_matrix(module, img.terms) == expected
+                            if anti:
+                                expected = expected.transpose()
                             assert tw.actions[key] == expected, (a, tag, key)
-                            if dual is not None:
-                                assert dual.actions[key] == expected.transpose()
     pair = outer_tensor(Stilde(1, 1), Stilde(2))
     with pytest.raises(ValueError):
         twist(pair, "phi")
     with pytest.raises(ValueError):
-        dual_twist(pair, "psi")
+        twist(pair, "psi")
 
 
 def test_parity_shift():
