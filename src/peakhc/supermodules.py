@@ -48,9 +48,9 @@ from .hecke_clifford import (
     AlgebraElement,
     _ANTI_TAGS,
     _left_mul,
+    _morphism_generator_images,
     _subsets_ordered,
     act_terms,
-    apply_morphism,
     basis_element,
     failing_relation,
     gen_c,
@@ -131,9 +131,14 @@ class RelationError(ValueError):
 
 
 class Supermodule:
-    """Labelled Z2-graded basis with one exact action matrix per generator."""
+    """Labelled Z2-graded basis with one exact action matrix per generator.
 
-    __slots__ = ("blocks", "algebra", "labels", "parities", "actions")
+    ``induced_from`` is the 0-Hecke module N when the module is
+    ``induce_clifford(N)``, in its basis c_D (x) n, and ``None`` otherwise;
+    only ``induce_clifford`` sets it, so no other constructor passes it on.
+    """
+
+    __slots__ = ("blocks", "algebra", "labels", "parities", "actions", "induced_from")
 
     def __init__(self, blocks, algebra, labels, parities, actions):
         self.blocks = tuple(blocks)
@@ -141,6 +146,7 @@ class Supermodule:
         self.labels = tuple(labels)
         self.parities = tuple(int(p) % 2 for p in parities)
         self.actions = dict(actions)
+        self.induced_from = None
         keys = set(generator_keys(self.blocks, algebra))
         if set(self.actions) != keys:
             raise ValueError(
@@ -280,7 +286,9 @@ def induce_clifford(module: Supermodule) -> Supermodule:
                     else:
                         vec_add_term(col, e * dm + k, s)
         actions[key] = mat
-    return Supermodule((n,), "HCl", labels, parities, actions)
+    induced = Supermodule((n,), "HCl", labels, parities, actions)
+    induced.induced_from = module
+    return induced
 
 
 def outer_tensor(m1: Supermodule, m2: Supermodule) -> Supermodule:
@@ -486,13 +494,13 @@ def twist(module: Supermodule, tag: str) -> Supermodule:
     dual, (a.f)(m) = f(nu(a)m): the images transposed, on dual labels."""
     if len(module.blocks) != 1:
         raise ValueError("twist wants a single-block module")
-    n = module.rank
+    images = _morphism_generator_images(tag, module.rank)
     anti = tag in _ANTI_TAGS
     actions = {}
     for key in module.actions:
-        kind, idx = key
-        gen = gen_T(idx, n) if kind == "T" else gen_c(idx, n)
-        img = apply_morphism(tag, gen)
+        img = images[key]
+        if img is None:
+            raise ValueError("phi_bar is defined on the Hecke subalgebra only")
         if module.algebra == "H":
             if any(d for (d, _w) in img.terms):
                 raise ValueError("twist by %s leaves the Hecke subalgebra" % tag)
@@ -561,6 +569,12 @@ def hom_space(src: Supermodule, dst: Supermodule) -> HomBasis:
     unknowns are those images, not the dim(src)·dim(dst) matrix entries:
     ``_spin`` finds a standard basis of ``src`` with its relations, and
     ``_maps_from_generators`` solves for the images that respect them.
+
+    An induced source Ind N (``src.induced_from`` is N) goes through the
+    induction adjunction Hom_HCl(Ind N, M) = Hom_H(N, Res M): the same
+    route solves the smaller system out of N into the 0-Hecke restriction
+    of ``dst``, and ``_map_out_of_induced`` lifts each solution, keeping
+    its parity.  ``MAX_HOM_CELLS`` bounds dim(src)·dim(dst) on both routes.
     """
     if src.blocks != dst.blocks or src.algebra != dst.algebra:
         raise ValueError("hom_space wants modules over the same algebra")
@@ -569,12 +583,50 @@ def hom_space(src: Supermodule, dst: Supermodule) -> HomBasis:
             "hom system with %d cells exceeds the guard %d (MAX_HOM_CELLS)"
             % (src.dim * dst.dim, MAX_HOM_CELLS)
         )
-    spin = _spin(src, [{j: 1} for j in range(src.dim)])
-    even, odd = (
-        [ModuleMap(src, dst, mat, par) for mat in _maps_from_generators(spin, dst, par)]
-        for par in (0, 1)
-    )
+    base = src.induced_from
+    if base is None:
+        mats = _spin_maps(src, dst)
+    else:
+        mats = [
+            [_map_out_of_induced(dst, phi.cols, par) for phi in inner]
+            for par, inner in enumerate(_spin_maps(base, restrict_hecke(dst)))
+        ]
+    even, odd = ([ModuleMap(src, dst, mat, par) for mat in part] for par, part in enumerate(mats))
     return HomBasis(even, odd)
+
+
+def _spin_maps(src: Supermodule, dst: Supermodule) -> tuple:
+    """Matrices of a basis of the even and of the odd morphisms, by the
+    generator route; kept apart from ``hom_space`` so that its adjunction
+    route is not a second ``hom_space`` call."""
+    spin = _spin(src, [{j: 1} for j in range(src.dim)])
+    return tuple(_maps_from_generators(spin, dst, par) for par in (0, 1))
+
+
+def _map_out_of_induced(target: Supermodule, images: list, parity: int) -> SparseMatrix:
+    """The parity-``parity`` map out of Ind N that sends 1 (x) n_k to
+    ``images[k]``: c_D (x) n_k -> (-1)^{parity |D|} c_D . images[k], c_D
+    acting on ``target``.
+
+    By the induction adjunction every morphism out of Ind N is the lift of
+    its restriction to N, a 0-Hecke map into the restriction of ``target``.
+    The column of c_D (x) n_k is (-1)^parity c_j applied to the column of
+    c_{D - {j}} (x) n_k, j = min D, which comes earlier in the subset
+    order: one sparse apply per column.
+    """
+    subs = _subsets_ordered(target.rank)
+    dpos = {d: k for k, d in enumerate(subs)}
+    dm = len(images)
+    mat = SparseMatrix(target.dim, len(subs) * dm)
+    mat.cols[:dm] = [dict(v) for v in images]  # the empty subset comes first
+    for di, d in enumerate(subs[1:], 1):
+        j = min(d)
+        act = target.actions[("c", j)]
+        prev = dpos[d - {j}] * dm
+        for k in range(dm):
+            col = act.apply(mat.cols[prev + k])
+            mat.cols[di * dm + k] = {r: -v for r, v in col.items()} if parity else col
+    return mat
 
 
 def _spin(module: Supermodule, seeds):
@@ -1000,26 +1052,6 @@ def split_simple(alpha) -> SimpleSplit:
     )
 
 
-def _map_from_eta(target: Supermodule, seed: dict, parity: int) -> SparseMatrix:
-    """The map out of the induced simple that sends eta to ``seed``:
-    c_D eta -> (-1)^{parity |D|} c_D . seed, c_D acting on ``target``.
-
-    Ind S_alpha is cyclic on eta, so every morphism out of it has this form.
-    The column of D is (-1)^parity c_j applied to the column of D - {j},
-    j = min D, which comes earlier in the subset order: one sparse apply
-    per subset.
-    """
-    subs = _subsets_ordered(target.rank)
-    dpos = {d: k for k, d in enumerate(subs)}
-    mat = SparseMatrix(target.dim, len(subs))
-    mat.cols[0] = dict(seed)  # the empty subset comes first
-    for di, d in enumerate(subs[1:], 1):
-        j = min(d)
-        col = target.actions[("c", j)].apply(mat.cols[dpos[d - {j}]])
-        mat.cols[di] = {r: -v for r, v in col.items()} if parity else col
-    return mat
-
-
 def end_clifford_check(alpha) -> dict:
     """Verify that End of the induced simple is the Clifford algebra on the
     valley set: dimension 2^|V|, generated by odd maps sqrt(-1) f_{c_v}
@@ -1046,7 +1078,9 @@ def end_clifford_check(alpha) -> dict:
     if ends.total_dim != 2 ** len(valleys):
         report["ok"] = False
         return report
-    fmaps = {v: _map_from_eta(module, module.actions[("c", v)].cols[0], 1) for v in valleys}
+    fmaps = {
+        v: _map_out_of_induced(module, [module.actions[("c", v)].cols[0]], 1) for v in valleys
+    }
     for v, f in fmaps.items():
         if not ModuleMap(module, module, f, 1).is_morphism():
             report["ok"] = False
@@ -1097,7 +1131,8 @@ def stated_twist_isomorphism(alpha, part: int) -> ModuleMap:
             c_D eta -> (-1)^{n|D|} c_D . xi (xi dual to the top vector).
 
     On the twist, c_D acts as its image does on the induced simple, so each
-    map is ``_map_from_eta`` on the twist, seeded at eta or at the top vector.
+    map is ``_map_out_of_induced`` on the twist, with its one image at eta
+    or at the top vector.
     """
     if part not in _STATED_TWISTS:
         raise ValueError("part must be 1..4")
@@ -1109,7 +1144,7 @@ def stated_twist_isomorphism(alpha, part: int) -> ModuleMap:
     # eta is even, so the map has the parity of its seed; c_[n] eta sits last
     parity = a.n % 2 if top else 0
     seed = {base.dim - 1: 1} if top else {0: 1}
-    return ModuleMap(source, target, _map_from_eta(target, seed, parity), parity)
+    return ModuleMap(source, target, _map_out_of_induced(target, [seed], parity), parity)
 
 
 # ---------------------------------------------------------------------------

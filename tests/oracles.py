@@ -7,9 +7,10 @@ elements, the leading term of T_w c_D, the multiplication tables by
 generator walks, the left-regular matrices of the generators, the
 associativity certificate and the Frobenius Gram through the regular
 representation, one-gamma Hom onto a Hecke simple, parabolic restriction,
-the parity shift, the rank-0 module, the true idempotents that split an induced
-simple, the peak sets by a walk over all subsets, the Bruhat filtration of
-an induced projective, route (i) of the Cartan image by a walk of the
+the parity shift, the rank-0 module, Hom out of an induced module by the
+spin route, the true idempotents that split an induced simple, the peak
+sets by a walk over all subsets, the Bruhat filtration of an induced
+projective, route (i) of the Cartan image by a walk of the
 descent class, the anti-involution phi of the peak subalgebra through a
 preimage, the readers of the JSON forms, and the smash-product double of
 the peak algebra and its dual."""
@@ -48,13 +49,21 @@ from peakhc.hecke_clifford import (
 )
 from peakhc.heisenberg import fock_action
 from peakhc.hopf import FreeElement, convert, coproduct, product, term, theta_transform
-from peakhc.linalg import SpanSolver, SparseMatrix, nullspace, vec_add_term, vec_iadd_scaled
+from peakhc.linalg import (
+    Echelon,
+    SpanSolver,
+    SparseMatrix,
+    nullspace,
+    vec_add_term,
+    vec_iadd_scaled,
+)
 from peakhc.scalars import GAUSS_I, _rational, gaussian
 from peakhc.supermodules import (
     Supermodule,
     _descent_class_sorted,
     find_isomorphism,
     generator_keys,
+    hom_space,
     induce_clifford,
     projective_hecke,
     simple_hecke,
@@ -361,6 +370,40 @@ def parity_shift(module: Supermodule) -> Supermodule:
 
 def trivial_module(algebra: str = "HCl") -> Supermodule:
     return Supermodule((0,), algebra, ("1",), (0,), {})
+
+
+def without_provenance(module: Supermodule) -> Supermodule:
+    """The same module with no record of the Hecke module it was induced
+    from, so ``hom_space`` out of it takes the spin route."""
+    return Supermodule(
+        module.blocks, module.algebra, module.labels, module.parities, module.actions
+    )
+
+
+def hom_route_mismatch(src: Supermodule, dst: Supermodule):
+    """Why ``hom_space`` out of the induced ``src``, which goes through the
+    induction adjunction, disagrees with the spin route out of the same
+    module without provenance; ``None`` when they agree.
+
+    They agree when, in each parity, the two bases have the same size, the
+    union of both has rank that size (so they span one space), and every
+    lifted map is a morphism."""
+    if src.induced_from is None:
+        raise ValueError("the source is not an induced module")
+    fast = hom_space(src, dst)
+    slow = hom_space(without_provenance(src), dst)
+    for par, got, want in ((0, fast.even, slow.even), (1, fast.odd, slow.odd)):
+        if len(got) != len(want):
+            return "parity %d: dimension %d, spin route %d" % (par, len(got), len(want))
+        span = Echelon()
+        for f in got + want:
+            span.add({(i, j): v for i, j, v in f.matrix.entries()})
+        if span.rank != len(want):
+            return "parity %d: the two bases span rank %d" % (par, span.rank)
+        for f in got:
+            if not f.is_morphism():
+                return "parity %d: a lifted map is no morphism" % par
+    return None
 
 
 def bruhat_filtration(alpha) -> list:

@@ -59,9 +59,11 @@ from oracles import (
     bruhat_filtration,
     clifford_idempotents,
     hom_dim_to_hecke_simple,
+    hom_route_mismatch,
     parity_shift,
     restrict_parabolic,
     trivial_module,
+    without_provenance,
 )
 
 _G1 = 1
@@ -235,6 +237,68 @@ def test_hom_dual_routes_agree():
                 direct = hom_space(pt, st).total_dim
                 chars = projective_hom_dim(st, a)
                 assert direct == chars
+
+
+def test_hom_adjunction_route_matches_the_spin_route():
+    # Hom out of Ind N through Hom_H(N, Res M), against the spin route out
+    # of the same module without provenance: 318 pairs through n = 4
+    pairs = 0
+    for n in (1, 2, 3, 4):
+        comps = list(compositions_of(n))
+        targets = [induce_clifford(simple_hecke(b)) for b in comps]
+        if n <= 3:
+            targets += [induce_clifford(projective_hecke(b)) for b in comps]
+        for a in comps:
+            s = simple_hecke(a)
+            odd = Supermodule(s.blocks, s.algebra, s.labels, (1,), s.actions)
+            for base in (s, odd, projective_hecke(a)):
+                src = induce_clifford(base)
+                assert src.induced_from is base
+                for dst in targets:
+                    assert hom_route_mismatch(src, dst) is None, (a, base.parities, dst)
+                    pairs += 1
+    assert pairs == 318
+
+
+def test_hom_route_mismatch_catches_a_wrong_lift(monkeypatch):
+    # negative control: a lift with the Clifford sign left out is wrong for
+    # every odd map, and the oracle says so
+    from peakhc import supermodules
+
+    build = supermodules._map_out_of_induced
+    monkeypatch.setattr(
+        supermodules, "_map_out_of_induced", lambda target, images, parity: build(target, images, 0)
+    )
+    src = induce_clifford(simple_hecke(C(2, 2)))
+    got = hom_route_mismatch(src, src)
+    assert got is not None and got.startswith("parity 1:"), got
+
+
+def test_induced_provenance_does_not_leak():
+    # only induce_clifford records the module it induced from; every other
+    # constructor, applied to an induced module, records nothing
+    base = projective_hecke(C(1, 2))
+    ind = induce_clifford(base)
+    small = induce_clifford(simple_hecke(C(1, 1)))
+    assert ind.induced_from is base
+    assert simple_hecke(C(2)).induced_from is None and base.induced_from is None
+    built = {
+        "twist": twist(ind, "phi"),
+        "restrict_hecke": restrict_hecke(ind),
+        "restrict_corner": restrict_corner(ind),
+        "submodule_on_vectors": submodule_on_vectors(ind, [{0: 1}])[0],
+        "outer_tensor": outer_tensor(small, ind),
+        "parabolic_induce": parabolic_induce(small, ind),
+        "module_from_json": module_from_json(module_to_json(ind)),
+        "without_provenance": without_provenance(ind),
+    }
+    assert [k for k, m in built.items() if m.induced_from is not None] == []
+    # the JSON round trip keeps the Hom dimensions, now by the spin route
+    back = built["module_from_json"]
+    for b in compositions_of(3):
+        for dst in (induce_clifford(simple_hecke(b)), induce_clifford(projective_hecke(b))):
+            got, want = hom_space(back, dst), hom_space(ind, dst)
+            assert (got.even_dim, got.odd_dim) == (want.even_dim, want.odd_dim), b
 
 
 def _kronecker_hom(src, dst):
@@ -618,24 +682,24 @@ def test_split_spins_its_seeds_without_fractions(monkeypatch):
 
 def test_end_clifford_reports_a_generator_with_a_flipped_sign(monkeypatch):
     # negative control: one sign flipped in one integer generator f_{c_v},
-    # built by the map out of eta with seed c_v eta, breaks the morphism
+    # the lift of the map that sends eta to c_v eta, breaks the morphism
     # check for that v
     from peakhc import supermodules
 
-    build = supermodules._map_from_eta
+    build = supermodules._map_out_of_induced
     a = C(2, 2)
     target = sorted(a.valley_set())[-1]
 
-    def flipped(module, seed, parity):
-        mat = build(module, seed, parity)
-        if seed == module.actions[("c", target)].cols[0]:
+    def flipped(module, images, parity):
+        mat = build(module, images, parity)
+        if images == [module.actions[("c", target)].cols[0]]:
             col = mat.cols[0]
             (row, val), = col.items()
             col[row] = -val
         return mat
 
     assert end_clifford_check(a)["ok"]
-    monkeypatch.setattr(supermodules, "_map_from_eta", flipped)
+    monkeypatch.setattr(supermodules, "_map_out_of_induced", flipped)
     rep = end_clifford_check(a)
     assert not rep["ok"]
     assert rep["bad_generator"] == target
@@ -890,12 +954,12 @@ def test_twist_isomorphism_fails_from_the_wrong_seed():
     # negative control: part 1 seeded at eta instead of the top vector
     # c_[n] eta is no morphism, so the stated maps' checks have teeth (at
     # n = 1 it is the identity, an odd morphism since phi negates c_1)
-    from peakhc.supermodules import _map_from_eta, stated_twist_isomorphism
+    from peakhc.supermodules import _map_out_of_induced, stated_twist_isomorphism
 
     for n in (2, 3):
         for a in compositions_of(n):
             f = stated_twist_isomorphism(a, 1)
-            wrong = _map_from_eta(f.target, {0: 1}, f.parity)
+            wrong = _map_out_of_induced(f.target, [{0: 1}], f.parity)
             assert f.is_morphism()
             assert not ModuleMap(f.source, f.target, wrong, f.parity).is_morphism(), a
 
