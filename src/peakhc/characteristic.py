@@ -179,7 +179,8 @@ def cartan_image(alpha) -> tuple:
     a = as_composition(alpha)
     if a.n > MAX_DESCENT_PAIR_N:
         raise ResourceLimitError(
-            "cartan_image guarded at n <= %d (MAX_DESCENT_PAIR_N)" % MAX_DESCENT_PAIR_N
+            "cartan_image guarded at n <= %d" % MAX_DESCENT_PAIR_N,
+            "MAX_DESCENT_PAIR_N",
         )
     filt = {}
     for B, count in _descent_pair_counts(a.n)[a.descent_set()].items():
@@ -349,7 +350,8 @@ def verify_corner_restriction(alpha) -> tuple:
         raise ValueError("corner restriction wants a nonempty composition")
     if n > MAX_CORNER_N:
         raise ResourceLimitError(
-            "corner restriction guarded at n <= %d (MAX_CORNER_N)" % MAX_CORNER_N
+            "corner restriction guarded at n <= %d" % MAX_CORNER_N,
+            "MAX_CORNER_N",
         )
     res = restrict_corner(induce_clifford(projective_hecke(a)))
     if n == 1:
@@ -415,7 +417,8 @@ def gessel_pairing(alpha, beta) -> int:
         return 0
     if a.n > MAX_DESCENT_PAIR_N:
         raise ResourceLimitError(
-            "gessel_pairing guarded at n <= %d (MAX_DESCENT_PAIR_N)" % MAX_DESCENT_PAIR_N
+            "gessel_pairing guarded at n <= %d" % MAX_DESCENT_PAIR_N,
+            "MAX_DESCENT_PAIR_N",
         )
     hopf = pairing(term("NSym", "R", b), _ribbon_in_f(a))
     count = _descent_pair_counts(a.n)[a.descent_set()].get(b.descent_set(), 0)

@@ -69,7 +69,14 @@ MAX_PEAK_SETS = 100000  # peak sets listed by one call of peak_sets_within
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a request exceeds the configured desk-scale guards."""
+    """Raised when a request exceeds the configured desk-scale guards.
+
+    ``guard`` is the name of the bound that stopped it, and the message
+    ends with that name in parentheses."""
+
+    def __init__(self, message: str, guard: str):
+        super().__init__("%s (%s)" % (message, guard))
+        self.guard = guard
 
 
 def _int_tuple(values, what: str) -> tuple:
@@ -305,8 +312,8 @@ def peak_sets_within(n: int, window) -> list:
         counts.append(counts[k] + counts[j])
     if counts[-1] > MAX_PEAK_SETS:
         raise ResourceLimitError(
-            "%d peak sets in [%d] exceed the guard %d (MAX_PEAK_SETS)"
-            % (counts[-1], n, MAX_PEAK_SETS)
+            "%d peak sets in [%d] exceed the guard %d" % (counts[-1], n, MAX_PEAK_SETS),
+            "MAX_PEAK_SETS",
         )
     masks = [[0]]
     for k, j in enumerate(below):
@@ -386,8 +393,8 @@ def word_reduced(w: tuple) -> tuple:
 def _check_enum_guard(n: int) -> None:
     if n > MAX_ENUM_N:
         raise ResourceLimitError(
-            "symmetric group enumeration for n=%d exceeds the guard %d (MAX_ENUM_N)"
-            % (n, MAX_ENUM_N)
+            "symmetric group enumeration for n=%d exceeds the guard %d" % (n, MAX_ENUM_N),
+            "MAX_ENUM_N",
         )
 
 

@@ -29,7 +29,7 @@ Multiplication instead reads c_D T_w * c_E T_v = c_D (T_w c_E) T_v from
 three cached integer tables that the same rules fill once per key: T_w c_E
 in normal form, the Clifford sign of c_D c_D', and the Demazure sign of
 T_u T_v.  Each entry is one generator step on a shorter entry of its
-table: T_w = T_i T_{s_i w} with i the first letter of w, and
+table: T_w = T_i T_{s_i w} with i the least left descent of w, and
 c_D = c_j c_{D-j} with j = min D.  The structure constants are integers,
 and a coefficient follows the one representation of ``scalars``: ``int``
 while integral, so products of integral elements stay ``int``, and a
@@ -44,7 +44,11 @@ tau: H (x) C -> C (x) H; ``multiply`` is the product of the twisted tensor
 product C (x)_tau H (Cap, Schichl and Vanzura, Comm. Algebra 23, 1995).
 That product is associative when C and H are, each checked on triples whose
 last factor is a generator, and when tau respects the products of H and of
-C, checked with one factor a generator T_i; the function's docstring
+C.  For H that is read from the presentation of the 0-Hecke algebra: the
+Demazure table and the moves of each T_i past an entry of tau satisfy its
+relations, and each entry of tau is one move on a one letter shorter
+entry, so by Norton's dimension count the moves are an action of H.  For C
+it is checked with the H factor a generator T_i.  The function's docstring
 spells out each step.  ``frobenius_gram`` reads the trace form
 tr(c_D T_u c_E T_v) from the same three tables.  Every reader of the
 structure constants goes through the tables; the tests keep the
@@ -257,6 +261,11 @@ def algebra_basis(n: int) -> tuple:
     return tuple((d, w) for d in _subsets_ordered(n) for w in perms)
 
 
+def _perms(n: int) -> list:
+    """The one-line words of rank n in the canonical order, identity first."""
+    return [w for d, w in algebra_basis(n) if not d]
+
+
 def _basis_index(n: int) -> dict:
     """Position of each basis key in the canonical order."""
     return {key: k for k, key in enumerate(algebra_basis(n))}
@@ -413,13 +422,19 @@ def act_terms(terms: dict, act, vecs, anti: bool = False) -> list:
 
 
 def _first_letter(d, w) -> tuple:
-    """(g, b') with c_D T_w = g b', g the first letter of normal_word(d, w).
-    b' comes earlier in the canonical order: it has a smaller D, or, for
-    D empty, i+1 stands left of i in w and b' exchanges them."""
+    """(g, b') with c_D T_w = g b'.  b' comes earlier in the canonical
+    order: for D nonempty g = c_j with j = min D and b' has D - {j}; for D
+    empty g = T_i with i the least left descent of w != id, the least i
+    whose i+1 stands left of i, found in one pass, and b' exchanges them,
+    so T_w = T_i T_{s_i w} with l(s_i w) = l(w) - 1."""
     if d:
         j = min(d)
         return ("c", j), (d - {j}, w)
-    i = word_reduced(w)[0]
+    i, seen = len(w), 0
+    for x in w:
+        if seen >> x & 1 and x < i:
+            i = x
+        seen |= 1 << (x - 1)
     return ("T", i), (d, swap_values(i, w))
 
 
@@ -433,8 +448,8 @@ def _shared(x):
 @lru_cache(maxsize=None)
 def _t_times_c(w: tuple, e: frozenset) -> tuple:
     """T_w c_E in normal form as (k, D, u) triples, k an int: at most
-    n! 2^n entries per rank n.  T_i times the entry of s_i w, i the first
-    letter of w."""
+    n! 2^n entries per rank n.  T_i times the entry of s_i w, i the least
+    left descent of w (``_first_letter``)."""
     if w == tuple(range(1, len(w) + 1)):
         return ((1, _shared(e), _shared(w)),)
     (_t, i), (_d, rest) = _first_letter(frozenset(), w)
@@ -458,14 +473,16 @@ def _clifford_sign(d: frozenset, e: frozenset) -> tuple:
 @lru_cache(maxsize=None)
 def _demazure_sign(u: tuple, v: tuple) -> tuple:
     """(t, u*v) with T_u T_v = t T_{u*v}, u*v the Demazure product: at most
-    (n!)^2 entries per rank n.  T_i times the entry of s_i u, i the first
-    letter of u."""
+    (n!)^2 entries per rank n.  T_i times the entry of s_i u, i the least
+    left descent of u, by the left Demazure rule: T_i T_x = T_{s_i x} when i
+    stands left of i+1 in x, and -T_x otherwise."""
     if u == tuple(range(1, len(u) + 1)):
         return 1, _shared(v)
     (_t, i), (_d, rest) = _first_letter(frozenset(), u)
     t, x = _demazure_sign(rest, v)
-    ((_d, uv), t), = _left_mul_T(i, {(frozenset(), x): t}).items()
-    return t, _shared(uv)
+    if x.index(i) < x.index(i + 1):
+        return t, _shared(swap_values(i, x))
+    return -t, x
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -493,12 +510,13 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def _guard_table_sweep(n: int) -> None:
-    """The associativity certificate checks (n!)^2 (n-1) Demazure triples,
-    and the Gram has (2^n n!)^2 entries: guarded at n <= MAX_TABLE_SWEEP_N."""
+    """The associativity certificate checks (n!)^2 (n-1) Demazure triples
+    in (H) and makes n! 2^n moves in (K), and the Gram has (2^n n!)^2
+    entries: guarded at n <= MAX_TABLE_SWEEP_N."""
     if n > MAX_TABLE_SWEEP_N:
         raise ResourceLimitError(
-            "table sweep of rank %d exceeds the guard %d (MAX_TABLE_SWEEP_N)"
-            % (n, MAX_TABLE_SWEEP_N)
+            "table sweep of rank %d exceeds the guard %d" % (n, MAX_TABLE_SWEEP_N),
+            "MAX_TABLE_SWEEP_N",
         )
 
 
@@ -515,7 +533,7 @@ def frobenius_gram(n: int) -> SparseMatrix:
     """
     _guard_table_sweep(n)
     basis = algebra_basis(n)
-    perms = [w for d, w in basis if not d]
+    perms = _perms(n)
     m = len(perms)
     w0 = tuple(range(n, 0, -1))
     to_w0 = {}
@@ -546,6 +564,176 @@ def frobenius_gram(n: int) -> SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _c_name(d, n: int) -> str:
+    return str(basis_element(d, tuple(range(1, n + 1)), n))
+
+
+def _t_name(w: tuple) -> str:
+    return str(basis_element(frozenset(), w, len(w)))
+
+
+def _tau(w: tuple, e: frozenset) -> dict:
+    """tau(T_w (x) c_E) = T_w c_E as a dict {(D, u): k}."""
+    return {(d, u): k for k, d, u in _t_times_c(w, e)}
+
+
+def _move_t(s: tuple, terms: dict) -> dict:
+    """M_{T_s}: T_s moved past every c_D T_u of ``terms``."""
+    out = {}
+    for (d, u), k in terms.items():
+        for k2, d2, u2 in _t_times_c(s, d):
+            t, uu = _demazure_sign(u2, u)
+            vec_add_term(out, (d2, uu), k * k2 * t)
+    return out
+
+
+def _move_past_c(f: frozenset, terms: dict) -> dict:
+    """N_{c_F}: the T part of every c_D T_u of ``terms`` moved past c_F."""
+    out = {}
+    for (d, u), k in terms.items():
+        for k2, d2, u2 in _t_times_c(u, f):
+            s, dd = _clifford_sign(d, d2)
+            vec_add_term(out, (dd, u2), k * k2 * s)
+    return out
+
+
+def _failing_relation_on(n: int, act, x: dict):
+    """The first relation among T_1..T_{n-1} of ``defining_relations``
+    that fails on the vector x when T_i acts by ``act(i, vec)``, each word
+    applied right to left, as text; None when all of them hold on x."""
+
+    def value(terms):
+        total = {}
+        for coeff, word in terms:
+            vec = x
+            for _kind, i in reversed(word):
+                vec = act(i, vec)
+            vec_iadd_scaled(total, vec, coeff)
+        return total
+
+    for lhs, rhs in defining_relations([("T", i) for i in range(1, n)]):
+        if value(lhs) != value(rhs):
+            return _relation_text(lhs, rhs)
+    return None
+
+
+def _unit_failure(n: int):
+    """Check (U) of ``associativity_failure``."""
+    ident = tuple(range(1, n + 1))
+    empty = frozenset()
+    for e in _subsets_ordered(n):
+        if not (_clifford_sign(empty, e) == _clifford_sign(e, empty) == (1, e)
+                and _tau(ident, e) == {(e, ident): 1}):
+            return "(U) the unit law at %s" % _c_name(e, n)
+    for v in _perms(n):
+        if not (_demazure_sign(ident, v) == _demazure_sign(v, ident) == (1, v)
+                and _tau(v, empty) == {(empty, v): 1}):
+            return "(U) the unit law at %s" % _t_name(v)
+    return None
+
+
+def _clifford_failure(n: int):
+    """Check (C) of ``associativity_failure``."""
+    subsets = _subsets_ordered(n)
+    for d in subsets:
+        if d and _clifford_sign(d - {max(d)}, frozenset({max(d)})) != (1, d):
+            return "(C) %s is not c_%d times the rest" % (_c_name(d, n), max(d))
+        for e in subsets:
+            s, de = _clifford_sign(d, e)
+            for j in range(1, n + 1):
+                cj = frozenset({j})
+                s2, x = _clifford_sign(de, cj)
+                s3, ej = _clifford_sign(e, cj)
+                s4, y = _clifford_sign(d, ej)
+                if s * s2 != s3 * s4 or x != y:
+                    return "(C) (%s * %s) * c_%d" % (_c_name(d, n), _c_name(e, n), j)
+    return None
+
+
+def _presentation_failure(n: int):
+    """Check (P) of ``associativity_failure``: about n! table reads."""
+    ident = tuple(range(1, n + 1))
+
+    def left_t(i, vec):
+        out = {}
+        for w, t in vec.items():
+            t2, x = _demazure_sign(swap_values(i, ident), w)
+            vec_add_term(out, x, t * t2)
+        return out
+
+    rel = _failing_relation_on(n, left_t, {ident: 1})
+    if rel is not None:
+        return "(P) %s fails in the Demazure table" % rel
+    for v in _perms(n)[1:]:
+        (_t, f), (_d, rest) = _first_letter(frozenset(), v)
+        if _demazure_sign(swap_values(f, ident), rest) != (1, v):
+            return "(P) %s is not T_%d times the rest" % (_t_name(v), f)
+    return None
+
+
+def _hecke_failure(n: int):
+    """Check (H) of ``associativity_failure``."""
+    ident = tuple(range(1, n + 1))
+    perms = _perms(n)
+    simple = {i: swap_values(i, ident) for i in range(1, n)}
+    for u in perms:
+        if u != ident:
+            i = min(word_descents(u))
+            if _demazure_sign(swap_positions(i, u), simple[i]) != (1, u):
+                return "(H) %s is not its prefix times T_%d" % (_t_name(u), i)
+        for v in perms:
+            t, uv = _demazure_sign(u, v)
+            for i in range(1, n):
+                t2, x = _demazure_sign(uv, simple[i])
+                t3, vi = _demazure_sign(v, simple[i])
+                t4, y = _demazure_sign(u, vi)
+                if t * t2 != t3 * t4 or x != y:
+                    return "(H) (%s * %s) * T_%d" % (_t_name(u), _t_name(v), i)
+    return None
+
+
+def _moves_failure(n: int):
+    """Check (R) of ``associativity_failure``: on the 2^n vectors c_D (x) 1."""
+    ident = tuple(range(1, n + 1))
+
+    def move(i, vec):
+        return _move_t(swap_values(i, ident), vec)
+
+    for d in _subsets_ordered(n):
+        rel = _failing_relation_on(n, move, {(d, ident): 1})
+        if rel is not None:
+            return "(R) %s fails for the moves past %s" % (rel, _c_name(d, n))
+    return None
+
+
+def _construction_failure(n: int):
+    """Check (K) of ``associativity_failure``: n! 2^n moves."""
+    ident = tuple(range(1, n + 1))
+    subsets = _subsets_ordered(n)
+    for v in _perms(n)[1:]:
+        (_t, f), (_d, rest) = _first_letter(frozenset(), v)
+        s = swap_values(f, ident)
+        for e in subsets:
+            if _move_t(s, _tau(rest, e)) != _tau(v, e):
+                return "(K) T_%d moved past %s * %s" % (f, _t_name(rest), _c_name(e, n))
+    return None
+
+
+def _clifford_move_failure(n: int):
+    """Check (b) of ``associativity_failure``."""
+    ident = tuple(range(1, n + 1))
+    subsets = _subsets_ordered(n)
+    for i in range(1, n):
+        s_i = swap_values(i, ident)
+        for e in subsets:
+            te = _tau(s_i, e)
+            for f in subsets:
+                s, ef = _clifford_sign(e, f)
+                if _move_past_c(f, te) != {key: s * k for key, k in _tau(s_i, ef).items()}:
+                    return "(b) T_%d moved past %s * %s" % (i, _c_name(e, n), _c_name(f, n))
+    return None
+
+
 def associativity_failure(n: int):
     """None when ``multiply`` is certified associative at rank n, else the
     first check that failed, as text.  Guarded at n <= MAX_TABLE_SWEEP_N.
@@ -554,18 +742,33 @@ def associativity_failure(n: int):
     c_D with c_D c_E = sigma(D, E) (``_clifford_sign``), H the span of the
     T_w with T_u T_v = delta(u, v) (``_demazure_sign``), and
     tau: H (x) C -> C (x) H the map T_w (x) c_E -> T_w c_E (``_t_times_c``).
-    Write s_i for the transposition of i and i+1, and for h in H and c in C
-    let M_h(c' (x) k) = tau(h (x) c') k move h past c' (x) k, and
-    N_c(c' (x) k) = c' tau(k (x) c) move the H part past c.  The checks:
+    Write s_i for the transposition of i and i+1, f(v) for the least left
+    descent of v != id (``_first_letter``), so that l(s_f v) = l(v) - 1,
+    and for h in H and c in C let M_h(c' (x) k) = tau(h (x) c') k move h
+    past c' (x) k, and N_c(c' (x) k) = c' tau(k (x) c) move the H part
+    past c.  The checks, in the order they run:
 
     (U) sigma(0, E) = sigma(E, 0) = (1, E), delta(id, v) = delta(v, id) =
         (1, v), tau(1 (x) c_E) = c_E and tau(T_w (x) 1) = T_w;
     (C) (c_D c_E) c_j = c_D (c_E c_j) for all D, E, j, and
         c_F = c_{F-m} c_m with sign +1, m = max F;
+    (P) the T_{s_i} satisfy T_i T_i = -T_i, the braid relations and the
+        distant commutations of ``defining_relations`` under delta, and
+        T_v = T_{s_f} T_{s_f v} with sign +1 for every v != id, f = f(v):
+        about n! table reads;
     (H) (T_u T_v) T_i = T_u (T_v T_i) for all u, v, i, and
         T_w = T_{w s_i} T_i with sign +1, i the least right descent of w != id;
-    (a) tau(T_i T_v (x) c_E) = M_{T_i} tau(T_v (x) c_E) for all i, v, E;
+    (R) the M_{T_{s_i}} satisfy the same relations on the 2^n vectors
+        c_D (x) 1;
+    (K) tau(T_v (x) c_E) = M_{T_{s_f}} tau(T_{s_f v} (x) c_E) for every
+        v != id, f = f(v), and every E: n! 2^n moves;
     (b) tau(T_i (x) c_E c_F) = N_{c_F} tau(T_i (x) c_E) for all i, E, F.
+
+    (P), (R) and (K) together prove, for (n-1) times fewer table reads,
+    what the sweep of T_i past every entry of tau proved before them (the
+    tests keep that sweep as the slow route):
+
+    (a) tau(T_i T_v (x) c_E) = M_{T_i} tau(T_v (x) c_E) for all i, v, E.
 
     Proof.  C is associative: (x y) z = x (y z) on basis elements by
     induction on |F| for z = c_F, from F = 0 by (U); with c_F = c_G c_m,
@@ -573,14 +776,30 @@ def associativity_failure(n: int):
     x (y c_F), the outer steps by (C) and linearity, the middle one by
     induction.  H is associative likewise by (H), on the length of w.
 
-    The h in H with tau(h h' (x) c) = M_h tau(h' (x) c) for all h', c form
-    a subspace that holds 1 by (U) and each T_i by (a).  For such an h,
-    M_{h h'} = M_h M_{h'} (apply both to c (x) k), so if g and h are in it,
-    tau(g h h' (x) c) = M_g M_h tau(h' (x) c) = M_{g h} tau(h' (x) c): it is
-    closed under products, so it is all of H.  The h with
-    tau(h (x) c c') = N_{c'} tau(h (x) c) for all c, c' form a subspace
-    that holds 1 by (U) and each T_i by (b).  If g and h are in it,
-    tau(g h (x) c c') = M_g N_{c'} tau(h (x) c) and
+    Next, h -> M_h is an algebra map on H.  Let H_n(0) be the algebra
+    presented by generators T_1..T_{n-1} and the relations of (P).  It has
+    dimension n! (Norton, "0-Hecke algebras", J. Austral. Math. Soc. A 27,
+    1979).  H is associative with unit T_id, its T_{s_i} satisfy these
+    relations by (P), and by the second part of (P) and induction on the
+    length each T_v is the product of the T_{s_f} along the least left
+    descents of v; so T_i -> T_{s_i} extends to an algebra map of H_n(0)
+    onto H, which is one-to-one since both have dimension n!.  Each M_h is
+    right H-linear: M_h((c (x) k) k') = tau(h (x) c) (k k') =
+    (tau(h (x) c) k) k' by the associativity of H.  The c_D (x) 1 span
+    C (x) H as a right H-module, so by (R) the M_{T_{s_i}} satisfy the
+    relations on all of C (x) H, and there is an algebra map rho from H to
+    the endomorphisms of C (x) H with rho(T_{s_i}) = M_{T_{s_i}}.  By (K)
+    the right H-linear maps M_{T_v} and M_{T_{s_f}} M_{T_{s_f v}} agree on
+    every c_E (x) 1, so they are equal; with M_1 = 1 by (U) and induction
+    on the length, M_{T_v} is the product of the M_{T_{s_f}} along the
+    least left descents of v, which is rho(T_v).  So M = rho on a basis, M
+    is linear in h, and M_{g h} = M_g M_h for all g, h in H.  Applied to
+    c (x) 1, tau(g h (x) c) = M_g tau(h (x) c): this is (a) for every g in
+    H, not only for the T_i.
+
+    The h with tau(h (x) c c') = N_{c'} tau(h (x) c) for all c, c' form a
+    subspace that holds 1 by (U) and each T_i by (b).  If g and h are in
+    it, tau(g h (x) c c') = M_g N_{c'} tau(h (x) c) and
     N_{c'} tau(g h (x) c) = N_{c'} M_g tau(h (x) c), by (a) for g; and
     M_g N_{c'} = N_{c'} M_g, for with tau(k (x) c') = sum c'' (x) k'' both
     send c (x) k to sum N_{c''} tau(g (x) c) k'', the left by g in the
@@ -597,90 +816,11 @@ def associativity_failure(n: int):
     forms for the pair; both are bilinear, so ``multiply`` is associative.
     """
     _guard_table_sweep(n)
-    ident = tuple(range(1, n + 1))
-    empty = frozenset()
-    perms = [w for d, w in algebra_basis(n) if not d]
-    subsets = _subsets_ordered(n)
-    simple = {i: swap_values(i, ident) for i in range(1, n)}
-
-    def tau(w, e):
-        return {(d, u): k for k, d, u in _t_times_c(w, e)}
-
-    def t_past(i, terms):
-        """T_i moved past every c_D T_u of ``terms``: M_{T_i}."""
-        out = {}
-        for (d, u), k in terms.items():
-            for k2, d2, u2 in _t_times_c(simple[i], d):
-                t, uu = _demazure_sign(u2, u)
-                vec_add_term(out, (d2, uu), k * k2 * t)
-        return out
-
-    def past_c(f, terms):
-        """The T part of every c_D T_u of ``terms`` moved past c_F: N_{c_F}."""
-        out = {}
-        for (d, u), k in terms.items():
-            for k2, d2, u2 in _t_times_c(u, f):
-                s, dd = _clifford_sign(d, d2)
-                vec_add_term(out, (dd, u2), k * k2 * s)
-        return out
-
-    def c_(d):
-        return basis_element(d, ident, n)
-
-    def t_(w):
-        return basis_element(empty, w, n)
-
-    # (U)
-    for e in subsets:
-        if not (_clifford_sign(empty, e) == _clifford_sign(e, empty) == (1, e)
-                and tau(ident, e) == {(e, ident): 1}):
-            return "(U) the unit law at %s" % c_(e)
-    for v in perms:
-        if not (_demazure_sign(ident, v) == _demazure_sign(v, ident) == (1, v)
-                and tau(v, empty) == {(empty, v): 1}):
-            return "(U) the unit law at %s" % t_(v)
-    # (C)
-    for d in subsets:
-        if d and _clifford_sign(d - {max(d)}, frozenset({max(d)})) != (1, d):
-            return "(C) %s is not c_%d times the rest" % (c_(d), max(d))
-        for e in subsets:
-            s, de = _clifford_sign(d, e)
-            for j in range(1, n + 1):
-                cj = frozenset({j})
-                s2, x = _clifford_sign(de, cj)
-                s3, ej = _clifford_sign(e, cj)
-                s4, y = _clifford_sign(d, ej)
-                if s * s2 != s3 * s4 or x != y:
-                    return "(C) (%s * %s) * c_%d" % (c_(d), c_(e), j)
-    # (H)
-    for u in perms:
-        if u != ident:
-            i = min(word_descents(u))
-            if _demazure_sign(swap_positions(i, u), simple[i]) != (1, u):
-                return "(H) %s is not its prefix times T_%d" % (t_(u), i)
-        for v in perms:
-            t, uv = _demazure_sign(u, v)
-            for i in range(1, n):
-                t2, x = _demazure_sign(uv, simple[i])
-                t3, vi = _demazure_sign(v, simple[i])
-                t4, y = _demazure_sign(u, vi)
-                if t * t2 != t3 * t4 or x != y:
-                    return "(H) (%s * %s) * T_%d" % (t_(u), t_(v), i)
-    # (a)
-    for i in range(1, n):
-        for v in perms:
-            t, x = _demazure_sign(simple[i], v)
-            for e in subsets:
-                if t_past(i, tau(v, e)) != {key: t * k for key, k in tau(x, e).items()}:
-                    return "(a) T_%d moved past %s * %s" % (i, t_(v), c_(e))
-    # (b)
-    for i in range(1, n):
-        for e in subsets:
-            te = tau(simple[i], e)
-            for f in subsets:
-                s, ef = _clifford_sign(e, f)
-                if past_c(f, te) != {key: s * k for key, k in tau(simple[i], ef).items()}:
-                    return "(b) T_%d moved past %s * %s" % (i, c_(e), c_(f))
+    for check in (_unit_failure, _clifford_failure, _presentation_failure, _hecke_failure,
+                  _moves_failure, _construction_failure, _clifford_move_failure):
+        witness = check(n)
+        if witness is not None:
+            return witness
     return None
 
 

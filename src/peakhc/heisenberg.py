@@ -149,7 +149,7 @@ def filtration_component(level: int, degree: int, max_degree: int = 8):
     rank); the basis is independent.
     """
     if degree > max_degree:
-        raise ResourceLimitError("filtration guard at degree <= %d (max_degree)" % max_degree)
+        raise ResourceLimitError("filtration guard at degree <= %d" % max_degree, "max_degree")
     basis = [x for length, x in _length_filtration(degree)[1] if length <= level]
     return basis, len(basis)
 
@@ -193,8 +193,8 @@ def guard_freeness_degree(max_degree: int) -> None:
     the freeness certificate."""
     if max_degree > MAX_FREENESS_DEGREE:
         raise ResourceLimitError(
-            "freeness certificate guarded at degree <= %d (MAX_FREENESS_DEGREE)"
-            % MAX_FREENESS_DEGREE
+            "freeness certificate guarded at degree <= %d" % MAX_FREENESS_DEGREE,
+            "MAX_FREENESS_DEGREE",
         )
 
 

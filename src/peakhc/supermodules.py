@@ -222,7 +222,8 @@ def projective_hecke(alpha) -> Supermodule:
     n = a.n
     if n > MAX_PROJECTIVE_N:
         raise ResourceLimitError(
-            "projective module guard at n <= %d (MAX_PROJECTIVE_N)" % MAX_PROJECTIVE_N
+            "projective module guard at n <= %d" % MAX_PROJECTIVE_N,
+            "MAX_PROJECTIVE_N",
         )
     ws = _descent_class_sorted(a)
     pos = {w: k for k, w in enumerate(ws)}
@@ -392,8 +393,8 @@ def parabolic_induce(m1: Supermodule, m2: Supermodule) -> Supermodule:
     total = m + n
     if total > MAX_PARABOLIC_RANK:
         raise ResourceLimitError(
-            "parabolic induction guard at combined rank %d (MAX_PARABOLIC_RANK)"
-            % MAX_PARABOLIC_RANK
+            "parabolic induction guard at combined rank %d" % MAX_PARABOLIC_RANK,
+            "MAX_PARABOLIC_RANK",
         )
     if n == 0:
         return m1
@@ -580,8 +581,8 @@ def hom_space(src: Supermodule, dst: Supermodule) -> HomBasis:
         raise ValueError("hom_space wants modules over the same algebra")
     if src.dim * dst.dim > MAX_HOM_CELLS:
         raise ResourceLimitError(
-            "hom system with %d cells exceeds the guard %d (MAX_HOM_CELLS)"
-            % (src.dim * dst.dim, MAX_HOM_CELLS)
+            "hom system with %d cells exceeds the guard %d" % (src.dim * dst.dim, MAX_HOM_CELLS),
+            "MAX_HOM_CELLS",
         )
     base = src.induced_from
     if base is None:
@@ -1187,7 +1188,8 @@ def restriction_vectors(n: int) -> dict:
     """
     if n > MAX_RESTRICTION_N:
         raise ResourceLimitError(
-            "restriction vectors guarded at n <= %d (MAX_RESTRICTION_N)" % MAX_RESTRICTION_N
+            "restriction vectors guarded at n <= %d" % MAX_RESTRICTION_N,
+            "MAX_RESTRICTION_N",
         )
     module = induce_clifford(simple_hecke(Composition((n,))))
     subs = _subsets_ordered(n)

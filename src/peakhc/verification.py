@@ -2,8 +2,9 @@
 rule the package certifies, packaged as report-producing cases.
 
 Each suite returns a list of report dicts {"claim", "params", "status",
-"witness"} with status "verified" / "failed" / "skipped-resource", all built
-by ``_report``: this is the one module that writes reports, the checks it
+"witness"} with status "verified" / "failed" / "skipped-resource", and a
+skipped report also names the bound that stopped it under "guard"; all are
+built by ``_report``: this is the one module that writes reports, the checks it
 calls return facts or raise ``ResourceLimitError`` at a named guard.  The
 CLI serializes the reports; the acceptance tests call the suites directly at
 the stated bounds.  Each suite takes its bound as a keyword, and ``SUITES``
@@ -80,26 +81,30 @@ from .supermodules import (
 __all__ = ["SUITES", "run_suite", "suite_names"]
 
 
-def _report(claim, params, ok, witness=None):
+def _report(claim, params, ok, witness=None, guard=None):
     """The one report dict: ``ok`` True is "verified", False "failed" and
-    None "skipped-resource" (a guard stopped the case)."""
-    return {
+    None "skipped-resource" (a guard stopped the case).  A skipped report
+    also carries the name of the bound that stopped it as ``guard``."""
+    report = {
         "claim": claim,
         "params": params,
         "status": "skipped-resource" if ok is None else "verified" if ok else "failed",
         "witness": witness,
     }
+    if guard is not None:
+        report["guard"] = guard
+    return report
 
 
 def _guarded(claim, params, check, *args):
     """The report of one rank: ``check(*args)`` returns (ok, witness), and a
     guard it hits gives a skipped-resource report for this rank alone, with
-    the guard's message as witness, so the suite keeps the reports of its
-    other ranks."""
+    the guard's message as witness and its bound as ``guard``, so the suite
+    keeps the reports of its other ranks."""
     try:
         ok, witness = check(*args)
     except ResourceLimitError as exc:
-        ok, witness = None, str(exc)
+        return _report(claim, params, None, str(exc), exc.guard)
     return _report(claim, params, ok, witness)
 
 
@@ -472,4 +477,4 @@ def run_suite(name: str, max_n: int | None = None, max_degree: int | None = None
     try:
         return fn(**kwargs)
     except ResourceLimitError as exc:
-        return [_report(name, kwargs, None, str(exc))]
+        return [_report(name, kwargs, None, str(exc), exc.guard)]

@@ -4,7 +4,8 @@ against.
 No report, CLI command or benchmark workload reaches these, so they live
 with the tests: the Bruhat order, the trace and the trace form of two
 elements, the leading term of T_w c_D, the multiplication tables by
-generator walks, the left-regular matrices of the generators, the
+generator walks, the associativity certificate with every generator swept
+past every entry of tau, the left-regular matrices of the generators, the
 associativity certificate and the Frobenius Gram through the regular
 representation, one-gamma Hom onto a Hecke simple, parabolic restriction,
 the parity shift, the rank-0 module, Hom out of an induced module by the
@@ -27,6 +28,7 @@ from peakhc.combinat import (
     compositions_of,
     composition_from_descents,
     descent_class,
+    swap_values,
     word_descents,
     word_inverse,
     word_length,
@@ -81,7 +83,8 @@ MAX_FILTRATION_N = 6  # bruhat_filtration
 @lru_cache(maxsize=None)
 def _bruhat_table(n: int) -> dict:
     if n > MAX_BRUHAT_N:
-        raise ResourceLimitError("Bruhat tables kept only for n <= %d" % MAX_BRUHAT_N)
+        raise ResourceLimitError("Bruhat tables kept only for n <= %d" % MAX_BRUHAT_N,
+                                 "MAX_BRUHAT_N")
     perms = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
     lengths = {w: word_length(w) for w in perms}
     # covering relations: w covers v when v = w * t_{ab} and l drops by one
@@ -173,13 +176,53 @@ def table_walk_mismatch(n: int):
     return None
 
 
+def tau_sweep_failure(n: int):
+    """The slow route to ``associativity_failure``: its checks (U), (C),
+    (H) and (b), with the sweep (a) of every generator T_i past every entry
+    of tau in place of (P), (R) and (K), (n-1) n! 2^n moves against n! 2^n:
+    None when ``multiply`` is associative at rank n, else the first check
+    that failed, as text.  Guarded at n <= hecke_clifford.MAX_TABLE_SWEEP_N.
+
+    (a) tau(T_i T_v (x) c_E) = M_{T_i} tau(T_v (x) c_E) for all i, v, E.
+
+    The h in H with tau(h h' (x) c) = M_h tau(h' (x) c) for all h', c form
+    a subspace that holds 1 by (U) and each T_i by (a).  For such an h,
+    M_{h h'} = M_h M_{h'} (apply both to c (x) k), so if g and h are in it,
+    tau(g h h' (x) c) = M_g M_h tau(h' (x) c) = M_{g h} tau(h' (x) c): it is
+    closed under products, so it is all of H.  The rest of the proof is the
+    one in the docstring of ``associativity_failure``.
+    """
+    hc._guard_table_sweep(n)
+    ident = tuple(range(1, n + 1))
+
+    def sweep(n):
+        for i in range(1, n):
+            s_i = swap_values(i, ident)
+            for v in hc._perms(n):
+                t, x = hc._demazure_sign(s_i, v)
+                for e in _subsets_ordered(n):
+                    if hc._move_t(s_i, hc._tau(v, e)) != {
+                        key: t * k for key, k in hc._tau(x, e).items()
+                    }:
+                        return "(a) T_%d moved past %s * %s" % (
+                            i, hc._t_name(v), hc._c_name(e, n))
+        return None
+
+    for check in (hc._unit_failure, hc._clifford_failure, hc._hecke_failure, sweep,
+                  hc._clifford_move_failure):
+        witness = check(n)
+        if witness is not None:
+            return witness
+    return None
+
+
 def _guard_regular(n: int) -> None:
     """The regular module has dimension 2^n n!: guarded at the guard of the
     table sweeps, n <= hecke_clifford.MAX_TABLE_SWEEP_N."""
     if n > hc.MAX_TABLE_SWEEP_N:
         raise ResourceLimitError(
-            "regular representation of rank %d exceeds the guard %d"
-            % (n, hc.MAX_TABLE_SWEEP_N)
+            "regular representation of rank %d exceeds the guard %d" % (n, hc.MAX_TABLE_SWEEP_N),
+            "MAX_TABLE_SWEEP_N",
         )
 
 
@@ -415,7 +458,8 @@ def bruhat_filtration(alpha) -> list:
     """
     a = as_composition(alpha)
     if a.n > MAX_FILTRATION_N:
-        raise ResourceLimitError("filtration guard at n <= %d" % MAX_FILTRATION_N)
+        raise ResourceLimitError("filtration guard at n <= %d" % MAX_FILTRATION_N,
+                                 "MAX_FILTRATION_N")
     module = induce_clifford(projective_hecke(a))
     ws = _descent_class_sorted(a)
     dm = len(ws)

@@ -198,6 +198,20 @@ def test_every_guard_message_names_its_bound(monkeypatch, name, trip):
     with pytest.raises(ResourceLimitError) as exc:
         trip(monkeypatch)
     assert str(exc.value).endswith("(%s)" % name)
+    assert exc.value.guard == name
+
+
+def test_skipped_reports_name_their_guard():
+    # a rank skipped inside a suite and a suite skipped before it starts both
+    # carry the bound as a field beside the message; no other report has it
+    reports = verification.suite_corner(characteristic.MAX_CORNER_N + 1)
+    assert [r.get("guard") for r in reports] == [None] * 5 + ["MAX_CORNER_N"]
+    assert reports[-1]["witness"].endswith("(MAX_CORNER_N)")
+    (suite,) = verification.run_suite(
+        "freeness", max_degree=heisenberg.MAX_FREENESS_DEGREE + 1)
+    assert suite["status"] == "skipped-resource"
+    assert suite["guard"] == "MAX_FREENESS_DEGREE"
+    assert suite["witness"].endswith("(MAX_FREENESS_DEGREE)")
 
 
 def test_guard_trips_cover_every_raise():

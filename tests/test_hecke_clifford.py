@@ -52,6 +52,7 @@ from oracles import (
     regular_frobenius_gram,
     regular_generator_matrix,
     table_walk_mismatch,
+    tau_sweep_failure,
     trace,
 )
 
@@ -167,14 +168,38 @@ def fresh_tables():
 
 
 def test_associativity_certificate():
-    # the table certificate and the regular-representation oracle agree
+    # the table certificate, the generator sweep and the regular-representation
+    # oracle agree
     for n in range(0, 5):
         assert associativity_failure(n) is None, n
+        assert tau_sweep_failure(n) is None, n
         assert regular_associativity_failure(n) is None, n
     # the Gram shares the guard of the certificate
-    for sweep in (associativity_failure, regular_associativity_failure, frobenius_gram):
+    for sweep in (associativity_failure, tau_sweep_failure, regular_associativity_failure,
+                  frobenius_gram):
         with pytest.raises(ResourceLimitError):
             sweep(MAX_TABLE_SWEEP_N + 1)
+
+
+def test_certificate_makes_no_multiply_call(monkeypatch, fresh_tables):
+    def boom(*_args):
+        raise AssertionError("multiply called")
+
+    monkeypatch.setattr(hc, "multiply", boom)
+    assert associativity_failure(4) is None
+
+
+def test_first_letter_is_the_least_left_descent():
+    # T_w = T_i T_{s_i w} with l(s_i w) = l(w) - 1, i the least value whose
+    # successor stands left of it
+    for n in range(2, 6):
+        for w in itertools.permutations(range(1, n + 1)):
+            if list(w) == sorted(w):
+                continue
+            (kind, i), (d, rest) = hc._first_letter(frozenset(), w)
+            assert kind == "T" and not d
+            assert i == min(j for j in range(1, n) if w.index(j + 1) < w.index(j))
+            assert word_length(rest) == word_length(w) - 1
 
 
 def test_tables_equal_their_walks():
@@ -208,6 +233,7 @@ def test_certificate_fails_on_one_flipped_clifford_sign(monkeypatch, fresh_table
     _flip_one_entry(monkeypatch, "_clifford_sign", (frozenset({1, 2}), frozenset({3})))
     assert failing_relation(generators(3), multiply, unit(3)) is None
     assert associativity_failure(3) is not None
+    assert tau_sweep_failure(3) is not None
     assert regular_associativity_failure(3) is not None
     reports = _algebra_relations(3)
     assert [r["status"] for r in reports] == ["verified", "verified", "failed"]
@@ -231,6 +257,7 @@ def test_certificate_fails_on_one_broken_rewriting_case(monkeypatch, fresh_table
     reports = _algebra_relations(3)
     assert [r["status"] for r in reports] == ["verified", "failed", "failed"]
     assert reports[-1]["witness"] == associativity_failure(3)
+    assert tau_sweep_failure(3) is not None
     assert regular_associativity_failure(3) is not None
 
 
@@ -248,12 +275,34 @@ def test_certificate_fails_on_one_flipped_table_entry(monkeypatch, fresh_tables,
     _flip_one_entry(monkeypatch, name, key)
     assert failing_relation(generators(3), multiply, unit(3)) is None
     assert associativity_failure(3) is not None
+    assert tau_sweep_failure(3) is not None
     assert regular_associativity_failure(3) is not None
     reports = _algebra_relations(3)
     assert [r["status"] for r in reports] == ["verified", "verified", "failed"]
     assert reports[-1]["witness"] == associativity_failure(3)
     # the table Gram reads the flipped entry, the regular route does not
     assert frobenius_gram(3) != regular_frobenius_gram(3)
+
+
+@pytest.mark.parametrize(
+    "name, key, check",
+    [
+        # T_1 T_2 = T_{s_1 s_2}: read by the braid relation and by T_v = T_f T_{s_f v}
+        ("_demazure_sign", ((2, 1, 3), (1, 3, 2)), "(P)"),
+        # T_1 c_2, a length-1 entry: (K) compares it with M_{T_1}(c_2 (x) 1),
+        # which reads the same entry, so only the relations of the moves see it
+        ("_t_times_c", ((2, 1, 3), frozenset({2})), "(R)"),
+        # T_{s_1 s_2} c_1, a length-2 entry: no relation of the moves reads it
+        ("_t_times_c", ((2, 3, 1), frozenset({1})), "(K)"),
+    ],
+)
+def test_each_presentation_check_reports_its_own_control(monkeypatch, fresh_tables, name, key,
+                                                         check):
+    _flip_one_entry(monkeypatch, name, key)
+    witness = associativity_failure(3)
+    assert witness is not None and witness.startswith(check + " "), witness
+    assert tau_sweep_failure(3) is not None
+    assert regular_associativity_failure(3) is not None
 
 
 def test_parity_grading():
