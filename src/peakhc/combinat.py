@@ -362,7 +362,9 @@ def word_length(w: tuple) -> int:
 
 def swap_values(i: int, w: tuple) -> tuple:
     """Left multiplication by s_i: exchange the values i and i+1."""
-    return tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
+    lst = list(w)
+    lst[w.index(i)], lst[w.index(i + 1)] = i + 1, i
+    return tuple(lst)
 
 
 def swap_positions(i: int, w: tuple) -> tuple:
@@ -422,20 +424,6 @@ def min_coset_reps(m: int, n: int) -> list:
         first + tuple(v for v in range(1, total + 1) if v not in first)
         for first in itertools.combinations(range(1, total + 1), m)
     ]
-
-
-def coset_factorize(w: tuple, m: int) -> tuple:
-    """Factor w = x * u with x a minimal (m, n-m) coset representative.
-
-    x carries the same values per block but sorted increasingly; u permutes
-    positions within the blocks, so u lies in the parabolic subgroup.
-    """
-    n = len(w)
-    first = sorted(w[:m])
-    second = sorted(w[m:])
-    x = tuple(first + second)
-    u = word_compose(word_inverse(x), w)
-    return x, u
 
 
 # ---------------------------------------------------------------------------

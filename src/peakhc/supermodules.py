@@ -36,7 +36,6 @@ from .combinat import (
     ResourceLimitError,
     as_composition,
     composition_from_descents,
-    coset_factorize,
     descent_class,
     min_coset_reps,
     swap_values,
@@ -47,14 +46,13 @@ from .combinat import (
 from .hecke_clifford import (
     AlgebraElement,
     _ANTI_TAGS,
+    _first_letter,
     _left_mul,
     _morphism_generator_images,
     _subsets_ordered,
     act_terms,
     basis_element,
     failing_relation,
-    gen_c,
-    gen_T,
     multiply,
     unit,
 )
@@ -62,7 +60,6 @@ from .linalg import (
     Echelon,
     SparseMatrix,
     SpanSolver,
-    _invert_scalar,
     nullspace,
     vec_add_term,
     vec_iadd_scaled,
@@ -333,57 +330,37 @@ def outer_tensor(m1: Supermodule, m2: Supermodule) -> Supermodule:
 # ---------------------------------------------------------------------------
 
 
-class _ParabolicDecomposer:
-    """Writes c_D T_w in the free basis T_x * (parabolic element), exactly.
-
-    Keys are triples (x, D', u) with x a minimal-length coset representative,
-    u in the parabolic subgroup, D' any subset; the change of basis is
-    triangular in the length of w with +-1 leading coefficients.
-    """
-
-    def __init__(self, m: int, n: int):
-        self.m = m
-        self.total = m + n
-        self.memo = {}
-        self._id = tuple(range(1, self.total + 1))
-
-    def __call__(self, d: frozenset, w: tuple) -> dict:
-        key = (d, w)
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        x, u = coset_factorize(w, self.m)
-        if x == self._id:
-            result = {(x, d, w): 1}
-        else:
-            xinv = word_inverse(x)
-            dp = frozenset(xinv[t - 1] for t in d)
-            tx = AlgebraElement(self.total, {(frozenset(), x): 1})
-            expanded = multiply(tx, basis_element(dp, u, self.total))
-            inv = _invert_scalar(expanded.terms[(d, w)])
-            result = {(x, dp, u): inv}
-            lw = word_length(w)
-            for (d2, w2), c2 in expanded.terms.items():
-                if (d2, w2) == (d, w):
-                    continue
-                if word_length(w2) >= lw:
-                    raise AssertionError("triangularity violated in decomposition")
-                vec_iadd_scaled(result, self(d2, w2), -(c2 * inv))
-        self.memo[key] = result
-        return result
-
-
-@lru_cache(maxsize=None)
-def _decomposer(m: int, n: int) -> _ParabolicDecomposer:
-    return _ParabolicDecomposer(m, n)
-
-
 def parabolic_induce(m1: Supermodule, m2: Supermodule) -> Supermodule:
-    """Induce the outer tensor product up the parabolic inclusion.
+    """Induce the outer tensor product W = m1 (x) m2 up the parabolic
+    inclusion of the ranks m and n into the rank m + n.
 
-    Basis: T_x (x) (m (x) n) over the binomial(m+n, m) minimal coset
-    representatives x; a generator g acts by rewriting g T_x in the free
-    basis and letting the parabolic parts act on the tensor factor.
+    Basis: T_x (x) w over the binomial(m+n, m) minimal coset
+    representatives x of ``min_coset_reps``, whose two blocks of positions
+    1..m and m+1..m+n both increase, times the basis of ``outer_tensor``.
+    The T_x are a basis of the algebra as a free right module over the
+    parabolic subalgebra, and each generator acts by one step:
+
+    * T_i.  By the left Demazure rule T_i T_x = -T_x when i+1 stands left
+      of i in x.  Otherwise, when i and i+1 lie in different blocks,
+      exchanging them keeps both blocks increasing, so s_i x is again a
+      representative, one longer, and T_i T_x = T_{s_i x}.  Otherwise i and
+      i+1 sit at adjacent positions j, j+1 of one block; then
+      s_i x = x s_j with lengths adding, so T_i T_x = T_x T_j, and the
+      parabolic generator T_j acts on W.
+    * c_j.  On T_id (x) w = 1 (x) w it acts as on W.  For x != id let i be
+      the least index whose i+1 stands left of i: i+1 lies in the first
+      block and i in the second, so x' = s_i x is a representative, one
+      shorter, with T_x = T_i T_x'; it comes earlier in the lexicographic
+      order, its first block having i for i+1.  The cross relations
+      T_i c_j = c_j T_i (j != i, i+1), T_i c_i = c_{i+1} T_i and
+      (T_i + 1) c_{i+1} = c_i (T_i + 1) give
+
+          c_j T_i = T_i c_j  (j != i, i+1),   c_{i+1} T_i = T_i c_i,
+          c_i T_i = T_i c_{i+1} + c_{i+1} - c_i,
+
+      so the column of c_j on T_x (x) w is the T_i matrix applied to a
+      column of x' (plus, for j = i, two columns of x'): one sparse apply
+      per column, as in ``_map_out_of_induced``.
     """
     if m1.algebra != "HCl" or m2.algebra != "HCl":
         raise ValueError("parabolic induction implemented for Hecke-Clifford modules")
@@ -402,41 +379,42 @@ def parabolic_induce(m1: Supermodule, m2: Supermodule) -> Supermodule:
         return m2
     inner = outer_tensor(m1, m2)
     reps = min_coset_reps(m, n)
-    rpos = {w: k for k, w in enumerate(reps)}
-    dec = _decomposer(m, n)
+    rpos = {x: k for k, x in enumerate(reps)}
     dimw = inner.dim
     dim = len(reps) * dimw
-    labels = []
-    parities = []
-    for x in reps:
-        for k in range(dimw):
-            labels.append((x, inner.labels[k]))
-            parities.append(inner.parities[k])
-    block_cache: dict = {}
-
-    def block_matrix(dp: frozenset, u: tuple) -> SparseMatrix:
-        key = (dp, u)
-        if key not in block_cache:
-            block_cache[key] = element_matrix(inner, {key: 1})
-        return block_cache[key]
-
+    labels = [(x, lab) for x in reps for lab in inner.labels]
+    parities = [p for _x in reps for p in inner.parities]
     actions = {}
-    for key in generator_keys((total,), "HCl"):
-        kind, idx = key
-        gen = gen_T(idx, total) if kind == "T" else gen_c(idx, total)
-        mat = SparseMatrix(dim, dim)
+    for i in range(1, total):
+        cols = []
         for xi, x in enumerate(reps):
-            z = multiply(gen, AlgebraElement(total, {(frozenset(), x): 1}))
-            pieces = []
-            for (d2, w2), coeff in z.terms.items():
-                for (y, dp, u), c2 in dec(d2, w2).items():
-                    pieces.append((rpos[y], coeff * c2, block_matrix(dp, u)))
-            for k in range(dimw):
-                col = mat.cols[xi * dimw + k]
-                for (yi, coeff, bm) in pieces:
-                    base = yi * dimw
-                    vec_iadd_scaled(col, ((base + r, v) for r, v in bm.cols[k].items()), coeff)
-        actions[key] = mat
+            a, b = x.index(i), x.index(i + 1)
+            base = xi * dimw
+            if b < a:
+                cols += [{base + k: -1} for k in range(dimw)]
+            elif a < m <= b:
+                up = rpos[swap_values(i, x)] * dimw
+                cols += [{up + k: 1} for k in range(dimw)]
+            else:
+                t = inner.actions[("T", b)]
+                cols += [{base + r: v for r, v in col.items()} for col in t.cols]
+        actions[("T", i)] = SparseMatrix(dim, dim, cols)
+    # the columns of each c_j, filled in the order of reps; x = id first
+    ccols = {j: list(inner.actions[("c", j)].cols) for j in range(1, total + 1)}
+    for x in reps[1:]:
+        (_t, i), (_d, prev) = _first_letter(frozenset(), x)
+        tmat = actions[("T", i)]
+        p = rpos[prev] * dimw
+        swap = {i: i + 1, i + 1: i}
+        for k in range(dimw):
+            below = {j: cols[p + k] for j, cols in ccols.items()}
+            for j, cols in ccols.items():
+                col = tmat.apply(below[swap.get(j, j)])
+                if j == i:
+                    vec_iadd_scaled(col, below[i + 1], 1)
+                    vec_iadd_scaled(col, below[i], -1)
+                cols.append(col)
+    actions.update((("c", j), SparseMatrix(dim, dim, cols)) for j, cols in ccols.items())
     return Supermodule((total,), "HCl", labels, parities, actions)
 
 

@@ -8,9 +8,11 @@ generator walks, the associativity certificate with every generator swept
 past every entry of tau, the left-regular matrices of the generators, the
 associativity certificate and the Frobenius Gram through the regular
 representation, one-gamma Hom onto a Hecke simple, parabolic restriction,
-the parity shift, the rank-0 module, Hom out of an induced module by the
-spin route, the true idempotents that split an induced simple, the peak
-sets by a walk over all subsets, the Bruhat filtration of an induced
+parabolic induction by a triangular rewriting in the free basis T_x over the
+parabolic subalgebra (with the coset factorization it reads), the parity
+shift, the rank-0 module, Hom out of an induced module by the spin route,
+the true idempotents that split an induced simple, the peak sets by a walk
+over all subsets, the Bruhat filtration of an induced
 projective, route (i) of the Cartan image by a walk of the
 descent class, the anti-involution phi of the peak subalgebra through a
 preimage, the readers of the JSON forms, and the smash-product double of
@@ -28,7 +30,9 @@ from peakhc.combinat import (
     compositions_of,
     composition_from_descents,
     descent_class,
+    min_coset_reps,
     swap_values,
+    word_compose,
     word_descents,
     word_inverse,
     word_length,
@@ -44,6 +48,7 @@ from peakhc.hecke_clifford import (
     algebra_basis,
     basis_element,
     gen_c,
+    gen_T,
     generators,
     multiply,
     normal_word,
@@ -55,6 +60,7 @@ from peakhc.linalg import (
     Echelon,
     SpanSolver,
     SparseMatrix,
+    _invert_scalar,
     nullspace,
     vec_add_term,
     vec_iadd_scaled,
@@ -63,10 +69,12 @@ from peakhc.scalars import GAUSS_I, _rational, gaussian
 from peakhc.supermodules import (
     Supermodule,
     _descent_class_sorted,
+    element_matrix,
     find_isomorphism,
     generator_keys,
     hom_space,
     induce_clifford,
+    outer_tensor,
     projective_hecke,
     simple_hecke,
 )
@@ -399,6 +407,116 @@ def restrict_parabolic(module: Supermodule, shape) -> Supermodule:
     keep = set(generator_keys(shape, module.algebra))
     actions = {k: v for k, v in module.actions.items() if k in keep}
     return Supermodule(shape, module.algebra, module.labels, module.parities, actions)
+
+
+def coset_factorize(w: tuple, m: int) -> tuple:
+    """Factor w = x * u with x a minimal (m, n-m) coset representative.
+
+    x carries the same values per block but sorted increasingly; u permutes
+    positions within the blocks, so u lies in the parabolic subgroup.
+    """
+    x = tuple(sorted(w[:m]) + sorted(w[m:]))
+    return x, word_compose(word_inverse(x), w)
+
+
+class _ParabolicDecomposer:
+    """Writes c_D T_w in the free basis T_x * (parabolic element), exactly.
+
+    Keys are triples (x, D', u) with x a minimal-length coset representative,
+    u in the parabolic subgroup, D' any subset; the change of basis is
+    triangular in the length of w with +-1 leading coefficients.
+    """
+
+    def __init__(self, m: int, n: int):
+        self.m = m
+        self.total = m + n
+        self.memo = {}
+        self._id = tuple(range(1, self.total + 1))
+
+    def __call__(self, d: frozenset, w: tuple) -> dict:
+        key = (d, w)
+        got = self.memo.get(key)
+        if got is not None:
+            return got
+        x, u = coset_factorize(w, self.m)
+        if x == self._id:
+            result = {(x, d, w): 1}
+        else:
+            xinv = word_inverse(x)
+            dp = frozenset(xinv[t - 1] for t in d)
+            tx = AlgebraElement(self.total, {(frozenset(), x): 1})
+            expanded = multiply(tx, basis_element(dp, u, self.total))
+            inv = _invert_scalar(expanded.terms[(d, w)])
+            result = {(x, dp, u): inv}
+            lw = word_length(w)
+            for (d2, w2), c2 in expanded.terms.items():
+                if (d2, w2) == (d, w):
+                    continue
+                if word_length(w2) >= lw:
+                    raise AssertionError("triangularity violated in decomposition")
+                vec_iadd_scaled(result, self(d2, w2), -(c2 * inv))
+        self.memo[key] = result
+        return result
+
+
+def parabolic_induce_by_decomposition(m1: Supermodule, m2: Supermodule) -> Supermodule:
+    """``parabolic_induce`` by rewriting: for each generator g and coset
+    representative x, g T_x by ``multiply``, each term c_D T_w written in
+    the free basis T_y * (parabolic element) by a triangular solve, and each
+    parabolic element acting on the outer tensor product by ``element_matrix``.
+    Same basis, labels and parities as ``parabolic_induce``."""
+    m, n = m1.rank, m2.rank
+    if n == 0:
+        return m1
+    if m == 0:
+        return m2
+    total = m + n
+    inner = outer_tensor(m1, m2)
+    reps = min_coset_reps(m, n)
+    rpos = {w: k for k, w in enumerate(reps)}
+    dec = _ParabolicDecomposer(m, n)
+    dimw = inner.dim
+    dim = len(reps) * dimw
+    labels = [(x, lab) for x in reps for lab in inner.labels]
+    parities = [p for _x in reps for p in inner.parities]
+    block_cache: dict = {}
+
+    def block_matrix(dp: frozenset, u: tuple) -> SparseMatrix:
+        key = (dp, u)
+        if key not in block_cache:
+            block_cache[key] = element_matrix(inner, {key: 1})
+        return block_cache[key]
+
+    actions = {}
+    for key in generator_keys((total,), "HCl"):
+        kind, idx = key
+        gen = gen_T(idx, total) if kind == "T" else gen_c(idx, total)
+        mat = SparseMatrix(dim, dim)
+        for xi, x in enumerate(reps):
+            z = multiply(gen, AlgebraElement(total, {(frozenset(), x): 1}))
+            pieces = []
+            for (d2, w2), coeff in z.terms.items():
+                for (y, dp, u), c2 in dec(d2, w2).items():
+                    pieces.append((rpos[y], coeff * c2, block_matrix(dp, u)))
+            for k in range(dimw):
+                col = mat.cols[xi * dimw + k]
+                for (yi, coeff, bm) in pieces:
+                    base = yi * dimw
+                    vec_iadd_scaled(col, ((base + r, v) for r, v in bm.cols[k].items()), coeff)
+        actions[key] = mat
+    return Supermodule((total,), "HCl", labels, parities, actions)
+
+
+def module_mismatch(got: Supermodule, want: Supermodule):
+    """The first of blocks, labels, parities and action matrices on which two
+    modules differ, ``None`` when they are equal."""
+    for what in ("blocks", "labels", "parities"):
+        if getattr(got, what) != getattr(want, what):
+            return what
+    for key in sorted(want.actions):
+        if got.actions[key] != want.actions[key]:
+            return "action %s" % (key,)
+    return None
 
 
 def parity_shift(module: Supermodule) -> Supermodule:

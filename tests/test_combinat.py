@@ -10,7 +10,6 @@ from peakhc.combinat import (
     ResourceLimitError,
     composition_from_descents,
     compositions_of,
-    coset_factorize,
     descent_class,
     min_coset_reps,
     partitions_of,
@@ -28,7 +27,7 @@ from peakhc.combinat import (
 )
 from peakhc.hopf import term
 
-from oracles import bruhat_leq, peak_sets_by_subset_walk
+from oracles import bruhat_leq, coset_factorize, peak_sets_by_subset_walk
 
 
 def _mask(d) -> int:
@@ -203,6 +202,15 @@ def test_perm_stats():
             assert word_compose(w, word_inverse(w)) == identity
             assert word_compose(word_inverse(w), w) == identity
             assert word_length(word_inverse(w)) == word_length(w)
+
+
+def test_swap_values_matches_the_value_map():
+    # the value map i <-> i+1 applied letter by letter, on every word of n <= 6
+    for n in range(2, 7):
+        for w in itertools.permutations(range(1, n + 1)):
+            for i in range(1, n):
+                want = tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
+                assert swap_values(i, w) == want
 
 
 def test_symmetric_difference_shift():

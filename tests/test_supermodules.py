@@ -60,6 +60,8 @@ from oracles import (
     clifford_idempotents,
     hom_dim_to_hecke_simple,
     hom_route_mismatch,
+    module_mismatch,
+    parabolic_induce_by_decomposition,
     parity_shift,
     restrict_parabolic,
     trivial_module,
@@ -180,6 +182,68 @@ def test_parabolic_induce():
     m = Stilde(2)
     assert parabolic_induce(m, trivial_module()) is m
     assert parabolic_induce(trivial_module(), m) is m
+
+
+def test_parabolic_induce_matches_the_decomposition_route():
+    """The generator steps on coset representatives give the module of the
+    rewriting route, and it satisfies the relations: every ordered pair of
+    Ind S_a and Ind P_a, a of n <= 4, of combined rank <= 5 and dimension
+    product <= 2000 (196 pairs); then the components of ``split_simple``,
+    with Q(i) entries, and the psi and phi twists of Ind S_a, a of n <= 3,
+    in pairs of combined rank <= 4 (159 pairs), and pairs of components of
+    combined rank 5 (20 pairs)."""
+    induced = [
+        induce_clifford(build(a))
+        for n in range(1, 5)
+        for a in compositions_of(n)
+        for build in (simple_hecke, projective_hecke)
+    ]
+    pairs = [
+        (m1, m2)
+        for m1 in induced
+        for m2 in induced
+        if m1.rank + m2.rank <= 5 and m1.dim * m2.dim <= 2000
+    ]
+    assert len(pairs) == 196
+    alphas = [a for n in range(1, 4) for a in compositions_of(n)]
+    comps = [c for a in alphas for c in split_simple(a).components]
+    twists = [
+        twist(induce_clifford(simple_hecke(a)), tag) for a in alphas for tag in ("psi", "phi")
+    ]
+    assert any(
+        isinstance(v, GaussianRational)
+        for c in comps
+        for mat in c.actions.values()
+        for _r, _k, v in mat.entries()
+    )
+    factors = comps + twists
+    pairs += [(m1, m2) for m1 in factors for m2 in factors if m1.rank + m2.rank <= 4]
+    pairs += [(m1, m2) for m1 in comps for m2 in comps if m1.rank + m2.rank == 5]
+    assert len(pairs) == 196 + 159 + 20
+    for m1, m2 in pairs:
+        got = parabolic_induce(m1, m2)
+        assert module_mismatch(got, parabolic_induce_by_decomposition(m1, m2)) is None
+        got.check()
+
+
+def test_parabolic_induce_needs_the_correction_of_c_i():
+    """Negative control: drop the terms c_{i+1} - c_i from the column of c_i
+    on T_x (x) w, T_x = T_i T_{s_i x}; the relations fail and the module
+    differs from the rewriting route."""
+    m1, m2 = Stilde(2), Stilde(1)
+    good = parabolic_induce(m1, m2)
+    dimw = m1.dim * m2.dim
+    x = (1, 3, 2)  # T_x = T_2 T_id, and the first column of T_x sits at dimw
+    assert good.labels[dimw][0] == x
+    actions = dict(good.actions)
+    bad = actions[("c", 2)].copy()
+    bad.cols[dimw] = actions[("T", 2)].apply(actions[("c", 3)].cols[0])
+    assert bad != actions[("c", 2)]
+    actions[("c", 2)] = bad
+    mutant = Supermodule(good.blocks, "HCl", good.labels, good.parities, actions)
+    with pytest.raises(RelationError):
+        mutant.check()
+    assert module_mismatch(mutant, parabolic_induce_by_decomposition(m1, m2)) == "action ('c', 2)"
 
 
 def test_restrictions():
