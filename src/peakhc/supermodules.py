@@ -130,12 +130,16 @@ class RelationError(ValueError):
 class Supermodule:
     """Labelled Z2-graded basis with one exact action matrix per generator.
 
-    ``induced_from`` is the 0-Hecke module N when the module is
-    ``induce_clifford(N)``, in its basis c_D (x) n, and ``None`` otherwise;
-    only ``induce_clifford`` sets it, so no other constructor passes it on.
+    ``summand_of`` records a module as a direct summand of an induced one:
+    ``(N, embedding)`` for a 0-Hecke module N, where ``embedding`` lists the
+    module's basis vectors as columns in the basis c_D (x) n of Ind N, and
+    ``None`` for every other module.  ``induce_clifford(N)`` is its own
+    summand, with ``embedding`` ``None`` for the identity; ``split_simple``
+    gives each component its spun basis in Ind S_alpha.  No other
+    constructor sets the slot or passes it on.
     """
 
-    __slots__ = ("blocks", "algebra", "labels", "parities", "actions", "induced_from")
+    __slots__ = ("blocks", "algebra", "labels", "parities", "actions", "summand_of")
 
     def __init__(self, blocks, algebra, labels, parities, actions):
         self.blocks = tuple(blocks)
@@ -143,7 +147,7 @@ class Supermodule:
         self.labels = tuple(labels)
         self.parities = tuple(int(p) % 2 for p in parities)
         self.actions = dict(actions)
-        self.induced_from = None
+        self.summand_of = None
         keys = set(generator_keys(self.blocks, algebra))
         if set(self.actions) != keys:
             raise ValueError(
@@ -285,7 +289,7 @@ def induce_clifford(module: Supermodule) -> Supermodule:
                         vec_add_term(col, e * dm + k, s)
         actions[key] = mat
     induced = Supermodule((n,), "HCl", labels, parities, actions)
-    induced.induced_from = module
+    induced.summand_of = (module, None)
     return induced
 
 
@@ -549,11 +553,23 @@ def hom_space(src: Supermodule, dst: Supermodule) -> HomBasis:
     ``_spin`` finds a standard basis of ``src`` with its relations, and
     ``_maps_from_generators`` solves for the images that respect them.
 
-    An induced source Ind N (``src.induced_from`` is N) goes through the
-    induction adjunction Hom_HCl(Ind N, M) = Hom_H(N, Res M): the same
-    route solves the smaller system out of N into the 0-Hecke restriction
-    of ``dst``, and ``_map_out_of_induced`` lifts each solution, keeping
-    its parity.  ``MAX_HOM_CELLS`` bounds dim(src)·dim(dst) on both routes.
+    A source with ``src.summand_of = (N, E)`` goes through the induction
+    adjunction Hom_HCl(Ind N, M) = Hom_H(N, Res M): the same route solves
+    the smaller system out of N into the 0-Hecke restriction of ``dst``,
+    and ``_map_out_of_induced`` lifts each solution, keeping its parity.
+    For Ind N itself (E is ``None``) the lifts are the basis.
+
+    Otherwise ``src`` is a direct summand C of Ind N with basis E: Ind N =
+    C + C' for a submodule C', and the projection p onto C along C' is an
+    even morphism.  So every f in Hom(C, M) extends to f∘p in
+    Hom(Ind N, M), and its restriction (f∘p)∘E is f again; conversely every
+    F∘E with F a morphism out of Ind N is one out of C.  Hom(C, M) is thus
+    spanned by the lifts F restricted to E, parity by parity, and one
+    ``Echelon`` over the matrix entries keeps the restrictions that are
+    independent of those before them.  Only a summand makes this
+    complete: out of a general submodule, restriction gives only the maps
+    that extend.  ``MAX_HOM_CELLS`` bounds dim(src)·dim(dst) on every
+    route.
     """
     if src.blocks != dst.blocks or src.algebra != dst.algebra:
         raise ValueError("hom_space wants modules over the same algebra")
@@ -562,16 +578,30 @@ def hom_space(src: Supermodule, dst: Supermodule) -> HomBasis:
             "hom system with %d cells exceeds the guard %d" % (src.dim * dst.dim, MAX_HOM_CELLS),
             "MAX_HOM_CELLS",
         )
-    base = src.induced_from
-    if base is None:
+    if src.summand_of is None:
         mats = _spin_maps(src, dst)
     else:
+        base, embedding = src.summand_of
         mats = [
             [_map_out_of_induced(dst, phi.cols, par) for phi in inner]
             for par, inner in enumerate(_spin_maps(base, restrict_hecke(dst)))
         ]
+        if embedding is not None:
+            mats = [_restricted_basis(part, embedding) for part in mats]
     even, odd = ([ModuleMap(src, dst, mat, par) for mat in part] for par, part in enumerate(mats))
     return HomBasis(even, odd)
+
+
+def _restricted_basis(maps: list, embedding: list) -> list:
+    """The maps F∘E, E having the columns ``embedding``, that are linearly
+    independent of those kept before them."""
+    span = Echelon()
+    out = []
+    for f in maps:
+        g = SparseMatrix(f.nrows, len(embedding), [f.apply(col) for col in embedding])
+        if span.add({(i, j): v for i, j, v in g.entries()}) is not None:
+            out.append(g)
+    return out
 
 
 def _spin_maps(src: Supermodule, dst: Supermodule) -> tuple:
@@ -984,15 +1014,25 @@ def split_simple(alpha) -> SimpleSplit:
     2^l with l = floor((|peaks|+1)/2), they are pairwise evenly isomorphic
     of dimension 2^(n-l), and the type (M or Q) is read off the
     endomorphism algebra of one component.
+
+    A component is a direct summand of Ind S_alpha: it is the image of the
+    even endomorphism c_D (x) eta -> c_D e_eps eta, which is e_eps with each
+    c_v c_w replaced by f_{c_v} f_{c_w} (maps of ``end_clifford_check``;
+    the product sends c_D eta to c_D c_v c_w eta) and is idempotent as
+    e_eps is.  Its ``summand_of`` is (S_alpha, its spun basis in
+    Ind S_alpha), and ``hom_space`` out of it restricts the maps out of
+    Ind S_alpha.
     """
     a = as_composition(alpha)
-    module = induce_clifford(simple_hecke(a))
+    base = simple_hecke(a)
+    module = induce_clifford(base)
     eta = {0: 1}  # basis vector c_{} (x) eta sits first
     components = []
     signs = []
     for eps, e in _integral_idempotents(sorted(a.valley_set()), a.n):
         vec = act_element(module, e, eta)
-        comp, _basis = submodule_on_vectors(module, [vec])
+        comp, basis = submodule_on_vectors(module, [vec])
+        comp.summand_of = (base, basis)
         components.append(comp)
         signs.append(eps)
     first = components[0]

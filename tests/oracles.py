@@ -534,23 +534,25 @@ def trivial_module(algebra: str = "HCl") -> Supermodule:
 
 
 def without_provenance(module: Supermodule) -> Supermodule:
-    """The same module with no record of the Hecke module it was induced
-    from, so ``hom_space`` out of it takes the spin route."""
+    """The same module with no record of an induced module it is a summand
+    of (``summand_of`` is ``None``), so ``hom_space`` out of it takes the
+    spin route."""
     return Supermodule(
         module.blocks, module.algebra, module.labels, module.parities, module.actions
     )
 
 
 def hom_route_mismatch(src: Supermodule, dst: Supermodule):
-    """Why ``hom_space`` out of the induced ``src``, which goes through the
-    induction adjunction, disagrees with the spin route out of the same
-    module without provenance; ``None`` when they agree.
+    """Why ``hom_space`` out of ``src``, an induced module or a summand of
+    one, which goes through the induction adjunction (and, for a summand,
+    restriction to its basis), disagrees with the spin route out of the
+    same module without provenance; ``None`` when they agree.
 
     They agree when, in each parity, the two bases have the same size, the
     union of both has rank that size (so they span one space), and every
     lifted map is a morphism."""
-    if src.induced_from is None:
-        raise ValueError("the source is not an induced module")
+    if src.summand_of is None:
+        raise ValueError("the source is not a summand of an induced module")
     fast = hom_space(src, dst)
     slow = hom_space(without_provenance(src), dst)
     for par, got, want in ((0, fast.even, slow.even), (1, fast.odd, slow.odd)):

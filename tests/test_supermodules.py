@@ -317,7 +317,7 @@ def test_hom_adjunction_route_matches_the_spin_route():
             odd = Supermodule(s.blocks, s.algebra, s.labels, (1,), s.actions)
             for base in (s, odd, projective_hecke(a)):
                 src = induce_clifford(base)
-                assert src.induced_from is base
+                assert src.summand_of[0] is base and src.summand_of[1] is None
                 for dst in targets:
                     assert hom_route_mismatch(src, dst) is None, (a, base.parities, dst)
                     pairs += 1
@@ -338,14 +338,49 @@ def test_hom_route_mismatch_catches_a_wrong_lift(monkeypatch):
     assert got is not None and got.startswith("parity 1:"), got
 
 
+def test_hom_summand_route_matches_the_spin_route():
+    # Hom out of a component of split_simple through the adjunction and
+    # restriction to its basis, against the spin route out of the same
+    # module without provenance: every ordered pair of components, and each
+    # component into every induced simple of its rank, through n = 4
+    pairs = 0
+    for n in (1, 2, 3, 4):
+        targets = [induce_clifford(simple_hecke(b)) for b in compositions_of(n)]
+        for a in compositions_of(n):
+            comps = split_simple(a).components
+            for src in comps:
+                for dst in comps + targets:
+                    assert hom_route_mismatch(src, dst) is None, (a, dst)
+                    pairs += 1
+    assert pairs == 151
+
+
+def test_hom_route_mismatch_catches_a_submodule_that_is_no_summand():
+    # negative control: the submodule of Ind P_(1,3) spun from a column of
+    # T_1 is not a summand; given the slot anyway, restriction loses the
+    # maps that do not extend to Ind P_(1,3), and the oracle says so
+    base = projective_hecke(C(1, 3))
+    ind = induce_clifford(base)
+    sub, basis = submodule_on_vectors(ind, [ind.actions[("T", 1)].cols[8]])
+    assert sub.dim == 16
+    sub.summand_of = (base, basis)
+    dst = induce_clifford(simple_hecke(C(3, 1)))
+    spin = hom_space(without_provenance(sub), dst)
+    restricted = hom_space(sub, dst)
+    assert (spin.even_dim, spin.odd_dim) == (2, 2)
+    assert (restricted.even_dim, restricted.odd_dim) == (0, 0)
+    assert hom_route_mismatch(sub, dst) == "parity 0: dimension 0, spin route 2"
+
+
 def test_induced_provenance_does_not_leak():
-    # only induce_clifford records the module it induced from; every other
-    # constructor, applied to an induced module, records nothing
+    # only induce_clifford and split_simple record the induced module a
+    # module is a summand of; every other constructor, applied to an induced
+    # module or a component, records nothing
     base = projective_hecke(C(1, 2))
     ind = induce_clifford(base)
     small = induce_clifford(simple_hecke(C(1, 1)))
-    assert ind.induced_from is base
-    assert simple_hecke(C(2)).induced_from is None and base.induced_from is None
+    assert ind.summand_of[0] is base and ind.summand_of[1] is None
+    assert simple_hecke(C(2)).summand_of is None and base.summand_of is None
     built = {
         "twist": twist(ind, "phi"),
         "restrict_hecke": restrict_hecke(ind),
@@ -356,7 +391,23 @@ def test_induced_provenance_does_not_leak():
         "module_from_json": module_from_json(module_to_json(ind)),
         "without_provenance": without_provenance(ind),
     }
-    assert [k for k, m in built.items() if m.induced_from is not None] == []
+    # a component records S_alpha and its basis in Ind S_alpha, an even
+    # embedding of modules
+    split = split_simple(C(1, 2, 1))
+    want = {key: mat.cols for key, mat in S(1, 2, 1).actions.items()}
+    for comp in split.components:
+        hecke, embedding = comp.summand_of
+        assert {key: mat.cols for key, mat in hecke.actions.items()} == want
+        emb = SparseMatrix(split.module.dim, comp.dim, embedding)
+        assert ModuleMap(comp, split.module, emb, 0).is_morphism()
+    comp = split.components[-1]
+    built.update(
+        component_twist=twist(comp, "phi"),
+        component_submodule=submodule_on_vectors(comp, [{0: 1}])[0],
+        component_json=module_from_json(module_to_json(comp)),
+        component_without_provenance=without_provenance(comp),
+    )
+    assert [k for k, m in built.items() if m.summand_of is not None] == []
     # the JSON round trip keeps the Hom dimensions, now by the spin route
     back = built["module_from_json"]
     for b in compositions_of(3):
@@ -828,14 +879,22 @@ def test_split_and_hom_components_are_exact():
 
 def _promoted(module):
     """The module with every action entry promoted to a GaussianRational by
-    as_gauss: the representation before reals were stored as int/Fraction."""
+    as_gauss: the representation before reals were stored as int/Fraction.
+    Its ``summand_of`` is carried over, with the Hecke module and the
+    embedding entries promoted too, so ``hom_space`` takes the same route."""
     actions = {
         key: SparseMatrix(mat.nrows, mat.ncols, [
             {r: as_gauss(v) for r, v in col.items()} for col in mat.cols
         ])
         for key, mat in module.actions.items()
     }
-    return Supermodule(module.blocks, module.algebra, module.labels, module.parities, actions)
+    out = Supermodule(module.blocks, module.algebra, module.labels, module.parities, actions)
+    if module.summand_of is not None:
+        base, embedding = module.summand_of
+        if embedding is not None:
+            embedding = [{r: as_gauss(v) for r, v in col.items()} for col in embedding]
+        out.summand_of = (_promoted(base), embedding)
+    return out
 
 
 def _assert_same_hom_space(src, dst, where):
