@@ -106,9 +106,11 @@ def _composition_code(parts) -> tuple:
     """``(parts, code)`` of the composition with these parts: the parts as
     a tuple of ``int`` and the code (see the module docstring).  Raises
     TypeError for a part that is not an ``int``, ValueError for one below 1."""
-    parts = _int_tuple(parts, "composition parts")
+    parts = tuple(parts)
     code = total = 0
     for p in parts:
+        if type(p) is not int:
+            raise TypeError("composition parts must be int: %r" % (parts,))
         if p < 1:
             raise ValueError("composition parts must be positive: %r" % (parts,))
         total += p

@@ -597,21 +597,21 @@ def _move_past_c(f: frozenset, terms: dict) -> dict:
     return out
 
 
-def _failing_relation_on(n: int, act, x: dict):
-    """The first relation among T_1..T_{n-1} of ``defining_relations``
-    that fails on the vector x when T_i acts by ``act(i, vec)``, each word
+def _failing_relation_on(keys, act, x: dict):
+    """The first relation of ``defining_relations(keys)`` that fails on the
+    vector x when a generator key acts by ``act(key, vec)``, each word
     applied right to left, as text; None when all of them hold on x."""
 
     def value(terms):
         total = {}
         for coeff, word in terms:
             vec = x
-            for _kind, i in reversed(word):
-                vec = act(i, vec)
+            for key in reversed(word):
+                vec = act(key, vec)
             vec_iadd_scaled(total, vec, coeff)
         return total
 
-    for lhs, rhs in defining_relations([("T", i) for i in range(1, n)]):
+    for lhs, rhs in defining_relations(keys):
         if value(lhs) != value(rhs):
             return _relation_text(lhs, rhs)
     return None
@@ -654,14 +654,14 @@ def _presentation_failure(n: int):
     """Check (P) of ``associativity_failure``: about n! table reads."""
     ident = tuple(range(1, n + 1))
 
-    def left_t(i, vec):
+    def left_t(key, vec):
         out = {}
         for w, t in vec.items():
-            t2, x = _demazure_sign(swap_values(i, ident), w)
+            t2, x = _demazure_sign(swap_values(key[1], ident), w)
             vec_add_term(out, x, t * t2)
         return out
 
-    rel = _failing_relation_on(n, left_t, {ident: 1})
+    rel = _failing_relation_on([("T", i) for i in range(1, n)], left_t, {ident: 1})
     if rel is not None:
         return "(P) %s fails in the Demazure table" % rel
     for v in _perms(n)[1:]:
@@ -696,11 +696,11 @@ def _moves_failure(n: int):
     """Check (R) of ``associativity_failure``: on the 2^n vectors c_D (x) 1."""
     ident = tuple(range(1, n + 1))
 
-    def move(i, vec):
-        return _move_t(swap_values(i, ident), vec)
+    def move(key, vec):
+        return _move_t(swap_values(key[1], ident), vec)
 
     for d in _subsets_ordered(n):
-        rel = _failing_relation_on(n, move, {(d, ident): 1})
+        rel = _failing_relation_on([("T", i) for i in range(1, n)], move, {(d, ident): 1})
         if rel is not None:
             return "(R) %s fails for the moves past %s" % (rel, _c_name(d, n))
     return None

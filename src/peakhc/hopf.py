@@ -320,7 +320,12 @@ def _index_str(basis: str, idx) -> str:
 
 
 def term(algebra: str, basis: str, index, coeff=1) -> FreeElement:
-    return FreeElement(algebra, basis, {index: coeff})
+    """``FreeElement(algebra, basis, {index: coeff})``, with the same checks
+    in the same order, built without the constructor's loop."""
+    if basis not in BASES.get(algebra, ()):
+        raise ConversionError("unknown basis %s of %s" % (basis, algebra))
+    c = _rational(coeff)
+    return _element(algebra, basis, {_encode(algebra, basis, index): c} if c else {})
 
 
 def unit(algebra: str, basis: str) -> FreeElement:

@@ -29,7 +29,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .combinat import (
     Composition,
@@ -46,6 +46,7 @@ from .combinat import (
 from .hecke_clifford import (
     AlgebraElement,
     _ANTI_TAGS,
+    _failing_relation_on,
     _first_letter,
     _left_mul,
     _morphism_generator_images,
@@ -63,6 +64,7 @@ from .linalg import (
     nullspace,
     vec_add_term,
     vec_iadd_scaled,
+    vec_scale,
 )
 from .scalars import GAUSS_I, as_gauss, as_scalar, gaussian
 
@@ -504,16 +506,6 @@ class ModuleMap:
     target: Supermodule
     matrix: SparseMatrix
     parity: int
-
-    def is_morphism(self) -> bool:
-        f = self.matrix
-        for key in self.source.actions:
-            a = self.source.actions[key]
-            b = self.target.actions[key]
-            sign = -1 if (self.parity and key[0] == "c") else 1
-            if f @ a != (b @ f).scale(sign):
-                return False
-        return True
 
     def is_invertible(self) -> bool:
         if self.source.dim != self.target.dim:
@@ -1071,20 +1063,64 @@ def split_simple(alpha) -> SimpleSplit:
     )
 
 
+def _seed_failure(base: Supermodule, target: Supermodule, images: list):
+    """Where the seed n_k -> ``images[k]`` of a map out of Ind N, N =
+    ``base``, fails to be T-linear into the restriction of ``target``: the
+    first T_i and k with T_i . images[k] != sum_j (T_i on N)_{jk} images[j],
+    as text; None when the seed is T-linear.  (n - 1)·dim N sparse applies.
+
+    Ind N is generated by 1 (x) N, so the lift of a seed
+    (``_map_out_of_induced``) is a morphism exactly when the seed is
+    T-linear: by the induction adjunction, a T-linear seed of parity p
+    lifts to the morphism a (x) n -> (-1)^{p|a|} a . seed(n), which sends
+    c_D (x) n_k to the lift's column, and a morphism restricted to 1 (x) N
+    is T-linear.  The seed of a lift is its first dim N columns.
+    """
+    for key in generator_keys(base.blocks, "H"):
+        act = target.actions[key]
+        for k, col in enumerate(base.actions[key].cols):
+            want: dict = {}
+            for j, v in col.items():
+                vec_iadd_scaled(want, images[j], v)
+            if act.apply(images[k]) != want:
+                return "%s_%d on basis vector %d" % (key + (k,))
+    return None
+
+
 def end_clifford_check(alpha) -> dict:
     """Verify that End of the induced simple is the Clifford algebra on the
     valley set: dimension 2^|V|, generated by odd maps sqrt(-1) f_{c_v}
     squaring to -id and pairwise anticommuting.
 
-    The plain f_{c_v} is the map c_D eta -> (-1)^{|D|} c_D c_v eta out of
-    eta, with int entries.  The morphism and span checks read these integer
-    maps: a map is a morphism exactly when a nonzero multiple of it is, and
-    an ordered product of the f_{c_v} differs from that of the
-    sqrt(-1) f_{c_v} by a power of sqrt(-1).  Only the relations are
-    checked on the rescaled maps (the plain f_{c_v} square to +id).
+    The plain f_{c_v} is the lift (``_map_out_of_induced``) of its seed
+    eta -> c_v eta, the map c_D eta -> (-1)^{|D|} c_D c_v eta, with int
+    entries.  The checks, in order, each reported under its own key:
+
+    * ``end_dim``: ``hom_space`` of the module with itself has dimension
+      2^|V|, an elimination of its own that reads none of the f_{c_v};
+    * ``bad_generator``: each seed is T-linear (``_seed_failure``), so each
+      f_{c_v} is a morphism;
+    * ``bad_relation``: the relations of the sqrt(-1) f_{c_v} among the
+      keys ("c", v) of ``defining_relations`` hold at eta, the words
+      applied to vectors (the plain f_{c_v} square to +id);
+    * ``span_rank``: the 2^|V| ordered products of the f_{c_v}, evaluated
+      at eta, have rank 2^|V| in one ``Echelon``.
+
+    Why values at eta certify identities in End.  Sums, scalar multiples
+    and compositions of homogeneous morphisms are homogeneous morphisms, so
+    once the f_{c_v} are morphisms, both sides of each relation and every
+    ordered product lie in End.  The module is generated by 1 (x) eta, so
+    a morphism that vanishes at eta vanishes everywhere: evaluation at eta
+    is injective on End.  So a relation holds in End exactly when it holds
+    at eta, and the products are independent in End exactly when their
+    values at eta are; 2^|V| independent products in End, whose dimension
+    is 2^|V| by the ``hom_space`` elimination, span it.  An ordered product
+    of the f_{c_v} differs from that of the sqrt(-1) f_{c_v} by a power of
+    sqrt(-1), so the span is read on the integer maps.
     """
     a = as_composition(alpha)
-    module = induce_clifford(simple_hecke(a))
+    base = simple_hecke(a)
+    module = induce_clifford(base)
     valleys = sorted(a.valley_set())
     ends = hom_space(module, module)
     report = {
@@ -1101,26 +1137,28 @@ def end_clifford_check(alpha) -> dict:
         v: _map_out_of_induced(module, [module.actions[("c", v)].cols[0]], 1) for v in valleys
     }
     for v, f in fmaps.items():
-        if not ModuleMap(module, module, f, 1).is_morphism():
+        if _seed_failure(base, module, f.cols[:1]) is not None:
             report["ok"] = False
             report["bad_generator"] = v
             return report
-    # (i f_v)^2 = -1 and (i f_v)(i f_w) = -(i f_w)(i f_v): the Clifford
-    # relations of hecke_clifford
-    ident = SparseMatrix.identity(module.dim, 1)
-    bad = failing_relation(
-        {("c", v): f.scale(GAUSS_I) for v, f in fmaps.items()}, operator.matmul, ident
+    eta = {0: 1}  # basis vector c_{} (x) eta sits first
+    bad = _failing_relation_on(
+        [("c", v) for v in valleys],
+        lambda key, vec: vec_scale(fmaps[key[1]].apply(vec), GAUSS_I),
+        eta,
     )
     if bad is not None:
         report["ok"] = False
         report["bad_relation"] = bad
         return report
-    # the 2^|V| ordered products span End; each starts from its first factor
+    # the ordered product f_{v_1} ... f_{v_r} at eta, applied right to left
     span = Echelon()
     for r in range(len(valleys) + 1):
         for combo in itertools.combinations(valleys, r):
-            mat = reduce(operator.matmul, [fmaps[v] for v in combo]) if combo else ident
-            span.add({(i, j): val for i, j, val in mat.entries()})
+            vec = eta
+            for v in reversed(combo):
+                vec = fmaps[v].apply(vec)
+            span.add(vec)
     report["span_rank"] = span.rank
     if span.rank != 2 ** len(valleys):
         report["ok"] = False
@@ -1137,8 +1175,9 @@ _STATED_TWISTS = {
 }
 
 
-def stated_twist_isomorphism(alpha, part: int) -> ModuleMap:
-    """The explicit isomorphisms onto the four twisted modules.
+def stated_twist_isomorphisms(alpha) -> dict:
+    """The explicit isomorphisms onto the four twisted modules, keyed by
+    part:
 
     part 1: induced simple of the conjugate -> phi-twist, degree n mod 2,
             c_D eta* -> (-1)^{n|D|} phi(c_D) c_{[n]} eta;
@@ -1151,19 +1190,21 @@ def stated_twist_isomorphism(alpha, part: int) -> ModuleMap:
 
     On the twist, c_D acts as its image does on the induced simple, so each
     map is ``_map_out_of_induced`` on the twist, with its one image at eta
-    or at the top vector.
+    or at the top vector.  The induced simple and that of the conjugate are
+    built once and shared by the four maps.
     """
-    if part not in _STATED_TWISTS:
-        raise ValueError("part must be 1..4")
-    tag, conjugate, top = _STATED_TWISTS[part]
     a = as_composition(alpha)
     base = induce_clifford(simple_hecke(a))
-    source = induce_clifford(simple_hecke(a.conjugate())) if conjugate else base
-    target = twist(base, tag)
-    # eta is even, so the map has the parity of its seed; c_[n] eta sits last
-    parity = a.n % 2 if top else 0
-    seed = {base.dim - 1: 1} if top else {0: 1}
-    return ModuleMap(source, target, _map_out_of_induced(target, [seed], parity), parity)
+    conj = induce_clifford(simple_hecke(a.conjugate()))
+    maps = {}
+    for part, (tag, conjugate, top) in _STATED_TWISTS.items():
+        target = twist(base, tag)
+        # eta is even, so the map has the parity of its seed; c_[n] eta sits last
+        parity = a.n % 2 if top else 0
+        seed = {base.dim - 1: 1} if top else {0: 1}
+        lift = _map_out_of_induced(target, [seed], parity)
+        maps[part] = ModuleMap(conj if conjugate else base, target, lift, parity)
+    return maps
 
 
 # ---------------------------------------------------------------------------

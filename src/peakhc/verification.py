@@ -69,12 +69,13 @@ from .hopf import (
 )
 from .linalg import Echelon
 from .supermodules import (
+    _seed_failure,
     end_clifford_check,
     find_isomorphism,
     projective_hecke,
     simple_hecke,
     split_simple,
-    stated_twist_isomorphism,
+    stated_twist_isomorphisms,
     twist,
 )
 
@@ -323,10 +324,13 @@ def suite_twists(max_n: int) -> list:
 def _twists_rank(n: int) -> tuple:
     bad = []
     for a in compositions_of(n):
-        for part in (1, 2, 3, 4):
-            f = stated_twist_isomorphism(a, part)
+        # each map is the lift of its seed out of N, its first dim N columns
+        for part, f in stated_twist_isomorphisms(a).items():
             want_parity = n % 2 if part in (1, 4) else 0
-            if f.parity != want_parity or not f.is_morphism() or not f.is_invertible():
+            base = f.source.summand_of[0]
+            if (f.parity != want_parity
+                    or _seed_failure(base, f.target, f.matrix.cols[:base.dim]) is not None
+                    or not f.is_invertible()):
                 bad.append((str(a), part))
         tw = twist(simple_hecke(a), "phi_bar")
         if not find_isomorphism(tw, simple_hecke(a.reverse())).found:

@@ -10,7 +10,9 @@ associativity certificate and the Frobenius Gram through the regular
 representation, one-gamma Hom onto a Hecke simple, parabolic restriction,
 parabolic induction by a triangular rewriting in the free basis T_x over the
 parabolic subalgebra (with the coset factorization it reads), the parity
-shift, the rank-0 module, Hom out of an induced module by the spin route,
+shift, the rank-0 module, the morphism check and the Clifford structure of
+End of an induced simple by full matrix identities, Hom out of an induced
+module by the spin route,
 the true idempotents that split an induced simple, the peak sets by a walk
 over all subsets, the Bruhat filtration of an induced
 projective, route (i) of the Cartan image by a walk of the
@@ -19,8 +21,9 @@ preimage, the readers of the JSON forms, and the smash-product double of
 the peak algebra and its dual."""
 
 import itertools
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from peakhc.combinat import (
     Composition,
@@ -66,7 +69,9 @@ from peakhc.linalg import (
     vec_iadd_scaled,
 )
 from peakhc.scalars import GAUSS_I, _rational, gaussian
+import peakhc.supermodules as sm
 from peakhc.supermodules import (
+    ModuleMap,
     Supermodule,
     _descent_class_sorted,
     element_matrix,
@@ -542,6 +547,67 @@ def without_provenance(module: Supermodule) -> Supermodule:
     )
 
 
+def is_morphism(f: ModuleMap) -> bool:
+    """Whether f is a morphism of its parity: f A_key = (-1)^{|f||key|}
+    B_key f as a full matrix identity for every generator key."""
+    for key in f.source.actions:
+        a = f.source.actions[key]
+        b = f.target.actions[key]
+        sign = -1 if (f.parity and key[0] == "c") else 1
+        if f.matrix @ a != (b @ f.matrix).scale(sign):
+            return False
+    return True
+
+
+def end_clifford_by_matrices(alpha) -> dict:
+    """The report of ``end_clifford_check`` by full 2^n x 2^n matrix
+    identities: each f_{c_v} (built by the package's ``_map_out_of_induced``)
+    passes ``is_morphism``, the sqrt(-1) f_{c_v} satisfy the Clifford
+    relations as matrices (``failing_relation`` with the matrix product),
+    and the ordered products of the f_{c_v}, each started from its first
+    factor, span rank 2^|V| over their matrix entries."""
+    a = as_composition(alpha)
+    module = induce_clifford(simple_hecke(a))
+    valleys = sorted(a.valley_set())
+    ends = hom_space(module, module)
+    report = {
+        "alpha": a,
+        "valleys": valleys,
+        "end_dim": ends.total_dim,
+        "expected_dim": 2 ** len(valleys),
+        "ok": True,
+    }
+    if ends.total_dim != 2 ** len(valleys):
+        report["ok"] = False
+        return report
+    fmaps = {
+        v: sm._map_out_of_induced(module, [module.actions[("c", v)].cols[0]], 1)
+        for v in valleys
+    }
+    for v, f in fmaps.items():
+        if not is_morphism(ModuleMap(module, module, f, 1)):
+            report["ok"] = False
+            report["bad_generator"] = v
+            return report
+    ident = SparseMatrix.identity(module.dim, 1)
+    bad = hc.failing_relation(
+        {("c", v): f.scale(sm.GAUSS_I) for v, f in fmaps.items()}, operator.matmul, ident
+    )
+    if bad is not None:
+        report["ok"] = False
+        report["bad_relation"] = bad
+        return report
+    span = Echelon()
+    for r in range(len(valleys) + 1):
+        for combo in itertools.combinations(valleys, r):
+            mat = reduce(operator.matmul, [fmaps[v] for v in combo]) if combo else ident
+            span.add({(i, j): val for i, j, val in mat.entries()})
+    report["span_rank"] = span.rank
+    if span.rank != 2 ** len(valleys):
+        report["ok"] = False
+    return report
+
+
 def hom_route_mismatch(src: Supermodule, dst: Supermodule):
     """Why ``hom_space`` out of ``src``, an induced module or a summand of
     one, which goes through the induction adjunction (and, for a summand,
@@ -564,7 +630,7 @@ def hom_route_mismatch(src: Supermodule, dst: Supermodule):
         if span.rank != len(want):
             return "parity %d: the two bases span rank %d" % (par, span.rank)
         for f in got:
-            if not f.is_morphism():
+            if not is_morphism(f):
                 return "parity %d: a lifted map is no morphism" % par
     return None
 

@@ -807,6 +807,43 @@ def test_constructors_add_the_coefficients_of_one_index():
     assert TensorElement("NSym", "H", {((1,), (2,)): 1, (C(1), C(2)): -1}).coeffs == {}
 
 
+def test_term_equals_the_constructor_on_every_basis():
+    # term builds its one-key element directly; it must agree with the
+    # FreeElement constructor, tuple and instance indices alike, and raise
+    # what the constructor raises
+    coeffs = [1, -3, Fraction(2, 3), Fraction(4, 2), True, 0]
+    for algebra, bases in BASES.items():
+        for basis in bases:
+            for n in range(5):
+                for idx in _indices(algebra, basis, n):
+                    spellings = [idx] if isinstance(idx, PeakSet) else [idx, tuple(idx)]
+                    for index in spellings:
+                        for c in coeffs:
+                            got = term(algebra, basis, index, c)
+                            want = FreeElement(algebra, basis, {index: c})
+                            assert got == want and str(got) == str(want), (basis, idx, c)
+                            assert all(type(v) is int or type(v) is Fraction
+                                       for v in got.coeffs.values())
+    for bad in [(True, 1), (2.0,), (1, 1.5), (0, 2), (2, -1), ("2",)]:
+        for basis in ("H", "R"):
+            for build in (lambda: term("NSym", basis, bad),
+                          lambda: FreeElement("NSym", basis, {bad: 1})):
+                want = ValueError if all(type(x) is int for x in bad) else TypeError
+                with pytest.raises(want, match="composition parts must be"):
+                    build()
+    with pytest.raises(ConversionError):
+        term("NSym", "F", (1,))
+    with pytest.raises(TypeError):
+        term("NSym", "H", (1,), 0.5)
+    with pytest.raises(TypeError):
+        term("Peak", "Xi", (1,))
+    with pytest.raises(ValueError):
+        term("Sym", "h", (1, 2))
+    # a zero coefficient gives zero before the index is read, as in the
+    # constructor
+    assert not term("NSym", "H", (0,), 0) and not FreeElement("NSym", "H", {(0,): 0})
+
+
 def _indices(algebra, basis, n):
     if basis in ("Xi", "K"):
         return peak_sets_in(n) if n else [PeakSet(0, frozenset())]

@@ -52,14 +52,22 @@ from peakhc.supermodules import (
     submodule_on_vectors,
     twist,
 )
-from peakhc.supermodules import _integral_idempotents, _spin
+from peakhc.supermodules import (
+    _integral_idempotents,
+    _map_out_of_induced,
+    _seed_failure,
+    _spin,
+    stated_twist_isomorphisms,
+)
 
 from oracles import (
     MAX_FILTRATION_N,
     bruhat_filtration,
     clifford_idempotents,
+    end_clifford_by_matrices,
     hom_dim_to_hecke_simple,
     hom_route_mismatch,
+    is_morphism,
     module_mismatch,
     parabolic_induce_by_decomposition,
     parity_shift,
@@ -272,7 +280,7 @@ def test_hom_examples():
     ends = hom_space(Stilde(2, 2), Stilde(2, 2))
     assert ends.total_dim == 4  # 2^{|V|} with V = {1, 3}
     for f in ends.even + ends.odd:
-        assert f.is_morphism()
+        assert is_morphism(f)
 
 
 def test_projective_pairing_via_characters():
@@ -399,7 +407,7 @@ def test_induced_provenance_does_not_leak():
         hecke, embedding = comp.summand_of
         assert {key: mat.cols for key, mat in hecke.actions.items()} == want
         emb = SparseMatrix(split.module.dim, comp.dim, embedding)
-        assert ModuleMap(comp, split.module, emb, 0).is_morphism()
+        assert is_morphism(ModuleMap(comp, split.module, emb, 0))
     comp = split.components[-1]
     built.update(
         component_twist=twist(comp, "phi"),
@@ -460,7 +468,7 @@ def _assert_hom_matches_kronecker(src, dst):
     assert (got.even_dim, got.odd_dim) == (want.even_dim, want.odd_dim), (src, dst)
     ech = Echelon()
     for f in got.even + got.odd:
-        assert f.is_morphism()
+        assert is_morphism(f)
         ech.add({(i, j, f.parity): v for i, j, v in f.matrix.entries()})
     assert ech.rank == got.total_dim
 
@@ -667,7 +675,8 @@ def _is_identity(mat) -> bool:
 
 
 def test_end_clifford_never_multiplies_by_the_identity(monkeypatch):
-    # each ordered product of the f_v starts from its first factor
+    # each ordered product of the f_v on the matrix route starts from its
+    # first factor
     matmul = SparseMatrix.__matmul__
     operands = []
 
@@ -678,7 +687,7 @@ def test_end_clifford_never_multiplies_by_the_identity(monkeypatch):
     monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
     for n in range(1, 5):
         for a in compositions_of(n):
-            assert end_clifford_check(a)["ok"], a
+            assert end_clifford_by_matrices(a)["ok"], a
     assert operands
     assert not any(_is_identity(x) or _is_identity(y) for x, y in operands)
 
@@ -691,6 +700,59 @@ def test_end_clifford_reports_a_failed_relation(monkeypatch):
     rep = end_clifford_check(C(3))
     assert not rep["ok"]
     assert rep["bad_relation"] == "c_%d c_%d = -1" % (rep["valleys"][0], rep["valleys"][0])
+    assert end_clifford_by_matrices(C(3)) == rep
+
+
+def test_end_clifford_matches_the_matrix_route():
+    # the seed, at-eta and span-at-eta checks give the report of the full
+    # matrix identities, key for key
+    for n in range(1, 6):
+        for a in compositions_of(n):
+            rep = end_clifford_check(a)
+            assert rep["ok"] and rep["span_rank"] == rep["end_dim"], a
+            assert rep == end_clifford_by_matrices(a), a
+
+
+def _swapping_seed(monkeypatch, valley, other):
+    """Patch the lift so that the f_v of ``valley`` is seeded at c_other eta."""
+    from peakhc import supermodules
+
+    build = supermodules._map_out_of_induced
+
+    def swapped(module, images, parity):
+        if images == [module.actions[("c", valley)].cols[0]]:
+            images = [module.actions[("c", other)].cols[0]]
+        return build(module, images, parity)
+
+    monkeypatch.setattr(supermodules, "_map_out_of_induced", swapped)
+
+
+def test_end_clifford_reports_a_seed_that_is_not_t_linear(monkeypatch):
+    # negative control of the seed check: V = {1, 3} for (2, 2), and
+    # eta -> c_2 eta is not T-linear (T_1 c_2 eta = c_1 eta - c_2 eta, while
+    # T_1 eta = 0), so f_3 seeded there is no morphism on either route
+    a = C(2, 2)
+    base = simple_hecke(a)
+    module = induce_clifford(base)
+    assert _seed_failure(base, module, [module.actions[("c", 2)].cols[0]]) is not None
+    _swapping_seed(monkeypatch, 3, 2)
+    rep = end_clifford_check(a)
+    assert not rep["ok"] and rep["bad_generator"] == 3
+    assert end_clifford_by_matrices(a) == rep
+
+
+def test_end_clifford_reports_coinciding_products(monkeypatch):
+    # negative control of the span check: with f_3 seeded at c_1 eta (a
+    # T-linear seed) the products 1 and f_1 f_3 coincide at eta, as do f_1
+    # and f_3, so the rank is 2, not 4; the relation check, which would
+    # see the two maps commute, is switched off to reach the span
+    from peakhc import supermodules
+
+    _swapping_seed(monkeypatch, 3, 1)
+    monkeypatch.setattr(supermodules, "_failing_relation_on", lambda *_args: None)
+    rep = end_clifford_check(C(2, 2))
+    assert rep["end_dim"] == 4 and "bad_generator" not in rep
+    assert not rep["ok"] and rep["span_rank"] == 2
 
 
 def test_idempotents_algebra():
@@ -796,9 +858,11 @@ def test_split_spins_its_seeds_without_fractions(monkeypatch):
 
 
 def test_end_clifford_reports_a_generator_with_a_flipped_sign(monkeypatch):
-    # negative control: one sign flipped in one integer generator f_{c_v},
-    # the lift of the map that sends eta to c_v eta, breaks the morphism
-    # check for that v
+    # negative control of the matrix route: one sign flipped in one integer
+    # generator f_{c_v}, the lift of the map that sends eta to c_v eta,
+    # breaks the morphism check for that v.  The flipped seed is still
+    # T-linear, so the seed route passes it and sees the map, no longer
+    # the lift of its seed, break a relation at eta instead
     from peakhc import supermodules
 
     build = supermodules._map_out_of_induced
@@ -813,11 +877,13 @@ def test_end_clifford_reports_a_generator_with_a_flipped_sign(monkeypatch):
             col[row] = -val
         return mat
 
-    assert end_clifford_check(a)["ok"]
+    assert end_clifford_by_matrices(a)["ok"]
     monkeypatch.setattr(supermodules, "_map_out_of_induced", flipped)
-    rep = end_clifford_check(a)
+    rep = end_clifford_by_matrices(a)
     assert not rep["ok"]
     assert rep["bad_generator"] == target
+    fast = end_clifford_check(a)
+    assert not fast["ok"] and "bad_generator" not in fast and "bad_relation" in fast
 
 
 def test_split_simple():
@@ -992,7 +1058,7 @@ def _assert_decision_matches_search(pairs, parities, complete):
                 assert got.conclusive, (a, b, par)
             if got.found:
                 assert got.map.parity == par
-                assert got.map.is_morphism() and got.map.is_invertible()
+                assert is_morphism(got.map) and got.map.is_invertible()
 
 
 def test_iso_decision_matches_search_on_simple_components():
@@ -1060,45 +1126,124 @@ def test_twist_hecke_nakayama():
 
 
 def test_twist_conjugate_isomorphisms():
-    from peakhc.supermodules import stated_twist_isomorphism
-
     for n in (2, 3):
         for a in compositions_of(n):
-            f = stated_twist_isomorphism(a, 1)
+            maps = stated_twist_isomorphisms(a)
+            assert sorted(maps) == [1, 2, 3, 4]
+            f = maps[1]
             assert f.parity == n % 2
-            assert f.is_morphism(), (a, "stated map fails the sign rule")
+            assert is_morphism(f), (a, "stated map fails the sign rule")
             assert f.is_invertible()
-            g = stated_twist_isomorphism(a, 2)
+            g = maps[2]
             assert g.parity == 0
-            assert g.is_morphism() and g.is_invertible()
+            assert is_morphism(g) and g.is_invertible()
 
 
 def test_twist_isomorphism_fails_from_the_wrong_seed():
     # negative control: part 1 seeded at eta instead of the top vector
     # c_[n] eta is no morphism, so the stated maps' checks have teeth (at
     # n = 1 it is the identity, an odd morphism since phi negates c_1)
-    from peakhc.supermodules import _map_out_of_induced, stated_twist_isomorphism
-
     for n in (2, 3):
         for a in compositions_of(n):
-            f = stated_twist_isomorphism(a, 1)
+            f = stated_twist_isomorphisms(a)[1]
             wrong = _map_out_of_induced(f.target, [{0: 1}], f.parity)
-            assert f.is_morphism()
-            assert not ModuleMap(f.source, f.target, wrong, f.parity).is_morphism(), a
+            assert is_morphism(f)
+            assert not is_morphism(ModuleMap(f.source, f.target, wrong, f.parity)), a
 
 
 def test_dual_twist_isomorphisms():
-    from peakhc.supermodules import stated_twist_isomorphism
-
     for n in (2, 3):
         for a in compositions_of(n):
             twist(induce_clifford(simple_hecke(a)), "psi").check()
-            f = stated_twist_isomorphism(a, 3)
+            maps = stated_twist_isomorphisms(a)
+            f = maps[3]
             assert f.parity == 0
-            assert f.is_morphism() and f.is_invertible()
-            g = stated_twist_isomorphism(a, 4)
+            assert is_morphism(f) and f.is_invertible()
+            g = maps[4]
             assert g.parity == n % 2
-            assert g.is_morphism() and g.is_invertible()
+            assert is_morphism(g) and g.is_invertible()
+
+
+def _seed_agrees(f) -> bool:
+    """The seed check of a lift agrees with the full matrix identities."""
+    base = f.source.summand_of[0]
+    return (_seed_failure(base, f.target, f.matrix.cols[:base.dim]) is None) == is_morphism(f)
+
+
+def test_seed_check_matches_the_matrix_morphism_check():
+    # every stated twist map, each lifted from the other seed (eta and the
+    # top vector exchanged), and every lift of eta -> c_u eta into Ind S_a:
+    # the seed check and the full matrix check agree on morphisms and on
+    # the maps that are none.  Above n = 1, where the two seeds are the
+    # two basis vectors of a module of dimension 2, the other seed gives
+    # no morphism
+    for n in range(1, 6):
+        for a in compositions_of(n):
+            for part, f in stated_twist_isomorphisms(a).items():
+                top = f.matrix.cols[0].keys() != {0}
+                other = {0: 1} if top else {f.target.dim - 1: 1}
+                wrong = _map_out_of_induced(f.target, [other], f.parity)
+                g = ModuleMap(f.source, f.target, wrong, f.parity)
+                assert _seed_agrees(f) and _seed_agrees(g), (a, part)
+                assert is_morphism(f) and is_morphism(g) == (n == 1), (a, part)
+            module = induce_clifford(simple_hecke(a))
+            for u in range(1, n + 1):
+                seed = module.actions[("c", u)].cols[0]
+                g = ModuleMap(module, module, _map_out_of_induced(module, [seed], 1), 1)
+                assert _seed_agrees(g), (a, u)
+                assert is_morphism(g) == (u in a.valley_set()), (a, u)
+
+
+def test_twists_report_fails_on_a_corrupted_seed(monkeypatch):
+    # negative control of the report's seed check: part 1 lifted from eta
+    # instead of the top vector is no morphism for n >= 2
+    from peakhc import verification
+
+    def corrupted(alpha):
+        maps = stated_twist_isomorphisms(alpha)
+        f = maps[1]
+        maps[1] = ModuleMap(f.source, f.target,
+                            _map_out_of_induced(f.target, [{0: 1}], f.parity), f.parity)
+        return maps
+
+    for n in (2, 3):
+        assert verification._twists_rank(n) == (True, [])
+    monkeypatch.setattr(verification, "stated_twist_isomorphisms", corrupted)
+    for n in (2, 3):
+        ok, bad = verification._twists_rank(n)
+        assert not ok and bad == [(str(a), 1) for a in compositions_of(n)], n
+
+
+def test_twists_report_builds_each_induced_simple_once_per_composition(monkeypatch):
+    # the four stated maps share Ind S_a and Ind S_{a^c}: two builds per a
+    from peakhc import supermodules
+    from peakhc.verification import suite_twists
+
+    built = []
+    induce = supermodules.induce_clifford
+
+    def counted(module):
+        built.append(module)
+        return induce(module)
+
+    monkeypatch.setattr(supermodules, "induce_clifford", counted)
+    assert [r["status"] for r in suite_twists(4)] == ["verified"] * 4
+    assert len(built) == 2 * sum(len(compositions_of(n)) for n in range(1, 5)) == 30
+
+
+def test_clifford_and_twist_reports_make_no_matrix_product(monkeypatch):
+    # the End and twist reports certify morphisms at their seeds and
+    # relations on vectors: no SparseMatrix product is formed
+    from peakhc.verification import suite_twists
+
+    def refuse(self, other):
+        raise AssertionError("matrix product")
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", refuse)
+    for n in range(1, 6):
+        for a in compositions_of(n):
+            assert end_clifford_check(a)["ok"], a
+    assert [r["status"] for r in suite_twists(4)] == ["verified"] * 4
 
 
 def _element_matrix_by_products(module, element):
