@@ -49,17 +49,29 @@ Demazure table and the moves of each T_i past an entry of tau satisfy its
 relations, and each entry of tau is one move on a one letter shorter
 entry, so by Norton's dimension count the moves are an action of H.  For C
 it is checked with the H factor a generator T_i.  The function's docstring
-spells out each step.  ``frobenius_gram`` reads the trace form
-tr(c_D T_u c_E T_v) from the same three tables.  Every reader of the
-structure constants goes through the tables; the tests keep the
-certificate and the Gram through the regular representation as slow
-routes.
+spells out each step.
 
-Morphism matrices are built column by column from a one letter shorter
-column, one ``multiply`` each; ``apply_morphism`` walks each element from
-the unit and stays the independent route.  No report calls it, so it is
-not in ``__all__``; it stays here, not in the tests' oracles, because the
-benchmark's tracer wraps it by name.
+``frobenius_failure`` proves from the same three tables that the trace form
+tr(ab), tr the coefficient of T_w0, is nondegenerate and even, with
+Nakayama automorphism phi.  The Demazure table never exceeds the sum of the
+lengths and reaches T_w0 from complementary lengths only when u o v = w0;
+c_D c_D' lies on the unit only for D' = D; each T_u c_E has the one leading
+term +-c_{u(E)} T_u and is parity-homogeneous.  So the Gram is block
+triangular with a signed permutation on its diagonal.  phi is an algebra
+map, since its images satisfy the defining relations, and the Nakayama
+identity on the generators extends to every element by induction on
+products.  The certificate builds no Gram, eliminates nothing and forms no
+matrix of phi; its docstring holds the proof.  Every reader of the
+structure constants goes through the tables; the tests keep the
+associativity certificate through the regular representation, and the
+Frobenius form by Gram elimination, as slow routes.
+
+``frobenius_gram`` (the Gram read from the tables), ``morphism_matrix``
+(each column of an (anti-)involution from a one letter shorter column, one
+``multiply`` each) and ``apply_morphism`` (a walk of each element from the
+unit) have no caller in the package; the tests' slow routes use them.  They
+are not in ``__all__``, and they stay here, not in the tests' oracles, only
+because the benchmark's tracer wraps them by name.
 
 The canonical basis order is (|D|, bitmask of D, one-line word); all
 matrices produced here follow it.
@@ -74,7 +86,9 @@ from .combinat import (
     ResourceLimitError,
     swap_positions,
     swap_values,
+    word_compose,
     word_descents,
+    word_length,
     word_reduced,
 )
 from .linalg import SparseMatrix, vec_add_term, vec_iadd_scaled, vec_scale
@@ -95,8 +109,7 @@ __all__ = [
     "act_terms",
     "multiply",
     "associativity_failure",
-    "frobenius_gram",
-    "morphism_matrix",
+    "frobenius_failure",
     "MORPHISM_TAGS",
 ]
 
@@ -511,8 +524,9 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def _guard_table_sweep(n: int) -> None:
     """The associativity certificate checks (n!)^2 (n-1) Demazure triples
-    in (H) and makes n! 2^n moves in (K), and the Gram has (2^n n!)^2
-    entries: guarded at n <= MAX_TABLE_SWEEP_N."""
+    in (H) and makes n! 2^n moves in (K), the Frobenius certificate reads
+    (n!)^2 Demazure entries in (D), and the Gram has (2^n n!)^2 entries:
+    guarded at n <= MAX_TABLE_SWEEP_N."""
     if n > MAX_TABLE_SWEEP_N:
         raise ResourceLimitError(
             "table sweep of rank %d exceeds the guard %d" % (n, MAX_TABLE_SWEEP_N),
@@ -529,7 +543,8 @@ def frobenius_gram(n: int) -> SparseMatrix:
     Clifford part is D and with T_x T_v = t T_w0.  The pairs (v, t) are
     listed once per x.  One pass over the entries of T_u c_E, for all E,
     fills the rows of every c_D T_u whole, each entry sent to the row of
-    its D.
+    its D.  No report builds it: ``frobenius_failure`` certifies the form
+    without it, and the tests' slow route eliminates it.
     """
     _guard_table_sweep(n)
     basis = algebra_basis(n)
@@ -825,6 +840,184 @@ def associativity_failure(n: int):
 
 
 # ---------------------------------------------------------------------------
+# the Frobenius certificate
+# ---------------------------------------------------------------------------
+
+
+def _demazure_bound_failure(n: int):
+    """Check (D) of ``frobenius_failure``: (n!)^2 reads."""
+    w0 = tuple(range(n, 0, -1))
+    perms = _perms(n)
+    length = {w: word_length(w) for w in perms}
+    for u in perms:
+        for x in perms:
+            t, y = _demazure_sign(u, x)
+            reach = length[u] + length[x]
+            if t not in (1, -1) or length[y] > reach or (
+                    reach == length[w0] and (y == w0) != (word_compose(u, x) == w0)):
+                return "(D) %s * %s" % (_t_name(u), _t_name(x))
+    return None
+
+
+def _clifford_square_failure(n: int):
+    """Check (S) of ``frobenius_failure``: 4^n reads."""
+    subsets = _subsets_ordered(n)
+    for d in subsets:
+        for d2 in subsets:
+            s, dd = _clifford_sign(d, d2)
+            if (not dd) != (d == d2) or (d == d2 and s not in (1, -1)):
+                return "(S) %s * %s" % (_c_name(d, n), _c_name(d2, n))
+    return None
+
+
+def _leading_term_failure(n: int):
+    """Check (L) of ``frobenius_failure``: n! 2^n entries."""
+    length = {w: word_length(w) for w in _perms(n)}
+    for u in _perms(n):
+        for e in _subsets_ordered(n):
+            lead = [(k, d, x) for k, d, x in _t_times_c(u, e) if length[x] >= length[u]]
+            if (len(lead) != 1 or lead[0][0] not in (1, -1)
+                    or lead[0][1:] != (frozenset(u[j - 1] for j in e), u)):
+                return "(L) the leading term of %s * %s" % (_t_name(u), _c_name(e, n))
+    return None
+
+
+def _evenness_failure(n: int):
+    """Check (E) of ``frobenius_failure``: n! 2^n entries."""
+    for u in _perms(n):
+        for e in _subsets_ordered(n):
+            if any(len(d) % 2 != len(e) % 2 for _k, d, _x in _t_times_c(u, e)):
+                return "(E) %s * %s is not homogeneous" % (_t_name(u), _c_name(e, n))
+    return None
+
+
+def _phi_images_failure(n: int):
+    """Check (M) of ``frobenius_failure``."""
+    images = _morphism_generator_images("phi", n)
+    for key, img in images.items():
+        if (img.parity() != (1 if key[0] == "c" else 0)
+                or any(word_length(v) > 1 for _d, v in img.terms)):
+            return "(M) the image of %s_%d under phi" % key
+    rel = failing_relation(images, multiply, unit(n))
+    if rel is not None:
+        return "(M) %s fails for the images of phi" % rel
+    return None
+
+
+def _trace_of_product(x, y, w0: tuple) -> int:
+    """tr(c_D T_u * c_E T_v) for basis keys x = (D, u) and y = (E, v), read
+    from the three tables as ``multiply`` reads them: the coefficient of
+    c_0 T_w0 in the product."""
+    (d, u), (e, v) = x, y
+    total = 0
+    for k, d2, x2 in _t_times_c(u, e):
+        s, dd = _clifford_sign(d, d2)
+        if not dd:
+            t, xv = _demazure_sign(x2, v)
+            if xv == w0:
+                total += k * s * t
+    return total
+
+
+def _nakayama_failure(n: int):
+    """Check (N) of ``frobenius_failure``: n 2^n (2n - 1) pairs (a, g)."""
+    w0 = tuple(range(n, 0, -1))
+    images = _morphism_generator_images("phi", n)
+    gens = generators(n)
+    for u in _perms(n):
+        if word_length(u) < word_length(w0) - 1:
+            continue
+        for d in _subsets_ordered(n):
+            a = (d, u)
+            for key, g in gens.items():
+                lhs = sum(k * _trace_of_product(a, y, w0) for y, k in g.terms.items())
+                rhs = sum(k * _trace_of_product(y, a, w0) for y, k in images[key].terms.items())
+                if lhs != (-rhs if key[0] == "c" and len(d) % 2 else rhs):
+                    return "(N) tr(a g) at a = %s, g = %s_%d" % (
+                        basis_element(d, u, n), *key)
+    return None
+
+
+def frobenius_failure(n: int):
+    """None when the trace form (a, b) = tr(ab) of ``multiply`` is certified
+    nondegenerate and even with Nakayama automorphism phi at rank n, else
+    the first check that failed, as text.  Guarded at n <= MAX_TABLE_SWEEP_N.
+
+    tr(x) is the coefficient of c_0 T_w0 in x, w0 the longest element,
+    L = l(w0) = n(n-1)/2 and l = ``combinat.word_length``.  Read with the
+    notation of ``associativity_failure`` (sigma, delta and tau for the three
+    tables), the checks, in the order they run:
+
+    (D) every delta(u, x) = (t, y) has t = +-1 and l(y) <= l(u) + l(x), and
+        when l(u) + l(x) = L, y = w0 exactly when u o x = w0 as maps of
+        one-line words: (n!)^2 reads;
+    (S) every sigma(D, D') = (s, F) has F = 0 exactly when D' = D, and then
+        s = +-1: 4^n reads;
+    (L) every tau(T_u (x) c_E) has exactly one term (k, D, x) with
+        l(x) >= l(u), and it is k = +-1, D = u(E) = {u(j) : j in E}, x = u:
+        n! 2^n entries;
+    (E) every term (k, D, x) of tau(T_u (x) c_E) has |D| = |E| mod 2;
+    (M) the images phi(g) of the generators are homogeneous of the parity
+        of g, their terms c_E T_v have l(v) <= 1, and they satisfy
+        ``defining_relations`` under ``multiply``;
+    (N) tr(a g) = (-1)^{|a||g|} tr(phi(g) a) for every generator g and
+        every basis element a = c_D T_u with l(u) >= L - 1: n 2^n (2n - 1)
+        pairs, each trace read from the tables.
+
+    Proof.  By the definition of ``multiply``, tr(c_D T_u c_E T_v) is the
+    sum of k s t over the terms (k, D', x) of tau(T_u (x) c_E) with
+    sigma(D, D') = (s, 0) and delta(x, v) = (t, w0); by (S) only D' = D
+    enters.  Lemma: if tr(c_D T_u c_E T_v) != 0, then l(u) + l(v) >= L,
+    and if l(u) + l(v) = L, it is +-1 when D = u(E) and u o v = w0, else 0.
+    For a term of the sum has l(x) <= l(u) by (L) and L <= l(x) + l(v) by
+    (D), as w0 is the one element of length L; at l(u) + l(v) = L only the
+    term x = u of (L), with D' = u(E), can reach w0, and by (D) it does
+    exactly when u o v = w0, with k s t = +-1 by (L), (S) and (D).
+
+    Nondegenerate: send the column c_E T_v of the Gram to its partner row
+    c_{u(E)} T_u, u = w0 o v^-1, a bijection of the basis.  By the lemma a
+    nonzero entry in row c_D T_u and the column of partner c_D' T_u' has
+    l(u) >= L - l(v) = l(u'), and at l(u) = l(u') it lies on the diagonal
+    and is +-1.  So the Gram, columns re-indexed and rows ordered by l(u),
+    is block triangular with diagonal blocks +- the identity: its
+    determinant is +-1, with no elimination.
+
+    Even: a nonzero tr(c_D T_u c_E T_v) needs a term of tau(T_u (x) c_E)
+    with Clifford part D, so |D| = |E| mod 2 by (E).
+
+    Nakayama.  phi is an algebra map: the rewriting rules of the module
+    docstring follow from ``defining_relations``, and with the T words
+    reduced to +-T_w by the relations of H_n(0) (Norton's count) they
+    bring every word in the generators to the 2^n n! words c_D T_w.  So the
+    algebra P presented by the generators and these relations has
+    dimension <= 2^n n!.  The algebra A of ``multiply`` is associative with
+    unit, its generators satisfy the relations (the ``algebra-relations``
+    report of the same rank), and each c_D T_w is the product along its
+    normal word by (U), (C) and (P) of ``associativity_failure``; so
+    g -> g maps P onto A, and the two are isomorphic.  By (M), g -> phi(g)
+    then extends to an algebra map phi of A that keeps parities.  Let B be
+    the set of homogeneous b with tr(a b) = (-1)^{|a||b|} tr(phi(b) a) for
+    every homogeneous a.  It holds 1, and each generator g: both sides are
+    linear in a, (N) gives the basis elements c_D T_u with l(u) >= L - 1,
+    and for l(u) < L - 1 both sides are 0 by the lemma, since g and, by
+    (M), phi(g) are sums of c_E T_v with l(v) <= 1.  This skip is what keeps
+    (N) at n 2^n elements a of the 2^n n!.  B is closed under products: for
+    b1, b2 in B, tr(a b1 b2) = (-1)^{|a b1||b2|} tr(phi(b2) a b1) =
+    (-1)^{|a b1||b2| + |phi(b2) a||b1|} tr(phi(b1) phi(b2) a), whose sign is
+    (-1)^{|a||b1 b2|} and where phi(b1) phi(b2) = phi(b1 b2).  So B holds
+    every c_D T_w, and with linearity every homogeneous b: the identity
+    that the Gram G = +-G^T phi of the tests' slow route states.
+    """
+    _guard_table_sweep(n)
+    for check in (_demazure_bound_failure, _clifford_square_failure, _leading_term_failure,
+                  _evenness_failure, _phi_images_failure, _nakayama_failure):
+        witness = check(n)
+        if witness is not None:
+            return witness
+    return None
+
+
+# ---------------------------------------------------------------------------
 # (anti-)involutions
 # ---------------------------------------------------------------------------
 
@@ -886,7 +1079,8 @@ def morphism_matrix(tag: str, n: int) -> SparseMatrix:
     b = g b' as in ``_first_letter``, nu(b) = nu(g) nu(b'), or nu(b') nu(g)
     for the anti-involutions, one ``multiply`` per column.  phi_bar has no
     matrix: it is defined on the Hecke subalgebra only.  ``apply_morphism``
-    is the independent route, one walk per element.
+    is the independent route, one walk per element.  No report builds it;
+    the tests' slow route to ``frobenius_failure`` does.
     """
     if tag == "phi_bar":
         raise ValueError("phi_bar is defined on the Hecke subalgebra only")

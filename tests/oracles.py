@@ -7,7 +7,8 @@ elements, the leading term of T_w c_D, the multiplication tables by
 generator walks, the associativity certificate with every generator swept
 past every entry of tau, the left-regular matrices of the generators, the
 associativity certificate and the Frobenius Gram through the regular
-representation, one-gamma Hom onto a Hecke simple, parabolic restriction,
+representation, the Frobenius form by Gram elimination and the matrix of
+phi, one-gamma Hom onto a Hecke simple, parabolic restriction,
 parabolic induction by a triangular rewriting in the free basis T_x over the
 parabolic subalgebra (with the coset factorization it reads), the parity
 shift, the rank-0 module, the morphism check and the Clifford structure of
@@ -279,6 +280,33 @@ def regular_frobenius_gram(n: int) -> SparseMatrix:
         for jcol, v in row.items():
             gram.cols[jcol][i] = v
     return gram
+
+
+def frobenius_by_gram(n: int):
+    """The slow route to ``frobenius_failure``: the full Gram of the trace
+    form has rank 2^n n! by elimination, pairs basis elements of different
+    parity to 0, and equals +-G^T phi with the matrix of phi built by
+    ``multiply``.  None when all three hold, else the first that failed, as
+    text.  Guarded at n <= hecke_clifford.MAX_TABLE_SWEEP_N."""
+    gram = hc.frobenius_gram(n)
+    ech = Echelon()
+    for j in range(gram.ncols):
+        ech.add(dict(gram.cols[j]))
+    if ech.rank != gram.ncols:
+        return "Gram rank %d" % ech.rank
+    parities = [len(d) % 2 for (d, _w) in algebra_basis(n)]
+    for i, j, v in gram.entries():
+        if parities[i] != parities[j] and v:
+            return "form not even"
+    rhs = gram.transpose() @ hc.morphism_matrix("phi", n)
+    for j in range(gram.ncols):
+        col = gram.cols[j]
+        rcol = rhs.cols[j]
+        for i in set(col) | set(rcol):
+            sign = (-1) ** (parities[i] * parities[j])
+            if col.get(i, 0) != rcol.get(i, 0) * sign:
+                return "Nakayama identity"
+    return None
 
 
 def _int_apply(cols: list, vec: dict) -> dict:

@@ -123,6 +123,24 @@ def test_algebra_relations_guard_fires_before_the_basis(monkeypatch):
     assert report["witness"] == str(exc.value)
 
 
+def test_frobenius_form_guard_fires_before_the_tables(monkeypatch):
+    # one past the table-sweep guard the certificate raises before it reads a
+    # table, and the frobenius-form report of that rank alone is skipped
+    n = hecke_clifford.MAX_TABLE_SWEEP_N + 1
+    with pytest.raises(ResourceLimitError) as exc:
+        hecke_clifford.frobenius_failure(n)
+    assert exc.value.guard == "MAX_TABLE_SWEEP_N"
+    assert str(exc.value).endswith("(MAX_TABLE_SWEEP_N)")
+    for name in ("_perms", "_subsets_ordered", "_morphism_generator_images"):
+        monkeypatch.setattr(hecke_clifford, name, _boom)
+    report = verification._guarded(
+        "frobenius-form", {"n": n}, verification._frobenius_form_rank, n
+    )
+    assert report["status"] == "skipped-resource"
+    assert report["guard"] == "MAX_TABLE_SWEEP_N"
+    assert report["witness"] == str(exc.value)
+
+
 @pytest.mark.parametrize(
     "suite, owner, guard, value",
     [
@@ -173,7 +191,7 @@ GUARD_TRIPS = [
     ("MAX_PEAK_SETS", lambda mp: combinat.peak_sets_within(40, range(1, 41))),
     ("MAX_ENUM_N", lambda mp: combinat.descent_class(_row(combinat.MAX_ENUM_N + 1))),
     ("MAX_TABLE_SWEEP_N",
-     lambda mp: hecke_clifford.frobenius_gram(hecke_clifford.MAX_TABLE_SWEEP_N + 1)),
+     lambda mp: hecke_clifford.frobenius_failure(hecke_clifford.MAX_TABLE_SWEEP_N + 1)),
     ("MAX_DESCENT_PAIR_N",
      lambda mp: characteristic.cartan_image(_row(characteristic.MAX_DESCENT_PAIR_N + 1))),
     ("MAX_DESCENT_PAIR_N",

@@ -29,6 +29,7 @@ from peakhc.hecke_clifford import (
     basis_element,
     defining_relations,
     failing_relation,
+    frobenius_failure,
     frobenius_gram,
     gen_T,
     gen_c,
@@ -46,6 +47,7 @@ from peakhc.verification import suite_algebra
 import oracles
 from oracles import (
     bruhat_leq,
+    frobenius_by_gram,
     frobenius_form,
     leading_term_check,
     regular_associativity_failure,
@@ -174,9 +176,9 @@ def test_associativity_certificate():
         assert associativity_failure(n) is None, n
         assert tau_sweep_failure(n) is None, n
         assert regular_associativity_failure(n) is None, n
-    # the Gram shares the guard of the certificate
+    # the Frobenius certificate and the Gram share the guard of the certificate
     for sweep in (associativity_failure, tau_sweep_failure, regular_associativity_failure,
-                  frobenius_gram):
+                  frobenius_failure, frobenius_gram):
         with pytest.raises(ResourceLimitError):
             sweep(MAX_TABLE_SWEEP_N + 1)
 
@@ -213,19 +215,19 @@ def _algebra_relations(max_n):
     return [r for r in suite_algebra(max_n=max_n) if r["claim"] == "algebra-relations"]
 
 
+def _patch_entry(monkeypatch, name, key, change):
+    """Patch the table ``name`` so that its entry at ``key`` is ``change``
+    of the true one."""
+    real = getattr(hc, name)
+    monkeypatch.setattr(hc, name, lambda *args: change(real(*args)) if args == key else real(*args))
+
+
 def _flip_one_entry(monkeypatch, name, key):
     """Patch the table ``name`` so that the entry at ``key`` changes sign."""
-    real = getattr(hc, name)
-
-    def flipped(*args):
-        entry = real(*args)
-        if args != key:
-            return entry
-        if name == "_t_times_c":
-            return tuple((-k, d, u) for k, d, u in entry)
-        return (-entry[0], entry[1])
-
-    monkeypatch.setattr(hc, name, flipped)
+    if name == "_t_times_c":
+        _patch_entry(monkeypatch, name, key, lambda e: tuple((-k, d, u) for k, d, u in e))
+    else:
+        _patch_entry(monkeypatch, name, key, lambda e: (-e[0], e[1]))
 
 
 def test_certificate_fails_on_one_flipped_clifford_sign(monkeypatch, fresh_tables):
@@ -678,6 +680,91 @@ def test_nakayama_identity_small():
                     if g is not None:
                         rhs = rhs + coeff * g
                 assert lhs == sign * rhs
+
+
+def test_frobenius_certificate_agrees_with_the_gram_route():
+    for n in range(0, 5):
+        assert frobenius_failure(n) is None, n
+        assert frobenius_by_gram(n) is None, n
+
+
+def test_frobenius_report_builds_no_gram(monkeypatch):
+    def boom(*_args):
+        raise AssertionError("Gram or phi matrix built")
+
+    for name in ("frobenius_gram", "morphism_matrix"):
+        monkeypatch.setattr(hc, name, boom)
+    reports = [r for r in suite_algebra(4) if r["claim"] == "frobenius-form"]
+    assert [r["status"] for r in reports] == ["verified"] * 4
+
+
+S1, S2, W0, ID3 = (2, 1, 3), (1, 3, 2), (3, 2, 1), (1, 2, 3)
+
+
+def _patch_phi(monkeypatch, images):
+    """Patch the images of phi by ``images(n)``: {generator key: element}."""
+    real = hc._morphism_generator_images
+    monkeypatch.setattr(hc, "_morphism_generator_images",
+                        lambda tag, n: {**real(tag, n), **images(n)})
+
+
+# each fault sits in one entry: the tables are filled before the patch, so
+# no entry is refilled from a patched one
+FROBENIUS_CONTROLS = {
+    # T_1 T_1 = T_w0, one longer than l(T_1) + l(T_1)
+    "(D)": lambda mp: _patch_entry(mp, "_demazure_sign", (S1, S1), lambda e: (1, W0)),
+    # T_1 T_2 = 2 T_{s_1 s_2}
+    "(D) sign": lambda mp: _patch_entry(mp, "_demazure_sign", (S1, S2), lambda e: (2, e[1])),
+    # c_1 c_2 = 1: a second D' with c_D c_D' on the unit
+    "(S)": lambda mp: _patch_entry(
+        mp, "_clifford_sign", (frozenset({1}), frozenset({2})), lambda e: (1, frozenset())),
+    # T_1 c_1 = c_2 T_1 + c_1 T_2: a second term of length l(T_1)
+    "(L)": lambda mp: _patch_entry(
+        mp, "_t_times_c", (S1, frozenset({1})), lambda e: e + ((1, frozenset({1}), S2),)),
+    # T_1 c_1 = c_1 T_1: the leading term at the wrong u(E)
+    "(L) u(E)": lambda mp: _patch_entry(
+        mp, "_t_times_c", (S1, frozenset({1})),
+        lambda e: tuple((k, frozenset({1}), u) for k, _d, u in e)),
+    # T_1 c_1 = c_2 T_1 + c_{1,2}: an even term in an odd entry
+    "(E)": lambda mp: _patch_entry(
+        mp, "_t_times_c", (S1, frozenset({1})), lambda e: e + ((1, frozenset({1, 2}), ID3),)),
+    # c_1 -> -2 c_n breaks c_1 c_1 = -1
+    "(M)": lambda mp: _patch_phi(mp, lambda n: {("c", 1): gen_c(n, n).scale(-2)}),
+    # c_j -> +c_{n+1-j} keeps every relation but is not the Nakayama map
+    "(N)": lambda mp: _patch_phi(
+        mp, lambda n: {("c", j): gen_c(n + 1 - j, n) for j in range(1, n + 1)}),
+}
+
+
+@pytest.mark.parametrize("label", sorted(FROBENIUS_CONTROLS))
+def test_each_frobenius_check_reports_its_own_control(monkeypatch, fresh_tables, label):
+    assert frobenius_failure(3) is None
+    FROBENIUS_CONTROLS[label](monkeypatch)
+    witness = frobenius_failure(3)
+    assert witness is not None and witness.startswith(label.split()[0] + " "), witness
+    # the slow route sees each of these faults too, except (S): the Gram
+    # reads c_D c_D' at D' = D alone
+    assert (frobenius_by_gram(3) is None) == (label == "(S)")
+
+
+def test_nakayama_check_reaches_one_below_the_longest_element(monkeypatch, fresh_tables):
+    # T_1 T_{s_1 w0} = -T_w0 at n = 4 keeps (D) to (M): the relations of the
+    # phi images read products of length <= 3 < 5, so only (N) at
+    # l(u) = l(w0) - 1 sees it, and (N) may skip no further
+    assert frobenius_failure(4) is None
+    _flip_one_entry(monkeypatch, "_demazure_sign", ((2, 1, 3, 4), (4, 3, 1, 2)))
+    assert frobenius_failure(4) == "(N) tr(a g) at a = T[4,3,1,2], g = T_3"
+    assert frobenius_by_gram(4) is not None
+
+
+def test_a_failed_frobenius_check_fails_its_report(monkeypatch, fresh_tables):
+    FROBENIUS_CONTROLS["(N)"](monkeypatch)
+    reports = suite_algebra(3)
+    assert [(r["claim"], r["status"]) for r in reports] == [
+        ("algebra-relations", "verified"), ("frobenius-form", "failed")] * 3
+    assert reports[-1]["witness"] == frobenius_failure(3)
+    assert all(r["witness"].startswith("(N) ") for r in reports[1::2])
+    assert frobenius_failure(4).startswith("(N) ")
 
 
 def test_regular_representation():
