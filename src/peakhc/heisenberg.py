@@ -1,15 +1,22 @@
 """The Fock action of the peak algebra on its dual, and the freeness
 certificate of the peak quasisymmetric functions over the q-generated ring.
 
-The action of a homogeneous peak element a on a peak quasisymmetric x is
+The action of a peak element a on a peak quasisymmetric x is
 (id (x) [a, -]) applied to the coproduct of x: pair the right tensor slot
 against a, keep the left slot.  This realizes the lowering operators of the
-smash-product double on the characteristic images; on the spanning family
-N_alpha it reproduces the closed rule
+smash-product double on the characteristic images.  It is computed in QSym:
+x is lifted along the Hopf morphism vartheta to M coordinates
+(N_alpha = vartheta(M_alpha), K_P = vartheta(F_P)), each M word is
+deconcatenated, alpha = beta . gamma, and the cut contributes
+[a, N_gamma] N_beta, so that
 
-    Q_m . N_alpha  =  sum over alpha = beta . gamma of [Q_m, N_gamma] N_beta,
+    a . N_alpha  =  sum over alpha = beta . gamma of [a, N_gamma] N_beta.
 
-which the suite checks against the coproduct route.
+The scalar [a, N_gamma] is the K expansion of N_gamma read against the Xi
+coefficients of a, formed once per distinct gamma; the left side is summed
+on N words and converted to K once.  No tensor of the peak dual is built.
+For a = Q_m this is the closed rule of ``fock_action_on_word``, which pairs
+through NSym/QSym instead, and the suite checks one against the other.
 
 Freeness is certified degree by degree: a greedy basis extension produces
 generators g_i such that the products {g_i * q_lambda} over strict
@@ -32,8 +39,12 @@ from .combinat import (
 )
 from .hopf import (
     FreeElement,
+    _coprod_m_single,
+    _element,
+    _expand_linear,
+    _lift,
+    _n_in_k,
     convert,
-    coproduct,
     omega_into_peakdual,
     pairing,
     product,
@@ -57,29 +68,29 @@ MAX_FREENESS_DEGREE = 10
 
 
 def fock_action(a: FreeElement, x: FreeElement) -> FreeElement:
-    """Lowering action of the peak algebra on the peak dual.
+    """Lowering action of the peak algebra on the peak dual, in K.
 
-    ``a`` may be inhomogeneous; each homogeneous piece acts by pairing the
-    right coproduct slot of ``x``.  An N-basis ``x`` is deconcatenated in
-    N: only the right slot of each cut is read into K, to pair with ``a``,
-    and the collected left side is converted to K once.
+    ``x`` (K or N) is lifted to M coordinates and each word alpha, of
+    coefficient c, is deconcatenated; the cut alpha = beta . gamma adds
+    c [a, N_gamma] to N_beta.  Since [Xi_P, K_Q] is 1 at P = Q and 0
+    otherwise, the scalar [a, N_gamma] = sum over Q of (N_gamma in K)_Q
+    (a in Xi)_Q; it is formed once per distinct gamma, and the N side is
+    converted to K once.  ``a`` may be inhomogeneous: [a, N_gamma] only
+    reads the piece of a in the degree of gamma.
     """
     if a.algebra != "Peak":
         a = convert(a, "Xi", "Peak")
     if x.algebra != "PeakDual":
         x = convert(x, "K", "PeakDual")
-    # [a, K_Q] is the Xi coefficient of a at Q
-    xi = a.coeffs
-    out = {}
-    for (k1, k2), c in coproduct(x).coeffs.items():
-        if x.basis == "K":
-            val = xi.get(k2)
-        else:
-            right = convert(term("PeakDual", "N", k2), "K").coeffs
-            val = sum(cq * xi.get(q, 0) for q, cq in right.items())
-        if val:
-            vec_add_term(out, k1, c * val)
-    return convert(FreeElement("PeakDual", x.basis, out), "K")
+    xi, scalars, out = a._coeffs, {}, {}
+    for alpha, c in _lift(x.basis, x._coeffs).items():
+        for (beta, gamma), _one in _coprod_m_single(alpha):
+            val = scalars.get(gamma)
+            if val is None:
+                val = scalars[gamma] = sum(cq * xi.get(q, 0) for q, cq in _n_in_k(gamma))
+            if val:
+                vec_add_term(out, beta, c * val)
+    return _element("PeakDual", "K", _expand_linear(out, _n_in_k))
 
 
 def fock_action_on_word(m: int, alpha) -> FreeElement:
@@ -141,7 +152,7 @@ def _length_filtration(degree: int) -> tuple:
     return solver, tuple(kept)
 
 
-def filtration_component(level: int, degree: int, max_degree: int = 8):
+def filtration_component(level: int, degree: int, max_degree: int = MAX_FREENESS_DEGREE):
     """Exact spanning data for the level-th filtration piece in one degree.
 
     The piece is the span of q-ring multiples of the N words of length at

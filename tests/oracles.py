@@ -18,8 +18,9 @@ the true idempotents that split an induced simple, the peak sets by a walk
 over all subsets, the Bruhat filtration of an induced
 projective, route (i) of the Cartan image by a walk of the
 descent class, the anti-involution phi of the peak subalgebra through a
-preimage, the readers of the JSON forms, and the smash-product double of
-the peak algebra and its dual."""
+preimage, the readers of the JSON forms, the Fock action through the
+K (x) K coproduct, and the smash-product double of the peak algebra and
+its dual."""
 
 import itertools
 import operator
@@ -35,6 +36,7 @@ from peakhc.combinat import (
     composition_from_descents,
     descent_class,
     min_coset_reps,
+    peak_sets_in,
     swap_values,
     word_compose,
     word_descents,
@@ -816,6 +818,55 @@ def algebra_element_from_json(doc) -> AlgebraElement:
         coeff = gaussian(Fraction(entry["coeff"]["re"]), Fraction(entry["coeff"]["im"]))
         terms[key] = terms.get(key, 0) + coeff
     return AlgebraElement(doc["rank"], terms)
+
+
+# ---------------------------------------------------------------------------
+# the Fock action through the coproduct in K (x) K
+# ---------------------------------------------------------------------------
+
+
+def fock_action_by_tensor(a: FreeElement, x: FreeElement) -> FreeElement:
+    """``heisenberg.fock_action`` by the whole coproduct of x in K (x) K:
+    [a, K_Q] is the Xi coefficient of a at Q, read against the right slot
+    from the decoded views, with no deconcatenation in M."""
+    xi = convert(a, "Xi", "Peak").coeffs
+    out = {}
+    for (k1, k2), c in coproduct(convert(x, "K", "PeakDual")).coeffs.items():
+        val = xi.get(k2)
+        if val:
+            vec_add_term(out, k1, c * val)
+    return FreeElement("PeakDual", "K", out)
+
+
+def fock_route_mismatch(max_degree: int, homogeneous: bool = False) -> list:
+    """The pairs (a, x) of degree <= max_degree on which ``fock_action``
+    and ``fock_action_by_tensor`` disagree, as strings.
+
+    a runs over every Xi_P and every Q_1 + ... + Q_n; x over every K_Q
+    (the unit K_{} among them), every N_alpha and one N combination with
+    ``Fraction`` coefficients.  With ``homogeneous`` set, a runs over the Xi_P alone,
+    of degree at most that of x."""
+    keys = [P for d in range(max_degree + 1) for P in peak_sets_in(d)]
+    acts = [term("Peak", "Xi", P) for P in keys]
+    if not homogeneous:
+        acts += [
+            convert(FreeElement("NSym", "Q", {(m,): 1 for m in range(1, n + 1)}), "Xi", "Peak")
+            for n in range(1, max_degree + 1)
+        ]
+    words = [a for d in range(1, max_degree + 1) for a in compositions_of(d)]
+    xs = [term("PeakDual", "K", Q) for Q in keys] + [term("PeakDual", "N", w) for w in words]
+    xs.append(
+        FreeElement("PeakDual", "N", {w: Fraction(i + 1, 3) for i, w in enumerate(words[::3])})
+    )
+    bad = []
+    for x in xs:
+        top = max(x.degrees())
+        for a in acts:
+            if homogeneous and a.degrees()[0] > top:
+                continue
+            if fock_action(a, x) != fock_action_by_tensor(a, x):
+                bad.append((str(a), str(x)))
+    return bad
 
 
 # ---------------------------------------------------------------------------

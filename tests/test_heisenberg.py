@@ -32,7 +32,7 @@ from peakhc.hopf import (
 )
 from peakhc.linalg import SpanSolver
 
-from oracles import DoubleElement
+from oracles import DoubleElement, fock_route_mismatch
 
 
 def C(*parts):
@@ -73,7 +73,8 @@ def test_fock_matches_deconcatenation_rule():
 
 
 def test_fock_action_on_n_words_matches_k_input():
-    # the N route deconcatenates in N; the K route takes the coproduct in K
+    # both lift to M along vartheta and deconcatenate there: an N word
+    # lifts to one M word, a K_P to its F_P expanded in M
     rng = random.Random(5)
     for n in range(1, 6):
         keys = [P for d in range(n + 1) for P in peak_sets_in(d)]
@@ -287,6 +288,53 @@ def test_fock_lowering_report_sees_a_dropped_coefficient(monkeypatch):
     monkeypatch.setattr(verification, "fock_action_on_word", uncoefficiented)
     reports = {r["claim"]: r for r in verification.suite_heisenberg(max_degree=4)}
     assert reports["fock-lowering"]["status"] == "failed"
+
+
+def test_fock_action_agrees_with_tensor_route():
+    # every Xi_P and Q_1 + ... + Q_n against every K_Q (the unit among
+    # them), every N_alpha and a Fraction combination of N words, through
+    # degree 6
+    assert fock_route_mismatch(6) == []
+
+
+def test_fock_route_sees_one_wrong_scalar(monkeypatch):
+    # N_(1,1,1,1) = K_{}, read as 2 K_{} by the deconcatenation route alone:
+    # [Q_4, N_(1,1,1,1)] comes out doubled
+    from peakhc import hopf, verification
+
+    target = C(1, 1, 1, 1).code
+
+    def doubled(code):
+        table = hopf._n_in_k(code)
+        return tuple((q, 2 * c) for q, c in table) if code == target else table
+
+    monkeypatch.setattr(heisenberg, "_n_in_k", doubled)
+    reports = {r["claim"]: r for r in verification.suite_heisenberg(max_degree=4)}
+    assert reports["fock-lowering"]["status"] == "failed"
+    assert fock_route_mismatch(4)
+
+
+def test_heisenberg_suite_takes_three_coproducts(monkeypatch):
+    # one coproduct of Q_m per m in {1, 2, 3}, none per sample or per action
+    from peakhc import hopf, verification
+
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return coproduct(x)
+
+    monkeypatch.setattr(hopf, "coproduct", counted)
+    monkeypatch.setattr(verification, "coproduct", counted)
+    reports = verification.suite_heisenberg(max_degree=4)
+    assert len(calls) == 3
+    assert all(r["status"] == "verified" for r in reports)
+
+
+def test_filtration_component_reads_to_the_freeness_bound():
+    # the default bound is the guard of the cached filtration, not below it
+    _basis, rank = filtration_component(0, 9)
+    assert rank == len(strict_partitions_of(9))
 
 
 def test_freeness_certificate():
