@@ -33,7 +33,7 @@ from fractions import Fraction
 from .combinat import Composition, PeakSet
 from .hecke_clifford import AlgebraElement, unit as hc_unit
 from .hopf import _PIVOT_BASIS, FreeElement, convert, product, term
-from .scalars import GaussianRational, as_gauss, gaussian
+from .scalars import GaussianRational, _gauss_json, gaussian
 
 __all__ = [
     "ParseError",
@@ -400,6 +400,5 @@ def element_to_json(x: FreeElement) -> dict:
 def algebra_element_to_json(a: AlgebraElement) -> dict:
     terms = []
     for (d, w), coeff in a.terms_sorted():
-        g = as_gauss(coeff)  # a real coefficient is int or Fraction
-        terms.append({"c": sorted(d), "w": list(w), "coeff": {"re": str(g.re), "im": str(g.im)}})
+        terms.append({"c": sorted(d), "w": list(w), "coeff": _gauss_json(coeff)})
     return {"rank": a.rank, "terms": terms}

@@ -10,8 +10,11 @@ and the cross relations
     T_i c_j = c_j T_i (j != i, i+1),   T_i c_i = c_{i+1} T_i,
     (T_i + 1) c_{i+1} = c_i (T_i + 1).
 
-``defining_relations`` is the one list of these relations: module checks and
-the algebra suite both evaluate it through ``failing_relation``.
+``defining_relations`` is the one list of these relations and
+``failing_relation`` its one evaluator: it walks each word on vectors, one
+generator at a time, and no relation check forms a matrix product.  On the
+unit vectors it checks a module's action matrices column by column; under
+right multiplication from the unit it checks images in the algebra.
 
 Elements are kept in the normal form  sum  coeff * c_D T_w  with D a subset
 of [n] (c's in increasing index order, to the left of the T's) and w given
@@ -80,7 +83,7 @@ matrices produced here follow it.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .combinat import (
     ResourceLimitError,
@@ -324,19 +327,6 @@ def defining_relations(keys) -> list:
     return rels
 
 
-def _word_sum_value(terms, image: dict, mul, one):
-    """The value of a word sum: each word is the left-to-right product
-    ``mul`` of the images of its keys, the empty word is ``one``, and a
-    coefficient other than 1 enters through ``scale``."""
-    total = None
-    for coeff, word in terms:
-        val = reduce(mul, [image[key] for key in word]) if word else one
-        if coeff != 1:
-            val = val.scale(coeff)
-        total = val if total is None else total + val
-    return total
-
-
 def _relation_text(lhs, rhs) -> str:
     """A relation of ``defining_relations`` as text, e.g. "c_1 c_1 = -1"."""
 
@@ -349,14 +339,54 @@ def _relation_text(lhs, rhs) -> str:
     return "%s = %s" % (side(lhs), side(rhs))
 
 
-def failing_relation(image: dict, mul, one):
-    """The first relation among the keys of ``image`` that fails when each
-    generator key is read as its image, ``mul`` is the product and ``one``
-    the unit, as text; None when every relation holds."""
-    for lhs, rhs in defining_relations(image):
-        if _word_sum_value(lhs, image, mul, one) != _word_sum_value(rhs, image, mul, one):
+def _word_sums(terms, act, vecs, first: dict, anti: bool = False) -> list:
+    """For each v of ``vecs``, the sum of coeff * (word . v) over ``terms``,
+    pairs (coeff, word) with a word a sequence of keys, () the unit; each
+    word acts by ``act(key, v)`` right to left, or left to right if
+    ``anti``.  The images under a word's first key are kept in ``first``
+    (longer steps are not).  A lone word with coefficient 1 gives its
+    images as they are, which may be the dicts of ``vecs`` or ``first``."""
+    outs = None
+    for coeff, word in terms:
+        word = word if anti else word[::-1]
+        cur = first.get(word[0]) if word else vecs
+        if cur is None:
+            cur = first[word[0]] = [act(word[0], v) for v in vecs]
+        for key in word[1:]:
+            cur = [act(key, v) for v in cur]
+        if outs is not None:
+            for out, v in zip(outs, cur):
+                vec_iadd_scaled(out, v, coeff)
+        elif coeff != 1:
+            outs = [vec_scale(v, coeff) for v in cur]
+        else:
+            outs = cur if len(terms) == 1 else [dict(v) for v in cur]
+    return [{} for _ in vecs] if outs is None else outs
+
+
+def failing_relation(keys, act, vecs, anti: bool = False, images=None):
+    """The first relation of ``defining_relations(keys)`` that fails on a
+    vector of ``vecs``, each key acting by ``act(key, v)`` and each word
+    applied right to left (left to right if ``anti``), as text; None when
+    all hold.  Each key's images of ``vecs`` are taken once, or handed in
+    as ``images``: the columns of a matrix are its images of unit vectors."""
+    first = {} if images is None else images
+    for lhs, rhs in defining_relations(keys):
+        if (_word_sums(lhs, act, vecs, first, anti)
+                != _word_sums(rhs, act, vecs, first, anti)):
             return _relation_text(lhs, rhs)
     return None
+
+
+def _failing_product_relation(images: dict, n: int):
+    """``failing_relation`` for ``images`` in the rank-n algebra: each word
+    is walked from the unit as ((1 g_1) g_2) ... under ``multiply``."""
+    one = unit(n)
+
+    def right_mul(key, terms):
+        return multiply(one._make(terms), images[key]).terms
+
+    return failing_relation(images, right_mul, [one.terms], anti=True)
 
 
 # ---------------------------------------------------------------------------
@@ -414,24 +444,11 @@ def normal_word(d, w) -> list:
 
 
 def act_terms(terms: dict, act, vecs, anti: bool = False) -> list:
-    """For each vector v of ``vecs``, sum coeff * (c_D T_w . v) over ``terms``.
-
-    ``act(key, v)`` applies one generator key to a vector.  The word of each
-    term is applied right to left, as a left action, or left to right when
-    ``anti`` is set (anti-homomorphisms, row vectors).  Each word is
-    computed once and walked on all vectors together.
-    """
-    outs = [{} for _ in vecs]
-    for (d, w), coeff in terms.items():
-        word = normal_word(d, w)
-        if not anti:
-            word.reverse()
-        cur = vecs
-        for key in word:
-            cur = [act(key, v) for v in cur]
-        for out, v in zip(outs, cur):
-            vec_iadd_scaled(out, v, coeff)
-    return outs
+    """For each v of ``vecs``, the sum of coeff * (c_D T_w . v) over
+    ``terms``: the walk of ``failing_relation`` on each term's normal word
+    (``anti`` for anti-homomorphisms and row vectors)."""
+    words = [(coeff, normal_word(d, w)) for (d, w), coeff in terms.items()]
+    return _word_sums(words, act, vecs, {}, anti)
 
 
 def _first_letter(d, w) -> tuple:
@@ -612,26 +629,6 @@ def _move_past_c(f: frozenset, terms: dict) -> dict:
     return out
 
 
-def _failing_relation_on(keys, act, x: dict):
-    """The first relation of ``defining_relations(keys)`` that fails on the
-    vector x when a generator key acts by ``act(key, vec)``, each word
-    applied right to left, as text; None when all of them hold on x."""
-
-    def value(terms):
-        total = {}
-        for coeff, word in terms:
-            vec = x
-            for key in reversed(word):
-                vec = act(key, vec)
-            vec_iadd_scaled(total, vec, coeff)
-        return total
-
-    for lhs, rhs in defining_relations(keys):
-        if value(lhs) != value(rhs):
-            return _relation_text(lhs, rhs)
-    return None
-
-
 def _unit_failure(n: int):
     """Check (U) of ``associativity_failure``."""
     ident = tuple(range(1, n + 1))
@@ -676,7 +673,7 @@ def _presentation_failure(n: int):
             vec_add_term(out, x, t * t2)
         return out
 
-    rel = _failing_relation_on([("T", i) for i in range(1, n)], left_t, {ident: 1})
+    rel = failing_relation([("T", i) for i in range(1, n)], left_t, [{ident: 1}])
     if rel is not None:
         return "(P) %s fails in the Demazure table" % rel
     for v in _perms(n)[1:]:
@@ -715,7 +712,7 @@ def _moves_failure(n: int):
         return _move_t(swap_values(key[1], ident), vec)
 
     for d in _subsets_ordered(n):
-        rel = _failing_relation_on([("T", i) for i in range(1, n)], move, {(d, ident): 1})
+        rel = failing_relation([("T", i) for i in range(1, n)], move, [{(d, ident): 1}])
         if rel is not None:
             return "(R) %s fails for the moves past %s" % (rel, _c_name(d, n))
     return None
@@ -898,7 +895,7 @@ def _phi_images_failure(n: int):
         if (img.parity() != (1 if key[0] == "c" else 0)
                 or any(word_length(v) > 1 for _d, v in img.terms)):
             return "(M) the image of %s_%d under phi" % key
-    rel = failing_relation(images, multiply, unit(n))
+    rel = _failing_product_relation(images, n)
     if rel is not None:
         return "(M) %s fails for the images of phi" % rel
     return None

@@ -483,7 +483,6 @@ def _sign(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-@lru_cache(maxsize=None)
 def _coarsenings(alpha: int) -> tuple:
     """Codes beta with D(beta) a subset of D(alpha) (beta >= alpha): the
     submasks of the descent bits, each with the top bit."""
@@ -493,7 +492,6 @@ def _coarsenings(alpha: int) -> tuple:
     return tuple(top | s for s in _submasks(alpha ^ top))
 
 
-@lru_cache(maxsize=None)
 def _refinements(alpha: int) -> tuple:
     """Codes beta with D(alpha) a subset of D(beta) (beta <= alpha): the
     supermasks of alpha below its top bit."""
@@ -503,7 +501,6 @@ def _refinements(alpha: int) -> tuple:
     return tuple(alpha | s for s in _submasks(free))
 
 
-@lru_cache(maxsize=None)
 def _e_in_h(k: int) -> tuple:
     """E_k = sum over compositions beta of k of (-1)^(k - l(beta)) H_beta."""
     if k == 0:

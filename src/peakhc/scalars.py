@@ -188,4 +188,18 @@ def as_gauss(x) -> GaussianRational:
     raise TypeError("cannot interpret %r as a Gaussian rational" % (x,))
 
 
+def _gauss_json(x) -> dict:
+    """The JSON form {"re": str, "im": str} of a scalar of Q(i)."""
+    g = as_gauss(x)
+    return {"re": str(g.re), "im": str(g.im)}
+
+
+def _gauss_from_json(d, where: str):
+    """The scalar of a JSON form written by ``_gauss_json``; ValueError,
+    naming ``where``, on anything else."""
+    if not isinstance(d, dict) or not d.keys() >= {"re", "im"}:
+        raise ValueError("%s is %r, not an object with 're' and 'im'" % (where, d))
+    return gaussian(Fraction(d["re"]), Fraction(d["im"]))
+
+
 GAUSS_I = GaussianRational(0, 1)

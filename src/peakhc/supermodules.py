@@ -26,9 +26,7 @@ Moebius inversion over the subset lattice recovers every multiplicity.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import (
@@ -46,7 +44,6 @@ from .combinat import (
 from .hecke_clifford import (
     AlgebraElement,
     _ANTI_TAGS,
-    _failing_relation_on,
     _first_letter,
     _left_mul,
     _morphism_generator_images,
@@ -66,7 +63,7 @@ from .linalg import (
     vec_iadd_scaled,
     vec_scale,
 )
-from .scalars import GAUSS_I, as_gauss, as_scalar, gaussian
+from .scalars import GAUSS_I, _gauss_from_json, _gauss_json, as_scalar
 
 __all__ = [
     "Supermodule",
@@ -182,7 +179,8 @@ class Supermodule:
                 if (self.parities[r] + self.parities[cc]) % 2 != want:
                     raise RelationError("action %s is not parity-homogeneous" % (key,))
         # __init__ made the keys of act the generator keys of the blocks
-        failed = failing_relation(act, operator.matmul, SparseMatrix.identity(dim, 1))
+        failed = failing_relation(act, _acts_on(self), [{k: 1} for k in range(dim)],
+                                  images={key: mat.cols for key, mat in act.items()})
         if failed:
             raise RelationError("relation %s fails" % failed)
 
@@ -1142,10 +1140,10 @@ def end_clifford_check(alpha) -> dict:
             report["bad_generator"] = v
             return report
     eta = {0: 1}  # basis vector c_{} (x) eta sits first
-    bad = _failing_relation_on(
+    bad = failing_relation(
         [("c", v) for v in valleys],
         lambda key, vec: vec_scale(fmaps[key[1]].apply(vec), GAUSS_I),
-        eta,
+        [eta],
     )
     if bad is not None:
         report["ok"] = False
@@ -1269,17 +1267,6 @@ def restriction_vectors(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_json(c) -> dict:
-    g = as_gauss(c)
-    return {"re": str(g.re), "im": str(g.im)}
-
-
-def _gauss_from_json(d, where: str):
-    if not isinstance(d, dict):
-        raise ValueError("%s is %r, not an object with 're' and 'im'" % (where, d))
-    return gaussian(*(Fraction(_json_field(d, key, where)) for key in ("re", "im")))
-
-
 def module_to_json(module: Supermodule) -> dict:
     actions = {}
     for (kind, idx), mat in sorted(module.actions.items()):
@@ -1310,12 +1297,18 @@ def _json_field(doc: dict, key: str, where: str):
 
 def module_from_json(doc) -> Supermodule:
     """Rebuild a module written by ``module_to_json``; raises ValueError on a
-    missing key, a parity other than 0 or 1, or a matrix entry outside
+    missing key, an algebra other than "H" or "HCl", a rank other than the
+    sum of the blocks, a parity other than 0 or 1, or a matrix entry outside
     range(dim)."""
     blocks = _json_field(doc, "blocks", "module")
     if not isinstance(blocks, list) or not all(type(b) is int for b in blocks):
         raise ValueError("module key 'blocks' is %r, not a list of ints" % (blocks,))
+    rank = _json_field(doc, "rank", "module")
+    if type(rank) is not int or rank != sum(blocks):
+        raise ValueError("module key 'rank' is %r, not the sum of the blocks" % (rank,))
     algebra = _json_field(doc, "algebra", "module")
+    if algebra not in ("H", "HCl"):
+        raise ValueError("module key 'algebra' is %r, not 'H' or 'HCl'" % (algebra,))
     basis = _json_field(doc, "basis", "module")
     labels = tuple(_json_field(b, "label", "basis entry %d" % i) for i, b in enumerate(basis))
     parities = tuple(_json_field(b, "parity", "basis entry %d" % i) for i, b in enumerate(basis))

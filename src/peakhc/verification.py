@@ -36,14 +36,12 @@ from .characteristic import (
     verify_restriction_vectors,
 )
 from .hecke_clifford import (
+    _failing_product_relation,
     _guard_table_sweep,
     algebra_basis,
     associativity_failure,
-    failing_relation,
     frobenius_failure,
     generators,
-    multiply,
-    unit as algebra_unit,
 )
 from .heisenberg import (
     fock_action,
@@ -211,7 +209,7 @@ def _algebra_relations_rank(n: int) -> tuple:
     _guard_table_sweep(n)
     if len(algebra_basis(n)) != 2 ** n * math.factorial(n):
         return False, "basis count"
-    witness = failing_relation(generators(n), multiply, algebra_unit(n))
+    witness = _failing_product_relation(generators(n), n)
     if witness is None:
         witness = associativity_failure(n)
     return witness is None, witness

@@ -11,10 +11,10 @@ representation, the Frobenius form by Gram elimination and the matrix of
 phi, one-gamma Hom onto a Hecke simple, parabolic restriction,
 parabolic induction by a triangular rewriting in the free basis T_x over the
 parabolic subalgebra (with the coset factorization it reads), the parity
-shift, the rank-0 module, the morphism check and the Clifford structure of
-End of an induced simple by full matrix identities, Hom out of an induced
-module by the spin route,
-the true idempotents that split an induced simple, the peak sets by a walk
+shift, the rank-0 module, the defining relations with every word formed as
+a product of matrices or algebra elements, the morphism check and the
+Clifford structure of End of an induced simple by full matrix identities,
+Hom out of an induced module by the spin route, the true idempotents that split an induced simple, the peak sets by a walk
 over all subsets, the Bruhat filtration of an induced
 projective, route (i) of the Cartan image by a walk of the
 descent class, the anti-involution phi of the peak subalgebra through a
@@ -589,11 +589,50 @@ def is_morphism(f: ModuleMap) -> bool:
     return True
 
 
+def _word_sum_by_products(terms, image: dict, mul, one):
+    """The value of a word sum of ``defining_relations``: each word is the
+    left-to-right product ``mul`` of the images of its keys, the empty word
+    is ``one``, and a coefficient other than 1 enters through ``scale``."""
+    total = None
+    for coeff, word in terms:
+        val = reduce(mul, [image[key] for key in word]) if word else one
+        if coeff != 1:
+            val = val.scale(coeff)
+        total = val if total is None else total + val
+    return total
+
+
+def failing_relation_by_products(image: dict, mul, one):
+    """The first relation among the keys of ``image`` that fails when each
+    generator key is read as its image, ``mul`` is the product and ``one``
+    the unit, as text; None when every relation holds.  The slow route of
+    the package's ``failing_relation``, which walks each word on vectors:
+    here every word is formed as a product of matrices or of algebra
+    elements."""
+    for lhs, rhs in hc.defining_relations(image):
+        if (_word_sum_by_products(lhs, image, mul, one)
+                != _word_sum_by_products(rhs, image, mul, one)):
+            return hc._relation_text(lhs, rhs)
+    return None
+
+
+def relation_routes(module: Supermodule) -> tuple:
+    """The first failing relation of the module's actions by both routes:
+    ``failing_relation`` walking each word on the unit vectors, and
+    ``failing_relation_by_products`` forming each word as a matrix product.
+    A correct module gives (None, None)."""
+    act = module.actions
+    units = [{k: 1} for k in range(module.dim)]
+    by_vectors = hc.failing_relation(act, lambda key, vec: act[key].apply(vec), units)
+    ident = SparseMatrix.identity(module.dim, 1)
+    return by_vectors, failing_relation_by_products(act, operator.matmul, ident)
+
+
 def end_clifford_by_matrices(alpha) -> dict:
     """The report of ``end_clifford_check`` by full 2^n x 2^n matrix
     identities: each f_{c_v} (built by the package's ``_map_out_of_induced``)
     passes ``is_morphism``, the sqrt(-1) f_{c_v} satisfy the Clifford
-    relations as matrices (``failing_relation`` with the matrix product),
+    relations as matrices (``failing_relation_by_products``),
     and the ordered products of the f_{c_v}, each started from its first
     factor, span rank 2^|V| over their matrix entries."""
     a = as_composition(alpha)
@@ -620,7 +659,7 @@ def end_clifford_by_matrices(alpha) -> dict:
             report["bad_generator"] = v
             return report
     ident = SparseMatrix.identity(module.dim, 1)
-    bad = hc.failing_relation(
+    bad = failing_relation_by_products(
         {("c", v): f.scale(sm.GAUSS_I) for v, f in fmaps.items()}, operator.matmul, ident
     )
     if bad is not None:

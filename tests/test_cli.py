@@ -237,8 +237,11 @@ def test_cli_module_check_rejects_missing_key(tmp_path, capsys):
         (lambda doc: doc["actions"]["c1"][0].__setitem__(2, {"re": "-1"}), "'im'"),
         (lambda doc: doc["actions"]["c1"][0].__setitem__(2, 5), "action c1 entry"),
         (lambda doc: doc.__setitem__("blocks", "2"), "'blocks'"),
+        (lambda doc: doc.__setitem__("algebra", "bogus"), "'algebra'"),
+        (lambda doc: doc.__setitem__("rank", 99), "'rank'"),
     ],
-    ids=["entry-without-im", "entry-not-an-object", "blocks-not-a-list"],
+    ids=["entry-without-im", "entry-not-an-object", "blocks-not-a-list", "unknown-algebra",
+         "rank-not-the-blocks-sum"],
 )
 def test_cli_module_check_rejects_malformed_values(tmp_path, capsys, corrupt, named):
     out = tmp_path / "mod.json"

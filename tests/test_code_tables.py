@@ -415,11 +415,11 @@ def test_oracle_tables_have_int_entries():
 
 
 def test_tables_are_cached_per_code():
-    hopf._coarsenings.cache_clear()
+    hopf._h_to_r.cache_clear()
     for _ in range(3):
         for a in compositions_of(5):
-            hopf._coarsenings(a.code)
-    info = hopf._coarsenings.cache_info()
+            hopf._h_to_r(a.code)
+    info = hopf._h_to_r.cache_info()
     assert (info.misses, info.currsize) == (16, 16)
     hopf._peak_sets_by_code.cache_clear()
     for n in range(6):

@@ -114,7 +114,7 @@ def test_algebra_relations_guard_fires_before_the_basis(monkeypatch):
     n = hecke_clifford.MAX_TABLE_SWEEP_N + 1
     with pytest.raises(ResourceLimitError) as exc:
         hecke_clifford.associativity_failure(n)
-    for name in ("algebra_basis", "failing_relation"):
+    for name in ("algebra_basis", "_failing_product_relation"):
         monkeypatch.setattr(verification, name, _boom)
     report = verification._guarded(
         "algebra-relations", {"n": n}, verification._algebra_relations_rank, n

@@ -47,6 +47,7 @@ from peakhc.verification import suite_algebra
 import oracles
 from oracles import (
     bruhat_leq,
+    failing_relation_by_products,
     frobenius_by_gram,
     frobenius_form,
     leading_term_check,
@@ -122,6 +123,37 @@ def test_all_defining_relations():
                 up = word_length(siw) > word_length(w)
                 expected = basis_element(set(), siw, n) if up else -tw
                 assert multiply(T(i, n), tw) == expected, (i, w)
+
+
+def test_relation_routes_agree_on_the_algebra():
+    # the walk under right multiplication from the unit and the products of
+    # ``multiply`` agree on the generators, on the images of the four
+    # (anti-)involutions defined on all of the algebra, and, as negative
+    # controls, on images with c_1 doubled or T_1 negated, n <= 4
+    for n in range(1, 5):
+        cases = [generators(n)]
+        cases += [hc._morphism_generator_images(tag, n) for tag in MORPHISM_TAGS[:4]]
+        for key, change in ((("c", 1), 2), (("T", 1), -1)):
+            if key in generators(n):
+                cases.append({**generators(n), key: generators(n)[key].scale(change)})
+        answers = [hc._failing_product_relation(images, n) for images in cases]
+        assert answers == [failing_relation_by_products(images, multiply, unit(n))
+                           for images in cases]
+        assert answers[:3] == [None] * 3
+        assert answers[-1] is not None
+
+
+def test_failing_relation_walks_words_on_vectors():
+    # left multiplication applies each word right to left, so on the unit
+    # the relations hold; applied left to right it is the opposite algebra,
+    # where T_1 c_1 = c_2 T_1 fails, the first relation not closed under
+    # reversing its words
+    for n in range(1, 5):
+        assert failing_relation(generators(n), _left_mul, [unit(n).terms]) is None
+    one = unit(2).terms
+    assert failing_relation(generators(2), _left_mul, [one], anti=True) == "T_1 c_1 = c_2 T_1"
+    # an empty sum gives one empty vector per input vector
+    assert act_terms({}, _left_mul, [one, one]) == [{}, {}]
 
 
 def _random_homogeneous(rng, n, parity):
@@ -233,7 +265,8 @@ def _flip_one_entry(monkeypatch, name, key):
 def test_certificate_fails_on_one_flipped_clifford_sign(monkeypatch, fresh_tables):
     # c_{1,2} c_3 = c_{1,2,3}; no defining relation multiplies these two
     _flip_one_entry(monkeypatch, "_clifford_sign", (frozenset({1, 2}), frozenset({3})))
-    assert failing_relation(generators(3), multiply, unit(3)) is None
+    assert hc._failing_product_relation(generators(3), 3) is None
+    assert failing_relation_by_products(generators(3), multiply, unit(3)) is None
     assert associativity_failure(3) is not None
     assert tau_sweep_failure(3) is not None
     assert regular_associativity_failure(3) is not None
@@ -255,7 +288,8 @@ def test_certificate_fails_on_one_broken_rewriting_case(monkeypatch, fresh_table
         return out
 
     monkeypatch.setattr(hc, "_left_mul_T", broken)
-    assert failing_relation(generators(3), multiply, unit(3)) is None
+    assert hc._failing_product_relation(generators(3), 3) is None
+    assert failing_relation_by_products(generators(3), multiply, unit(3)) is None
     reports = _algebra_relations(3)
     assert [r["status"] for r in reports] == ["verified", "failed", "failed"]
     assert reports[-1]["witness"] == associativity_failure(3)
@@ -275,7 +309,8 @@ def test_certificate_fails_on_one_broken_rewriting_case(monkeypatch, fresh_table
 def test_certificate_fails_on_one_flipped_table_entry(monkeypatch, fresh_tables, name, key):
     # no shorter entry is filled from one of w0, so the flip stays in one entry
     _flip_one_entry(monkeypatch, name, key)
-    assert failing_relation(generators(3), multiply, unit(3)) is None
+    assert hc._failing_product_relation(generators(3), 3) is None
+    assert failing_relation_by_products(generators(3), multiply, unit(3)) is None
     assert associativity_failure(3) is not None
     assert tau_sweep_failure(3) is not None
     assert regular_associativity_failure(3) is not None

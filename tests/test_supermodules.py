@@ -71,6 +71,7 @@ from oracles import (
     module_mismatch,
     parabolic_induce_by_decomposition,
     parity_shift,
+    relation_routes,
     restrict_parabolic,
     trivial_module,
     without_provenance,
@@ -151,6 +152,55 @@ def test_check_rejects_a_negated_clifford_action():
     bad = Supermodule(good.blocks, good.algebra, good.labels, good.parities, actions)
     with pytest.raises(RelationError, match="T_1 c_1 = c_2 T_1"):
         bad.check()
+
+
+def test_relation_routes_agree_on_the_modules():
+    # the walk of each word on the unit vectors and the matrix products give
+    # the same answer, None, on every component of split_simple and every
+    # Ind S_a and Ind P_a, a of n <= 4, on the twists of Ind S_a, a of
+    # n <= 3, and on parabolic_induce of induced simples of combined rank <= 4
+    alphas = [a for n in range(1, 5) for a in compositions_of(n)]
+    modules = [c for a in alphas for c in split_simple(a).components]
+    modules += [induce_clifford(build(a)) for a in alphas for build in (simple_hecke, projective_hecke)]
+    small = [a for a in alphas if a.n <= 3]
+    modules += [twist(induce_clifford(simple_hecke(a)), tag)
+                for a in small for tag in ("phi", "phi_prime", "psi", "psi_prime")]
+    simples = [induce_clifford(simple_hecke(a)) for a in small]
+    modules += [parabolic_induce(m1, m2) for m1 in simples for m2 in simples
+                if m1.rank + m2.rank <= 4]
+    assert len(modules) == 20 + 30 + 28 + 17
+    for module in modules:
+        assert relation_routes(module) == (None, None)
+        module.check()
+
+
+def _with_one_entry_changed(module, key, change):
+    """The module with the first stored entry of the action of ``key``
+    replaced by ``change`` of it."""
+    actions = dict(module.actions)
+    mat = actions[key].copy()
+    r, k, v = next(mat.entries())
+    mat.set(r, k, change(v))
+    actions[key] = mat
+    return Supermodule(module.blocks, module.algebra, module.labels, module.parities, actions)
+
+
+@pytest.mark.parametrize(
+    "module, key, change",
+    [
+        # one entry of T_1 with its sign flipped, in a component with Q(i) entries
+        (lambda: split_simple(C(2, 2)).components[0], ("T", 1), lambda v: -v),
+        # one entry of c_2 doubled in an induced projective
+        (lambda: induce_clifford(projective_hecke(C(1, 2))), ("c", 2), lambda v: 2 * v),
+    ],
+)
+def test_relation_routes_name_the_same_failure(module, key, change):
+    bad = _with_one_entry_changed(module(), key, change)
+    by_vectors, by_products = relation_routes(bad)
+    assert by_vectors is not None and by_vectors == by_products
+    with pytest.raises(RelationError) as info:
+        bad.check()
+    assert str(info.value) == "relation %s fails" % by_vectors
 
 
 def test_check_separates_a_failed_grading_from_a_malformed_action():
@@ -749,7 +799,7 @@ def test_end_clifford_reports_coinciding_products(monkeypatch):
     from peakhc import supermodules
 
     _swapping_seed(monkeypatch, 3, 1)
-    monkeypatch.setattr(supermodules, "_failing_relation_on", lambda *_args: None)
+    monkeypatch.setattr(supermodules, "failing_relation", lambda *_args, **_kw: None)
     rep = end_clifford_check(C(2, 2))
     assert rep["end_dim"] == 4 and "bad_generator" not in rep
     assert not rep["ok"] and rep["span_rank"] == 2
@@ -1444,7 +1494,7 @@ def test_module_from_json_rejects_out_of_range(bad):
 
 @pytest.mark.parametrize(
     "path", [("blocks",), ("algebra",), ("basis",), ("actions",), ("basis", 0, "label"),
-             ("basis", 1, "parity")],
+             ("basis", 1, "parity"), ("rank",)],
 )
 def test_module_from_json_names_a_missing_key(path):
     doc = json.loads(json.dumps(module_to_json(Stilde(2))))
