@@ -340,10 +340,12 @@ def corner_restriction_terms(alpha) -> list:
     return out
 
 
-def verify_corner_restriction(alpha) -> tuple:
+def verify_corner_restriction(alpha, tables: dict | None = None) -> tuple:
     """Corner restriction of the induced projective: dimension identity and
     Hom-dimension signature against every induced simple one rank down,
-    as (ok, witness)."""
+    as (ok, witness).  ``tables`` maps gamma to the Hecke multiplicities of
+    the induced projective over gamma; a caller that checks every alpha of
+    one rank shares it, and a missing gamma is computed and stored."""
     a = as_composition(alpha)
     n = a.n
     if n < 1:
@@ -365,10 +367,13 @@ def verify_corner_restriction(alpha) -> tuple:
     # Hom-dimension signature against every induced projective one rank
     # down; the probes separate Grothendieck classes, so matching signatures
     # identify the class of the restriction with the stated direct sum
+    tables = {} if tables is None else tables
     summand_mults = {}
     for gamma, mult in terms:
-        pg = restrict_hecke(induce_clifford(projective_hecke(gamma)))
-        summand_mults[gamma] = (mult, hecke_composition_multiplicities(pg))
+        if gamma not in tables:
+            pg = restrict_hecke(induce_clifford(projective_hecke(gamma)))
+            tables[gamma] = hecke_composition_multiplicities(pg)
+        summand_mults[gamma] = (mult, tables[gamma])
     res_mults = hecke_composition_multiplicities(restrict_hecke(res))
     for b in compositions_of(n - 1):
         got = res_mults.get((b,), 0)
@@ -448,13 +453,14 @@ def _descent_pair_counts(n: int) -> dict:
     return rows
 
 
-def verify_bialgebra_compatibility(alpha, beta) -> tuple:
+def verify_bialgebra_compatibility(alpha, beta, induced: dict | None = None) -> tuple:
     """Class of the induced outer product equals the product of the classes:
-    (ok, both sides as text)."""
+    (ok, both sides as text).  ``induced`` maps a composition to its Ind S,
+    shared by a caller that checks many pairs; by default both are built."""
     a, b = as_composition(alpha), as_composition(beta)
-    ind = parabolic_induce(
-        induce_clifford(simple_hecke(a)), induce_clifford(simple_hecke(b))
-    )
+    if induced is None:
+        induced = {c: induce_clifford(simple_hecke(c)) for c in {a, b}}
+    ind = parabolic_induce(induced[a], induced[b])
     ch = class_of_module(ind)
     prod = product(
         term("PeakDual", "K", a.peak_set()), term("PeakDual", "K", b.peak_set())

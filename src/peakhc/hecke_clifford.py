@@ -443,12 +443,14 @@ def normal_word(d, w) -> list:
     return [("c", j) for j in sorted(d)] + [("T", i) for i in word_reduced(w)]
 
 
-def act_terms(terms: dict, act, vecs, anti: bool = False) -> list:
+def act_terms(terms: dict, act, vecs, anti: bool = False, images=None) -> list:
     """For each v of ``vecs``, the sum of coeff * (c_D T_w . v) over
     ``terms``: the walk of ``failing_relation`` on each term's normal word
-    (``anti`` for anti-homomorphisms and row vectors)."""
+    (``anti`` for anti-homomorphisms and row vectors).  Each key's images
+    of ``vecs`` may be handed in as ``images``, as for ``failing_relation``;
+    a lone one-letter word with coefficient 1 then returns those dicts."""
     words = [(coeff, normal_word(d, w)) for (d, w), coeff in terms.items()]
-    return _word_sums(words, act, vecs, {}, anti)
+    return _word_sums(words, act, vecs, {} if images is None else images, anti)
 
 
 def _first_letter(d, w) -> tuple:

@@ -465,10 +465,17 @@ def act_element(module: Supermodule, element: AlgebraElement, vec: dict) -> dict
 
 def element_matrix(module: Supermodule, terms: dict) -> SparseMatrix:
     """Matrix of sum coeff * c_D T_w, given as a term dict, on a module:
-    the normal words walked on every unit column together."""
+    the normal words walked on every unit column together, the action
+    columns standing for the first letter of each word.  The result shares
+    no dict with the module."""
     dim = module.dim
     units = [{k: 1} for k in range(dim)]
-    return SparseMatrix(dim, dim, act_terms(terms, _acts_on(module), units))
+    images = {key: mat.cols for key, mat in module.actions.items()}
+    cols = act_terms(terms, _acts_on(module), units, images=images)
+    if any(cols is own for own in images.values()):
+        # a lone letter with coefficient 1: the module's own columns
+        cols = [dict(col) for col in cols]
+    return SparseMatrix(dim, dim, cols)
 
 
 def twist(module: Supermodule, tag: str) -> Supermodule:
@@ -893,14 +900,24 @@ def hecke_simple_hom_dims(module: Supermodule) -> dict:
     descent, by 0 otherwise), so the system depends on gamma only through
     the shifts eps_i.
     The walk branches on eps_i generator by generator; each child extends a
-    copy of its parent's echelon rows, and a branch whose rank reaches
-    dim M is zero for every gamma below it.  Compositions with Hom zero are
-    absent from the returned dict.
+    copy of its parent's echelon rows by an echelon basis of the rows of
+    T_i or of T_i + 1, reduced once per generator: the same span as the
+    dim M rows, so the same rank at every node.  A branch whose rank
+    reaches dim M is zero for every gamma below it.  Compositions with Hom
+    zero are absent from the returned dict.
     """
     if module.algebra != "H" or len(module.blocks) != 1:
         raise ValueError("pass a single-block Hecke-restricted module")
     n, dim = module.rank, module.dim
     out = {}
+    # row j of the transposed action, plus e_j on a descent of gamma
+    spans = {}
+    for i in range(1, n):
+        cols = module.actions[("T", i)].cols
+        shifted = [dict(col) for col in cols]
+        for j, row in enumerate(shifted):
+            vec_add_term(row, j, 1)
+        spans[i] = (_span_basis(cols), _span_basis(shifted))
 
     def walk(i: int, ech: Echelon, descents: tuple) -> None:
         if ech.rank == dim:
@@ -909,15 +926,9 @@ def hecke_simple_hom_dims(module: Supermodule) -> dict:
             key = composition_from_descents(n, descents)
             out[key] = dim - ech.rank
             return
-        cols = module.actions[("T", i)].cols
-        for shift in (False, True):
+        for shift, basis in enumerate(spans[i]):
             child = ech.copy()
-            for j in range(dim):
-                # row j of the transposed action, plus e_j on a descent of gamma
-                row = cols[j]
-                if shift:
-                    row = dict(row)
-                    vec_add_term(row, j, 1)
+            for row in basis:
                 child.add(row)
                 if child.rank == dim:
                     break
@@ -925,6 +936,14 @@ def hecke_simple_hom_dims(module: Supermodule) -> dict:
 
     walk(1, Echelon(), ())
     return out
+
+
+def _span_basis(rows) -> list:
+    """Echelon basis of the span of ``rows``, pivot entries 1."""
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    return list(ech.rows.values())
 
 
 # ---------------------------------------------------------------------------
@@ -1085,10 +1104,11 @@ def _seed_failure(base: Supermodule, target: Supermodule, images: list):
     return None
 
 
-def end_clifford_check(alpha) -> dict:
+def end_clifford_check(alpha, module: Supermodule | None = None) -> dict:
     """Verify that End of the induced simple is the Clifford algebra on the
     valley set: dimension 2^|V|, generated by odd maps sqrt(-1) f_{c_v}
-    squaring to -id and pairwise anticommuting.
+    squaring to -id and pairwise anticommuting.  ``module`` is Ind S_alpha
+    when the caller has built it already (``split_simple(alpha).module``).
 
     The plain f_{c_v} is the lift (``_map_out_of_induced``) of its seed
     eta -> c_v eta, the map c_D eta -> (-1)^{|D|} c_D c_v eta, with int
@@ -1117,8 +1137,9 @@ def end_clifford_check(alpha) -> dict:
     sqrt(-1), so the span is read on the integer maps.
     """
     a = as_composition(alpha)
-    base = simple_hecke(a)
-    module = induce_clifford(base)
+    if module is None:
+        module = induce_clifford(simple_hecke(a))
+    base = module.summand_of[0]
     valleys = sorted(a.valley_set())
     ends = hom_space(module, module)
     report = {
@@ -1173,7 +1194,7 @@ _STATED_TWISTS = {
 }
 
 
-def stated_twist_isomorphisms(alpha) -> dict:
+def stated_twist_isomorphisms(alpha, induced: dict | None = None) -> dict:
     """The explicit isomorphisms onto the four twisted modules, keyed by
     part:
 
@@ -1189,11 +1210,14 @@ def stated_twist_isomorphisms(alpha) -> dict:
     On the twist, c_D acts as its image does on the induced simple, so each
     map is ``_map_out_of_induced`` on the twist, with its one image at eta
     or at the top vector.  The induced simple and that of the conjugate are
-    built once and shared by the four maps.
+    shared by the four maps: read from ``induced``, a dict composition ->
+    Ind S that a caller shares over the compositions of one rank, or built
+    here when it is ``None``.
     """
     a = as_composition(alpha)
-    base = induce_clifford(simple_hecke(a))
-    conj = induce_clifford(simple_hecke(a.conjugate()))
+    if induced is None:
+        induced = {b: induce_clifford(simple_hecke(b)) for b in {a, a.conjugate()}}
+    base, conj = induced[a], induced[a.conjugate()]
     maps = {}
     for part, (tag, conjugate, top) in _STATED_TWISTS.items():
         target = twist(base, tag)

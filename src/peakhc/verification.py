@@ -68,6 +68,7 @@ from .supermodules import (
     _seed_failure,
     end_clifford_check,
     find_isomorphism,
+    induce_clifford,
     projective_hecke,
     simple_hecke,
     split_simple,
@@ -246,7 +247,7 @@ def _simples_rank(n: int) -> tuple:
         if any(p is None for p in res.pair_parities.values()):
             bad.append((str(a), "pairwise isomorphism"))
             continue
-        rep = end_clifford_check(a)
+        rep = end_clifford_check(a, res.module)
         if not rep["ok"]:
             bad.append((str(a), "endomorphism algebra"))
     return not bad, bad
@@ -291,7 +292,11 @@ def suite_corner(max_n: int) -> list:
 
 
 def _corner_rank(n: int) -> tuple:
-    bad = [(str(a), "failed") for a in compositions_of(n) if not verify_corner_restriction(a)[0]]
+    # one multiplicity table per induced projective one rank down serves
+    # every a, as in verify_projective_pairings
+    tables = {}
+    bad = [(str(a), "failed") for a in compositions_of(n)
+           if not verify_corner_restriction(a, tables)[0]]
     return not bad, bad
 
 
@@ -302,9 +307,11 @@ def suite_twists(max_n: int) -> list:
 
 def _twists_rank(n: int) -> tuple:
     bad = []
+    # Ind S_a once per a of the rank, read by the maps of a and of a^c
+    induced = {a: induce_clifford(simple_hecke(a)) for a in compositions_of(n)}
     for a in compositions_of(n):
         # each map is the lift of its seed out of N, its first dim N columns
-        for part, f in stated_twist_isomorphisms(a).items():
+        for part, f in stated_twist_isomorphisms(a, induced).items():
             want_parity = n % 2 if part in (1, 4) else 0
             base = f.source.summand_of[0]
             if (f.parity != want_parity
@@ -323,12 +330,15 @@ def _twists_rank(n: int) -> tuple:
 def suite_bialgebra(max_total: int) -> list:
     out = []
     bad = []
+    # Ind S_a once per a, read by every pair it belongs to
+    induced = {a: induce_clifford(simple_hecke(a))
+               for k in range(1, max_total) for a in compositions_of(k)}
     for total in range(2, max_total + 1):
         for m in range(1, total):
             n = total - m
             for a in compositions_of(m):
                 for b in compositions_of(n):
-                    if not verify_bialgebra_compatibility(a, b)[0]:
+                    if not verify_bialgebra_compatibility(a, b, induced)[0]:
                         bad.append((str(a), str(b)))
     out.append(_report("bialgebra-compatibility", {"max_total": max_total}, not bad, bad))
     return out

@@ -8,7 +8,8 @@ generator walks, the associativity certificate with every generator swept
 past every entry of tau, the left-regular matrices of the generators, the
 associativity certificate and the Frobenius Gram through the regular
 representation, the Frobenius form by Gram elimination and the matrix of
-phi, one-gamma Hom onto a Hecke simple, parabolic restriction,
+phi, one-gamma Hom onto a Hecke simple, the shared Hom-to-simple walk on
+every row, parabolic restriction,
 parabolic induction by a triangular rewriting in the free basis T_x over the
 parabolic subalgebra (with the coset factorization it reads), the parity
 shift, the rank-0 module, the defining relations with every word formed as
@@ -430,6 +431,38 @@ def hom_dim_to_hecke_simple(module: Supermodule, gammas) -> int:
             if row:
                 rows.append(row)
     return len(nullspace(rows, range(module.dim)))
+
+
+def hecke_simple_hom_dims_by_columns(module: Supermodule) -> dict:
+    """``hecke_simple_hom_dims`` by the walk that adds every row of T_i or
+    of T_i + 1 at every child, with no span basis reduced beforehand."""
+    if module.algebra != "H" or len(module.blocks) != 1:
+        raise ValueError("pass a single-block Hecke-restricted module")
+    n, dim = module.rank, module.dim
+    out = {}
+
+    def walk(i: int, ech: Echelon, descents: tuple) -> None:
+        if ech.rank == dim:
+            return
+        if i >= n:
+            out[composition_from_descents(n, descents)] = dim - ech.rank
+            return
+        cols = module.actions[("T", i)].cols
+        for shift in (False, True):
+            child = ech.copy()
+            for j in range(dim):
+                # row j of the transposed action, plus e_j on a descent of gamma
+                row = cols[j]
+                if shift:
+                    row = dict(row)
+                    vec_add_term(row, j, 1)
+                child.add(row)
+                if child.rank == dim:
+                    break
+            walk(i + 1, child, descents + (i,) if shift else descents)
+
+    walk(1, Echelon(), ())
+    return out
 
 
 def restrict_parabolic(module: Supermodule, shape) -> Supermodule:

@@ -204,6 +204,25 @@ def test_corner_restriction():
         verify_corner_restriction(Composition(()))
 
 
+def test_corner_report_computes_each_summand_table_once(monkeypatch):
+    # the rank shares one table per gamma one rank down; every gamma of
+    # n - 1 is a summand of some a, so a rank makes one table per a (its
+    # restriction) and one per gamma
+    from peakhc import characteristic, verification
+
+    tables = []
+
+    def counted(module):
+        tables.append(module)
+        return hecke_composition_multiplicities(module)
+
+    monkeypatch.setattr(characteristic, "hecke_composition_multiplicities", counted)
+    for n in (2, 3, 4):
+        tables.clear()
+        assert verification._corner_rank(n) == (True, [])
+        assert len(tables) == len(compositions_of(n)) + len(compositions_of(n - 1)), n
+
+
 def test_diagrams():
     for n in (1, 2, 3):
         ok, witness = verify_diagrams(n)
@@ -227,6 +246,23 @@ def test_bialgebra_compatibility_small():
     for a, b in [((1,), (1,)), ((2,), (1,)), ((1, 1), (2,)), ((2, 1), (1,))]:
         ok, witness = verify_bialgebra_compatibility(C(*a), C(*b))
         assert ok and witness["class"] == witness["product"], witness
+
+
+def test_bialgebra_report_builds_each_induced_simple_once(monkeypatch):
+    # every pair of total at most 4 reads its two Ind S from one dict: one
+    # build per composition of 1, 2 and 3
+    from peakhc import characteristic, verification
+
+    built = []
+
+    def counted(module):
+        built.append(module)
+        return induce_clifford(module)
+
+    for namespace in (characteristic, verification):
+        monkeypatch.setattr(namespace, "induce_clifford", counted)
+    assert [r["status"] for r in verification.suite_bialgebra(4)] == ["verified"]
+    assert len(built) == sum(len(compositions_of(k)) for k in (1, 2, 3)) == 7
 
 
 def test_projective_coproduct_and_adjointness():

@@ -65,6 +65,7 @@ from oracles import (
     bruhat_filtration,
     clifford_idempotents,
     end_clifford_by_matrices,
+    hecke_simple_hom_dims_by_columns,
     hom_dim_to_hecke_simple,
     hom_route_mismatch,
     is_morphism,
@@ -693,19 +694,49 @@ def test_hom_dim_to_simple():
 
 
 def test_shared_walk_matches_hom_dim_per_simple():
-    # one elimination walk over the descent shifts against one system per
-    # gamma, on Res Ind P_a, P_a and S_a for every a of size at most 4
-    for n in range(1, 5):
+    # one elimination walk over the descent shifts, adding span bases,
+    # against one system per gamma and against the walk on every row, on
+    # Res Ind P_a, Res Ind S_a, P_a and S_a for every a of size at most 5
+    for n in range(1, 6):
         for a in compositions_of(n):
-            res = restrict_hecke(induce_clifford(projective_hecke(a)))
-            for mod in (res, projective_hecke(a), simple_hecke(a)):
+            mods = (restrict_hecke(induce_clifford(projective_hecke(a))),
+                    restrict_hecke(induce_clifford(simple_hecke(a))),
+                    projective_hecke(a), simple_hecke(a))
+            for mod in mods:
                 dims = hecke_simple_hom_dims(mod)
+                assert dims == hecke_simple_hom_dims_by_columns(mod), (a, mod.dim)
                 for g in compositions_of(n):
                     want = hom_dim_to_hecke_simple(mod, g)
                     assert dims.get(g, 0) == want, (a, g)
                     assert (g in dims) == bool(want)
     with pytest.raises(ValueError):
         hecke_simple_hom_dims(Stilde(2))
+
+
+def test_shared_walk_fails_with_one_span_row_dropped(monkeypatch):
+    # negative control of the span bases: with the last row of one basis of
+    # each walk dropped, the walk disagrees with the per-gamma systems and
+    # the restriction-classes report fails at every rank from 2 to 4
+    from peakhc import supermodules, verification
+
+    basis = supermodules._span_basis
+    calls = []
+
+    def dropped(rows):
+        calls.append(None)
+        out = basis(rows)
+        return out[:-1] if len(calls) == 1 else out
+
+    monkeypatch.setattr(supermodules, "_span_basis", dropped)
+    for n in range(2, 5):
+        mod = restrict_hecke(induce_clifford(projective_hecke(C(n))))
+        calls.clear()
+        dims = hecke_simple_hom_dims(mod)
+        assert any(dims.get(g, 0) != hom_dim_to_hecke_simple(mod, g)
+                   for g in compositions_of(n)), n
+        calls.clear()
+        ok, bad = verification._restriction_classes_rank(n)
+        assert not ok and len(bad) == 1, (n, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -1249,8 +1280,8 @@ def test_twists_report_fails_on_a_corrupted_seed(monkeypatch):
     # instead of the top vector is no morphism for n >= 2
     from peakhc import verification
 
-    def corrupted(alpha):
-        maps = stated_twist_isomorphisms(alpha)
+    def corrupted(alpha, induced):
+        maps = stated_twist_isomorphisms(alpha, induced)
         f = maps[1]
         maps[1] = ModuleMap(f.source, f.target,
                             _map_out_of_induced(f.target, [{0: 1}], f.parity), f.parity)
@@ -1264,21 +1295,39 @@ def test_twists_report_fails_on_a_corrupted_seed(monkeypatch):
         assert not ok and bad == [(str(a), 1) for a in compositions_of(n)], n
 
 
-def test_twists_report_builds_each_induced_simple_once_per_composition(monkeypatch):
-    # the four stated maps share Ind S_a and Ind S_{a^c}: two builds per a
-    from peakhc import supermodules
-    from peakhc.verification import suite_twists
-
+def _count_induced_builds(monkeypatch, *namespaces) -> list:
+    """Patch ``induce_clifford`` in each namespace to record (rank, descent
+    set) of every module it induces: for a simple the key of its a."""
     built = []
-    induce = supermodules.induce_clifford
 
     def counted(module):
-        built.append(module)
-        return induce(module)
+        descents = {i for (kind, i), mat in module.actions.items() if mat.cols[0].get(0)}
+        built.append((module.rank, frozenset(descents)))
+        return induce_clifford(module)
 
-    monkeypatch.setattr(supermodules, "induce_clifford", counted)
-    assert [r["status"] for r in suite_twists(4)] == ["verified"] * 4
-    assert len(built) == 2 * sum(len(compositions_of(n)) for n in range(1, 5)) == 30
+    for namespace in namespaces:
+        monkeypatch.setattr(namespace, "induce_clifford", counted)
+    return built
+
+
+def test_twists_report_builds_each_induced_simple_once_per_composition(monkeypatch):
+    # the rank shares Ind S_a between the maps of a and of a^c: one build
+    # per composition
+    from peakhc import supermodules, verification
+
+    built = _count_induced_builds(monkeypatch, supermodules, verification)
+    assert [r["status"] for r in verification.suite_twists(4)] == ["verified"] * 4
+    assert len(set(built)) == len(built) == sum(len(compositions_of(n)) for n in range(1, 5)) == 15
+
+
+def test_simples_report_builds_each_induced_simple_once(monkeypatch):
+    # end_clifford_check reads the Ind S_a that split_simple built
+    from peakhc import supermodules, verification
+
+    for n in range(1, 5):
+        built = _count_induced_builds(monkeypatch, supermodules, verification)
+        assert verification._simples_rank(n) == (True, [])
+        assert len(set(built)) == len(built) == len(compositions_of(n)), n
 
 
 def test_clifford_and_twist_reports_make_no_matrix_product(monkeypatch):
@@ -1326,7 +1375,7 @@ def test_act_element_matches_products():
 
 
 def test_twist_images_match_products():
-    for n in range(1, 4):
+    for n in range(1, 5):
         for a in compositions_of(n):
             for base in (simple_hecke(a), projective_hecke(a)):
                 for module in (base, induce_clifford(base)):
@@ -1349,6 +1398,31 @@ def test_twist_images_match_products():
         twist(pair, "phi")
     with pytest.raises(ValueError):
         twist(pair, "psi")
+
+
+def test_twist_and_element_matrix_share_no_dict_with_the_module():
+    # a lone generator image hands back the module's own action columns;
+    # negating every entry of the result must leave the module's actions
+    for module in (Stilde(2, 1), Ptilde(1, 2), P(2, 1)):
+        before = module_to_json(module)
+        n = module.rank
+        tags = ("phi_bar",) if module.algebra == "H" else ("phi", "phi_prime", "psi", "psi_prime")
+        mats = [mat for tag in tags for mat in twist(module, tag).actions.values()]
+        for key in module.actions:
+            kind, idx = key
+            gen = gen_T(idx, n) if kind == "T" else gen_c(idx, n)
+            mats.append(element_matrix(module, gen.terms))
+        for mat in mats:
+            for col in mat.cols:
+                for r in col:
+                    col[r] = -col[r]
+        assert module_to_json(module) == before
+    # the phi_bar twist of a Hecke module is a lone T letter per generator
+    m = P(2, 1, 1)
+    tw = twist(m, "phi_bar")
+    for (kind, i), mat in tw.actions.items():
+        own = m.actions[(kind, m.rank - i)].cols
+        assert all(col is not o for col, o in zip(mat.cols, own))
 
 
 def test_parity_shift():
