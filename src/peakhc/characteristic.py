@@ -285,12 +285,22 @@ def verify_restriction_to_hecke(alpha) -> tuple:
 def verify_restriction_vectors(n: int) -> tuple:
     """Module-level split via the hook vectors, including the eigenrelations
     and the exact direct-sum decomposition by parity: (ok, the seeds or the
-    first failure).  Guarded by ``supermodules.MAX_RESTRICTION_N``."""
+    first failure).  Guarded by ``supermodules.MAX_RESTRICTION_N``.
+
+    The relations are checked once, on the Hecke restriction the hook
+    submodules are spun from; a failing one raises ``RelationError``.  Each
+    spin step is exact, so A_key E = E A'_key for the injective matrix E of
+    a hook submodule's spun basis, and the submodule inherits every
+    relation and the grading of the restriction (``submodule_on_vectors``
+    gives the proof).  The odd and even slots compare against the same n
+    hook projectives, built once."""
     from math import comb
 
     rep = restriction_vectors(n)
     module = rep["module"]
     hecke = restrict_hecke(module)
+    hecke.check()
+    hooks = [projective_hecke(Composition(tuple([n - k] + [1] * k))) for k in range(n)]
     for slot, par in (("odd", 1), ("even", 0)):
         ech = Echelon()
         for k in range(n):
@@ -305,8 +315,7 @@ def verify_restriction_vectors(n: int) -> tuple:
             sub, basis = submodule_on_vectors(hecke, [vec])
             if sub.dim != comb(n - 1, k):
                 return False, "span dimension at k=%d" % k
-            hook = Composition(tuple([n - k] + [1] * k))
-            iso = find_isomorphism(sub, projective_hecke(hook), parity=par)
+            iso = find_isomorphism(sub, hooks[k], parity=par)
             if not iso.found:
                 return False, "hook isomorphism at k=%d" % k
             for v in basis:

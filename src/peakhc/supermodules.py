@@ -989,6 +989,17 @@ def submodule_on_vectors(module: Supermodule, vectors):
     the spun vectors in discovery order, and each action is read off the
     spin events: w_k = A w_parent is a unit column, a relation is the
     expression it records.
+
+    The result is not checked here: it inherits the defining relations and
+    the grading of ``module``, which the caller checks once.  Let E be the
+    matrix whose columns are the spun vectors w_0, w_1, ...; they are
+    independent and parity-homogeneous, so E is injective.  Each spin event
+    is exact, A_key w_p = w_k or A_key w_p = sum_t rep[t] w_t, so
+    A_key E = E A'_key for the submodule's action A'_key.  Then any word sum
+    satisfies W(A) E = E W(A'), and a relation W(A) = V(A) of ``module``
+    gives E (W(A') - V(A')) = 0, hence W(A') = V(A').  A homogeneous image
+    has its unique expression in the independent homogeneous w_t supported
+    on w_t of its own parity, so A'_key is parity-homogeneous as A_key is.
     """
     seeds = [{k: as_scalar(c) for k, c in v.items() if c} for v in vectors]
     events, parities, _coords, basis = _spin(module, seeds)
@@ -1008,7 +1019,6 @@ def submodule_on_vectors(module: Supermodule, vectors):
         parities,
         actions,
     )
-    sub.check()
     return sub, basis
 
 
@@ -1031,10 +1041,18 @@ def split_simple(alpha) -> SimpleSplit:
     e_eps is.  Its ``summand_of`` is (S_alpha, its spun basis in
     Ind S_alpha), and ``hom_space`` out of it restricts the maps out of
     Ind S_alpha.
+
+    The relations are checked once, on the integral Ind S_alpha, before any
+    component is spun; a failing one raises ``RelationError``.  No Q(i)
+    component is checked: each spin step is exact, so A_key E = E A'_key
+    for the injective matrix E of the component's spun basis, and the
+    component inherits every relation and the grading of Ind S_alpha
+    (``submodule_on_vectors`` gives the proof).
     """
     a = as_composition(alpha)
     base = simple_hecke(a)
     module = induce_clifford(base)
+    module.check()
     eta = {0: 1}  # basis vector c_{} (x) eta sits first
     components = []
     signs = []

@@ -15,6 +15,7 @@ parabolic subalgebra (with the coset factorization it reads), the parity
 shift, the rank-0 module, the defining relations with every word formed as
 a product of matrices or algebra elements, the morphism check and the
 Clifford structure of End of an induced simple by full matrix identities,
+the relations and grading a spun submodule inherits through its embedding,
 Hom out of an induced module by the spin route, the true idempotents that split an induced simple, the peak sets by a walk
 over all subsets, the Bruhat filtration of an induced
 projective, route (i) of the Cartan image by a walk of the
@@ -601,6 +602,17 @@ def trivial_module(algebra: str = "HCl") -> Supermodule:
     return Supermodule((0,), algebra, ("1",), (0,), {})
 
 
+def with_one_entry_changed(module: Supermodule, key, change) -> Supermodule:
+    """The module with the first stored entry of the action of ``key``
+    replaced by ``change`` of it: a mutant for negative controls."""
+    actions = dict(module.actions)
+    mat = actions[key].copy()
+    r, k, v = next(mat.entries())
+    mat.set(r, k, change(v))
+    actions[key] = mat
+    return Supermodule(module.blocks, module.algebra, module.labels, module.parities, actions)
+
+
 def without_provenance(module: Supermodule) -> Supermodule:
     """The same module with no record of an induced module it is a summand
     of (``summand_of`` is ``None``), so ``hom_space`` out of it takes the
@@ -620,6 +632,29 @@ def is_morphism(f: ModuleMap) -> bool:
         if f.matrix @ a != (b @ f.matrix).scale(sign):
             return False
     return True
+
+
+def inherited_relation_failure(sub: Supermodule, parent: Supermodule, basis: list):
+    """What a submodule spun from ``parent`` fails to inherit, as text; None
+    when it inherits everything.  ``basis`` lists its basis vectors in
+    ``parent`` (the columns of the embedding E): each must be
+    parity-homogeneous of the submodule's parity, ``sub.check()`` must pass,
+    and A_key E = E A'_key must hold exactly for every generator key.
+    ``submodule_on_vectors`` does not check its output; this checks what
+    its proof says the output inherits, and the intertwining the proof
+    rests on."""
+    for k, vec in enumerate(basis):
+        if {parent.parities[r] for r in vec} != {sub.parities[k]}:
+            return "basis vector %d has the wrong parity" % k
+    try:
+        sub.check()
+    except sm.RelationError as exc:
+        return str(exc)
+    emb = SparseMatrix(parent.dim, sub.dim, basis)
+    for key in sub.actions:
+        if parent.actions[key] @ emb != emb @ sub.actions[key]:
+            return "embedding does not intertwine %s" % (key,)
+    return None
 
 
 def _word_sum_by_products(terms, image: dict, mul, one):

@@ -23,6 +23,8 @@ from peakhc.characteristic import (
 from peakhc.hopf import FreeElement, coproduct, term, theta_transform
 from peakhc.linalg import solve_unique
 from peakhc.supermodules import (
+    RelationError,
+    Supermodule,
     hecke_composition_multiplicities,
     hecke_simple_hom_dims,
     hom_space,
@@ -32,14 +34,19 @@ from peakhc.supermodules import (
     projective_hecke,
     projective_hom_dim,
     restrict_hecke,
+    restriction_vectors,
     simple_hecke,
+    submodule_on_vectors,
 )
 
 from oracles import (
     hom_dim_to_hecke_simple,
+    inherited_relation_failure,
     peak_sets_by_subset_walk,
     phi_on_peak,
+    relation_routes,
     restrict_parabolic,
+    with_one_entry_changed,
 )
 
 
@@ -185,6 +192,75 @@ def test_restriction_vectors_report():
         ok, witness = verify_restriction_vectors(n)
         assert ok, (n, witness)
         assert sorted(witness["seeds"]) == ["even", "odd"]
+
+
+def test_hook_submodules_inherit_the_relations_of_the_restriction(monkeypatch):
+    # verify_restriction_vectors checks the Hecke restriction once; each of
+    # the 2n hook submodules it spins inherits the relations and grading
+    # through its embedding, which the oracle checks directly
+    from peakhc import characteristic
+
+    spun, checked = [], []
+
+    def recorded(module, vectors):
+        sub, basis = submodule_on_vectors(module, vectors)
+        spun.append((module, sub, basis))
+        return sub, basis
+
+    real_check = Supermodule.check
+
+    def recorded_check(self):
+        checked.append(self)
+        return real_check(self)
+
+    monkeypatch.setattr(characteristic, "submodule_on_vectors", recorded)
+    monkeypatch.setattr(Supermodule, "check", recorded_check)
+    for n in range(1, 6):
+        spun.clear()
+        checked.clear()
+        assert verify_restriction_vectors(n)[0], n
+        want = restrict_hecke(restriction_vectors(n)["module"])
+        assert len(spun) == 2 * n and len(checked) == 1
+        for parent, sub, basis in spun:
+            assert parent is checked[0]
+            assert all(parent.actions[k] == want.actions[k] for k in want.actions)
+            assert inherited_relation_failure(sub, parent, basis) is None, n
+
+
+@pytest.mark.parametrize("key", [("T", 1), ("T", 2)])
+def test_restriction_vectors_check_the_restriction_before_spinning(monkeypatch, key):
+    # negative control: the Hecke restriction with one entry negated fails a
+    # relation, and verify_restriction_vectors names it before any spin
+    from peakhc import characteristic
+
+    bad = with_one_entry_changed(restrict_hecke(restriction_vectors(3)["module"]), key,
+                                 lambda v: -v)
+    failed, _by_products = relation_routes(bad)
+    assert failed is not None
+    spun = []
+    monkeypatch.setattr(characteristic, "restrict_hecke", lambda _module: bad)
+    monkeypatch.setattr(characteristic, "submodule_on_vectors", lambda *args: spun.append(args))
+    with pytest.raises(RelationError) as info:
+        verify_restriction_vectors(3)
+    assert str(info.value) == "relation %s fails" % failed
+    assert spun == []
+
+
+def test_restriction_vectors_build_each_hook_projective_once(monkeypatch):
+    # the odd and the even slot compare against the same n hooks
+    from peakhc import characteristic
+
+    built = []
+
+    def counted(alpha):
+        built.append(alpha)
+        return projective_hecke(alpha)
+
+    monkeypatch.setattr(characteristic, "projective_hecke", counted)
+    for n in range(1, 6):
+        built.clear()
+        assert verify_restriction_vectors(n)[0], n
+        assert built == [C(*([n - k] + [1] * k)) for k in range(n)], n
 
 
 def test_corner_restriction():

@@ -68,6 +68,7 @@ from oracles import (
     hecke_simple_hom_dims_by_columns,
     hom_dim_to_hecke_simple,
     hom_route_mismatch,
+    inherited_relation_failure,
     is_morphism,
     module_mismatch,
     parabolic_induce_by_decomposition,
@@ -75,6 +76,7 @@ from oracles import (
     relation_routes,
     restrict_parabolic,
     trivial_module,
+    with_one_entry_changed,
     without_provenance,
 )
 
@@ -175,17 +177,6 @@ def test_relation_routes_agree_on_the_modules():
         module.check()
 
 
-def _with_one_entry_changed(module, key, change):
-    """The module with the first stored entry of the action of ``key``
-    replaced by ``change`` of it."""
-    actions = dict(module.actions)
-    mat = actions[key].copy()
-    r, k, v = next(mat.entries())
-    mat.set(r, k, change(v))
-    actions[key] = mat
-    return Supermodule(module.blocks, module.algebra, module.labels, module.parities, actions)
-
-
 @pytest.mark.parametrize(
     "module, key, change",
     [
@@ -196,7 +187,7 @@ def _with_one_entry_changed(module, key, change):
     ],
 )
 def test_relation_routes_name_the_same_failure(module, key, change):
-    bad = _with_one_entry_changed(module(), key, change)
+    bad = with_one_entry_changed(module(), key, change)
     by_vectors, by_products = relation_routes(bad)
     assert by_vectors is not None and by_vectors == by_products
     with pytest.raises(RelationError) as info:
@@ -984,6 +975,82 @@ def test_split_simple():
     res = split_simple(C(1, 2, 1))
     assert res.copies == 2 and res.type_tag == "M"
     assert all(c.dim == 8 for c in res.components)
+
+
+def test_split_components_inherit_the_relations_of_the_induced_simple():
+    # submodule_on_vectors checks nothing: split_simple checks Ind S_a once,
+    # and each component inherits its relations and grading through its
+    # embedding; the check that moved out of submodule_on_vectors is the
+    # oracle here, with the intertwining A_key E = E A'_key it rests on
+    count = 0
+    for n in range(1, 6):
+        for a in compositions_of(n):
+            split = split_simple(a)
+            for comp in split.components:
+                _base, basis = comp.summand_of
+                assert inherited_relation_failure(comp, split.module, basis) is None, a
+                count += 1
+    assert count == 1 + 2 + 5 + 12 + 27
+
+
+def test_split_simple_checks_only_the_induced_simple(monkeypatch):
+    checked = []
+    real = Supermodule.check
+
+    def recorded(self):
+        checked.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Supermodule, "check", recorded)
+    for a in (C(4), C(1, 2, 1), C(2, 2), C(1, 3, 1)):
+        checked.clear()
+        split = split_simple(a)
+        assert checked == [split.module], a
+
+
+@pytest.mark.parametrize("key", [("T", 1), ("c", 1)])
+def test_split_simple_checks_the_induced_simple_before_spinning(monkeypatch, key):
+    # negative control: Ind S_(1,2,1) with one entry of T_1 or of c_1 negated
+    # fails a relation, and split_simple names it before any spin
+    from peakhc import supermodules
+
+    bad = with_one_entry_changed(Stilde(1, 2, 1), key, lambda v: -v)
+    failed, _by_products = relation_routes(bad)
+    assert failed is not None
+    spun = []
+    monkeypatch.setattr(supermodules, "induce_clifford", lambda _base: bad)
+    monkeypatch.setattr(supermodules, "submodule_on_vectors", lambda *args: spun.append(args))
+    with pytest.raises(RelationError) as info:
+        split_simple(C(1, 2, 1))
+    assert str(info.value) == "relation %s fails" % failed
+    assert spun == []
+
+
+def test_a_perturbed_spin_passes_the_parent_check_and_fails_the_oracle(monkeypatch):
+    # what moved: one wrong spin expression in the first component is no
+    # longer caught inside split_simple, whose check of Ind S_a still
+    # passes; the inheritance oracle catches it, and only there
+    from peakhc import supermodules
+
+    real = supermodules._spin
+    calls = []
+
+    def perturbed(module, seeds):
+        events, parities, coords, vecs = real(module, seeds)
+        if not calls:
+            k = next(j for j, ev in enumerate(events) if ev[0] == "rel" and ev[3])
+            _kind, parent, key, rep = events[k]
+            t = min(rep)
+            events[k] = ("rel", parent, key, {**rep, t: -rep[t]})
+        calls.append(module)
+        return events, parities, coords, vecs
+
+    monkeypatch.setattr(supermodules, "_spin", perturbed)
+    split = split_simple(C(1, 2, 1))
+    first, *rest = split.components
+    assert inherited_relation_failure(first, split.module, first.summand_of[1]) is not None
+    for comp in rest:
+        assert inherited_relation_failure(comp, split.module, comp.summand_of[1]) is None
 
 
 def _in_one_representation(v):
