@@ -12,7 +12,8 @@ Grammar (one source of truth for every element the CLI accepts):
       | 'T' '[' ints ']'           0-Hecke word (one-line permutation)
       | 'c' '{' ints '}'           Clifford subset
 
-Basis letters: H E R Q (NSym), M F (QSym), Xi (peak subalgebra), K N (peak
+Basis letters: every tag of ``hopf._BASES`` but podd, read with its row's
+index kind: H E R Q (NSym), M F (QSym), Xi (peak subalgebra), K N (peak
 dual), h m p r (symmetric functions), q (q-generated subring).  Expressions
 containing T or c parse to Hecke-Clifford algebra elements (the rank is the
 word length, or pass ``rank=``); all others parse to Hopf elements, with
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 from .combinat import Composition, PeakSet
 from .hecke_clifford import AlgebraElement, unit as hc_unit
-from .hopf import _PIVOT_BASIS, FreeElement, convert, product, term
+from .hopf import _BASES, _PIVOT_BASIS, FreeElement, convert, product, term
 from .scalars import GaussianRational, _gauss_json, gaussian
 
 __all__ = [
@@ -42,22 +43,7 @@ __all__ = [
     "algebra_element_to_json",
 ]
 
-_HOPF_LETTERS = {
-    "H": ("NSym", "H"),
-    "E": ("NSym", "E"),
-    "R": ("NSym", "R"),
-    "Q": ("NSym", "Q"),
-    "M": ("QSym", "M"),
-    "F": ("QSym", "F"),
-    "Xi": ("Peak", "Xi"),
-    "K": ("PeakDual", "K"),
-    "N": ("PeakDual", "N"),
-    "h": ("Sym", "h"),
-    "m": ("Sym", "m"),
-    "p": ("Sym", "p"),
-    "r": ("Sym", "r"),
-    "q": ("Omega", "q"),
-}
+_HOPF_LETTERS = {basis: algebra for algebra, basis in _BASES if basis != "podd"}
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|[\[\]{}()@+\-*/,])")
 
@@ -119,40 +105,16 @@ def _parse_int_list(toks: _Tokens, closer: str) -> list:
             raise ParseError("expected ',' or %r in an index list" % closer)
 
 
-class _Builder:
-    """Accumulates parsed factors; decides Hopf vs algebra-element output."""
-
-    def __init__(self, rank):
-        self.rank = rank
-        self.kind = None  # "hopf" | "algebra"
-
-    def scalar(self, value):
-        return ("scalar", value)
-
-    def hopf_term(self, algebra, basis, index):
-        if self.kind == "algebra":
-            raise ParseError("cannot mix Hopf basis symbols with T/c factors")
-        self.kind = "hopf"
-        return ("hopf", (algebra, basis, index))
-
-    def algebra_term(self, kind, data):
-        if self.kind == "hopf":
-            raise ParseError("cannot mix T/c factors with Hopf basis symbols")
-        self.kind = "algebra"
-        return (kind, data)
-
-
-def _parse_factor(toks: _Tokens, builder: _Builder):
+def _parse_factor(toks: _Tokens):
     tok = toks.peek()
     if tok == "(":
         toks.next()
-        val = _parse_expr(toks, builder)
+        val = _parse_expr(toks)
         toks.expect(")")
         return val
     if tok == "-":
         toks.next()
-        val = _parse_factor(toks, builder)
-        return ("neg", val)
+        return ("neg", _parse_factor(toks))
     if tok is None:
         raise ParseError("unexpected end of expression")
     if tok.isdigit():
@@ -169,16 +131,16 @@ def _parse_factor(toks: _Tokens, builder: _Builder):
                 raise ParseError("zero denominator in %s/%s" % (tok, dtok))
         if toks.peek() == "i":
             toks.next()
-            return builder.scalar(gaussian(0, Fraction(num, den)))
-        return builder.scalar(Fraction(num, den))
+            return ("scalar", gaussian(0, Fraction(num, den)))
+        return ("scalar", Fraction(num, den))
     if tok == "i":
         toks.next()
-        return builder.scalar(gaussian(0, 1))
+        return ("scalar", gaussian(0, 1))
     if tok == "T":
         toks.next()
         toks.expect("[")
         word = _parse_int_list(toks, "]")
-        return builder.algebra_term("T", tuple(word))
+        return ("T", tuple(word))
     if tok == "c":
         if toks.i + 1 < len(toks.toks) and toks.toks[toks.i + 1][0] == "{":
             toks.next()
@@ -191,21 +153,22 @@ def _parse_factor(toks: _Tokens, builder: _Builder):
                         % (x, "is below 1" if x < 1 else "is repeated",
                            ",".join(map(str, elems)))
                     )
-            return builder.algebra_term("c", frozenset(elems))
-    if tok in _HOPF_LETTERS or tok == "Xi":
+            return ("c", frozenset(elems))
+    if tok in _HOPF_LETTERS:
         toks.next()
-        algebra, basis = _HOPF_LETTERS[tok]
+        algebra = _HOPF_LETTERS[tok]
+        kind = _BASES[(algebra, tok)][0]
         nxt = toks.peek()
         if nxt == "[":
             toks.next()
             idx = _parse_int_list(toks, "]")
-            if basis in ("Xi", "K"):
-                raise ParseError("%s wants a peak set: %s{...}@n" % (basis, basis))
-            if algebra in ("Sym", "Omega") and basis != "r":
+            if kind == "peak":
+                raise ParseError("%s wants a peak set: %s{...}@n" % (tok, tok))
+            if kind == "part":
                 index = tuple(sorted(idx, reverse=True))
             else:
                 index = Composition(tuple(idx))
-            return builder.hopf_term(algebra, basis, index)
+            return ("hopf", (algebra, tok, index))
         if nxt == "{":
             toks.next()
             elems = _parse_int_list(toks, "}")
@@ -213,40 +176,41 @@ def _parse_factor(toks: _Tokens, builder: _Builder):
             ntok = toks.next()
             if not ntok.isdigit():
                 raise ParseError("expected the ambient size after '@'")
-            if basis not in ("Xi", "K"):
-                raise ParseError("basis %s is not peak-set indexed" % basis)
-            return builder.hopf_term(
-                algebra, basis, PeakSet(int(ntok), frozenset(elems))
-            )
+            if kind != "peak":
+                raise ParseError("basis %s is not peak-set indexed" % tok)
+            return ("hopf", (algebra, tok, PeakSet(int(ntok), frozenset(elems))))
         raise ParseError("basis symbol %r needs an index" % tok)
     raise ParseError("unrecognized token %r" % tok)
 
 
-def _parse_term(toks: _Tokens, builder: _Builder):
-    factors = [_parse_factor(toks, builder)]
+def _parse_term(toks: _Tokens):
+    factors = [_parse_factor(toks)]
     while toks.peek() == "*":
         toks.next()
-        factors.append(_parse_factor(toks, builder))
+        factors.append(_parse_factor(toks))
     return ("prod", factors)
 
 
-def _parse_expr(toks: _Tokens, builder: _Builder):
-    terms = [(1, _parse_term(toks, builder))]
+def _parse_expr(toks: _Tokens):
+    terms = [(1, _parse_term(toks))]
     while toks.peek() in ("+", "-"):
         sign = 1 if toks.next() == "+" else -1
-        terms.append((sign, _parse_term(toks, builder)))
+        terms.append((sign, _parse_term(toks)))
     return ("sum", terms)
 
 
 def parse_element(text: str, rank: int | None = None):
     """Parse an element expression; returns a FreeElement or AlgebraElement."""
     toks = _Tokens(text)
-    builder = _Builder(rank)
-    tree = _parse_expr(toks, builder)
+    tree = _parse_expr(toks)
     if not toks.done():
         tok, pos = toks.toks[toks.i]
         raise ParseError("trailing input %r at position %d" % (tok, pos))
-    if builder.kind == "algebra":
+    kinds = {"algebra" if kind in ("T", "c") else kind for kind, _data in _leaves(tree)}
+    kinds.discard("scalar")
+    if len(kinds) > 1:
+        raise ParseError("cannot mix Hopf basis symbols with T/c factors")
+    if kinds == {"algebra"}:
         need = _needed_rank(tree)
         if rank is None:
             if not need:
@@ -258,25 +222,33 @@ def parse_element(text: str, rank: int | None = None):
                 % (rank, max(need, 1))
             )
         return _eval_algebra(tree, rank)
-    if builder.kind is None:
+    if not kinds:
         raise ParseError("a bare scalar needs at least one basis symbol")
     return _eval_hopf(tree)
 
 
+def _leaves(tree):
+    """The scalar, Hopf, T and c leaves of a parsed tree, left to right."""
+    kind = tree[0]
+    if kind == "sum":
+        for _sign, sub in tree[1]:
+            yield from _leaves(sub)
+    elif kind == "prod":
+        for sub in tree[1]:
+            yield from _leaves(sub)
+    elif kind == "neg":
+        yield from _leaves(tree[1])
+    else:
+        yield tree
+
+
 def _needed_rank(tree) -> int:
     """The least rank that every T word and Clifford index of the tree fits in."""
-    kind = tree[0]
-    if kind == "T":
-        return len(tree[1])
-    if kind == "c":
-        return max(tree[1], default=0)
-    if kind == "sum":
-        return max(_needed_rank(sub) for _s, sub in tree[1])
-    if kind == "prod":
-        return max(_needed_rank(sub) for sub in tree[1])
-    if kind == "neg":
-        return _needed_rank(tree[1])
-    return 0
+    return max(
+        (len(data) if kind == "T" else max(data, default=0)
+         for kind, data in _leaves(tree) if kind in ("T", "c")),
+        default=0,
+    )
 
 
 def _eval_algebra(tree, rank) -> AlgebraElement:

@@ -107,33 +107,30 @@ __all__ = [
     "graded_rank",
 ]
 
-BASES = {
-    "NSym": ("H", "E", "R", "Q"),
-    "QSym": ("M", "F"),
-    "Peak": ("Xi",),
-    "PeakDual": ("K", "N"),
-    "Sym": ("h", "m", "p", "r"),
-    "Omega": ("q", "podd"),
+# (algebra, basis) -> (index kind, product basis).  The kind is "comp",
+# "peak" or "part".  A dependent input-only tag names the basis its products
+# land in, and ``convert`` goes out of it but never into it; every other
+# basis has None.  The parser reads its letters and index kinds here too.
+_BASES = {
+    ("NSym", "H"): ("comp", None),
+    ("NSym", "E"): ("comp", None),
+    ("NSym", "R"): ("comp", None),
+    ("NSym", "Q"): ("comp", "H"),
+    ("QSym", "M"): ("comp", None),
+    ("QSym", "F"): ("comp", None),
+    ("Peak", "Xi"): ("peak", None),
+    ("PeakDual", "K"): ("peak", None),
+    ("PeakDual", "N"): ("comp", "K"),
+    ("Sym", "h"): ("part", None),
+    ("Sym", "m"): ("part", None),
+    ("Sym", "p"): ("part", None),
+    ("Sym", "r"): ("comp", "h"),
+    ("Omega", "q"): ("part", "podd"),
+    ("Omega", "podd"): ("part", None),
 }
+_PIVOT_BASIS = {"NSym": "H", "QSym": "M", "Peak": "Xi", "PeakDual": "K", "Sym": "p", "Omega": "podd"}
 
-# index kind per (algebra, basis): "comp" / "peak" / "part"
-_INDEX_KIND = {
-    ("NSym", "H"): "comp",
-    ("NSym", "E"): "comp",
-    ("NSym", "R"): "comp",
-    ("NSym", "Q"): "comp",
-    ("QSym", "M"): "comp",
-    ("QSym", "F"): "comp",
-    ("Peak", "Xi"): "peak",
-    ("PeakDual", "K"): "peak",
-    ("PeakDual", "N"): "comp",
-    ("Sym", "h"): "part",
-    ("Sym", "m"): "part",
-    ("Sym", "p"): "part",
-    ("Sym", "r"): "comp",
-    ("Omega", "q"): "part",
-    ("Omega", "podd"): "part",
-}
+BASES = {alg: tuple(b for a, b in _BASES if a == alg) for alg, _b in _BASES}
 
 
 class ConversionError(ValueError):
@@ -148,9 +145,10 @@ def _encode(algebra: str, basis: str, index):
     """The internal key of a public index: the code of a composition or
     peak set, or the partition tuple, validated as Composition and PeakSet
     validate their own fields."""
-    kind = _INDEX_KIND.get((algebra, basis))
-    if kind is None:
+    row = _BASES.get((algebra, basis))
+    if row is None:
         raise ConversionError("unknown basis %s of %s" % (basis, algebra))
+    kind = row[0]
     if kind == "comp":
         return index.code if isinstance(index, Composition) else _composition_code(index)[1]
     if kind == "peak":
@@ -170,7 +168,7 @@ def _encode(algebra: str, basis: str, index):
 def _decoder(algebra: str, basis: str):
     """Internal key -> public index for this basis: a table read for a
     code, the key itself for a partition."""
-    kind = _INDEX_KIND[(algebra, basis)]
+    kind = _BASES[(algebra, basis)][0]
     return _comp if kind == "comp" else _peak if kind == "peak" else lambda k: k
 
 
@@ -246,7 +244,7 @@ class FreeElement(_Element):
     __slots__ = ()
 
     def __init__(self, algebra: str, basis: str, coeffs=None):
-        if basis not in BASES.get(algebra, ()):
+        if (algebra, basis) not in _BASES:
             raise ConversionError("unknown basis %s of %s" % (basis, algebra))
         clean = {}
         for idx, c in (coeffs or {}).items():
@@ -322,15 +320,14 @@ def _index_str(basis: str, idx) -> str:
 def term(algebra: str, basis: str, index, coeff=1) -> FreeElement:
     """``FreeElement(algebra, basis, {index: coeff})``, with the same checks
     in the same order, built without the constructor's loop."""
-    if basis not in BASES.get(algebra, ()):
+    if (algebra, basis) not in _BASES:
         raise ConversionError("unknown basis %s of %s" % (basis, algebra))
     c = _rational(coeff)
     return _element(algebra, basis, {_encode(algebra, basis, index): c} if c else {})
 
 
 def unit(algebra: str, basis: str) -> FreeElement:
-    kind = _INDEX_KIND[(algebra, basis)]
-    if kind == "peak":
+    if _BASES[(algebra, basis)][0] == "peak":
         return term(algebra, basis, PeakSet(0, frozenset()))
     return term(algebra, basis, ())
 
@@ -740,8 +737,6 @@ def _sym_as(coeffs: dict, basis: str, target: str) -> dict:
     QSym: a class read into m, an exact solve into h or p."""
     if basis == target:
         return coeffs
-    if target == "r":
-        raise ConversionError("cannot convert into the dependent tag r")
     if (basis, target) == ("r", "h"):
         return _r_to_h(coeffs)
     image = _sym_into_qsym(coeffs, basis)
@@ -857,11 +852,7 @@ def _nsym_to_h(coeffs: dict, basis: str) -> dict:
 def _nsym_to_basis(coeffs_h: dict, basis: str) -> dict:
     if basis == "H":
         return coeffs_h
-    if basis == "R":
-        return _expand_linear(coeffs_h, _h_to_r)
-    if basis == "E":
-        return _expand_linear(coeffs_h, _h_to_e)
-    raise ConversionError("cannot convert into the dependent tag %s" % basis)
+    return _expand_linear(coeffs_h, _h_to_r if basis == "R" else _h_to_e)
 
 
 def _as_h(x: FreeElement) -> dict:
@@ -890,13 +881,17 @@ def convert(x: FreeElement, basis: str, algebra: str | None = None) -> FreeEleme
 
     Supported cross-algebra paths: Peak <-> NSym, PeakDual <-> QSym,
     Omega <-> Sym, Sym <-> QSym (membership in the reverse direction raises
-    MembershipError when the element is outside the subalgebra).
+    MembershipError when the element is outside the subalgebra).  No
+    conversion goes into a dependent tag (Q, N, r, q): ConversionError.
     """
     algebra = algebra or x.algebra
-    if basis not in BASES.get(algebra, ()):
+    row = _BASES.get((algebra, basis))
+    if row is None:
         raise ConversionError("unknown basis %s of %s" % (basis, algebra))
     if (x.algebra, x.basis) == (algebra, basis):
         return x
+    if row[1]:
+        raise ConversionError("cannot convert into the dependent tag %s" % basis)
     return _element(algebra, basis, _convert(x.algebra, x.basis, x._coeffs, algebra, basis))
 
 
@@ -948,25 +943,19 @@ def _convert(alg: str, basis: str, coeffs: dict, algebra: str, target: str) -> d
 
 
 def _convert_within(alg: str, basis: str, coeffs: dict, target: str) -> dict:
+    """Within one algebra; ``target`` is never a dependent tag, since
+    ``convert`` refuses those, and Peak has the single basis Xi."""
     if basis == target:
         return coeffs
     if alg == "NSym":
         return _nsym_to_basis(_nsym_to_h(coeffs, basis), target)
     if alg == "QSym":
         return _qsym_as(coeffs, basis, target)
-    if alg == "PeakDual":
-        if (basis, target) == ("N", "K"):
-            return _expand_linear(coeffs, _n_in_k)
-        raise ConversionError("cannot convert into the dependent tag N")
-    if alg == "Sym":
-        return _sym_as(coeffs, basis, target)
-    if alg == "Omega":
-        if target == "podd":
-            return _omega_to_podd(coeffs, basis)
-        raise ConversionError("cannot convert into the q tag")
-    if alg == "Peak":
-        raise ConversionError("Peak has the single basis Xi")
-    raise ConversionError("no conversion from %s/%s to basis %s" % (alg, basis, target))
+    if alg == "PeakDual":  # N into K
+        return _expand_linear(coeffs, _n_in_k)
+    if alg == "Omega":  # q into podd
+        return _omega_to_podd(coeffs, basis)
+    return _sym_as(coeffs, basis, target)
 
 
 def _into_peakdual(coeffs: dict, basis: str) -> dict:
@@ -984,15 +973,6 @@ def _into_peakdual(coeffs: dict, basis: str) -> dict:
 # products and coproducts
 # ---------------------------------------------------------------------------
 
-_PRODUCT_RESULT_BASIS = {
-    ("NSym", "Q"): "H",
-    ("PeakDual", "N"): "K",
-    ("Sym", "r"): "h",
-    ("Sym", "m"): "m",
-    ("Omega", "q"): "podd",
-}
-
-
 def product(x: FreeElement, y: FreeElement) -> FreeElement:
     """Graded product; the two factors must live in the same algebra."""
     if x.algebra != y.algebra:
@@ -1000,7 +980,7 @@ def product(x: FreeElement, y: FreeElement) -> FreeElement:
             "cannot multiply %s element by %s element" % (x.algebra, y.algebra)
         )
     alg = x.algebra
-    out_basis = _PRODUCT_RESULT_BASIS.get((alg, x.basis), x.basis)
+    out_basis = _BASES[(alg, x.basis)][1] or x.basis
     xc, yc = x._coeffs, y._coeffs
     if alg == "NSym":
         prod = _concat_product(_nsym_to_h(xc, x.basis), _nsym_to_h(yc, y.basis))
@@ -1020,9 +1000,8 @@ def product(x: FreeElement, y: FreeElement) -> FreeElement:
             return _element("Sym", x.basis, _part_product(xc, yc))
         a = _convert_within(alg, x.basis, xc, "h")
         b = _convert_within(alg, y.basis, yc, "h")
-        target = out_basis if out_basis != "r" else "h"
         prod = _part_product(a, b)
-        return _element(alg, target, _convert_within(alg, "h", prod, target))
+        return _element(alg, out_basis, _convert_within(alg, "h", prod, out_basis))
     if alg == "Omega":
         a = _convert_within(alg, x.basis, xc, "podd")
         b = _convert_within(alg, y.basis, yc, "podd")
@@ -1119,8 +1098,8 @@ def _tensor_slotwise_solve(t: dict) -> dict:
 def coproduct(x: FreeElement) -> TensorElement:
     """Graded coproduct; returns a tensor-square element.
 
-    Slots come back in the basis of the input for H/E/R/M/F/Xi/K/N/h/p/podd;
-    the dependent input tags Q, r, m, q are first normalized (to H, h, m, p).
+    Slots come back in the basis of the input for H/E/R/M/F/Xi/K/N/h/p/podd,
+    so N stays N; the tags Q, r, m, q are first normalized (to H, h, h, podd).
     """
     alg, basis = x.algebra, x.basis
     xc = x._coeffs
@@ -1278,9 +1257,6 @@ def k_expansions(P: PeakSet) -> tuple:
     f = _element("QSym", "F", dict(_k_in_f(P.code)))
     m = _element("QSym", "M", dict(_k_in_m(P.code)))
     return f, m
-
-
-_PIVOT_BASIS = {"NSym": "H", "QSym": "M", "Peak": "Xi", "PeakDual": "K", "Sym": "p", "Omega": "podd"}
 
 
 def graded_rank(elements, degree: int) -> int:

@@ -65,6 +65,7 @@ from .hopf import (
     vartheta_map,
 )
 from .supermodules import (
+    RelationError,
     _seed_failure,
     end_clifford_check,
     find_isomorphism,
@@ -103,6 +104,8 @@ def _guarded(claim, params, check, *args):
         ok, witness = check(*args)
     except ResourceLimitError as exc:
         return _report(claim, params, None, str(exc), exc.guard)
+    except RelationError as exc:  # a failed case, not a usage error
+        return _report(claim, params, False, str(exc))
     return _report(claim, params, ok, witness)
 
 

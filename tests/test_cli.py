@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from peakhc import hopf
 from peakhc.cli import main
 from peakhc.combinat import Composition, PeakSet
 from peakhc.expressions import (
+    _HOPF_LETTERS,
     ParseError,
     algebra_element_to_json,
     element_to_json,
@@ -16,7 +18,7 @@ from peakhc.hecke_clifford import gen_T, gen_c, multiply
 from peakhc.hopf import convert, term
 from peakhc.scalars import GaussianRational
 
-from oracles import algebra_element_from_json, element_from_json
+from oracles import algebra_element_from_json, element_from_json, with_one_entry_changed
 
 
 def test_parse_hopf_elements():
@@ -65,6 +67,44 @@ def test_parse_errors():
         parse_element("K[2]")
     with pytest.raises(ParseError):
         parse_element("T[2,2]")
+
+
+def test_parser_letters_are_the_table_tags_but_podd():
+    assert set(_HOPF_LETTERS) == {basis for _algebra, basis in hopf._BASES} - {"podd"}
+    with pytest.raises(ParseError, match="unrecognized token 'podd'"):
+        parse_element("podd[3]")
+
+
+@pytest.mark.parametrize(
+    "algebra, basis", [key for key in hopf._BASES if key[1] != "podd"], ids=lambda v: v
+)
+def test_each_letter_parses_with_its_row_index_kind(algebra, basis):
+    kind = hopf._BASES[(algebra, basis)][0]
+    if kind == "peak":
+        got = parse_element("%s{2}@4" % basis)
+        want = hopf.term(algebra, basis, PeakSet(4, frozenset({2})))
+        wrong = "%s[1,2]" % basis
+    else:
+        got = parse_element("%s[1,2]" % basis)
+        want = hopf.term(algebra, basis, (2, 1) if kind == "part" else (1, 2))
+        wrong = "%s{2}@4" % basis
+    assert got == want
+    with pytest.raises(ParseError):
+        parse_element(wrong)
+
+
+def test_hopf_symbols_and_algebra_factors_do_not_mix_in_either_order():
+    for text in ("H[2] + T[2,1]", "T[2,1] + H[2]", "T[2,1]*H[2]", "(2*H[1]) - c{1}"):
+        with pytest.raises(ParseError, match="cannot mix Hopf basis symbols with T/c factors"):
+            parse_element(text)
+
+
+def test_parser_reads_the_index_kind_from_the_table(monkeypatch):
+    # negative control: a row changed in the table changes what parses
+    assert parse_element("F[1,2]") == term("QSym", "F", (1, 2))
+    monkeypatch.setitem(hopf._BASES, ("QSym", "F"), ("peak", None))
+    with pytest.raises(ParseError, match="F wants a peak set"):
+        parse_element("F[1,2]")
 
 
 def test_parse_rejects_a_bad_clifford_index(capsys):
@@ -264,6 +304,28 @@ def test_cli_verify(capsys):
     assert code == 0
     reports = json.loads(capsys.readouterr().out)
     assert all(r["status"] == "verified" for r in reports)
+
+
+def test_cli_verify_reports_a_broken_relation_as_a_failed_case(monkeypatch, capsys):
+    # a module that fails a defining relation inside a report fails that
+    # report alone: exit 1, not the usage-error exit 2, and every report kept
+    from peakhc import characteristic
+
+    restrict = characteristic.restrict_hecke
+
+    def broken(module):
+        hecke = restrict(module)
+        if ("T", 1) not in hecke.actions:
+            return hecke
+        return with_one_entry_changed(hecke, ("T", 1), lambda v: -v)
+
+    monkeypatch.setattr(characteristic, "restrict_hecke", broken)
+    assert main(["verify", "restriction", "--max-n", "3", "--format", "json"]) == 1
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == 6
+    (last,) = [r for r in reports if r["claim"] == "restriction-vectors" and r["params"]["n"] == 3]
+    assert last["status"] == "failed"
+    assert last["witness"] == "relation T_1 T_2 T_1 = T_2 T_1 T_2 fails"
 
 
 def test_cli_usage_errors(capsys):

@@ -471,7 +471,7 @@ def seeded_elements(seed=22):
     out = []
     for algebra, bases in hopf.BASES.items():
         for basis in bases:
-            kind = hopf._INDEX_KIND[(algebra, basis)]
+            kind = hopf._BASES[(algebra, basis)][0]
             coeffs = {}
             for _ in range(3):
                 d = rng.randint(1, 3) + (kind == "peak")

@@ -844,6 +844,49 @@ def test_term_equals_the_constructor_on_every_basis():
     assert not term("NSym", "H", (0,), 0) and not FreeElement("NSym", "H", {(0,): 0})
 
 
+# the dependent input tags and the basis their products land in
+_DEPENDENT = {("NSym", "Q"): "H", ("PeakDual", "N"): "K", ("Sym", "r"): "h", ("Omega", "q"): "podd"}
+
+
+def test_bases_lists_the_table_rows_per_algebra_in_order():
+    assert list(BASES.items()) == [
+        ("NSym", ("H", "E", "R", "Q")),
+        ("QSym", ("M", "F")),
+        ("Peak", ("Xi",)),
+        ("PeakDual", ("K", "N")),
+        ("Sym", ("h", "m", "p", "r")),
+        ("Omega", ("q", "podd")),
+    ]
+    assert list(hopf._BASES) == [(a, b) for a, bases in BASES.items() for b in bases]
+    assert {key: row[1] for key, row in hopf._BASES.items() if row[1]} == _DEPENDENT
+
+
+@pytest.mark.parametrize(
+    "x",
+    [H(2, 1), term("Peak", "Xi", PeakSet(4, frozenset({2}))), term("PeakDual", "K", PeakSet(4, frozenset({2}))),
+     M(1, 2), h(2, 1), term("Sym", "m", (2, 1)), term("Sym", "p", (3,)), term("Omega", "podd", (3,))],
+    ids=["H", "Xi", "K", "M", "h", "m", "p", "podd"],
+)
+@pytest.mark.parametrize("algebra, tag", list(_DEPENDENT), ids=[t for _a, t in _DEPENDENT])
+def test_no_conversion_goes_into_a_dependent_tag(algebra, tag, x):
+    # refused before any conversion is tried: M_(1,2) lies outside PeakDual,
+    # and into N it meets the refusal, not the membership test
+    with pytest.raises(ConversionError) as info:
+        convert(x, tag, algebra)
+    assert str(info.value) == "cannot convert into the dependent tag %s" % tag
+
+
+@pytest.mark.parametrize("algebra, tag", list(_DEPENDENT), ids=[t for _a, t in _DEPENDENT])
+def test_a_dependent_tag_converts_into_itself_and_multiplies_into_its_table_basis(algebra, tag):
+    index = {"Q": (2, 1), "N": (2, 1), "r": (1, 2), "q": (3, 1)}[tag]
+    x = term(algebra, tag, index) + term(algebra, tag, (1,))
+    assert convert(x, tag) is x
+    prod = product(x, x)
+    assert prod.basis == _DEPENDENT[(algebra, tag)] == hopf._BASES[(algebra, tag)][1]
+    y = convert(x, prod.basis)
+    assert prod == product(y, y) and prod
+
+
 def _indices(algebra, basis, n):
     if basis in ("Xi", "K"):
         return peak_sets_in(n) if n else [PeakSet(0, frozenset())]
