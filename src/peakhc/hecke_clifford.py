@@ -364,14 +364,16 @@ def _word_sums(terms, act, vecs, first: dict, anti: bool = False) -> list:
     return [{} for _ in vecs] if outs is None else outs
 
 
-def failing_relation(keys, act, vecs, anti: bool = False, images=None):
+def failing_relation(keys, act, vecs, anti: bool = False, images=None, relations=None):
     """The first relation of ``defining_relations(keys)`` that fails on a
     vector of ``vecs``, each key acting by ``act(key, v)`` and each word
     applied right to left (left to right if ``anti``), as text; None when
     all hold.  Each key's images of ``vecs`` are taken once, or handed in
-    as ``images``: the columns of a matrix are its images of unit vectors."""
+    as ``images``: the columns of a matrix are its images of unit vectors.
+    ``relations``, pairs of ``defining_relations``, walks those in place of
+    the relations of ``keys``."""
     first = {} if images is None else images
-    for lhs, rhs in defining_relations(keys):
+    for lhs, rhs in defining_relations(keys) if relations is None else relations:
         if (_word_sums(lhs, act, vecs, first, anti)
                 != _word_sums(rhs, act, vecs, first, anti)):
             return _relation_text(lhs, rhs)

@@ -50,6 +50,7 @@ from .hecke_clifford import (
     _subsets_ordered,
     act_terms,
     basis_element,
+    defining_relations,
     failing_relation,
     multiply,
     unit,
@@ -991,7 +992,9 @@ def submodule_on_vectors(module: Supermodule, vectors):
     expression it records.
 
     The result is not checked here: it inherits the defining relations and
-    the grading of ``module``, which the caller checks once.  Let E be the
+    the grading of ``module``, which the caller certifies once
+    (``split_simple`` by ``_induced_relation_failure`` on Ind S_alpha,
+    ``verify_restriction_vectors`` by ``Supermodule.check``).  Let E be the
     matrix whose columns are the spun vectors w_0, w_1, ...; they are
     independent and parity-homogeneous, so E is injective.  Each spin event
     is exact, A_key w_p = w_k or A_key w_p = sum_t rep[t] w_t, so
@@ -1022,6 +1025,130 @@ def submodule_on_vectors(module: Supermodule, vectors):
     return sub, basis
 
 
+def _induced_relation_failure(base: Supermodule, module: Supermodule):
+    """Where ``module``, the Ind N that ``induce_clifford(base)`` builds,
+    N = ``base``, fails a defining relation or the grading, as text; None
+    when it satisfies all.  No matrix product is formed.  Basis vectors are
+    c_D (x) n_k in the order of ``_subsets_ordered``, D read as a bitmask;
+    W_i = {i, i+1} is the window of T_i.  The checks, in order:
+
+    (G) Every action is dim x dim, and c_D (x) n_k has parity |D| + p_k.
+    (C) The column of c_j at c_D (x) n_k is exactly eps c_{D xor {j}} (x)
+        n_k, eps = (-1)^{|D ∩ [1, j)|}, times -1 when j is in D: that is
+        (-1)^{|D ∩ [1, j]|}, read off the bitmask.
+    (T) The column of T_i at c_D (x) n_k is its template column at
+        c_{D ∩ W_i} (x) n_k with D - W_i added to the subset of every row;
+        every template row has its subset inside W_i, keeps |D ∩ W_i| mod 2
+        and keeps the parity.
+    (W) Every relation that names a T and no c outside the union of its
+        T-windows: T_i^2 = -T_i, the braid and the distant T_i T_j =
+        T_j T_i, T_i c_i = c_{i+1} T_i and T_i c_{i+1} + c_{i+1} = c_i T_i +
+        c_i.  Each is walked by ``failing_relation``, with the action columns
+        as the first-letter images, on the unit vectors whose D lies inside
+        that union: 4, 8 or 16 dim N vectors, never 2^n dim N.
+
+    Proof that these suffice.  Identify c_D (x) n with
+    (x)_j e_{[j in D]} (x) n.  By (C), c_j = P^{(x)(j-1)} (x) g (x) 1 (x) id_N
+    with P = diag(1, -1), g e_0 = e_1 and g e_1 = -e_0; g^2 = -1 and
+    gP = -Pg give c_j^2 = -1 and c_i c_j = -c_j c_i.  By (T),
+    T_i = 1 (x) Z_i (x) 1 with Z_i on the sites W_i and N, and Z_i commutes
+    with P (x) P on W_i, as it keeps |D ∩ W_i| mod 2; this gives
+    T_i c_j = c_j T_i for j not in W_i.  With (G), every c is odd and every
+    T even.  The relations left are those of (W).  In each, every word acts
+    on the sites outside the window as the same invertible +-1 diagonal Q
+    (the identity for words of T's, P on the sites below i for the words
+    with one c of W_i), tensored with an operator on the window (x) N.  So
+    lhs - rhs = Q (x) Delta, which vanishes exactly when it vanishes on the
+    window vectors.
+
+    ``Supermodule.check``, the walk of every relation on every unit
+    vector, is the route for any other module and the test oracle.
+    """
+    n, dm = base.rank, base.dim
+    dim = dm << n
+    if module.blocks != (n,) or module.algebra != "HCl" or module.dim != dim:
+        return "not an HCl module of rank %d and dimension %d" % (n, dim)
+    act = module.actions
+    for key, mat in act.items():
+        if mat.nrows != dim or mat.ncols != dim:
+            return "action %s has wrong shape" % (key,)
+    masks = [sum(1 << (x - 1) for x in d) for d in _subsets_ordered(n)]
+    pos = {m: di for di, m in enumerate(masks)}
+    par = module.parities
+    for di, m in enumerate(masks):
+        for k, p in enumerate(base.parities):
+            if par[di * dm + k] != (m.bit_count() + p) % 2:
+                return "basis vector %d has the wrong parity" % (di * dm + k)
+    for j in range(1, n + 1):
+        bit, cols = 1 << (j - 1), act[("c", j)].cols
+        for di, m in enumerate(masks):
+            eps = -1 if (m & (2 * bit - 1)).bit_count() % 2 else 1
+            row = pos[m ^ bit] * dm
+            for k in range(dm):
+                col = cols[di * dm + k]
+                if len(col) != 1 or col.get(row + k) != eps:
+                    return "c_%d at %d is not the signed c_{D xor {%d}} (x) n_k" % (
+                        j, di * dm + k, j)
+    for i in range(1, n):
+        lo, cols = 1 << (i - 1), act[("T", i)].cols
+        win = 3 * lo
+        template = {}
+        for m in (0, lo, 2 * lo, win):
+            for k in range(dm):
+                at = pos[m] * dm + k
+                rows = template[m, k] = []
+                for r, v in cols[at].items():
+                    e, kk = divmod(r, dm)
+                    sub = masks[e]
+                    if sub & ~win:
+                        return "T_%d at %d has row %d outside {%d, %d}" % (i, at, r, i, i + 1)
+                    if (sub ^ m).bit_count() % 2:
+                        return "T_%d at %d changes |D & {%d, %d}| mod 2 in row %d" % (
+                            i, at, i, i + 1, r)
+                    if par[r] != par[at]:
+                        return "T_%d at %d changes the parity in row %d" % (i, at, r)
+                    rows.append((sub, kk, v))
+        for di, m in enumerate(masks):
+            rest = m & ~win
+            if not rest:
+                continue
+            for k in range(dm):
+                want = {pos[sub | rest] * dm + kk: v for sub, kk, v in template[m & win, k]}
+                if cols[di * dm + k] != want:
+                    return "T_%d at %d is not its template column at %d shifted" % (
+                        i, di * dm + k, pos[m & win] * dm + k)
+    walks, apply = {}, _acts_on(module)
+    for win, keys, rel in _windowed_relations(n):
+        if win not in walks:
+            at = [pos[m] * dm + k for m in masks if not m & ~win for k in range(dm)]
+            walks[win] = at, [{x: 1} for x in at], {}
+        at, vecs, first = walks[win]
+        for key in keys - first.keys():
+            first[key] = [act[key].cols[x] for x in at]
+        failed = failing_relation((), apply, vecs, images=first, relations=[rel])
+        if failed:
+            return "relation %s fails" % failed
+    return None
+
+
+@lru_cache(maxsize=None)
+def _windowed_relations(n: int) -> tuple:
+    """The relations that (W) of ``_induced_relation_failure`` walks at
+    rank n, in the order of ``defining_relations``: (window, keys,
+    relation) for each relation that names a T and no c outside the union
+    of its T-windows, that union the window, as a bitmask of sites."""
+    out = []
+    for lhs, rhs in defining_relations(generator_keys((n,), "HCl")):
+        keys = frozenset(key for _coeff, word in lhs + rhs for key in word)
+        win = 0
+        for kind, i in keys:
+            if kind == "T":
+                win |= 3 << (i - 1)
+        if win and all(kind == "T" or win >> (j - 1) & 1 for kind, j in keys):
+            out.append((win, keys, (lhs, rhs)))
+    return tuple(out)
+
+
 def split_simple(alpha) -> SimpleSplit:
     """Split the induced simple into its simple components via idempotents.
 
@@ -1042,8 +1169,11 @@ def split_simple(alpha) -> SimpleSplit:
     Ind S_alpha), and ``hom_space`` out of it restricts the maps out of
     Ind S_alpha.
 
-    The relations are checked once, on the integral Ind S_alpha, before any
-    component is spun; a failing one raises ``RelationError``.  No Q(i)
+    The relations and the grading of the integral Ind S_alpha are
+    certified once, from its tensor form, before any component is spun:
+    ``_induced_relation_failure`` reads the Clifford and local T forms off
+    the action columns and walks only the local relations on their window
+    vectors; a failure raises ``RelationError`` with its witness.  No Q(i)
     component is checked: each spin step is exact, so A_key E = E A'_key
     for the injective matrix E of the component's spun basis, and the
     component inherits every relation and the grading of Ind S_alpha
@@ -1052,7 +1182,9 @@ def split_simple(alpha) -> SimpleSplit:
     a = as_composition(alpha)
     base = simple_hecke(a)
     module = induce_clifford(base)
-    module.check()
+    failed = _induced_relation_failure(base, module)
+    if failed:
+        raise RelationError(failed)
     eta = {0: 1}  # basis vector c_{} (x) eta sits first
     components = []
     signs = []

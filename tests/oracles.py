@@ -16,6 +16,8 @@ shift, the rank-0 module, the defining relations with every word formed as
 a product of matrices or algebra elements, the morphism check and the
 Clifford structure of End of an induced simple by full matrix identities,
 the relations and grading a spun submodule inherits through its embedding,
+the walk of ``Supermodule.check`` as text beside the tensor-form
+certificate of an induced module,
 Hom out of an induced module by the spin route, the true idempotents that split an induced simple, the peak sets by a walk
 over all subsets, the Bruhat filtration of an induced
 projective, route (i) of the Cartan image by a walk of the
@@ -681,6 +683,17 @@ def failing_relation_by_products(image: dict, mul, one):
         if (_word_sum_by_products(lhs, image, mul, one)
                 != _word_sum_by_products(rhs, image, mul, one)):
             return hc._relation_text(lhs, rhs)
+    return None
+
+
+def check_failure(module: Supermodule):
+    """``module.check()`` as text: None when it passes, else the message of
+    its ``RelationError``; the slow route beside the package's certificate
+    ``_induced_relation_failure``."""
+    try:
+        module.check()
+    except sm.RelationError as exc:
+        return str(exc)
     return None
 
 

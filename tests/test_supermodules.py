@@ -53,6 +53,7 @@ from peakhc.supermodules import (
     twist,
 )
 from peakhc.supermodules import (
+    _induced_relation_failure,
     _integral_idempotents,
     _map_out_of_induced,
     _seed_failure,
@@ -63,6 +64,7 @@ from peakhc.supermodules import (
 from oracles import (
     MAX_FILTRATION_N,
     bruhat_filtration,
+    check_failure,
     clifford_idempotents,
     end_clifford_by_matrices,
     hecke_simple_hom_dims_by_columns,
@@ -211,6 +213,82 @@ def test_check_separates_a_failed_grading_from_a_malformed_action():
     with pytest.raises(ValueError, match="wrong shape") as info:
         bad.check()
     assert not isinstance(info.value, RelationError)
+
+
+def _with_column(module, key, k, col):
+    """The module with column k of the action of ``key`` replaced by ``col``."""
+    mat = module.actions[key].copy()
+    mat.cols[k] = col
+    return Supermodule(module.blocks, module.algebra, module.labels, module.parities,
+                       {**module.actions, key: mat})
+
+
+def test_induced_relation_certificate_agrees_with_the_walk():
+    # Ind S_a and Ind P_a, a of n <= 5: the certificate from the tensor form
+    # and the walk of every relation on every unit vector both pass
+    cases = [(build, a) for n in range(1, 6) for a in compositions_of(n)
+             for build in (simple_hecke, projective_hecke)]
+    assert len(cases) == 62
+    for build, a in cases:
+        base = build(a)
+        module = induce_clifford(base)
+        assert _induced_relation_failure(base, module) is None, (build.__name__, a)
+        assert check_failure(module) is None, (build.__name__, a)
+
+
+@pytest.mark.parametrize("build, alpha, entries", [
+    (simple_hecke, C(1, 2, 1), 112),
+    (projective_hecke, C(2, 1), 88),
+])
+def test_every_one_entry_mutant_fails_the_certificate_and_the_walk(build, alpha, entries):
+    base = build(alpha)
+    module = induce_clifford(base)
+    mutants = 0
+    for key, mat in module.actions.items():
+        for r, k, v in mat.entries():
+            bad = _with_column(module, key, k, {**mat.cols[k], r: -v})
+            assert _induced_relation_failure(base, bad) is not None, (key, r, k)
+            assert check_failure(bad) is not None, (key, r, k)
+            mutants += 1
+    assert mutants == entries
+
+
+def test_induced_relation_certificate_negative_controls():
+    # one mutant of Ind S_(1,2,1) per check, each named by its own witness
+    # and each also failing the walk
+    base = S(1, 2, 1)
+    good = induce_clifford(base)
+    assert _induced_relation_failure(base, good) is None
+    # (G) a module of another rank and dimension than Ind N
+    assert _induced_relation_failure(S(1, 2), good) == (
+        "not an HCl module of rank 3 and dimension 8")
+    flipped = list(good.parities)
+    flipped[5] ^= 1
+    t1 = good.actions[("T", 1)]
+    cases = [
+        # (G) one wrong parity
+        (Supermodule(good.blocks, good.algebra, good.labels, flipped, good.actions),
+         "basis vector 5 has the wrong parity"),
+        # (C) c_2 at c_{1} (x) eta, one element of D below 2, with its sign flipped
+        (_with_column(good, ("c", 2), 1, {r: -v for r, v in good.actions[("c", 2)].cols[1].items()}),
+         "c_2 at 1 is not the signed c_{D xor {2}} (x) n_k"),
+        # (T) T_1 at c_{3} (x) eta, 3 outside {1, 2}, with its entry negated
+        (_with_column(good, ("T", 1), 3, {r: -v for r, v in t1.cols[3].items()}),
+         "T_1 at 3 is not its template column at 0 shifted"),
+        # (T) a template row at c_{} (x) eta onto c_{1} (x) eta: |D & {1, 2}| odd
+        (_with_column(good, ("T", 1), 0, {**t1.cols[0], 1: 1}),
+         "T_1 at 0 changes |D & {1, 2}| mod 2 in row 1"),
+        # (W) T_1 negated everywhere: template and shifts change together, the
+        # form holds and T_1 T_1 = -T_1 fails
+        (Supermodule(good.blocks, good.algebra, good.labels, good.parities,
+                     {**good.actions, ("T", 1): t1.scale(-1)}),
+         "relation T_1 T_1 = -T_1 fails"),
+    ]
+    for bad, witness in cases:
+        assert _induced_relation_failure(base, bad) == witness
+        assert check_failure(bad) is not None, witness
+    # where the form holds, the walked relations fail first in the same order
+    assert check_failure(cases[-1][0]) == cases[-1][1]
 
 
 def test_outer_tensor_relations():
@@ -994,41 +1072,57 @@ def test_split_components_inherit_the_relations_of_the_induced_simple():
 
 
 def test_split_simple_checks_only_the_induced_simple(monkeypatch):
-    checked = []
-    real = Supermodule.check
+    # the certificate runs once, on Ind S_a, and no module is walked by check
+    from peakhc import supermodules
 
-    def recorded(self):
+    certified, checked = [], []
+    real_certificate, real_check = supermodules._induced_relation_failure, Supermodule.check
+
+    def certificate(base, module):
+        certified.append(module)
+        return real_certificate(base, module)
+
+    def check(self):
         checked.append(self)
-        return real(self)
+        return real_check(self)
 
-    monkeypatch.setattr(Supermodule, "check", recorded)
+    monkeypatch.setattr(supermodules, "_induced_relation_failure", certificate)
+    monkeypatch.setattr(Supermodule, "check", check)
     for a in (C(4), C(1, 2, 1), C(2, 2), C(1, 3, 1)):
+        certified.clear()
         checked.clear()
         split = split_simple(a)
-        assert checked == [split.module], a
+        assert certified == [split.module], a
+        assert checked == [], a
 
 
 @pytest.mark.parametrize("key", [("T", 1), ("c", 1)])
 def test_split_simple_checks_the_induced_simple_before_spinning(monkeypatch, key):
     # negative control: Ind S_(1,2,1) with one entry of T_1 or of c_1 negated
-    # fails a relation, and split_simple names it before any spin
+    # fails a relation, and split_simple names the certificate's witness
+    # before any spin
     from peakhc import supermodules
 
     bad = with_one_entry_changed(Stilde(1, 2, 1), key, lambda v: -v)
     failed, _by_products = relation_routes(bad)
     assert failed is not None
+    witness = {
+        ("T", 1): "T_1 at 3 is not its template column at 0 shifted",
+        ("c", 1): "c_1 at 0 is not the signed c_{D xor {1}} (x) n_k",
+    }[key]
+    assert _induced_relation_failure(S(1, 2, 1), bad) == witness
     spun = []
     monkeypatch.setattr(supermodules, "induce_clifford", lambda _base: bad)
     monkeypatch.setattr(supermodules, "submodule_on_vectors", lambda *args: spun.append(args))
     with pytest.raises(RelationError) as info:
         split_simple(C(1, 2, 1))
-    assert str(info.value) == "relation %s fails" % failed
+    assert str(info.value) == witness
     assert spun == []
 
 
 def test_a_perturbed_spin_passes_the_parent_check_and_fails_the_oracle(monkeypatch):
     # what moved: one wrong spin expression in the first component is no
-    # longer caught inside split_simple, whose check of Ind S_a still
+    # longer caught inside split_simple, whose certificate of Ind S_a still
     # passes; the inheritance oracle catches it, and only there
     from peakhc import supermodules
 
