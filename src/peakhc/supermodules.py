@@ -135,8 +135,8 @@ class Supermodule:
     module's basis vectors as columns in the basis c_D (x) n of Ind N, and
     ``None`` for every other module.  ``induce_clifford(N)`` is its own
     summand, with ``embedding`` ``None`` for the identity; ``split_simple``
-    gives each component its spun basis in Ind S_alpha.  No other
-    constructor sets the slot or passes it on.
+    gives each component its basis in Ind S_alpha.  No other constructor
+    sets the slot or passes it on.
     """
 
     __slots__ = ("blocks", "algebra", "labels", "parities", "actions", "summand_of")
@@ -529,14 +529,6 @@ class ModuleMap:
 class HomBasis:
     even: list
     odd: list
-
-    @property
-    def even_dim(self) -> int:
-        return len(self.even)
-
-    @property
-    def odd_dim(self) -> int:
-        return len(self.odd)
 
     @property
     def total_dim(self) -> int:
@@ -952,23 +944,27 @@ def _span_basis(rows) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _integral_idempotents(valleys: list, n: int) -> list:
-    """(eps, ê_eps) for every sign vector eps of the even idempotents that
-    split an induced simple with the given sorted valleys.
+def _integral_idempotent(valleys: list, n: int):
+    """ê = 2^l e_eps at eps = (1, ..., 1), where e_eps = prod_j (1 + eps_j
+    sqrt(-1) c_{n_{2j-1}} c_{n_{2j}})/2 over the l consecutive pairs of the
+    sorted valleys n_1 < n_2 < ... (an odd trailing one unused): the factors
+    without the 1/2, so its coefficients lie in Z[i]."""
+    e = unit(n)
+    for j in range(len(valleys) // 2):
+        pair = basis_element(valleys[2 * j : 2 * j + 2], range(1, n + 1), n)
+        e = multiply(e, unit(n) + pair.scale(GAUSS_I))
+    return e
 
-    For valleys n_1 < n_2 < ... the idempotent with signs eps is
-    e_eps = prod_j (1 + eps_j sqrt(-1) c_{n_{2j-1}} c_{n_{2j}})/2 over the l
-    consecutive valley pairs; an odd trailing valley is unused.  This
-    returns ê_eps = 2^l e_eps, the product of the factors without the 1/2,
-    so its coefficients lie in Z[i]; one ``multiply`` per factor.
-    """
+
+def _flip_lifts(valleys: list) -> list:
+    """The valleys whose f_{c_v} compose to F_eps of ``split_simple``, for
+    each eps in the order of ``itertools.product((1, -1), ...)``: the first
+    valley of each pair with eps_j = -1, then the unpaired valley when both
+    their count and |V| are odd, so that F_eps is even."""
     out = []
     for eps in itertools.product((1, -1), repeat=len(valleys) // 2):
-        e = unit(n)
-        for j, sign in enumerate(eps):
-            pair = basis_element(valleys[2 * j : 2 * j + 2], range(1, n + 1), n)
-            e = multiply(e, unit(n) + pair.scale(GAUSS_I * sign))
-        out.append((eps, e))
+        vs = [v for v, sign in zip(valleys[::2], eps) if sign < 0]
+        out.append(vs + valleys[-1:] if len(vs) % 2 and len(valleys) % 2 else vs)
     return out
 
 
@@ -979,7 +975,7 @@ class SimpleSplit:
     components: list
     type_tag: str
     module: Supermodule
-    pair_parities: dict  # (i, j) -> parity of the found isomorphism
+    pair_parities: dict  # (i, j) -> parity of F_j F_i^-1, certified lifts
 
 
 def submodule_on_vectors(module: Supermodule, vectors):
@@ -1152,32 +1148,41 @@ def _windowed_relations(n: int) -> tuple:
 def split_simple(alpha) -> SimpleSplit:
     """Split the induced simple into its simple components via idempotents.
 
-    Components are the cyclic spans of the idempotent images of the cyclic
-    vector.  Each is spun from ê_eps eta = 2^l e_eps eta, which spans the
-    same submodule; every spun vector scales by 2^l, so the spin
-    expressions, and with them the component's actions, are those of
-    e_eps eta, and no 1/2^l is carried through the spin.  Their count is
-    2^l with l = floor((|peaks|+1)/2), they are pairwise evenly isomorphic
-    of dimension 2^(n-l), and the type (M or Q) is read off the
-    endomorphism algebra of one component.
+    The e_eps of ``_integral_idempotent`` split Ind S_alpha into 2^l
+    components A e_eps eta, l = floor((|peaks|+1)/2), pairwise isomorphic
+    of dimension 2^(n-l); the type (M or Q) is read off End of the first.
+    Only the first, C = A ê eta (eps = (1, ..., 1)), is spun: ê eta = 2^l e
+    eta spans the same submodule and every spun vector scales by 2^l, so
+    its actions are those of e eta.  C is a direct summand, the image of the
+    even idempotent endomorphism c_D eta -> c_D e eta (e with each c_v c_w
+    replaced by f_{c_v} f_{c_w}); its ``summand_of`` is (S_alpha, its spun
+    basis), and ``hom_space`` out of it restricts maps out of Ind S_alpha.
 
-    A component is a direct summand of Ind S_alpha: it is the image of the
-    even endomorphism c_D (x) eta -> c_D e_eps eta, which is e_eps with each
-    c_v c_w replaced by f_{c_v} f_{c_w} (maps of ``end_clifford_check``;
-    the product sends c_D eta to c_D c_v c_w eta) and is idempotent as
-    e_eps is.  Its ``summand_of`` is (S_alpha, its spun basis in
-    Ind S_alpha), and ``hom_space`` out of it restricts the maps out of
-    Ind S_alpha.
+    The component of eps is F_eps(C), F_eps the product of the odd lifts
+    f_{c_v}: c_D eta -> (-1)^{|D|} c_D c_v eta (``_clifford_lifts``; one
+    failing ``_seed_failure`` raises ``RelationError``) over the valleys of
+    ``_flip_lifts``.  Proof:
 
-    The relations and the grading of the integral Ind S_alpha are
-    certified once, from its tensor form, before any component is spun:
-    ``_induced_relation_failure`` reads the Clifford and local T forms off
-    the action columns and walks only the local relations on their window
-    vectors; a failure raises ``RelationError`` with its witness.  No Q(i)
-    component is checked: each spin step is exact, so A_key E = E A'_key
-    for the injective matrix E of the component's spun basis, and the
-    component inherits every relation and the grading of Ind S_alpha
-    (``submodule_on_vectors`` gives the proof).
+    * c_v anticommutes with its own pair's c_a c_b and commutes with the
+      others', so e_eps c_v = c_v e_eps', eps' being eps with that sign
+      flipped: f_{c_v} sends e_eps eta to c_v e_eps' eta and maps A e_eps
+      eta onto A e_eps' eta.  An unpaired valley u commutes with every
+      pair: f_{c_u} is an odd automorphism of each component (type Q),
+      and ``_flip_lifts`` adds it to make every F_eps even.
+    * f_{c_v} is a morphism (``_seed_failure``) with f_{c_v}^2 = id, so
+      F_eps is an automorphism of parity |F_eps|, its number of factors
+      mod 2; the image of a direct summand under it is a direct summand.
+    * With w'_k = (-1)^{p_k |F|} F(w_k) for the spun w_k of parity p_k,
+      F(A_key w) = (-1)^{|F||key|} A_key F(w) turns A_key w_p = sum_t
+      rep[t] w_t, rep[t] != 0 only at p_t = p_p + |key|, into A_key w'_p =
+      sum_t rep[t] w'_t: F_eps(C) has the matrices of C, parities shifted
+      by |F_eps| and ``summand_of`` (S_alpha, the w'_k).  The isomorphism
+      F_j F_i^{-1} has parity ``pair_parities[(i, j)]`` = |F_i| + |F_j|.
+
+    Ind S_alpha is certified once, from its tensor form, before the spin
+    (``_induced_relation_failure``; a failure raises ``RelationError``);
+    no component is checked: C inherits the relations and the grading of
+    Ind S_alpha (``submodule_on_vectors``), the others share its matrices.
     """
     a = as_composition(alpha)
     base = simple_hecke(a)
@@ -1185,49 +1190,32 @@ def split_simple(alpha) -> SimpleSplit:
     failed = _induced_relation_failure(base, module)
     if failed:
         raise RelationError(failed)
-    eta = {0: 1}  # basis vector c_{} (x) eta sits first
-    components = []
-    signs = []
-    for eps, e in _integral_idempotents(sorted(a.valley_set()), a.n):
-        vec = act_element(module, e, eta)
-        comp, basis = submodule_on_vectors(module, [vec])
-        comp.summand_of = (base, basis)
-        components.append(comp)
-        signs.append(eps)
-    first = components[0]
+    valleys = sorted(a.valley_set())
+    seed = act_element(module, _integral_idempotent(valleys, a.n), {0: 1})  # eta sits first
+    first, basis = submodule_on_vectors(module, [seed])
+    first.summand_of = (base, basis)
     ends = hom_space(first, first)
     if ends.total_dim == 1:
         type_tag = "M"
     else:
-        odd_auto = None
-        for f in ends.odd:
-            if f.is_invertible():
-                odd_auto = f
-                break
-        type_tag = "Q" if odd_auto is not None else "M?"
-    # pairwise isomorphisms: for type Q every pair is evenly isomorphic; for
-    # type M a pair differing in k of the idempotent signs is linked by a
-    # parity-(k mod 2) isomorphism (right Clifford multiplications flip one
-    # sign each), so even and odd links both occur once l >= 1
-    pair_parities = {}
-    for i in range(len(components)):
-        for j in range(i + 1, len(components)):
-            if type_tag == "Q":
-                parity = 0
-            else:
-                parity = sum(
-                    1 for x, y in zip(signs[i], signs[j]) if x != y
-                ) % 2
-            res = find_isomorphism(components[i], components[j], parity=parity)
-            pair_parities[(i, j)] = parity if res.found else None
-    return SimpleSplit(
-        alpha=a,
-        copies=len(components),
-        components=components,
-        type_tag=type_tag,
-        module=module,
-        pair_parities=pair_parities,
-    )
+        type_tag = "Q" if any(f.is_invertible() for f in ends.odd) else "M?"
+    flips = _flip_lifts(valleys)
+    lifts, bad = _clifford_lifts(module, sorted(set().union(*flips)))
+    if bad:
+        raise RelationError("f_{c_%d} is no morphism: %s" % bad)
+    components = []
+    for vs in flips:
+        vecs, odd = basis, len(vs) % 2
+        for v in vs:
+            vecs = [lifts[v].apply(w) for w in vecs]
+        comp = Supermodule(first.blocks, first.algebra, first.labels,
+                           [p + odd for p in first.parities], first.actions)
+        comp.summand_of = (base, [vec_scale(w, -1) if odd and p else w
+                                  for w, p in zip(vecs, first.parities)])
+        components.append(comp)
+    pair_parities = {(i, j): (len(flips[i]) + len(flips[j])) % 2
+                     for i, j in itertools.combinations(range(len(flips)), 2)}
+    return SimpleSplit(a, len(components), components, type_tag, module, pair_parities)
 
 
 def _seed_failure(base: Supermodule, target: Supermodule, images: list):
@@ -1254,15 +1242,30 @@ def _seed_failure(base: Supermodule, target: Supermodule, images: list):
     return None
 
 
+def _clifford_lifts(module: Supermodule, valleys) -> tuple:
+    """``(lifts, bad)`` on Ind S_alpha = ``module``: ``lifts[v]`` is the
+    plain f_{c_v}: c_D eta -> (-1)^{|D|} c_D c_v eta, with int entries, the
+    lift (``_map_out_of_induced``) of the odd seed eta -> c_v eta; ``bad``
+    is (v, witness) for the first v whose seed fails ``_seed_failure``, so
+    that its lift is no morphism, and None when every lift is one."""
+    base = module.summand_of[0]
+    lifts = {}
+    for v in valleys:
+        lifts[v] = _map_out_of_induced(module, [module.actions[("c", v)].cols[0]], 1)
+        failed = _seed_failure(base, module, lifts[v].cols[:1])
+        if failed:
+            return lifts, (v, failed)
+    return lifts, None
+
+
 def end_clifford_check(alpha, module: Supermodule | None = None) -> dict:
     """Verify that End of the induced simple is the Clifford algebra on the
     valley set: dimension 2^|V|, generated by odd maps sqrt(-1) f_{c_v}
     squaring to -id and pairwise anticommuting.  ``module`` is Ind S_alpha
     when the caller has built it already (``split_simple(alpha).module``).
 
-    The plain f_{c_v} is the lift (``_map_out_of_induced``) of its seed
-    eta -> c_v eta, the map c_D eta -> (-1)^{|D|} c_D c_v eta, with int
-    entries.  The checks, in order, each reported under its own key:
+    The plain f_{c_v} are the int lifts of ``_clifford_lifts``.  The
+    checks, in order, each reported under its own key:
 
     * ``end_dim``: ``hom_space`` of the module with itself has dimension
       2^|V|, an elimination of its own that reads none of the f_{c_v};
@@ -1289,7 +1292,6 @@ def end_clifford_check(alpha, module: Supermodule | None = None) -> dict:
     a = as_composition(alpha)
     if module is None:
         module = induce_clifford(simple_hecke(a))
-    base = module.summand_of[0]
     valleys = sorted(a.valley_set())
     ends = hom_space(module, module)
     report = {
@@ -1302,14 +1304,11 @@ def end_clifford_check(alpha, module: Supermodule | None = None) -> dict:
     if ends.total_dim != 2 ** len(valleys):
         report["ok"] = False
         return report
-    fmaps = {
-        v: _map_out_of_induced(module, [module.actions[("c", v)].cols[0]], 1) for v in valleys
-    }
-    for v, f in fmaps.items():
-        if _seed_failure(base, module, f.cols[:1]) is not None:
-            report["ok"] = False
-            report["bad_generator"] = v
-            return report
+    fmaps, bad = _clifford_lifts(module, valleys)
+    if bad:
+        report["ok"] = False
+        report["bad_generator"] = bad[0]
+        return report
     eta = {0: 1}  # basis vector c_{} (x) eta sits first
     bad = failing_relation(
         [("c", v) for v in valleys],

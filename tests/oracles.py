@@ -18,8 +18,10 @@ Clifford structure of End of an induced simple by full matrix identities,
 the relations and grading a spun submodule inherits through its embedding,
 the walk of ``Supermodule.check`` as text beside the tensor-form
 certificate of an induced module,
-Hom out of an induced module by the spin route, the true idempotents that split an induced simple, the peak sets by a walk
-over all subsets, the Bruhat filtration of an induced
+Hom out of an induced module by the spin route, the true and the integral
+idempotents that split an induced simple, the split that spins the image
+of eta under each of them and searches an isomorphism for every pair, the
+peak sets by a walk over all subsets, the Bruhat filtration of an induced
 projective, route (i) of the Cartan image by a walk of the
 descent class, the anti-involution phi of the peak subalgebra through a
 preimage, the readers of the JSON forms, the Fock action through the
@@ -842,6 +844,93 @@ def clifford_idempotents(alpha) -> list:
             e = multiply(e, factor).scale(Fraction(1, 2))
         out.append((eps, e))
     return out
+
+
+def integral_idempotents(alpha) -> list:
+    """(eps, ê_eps) for every sign vector eps, in the order of
+    ``clifford_idempotents``: ê_eps = 2^l e_eps, the product of the factors
+    (1 + eps_j sqrt(-1) c_{n_{2j-1}} c_{n_{2j}}) without the 1/2, so its
+    coefficients lie in Z[i]; the first is the ê that ``split_simple``
+    spins."""
+    a = as_composition(alpha)
+    n = a.n
+    valleys = sorted(a.valley_set())
+    out = []
+    for eps in itertools.product((1, -1), repeat=len(valleys) // 2):
+        e = unit(n)
+        for j, sign in enumerate(eps):
+            pair = basis_element(valleys[2 * j : 2 * j + 2], range(1, n + 1), n)
+            e = multiply(e, unit(n) + pair.scale(GAUSS_I * sign))
+        out.append((eps, e))
+    return out
+
+
+def split_by_spinning(alpha) -> sm.SimpleSplit:
+    """The split of Ind S_alpha with every component spun: each ê_eps eta
+    spun in Ind S_alpha (its basis recorded in ``summand_of``), the type
+    read off End of the first, and ``find_isomorphism`` on every pair, of
+    parity 0 for type Q and of the number of differing signs mod 2
+    otherwise (``None`` when none is found)."""
+    a = as_composition(alpha)
+    base = simple_hecke(a)
+    module = induce_clifford(base)
+    failed = sm._induced_relation_failure(base, module)
+    if failed:
+        raise sm.RelationError(failed)
+    components, signs = [], []
+    for eps, e in integral_idempotents(a):
+        comp, basis = sm.submodule_on_vectors(module, [sm.act_element(module, e, {0: 1})])
+        comp.summand_of = (base, basis)
+        components.append(comp)
+        signs.append(eps)
+    ends = hom_space(components[0], components[0])
+    if ends.total_dim == 1:
+        type_tag = "M"
+    else:
+        type_tag = "Q" if any(f.is_invertible() for f in ends.odd) else "M?"
+    pair_parities = {}
+    for i, j in itertools.combinations(range(len(components)), 2):
+        parity = 0 if type_tag == "Q" else sum(map(operator.ne, signs[i], signs[j])) % 2
+        res = find_isomorphism(components[i], components[j], parity=parity)
+        pair_parities[(i, j)] = parity if res.found else None
+    return sm.SimpleSplit(a, len(components), components, type_tag, module, pair_parities)
+
+
+def split_mismatch(got: sm.SimpleSplit, want: sm.SimpleSplit):
+    """The first way in which the split ``got`` differs from ``want``, the
+    split of the same alpha by ``split_by_spinning``, as text; ``None`` when
+    they agree.  They agree when ``copies`` and ``type_tag`` are equal,
+    component 0 is equal entry for entry, its embedding included, each
+    component k has the dimension of the spun one, parity-homogeneous
+    basis columns of its own parities, and columns that are independent
+    and span the subspace of Ind S_alpha that the spun component's columns
+    span, and, checked last, ``pair_parities`` are equal."""
+    for what in ("copies", "type_tag"):
+        if getattr(got, what) != getattr(want, what):
+            return what
+    if got.components[0].summand_of[1] != want.components[0].summand_of[1]:
+        return "component 0: embedding"
+    bad = module_mismatch(got.components[0], want.components[0])
+    if bad:
+        return "component 0: %s" % bad
+    par = got.module.parities
+    for k, (x, y) in enumerate(zip(got.components, want.components)):
+        cols = x.summand_of[1]
+        if x.dim != y.dim or len(cols) != x.dim:
+            return "component %d: dimension" % k
+        if any({par[r] for r in col} != {p} for col, p in zip(cols, x.parities)):
+            return "component %d: parities" % k
+        span = Echelon()
+        for col in cols:
+            span.add(col)
+        rank = span.rank
+        for col in y.summand_of[1]:
+            span.add(col)
+        if rank != x.dim or span.rank != x.dim:
+            return "component %d: span" % k
+    if got.pair_parities != want.pair_parities:
+        return "pair_parities"
+    return None
 
 
 def peak_sets_by_subset_walk(n: int) -> list:

@@ -54,7 +54,7 @@ from peakhc.supermodules import (
 )
 from peakhc.supermodules import (
     _induced_relation_failure,
-    _integral_idempotents,
+    _integral_idempotent,
     _map_out_of_induced,
     _seed_failure,
     _spin,
@@ -71,12 +71,15 @@ from oracles import (
     hom_dim_to_hecke_simple,
     hom_route_mismatch,
     inherited_relation_failure,
+    integral_idempotents,
     is_morphism,
     module_mismatch,
     parabolic_induce_by_decomposition,
     parity_shift,
     relation_routes,
     restrict_parabolic,
+    split_by_spinning,
+    split_mismatch,
     trivial_module,
     with_one_entry_changed,
     without_provenance,
@@ -495,8 +498,8 @@ def test_hom_route_mismatch_catches_a_submodule_that_is_no_summand():
     dst = induce_clifford(simple_hecke(C(3, 1)))
     spin = hom_space(without_provenance(sub), dst)
     restricted = hom_space(sub, dst)
-    assert (spin.even_dim, spin.odd_dim) == (2, 2)
-    assert (restricted.even_dim, restricted.odd_dim) == (0, 0)
+    assert (len(spin.even), len(spin.odd)) == (2, 2)
+    assert (len(restricted.even), len(restricted.odd)) == (0, 0)
     assert hom_route_mismatch(sub, dst) == "parity 0: dimension 0, spin route 2"
 
 
@@ -541,7 +544,7 @@ def test_induced_provenance_does_not_leak():
     for b in compositions_of(3):
         for dst in (induce_clifford(simple_hecke(b)), induce_clifford(projective_hecke(b))):
             got, want = hom_space(back, dst), hom_space(ind, dst)
-            assert (got.even_dim, got.odd_dim) == (want.even_dim, want.odd_dim), b
+            assert (len(got.even), len(got.odd)) == (len(want.even), len(want.odd)), b
 
 
 def _kronecker_hom(src, dst):
@@ -585,7 +588,7 @@ def _kronecker_hom(src, dst):
 def _assert_hom_matches_kronecker(src, dst):
     got = hom_space(src, dst)
     want = _kronecker_hom(src, dst)
-    assert (got.even_dim, got.odd_dim) == (want.even_dim, want.odd_dim), (src, dst)
+    assert (len(got.even), len(got.odd)) == (len(want.even), len(want.odd)), (src, dst)
     ech = Echelon()
     for f in got.even + got.odd:
         assert is_morphism(f)
@@ -634,7 +637,7 @@ def test_hom_generator_route_matches_kronecker():
         outer_tensor(Stilde(1, 1), Stilde(2)), outer_tensor(Stilde(1, 1), Stilde(2))
     )
     _assert_hom_matches_kronecker(trivial_module(), trivial_module())
-    assert hom_space(trivial_module(), trivial_module()).even_dim == 1
+    assert len(hom_space(trivial_module(), trivial_module()).even) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -919,23 +922,37 @@ def test_idempotents_algebra():
                     assert not multiply(e, f)
             total = e if total is None else total + e
         assert total == unit(n)
-        # the split spins the integral ê_eps = 2^l e_eps, in the same order
-        integral = _integral_idempotents(sorted(a.valley_set()), n)
+        # the spin oracle spins the integral ê_eps = 2^l e_eps, in the same
+        # order, and the split spins the first of them
+        integral = integral_idempotents(a)
         assert [eps for eps, _e in integral] == [eps for eps, _e in idems]
         for (eps, e_hat), (_eps, e) in zip(integral, idems):
             assert e_hat == e.scale(2 ** len(eps))
             assert all(type(c) is int or type(c) is GaussianRational and type(c.re) is int
                        and type(c.im) is int for c in e_hat.terms.values())
+        assert _integral_idempotent(sorted(a.valley_set()), n) == integral[0][1]
 
 
 def _fraction_route_components(a):
     """The slow route: spin the image of eta under each true idempotent,
-    with its 1/2^l, through the public API."""
+    with its 1/2^l, through the public API; each component's basis in
+    Ind S_a is its ``summand_of``."""
     module = induce_clifford(simple_hecke(a))
-    return [
-        submodule_on_vectors(module, [act_element(module, e, {0: 1})])[0]
-        for _eps, e in clifford_idempotents(a)
-    ]
+    out = []
+    for _eps, e in clifford_idempotents(a):
+        comp, basis = submodule_on_vectors(module, [act_element(module, e, {0: 1})])
+        comp.summand_of = (None, basis)
+        out.append(comp)
+    return out
+
+
+def _spans_in_induced(x, y) -> bool:
+    """Whether the basis columns of the components x and y of one Ind S_a
+    span one subspace of the same rank as each has columns."""
+    span = Echelon()
+    for col in x.summand_of[1] + y.summand_of[1]:
+        span.add(col)
+    return span.rank == len(x.summand_of[1]) == len(y.summand_of[1])
 
 
 def _same_module(m1, m2) -> bool:
@@ -948,9 +965,11 @@ def _same_module(m1, m2) -> bool:
 
 
 def test_integral_split_matches_the_fraction_route(monkeypatch):
-    # the integral ê_eps = 2^l e_eps spins the same components, entry for
-    # entry, as the true idempotents do; patching the idempotent helper to
-    # the true idempotents runs the whole split on the Fraction route
+    # the integral ê = 2^l e spins the same first component, entry for
+    # entry, as the true idempotent does, and each other component, the
+    # image of the first under lifts, spans what its true idempotent spins;
+    # patching the idempotent helper to the true e runs the whole split on
+    # the Fraction route
     from peakhc import supermodules
 
     for n in range(1, 6):
@@ -958,11 +977,12 @@ def test_integral_split_matches_the_fraction_route(monkeypatch):
             fast = split_simple(a)
             slow_components = _fraction_route_components(a)
             assert len(fast.components) == len(slow_components), a
+            assert _same_module(fast.components[0], slow_components[0]), a
             for k, (x, y) in enumerate(zip(fast.components, slow_components)):
-                assert _same_module(x, y), (a, k)
+                assert x.dim == y.dim and _spans_in_induced(x, y), (a, k)
             idems = clifford_idempotents(a)
             with monkeypatch.context() as m:
-                m.setattr(supermodules, "_integral_idempotents", lambda _v, _n: idems)
+                m.setattr(supermodules, "_integral_idempotent", lambda _v, _n: idems[0][1])
                 slow = split_simple(a)
             for field in ("alpha", "copies", "type_tag", "pair_parities"):
                 assert getattr(fast, field) == getattr(slow, field), (a, field)
@@ -1123,7 +1143,8 @@ def test_split_simple_checks_the_induced_simple_before_spinning(monkeypatch, key
 def test_a_perturbed_spin_passes_the_parent_check_and_fails_the_oracle(monkeypatch):
     # what moved: one wrong spin expression in the first component is no
     # longer caught inside split_simple, whose certificate of Ind S_a still
-    # passes; the inheritance oracle catches it, and only there
+    # passes; the inheritance oracle catches it in every component, since
+    # the others are images of the first under lifts and share its matrices
     from peakhc import supermodules
 
     real = supermodules._spin
@@ -1141,10 +1162,10 @@ def test_a_perturbed_spin_passes_the_parent_check_and_fails_the_oracle(monkeypat
 
     monkeypatch.setattr(supermodules, "_spin", perturbed)
     split = split_simple(C(1, 2, 1))
-    first, *rest = split.components
-    assert inherited_relation_failure(first, split.module, first.summand_of[1]) is not None
-    for comp in rest:
-        assert inherited_relation_failure(comp, split.module, comp.summand_of[1]) is None
+    assert len(split.components) == 2
+    for comp in split.components:
+        assert comp.actions == split.components[0].actions
+        assert inherited_relation_failure(comp, split.module, comp.summand_of[1]) is not None
 
 
 def _in_one_representation(v):
@@ -1208,7 +1229,7 @@ def _promoted(module):
 def _assert_same_hom_space(src, dst, where):
     fast = hom_space(src, dst)
     slow = hom_space(_promoted(src), _promoted(dst))
-    assert (fast.even_dim, fast.odd_dim) == (slow.even_dim, slow.odd_dim), where
+    assert (len(fast.even), len(fast.odd)) == (len(slow.even), len(slow.odd)), where
     for f, g in zip(fast.even + fast.odd, slow.even + slow.odd):
         assert f.parity == g.parity and f.matrix == g.matrix, where
 
@@ -1241,6 +1262,74 @@ def test_split_type_rule_small():
             assert all(p is not None for p in res.pair_parities.values())
             if expected == "Q":
                 assert all(p == 0 for p in res.pair_parities.values())
+
+
+def test_split_matches_the_spin_oracle():
+    # one spin and the certified lifts give what spinning every ê_eps eta
+    # and searching an isomorphism for every pair gives: copies, type,
+    # pair parities, component 0 entry for entry, every component's span
+    count = 0
+    for n in range(1, 6):
+        for a in compositions_of(n):
+            got = split_simple(a)
+            assert split_mismatch(got, split_by_spinning(a)) is None, a
+            count += got.copies
+    assert count == 1 + 2 + 5 + 12 + 27
+
+
+def _patched_flips(monkeypatch, change):
+    """Patch ``_flip_lifts`` to ``change(valleys, flips)`` of its output."""
+    from peakhc import supermodules
+
+    real = supermodules._flip_lifts
+    monkeypatch.setattr(supermodules, "_flip_lifts", lambda vs: change(vs, real(vs)))
+
+
+def test_split_raises_on_a_lift_at_a_non_valley(monkeypatch):
+    # negative control of the certificate: with a non-valley w in place of
+    # the valley of the first flipped pair, eta -> c_w eta is not T-linear,
+    # so split_simple raises through _seed_failure
+    cases = 0
+    for n in range(2, 6):
+        for a in compositions_of(n):
+            valleys = sorted(a.valley_set())
+            if len(valleys) < 2:
+                continue
+            for w in sorted(set(range(1, n + 1)) - set(valleys)):
+                with monkeypatch.context() as m:
+                    _patched_flips(m, lambda vs, flips: [
+                        [w if v == vs[0] else v for v in f] for f in flips])
+                    with pytest.raises(RelationError, match=r"f_\{c_%d\} is no morphism: T_" % w):
+                        split_simple(a)
+                cases += 1
+    assert cases == 41
+
+
+@pytest.mark.parametrize("parts, change, want", [
+    # a product with its second factor missing: the component of (-1, -1)
+    # is carried onto that of (-1, 1)
+    ((2, 2, 2, 1), lambda vs, flips: [f[:1] for f in flips], "component 3: span"),
+    # the valley of the first pair flipping the second: (1, -1) goes to (-1, 1)
+    ((2, 2, 2, 1), lambda vs, flips: [[vs[0] if v == vs[2] else v for v in f] for f in flips],
+     "component 1: span"),
+    # type M with one pair: no factor left, so component 1 is component 0
+    ((2, 2), lambda vs, flips: [[] for f in flips], "component 1: span"),
+    # type Q: f_{c_u} alone maps the first component onto itself
+    ((2, 2, 1), lambda vs, flips: [f[1:] for f in flips], "component 1: span"),
+    # type Q without the f_{c_u} compensation: the spans are right, but the
+    # odd F makes the pair parity 1 where every isomorphism is even; no
+    # type-Q alpha of n <= 4 has two components
+    ((2, 2, 1), lambda vs, flips: [[v for v in f if v != vs[-1]] for f in flips],
+     "pair_parities"),
+])
+def test_the_spin_oracle_catches_a_wrong_product_of_lifts(monkeypatch, parts, change, want):
+    # negative controls of the new route: each wrong product still passes
+    # the certificate, as every lift in it is a morphism, and the oracle
+    # comparison of test_split_matches_the_spin_oracle names what is wrong
+    oracle = split_by_spinning(C(*parts))
+    assert split_mismatch(split_simple(C(*parts)), oracle) is None
+    _patched_flips(monkeypatch, change)
+    assert split_mismatch(split_simple(C(*parts)), oracle) == want
 
 
 def test_induced_simples_isomorphic_iff_same_peaks():
@@ -1599,7 +1688,7 @@ def test_parity_shift():
         mb = induce_clifford(simple_hecke(C(*b)))
         h1 = hom_space(ma, mb)
         h2 = hom_space(ma, parity_shift(mb))
-        assert h1.odd_dim == h2.even_dim and h1.even_dim == h2.odd_dim
+        assert len(h1.odd) == len(h2.even) and len(h1.even) == len(h2.odd)
 
 
 # ---------------------------------------------------------------------------
